@@ -21,7 +21,7 @@ from .counting import (
     shape_recursion_factor,
     total_shape_count,
 )
-from .deflation import LevelBasis, deflate, deflate_product, deflate_sparse
+from .deflation import LevelBasis, deflate, deflate_sparse
 from .errors import InternalConsistencyError, StateCapExceeded
 from .polycore import (
     EulerMonomial,
@@ -43,6 +43,7 @@ from .shapegen import (
     SpanReport,
     generate_shapes,
     orthogonal_complement,
+    trivial_products,
     verify_span,
 )
 from .realize import (

@@ -20,13 +20,9 @@ from .counting import (
     shape_polynomial,
     total_shape_count,
 )
-from .deflation import LevelBasis, deflate, deflate_sparse
+from .deflation import LevelBasis, deflate
 from .errors import InternalConsistencyError, StateCapExceeded
-from .polycore import (
-    ExactPolynomial,
-    enumerate_euler_monomials,
-    format_fraction,
-)
+from .polycore import ExactPolynomial, format_fraction
 from .realize import (
     hermite_oscillator,
     box_closed,
@@ -40,6 +36,7 @@ from .shapegen import (
     ShapeCatalog,
     default_state_cap,
     generate_shapes,
+    trivial_products,
     verify_span,
 )
 
@@ -249,15 +246,10 @@ def cmd_coulomb(args):
     for rec in catalog.shapes_at(args.grade):
         labels.append(f"shape {rec.id}")
         vectors.append(rec.coeffs)
-    for rec in catalog.shapes:
-        if rec.grade >= args.grade:
-            continue
-        spoly = rec.materialize(catalog.level_basis(rec.grade))
-        for euler in enumerate_euler_monomials(
-            catalog.n, catalog.d, args.grade - rec.grade
-        ):
+    for rec, euler, vec in trivial_products(catalog, args.grade):
+        if rec.grade < args.grade:
             labels.append(f"{euler.label()}*{rec.id}")
-            vectors.append(deflate_sparse(spoly * euler.materialize(), basis))
+            vectors.append(vec)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         if args.pairwise:

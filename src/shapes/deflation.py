@@ -1,5 +1,9 @@
 """Expand homogeneous (anti)symmetric polynomials over the level basis.
 
+Deflation is the entry point for polynomials from outside the state basis:
+user input (``shapes deflate``) and test oracles.  Shape generation never
+deflates; it forms its products in the state basis directly.
+
 Deflation eliminates the residual by repeatedly subtracting the basis state
 that carries the current leading monomial.  Because every monomial of a
 state's expansion is a row permutation of its orbital matrix, distinct
@@ -163,17 +167,3 @@ def _raise_outside_span(residual, basis):
         f"{monomial_rows(lead, basis.d)}"
     )
 
-
-def deflate_product(coeffs, source_basis, euler, target_basis):
-    """Deflate (shape vector over source basis) * (Euler monomial).
-
-    Materializes the product polynomial and deflates it in the target level;
-    equal to deflate(multiply(...)).  The grades must add up.
-    """
-    if source_basis.grade + euler.degree != target_basis.grade:
-        raise ValueError(
-            f"grade mismatch: {source_basis.grade} + {euler.degree} != "
-            f"{target_basis.grade}"
-        )
-    product = source_basis.materialize(coeffs) * euler.materialize()
-    return deflate(product, target_basis)

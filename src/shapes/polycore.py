@@ -462,23 +462,27 @@ class EulerMonomial:
     def is_empty(self):
         return self.degree == 0
 
+    def factors(self):
+        """The factors e_m^[k](axis) as (m, k, axis), axis-major, m ascending."""
+        return [
+            (m, k, axis)
+            for axis, per_axis in enumerate(self.exponents)
+            for m, k in enumerate(per_axis, start=1)
+            if k
+        ]
+
     def materialize(self):
         poly = ExactPolynomial.constant(self.n, self.d)
-        for axis, per_axis in enumerate(self.exponents):
-            for m, k in enumerate(per_axis, start=1):
-                if k:
-                    poly = poly * euler_power(m, k, axis, self.n, self.d)
+        for m, k, axis in self.factors():
+            poly = poly * euler_power(m, k, axis, self.n, self.d)
         return poly
 
     def label(self):
-        factors = []
-        for axis, per_axis in enumerate(self.exponents):
-            for m, k in enumerate(per_axis, start=1):
-                if k == 1:
-                    factors.append(f"e{m}({axis_name(axis)})")
-                elif k > 1:
-                    factors.append(f"e{m}({axis_name(axis)})^{k}")
-        return "*".join(factors) if factors else "1"
+        names = []
+        for m, k, axis in self.factors():
+            name = f"e{m}({axis_name(axis)})"
+            names.append(name if k == 1 else f"{name}^{k}")
+        return "*".join(names) if names else "1"
 
     def __str__(self):
         return self.label()

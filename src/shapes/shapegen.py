@@ -3,8 +3,12 @@
 Per grade, the trivial span is every lower shape times every Euler-boson
 monomial of the complementary degree; the new shapes are the orthogonal
 complement of that span, with the level's Slater/permanent states taken as
-orthonormal coordinates.  The complement dimension must match the shape
-polynomial coefficient at every grade (hard assertion).
+orthonormal coordinates.  The products are formed directly in the state
+basis (trivial_products, by the Pieri rule for elementary symmetric
+functions), never as expanded polynomials.  Two laws are hard assertions at
+every grade: the products are linearly independent (the free-module
+statement), and the complement dimension matches the shape polynomial
+coefficient.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, lcm
 
 from .counting import (
     GradedQPolynomial,
@@ -21,13 +26,14 @@ from .counting import (
     shape_polynomial,
     total_shape_count,
 )
-from .deflation import LevelBasis, deflate_sparse
+from .deflation import LevelBasis
 from .errors import InternalConsistencyError
 from .polycore import (
     SlaterState,
     _as_exact,
     enumerate_euler_monomials,
     format_fraction,
+    orbital_key,
     parse_fraction,
 )
 
@@ -42,18 +48,19 @@ def default_state_cap():
 
 
 def _int_rows(vec):
-    """Scale a sparse exact-rational vector to integers with content 1."""
-    if not vec:
-        return {}
-    denom_lcm = 1
-    for c in vec.values():
-        den = c.denominator
-        denom_lcm = denom_lcm * den // gcd(denom_lcm, den)
-    ints = {i: int(c * denom_lcm) for i, c in vec.items()}
-    content = 0
-    for v in ints.values():
-        content = gcd(content, v)
-    return {i: v // content for i, v in ints.items()}
+    """Scale a sparse exact vector to integers with content 1.
+
+    Integer input that is already primitive is returned as is.
+    """
+    try:
+        content = gcd(*vec.values())
+    except TypeError:  # rational entries: clear the denominators first
+        scale = lcm(*(Fraction(c).denominator for c in vec.values()))
+        vec = {i: int(c * scale) for i, c in vec.items()}
+        content = gcd(*vec.values())
+    if content in (0, 1):
+        return vec
+    return {i: v // content for i, v in vec.items()}
 
 
 def _canonical_sign(vec):
@@ -90,7 +97,7 @@ class _Echelon:
             p = min(vec)
             row = self.rows.get(p)
             if row is None:
-                vec = _canonical_sign(_int_rows_from_int(vec))
+                vec = _canonical_sign(_int_rows(vec))
                 self.rows[p] = vec
                 return p
             a, b = vec[p], row[p]
@@ -103,7 +110,7 @@ class _Echelon:
                     new[c] = nv
                 else:
                     new.pop(c, None)
-            vec = _int_rows_from_int(new)
+            vec = _int_rows(new)
         return None
 
     def nullspace(self):
@@ -132,15 +139,6 @@ class _Echelon:
                     x[p] = -s / row[p]
             out.append(_canonical_sign(_int_rows(x)))
         return out
-
-
-def _int_rows_from_int(vec):
-    content = 0
-    for v in vec.values():
-        content = gcd(content, v)
-    if content in (0, 1):
-        return vec
-    return {i: v // content for i, v in vec.items()}
 
 
 def orthogonal_complement(vectors, ambient_dim):
@@ -291,13 +289,94 @@ class ShapeCatalog:
         return catalog
 
 
+def trivial_products(catalog, grade):
+    """Every catalog shape of grade <= the target times every Euler monomial.
+
+    Yields (record, euler, vector) with records in catalog order and, per
+    record, Euler monomials of the complementary degree in
+    enumerate_euler_monomials order; at a shape's own grade the only
+    monomial is the empty one and the vector is the shape itself.  The
+    vector is the exact sparse {state index: coeff} of the product over the
+    target level basis, formed in the state basis one Euler factor at a
+    time; consecutive monomials share the product of their common leading
+    factors.
+    """
+    index = {
+        tuple(map(orbital_key, s.orbitals)): i
+        for i, s in enumerate(catalog.level_basis(grade).states)
+    }
+    fermion = catalog.statistics is FERMION
+    for rec in catalog.shapes:
+        if rec.grade > grade:
+            continue
+        states = catalog.level_basis(rec.grade).states
+        chain = [
+            {tuple(map(orbital_key, states[i].orbitals)): c for i, c in rec.coeffs.items()}
+        ]
+        applied = []
+        for euler in enumerate_euler_monomials(catalog.n, catalog.d, grade - rec.grade):
+            factors = euler.factors()
+            keep = 0
+            for have, want in zip(applied, factors):
+                if have != want:
+                    break
+                keep += 1
+            del applied[keep:], chain[keep + 1 :]
+            for factor in factors[keep:]:
+                chain.append(_times_euler_factor(chain[-1], *factor, fermion))
+                applied.append(factor)
+            yield rec, euler, {index[rows]: c for rows, c in chain[-1].items()}
+
+
+def _times_euler_factor(vec, m, k, axis, fermion):
+    """Multiply a state vector by e_m^[k](axis).
+
+    States are keyed by their rows' orbital keys in canonical descending
+    order.  The factor is symmetric, so a state times it is a sum over the
+    m-subsets of its rows: shift those orbitals by k on the axis and re-sort
+    the rows (the Pieri rule).  A determinant takes the sign of the sort
+    and vanishes when two rows coincide; a permanent, summed over all n!
+    assignments, takes 1 per subset.
+    """
+    out = {}
+    for state, c in vec.items():
+        n = len(state)
+        shifted = [
+            (deg + k, orb[:axis] + (orb[axis] + k,) + orb[axis + 1 :])
+            for deg, orb in state
+        ]
+        for subset in combinations(range(n), m):
+            rows = list(state)
+            for i in subset:
+                rows[i] = shifted[i]
+            sign = c
+            if fermion:
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        if rows[a] < rows[b]:
+                            sign = -sign
+                        elif rows[a] == rows[b]:
+                            sign = 0
+                if not sign:
+                    continue
+            rows.sort(reverse=True)
+            target = tuple(rows)
+            nv = out.get(target, 0) + sign
+            if nv:
+                out[target] = nv
+            else:
+                del out[target]
+    return out
+
+
 def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
     """Build the full shape catalog grade by grade.
 
     Ground-grade shapes are the basis states themselves.  At every higher
-    grade the trivial span is deflated lower shapes times Euler monomials,
-    and the complement dimension must equal the shape polynomial coefficient
-    (else an InternalConsistencyError is raised with diagnostics).  The
+    grade the trivial span is lower shapes times Euler monomials; every
+    product must be independent of the ones before it, and the complement
+    dimension must equal the shape polynomial coefficient (else an
+    InternalConsistencyError is raised with diagnostics).  The
     result is deterministic: two runs produce identical catalogs.
     """
     if n < 1 or d < 1:
@@ -318,8 +397,6 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
         state_cap=state_cap,
     )
     ground = poly.lowest_degree()
-    materialized = {}
-    euler_polys = {}
     for grade in range(ground, max_grade + 1):
         expected = poly.coefficient(grade)
         basis = catalog.level_basis(grade)
@@ -332,18 +409,13 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
             new_vectors = [{i: 1} for i in range(len(basis))]
         else:
             ech = _Echelon(len(basis))
-            for rec in catalog.shapes:
-                spoly = materialized.get(rec.id)
-                if spoly is None:
-                    spoly = rec.materialize(catalog.level_basis(rec.grade))
-                    materialized[rec.id] = spoly
-                for euler in enumerate_euler_monomials(n, d, grade - rec.grade):
-                    epoly = euler_polys.get(euler)
-                    if epoly is None:
-                        epoly = euler.materialize()
-                        euler_polys[euler] = epoly
-                    vec = deflate_sparse(spoly * epoly, basis)
-                    ech.insert(_int_rows(vec))
+            products = trivial_products(catalog, grade)
+            for count, (_rec, _euler, vec) in enumerate(products, start=1):
+                if ech.insert(_int_rows(vec)) is None:
+                    raise InternalConsistencyError(
+                        f"trivial products at grade {grade} are not free: "
+                        f"{count} vectors have rank {ech.rank}"
+                    )
             new_vectors = ech.nullspace()
             if len(new_vectors) != expected:
                 raise InternalConsistencyError(
@@ -401,14 +473,7 @@ def verify_span(catalog, grade):
     sparsity of the overlap (Gram) matrix.
     """
     basis = catalog.level_basis(grade)
-    vectors = []
-    for rec in catalog.shapes:
-        if rec.grade > grade:
-            continue
-        spoly = rec.materialize(catalog.level_basis(rec.grade))
-        for euler in enumerate_euler_monomials(catalog.n, catalog.d, grade - rec.grade):
-            vec = deflate_sparse(spoly * euler.materialize(), basis)
-            vectors.append(_int_rows(vec))
+    vectors = [_int_rows(vec) for _rec, _euler, vec in trivial_products(catalog, grade)]
     ech = _Echelon(len(basis))
     for v in vectors:
         ech.insert(dict(v))

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shapes.counting import BOSON, FERMION
-from shapes.deflation import LevelBasis, deflate, deflate_product, deflate_sparse
+from shapes.counting import BOSON, FERMION, shape_polynomial
+from shapes.deflation import LevelBasis, deflate, deflate_sparse
 from shapes.errors import InternalConsistencyError, StateCapExceeded
 from shapes.polycore import (
     ExactPolynomial,
@@ -18,6 +19,7 @@ from shapes.polycore import (
     vandermonde,
 )
 from shapes.schur import schur_expand
+from shapes.shapegen import ShapeCatalog, ShapeRecord, trivial_products
 
 
 def state(orbitals, stat=FERMION):
@@ -119,28 +121,64 @@ class TestDeflate:
         assert basis.materialize(deflate(poly, basis)) == poly
 
 
-class TestDeflateProduct:
-    def test_matches_deflate_of_multiply(self):
-        src = LevelBasis(3, 2, 2, FERMION)
-        dst = LevelBasis(3, 2, 4, FERMION)
-        for euler in enumerate_euler_monomials(3, 2, 2):
-            via_product = deflate_product({0: 1}, src, euler, dst)
-            direct = deflate(src.expansion(0) * euler.materialize(), dst)
-            assert via_product == direct
+SYSTEMS = [(n, d, stat) for n in (2, 3, 4) for d in (1, 2, 3) for stat in (FERMION, BOSON)]
+
+coefficients = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=5)
+).filter(bool)
+
+
+def one_shape_catalog(n, d, stat, grade, coeffs):
+    return ShapeCatalog(
+        n=n,
+        d=d,
+        statistics=stat,
+        shape_poly=shape_polynomial(n, d, stat),
+        max_grade=grade,
+        shapes=[ShapeRecord(grade=grade, index=0, statistics=stat, coeffs=coeffs)],
+    )
+
+
+@st.composite
+def product_cases(draw):
+    n, d, stat = draw(st.sampled_from(SYSTEMS))
+    grade = shape_polynomial(n, d, stat).lowest_degree() + draw(st.integers(0, 2))
+    size = len(LevelBasis(n, d, grade, stat))
+    support = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4, unique=True))
+    coeffs = {i: draw(coefficients) for i in support}
+    degree = draw(st.integers(0, 3))
+    euler = draw(st.sampled_from(enumerate_euler_monomials(n, d, degree)))
+    return one_shape_catalog(n, d, stat, grade, coeffs), euler
+
+
+class TestTrivialProducts:
+    @settings(max_examples=60, deadline=None)
+    @given(product_cases())
+    def test_matches_expand_then_deflate(self, case):
+        catalog, euler = case
+        (rec,) = catalog.shapes
+        grade = rec.grade + euler.degree
+        products = list(trivial_products(catalog, grade))
+        assert [e for _, e, _ in products] == enumerate_euler_monomials(
+            catalog.n, catalog.d, euler.degree
+        )
+        (vec,) = [v for _, e, v in products if e == euler]
+        spoly = rec.materialize(catalog.level_basis(rec.grade))
+        assert vec == deflate_sparse(spoly * euler.materialize(), catalog.level_basis(grade))
 
     def test_grade_mismatch(self):
-        src = LevelBasis(3, 2, 2, FERMION)
-        dst = LevelBasis(3, 2, 4, FERMION)
-        euler = enumerate_euler_monomials(3, 2, 1)[0]
-        with pytest.raises(ValueError):
-            deflate_product({0: 1}, src, euler, dst)
+        # A shape above the target grade has no product there; every product
+        # that is yielded lands exactly on the target grade.
+        catalog = one_shape_catalog(3, 2, FERMION, 4, {0: 1})
+        assert list(trivial_products(catalog, 3)) == []
+        for rec, euler, _ in trivial_products(catalog, 6):
+            assert rec.grade + euler.degree == 6
 
     def test_empty_euler_monomial_is_identity(self):
-        src = LevelBasis(3, 2, 2, FERMION)
-        euler = enumerate_euler_monomials(3, 2, 0)[0]
-        assert deflate_product({0: 1}, src, euler, src) == deflate(
-            src.expansion(0), src
-        )
+        catalog = one_shape_catalog(3, 2, FERMION, 3, {0: 1, 4: Fraction(-2, 3)})
+        ((rec, euler, vec),) = trivial_products(catalog, 3)
+        assert euler.is_empty
+        assert vec == rec.coeffs
 
 
 class TestOneDimensionalConsistency:

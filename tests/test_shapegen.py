@@ -7,7 +7,8 @@ import pytest
 
 from shapes.counting import BOSON, FERMION, shape_polynomial, total_shape_count
 from shapes.deflation import deflate_sparse
-from shapes.errors import StateCapExceeded
+from shapes import shapegen
+from shapes.errors import InternalConsistencyError, StateCapExceeded
 from shapes.polycore import SlaterState, expand_state
 from shapes.shapegen import (
     ShapeCatalog,
@@ -274,3 +275,18 @@ class TestGuards:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             generate_shapes(0, 2, FERMION)
+
+    def test_dependent_trivial_product_is_named(self, monkeypatch):
+        # Freeness: every trivial product is independent.  Feeding one
+        # product twice must fail at once, naming grade, count and rank.
+        real = shapegen.trivial_products
+
+        def with_duplicate(catalog, grade):
+            products = list(real(catalog, grade))
+            return products + products[:1]
+
+        monkeypatch.setattr(shapegen, "trivial_products", with_duplicate)
+        with pytest.raises(
+            InternalConsistencyError, match="grade 3 are not free: 3 vectors have rank 2"
+        ):
+            generate_shapes(3, 2, FERMION)
