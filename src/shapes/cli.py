@@ -57,13 +57,6 @@ def build_parser():
             "Coulomb tables for N identical particles in d dimensions."
         ),
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on worker threads (the current implementation is serial; "
-        "any cap >= 1 is honored trivially)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poly", help="print a shape polynomial")
@@ -381,8 +374,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if hasattr(args, "n"):
         _validate_system(parser, args)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         return COMMANDS[args.command](args)
     except (InternalConsistencyError, StateCapExceeded) as exc:

@@ -10,7 +10,9 @@ happens once at the end.
 
 Unnormalized Hermite functions have <phi_n|phi_m> = delta_nm 2^n n! sqrt(pi);
 many-body expectations divide by the full state norms, so the outputs are
-convention-free.
+convention-free.  The same orthogonality contracts the spectator particles
+exactly; spectator_buckets and hermite_norm_rational serve the densities in
+realize as well.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 
 def hermite_linearization(n, m):
@@ -185,12 +186,41 @@ def two_body_element(bra1, bra2, ket1, ket2, d=None):
     return float(rat) * _element_prefactor(d)
 
 
-def hermite_norm_rational(index_tuple):
-    """Product over axes of 2^n n! (the norm is that times sqrt(pi)^d)."""
+def hermite_norm_rational(indices):
+    """Product over the indices of 2^e e!, an int.
+
+    The norm of a product of unnormalized Hermite functions is this times
+    sqrt(pi) per index, since <phi_a|phi_b> = delta_ab 2^a a! sqrt(pi).
+    """
     rat = 1
-    for e in index_tuple:
+    for e in indices:
         rat *= 2**e * math.factorial(e)
-    return Fraction(rat)
+    return rat
+
+
+def state_norm_rational(terms):
+    """<Psi|Psi> over sqrt(pi)^(n*d) for (monomial, coeff) terms, exactly."""
+    total = Fraction(0)
+    for mono, coeff in terms:
+        total += coeff * coeff * hermite_norm_rational(mono)
+    return total
+
+
+def spectator_buckets(terms, retained, d):
+    """Group (monomial, coeff) terms by the rows of particles retained..n-1.
+
+    Returns {spectator exponents: [(retained rows, coeff), ...]} where the
+    key is the flat exponent tuple of the spectators and the retained rows
+    are the d-tuples of particles 0..retained-1.  Hermite functions are
+    orthogonal, so a bra and a ket monomial overlap in the spectators only
+    inside one bucket, by hermite_norm_rational(key) times sqrt(pi) per
+    spectator axis.
+    """
+    buckets = {}
+    for mono, coeff in terms:
+        rows = tuple(mono[p * d : (p + 1) * d] for p in range(retained))
+        buckets.setdefault(mono[retained * d :], []).append((rows, coeff))
+    return buckets
 
 
 def coulomb_expectation(bra, ket, basis):
@@ -198,36 +228,36 @@ def coulomb_expectation(bra, ket, basis):
 
     Both states are coefficient vectors (dense sequences or sparse dicts)
     over the same LevelBasis, realized as products of unnormalized Hermite
-    functions.  The interacting pair goes through the closed-form two-body
-    element, spectators through exact Hermite orthogonality; everything is
-    assembled in exact rationals and divided by the full state norms, so the
-    result does not depend on the normalization convention.
+    functions.  Both are antisymmetric or both symmetric, so every particle
+    pair contributes the same: particles 0 and 1 go through the closed-form
+    two-body element, the spectators through exact Hermite orthogonality,
+    and the sum is n(n-1)/2 times that.  Everything is assembled in exact
+    rationals and divided by the full state norms, so the result does not
+    depend on the normalization convention.
     """
     n, d = basis.n, basis.d
     bra_terms = _monomial_terms(bra, basis)
     ket_terms = _monomial_terms(ket, basis)
     if not bra_terms or not ket_terms:
         raise ValueError("zero state has no Coulomb expectation")
+    if n < 2:
+        return 0.0
     numerator = Fraction(0)
-    for i, j in combinations(range(n), 2):
-        bra_buckets = _spectator_buckets(bra_terms, i, j, d, n)
-        ket_buckets = _spectator_buckets(ket_terms, i, j, d, n)
-        for key, bra_list in bra_buckets.items():
-            ket_list = ket_buckets.get(key)
-            if not ket_list:
-                continue
-            spect_rat = Fraction(1)
-            for orb in key:
-                spect_rat *= hermite_norm_rational(orb)
-            for bi, bj, cb in bra_list:
-                for ki, kj, ck in ket_list:
-                    tb = _two_body_fraction(
-                        *_canonical_indices(bi, bj, ki, kj), d
-                    )
-                    if tb:
-                        numerator += cb * ck * spect_rat * tb
-    bra_norm = _state_norm_rational(bra_terms)
-    ket_norm = _state_norm_rational(ket_terms)
+    ket_buckets = spectator_buckets(ket_terms, 2, d)
+    for key, bra_list in spectator_buckets(bra_terms, 2, d).items():
+        ket_list = ket_buckets.get(key)
+        if not ket_list:
+            continue
+        pair_sum = Fraction(0)
+        for (bi, bj), cb in bra_list:
+            for (ki, kj), ck in ket_list:
+                tb = _two_body_fraction(*_canonical_indices(bi, bj, ki, kj), d)
+                if tb:
+                    pair_sum += cb * ck * tb
+        numerator += hermite_norm_rational(key) * pair_sum
+    numerator *= n * (n - 1) // 2
+    bra_norm = state_norm_rational(bra_terms)
+    ket_norm = state_norm_rational(ket_terms)
     _, pi_pow = beta_integral_exact(d, 0)
     prefactor = math.sqrt(2.0) * math.pi ** (pi_pow - 0.5)
     return prefactor * float(numerator) / math.sqrt(float(bra_norm * ket_norm))
@@ -236,19 +266,3 @@ def coulomb_expectation(bra, ket, basis):
 def _monomial_terms(coeffs, basis):
     poly = basis.materialize(coeffs)
     return list(poly.terms.items())
-
-
-def _spectator_buckets(terms, i, j, d, n):
-    buckets = {}
-    for mono, coeff in terms:
-        rows = [mono[p * d : (p + 1) * d] for p in range(n)]
-        key = tuple(rows[p] for p in range(n) if p not in (i, j))
-        buckets.setdefault(key, []).append((rows[i], rows[j], coeff))
-    return buckets
-
-
-def _state_norm_rational(terms):
-    total = Fraction(0)
-    for mono, coeff in terms:
-        total += coeff * coeff * hermite_norm_rational(mono)
-    return total

@@ -5,27 +5,26 @@ realization, to cos(kx) in the open box and sin((k+1)x) in the closed box.
 The mapping is applied monomial by monomial, never to factored expressions
 (which ExactPolynomial enforces by always being expanded).
 
-Densities are computed for the oscillator realization: the integrals over
-the traced-out particles reduce to one-dimensional pair overlaps of Hermite
-functions, each evaluated by 40-node Gauss-Hermite quadrature (exact for
-these polynomial-times-Gaussian integrands up to degree 79).  Coordinates
-are in units of the realization's length scale.
+Densities are computed for the oscillator realization: the traced-out
+particles contract by exact Hermite orthogonality,
+<phi_a|phi_b> = delta_ab 2^a a! sqrt(pi), so only monomials with equal
+spectator rows pair up, with exact rational weights and no limit on the
+orbital index.  Coordinates are in units of the realization's length scale.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
+from .coulomb import hermite_norm_rational, spectator_buckets, state_norm_rational
 from .errors import InternalConsistencyError
-
-GAUSS_HERMITE_NODES = 40
 
 
 class RealizationKind(Enum):
@@ -176,56 +175,26 @@ def realize_polynomial(poly, realization):
     return evaluate
 
 
-@lru_cache(maxsize=None)
-def _pair_overlaps(max_index):
-    """O[a, b] = integral of phi_a phi_b, by Gauss-Hermite quadrature.
-
-    The integrand H_a H_b exp(-x^2) is a polynomial of degree a + b times
-    the quadrature weight, so 40 nodes are exact up to degree 79.
-    """
-    if 2 * max_index > 2 * GAUSS_HERMITE_NODES - 1:
-        raise ValueError("orbital index too large for the quadrature order")
-    nodes, weights = np.polynomial.hermite.hermgauss(GAUSS_HERMITE_NODES)
-    table = np.empty((max_index + 1, GAUSS_HERMITE_NODES))
-    for k in range(max_index + 1):
-        coeffs = np.zeros(k + 1)
-        coeffs[k] = 1.0
-        table[k] = hermval(nodes, coeffs)
-    return np.einsum("i,ai,bi->ab", weights, table, table)
-
-
 def _reduced_density_weights(poly, retained):
-    """Contract |Psi|^2 over all particles except the retained ones.
+    """Contract |Psi|^2 over the spectator particles retained..n-1.
 
-    Returns (weights, norm): weights maps (bra indices, ket indices) of the
-    retained particles to the spectator-integrated coefficient, and norm is
-    the full overlap <Psi|Psi>.  Everything via the quadrature pair overlaps.
+    Returns {(bra rows, ket rows) of particles 0..retained-1: weight}, the
+    spectator-integrated coefficient divided by the full overlap <Psi|Psi>.
+    Hermite orthogonality pairs monomials only within a spectator bucket;
+    the sums are exact, and the final division also takes out the sqrt(pi)
+    of each retained axis, which the norm carries and the weight does not.
     """
-    n, d = poly.n, poly.d
-    max_index = max((max(m) for m in poly.terms), default=0)
-    overlaps = _pair_overlaps(max_index)
-    terms = [(m, float(c)) for m, c in poly.terms.items()]
-    weights = {}
-    norm = 0.0
-    spectators = [i for i in range(n) if i not in retained]
-    for ma, ca in terms:
-        for mb, cb in terms:
-            full = ca * cb
-            for i in range(n):
-                for ax in range(d):
-                    full *= overlaps[ma[i * d + ax], mb[i * d + ax]]
-            norm += full
-            partial = ca * cb
-            for i in spectators:
-                for ax in range(d):
-                    partial *= overlaps[ma[i * d + ax], mb[i * d + ax]]
-            if partial:
-                key = (
-                    tuple(ma[i * d : (i + 1) * d] for i in retained),
-                    tuple(mb[i * d : (i + 1) * d] for i in retained),
-                )
-                weights[key] = weights.get(key, 0.0) + partial
-    return weights, norm
+    terms = list(poly.terms.items())
+    norm = state_norm_rational(terms)
+    retained_pi = math.pi ** (retained * poly.d / 2)
+    sums = {}
+    for key, bucket in spectator_buckets(terms, retained, poly.d).items():
+        spect = hermite_norm_rational(key)
+        for rows_a, ca in bucket:
+            for rows_b, cb in bucket:
+                pair = (rows_a, rows_b)
+                sums[pair] = sums.get(pair, 0) + spect * ca * cb
+    return {pair: float(w / norm) / retained_pi for pair, w in sums.items() if w}
 
 
 def _require_oscillator(realization):
@@ -246,7 +215,7 @@ def one_particle_density(poly, realization, axes):
         raise ValueError("zero polynomial has no normalizable density")
     if len(axes) != poly.d:
         raise ValueError(f"need {poly.d} grid axes, got {len(axes)}")
-    weights, norm = _reduced_density_weights(poly, retained=(0,))
+    weights = _reduced_density_weights(poly, retained=1)
     scale = realization.length_scale
     pts = np.meshgrid(*[ax.points() / scale for ax in axes], indexing="ij")
     cache = {}
@@ -263,7 +232,7 @@ def one_particle_density(poly, realization, axes):
     values = np.zeros_like(pts[0])
     for ((a,), (b,)), w in weights.items():
         values += w * orbital_product(a) * orbital_product(b)
-    values *= poly.n / (norm * scale**poly.d)
+    values *= poly.n / scale**poly.d
     return _finalize_density(axes, values, normalization=float(poly.n))
 
 
@@ -282,7 +251,7 @@ def two_particle_density_cut(poly, realization, axes):
         raise ValueError("two-particle density needs at least two particles")
     if len(axes) != 2:
         raise ValueError("the diagonal cut uses exactly two grid axes")
-    weights, norm = _reduced_density_weights(poly, retained=(0, 1))
+    weights = _reduced_density_weights(poly, retained=2)
     scale = realization.length_scale
     xs, ys = np.meshgrid(*[ax.points() / scale for ax in axes], indexing="ij")
     cache = {}
@@ -306,7 +275,7 @@ def two_particle_density_cut(poly, realization, axes):
             * orbital_product(a2, ys)
             * orbital_product(b2, ys)
         )
-    values *= poly.n * (poly.n - 1) / (norm * scale ** (2 * poly.d))
+    values *= poly.n * (poly.n - 1) / scale ** (2 * poly.d)
     grid = _finalize_density(axes, values, normalization=0.0)
     grid.normalization = grid.riemann_integral()
     return grid
@@ -316,7 +285,8 @@ def _finalize_density(axes, values, normalization):
     floor = values.min()
     if floor < -1e-10 * max(values.max(), 1.0):
         raise InternalConsistencyError(
-            f"density came out negative ({floor}); quadrature inconsistency"
+            f"density came out negative ({floor}); the exact spectator "
+            "contraction is inconsistent"
         )
     return DensityGrid(
         axes=list(axes), values=np.maximum(values, 0.0), normalization=normalization

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from coulomb_oracle import hermite_coefficients, poly_mul, two_body_oracle
-from shapes.counting import FERMION
+from shapes.counting import BOSON, FERMION
 from shapes.coulomb import (
     beta_integral,
     beta_integral_exact,
@@ -155,6 +155,46 @@ class TestManyBody:
         direct = two_body_element(a, b, a, b) - two_body_element(a, b, b, a)
         assert vee == pytest.approx(direct / (norm_a * norm_b), rel=1e-12)
 
+    def test_two_boson_states_by_hand(self):
+        # Permanents sum all orderings with coefficient 1, so the doubly
+        # occupied state is 2 phi_a phi_a and the norms cancel the same way.
+        basis = LevelBasis(2, 2, 1, BOSON)
+        a, b = (1, 0), (0, 0)
+        norm_a = float(hermite_norm_rational(a)) * math.pi
+        norm_b = float(hermite_norm_rational(b)) * math.pi
+        idx = basis.state_index(SlaterState.from_orbitals([a, b], BOSON))
+        direct = two_body_element(a, b, a, b) + two_body_element(a, b, b, a)
+        assert coulomb_expectation({idx: 1}, {idx: 1}, basis) == pytest.approx(
+            direct / (norm_a * norm_b), rel=1e-12
+        )
+        basis = LevelBasis(2, 2, 2, BOSON)
+        idx = basis.state_index(SlaterState.from_orbitals([a, a], BOSON))
+        assert coulomb_expectation({idx: 1}, {idx: 1}, basis) == pytest.approx(
+            two_body_element(a, a, a, a) / norm_a**2, rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "n, grade, stat",
+        [(3, 3, FERMION), (3, 3, BOSON), (4, 4, FERMION)],
+        ids=["n3-fermion", "n3-boson", "n4-fermion"],
+    )
+    def test_every_pair_contributes_the_same(self, n, grade, stat):
+        # The reference sums all n(n-1)/2 pairs; n = 4 tells that factor
+        # apart from n.
+        basis = LevelBasis(n, 2, grade, stat)
+        last = len(basis) - 1
+        vectors = [
+            {0: 1},
+            {0: 1, 1: -3},
+            {1: 2, last: Fraction(1, 3)},
+            {i: i + 1 for i in range(len(basis))},
+        ]
+        for bra in vectors:
+            for ket in vectors:
+                expected = all_pairs_reference(bra, ket, basis)
+                got = coulomb_expectation(bra, ket, basis)
+                assert got == pytest.approx(expected, rel=1e-12)
+
     def test_positive_for_any_nonzero_state(self):
         basis = LevelBasis(3, 2, 3, FERMION)
         for idx in range(len(basis)):
@@ -180,6 +220,42 @@ class TestManyBody:
         basis = LevelBasis(3, 2, 3, FERMION)
         with pytest.raises(ValueError):
             coulomb_expectation({}, {0: 1}, basis)
+
+
+def all_pairs_reference(bra, ket, basis):
+    """<bra| sum_{i<j} 1/r_ij |ket> / norms, summed over every pair i < j
+    and every monomial pair whose spectator rows match."""
+    n, d = basis.n, basis.d
+
+    def rows(coeffs):
+        poly = basis.materialize(coeffs)
+        return [
+            ([m[p * d : (p + 1) * d] for p in range(n)], float(c))
+            for m, c in poly.terms.items()
+        ]
+
+    def norm(terms):
+        return sum(
+            c * c * math.prod(float(hermite_norm_rational(r)) for r in rs)
+            for rs, c in terms
+        ) * math.pi ** (n * d / 2)
+
+    bra_rows, ket_rows = rows(bra), rows(ket)
+    parts = []
+    for i, j in itertools.combinations(range(n), 2):
+        spectators = [p for p in range(n) if p not in (i, j)]
+        for rb, cb in bra_rows:
+            for rk, ck in ket_rows:
+                if any(rb[p] != rk[p] for p in spectators):
+                    continue
+                spect = math.prod(
+                    float(hermite_norm_rational(rb[p])) * math.pi ** (d / 2)
+                    for p in spectators
+                )
+                parts.append(
+                    cb * ck * spect * two_body_element(rb[i], rb[j], rk[i], rk[j])
+                )
+    return math.fsum(parts) / math.sqrt(norm(bra_rows) * norm(ket_rows))
 
 
 @pytest.fixture(scope="module")

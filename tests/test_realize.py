@@ -127,6 +127,15 @@ class TestOneParticleDensity:
         assert np.max(np.abs(rho_shape.values - rho_trivial.values)) < 1e-8
         assert rho_shape.riemann_integral() == pytest.approx(3.0, abs=1e-6)
 
+    def test_orbital_index_above_39(self):
+        poly = expand_state(
+            SlaterState.from_orbitals([(41,), (40,)], FERMION)
+        )
+        grid = one_particle_density(
+            poly, hermite_oscillator(), [Axis("x", -14, 14, 1401)]
+        )
+        assert grid.riemann_integral() == pytest.approx(2.0, abs=1e-6)
+
     def test_values_non_negative(self):
         grid = one_particle_density(S12, hermite_oscillator(), GRID2)
         assert grid.values.min() >= 0.0
