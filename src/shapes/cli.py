@@ -22,11 +22,9 @@ from .counting import (
 )
 from .deflation import LevelBasis, deflate
 from .errors import InternalConsistencyError, StateCapExceeded
-from .polycore import ExactPolynomial, format_fraction
+from .polycore import ExactPolynomial, enumerate_basis, format_fraction
 from .realize import (
     hermite_oscillator,
-    box_closed,
-    box_open,
     one_particle_density,
     parse_grid,
     two_particle_density_cut,
@@ -41,12 +39,6 @@ from .shapegen import (
 )
 
 FORMAT_VERSION = "1"
-
-REALIZATIONS = {
-    "hermite": hermite_oscillator,
-    "box-open": box_open,
-    "box-closed": box_closed,
-}
 
 
 def build_parser():
@@ -91,7 +83,6 @@ def build_parser():
     p = sub.add_parser("density", help="sample a density on a grid")
     p.add_argument("--catalog", required=True)
     p.add_argument("--shape-id", required=True, help="grade:index, e.g. 3:0")
-    p.add_argument("--realization", default="hermite", choices=sorted(REALIZATIONS))
     p.add_argument("--length-scale", type=float, default=1.0)
     p.add_argument("--grid", required=True, help='e.g. "x:-4:4:81,y:-4:4:81"')
     p.add_argument(
@@ -214,7 +205,7 @@ def cmd_density(args):
     shape = catalog.find(args.shape_id)
     basis = catalog.level_basis(shape.grade)
     poly = shape.materialize(basis)
-    realization = REALIZATIONS[args.realization](args.length_scale)
+    realization = hermite_oscillator(args.length_scale)
     axes = parse_grid(args.grid)
     if args.two_particle_cut:
         grid = two_particle_density_cut(poly, realization, axes)
@@ -246,12 +237,15 @@ def cmd_coulomb(args):
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         if args.pairwise:
+            # <a|V|b> = <b|V|a> exactly: fill the upper triangle and mirror it.
+            table = [[None] * len(vectors) for _ in vectors]
+            for i, va in enumerate(vectors):
+                for j in range(i, len(vectors)):
+                    entry = f"{coulomb_expectation(va, vectors[j], basis):.12e}"
+                    table[i][j] = table[j][i] = entry
             writer.writerow(["state"] + labels)
-            for la, va in zip(labels, vectors):
-                row = [la]
-                for vb in vectors:
-                    row.append(f"{coulomb_expectation(va, vb, basis):.12e}")
-                writer.writerow(row)
+            for la, row in zip(labels, table):
+                writer.writerow([la] + row)
         else:
             writer.writerow(["state", "vee"])
             for la, va in zip(labels, vectors):
@@ -275,9 +269,6 @@ def cmd_verify(args):
 
 
 def _verify_one(n, d, stat, cap):
-    from .deflation import deflate as _deflate
-    from .polycore import enumerate_basis
-
     failures = 0
 
     def report(name, ok, detail=""):
@@ -331,7 +322,7 @@ def _verify_one(n, d, stat, cap):
             )
         probe = catalog.shapes[-1]
         basis = catalog.level_basis(probe.grade)
-        vector = _deflate(probe.materialize(basis), basis)
+        vector = deflate(probe.materialize(basis), basis)
         report(
             "deflation round trip",
             {i: c for i, c in enumerate(vector) if c} == probe.coeffs,

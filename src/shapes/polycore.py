@@ -53,18 +53,6 @@ def monomial_sort_key(flat, d):
     return tuple((sum(flat[i : i + d]), flat[i : i + d]) for i in range(0, len(flat), d))
 
 
-def _neg_monomial_key(flat, d):
-    # Reverses the canonical order; used for min-heaps acting as max-heaps
-    # over monomials.  Flat layout (-deg, -entries...) per particle row
-    # compares identically to the nested form.
-    key = []
-    for i in range(0, len(flat), d):
-        row = flat[i : i + d]
-        key.append(-sum(row))
-        key.extend(-e for e in row)
-    return tuple(key)
-
-
 def _as_exact(value):
     """Normalize a coefficient to an exact number: int when integral,
     Fraction otherwise.  Python ints and Fractions mix exactly."""
@@ -530,8 +518,6 @@ def enumerate_basis(n, d, grade, statistics=FERMION):
     candidates = _orbitals_up_to(d, grade)
     degrees = [sum(o) for o in candidates]
     fermion = statistics is FERMION
-    # Suffix sums of the r smallest degrees (candidates are degree-descending,
-    # so the smallest degrees sit at the end of the list).
     out = []
     chosen = []
 

@@ -8,8 +8,12 @@ The mapping is applied monomial by monomial, never to factored expressions
 Densities are computed for the oscillator realization: the traced-out
 particles contract by exact Hermite orthogonality,
 <phi_a|phi_b> = delta_ab 2^a a! sqrt(pi), so only monomials with equal
-spectator rows pair up, with exact rational weights and no limit on the
-orbital index.  Coordinates are in units of the realization's length scale.
+spectator rows pair up, with exact rational weights.  The retained
+particles are sampled as normalized Hermite functions (three-term
+recurrence, bounded by pi^(-1/4)) with the norms folded into the exact
+weights, so neither the samples nor the weights overflow or underflow at
+high orbital index.
+Coordinates are in units of the realization's length scale.
 """
 
 from __future__ import annotations
@@ -179,14 +183,15 @@ def _reduced_density_weights(poly, retained):
     """Contract |Psi|^2 over the spectator particles retained..n-1.
 
     Returns {(bra rows, ket rows) of particles 0..retained-1: weight}, the
-    spectator-integrated coefficient divided by the full overlap <Psi|Psi>.
-    Hermite orthogonality pairs monomials only within a spectator bucket;
-    the sums are exact, and the final division also takes out the sqrt(pi)
-    of each retained axis, which the norm carries and the weight does not.
+    spectator-integrated coefficient over the full overlap <Psi|Psi>, as
+    the weight of the rows' normalized Hermite functions.  Hermite
+    orthogonality pairs monomials only within a spectator bucket.  The
+    weight's square, which takes the rows' norms 2^a a! (their sqrt(pi)
+    cancel against the overlap's), is exact and is rounded to a float once,
+    before its square root.
     """
     terms = list(poly.terms.items())
     norm = state_norm_rational(terms)
-    retained_pi = math.pi ** (retained * poly.d / 2)
     sums = {}
     for key, bucket in spectator_buckets(terms, retained, poly.d).items():
         spect = hermite_norm_rational(key)
@@ -194,7 +199,33 @@ def _reduced_density_weights(poly, retained):
             for rows_b, cb in bucket:
                 pair = (rows_a, rows_b)
                 sums[pair] = sums.get(pair, 0) + spect * ca * cb
-    return {pair: float(w / norm) / retained_pi for pair, w in sums.items() if w}
+    norm2 = norm * norm
+    weights = {}
+    for pair, w in sums.items():
+        if w:
+            square = w * w / norm2
+            for row in pair[0] + pair[1]:
+                square *= hermite_norm_rational(row)
+            mag = math.sqrt(square)
+            weights[pair] = mag if w > 0 else -mag
+    return weights
+
+
+def _hermite_functions(kmax, u):
+    """Normalized Hermite functions psi_0..psi_kmax at u, as a list.
+
+    psi_k = H_k(u) exp(-u^2/2) / sqrt(2^k k! sqrt(pi)), by the recurrence
+    psi_(k+1) = sqrt(2/(k+1)) u psi_k - sqrt(k/(k+1)) psi_(k-1).  The
+    Gaussian start underflows beyond |u| ~ 38, which is outside the
+    classical region sqrt(2k+1) of every index below about 700.
+    """
+    table = [math.pi**-0.25 * np.exp(-(u**2) / 2.0)]
+    for k in range(kmax):
+        nxt = math.sqrt(2.0 / (k + 1)) * u * table[k]
+        if k:
+            nxt -= math.sqrt(k / (k + 1)) * table[k - 1]
+        table.append(nxt)
+    return table
 
 
 def _require_oscillator(realization):
@@ -217,19 +248,24 @@ def one_particle_density(poly, realization, axes):
         raise ValueError(f"need {poly.d} grid axes, got {len(axes)}")
     weights = _reduced_density_weights(poly, retained=1)
     scale = realization.length_scale
-    pts = np.meshgrid(*[ax.points() / scale for ax in axes], indexing="ij")
+    kmax = max(map(max, poly.terms))
+    tables = []  # one per axis, shaped to broadcast along that grid axis
+    for ax, axis in enumerate(axes):
+        shape = [1] * poly.d
+        shape[ax] = axis.count
+        tables.append(_hermite_functions(kmax, (axis.points() / scale).reshape(shape)))
     cache = {}
 
     def orbital_product(indices):
         vals = cache.get(indices)
         if vals is None:
-            vals = np.ones_like(pts[0])
-            for ax in range(poly.d):
-                vals = vals * realization.orbital_values(indices[ax], pts[ax])
+            vals = 1.0
+            for table, k in zip(tables, indices):
+                vals = vals * table[k]
             cache[indices] = vals
         return vals
 
-    values = np.zeros_like(pts[0])
+    values = np.zeros([axis.count for axis in axes])
     for ((a,), (b,)), w in weights.items():
         values += w * orbital_product(a) * orbital_product(b)
     values *= poly.n / scale**poly.d
@@ -253,27 +289,32 @@ def two_particle_density_cut(poly, realization, axes):
         raise ValueError("the diagonal cut uses exactly two grid axes")
     weights = _reduced_density_weights(poly, retained=2)
     scale = realization.length_scale
-    xs, ys = np.meshgrid(*[ax.points() / scale for ax in axes], indexing="ij")
+    kmax = max(map(max, poly.terms))
+    # Particle 1 varies along the first grid axis, particle 2 along the second.
+    tables = (
+        _hermite_functions(kmax, (axes[0].points() / scale)[:, None]),
+        _hermite_functions(kmax, (axes[1].points() / scale)[None, :]),
+    )
     cache = {}
 
-    def orbital_product(indices, pts):
-        key = (indices, pts is ys)
+    def orbital_product(indices, particle):
+        key = (indices, particle)
         vals = cache.get(key)
         if vals is None:
-            vals = np.ones_like(pts)
-            for ax in range(poly.d):
-                vals = vals * realization.orbital_values(indices[ax], pts)
+            vals = 1.0
+            for k in indices:
+                vals = vals * tables[particle][k]
             cache[key] = vals
         return vals
 
-    values = np.zeros_like(xs)
+    values = np.zeros((axes[0].count, axes[1].count))
     for ((a1, a2), (b1, b2)), w in weights.items():
         values += (
             w
-            * orbital_product(a1, xs)
-            * orbital_product(b1, xs)
-            * orbital_product(a2, ys)
-            * orbital_product(b2, ys)
+            * orbital_product(a1, 0)
+            * orbital_product(b1, 0)
+            * orbital_product(a2, 1)
+            * orbital_product(b2, 1)
         )
     values *= poly.n * (poly.n - 1) / scale ** (2 * poly.d)
     grid = _finalize_density(axes, values, normalization=0.0)
@@ -282,6 +323,11 @@ def two_particle_density_cut(poly, realization, axes):
 
 
 def _finalize_density(axes, values, normalization):
+    if not np.isfinite(values).all():
+        raise InternalConsistencyError(
+            f"density has {np.count_nonzero(~np.isfinite(values))} non-finite "
+            f"values of {values.size}"
+        )
     floor = values.min()
     if floor < -1e-10 * max(values.max(), 1.0):
         raise InternalConsistencyError(

@@ -301,10 +301,7 @@ def trivial_products(catalog, grade):
     time; consecutive monomials share the product of their common leading
     factors.
     """
-    index = {
-        tuple(map(orbital_key, s.orbitals)): i
-        for i, s in enumerate(catalog.level_basis(grade).states)
-    }
+    index = catalog.level_basis(grade).index
     fermion = catalog.statistics is FERMION
     for rec in catalog.shapes:
         if rec.grade > grade:
@@ -325,7 +322,9 @@ def trivial_products(catalog, grade):
             for factor in factors[keep:]:
                 chain.append(_times_euler_factor(chain[-1], *factor, fermion))
                 applied.append(factor)
-            yield rec, euler, {index[rows]: c for rows, c in chain[-1].items()}
+            yield rec, euler, {
+                index[tuple([orb for _, orb in rows])]: c for rows, c in chain[-1].items()
+            }
 
 
 def _times_euler_factor(vec, m, k, axis, fermion):

@@ -198,7 +198,17 @@ class TestDensityAndCoulomb:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 6
-        assert len(lines[1].split(",")) == 1 + 6
+        table = [line.split(",")[1:] for line in lines[1:]]
+        assert all(len(row) == 6 for row in table)
+        assert table == [list(col) for col in zip(*table)]
+        diag_out = tmp_path / "diag.csv"
+        code, _, _ = run(
+            capsys,
+            "coulomb", "--catalog", catalog_path, "--grade", "3", "--out", str(diag_out),
+        )
+        assert code == 0
+        diagonal = [line.split(",")[1] for line in diag_out.read_text().splitlines()[1:]]
+        assert [table[i][i] for i in range(6)] == diagonal
 
 
 class TestVerify:

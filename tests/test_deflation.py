@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shapes.counting import BOSON, FERMION, shape_polynomial
 from shapes.deflation import LevelBasis, deflate, deflate_sparse
@@ -45,7 +45,7 @@ class TestLevelBasis:
 
     def test_boson_leading_coefficients(self):
         basis = LevelBasis(3, 1, 0, BOSON)
-        assert basis._lead_coeffs == [6]  # all three orbitals equal
+        assert basis.states[0].leading_coefficient() == 6  # all three orbitals equal
 
 
 class TestDeflate:
@@ -137,6 +137,53 @@ def one_shape_catalog(n, d, stat, grade, coeffs):
         max_grade=grade,
         shapes=[ShapeRecord(grade=grade, index=0, statistics=stat, coeffs=coeffs)],
     )
+
+
+@st.composite
+def level_vectors(draw):
+    """A level basis and a sparse exact vector over it.
+
+    Boson vectors always include a state with repeated orbitals when the
+    level has one.
+    """
+    n, d, stat = draw(st.sampled_from(SYSTEMS))
+    grade = shape_polynomial(n, d, stat).lowest_degree() + draw(st.integers(0, 2))
+    basis = LevelBasis(n, d, grade, stat)
+    support = draw(st.lists(st.integers(0, len(basis) - 1), min_size=1, max_size=4))
+    repeated = [i for i, s in enumerate(basis.states) if len(set(s.orbitals)) < n]
+    if repeated:
+        support.append(draw(st.sampled_from(repeated)))
+    return basis, {i: draw(coefficients) for i in support}
+
+
+class TestDeflateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(level_vectors())
+    def test_round_trip(self, case):
+        basis, vec = case
+        assert deflate_sparse(basis.materialize(vec), basis) == vec
+
+    @settings(max_examples=60, deadline=None)
+    @given(level_vectors(), st.one_of(st.none(), coefficients), st.data())
+    def test_perturbed_monomial_is_outside_span(self, case, delta, data):
+        # Drop one monomial (delta None) or shift its coefficient by delta.
+        # Only a monomial of a state with more than one monomial breaks the
+        # span: a single-monomial state rescaled is still a state.
+        basis, vec = case
+        terms = dict(basis.materialize(vec).terms)
+        candidates = [
+            m for i in vec for m in basis.expansion(i).terms
+            if len(basis.expansion(i).terms) > 1
+        ]
+        assume(candidates)
+        mono = data.draw(st.sampled_from(candidates))
+        if delta is None:
+            del terms[mono]
+        else:
+            terms[mono] += delta
+        bad = ExactPolynomial(basis.n, basis.d, terms)
+        with pytest.raises(InternalConsistencyError, match="leading monomial"):
+            deflate_sparse(bad, basis)
 
 
 @st.composite

@@ -17,6 +17,8 @@ GOLDEN_SHA256 = {
     (2, 3, "fermion"): "e192550380a42e6b0287fe1ad70565b90ac59dddcce2db9b30b6cb6855fb05ae",
     (2, 3, "boson"): "9b62ec1e5bdec02ca101708de9cf758aaa7c8f9d312a4d2e25f206875b5a0a09",
     (4, 2, "fermion"): "7f9d36d4bd238b5dab10348e521c62be6cd528729279f4d47d5e0f5f6fb9ecf8",
+    (3, 3, "fermion"): "b356a2efeeaf3b6084295e837fad2ec979c871d0e764f69681e6937652917a01",
+    (3, 3, "boson"): "0e924d3c73060a45b3ecf523c1ead665a41cd48e104bb81341b882822052cf29",
 }
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shapes.counting import FERMION
+from shapes.errors import InternalConsistencyError
 from shapes.polycore import (
     ExactPolynomial,
     SlaterState,
@@ -14,6 +15,8 @@ from shapes.polycore import (
 )
 from shapes.realize import (
     Axis,
+    _finalize_density,
+    _hermite_functions,
     box_closed,
     box_open,
     hermite_oscillator,
@@ -135,6 +138,26 @@ class TestOneParticleDensity:
             poly, hermite_oscillator(), [Axis("x", -14, 14, 1401)]
         )
         assert grid.riemann_integral() == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("k", [160, 200])
+    def test_high_orbital_index_neither_underflows_nor_overflows(self, k):
+        poly = expand_state(SlaterState.from_orbitals([(k + 1,), (k,)], FERMION))
+        grid = one_particle_density(
+            poly, hermite_oscillator(), [Axis("x", -25, 25, 2001)]
+        )
+        assert grid.riemann_integral() == pytest.approx(2.0, abs=1e-6)
+
+    def test_normalized_recurrence_matches_hermval(self):
+        u = np.linspace(-8.0, 8.0, 161)
+        table = _hermite_functions(30, u)
+        for k, psi in enumerate(table):
+            norm = math.sqrt(2**k * math.factorial(k) * math.sqrt(math.pi))
+            reference = hermite_oscillator().orbital_values(k, u) / norm
+            assert np.allclose(psi, reference, rtol=1e-12, atol=1e-14)
+
+    def test_non_finite_values_are_named(self):
+        with pytest.raises(InternalConsistencyError, match="non-finite"):
+            _finalize_density([Axis("x", -1, 1, 3)], np.array([0.1, np.nan, 0.1]), 1.0)
 
     def test_values_non_negative(self):
         grid = one_particle_density(S12, hermite_oscillator(), GRID2)
