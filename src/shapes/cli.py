@@ -32,6 +32,7 @@ from .realize import (
 from .schur import Partition, schur_ratio, schur_ssyt
 from .shapegen import (
     ShapeCatalog,
+    check_state_cap,
     default_state_cap,
     generate_shapes,
     trivial_products,
@@ -260,7 +261,11 @@ def cmd_verify(args):
         if args.stat == "both"
         else [Statistics.parse(args.stat)]
     )
-    cap = args.state_cap if args.state_cap is not None else default_state_cap()
+    cap = (
+        default_state_cap()
+        if args.state_cap is None
+        else check_state_cap(args.state_cap, "--state-cap")
+    )
     failures = 0
     for stat in stats:
         failures += _verify_one(args.n, args.d, stat, cap)

@@ -3,12 +3,15 @@
 Per grade, the trivial span is every lower shape times every Euler-boson
 monomial of the complementary degree; the new shapes are the orthogonal
 complement of that span, with the level's Slater/permanent states taken as
-orthonormal coordinates.  The products are formed directly in the state
-basis (trivial_products, by the Pieri rule for elementary symmetric
-functions), never as expanded polynomials.  Two laws are hard assertions at
-every grade: the products are linearly independent (the free-module
-statement), and the complement dimension matches the shape polynomial
-coefficient.
+orthonormal coordinates.  The products are formed directly over state
+indices (trivial_products), never as expanded polynomials: one Euler
+factor e_m^[k](axis) maps each state of a level to a signed sum of states
+of the level m*k higher (the Pieri rule for elementary symmetric
+functions).  The catalog computes that image once per (grade, factor,
+state), on first use, and every later product at every grade reuses it.
+Two laws are hard assertions at every grade: the products are linearly
+independent (the free-module statement), and the complement dimension
+matches the shape polynomial coefficient.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 
 from .counting import (
@@ -44,7 +47,14 @@ STATE_CAP_ENV_VAR = "SHAPES_STATE_CAP"
 def default_state_cap():
     """Configured level-size guard; overridable via SHAPES_STATE_CAP."""
     value = os.environ.get(STATE_CAP_ENV_VAR)
-    return int(value) if value else DEFAULT_STATE_CAP
+    return check_state_cap(int(value), STATE_CAP_ENV_VAR) if value else DEFAULT_STATE_CAP
+
+
+def check_state_cap(cap, name="state cap"):
+    """Return cap if it is a positive number of states, else raise ValueError."""
+    if cap <= 0:
+        raise ValueError(f"{name} must be a positive number of states, got {cap}")
+    return cap
 
 
 def _int_rows(vec):
@@ -92,7 +102,14 @@ class _Echelon:
         """Reduce a sparse integer vector against the rows; store if nonzero.
 
         Returns the new pivot position, or None if the vector was dependent.
+        The argument is not modified.  Each step only removes the pivot
+        entry: when the row's pivot divides it, the multiple of the row is
+        subtracted as is, else the vector is scaled first.  Every
+        intermediate vector is a multiple of the one the content-stripped
+        elimination would hold, so the row stored (content 1, positive
+        pivot) is the same.
         """
+        vec = dict(vec)
         while vec:
             p = min(vec)
             row = self.rows.get(p)
@@ -101,16 +118,18 @@ class _Echelon:
                 self.rows[p] = vec
                 return p
             a, b = vec[p], row[p]
-            g = gcd(a, b)
-            fa, fb = b // g, a // g
-            new = {c: fa * v for c, v in vec.items()}
+            f, r = divmod(a, b)
+            if r:
+                g = gcd(a, b)
+                scale, f = b // g, a // g
+                for c in vec:
+                    vec[c] *= scale
             for c, rv in row.items():
-                nv = new.get(c, 0) - fb * rv
+                nv = vec.get(c, 0) - f * rv
                 if nv:
-                    new[c] = nv
+                    vec[c] = nv
                 else:
-                    new.pop(c, None)
-            vec = _int_rows(new)
+                    del vec[c]
         return None
 
     def nullspace(self):
@@ -203,6 +222,7 @@ class ShapeCatalog:
     shapes: list
     state_cap: int = DEFAULT_STATE_CAP
     _bases: dict = field(default_factory=dict, repr=False)
+    _images: dict = field(default_factory=dict, repr=False)
 
     def level_basis(self, grade):
         basis = self._bases.get(grade)
@@ -212,6 +232,74 @@ class ShapeCatalog:
             )
             self._bases[grade] = basis
         return basis
+
+    def _times_factor(self, grade, vec, factor):
+        """Multiply a state vector of one grade by e_m^[k](axis).
+
+        factor is (m, k, axis).  Returns the product's grade and its sparse
+        {state index: coeff} vector, summed from the factor's image of each
+        state.  Images are computed on first use and kept in _images, keyed
+        by (grade, factor) and then by state index.
+        """
+        images = self._images.get((grade, factor))
+        if images is None:
+            images = self._images[grade, factor] = {}
+        out = {}
+        for i, c in vec.items():
+            image = images.get(i)
+            if image is None:
+                image = images[i] = self._factor_image(grade, factor, i)
+            pairs = iter(image)
+            for target, coeff in zip(pairs, pairs):
+                nv = out.get(target, 0) + c * coeff
+                if nv:
+                    out[target] = nv
+                else:
+                    del out[target]
+        m, k, _axis = factor
+        return grade + m * k, out
+
+    def _factor_image(self, grade, factor, i):
+        """One state times e_m^[k](axis), flat: (index, coeff, index, coeff, ...).
+
+        The factor is symmetric, so a state times it is a sum over the
+        m-subsets of its rows: shift those orbitals by k on the axis and
+        re-sort the rows (the Pieri rule).  A determinant takes the sign of
+        the sort and vanishes when two rows coincide; a permanent, summed
+        over all n! assignments, takes 1 per subset.  Indices are in the
+        level basis of grade + m*k.
+        """
+        m, k, axis = factor
+        rows = [orbital_key(orb) for orb in self.level_basis(grade).states[i].orbitals]
+        index = self.level_basis(grade + m * k).index
+        fermion = self.statistics is FERMION
+        n = len(rows)
+        shifted = [
+            (deg + k, orb[:axis] + (orb[axis] + k,) + orb[axis + 1 :]) for deg, orb in rows
+        ]
+        image = {}
+        for subset in combinations(range(n), m):
+            moved = list(rows)
+            for r in subset:
+                moved[r] = shifted[r]
+            sign = 1
+            if fermion:
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        if moved[a] < moved[b]:
+                            sign = -sign
+                        elif moved[a] == moved[b]:
+                            sign = 0
+                if not sign:
+                    continue
+            moved.sort(reverse=True)
+            target = index[tuple([orb for _deg, orb in moved])]
+            nv = image.get(target, 0) + sign
+            if nv:
+                image[target] = nv
+            else:
+                del image[target]
+        return tuple(chain.from_iterable(image.items()))
 
     def shapes_at(self, grade):
         return [s for s in self.shapes if s.grade == grade]
@@ -270,7 +358,7 @@ class ShapeCatalog:
             shape_poly=GradedQPolynomial.from_json_obj(obj["shape_polynomial"]),
             max_grade=obj["max_grade"],
             shapes=[],
-            state_cap=state_cap if state_cap is not None else default_state_cap(),
+            state_cap=default_state_cap() if state_cap is None else check_state_cap(state_cap),
         )
         for entry in obj["shapes"]:
             basis = catalog.level_basis(entry["grade"])
@@ -295,21 +383,17 @@ def trivial_products(catalog, grade):
     Yields (record, euler, vector) with records in catalog order and, per
     record, Euler monomials of the complementary degree in
     enumerate_euler_monomials order; at a shape's own grade the only
-    monomial is the empty one and the vector is the shape itself.  The
+    monomial is the empty one and the vector is a copy of the shape.  The
     vector is the exact sparse {state index: coeff} of the product over the
     target level basis, formed in the state basis one Euler factor at a
-    time; consecutive monomials share the product of their common leading
-    factors.
+    time from the catalog's cached factor images; consecutive monomials
+    share the product of their common leading factors.  Every yielded
+    vector is a new dict.
     """
-    index = catalog.level_basis(grade).index
-    fermion = catalog.statistics is FERMION
     for rec in catalog.shapes:
         if rec.grade > grade:
             continue
-        states = catalog.level_basis(rec.grade).states
-        chain = [
-            {tuple(map(orbital_key, states[i].orbitals)): c for i, c in rec.coeffs.items()}
-        ]
+        partials = [(rec.grade, dict(rec.coeffs))]
         applied = []
         for euler in enumerate_euler_monomials(catalog.n, catalog.d, grade - rec.grade):
             factors = euler.factors()
@@ -318,54 +402,11 @@ def trivial_products(catalog, grade):
                 if have != want:
                     break
                 keep += 1
-            del applied[keep:], chain[keep + 1 :]
+            del applied[keep:], partials[keep + 1 :]
             for factor in factors[keep:]:
-                chain.append(_times_euler_factor(chain[-1], *factor, fermion))
+                partials.append(catalog._times_factor(*partials[-1], factor))
                 applied.append(factor)
-            yield rec, euler, {
-                index[tuple([orb for _, orb in rows])]: c for rows, c in chain[-1].items()
-            }
-
-
-def _times_euler_factor(vec, m, k, axis, fermion):
-    """Multiply a state vector by e_m^[k](axis).
-
-    States are keyed by their rows' orbital keys in canonical descending
-    order.  The factor is symmetric, so a state times it is a sum over the
-    m-subsets of its rows: shift those orbitals by k on the axis and re-sort
-    the rows (the Pieri rule).  A determinant takes the sign of the sort
-    and vanishes when two rows coincide; a permanent, summed over all n!
-    assignments, takes 1 per subset.
-    """
-    out = {}
-    for state, c in vec.items():
-        n = len(state)
-        shifted = [
-            (deg + k, orb[:axis] + (orb[axis] + k,) + orb[axis + 1 :])
-            for deg, orb in state
-        ]
-        for subset in combinations(range(n), m):
-            rows = list(state)
-            for i in subset:
-                rows[i] = shifted[i]
-            sign = c
-            if fermion:
-                for a in range(n):
-                    for b in range(a + 1, n):
-                        if rows[a] < rows[b]:
-                            sign = -sign
-                        elif rows[a] == rows[b]:
-                            sign = 0
-                if not sign:
-                    continue
-            rows.sort(reverse=True)
-            target = tuple(rows)
-            nv = out.get(target, 0) + sign
-            if nv:
-                out[target] = nv
-            else:
-                del out[target]
-    return out
+            yield rec, euler, partials[-1][1]
 
 
 def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
@@ -380,12 +421,16 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    if state_cap is None:
-        state_cap = default_state_cap()
+    state_cap = default_state_cap() if state_cap is None else check_state_cap(state_cap)
     poly = shape_polynomial(n, d, statistics)
     top = poly.degree()
     if max_grade is None:
         max_grade = top
+    elif not 0 <= max_grade <= top:
+        raise ValueError(
+            f"max_grade must be between 0 and {top}, the degree of the shape "
+            f"polynomial, got {max_grade}"
+        )
     catalog = ShapeCatalog(
         n=n,
         d=d,
@@ -410,7 +455,7 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
             ech = _Echelon(len(basis))
             products = trivial_products(catalog, grade)
             for count, (_rec, _euler, vec) in enumerate(products, start=1):
-                if ech.insert(_int_rows(vec)) is None:
+                if ech.insert(vec) is None:
                     raise InternalConsistencyError(
                         f"trivial products at grade {grade} are not free: "
                         f"{count} vectors have rank {ech.rank}"
@@ -475,7 +520,7 @@ def verify_span(catalog, grade):
     vectors = [_int_rows(vec) for _rec, _euler, vec in trivial_products(catalog, grade)]
     ech = _Echelon(len(basis))
     for v in vectors:
-        ech.insert(dict(v))
+        ech.insert(v)
     nonzero = 0
     for i in range(len(vectors)):
         vi = vectors[i]

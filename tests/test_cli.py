@@ -80,6 +80,37 @@ class TestGenerate:
         assert code == 3
         assert "internal consistency failure" in err
 
+    @pytest.mark.parametrize("max_grade", ["-3", "5", "50"])
+    def test_max_grade_out_of_range_exit_two(self, capsys, tmp_path, max_grade):
+        # (3,2) fermion: the shape polynomial q^2 + 4q^3 + q^4 has degree 4.
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys,
+            "generate", "--n", "3", "--d", "2",
+            "--max-grade", max_grade, "--out", str(out),
+        )
+        assert code == 2
+        assert "between 0 and 4" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_state_cap_not_positive_exit_two(self, capsys, tmp_path, cap):
+        code, _, err = run(
+            capsys,
+            "generate", "--n", "2", "--d", "2",
+            "--state-cap", cap, "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert f"positive number of states, got {cap}" in err
+
+    def test_state_cap_environment_not_positive_exit_two(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SHAPES_STATE_CAP", "0")
+        code, _, err = run(
+            capsys, "generate", "--n", "2", "--d", "2", "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert "SHAPES_STATE_CAP must be a positive number of states" in err
+
 
 class TestDeflate:
     def test_vandermonde_roundtrip(self, capsys, tmp_path):
@@ -217,6 +248,13 @@ class TestVerify:
         assert code == 0
         assert "verify: PASS" in out
         assert "FAIL" not in out.replace("verify: PASS", "")
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_state_cap_not_positive_exit_two(self, capsys, cap):
+        code, out, err = run(capsys, "verify", "--n", "2", "--d", "2", "--state-cap", cap)
+        assert code == 2
+        assert f"--state-cap must be a positive number of states, got {cap}" in err
+        assert out == ""
 
     def test_verify_fermion_only(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2", "--d", "3", "--stat", "fermion")

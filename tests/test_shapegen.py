@@ -2,8 +2,10 @@
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapes.counting import BOSON, FERMION, shape_polynomial, total_shape_count
 from shapes.deflation import deflate_sparse
@@ -12,8 +14,10 @@ from shapes.errors import InternalConsistencyError, StateCapExceeded
 from shapes.polycore import SlaterState, expand_state
 from shapes.shapegen import (
     ShapeCatalog,
+    _Echelon,
     generate_shapes,
     orthogonal_complement,
+    trivial_products,
     verify_span,
 )
 
@@ -77,6 +81,98 @@ class TestOrthogonalComplement:
     def test_sparse_dict_input(self):
         comp = orthogonal_complement([{0: Fraction(-1), 1: Fraction(1)}], 2)
         assert comp == [[Fraction(1), Fraction(1)]]
+
+
+def canonical(vec):
+    """A sparse rational vector scaled to integers, content 1, first nonzero positive."""
+    vec = {i: Fraction(c) for i, c in vec.items() if c}
+    if not vec:
+        return {}
+    scale = lcm(*(c.denominator for c in vec.values()))
+    ints = {i: int(c * scale) for i, c in vec.items()}
+    content = gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        content = -content
+    return {i: v // content for i, v in ints.items()}
+
+
+def stripped_echelon(vectors):
+    """Echelon rows by elimination that strips the content at every step."""
+    rows = {}
+    for vec in vectors:
+        vec = canonical(vec)
+        while vec:
+            p = min(vec)
+            if p not in rows:
+                rows[p] = vec
+                break
+            a, b = vec[p], rows[p][p]
+            new = {c: b * v for c, v in vec.items()}
+            for c, rv in rows[p].items():
+                new[c] = new.get(c, 0) - a * rv
+            vec = canonical(new)
+    return rows
+
+
+def dense_nullspace(vectors, dim):
+    """Canonical null vectors, one per free column, read off the dense RREF."""
+    reduced = rref(vectors, dim)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
+    null = []
+    for f in range(dim):
+        if f in pivots:
+            continue
+        w = {f: Fraction(1)}
+        for p, row in zip(pivots, reduced):
+            w[p] = -row[f]
+        null.append(canonical(w))
+    return pivots, null
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A dimension and up to 8 sparse integer rows, some of them repeated."""
+    dim = draw(st.integers(1, 8))
+    entries = st.integers(-6, 6).filter(bool)
+    rows = draw(
+        st.lists(st.dictionaries(st.integers(0, dim - 1), entries, max_size=4), max_size=8)
+    )
+    if rows and draw(st.booleans()):
+        rows.append(dict(draw(st.sampled_from(rows))))
+    return dim, rows
+
+
+class TestEchelonProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_matrices())
+    def test_matches_dense_oracle(self, case):
+        dim, rows = case
+        ech = _Echelon(dim)
+        for row in rows:
+            before = dict(row)
+            pivot = ech.insert(row)
+            assert row == before
+            assert pivot is None or pivot == min(ech.rows[pivot])
+        pivots, null = dense_nullspace(rows, dim)
+        assert sorted(ech.rows) == pivots
+        assert ech.rows == stripped_echelon(rows)
+        assert ech.nullspace() == null
+        assert orthogonal_complement(rows, dim) == [
+            [Fraction(w.get(i, 0)) for i in range(dim)] for w in null
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrices(), st.integers(-3, 3).filter(bool))
+    def test_repeated_row_is_dependent(self, case, factor):
+        dim, rows = case
+        ech = _Echelon(dim)
+        for row in rows:
+            ech.insert(row)
+        stored = {p: dict(r) for p, r in ech.rows.items()}
+        for row in rows:
+            assert ech.insert(row) is None
+            assert ech.insert({c: factor * v for c, v in row.items()}) is None
+        assert ech.rows == stored
 
 
 class TestWorkedExample32:
@@ -145,6 +241,30 @@ class TestWorkedExample32:
         assert report.vector_count == 14
         report2 = verify_span(catalog_32, 2)
         assert report2.rank == 1
+
+
+class TestFactorImageCache:
+    @pytest.mark.parametrize("stat", [FERMION, BOSON])
+    def test_warm_cache_matches_cold(self, stat):
+        warm = generate_shapes(3, 2, stat)
+        cold = ShapeCatalog.from_json_obj(warm.to_json_obj())
+        assert warm._images and not cold._images
+        top = warm.shape_poly.degree()
+        for grade in range(warm.shape_poly.lowest_degree(), top + 3):
+            ours = [(r.id, e, v) for r, e, v in trivial_products(warm, grade)]
+            again = [(r.id, e, v) for r, e, v in trivial_products(cold, grade)]
+            assert ours == again
+
+    def test_mutating_a_product_changes_no_later_call(self):
+        catalog = generate_shapes(3, 2, BOSON)
+        shapes_before = [dict(s.coeffs) for s in catalog.shapes]
+        for grade in range(0, 6):
+            first = [dict(v) for _, _, v in trivial_products(catalog, grade)]
+            for _, _, vec in trivial_products(catalog, grade):
+                vec[0] = vec.get(0, 0) + 7
+                vec.pop(max(vec))
+            assert [v for _, _, v in trivial_products(catalog, grade)] == first
+        assert [s.coeffs for s in catalog.shapes] == shapes_before
 
 
 class TestWorkedExample23:
