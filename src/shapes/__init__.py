@@ -5,8 +5,8 @@ node count, is finitely generated: exactly N!^(d-1) antisymmetric (fermion)
 or symmetric (boson) polynomials, the shapes, generate every state with
 Euler-boson (elementary-symmetric-function) coefficients.  This package
 counts them, constructs them explicitly over Slater-determinant/permanent
-bases in exact rational arithmetic, and maps them to oscillator or box
-realizations for densities and Coulomb matrix elements.
+bases in exact rational arithmetic, and realizes them in the oscillator
+basis for densities and Coulomb matrix elements.
 """
 
 from .counting import (
@@ -51,8 +51,6 @@ from .realize import (
     DensityGrid,
     Realization,
     RealizationKind,
-    box_closed,
-    box_open,
     hermite_oscillator,
     one_particle_density,
     parse_grid,

@@ -11,8 +11,12 @@ happens once at the end.
 Unnormalized Hermite functions have <phi_n|phi_m> = delta_nm 2^n n! sqrt(pi);
 many-body expectations divide by the full state norms, so the outputs are
 convention-free.  The same orthogonality contracts the spectator particles
-exactly; spectator_buckets and hermite_norm_rational serve the densities in
-realize as well.
+exactly.  Many-body expectations contract in the state basis: by the
+Slater-Condon rules, with Lowdin's occupation-number factors for permanents,
+two Slater/permanent states couple only through the orbital multisets of
+size n-2 they share (CoulombOperator), and no state is expanded into its n!
+monomials.  spectator_buckets and state_norm_rational serve the densities in
+realize, which still contract monomial by monomial.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+from .counting import FERMION
+from .polycore import _as_exact
 
 
 def hermite_linearization(n, m):
@@ -223,46 +230,139 @@ def spectator_buckets(terms, retained, d):
     return buckets
 
 
+class CoulombOperator:
+    """Exact two-body Coulomb matrix between the states of one level.
+
+    ``element(a, b)`` is <S_a| sum_{i<j} 1/|r_i - r_j| |S_b> for the
+    Slater/permanent states a and b of a LevelBasis, as an exact rational in
+    units of sqrt(2) pi^(d - 1/2 + p) sqrt(pi)^((n-2) d); ``norm(a)`` is
+    <S_a|S_a> in units of sqrt(pi)^(n d).  Hermite orthogonality leaves only
+    the Slater-Condon terms, with Lowdin's occupation-number factors for
+    permanents: a and b couple through every orbital multiset R of size n-2
+    that both contain (so they differ in at most two orbitals), and
+
+        <S_a|V|S_b> = n! sum_R mult(R)! N_R sum eps_a eps_b ([x y|z w] +- [x y|w z]),
+
+    where the inner sum runs over the removed pairs (x, y) of a and (z, w)
+    of b that leave R, eps is the sign of moving the pair to the front (1
+    for permanents), the exchange term carries - for fermions and + for
+    bosons, mult(R)! is the product of R's multiplicity factorials and N_R
+    its Hermite norm.  Elements are computed on first use and kept, so the
+    map covers only the state pairs asked for.
+    """
+
+    def __init__(self, basis):
+        self.basis = basis
+        self._scale = math.factorial(basis.n)
+        self._exchange = -1 if basis.statistics is FERMION else 1
+        self._rests = {}
+        self._elements = {}
+
+    def _rests_of(self, a):
+        """{R: [(eps, x, y), ...]} over the unordered orbital pairs of state a."""
+        rests = self._rests.get(a)
+        if rests is None:
+            orbs = self.basis.states[a].orbitals
+            fermion = self.basis.statistics is FERMION
+            rests = {}
+            for i in range(len(orbs)):
+                for j in range(i + 1, len(orbs)):
+                    rest = orbs[:i] + orbs[i + 1 : j] + orbs[j + 1 :]
+                    sign = -1 if fermion and (i + j) % 2 == 0 else 1
+                    rests.setdefault(rest, []).append((sign, orbs[i], orbs[j]))
+            self._rests[a] = rests
+        return rests
+
+    def element(self, a, b):
+        key = (a, b) if a <= b else (b, a)
+        value = self._elements.get(key)
+        if value is None:
+            value = self._element(*key)
+            self._elements[key] = value
+        return value
+
+    def _element(self, a, b):
+        d = self.basis.d
+        rests_b = self._rests_of(b)
+        total = 0
+        for rest, pairs_a in self._rests_of(a).items():
+            pairs_b = rests_b.get(rest)
+            if pairs_b is None:
+                continue
+            pair_sum = 0
+            for sa, x, y in pairs_a:
+                for sb, z, w in pairs_b:
+                    direct = _two_body_fraction(*_canonical_indices(x, y, z, w), d)
+                    exchange = _two_body_fraction(*_canonical_indices(x, y, w, z), d)
+                    pair_sum += sa * sb * (direct + self._exchange * exchange)
+            if pair_sum:
+                total += _multiset_weight(rest) * pair_sum
+        return self._scale * total
+
+    def norm(self, a):
+        state = self.basis.states[a]
+        return (
+            self._scale
+            * state.leading_coefficient()
+            * hermite_norm_rational(state.leading_monomial())
+        )
+
+    def contract(self, bra, ket):
+        """sum_{a, b} bra[a] ket[b] element(a, b) for sparse {state: coeff}."""
+        ket_by_rest = {}
+        for b in ket:
+            for rest in self._rests_of(b):
+                ket_by_rest.setdefault(rest, []).append(b)
+        total = 0
+        for a, ca in bra.items():
+            coupled = {b for rest in self._rests_of(a) for b in ket_by_rest.get(rest, ())}
+            row = 0
+            for b in coupled:
+                value = self.element(a, b)
+                if value:
+                    row += ket[b] * value
+            total += ca * row
+        return total
+
+
+def _multiset_weight(orbitals):
+    """Product of multiplicity factorials times the Hermite norm of the
+    orbitals (sorted, so equal orbitals are adjacent)."""
+    weight = hermite_norm_rational(e for orb in orbitals for e in orb)
+    run = 1
+    for prev, cur in zip(orbitals, orbitals[1:]):
+        run = run + 1 if prev == cur else 1
+        weight *= run
+    return weight
+
+
+def _exact_support(coeffs):
+    items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+    return {idx: _as_exact(c) for idx, c in items if c}
+
+
 def coulomb_expectation(bra, ket, basis):
     """<Psi_bra| sum_{i<j} 1/|r_i - r_j| |Psi_ket> / norms.
 
     Both states are coefficient vectors (dense sequences or sparse dicts)
     over the same LevelBasis, realized as products of unnormalized Hermite
-    functions.  Both are antisymmetric or both symmetric, so every particle
-    pair contributes the same: particles 0 and 1 go through the closed-form
-    two-body element, the spectators through exact Hermite orthogonality,
-    and the sum is n(n-1)/2 times that.  Everything is assembled in exact
-    rationals and divided by the full state norms, so the result does not
-    depend on the normalization convention.
+    functions.  The contraction runs in the state basis: the level's
+    CoulombOperator (Slater-Condon rules, with occupation-number factors for
+    permanents) gives the exact <S_a|V|S_b>, held by the basis and reused
+    by every call on it.  The numerator sum_{a,b} c_a c'_b <S_a|V|S_b> and
+    the state norms are exact rationals, rounded once, so the result does
+    not depend on the normalization convention.
     """
-    n, d = basis.n, basis.d
-    bra_terms = _monomial_terms(bra, basis)
-    ket_terms = _monomial_terms(ket, basis)
-    if not bra_terms or not ket_terms:
+    bra = _exact_support(bra)
+    ket = _exact_support(ket)
+    if not bra or not ket:
         raise ValueError("zero state has no Coulomb expectation")
-    if n < 2:
+    if basis.n < 2:
         return 0.0
-    numerator = Fraction(0)
-    ket_buckets = spectator_buckets(ket_terms, 2, d)
-    for key, bra_list in spectator_buckets(bra_terms, 2, d).items():
-        ket_list = ket_buckets.get(key)
-        if not ket_list:
-            continue
-        pair_sum = Fraction(0)
-        for (bi, bj), cb in bra_list:
-            for (ki, kj), ck in ket_list:
-                tb = _two_body_fraction(*_canonical_indices(bi, bj, ki, kj), d)
-                if tb:
-                    pair_sum += cb * ck * tb
-        numerator += hermite_norm_rational(key) * pair_sum
-    numerator *= n * (n - 1) // 2
-    bra_norm = state_norm_rational(bra_terms)
-    ket_norm = state_norm_rational(ket_terms)
-    _, pi_pow = beta_integral_exact(d, 0)
+    operator = basis.coulomb_operator
+    numerator = operator.contract(bra, ket)
+    bra_norm = sum(c * c * operator.norm(a) for a, c in bra.items())
+    ket_norm = sum(c * c * operator.norm(b) for b, c in ket.items())
+    _, pi_pow = beta_integral_exact(basis.d, 0)
     prefactor = math.sqrt(2.0) * math.pi ** (pi_pow - 0.5)
     return prefactor * float(numerator) / math.sqrt(float(bra_norm * ket_norm))
-
-
-def _monomial_terms(coeffs, basis):
-    poly = basis.materialize(coeffs)
-    return list(poly.terms.items())

@@ -17,8 +17,10 @@ difference's leading monomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .counting import FERMION, level_dimension
+from .coulomb import CoulombOperator
 from .errors import InternalConsistencyError, StateCapExceeded
 from .polycore import (
     ExactPolynomial,
@@ -35,7 +37,7 @@ class LevelBasis:
     leading monomial, to its position; it is the one lookup from orbitals
     or monomials to states.  The state count is cross-checked against the
     q-series level dimension, and the states are asserted distinct.
-    Expansions are cached lazily.
+    Expansions and the Coulomb operator are built lazily.
     """
 
     def __init__(self, n, d, grade, statistics=FERMION, max_states=None):
@@ -65,6 +67,10 @@ class LevelBasis:
             poly = self.states[idx].expand()
             self._expansions[idx] = poly
         return poly
+
+    @cached_property
+    def coulomb_operator(self):
+        return CoulombOperator(self)
 
     def state_index(self, state):
         return self.index[state.orbitals]

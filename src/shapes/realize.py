@@ -1,11 +1,11 @@
 """Concrete single-particle realizations and densities on grids.
 
 The abstract formal power t^k maps to H_k(x) exp(-x^2/2) in the oscillator
-realization, to cos(kx) in the open box and sin((k+1)x) in the closed box.
-The mapping is applied monomial by monomial, never to factored expressions
-(which ExactPolynomial enforces by always being expanded).
+realization.  The mapping is applied monomial by monomial, never to
+factored expressions (which ExactPolynomial enforces by always being
+expanded).
 
-Densities are computed for the oscillator realization: the traced-out
+Densities are computed in the oscillator realization: the traced-out
 particles contract by exact Hermite orthogonality,
 <phi_a|phi_b> = delta_ab 2^a a! sqrt(pi), so only monomials with equal
 spectator rows pair up, with exact rational weights.  The retained
@@ -33,8 +33,6 @@ from .errors import InternalConsistencyError
 
 class RealizationKind(Enum):
     HERMITE_OSCILLATOR = "hermite"
-    BOX_OPEN = "box-open"
-    BOX_CLOSED = "box-closed"
 
 
 @dataclass(frozen=True)
@@ -50,25 +48,13 @@ class Realization:
 
     def orbital_values(self, k, u):
         """phi_k on already-scaled coordinates u = x / length_scale."""
-        if self.kind is RealizationKind.HERMITE_OSCILLATOR:
-            coeffs = np.zeros(k + 1)
-            coeffs[k] = 1.0
-            return hermval(u, coeffs) * np.exp(-(u**2) / 2.0)
-        if self.kind is RealizationKind.BOX_OPEN:
-            return np.cos(k * u)
-        return np.sin((k + 1) * u)
+        coeffs = np.zeros(k + 1)
+        coeffs[k] = 1.0
+        return hermval(u, coeffs) * np.exp(-(u**2) / 2.0)
 
 
 def hermite_oscillator(length_scale=1.0):
     return Realization(RealizationKind.HERMITE_OSCILLATOR, length_scale)
-
-
-def box_open(length_scale=1.0):
-    return Realization(RealizationKind.BOX_OPEN, length_scale)
-
-
-def box_closed(length_scale=1.0):
-    return Realization(RealizationKind.BOX_CLOSED, length_scale)
 
 
 @dataclass(frozen=True)
@@ -228,20 +214,12 @@ def _hermite_functions(kmax, u):
     return table
 
 
-def _require_oscillator(realization):
-    if realization.kind is not RealizationKind.HERMITE_OSCILLATOR:
-        raise ValueError(
-            "densities are implemented for the oscillator realization only"
-        )
-
-
 def one_particle_density(poly, realization, axes):
     """rho(x) = N * integral of |Psi|^2 over particles 2..N, normalized.
 
     The grid is over one particle's d coordinates (in units of the length
     scale); the result integrates to N over the whole space.
     """
-    _require_oscillator(realization)
     if poly.is_zero:
         raise ValueError("zero polynomial has no normalizable density")
     if len(axes) != poly.d:
@@ -280,7 +258,6 @@ def two_particle_density_cut(poly, realization, axes):
     out.  The declared normalization is the Riemann sum over the cut (the
     full 2d-dimensional density would integrate to N(N-1)).
     """
-    _require_oscillator(realization)
     if poly.is_zero:
         raise ValueError("zero polynomial has no normalizable density")
     if poly.n < 2:

@@ -488,23 +488,12 @@ class SpanReport:
     vector_count: int
     rank: int
     passed: bool
-    overlap_nonzero: int
-    overlap_pairs: int
-
-    @property
-    def overlap_sparsity(self):
-        """Fraction of vanishing off-diagonal overlaps."""
-        if self.overlap_pairs == 0:
-            return 1.0
-        return 1.0 - self.overlap_nonzero / self.overlap_pairs
 
     def __str__(self):
         status = "ok" if self.passed else "RANK DEFICIENT"
         return (
             f"grade {self.grade}: rank {self.rank}/{self.dimension} from "
-            f"{self.vector_count} vectors ({status}); "
-            f"{self.overlap_nonzero}/{self.overlap_pairs} off-diagonal "
-            f"overlaps nonzero"
+            f"{self.vector_count} vectors ({status})"
         )
 
 
@@ -513,30 +502,19 @@ def verify_span(catalog, grade):
 
     The vectors are every catalog shape of grade <= the target grade times
     every Euler monomial of the complementary degree (degree zero included,
-    so the grade's own shapes participate).  Reports the exact rank and the
-    sparsity of the overlap (Gram) matrix.
+    so the grade's own shapes participate).  Reports the exact rank against
+    the level's dimension.
     """
     basis = catalog.level_basis(grade)
-    vectors = [_int_rows(vec) for _rec, _euler, vec in trivial_products(catalog, grade)]
     ech = _Echelon(len(basis))
-    for v in vectors:
-        ech.insert(v)
-    nonzero = 0
-    for i in range(len(vectors)):
-        vi = vectors[i]
-        for j in range(i + 1, len(vectors)):
-            vj = vectors[j]
-            small, big = (vi, vj) if len(vi) <= len(vj) else (vj, vi)
-            dot = sum(v * big.get(c, 0) for c, v in small.items())
-            if dot:
-                nonzero += 1
-    pairs = len(vectors) * (len(vectors) - 1) // 2
+    count = 0
+    for _rec, _euler, vec in trivial_products(catalog, grade):
+        ech.insert(_int_rows(vec))
+        count += 1
     return SpanReport(
         grade=grade,
         dimension=len(basis),
-        vector_count=len(vectors),
+        vector_count=count,
         rank=ech.rank,
         passed=ech.rank == len(basis),
-        overlap_nonzero=nonzero,
-        overlap_pairs=pairs,
     )

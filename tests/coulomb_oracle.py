@@ -119,19 +119,27 @@ def sphere_moment(exponents):
     raise ValueError("oracle implemented for d in {2, 3}")
 
 
+@lru_cache(maxsize=None)
+def axis_reduction(bra1, bra2, ket1, ket2):
+    """One axis with S integrated out: ((b, coeff of u^b), ...).
+
+    Arguments are the axis's Hermite indices of the two particles in the
+    bra and in the ket.
+    """
+    p_bra = poly_mul(hermite_coefficients(bra1), hermite_coefficients(ket1))
+    p_ket = poly_mul(hermite_coefficients(bra2), hermite_coefficients(ket2))
+    su = su_mul(shift_to_su(p_bra, +1), shift_to_su(p_ket, -1))
+    # q_i(u) = sum_b u^b * sum_a c_(a,b) M(a)
+    q = {}
+    for (a, b), c in su.items():
+        q[b] = q.get(b, 0.0) + float(c) * gaussian_moment_2s2(a)
+    return tuple(q.items())
+
+
 def two_body_oracle(bra1, bra2, ket1, ket2):
     """Quadrature value of the two-body Coulomb element."""
     d = len(bra1)
-    per_axis = []
-    for i in range(d):
-        p_bra = poly_mul(hermite_coefficients(bra1[i]), hermite_coefficients(ket1[i]))
-        p_ket = poly_mul(hermite_coefficients(bra2[i]), hermite_coefficients(ket2[i]))
-        su = su_mul(shift_to_su(p_bra, +1), shift_to_su(p_ket, -1))
-        # integrate out S: q_i(u) = sum_b u^b * sum_a c_(a,b) M(a)
-        q = {}
-        for (a, b), c in su.items():
-            q[b] = q.get(b, 0.0) + float(c) * gaussian_moment_2s2(a)
-        per_axis.append(q)
+    per_axis = [axis_reduction(bra1[i], bra2[i], ket1[i], ket2[i]) for i in range(d)]
     total = 0.0
     def rec(axis, exps, coeff):
         nonlocal total
@@ -143,7 +151,7 @@ def two_body_oracle(bra1, bra2, ket1, ket2):
             if ang:
                 total += coeff * radial_moment(b_total + d - 2) * ang
             return
-        for b, c in per_axis[axis].items():
+        for b, c in per_axis[axis]:
             rec(axis + 1, exps + [b], coeff * c)
 
     rec(0, [], 1.0)

@@ -261,3 +261,20 @@ class TestVerify:
         assert code == 0
         assert "[fermion]" in out
         assert "[boson]" not in out
+
+    def test_skipped_checks_make_the_verdict_incomplete(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--n", "3", "--d", "2", "--stat", "fermion", "--state-cap", "5"
+        )
+        assert code == 4
+        assert out.splitlines()[-1] == "verify: INCOMPLETE (3 skipped)"
+        assert "SKIP  [fermion] enumeration grade 3  6 states exceed the state cap 5" in out
+        assert "SKIP  [fermion] catalog checks  level at grade 3 has 6 states" in out
+        assert "PASS" not in out.split("enumeration grade 3")[1]
+
+    def test_three_dimensional_top_grade_is_span_checked(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "3", "--d", "3", "--stat", "fermion")
+        assert code == 0
+        assert "SKIP" not in out
+        assert "PASS  [fermion] span grade 9  grade 9: rank 3838/3838" in out
+        assert out.splitlines()[-1] == "verify: PASS"

@@ -5,16 +5,21 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from coulomb_oracle import hermite_coefficients, poly_mul, two_body_oracle
-from shapes.counting import BOSON, FERMION
+from shapes.counting import BOSON, FERMION, shape_polynomial
 from shapes.coulomb import (
+    _canonical_indices,
+    _two_body_fraction,
     beta_integral,
     beta_integral_exact,
     coulomb_expectation,
     hermite_linearization,
     hermite_norm_rational,
+    spectator_buckets,
+    state_norm_rational,
     two_body_element,
 )
 from shapes.deflation import LevelBasis
@@ -220,6 +225,85 @@ class TestManyBody:
         basis = LevelBasis(3, 2, 3, FERMION)
         with pytest.raises(ValueError):
             coulomb_expectation({}, {0: 1}, basis)
+
+    def test_one_particle_has_no_interaction(self):
+        basis = LevelBasis(1, 2, 2, FERMION)
+        assert coulomb_expectation({0: 1}, [0, 3, 1], basis) == 0.0
+        with pytest.raises(ValueError):
+            coulomb_expectation({0: 0}, {0: 1}, basis)
+
+    def test_operator_is_held_by_the_basis(self):
+        basis = LevelBasis(3, 2, 4, BOSON)
+        coulomb_expectation({0: 1, 2: 1}, {0: 1, 2: 1}, basis)
+        operator = basis.coulomb_operator
+        cached = dict(operator._elements)
+        assert set(cached) == {(0, 0), (0, 2), (2, 2)}
+        coulomb_expectation({0: 2}, {2: -1}, basis)
+        assert operator._elements == cached
+        assert basis._expansions == [None] * len(basis)
+
+
+def monomial_reference(bra, ket, basis):
+    """coulomb_expectation contracted over the n! monomials of every state.
+
+    Particles 0 and 1 go through the two-body element, the spectators
+    through Hermite orthogonality bucket by bucket, and every pair
+    contributes the same, n(n-1)/2 times.  The numerator and the norms are
+    exact and rounded once, in the same order as coulomb_expectation.
+    """
+    n, d = basis.n, basis.d
+    bra_terms = list(basis.materialize(bra).terms.items())
+    ket_terms = list(basis.materialize(ket).terms.items())
+    numerator = Fraction(0)
+    ket_buckets = spectator_buckets(ket_terms, 2, d)
+    for key, bra_list in spectator_buckets(bra_terms, 2, d).items():
+        spect = hermite_norm_rational(key)
+        for (bi, bj), cb in bra_list:
+            for (ki, kj), ck in ket_buckets.get(key, ()):
+                element = _two_body_fraction(*_canonical_indices(bi, bj, ki, kj), d)
+                numerator += spect * cb * ck * element
+    numerator *= n * (n - 1) // 2
+    norms = state_norm_rational(bra_terms) * state_norm_rational(ket_terms)
+    _, pi_pow = beta_integral_exact(d, 0)
+    prefactor = math.sqrt(2.0) * math.pi ** (pi_pow - 0.5)
+    return prefactor * float(numerator) / math.sqrt(float(norms))
+
+
+coefficients = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=5)
+).filter(bool)
+
+
+@st.composite
+def state_vectors(draw, size):
+    """A sparse {index: coeff} dict or a dense list, never all zero."""
+    if draw(st.booleans()):
+        support = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4))
+        return {i: draw(coefficients) for i in support}
+    dense = draw(st.lists(st.one_of(st.just(0), coefficients), min_size=size, max_size=size))
+    assume(any(dense))
+    return dense
+
+
+@st.composite
+def bra_ket_cases(draw):
+    n, d, stat = draw(
+        st.sampled_from([(n, d, s) for n in (2, 3, 4) for d in (2, 3) for s in (FERMION, BOSON)])
+    )
+    grade = shape_polynomial(n, d, stat).lowest_degree() + draw(st.integers(0, 2))
+    basis = LevelBasis(n, d, grade, stat)
+    bra = draw(state_vectors(len(basis)))
+    ket = draw(state_vectors(len(basis)))
+    assume(bra != ket)
+    return basis, bra, ket
+
+
+class TestStateBasisOperator:
+    @settings(max_examples=80, deadline=None)
+    @given(bra_ket_cases())
+    def test_matches_monomial_contraction_exactly(self, case):
+        basis, bra, ket = case
+        assert coulomb_expectation(bra, ket, basis) == monomial_reference(bra, ket, basis)
 
 
 def all_pairs_reference(bra, ket, basis):

@@ -17,8 +17,6 @@ from shapes.realize import (
     Axis,
     _finalize_density,
     _hermite_functions,
-    box_closed,
-    box_open,
     hermite_oscillator,
     one_particle_density,
     parse_grid,
@@ -61,18 +59,6 @@ class TestEvaluator:
         pts = rng.normal(size=(50, 2, 2))
         swapped = pts[:, ::-1, :]
         assert np.allclose(f(pts), -f(swapped), atol=1e-13)
-
-    def test_box_open_realization(self):
-        poly = ExactPolynomial.variable(1, 1, 0, 0, power=2)
-        f = realize_polynomial(poly, box_open())
-        xs = np.array([[[0.7]]])
-        assert np.allclose(f(xs), np.cos(2 * 0.7))
-
-    def test_box_closed_realization(self):
-        poly = ExactPolynomial.variable(1, 1, 0, 0, power=1)
-        f = realize_polynomial(poly, box_closed())
-        xs = np.array([[[0.7]]])
-        assert np.allclose(f(xs), np.sin(2 * 0.7))
 
     def test_length_scale(self):
         poly = ExactPolynomial.variable(1, 1, 0, 0)
@@ -168,10 +154,6 @@ class TestOneParticleDensity:
             one_particle_density(
                 ExactPolynomial.zero(2, 2), hermite_oscillator(), GRID2
             )
-
-    def test_box_realization_rejected(self):
-        with pytest.raises(ValueError):
-            one_particle_density(G0, box_open(), GRID2)
 
     def test_length_scale_preserves_normalization(self):
         axes = [Axis("x", -9, 9, 181), Axis("y", -9, 9, 181)]
