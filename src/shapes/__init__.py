@@ -50,7 +50,6 @@ from .realize import (
     Axis,
     DensityGrid,
     Realization,
-    RealizationKind,
     hermite_oscillator,
     one_particle_density,
     parse_grid,

@@ -15,8 +15,7 @@ exactly.  Many-body expectations contract in the state basis: by the
 Slater-Condon rules, with Lowdin's occupation-number factors for permanents,
 two Slater/permanent states couple only through the orbital multisets of
 size n-2 they share (CoulombOperator), and no state is expanded into its n!
-monomials.  spectator_buckets and state_norm_rational serve the densities in
-realize, which still contract monomial by monomial.
+monomials.
 """
 
 from __future__ import annotations
@@ -203,31 +202,6 @@ def hermite_norm_rational(indices):
     for e in indices:
         rat *= 2**e * math.factorial(e)
     return rat
-
-
-def state_norm_rational(terms):
-    """<Psi|Psi> over sqrt(pi)^(n*d) for (monomial, coeff) terms, exactly."""
-    total = Fraction(0)
-    for mono, coeff in terms:
-        total += coeff * coeff * hermite_norm_rational(mono)
-    return total
-
-
-def spectator_buckets(terms, retained, d):
-    """Group (monomial, coeff) terms by the rows of particles retained..n-1.
-
-    Returns {spectator exponents: [(retained rows, coeff), ...]} where the
-    key is the flat exponent tuple of the spectators and the retained rows
-    are the d-tuples of particles 0..retained-1.  Hermite functions are
-    orthogonal, so a bra and a ket monomial overlap in the spectators only
-    inside one bucket, by hermite_norm_rational(key) times sqrt(pi) per
-    spectator axis.
-    """
-    buckets = {}
-    for mono, coeff in terms:
-        rows = tuple(mono[p * d : (p + 1) * d] for p in range(retained))
-        buckets.setdefault(mono[retained * d :], []).append((rows, coeff))
-    return buckets
 
 
 class CoulombOperator:

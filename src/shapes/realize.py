@@ -1,19 +1,20 @@
-"""Concrete single-particle realizations and densities on grids.
+"""The oscillator realization and densities on grids.
 
-The abstract formal power t^k maps to H_k(x) exp(-x^2/2) in the oscillator
-realization.  The mapping is applied monomial by monomial, never to
-factored expressions (which ExactPolynomial enforces by always being
-expanded).
+The abstract formal power t^k maps to phi_k(u) = H_k(u) exp(-u^2/2) of the
+scaled coordinate u = x / length_scale.  The mapping is applied monomial by
+monomial, never to factored expressions (which ExactPolynomial enforces by
+always being expanded).
 
-Densities are computed in the oscillator realization: the traced-out
-particles contract by exact Hermite orthogonality,
-<phi_a|phi_b> = delta_ab 2^a a! sqrt(pi), so only monomials with equal
-spectator rows pair up, with exact rational weights.  The retained
-particles are sampled as normalized Hermite functions (three-term
-recurrence, bounded by pi^(-1/4)) with the norms folded into the exact
+One evaluator serves both evaluation and densities: the normalized Hermite
+functions psi_k = phi_k / sqrt(2^k k! sqrt(pi)), by their three-term
+recurrence, bounded by pi^(-1/4).  realize_polynomial scales them back to
+phi_k.  A density traces out the spectator particles by exact Hermite
+orthogonality, <phi_a|phi_b> = delta_ab 2^a a! sqrt(pi), so only monomials
+with equal spectator rows pair up, with exact rational weights; one sampler
+then sums the retained particles' psi_k with their norms folded into those
 weights, so neither the samples nor the weights overflow or underflow at
-high orbital index.
-Coordinates are in units of the realization's length scale.
+high orbital index.  The one-particle density and the diagonal
+two-particle cut differ only in which grid axis drives which coordinate.
 """
 
 from __future__ import annotations
@@ -22,39 +23,29 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
+from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.hermite import hermval
 
-from .coulomb import hermite_norm_rational, spectator_buckets, state_norm_rational
+from .coulomb import hermite_norm_rational
 from .errors import InternalConsistencyError
-
-
-class RealizationKind(Enum):
-    HERMITE_OSCILLATOR = "hermite"
 
 
 @dataclass(frozen=True)
 class Realization:
-    """A concrete single-particle basis behind the formal powers."""
+    """The oscillator basis behind the formal powers, at one length scale."""
 
-    kind: RealizationKind
     length_scale: float = 1.0
 
     def __post_init__(self):
-        if self.length_scale <= 0:
-            raise ValueError("length scale must be positive")
-
-    def orbital_values(self, k, u):
-        """phi_k on already-scaled coordinates u = x / length_scale."""
-        coeffs = np.zeros(k + 1)
-        coeffs[k] = 1.0
-        return hermval(u, coeffs) * np.exp(-(u**2) / 2.0)
+        if not 0 < self.length_scale < math.inf:
+            raise ValueError(
+                f"length scale must be finite and positive, got {self.length_scale}"
+            )
 
 
 def hermite_oscillator(length_scale=1.0):
-    return Realization(RealizationKind.HERMITE_OSCILLATOR, length_scale)
+    return Realization(length_scale)
 
 
 @dataclass(frozen=True)
@@ -67,8 +58,10 @@ class Axis:
     count: int
 
     def __post_init__(self):
-        if self.count < 2 or self.hi <= self.lo:
-            raise ValueError(f"bad axis {self.name}: need hi > lo and count >= 2")
+        if self.count < 2 or not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError(
+                f"bad axis {self.name}: need finite lo < hi and count >= 2"
+            )
 
     def points(self):
         return np.linspace(self.lo, self.hi, self.count)
@@ -140,25 +133,27 @@ def realize_polynomial(poly, realization):
     """
     n, d = poly.n, poly.d
     terms = [(mono, float(coeff)) for mono, coeff in poly.terms.items()]
+    kmax = max(map(max, poly.terms), default=0)
+    # norms[k] = sqrt(2^k k! sqrt(pi)) turns psi_k back into phi_k.
+    norms = [math.pi**0.25]
+    for k in range(1, kmax + 1):
+        norms.append(norms[-1] * math.sqrt(2 * k))
 
     def evaluate(points):
         x = np.asarray(points, dtype=float)
         if x.shape[-2:] != (n, d):
             raise ValueError(f"points must have shape (..., {n}, {d})")
-        u = x / realization.length_scale
-        cache = {}
+        # One table per monomial position: particle i, axis ax at i * d + ax.
+        u = (x / realization.length_scale).reshape(x.shape[:-2] + (n * d,))
+        tables = [
+            [norm * psi for norm, psi in zip(norms, _hermite_functions(kmax, u[..., j]))]
+            for j in range(n * d)
+        ]
         total = np.zeros(x.shape[:-2])
         for mono, coeff in terms:
             factor = np.full(x.shape[:-2], coeff)
-            for i in range(n):
-                for ax in range(d):
-                    k = mono[i * d + ax]
-                    key = (i, ax, k)
-                    vals = cache.get(key)
-                    if vals is None:
-                        vals = realization.orbital_values(k, u[..., i, ax])
-                        cache[key] = vals
-                    factor = factor * vals
+            for table, k in zip(tables, mono):
+                factor = factor * table[k]
             total = total + factor
         return total
 
@@ -171,25 +166,30 @@ def _reduced_density_weights(poly, retained):
     Returns {(bra rows, ket rows) of particles 0..retained-1: weight}, the
     spectator-integrated coefficient over the full overlap <Psi|Psi>, as
     the weight of the rows' normalized Hermite functions.  Hermite
-    orthogonality pairs monomials only within a spectator bucket.  The
+    orthogonality pairs a bra and a ket monomial only when their spectator
+    exponents agree, so the terms are bucketed by those exponents.  The
     weight's square, which takes the rows' norms 2^a a! (their sqrt(pi)
     cancel against the overlap's), is exact and is rounded to a float once,
     before its square root.
     """
-    terms = list(poly.terms.items())
-    norm = state_norm_rational(terms)
+    d = poly.d
+    norm = 0
+    buckets = {}
+    for mono, coeff in poly.terms.items():
+        norm += coeff * coeff * hermite_norm_rational(mono)
+        rows = tuple(mono[p * d : (p + 1) * d] for p in range(retained))
+        buckets.setdefault(mono[retained * d :], []).append((rows, coeff))
     sums = {}
-    for key, bucket in spectator_buckets(terms, retained, poly.d).items():
+    for key, bucket in buckets.items():
         spect = hermite_norm_rational(key)
         for rows_a, ca in bucket:
             for rows_b, cb in bucket:
                 pair = (rows_a, rows_b)
                 sums[pair] = sums.get(pair, 0) + spect * ca * cb
-    norm2 = norm * norm
     weights = {}
     for pair, w in sums.items():
         if w:
-            square = w * w / norm2
+            square = Fraction(w * w, norm * norm)
             for row in pair[0] + pair[1]:
                 square *= hermite_norm_rational(row)
             mag = math.sqrt(square)
@@ -214,39 +214,66 @@ def _hermite_functions(kmax, u):
     return table
 
 
-def one_particle_density(poly, realization, axes):
-    """rho(x) = N * integral of |Psi|^2 over particles 2..N, normalized.
+def _sample_density(poly, realization, axes, drivers):
+    """The reduced density of the retained particles, sampled on the grid.
 
-    The grid is over one particle's d coordinates (in units of the length
-    scale); the result integrates to N over the whole space.
+    drivers[p][a] is the grid axis that drives coordinate a of retained
+    particle p.  Returns n!/(n-r)! / length_scale^(r d), for r retained
+    particles, times the sum over _reduced_density_weights of
+    w * prod_p psi(p, bra_p) psi(p, ket_p), where psi(p, row) multiplies
+    the normalized Hermite functions of the row's indices along the
+    particle's driving axes.
     """
     if poly.is_zero:
         raise ValueError("zero polynomial has no normalizable density")
-    if len(axes) != poly.d:
-        raise ValueError(f"need {poly.d} grid axes, got {len(axes)}")
-    weights = _reduced_density_weights(poly, retained=1)
+    retained = len(drivers)
     scale = realization.length_scale
+    try:
+        volume = scale ** (retained * poly.d)
+    except OverflowError:
+        volume = math.inf
+    if not 0 < volume < math.inf:
+        raise ValueError(
+            f"length scale {scale} out of range: length_scale^{retained * poly.d} "
+            "is not a finite positive float"
+        )
+    weights = _reduced_density_weights(poly, retained)
     kmax = max(map(max, poly.terms))
-    tables = []  # one per axis, shaped to broadcast along that grid axis
-    for ax, axis in enumerate(axes):
-        shape = [1] * poly.d
-        shape[ax] = axis.count
+    tables = []  # one per grid axis, shaped to broadcast along that axis
+    for g, axis in enumerate(axes):
+        shape = [1] * len(axes)
+        shape[g] = axis.count
         tables.append(_hermite_functions(kmax, (axis.points() / scale).reshape(shape)))
     cache = {}
 
-    def orbital_product(indices):
-        vals = cache.get(indices)
+    def orbital_product(p, row):
+        vals = cache.get((p, row))
         if vals is None:
             vals = 1.0
-            for table, k in zip(tables, indices):
-                vals = vals * table[k]
-            cache[indices] = vals
+            for g, k in zip(drivers[p], row):
+                vals = vals * tables[g][k]
+            cache[p, row] = vals
         return vals
 
     values = np.zeros([axis.count for axis in axes])
-    for ((a,), (b,)), w in weights.items():
-        values += w * orbital_product(a) * orbital_product(b)
-    values *= poly.n / scale**poly.d
+    for (bra, ket), w in weights.items():
+        term = w
+        for p in range(retained):
+            term = term * orbital_product(p, bra[p]) * orbital_product(p, ket[p])
+        values += term
+    values *= math.perm(poly.n, retained) / volume
+    return values
+
+
+def one_particle_density(poly, realization, axes):
+    """rho(x) = N * integral of |Psi|^2 over particles 2..N, normalized.
+
+    The grid is over one particle's d coordinates, in the units of the
+    length scale; the result integrates to N over the whole space.
+    """
+    if len(axes) != poly.d:
+        raise ValueError(f"need {poly.d} grid axes, got {len(axes)}")
+    values = _sample_density(poly, realization, axes, [range(poly.d)])
     return _finalize_density(axes, values, normalization=float(poly.n))
 
 
@@ -258,42 +285,11 @@ def two_particle_density_cut(poly, realization, axes):
     out.  The declared normalization is the Riemann sum over the cut (the
     full 2d-dimensional density would integrate to N(N-1)).
     """
-    if poly.is_zero:
-        raise ValueError("zero polynomial has no normalizable density")
     if poly.n < 2:
         raise ValueError("two-particle density needs at least two particles")
     if len(axes) != 2:
         raise ValueError("the diagonal cut uses exactly two grid axes")
-    weights = _reduced_density_weights(poly, retained=2)
-    scale = realization.length_scale
-    kmax = max(map(max, poly.terms))
-    # Particle 1 varies along the first grid axis, particle 2 along the second.
-    tables = (
-        _hermite_functions(kmax, (axes[0].points() / scale)[:, None]),
-        _hermite_functions(kmax, (axes[1].points() / scale)[None, :]),
-    )
-    cache = {}
-
-    def orbital_product(indices, particle):
-        key = (indices, particle)
-        vals = cache.get(key)
-        if vals is None:
-            vals = 1.0
-            for k in indices:
-                vals = vals * tables[particle][k]
-            cache[key] = vals
-        return vals
-
-    values = np.zeros((axes[0].count, axes[1].count))
-    for ((a1, a2), (b1, b2)), w in weights.items():
-        values += (
-            w
-            * orbital_product(a1, 0)
-            * orbital_product(b1, 0)
-            * orbital_product(a2, 1)
-            * orbital_product(b2, 1)
-        )
-    values *= poly.n * (poly.n - 1) / scale ** (2 * poly.d)
+    values = _sample_density(poly, realization, axes, [(0,) * poly.d, (1,) * poly.d])
     grid = _finalize_density(axes, values, normalization=0.0)
     grid.normalization = grid.riemann_integral()
     return grid

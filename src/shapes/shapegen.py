@@ -33,7 +33,6 @@ from .deflation import LevelBasis
 from .errors import InternalConsistencyError
 from .polycore import (
     SlaterState,
-    _as_exact,
     enumerate_euler_monomials,
     format_fraction,
     orbital_key,
@@ -350,6 +349,14 @@ class ShapeCatalog:
 
     @classmethod
     def from_json_obj(cls, obj, state_cap=None):
+        """Load a catalog as to_json_obj writes it, checking what it holds.
+
+        Raises ValueError on a wrong format_version or kind and, naming the
+        shape, on a repeated id or a shape that _read_coeffs rejects.
+        """
+        for key, expected in (("format_version", "1"), ("kind", "shape_catalog")):
+            if obj.get(key) != expected:
+                raise ValueError(f"catalog {key} is {obj.get(key)!r}, expected {expected!r}")
         stat = Statistics.parse(obj["statistics"])
         catalog = cls(
             n=obj["n"],
@@ -360,21 +367,53 @@ class ShapeCatalog:
             shapes=[],
             state_cap=default_state_cap() if state_cap is None else check_state_cap(state_cap),
         )
+        ids = set()
         for entry in obj["shapes"]:
-            basis = catalog.level_basis(entry["grade"])
-            coeffs = {}
-            for orbitals, coeff in zip(entry["basis"], entry["coeffs"]):
-                state = SlaterState.from_orbitals(orbitals, stat)
-                coeffs[basis.state_index(state)] = _as_exact(parse_fraction(coeff))
-            catalog.shapes.append(
-                ShapeRecord(
-                    grade=entry["grade"],
-                    index=entry["index"],
-                    statistics=stat,
-                    coeffs=coeffs,
-                )
-            )
+            grade, index = entry["grade"], entry["index"]
+            shape_id = f"{grade}:{index}"
+            try:
+                if shape_id in ids:
+                    raise ValueError("listed twice")
+                ids.add(shape_id)
+                coeffs = catalog._read_coeffs(grade, entry)
+            except ValueError as exc:
+                raise ValueError(f"catalog shape {shape_id}: {exc}") from None
+            catalog.shapes.append(ShapeRecord(grade, index, stat, coeffs))
         return catalog
+
+    def _read_coeffs(self, grade, entry):
+        """A stored shape's {state index: coeff}, in linear time.
+
+        Every basis row must be a distinct state of the level of the given
+        grade, which lies in 0..max_grade, with one coefficient each, and
+        the coefficients must be canonical as ShapeRecord documents:
+        integers, none zero, content 1, the entry at the lowest state index
+        positive.
+        """
+        if not 0 <= grade <= self.max_grade:
+            raise ValueError(f"grade {grade} is outside 0..{self.max_grade}")
+        rows, texts = entry["basis"], entry["coeffs"]
+        if len(rows) != len(texts):
+            raise ValueError(f"{len(rows)} basis rows but {len(texts)} coefficients")
+        index = self.level_basis(grade).index
+        coeffs = {}
+        for orbitals, text in zip(rows, texts):
+            i = index.get(SlaterState.from_orbitals(orbitals, self.statistics).orbitals)
+            if i is None:
+                raise ValueError(
+                    f"row {orbitals} is not a state of grade {grade} "
+                    f"(n={self.n}, d={self.d}, {self.statistics.value})"
+                )
+            if i in coeffs:
+                raise ValueError(f"row {orbitals} is listed twice")
+            coeffs[i] = parse_fraction(text)
+        ints = [c.numerator for c in coeffs.values() if c and c.denominator == 1]
+        if len(ints) != len(coeffs) or gcd(*ints) != 1 or coeffs[min(coeffs)] < 0:
+            raise ValueError(
+                "coefficients are not canonical (integers, none zero, content 1, "
+                "lowest-index entry positive)"
+            )
+        return {i: c.numerator for i, c in coeffs.items()}
 
 
 def trivial_products(catalog, grade):

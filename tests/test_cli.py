@@ -242,6 +242,115 @@ class TestDensityAndCoulomb:
         assert [table[i][i] for i in range(6)] == diagonal
 
 
+class TestDensityArguments:
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--length-scale", "nan"], "length scale must be finite and positive, got nan"),
+            (["--length-scale", "inf"], "length scale must be finite and positive, got inf"),
+            (["--length-scale", "1e-300"], "length scale 1e-300 out of range"),
+            (["--length-scale", "1e-300", "--two-particle-cut"], "length scale 1e-300 out of range"),
+            (["--length-scale", "1e300"], "length scale 1e+300 out of range"),
+        ],
+        ids=["nan", "inf", "tiny", "tiny-cut", "huge"],
+    )
+    def test_bad_length_scale_exit_two(self, capsys, tmp_path, catalog_path, extra, message):
+        out = tmp_path / "rho.csv"
+        code, _, err = run(
+            capsys,
+            "density", "--catalog", catalog_path, "--shape-id", "3:0",
+            "--grid", "x:-6:6:31,y:-6:6:31", "--out", str(out), *extra,
+        )
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["x:nan:6:31,y:-6:6:31", "x:-6:inf:31,y:-6:6:31"])
+    def test_non_finite_axis_bound_exit_two(self, capsys, tmp_path, catalog_path, grid):
+        out = tmp_path / "rho.csv"
+        code, _, err = run(
+            capsys,
+            "density", "--catalog", catalog_path, "--shape-id", "3:0",
+            "--grid", grid, "--out", str(out),
+        )
+        assert code == 2
+        assert "bad axis x: need finite lo < hi" in err
+        assert not out.exists()
+
+
+def _shape(obj, shape_id):
+    return next(entry for entry in obj["shapes"] if entry["id"] == shape_id)
+
+
+def _set(key, value):
+    def edit(obj):
+        obj[key] = value
+
+    return edit
+
+
+def _set_in_shape(shape_id, key, value):
+    def edit(obj):
+        _shape(obj, shape_id)[key] = value
+
+    return edit
+
+
+def _repeat_first_row(obj):
+    basis = _shape(obj, "3:1")["basis"]
+    basis[1] = basis[0]
+
+
+def _repeat_shape(obj):
+    obj["shapes"].append(dict(_shape(obj, "3:1")))
+
+
+class TestCatalogValidation:
+    """Malformed catalogs exit 2 with a message naming what is wrong.
+
+    Shape 3:1 of the (3,2,fermion) catalog has the rows |(2,0),(0,1),(0,0)|
+    and |(1,1),(1,0),(0,0)| with coefficients 1 and 1.
+    """
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_set("format_version", "99"), "catalog format_version is '99', expected '1'"),
+            (_set("kind", "nonsense"), "catalog kind is 'nonsense', expected 'shape_catalog'"),
+            (_repeat_shape, "catalog shape 3:1: listed twice"),
+            (_repeat_first_row, "catalog shape 3:1: row [[2, 0], [0, 1], [0, 0]] is listed twice"),
+            (_set_in_shape("3:1", "coeffs", ["1"]), "catalog shape 3:1: 2 basis rows but 1 coefficients"),
+            (_set("max_grade", 3), "catalog shape 4:0: grade 4 is outside 0..3"),
+            (_set_in_shape("3:1", "coeffs", ["1", "1/2"]), "catalog shape 3:1: coefficients are not canonical"),
+            (_set_in_shape("3:1", "coeffs", ["1", "0"]), "catalog shape 3:1: coefficients are not canonical"),
+            (_set_in_shape("3:1", "coeffs", ["2", "2"]), "catalog shape 3:1: coefficients are not canonical"),
+            (_set_in_shape("3:1", "coeffs", ["-1", "-1"]), "catalog shape 3:1: coefficients are not canonical"),
+            (
+                _set_in_shape("3:1", "basis", [[[3, 0], [0, 1], [0, 0]], [[1, 1], [1, 0], [0, 0]]]),
+                "catalog shape 3:1: row [[3, 0], [0, 1], [0, 0]] is not a state of grade 3",
+            ),
+            (_set("n", 4), "catalog shape 2:0: row [[1, 0], [0, 1], [0, 0]] is not a state of grade 2 (n=4, d=2, fermion)"),
+        ],
+        ids=[
+            "format-version", "kind", "duplicate-shape", "duplicate-row", "short-coeffs",
+            "max-grade", "rational-coeff", "zero-coeff", "content", "sign", "wrong-grade-row",
+            "wrong-n",
+        ],
+    )
+    def test_malformed_catalog_exit_two(self, capsys, tmp_path, catalog_path, edit, message):
+        obj = json.loads(open(catalog_path).read())
+        edit(obj)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "vee.csv"
+        code, _, err = run(
+            capsys, "coulomb", "--catalog", str(path), "--grade", "3", "--out", str(out),
+        )
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
+
 class TestVerify:
     def test_verify_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2", "--d", "2")

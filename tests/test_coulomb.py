@@ -18,8 +18,6 @@ from shapes.coulomb import (
     coulomb_expectation,
     hermite_linearization,
     hermite_norm_rational,
-    spectator_buckets,
-    state_norm_rational,
     two_body_element,
 )
 from shapes.deflation import LevelBasis
@@ -243,6 +241,19 @@ class TestManyBody:
         assert basis._expansions == [None] * len(basis)
 
 
+def pair_buckets(terms, d):
+    """{spectator exponents: [((row 0, row 1), coeff), ...]} of particles 2..n-1."""
+    buckets = {}
+    for mono, coeff in terms:
+        buckets.setdefault(mono[2 * d :], []).append(((mono[:d], mono[d : 2 * d]), coeff))
+    return buckets
+
+
+def monomial_norm(terms):
+    """<Psi|Psi> over sqrt(pi)^(n*d), exactly."""
+    return sum(Fraction(coeff * coeff * hermite_norm_rational(mono)) for mono, coeff in terms)
+
+
 def monomial_reference(bra, ket, basis):
     """coulomb_expectation contracted over the n! monomials of every state.
 
@@ -255,15 +266,15 @@ def monomial_reference(bra, ket, basis):
     bra_terms = list(basis.materialize(bra).terms.items())
     ket_terms = list(basis.materialize(ket).terms.items())
     numerator = Fraction(0)
-    ket_buckets = spectator_buckets(ket_terms, 2, d)
-    for key, bra_list in spectator_buckets(bra_terms, 2, d).items():
+    ket_buckets = pair_buckets(ket_terms, d)
+    for key, bra_list in pair_buckets(bra_terms, d).items():
         spect = hermite_norm_rational(key)
         for (bi, bj), cb in bra_list:
             for (ki, kj), ck in ket_buckets.get(key, ()):
                 element = _two_body_fraction(*_canonical_indices(bi, bj, ki, kj), d)
                 numerator += spect * cb * ck * element
     numerator *= n * (n - 1) // 2
-    norms = state_norm_rational(bra_terms) * state_norm_rational(ket_terms)
+    norms = monomial_norm(bra_terms) * monomial_norm(ket_terms)
     _, pi_pow = beta_integral_exact(d, 0)
     prefactor = math.sqrt(2.0) * math.pi ** (pi_pow - 0.5)
     return prefactor * float(numerator) / math.sqrt(float(norms))

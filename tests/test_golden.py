@@ -3,13 +3,17 @@
 The digests are SHA-256 of the files written by `shapes generate` for
 complete catalogs.  Any change to the construction, the canonical vector
 normalization or the serialization that alters a single byte fails here.
+Each golden catalog must also pass the loader's validation.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from shapes.cli import main
+from shapes.counting import total_shape_count
+from shapes.shapegen import ShapeCatalog
 
 GOLDEN_SHA256 = {
     (3, 2, "fermion"): "0d5a948c2a04cec3dc082c3efb381adb03ba8f4d331f606b50b49c713180a953",
@@ -31,3 +35,6 @@ def test_generate_is_byte_identical(tmp_path, capsys, system):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[system]
+    assert ShapeCatalog.from_json_obj(json.loads(out.read_text())).total_count == (
+        total_shape_count(n, d)
+    )

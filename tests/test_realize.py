@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
 
 from shapes.counting import FERMION
 from shapes.errors import InternalConsistencyError
@@ -27,6 +28,11 @@ from shapes.realize import (
 
 def state(orbitals):
     return SlaterState.from_orbitals(orbitals, FERMION)
+
+
+def hermite_function(k, u):
+    """phi_k(u) = H_k(u) exp(-u^2/2) by numpy's Hermite series, independent of shapes."""
+    return hermval(u, [0] * k + [1]) * np.exp(-(u**2) / 2.0)
 
 
 G0 = expand_state(state([(1, 0), (0, 1), (0, 0)]))
@@ -65,6 +71,19 @@ class TestEvaluator:
         f = realize_polynomial(poly, hermite_oscillator(length_scale=2.0))
         xs = np.array([[[1.0]]])
         assert np.allclose(f(xs), 2 * 0.5 * np.exp(-0.25 / 2))
+
+    @pytest.mark.parametrize("length_scale", [1.0, 2.0])
+    def test_single_orbital_states_match_hermval(self, length_scale):
+        xs = np.linspace(-8.0, 8.0, 161)
+        ys = np.linspace(5.0, -3.0, 161)
+        points = np.stack([xs, ys], axis=-1)[:, None, :]
+        u, v = xs / length_scale, ys / length_scale
+        for k in range(31):
+            poly = expand_state(SlaterState.from_orbitals([(k, 30 - k)], FERMION))
+            values = realize_polynomial(poly, hermite_oscillator(length_scale))(points)
+            reference = hermite_function(k, u) * hermite_function(30 - k, v)
+            scale = np.abs(reference).max()
+            assert np.allclose(values, reference, rtol=1e-12, atol=1e-14 * scale)
 
     def test_shape_check(self):
         poly = ExactPolynomial.constant(2, 2)
@@ -138,7 +157,7 @@ class TestOneParticleDensity:
         table = _hermite_functions(30, u)
         for k, psi in enumerate(table):
             norm = math.sqrt(2**k * math.factorial(k) * math.sqrt(math.pi))
-            reference = hermite_oscillator().orbital_values(k, u) / norm
+            reference = hermite_function(k, u) / norm
             assert np.allclose(psi, reference, rtol=1e-12, atol=1e-14)
 
     def test_non_finite_values_are_named(self):
