@@ -74,6 +74,7 @@ def _gamma_half(two_a):
     return Fraction(math.factorial(2 * j), 4**j * math.factorial(j)), 1
 
 
+@lru_cache(maxsize=None)
 def beta_integral_exact(d, l):
     """I_d(l) = integral_0^1 (1-w^2)^((d-3)/2) w^l dw, exactly.
 
@@ -101,9 +102,11 @@ def beta_integral(d, l):
     return float(rat) * math.pi**pi_pow
 
 
+@lru_cache(maxsize=None)
 def _axis_table(n, np_, m, mp):
-    """Per-axis contributions: {k + k' : exact factor}, or None if the axis
-    parity n + n' + m + m' is odd (the element then vanishes)."""
+    """Per-axis contributions: a tuple of (k + k', exact factor) pairs, or
+    None if the axis parity n + n' + m + m' is odd (the element then
+    vanishes).  Cached, so the result is immutable."""
     if (n + np_ + m + mp) % 2:
         return None
     a_bra = hermite_linearization(n, m)
@@ -121,7 +124,7 @@ def _axis_table(n, np_, m, mp):
             )
             if factor:
                 table[s] = table.get(s, Fraction(0)) + factor
-    return table
+    return tuple(table.items())
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +141,7 @@ def _two_body_fraction(bra1, bra2, ket1, ket2, d):
             return Fraction(0)
         new = {}
         for l, c in acc.items():
-            for s, f in table.items():
+            for s, f in table:
                 key = l + s
                 new[key] = new.get(key, Fraction(0)) + c * f
         acc = new

@@ -8,7 +8,9 @@ total node count, which is also the oscillator energy in that realization.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from enum import Enum
 
 from .errors import InternalConsistencyError
@@ -328,6 +330,47 @@ def shape_polynomial(n, d, statistics=FERMION):
             )
         table.append(poly)
     return table[n] if n >= 1 else table[0]
+
+
+def sector_shape_counts(n, d, statistics=FERMION):
+    """Shapes per sector: {per-axis degree tuple: count}, zeros omitted.
+
+    A state's sector is the tuple of its per-axis degree totals, and every
+    shape lies in one.  The counts come from shape_polynomial's recursion
+    with [C(n,k)]^d replaced by prod_axis [C(n,k)] in that axis's own
+    variable q_axis, the multigraded Hilbert series of the free module the
+    shapes generate.  Summing the counts of one total degree gives that
+    degree's coefficient of shape_polynomial.
+    """
+    if n < 0:
+        raise ValueError("particle count must be non-negative")
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
+    one = {(0,) * d: 1}
+    table = [one, one]
+    for m in range(2, n + 1):
+        acc = {}
+        for k in range(1, m + 1):
+            sign = -1 if statistics is FERMION and k % 2 == 0 else 1
+            factor = shape_recursion_factor(m, k).coeffs.items()
+            for per_axis in itertools.product(factor, repeat=d):
+                shift = tuple(deg for deg, _ in per_axis)
+                coeff = sign * math.prod(c for _, c in per_axis)
+                for sector, c in table[m - k].items():
+                    key = tuple(map(operator.add, shift, sector))
+                    acc[key] = acc.get(key, 0) + coeff * c
+        counts = {}
+        for sector, c in acc.items():
+            q, r = divmod(c, m)
+            if r or q < 0:
+                raise InternalConsistencyError(
+                    f"sector shape recursion produced {c}/{m} shapes in sector "
+                    f"{sector} at n={m}, d={d}, {statistics.value}"
+                )
+            if q:
+                counts[sector] = q
+        table.append(counts)
+    return table[n]
 
 
 def total_shape_count(n, d):

@@ -72,6 +72,28 @@ class LevelBasis:
     def coulomb_operator(self):
         return CoulombOperator(self)
 
+    @cached_property
+    def sectors(self):
+        """{sector: tuple of state indices, ascending}.
+
+        A state's sector is the tuple of its per-axis degree totals.  An
+        Euler factor raises one axis's total by a fixed amount, so every
+        shape and every shape x Euler product lies in one sector.
+        """
+        out = {}
+        for i, state in enumerate(self.states):
+            out.setdefault(tuple(map(sum, zip(*state.orbitals))), []).append(i)
+        return {sector: tuple(indices) for sector, indices in out.items()}
+
+    @cached_property
+    def sector_positions(self):
+        """Per state index: (its sector, its position in sectors[sector])."""
+        out = [None] * len(self.states)
+        for sector, indices in self.sectors.items():
+            for pos, i in enumerate(indices):
+                out[i] = (sector, pos)
+        return out
+
     def state_index(self, state):
         return self.index[state.orbitals]
 

@@ -237,6 +237,12 @@ def _sample_density(poly, realization, axes, drivers):
             f"length scale {scale} out of range: length_scale^{retained * poly.d} "
             "is not a finite positive float"
         )
+    reach = max(max(abs(axis.lo), abs(axis.hi)) for axis in axes) / scale
+    if not math.isfinite(reach * reach):
+        raise ValueError(
+            f"length scale {scale} out of range: (max |grid coordinate| / "
+            "length scale)^2 is not a finite float"
+        )
     weights = _reduced_density_weights(poly, retained)
     kmax = max(map(max, poly.terms))
     tables = []  # one per grid axis, shaped to broadcast along that axis

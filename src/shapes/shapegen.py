@@ -9,9 +9,23 @@ factor e_m^[k](axis) maps each state of a level to a signed sum of states
 of the level m*k higher (the Pieri rule for elementary symmetric
 functions).  The catalog computes that image once per (grade, factor,
 state), on first use, and every later product at every grade reuses it.
-Two laws are hard assertions at every grade: the products are linearly
-independent (the free-module statement), and the complement dimension
-matches the shape polynomial coefficient.
+
+A factor raises one axis's degree total by m*k, so every shape and every
+product lies in one sector (LevelBasis.sectors), and the span splits into
+independent blocks, one per (grade, sector).  Each block is settled by a
+rank certificate mod the prime MODULUS: a dense elimination of the
+products' residues whose rank equals the product count proves them
+independent over the rationals, since rank mod p <= rank over Q <= count.
+In sectors that hold shapes the reduced echelon form gives one candidate
+per free column, lifted to rationals by rational reconstruction and
+accepted only if its exact integer dot product with every product of the
+sector is 0.  Accepted candidates are exactly the canonical complement
+basis.  A block whose certificate fails, or whose sector has more than
+DENSE_SECTOR_CAP states, is settled by the exact integer echelon instead.
+Three laws are hard assertions at every grade: the products are linearly
+independent (the free-module statement), the complement dimension matches
+the shape polynomial coefficient, and each sector's complement dimension
+matches sector_shape_counts.
 """
 
 from __future__ import annotations
@@ -20,12 +34,15 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+
+import numpy as np
 
 from .counting import (
     GradedQPolynomial,
     Statistics,
     FERMION,
+    sector_shape_counts,
     shape_polynomial,
     total_shape_count,
 )
@@ -41,6 +58,13 @@ from .polycore import (
 
 DEFAULT_STATE_CAP = 100_000
 STATE_CAP_ENV_VAR = "SHAPES_STATE_CAP"
+
+# The prime of the rank certificates.  Residues stay below 2^31, so they
+# are stored as int32 and the product of two fits in an int64.
+MODULUS = 2**31 - 1
+# Sectors with more states go to the exact echelon: eliminating a dense
+# int64 matrix of 2048 x 2048 residues takes 32 MB.
+DENSE_SECTOR_CAP = 2048
 
 
 def default_state_cap():
@@ -448,15 +472,195 @@ def trivial_products(catalog, grade):
             yield rec, euler, partials[-1][1]
 
 
+def _row_reduce(mat, full):
+    """Eliminate an int64 matrix of residues mod MODULUS in place.
+
+    Returns the pivot columns in order: row r ends with a 1 at pivots[r]
+    and zeros below it, and with full the pivot columns are zero above
+    their pivots too (reduced row echelon form).  Only the rows with a
+    nonzero in the pivot column are updated, since products are sparse
+    and fill in little.  Entries stay in [0, MODULUS), so every product
+    of two fits in an int64.
+    """
+    p = MODULUS
+    rows, cols = mat.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        below = mat[r:, c].nonzero()[0]
+        if not len(below):
+            continue
+        k = r + below[0]
+        if k != r:
+            mat[[r, k]] = mat[[k, r]]
+        head = mat[r, c:]
+        head *= pow(int(head[0]), -1, p)
+        head %= p
+        update = below[1:] + r
+        if full:
+            update = np.concatenate([mat[:r, c].nonzero()[0], update])
+        if len(update):
+            block = mat[update, c:]
+            block -= block[:, :1] * head
+            block %= p
+            mat[update, c:] = block
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _lift(residue):
+    """Rational reconstruction of a residue mod MODULUS.
+
+    Returns the fraction a/b with |a|, b <= sqrt(MODULUS/2) and
+    a = residue * b (mod MODULUS), which is unique if it exists, or None.
+    """
+    bound = isqrt(MODULUS // 2)
+    r0, r1 = MODULUS, residue % MODULUS
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+class _SectorProducts:
+    """The trivial products that lie in one sector, in its own coordinates.
+
+    A sector of dim states keeps each product as an int32 row of residues
+    mod MODULUS when dim <= DENSE_SECTOR_CAP, and as the exact sparse
+    {position: int} vector when keep_exact is set or the sector is too
+    large for residues.  Every sector of a grade is filled before any is
+    eliminated, so the rows are held at half the width elimination needs.
+    """
+
+    def __init__(self, dim, keep_exact):
+        self.dim = dim
+        self.count = 0
+        dense = dim <= DENSE_SECTOR_CAP
+        self.residues = np.zeros((dim, dim), dtype=np.int32) if dense else None
+        self.exact = [] if keep_exact or not dense else None
+
+    def add(self, vec):
+        if self.residues is not None:
+            if self.count == len(self.residues):
+                self.residues = np.concatenate([self.residues, np.zeros_like(self.residues)])
+            self.residues[self.count, list(vec)] = [v % MODULUS for v in vec.values()]
+        if self.exact is not None:
+            self.exact.append(vec)
+        self.count += 1
+
+    def certify(self):
+        """(rank, canonical null vectors) from one elimination mod MODULUS.
+
+        The rank mod MODULUS is at most the rank over Q, which is at most
+        min(count, dim), so when it reaches that bound the rank is proven.
+        Null vectors are computed when the exact products are kept and
+        fewer than dim: one candidate per free column f of the reduced
+        echelon form, e_f - sum_r R[r, f] e_pivots[r], lifted entry by
+        entry by rational reconstruction, scaled to content 1 and accepted
+        only if its integer dot product with every exact product is 0.
+        The accepted candidates span the complement and have distinct
+        largest indices, so they are its canonical basis, the one
+        _Echelon.nullspace gives.  Returns None when the sector is too
+        large, the rank falls short, an entry does not lift or a candidate
+        fails its check.
+        """
+        if self.residues is None:
+            return None
+        want_null = self.exact is not None and self.count < self.dim
+        mat, self.residues = self.residues[: self.count].astype(np.int64), None
+        pivots = _row_reduce(mat, full=want_null)
+        if len(pivots) < min(self.count, self.dim):
+            return None
+        null = []
+        for f in sorted(set(range(self.dim)) - set(pivots)) if want_null else ():
+            cand = {f: 1}
+            for p, residue in zip(pivots, mat[:, f].tolist()):
+                if p > f:
+                    break
+                if residue:
+                    value = _lift(-residue)
+                    if value is None:
+                        return None
+                    cand[p] = value
+            cand = _canonical_sign(_int_rows(cand))
+            for vec in self.exact:
+                if sum(c * vec.get(i, 0) for i, c in cand.items()):
+                    return None
+            null.append(cand)
+        return len(pivots), null
+
+    def exact_complement(self, want_null):
+        """(rank, canonical null vectors or []) by the exact integer echelon."""
+        ech = _Echelon(self.dim)
+        for vec in self.exact:
+            ech.insert(vec)
+        return ech.rank, ech.nullspace() if want_null else []
+
+
+def _file_products(catalog, grade, blocks):
+    """File trivial_products(catalog, grade) into blocks by sector.
+
+    Each product goes to the sector of any one of its states, in that
+    sector's coordinates; products of sectors not in blocks are dropped.
+    Returns the number of products, zero vectors included.
+    """
+    where = catalog.level_basis(grade).sector_positions
+    count = 0
+    for _rec, _euler, vec in trivial_products(catalog, grade):
+        count += 1
+        if vec:
+            block = blocks.get(where[next(iter(vec))][0])
+            if block is not None:
+                block.add({where[i][1]: v for i, v in vec.items()})
+    return count
+
+
+def _sector_complements(catalog, grade, held):
+    """Rank and complement of one grade's trivial products, sector by sector.
+
+    Returns (product count, {sector: (rank, null vectors)}), with null
+    vectors in level indices and only for the sectors in held.  Each
+    sector is settled by its certificate or, if that fails, by the exact
+    echelon.  Exact products are kept only for the held sectors and those
+    too large for residues; a second pass over the products recovers them
+    for any other sector whose certificate fails.
+    """
+    sectors = catalog.level_basis(grade).sectors
+    blocks = {s: _SectorProducts(len(idx), s in held) for s, idx in sectors.items()}
+    count = _file_products(catalog, grade, blocks)
+    results = {s: block.certify() for s, block in blocks.items()}
+    failed = [s for s, result in results.items() if result is None]
+    missing = {s: _SectorProducts(blocks[s].dim, True) for s in failed if blocks[s].exact is None}
+    if missing:
+        _file_products(catalog, grade, missing)
+        blocks.update(missing)
+    for s in failed:
+        results[s] = blocks[s].exact_complement(s in held)
+    return count, {
+        s: (rank, [{sectors[s][i]: v for i, v in vec.items()} for vec in null])
+        for s, (rank, null) in results.items()
+    }
+
+
 def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
     """Build the full shape catalog grade by grade.
 
-    Ground-grade shapes are the basis states themselves.  At every higher
-    grade the trivial span is lower shapes times Euler monomials; every
-    product must be independent of the ones before it, and the complement
-    dimension must equal the shape polynomial coefficient (else an
-    InternalConsistencyError is raised with diagnostics).  The
-    result is deterministic: two runs produce identical catalogs.
+    At every grade the trivial span is lower shapes times Euler monomials
+    (none at the ground grade, whose shapes are the basis states), and the
+    new shapes are its complement, settled sector by sector
+    (_sector_complements) and ordered by free column.  The products must
+    be independent, and the complement dimension must equal the shape
+    polynomial coefficient at every grade and the sector law at every
+    (grade, sector); else an InternalConsistencyError is raised with
+    diagnostics.  The result is deterministic: two runs produce identical
+    catalogs.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -479,33 +683,32 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
         shapes=[],
         state_cap=state_cap,
     )
-    ground = poly.lowest_degree()
-    for grade in range(ground, max_grade + 1):
+    law = sector_shape_counts(n, d, statistics)
+    for grade in range(poly.lowest_degree(), max_grade + 1):
         expected = poly.coefficient(grade)
         basis = catalog.level_basis(grade)
-        if grade == ground:
-            if len(basis) != expected:
+        sectors = basis.sectors
+        count, blocks = _sector_complements(catalog, grade, held=law.keys() & sectors)
+        rank = sum(r for r, _null in blocks.values())
+        if rank < count:
+            raise InternalConsistencyError(
+                f"trivial products at grade {grade} are not free: "
+                f"{count} vectors have rank {rank}"
+            )
+        if len(basis) - rank != expected:
+            raise InternalConsistencyError(
+                f"complement dimension mismatch at grade {grade}: expected "
+                f"{expected} new shapes, found {len(basis) - rank} "
+                f"(trivial rank {rank} in dimension {len(basis)})"
+            )
+        for sector, indices in sectors.items():
+            found = len(indices) - blocks[sector][0]
+            if found != law.get(sector, 0):
                 raise InternalConsistencyError(
-                    f"ground level at grade {grade} has {len(basis)} states but "
-                    f"the shape polynomial predicts {expected}"
+                    f"sector law mismatch at grade {grade}, sector {sector}: "
+                    f"expected {law.get(sector, 0)} new shapes, found {found}"
                 )
-            new_vectors = [{i: 1} for i in range(len(basis))]
-        else:
-            ech = _Echelon(len(basis))
-            products = trivial_products(catalog, grade)
-            for count, (_rec, _euler, vec) in enumerate(products, start=1):
-                if ech.insert(vec) is None:
-                    raise InternalConsistencyError(
-                        f"trivial products at grade {grade} are not free: "
-                        f"{count} vectors have rank {ech.rank}"
-                    )
-            new_vectors = ech.nullspace()
-            if len(new_vectors) != expected:
-                raise InternalConsistencyError(
-                    f"complement dimension mismatch at grade {grade}: expected "
-                    f"{expected} new shapes, found {len(new_vectors)} "
-                    f"(trivial rank {ech.rank} in dimension {len(basis)})"
-                )
+        new_vectors = sorted((v for _r, null in blocks.values() for v in null), key=max)
         for idx, vec in enumerate(new_vectors):
             catalog.shapes.append(
                 ShapeRecord(
@@ -541,19 +744,18 @@ def verify_span(catalog, grade):
 
     The vectors are every catalog shape of grade <= the target grade times
     every Euler monomial of the complementary degree (degree zero included,
-    so the grade's own shapes participate).  Reports the exact rank against
-    the level's dimension.
+    so the grade's own shapes participate).  Reports their rank against the
+    level's dimension, summed over sectors: a sector whose rank mod
+    MODULUS reaches its dimension is certified full, and any other sector
+    reports its exact rank.
     """
-    basis = catalog.level_basis(grade)
-    ech = _Echelon(len(basis))
-    count = 0
-    for _rec, _euler, vec in trivial_products(catalog, grade):
-        ech.insert(_int_rows(vec))
-        count += 1
+    dimension = len(catalog.level_basis(grade))
+    count, blocks = _sector_complements(catalog, grade, held=())
+    rank = sum(r for r, _null in blocks.values())
     return SpanReport(
         grade=grade,
-        dimension=len(basis),
+        dimension=dimension,
         vector_count=count,
-        rank=ech.rank,
-        passed=ech.rank == len(basis),
+        rank=rank,
+        passed=rank == dimension,
     )

@@ -251,8 +251,9 @@ class TestDensityArguments:
             (["--length-scale", "1e-300"], "length scale 1e-300 out of range"),
             (["--length-scale", "1e-300", "--two-particle-cut"], "length scale 1e-300 out of range"),
             (["--length-scale", "1e300"], "length scale 1e+300 out of range"),
+            (["--length-scale", "1e-158"], "length scale 1e-158 out of range"),
         ],
-        ids=["nan", "inf", "tiny", "tiny-cut", "huge"],
+        ids=["nan", "inf", "tiny", "tiny-cut", "huge", "grid-overflow"],
     )
     def test_bad_length_scale_exit_two(self, capsys, tmp_path, catalog_path, extra, message):
         out = tmp_path / "rho.csv"

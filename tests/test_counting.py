@@ -1,6 +1,6 @@
 """Tests for the q-series counting layer."""
 
-from itertools import combinations_with_replacement, combinations
+from itertools import combinations_with_replacement, combinations, permutations
 
 import pytest
 
@@ -12,6 +12,7 @@ from shapes.counting import (
     dimension_series,
     euler_series,
     level_dimension,
+    sector_shape_counts,
     shape_polynomial,
     shape_recursion_factor,
     total_shape_count,
@@ -207,6 +208,38 @@ class TestLevelDimension:
         assert [series.coefficient(g) for g in range(7)] == [
             level_dimension(3, 2, g) for g in range(7)
         ]
+
+
+class TestSectorShapeCounts:
+    SYSTEMS = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (3, 4)]
+
+    @pytest.mark.parametrize("stat", [FERMION, BOSON])
+    @pytest.mark.parametrize("n, d", SYSTEMS)
+    def test_sums_to_the_per_grade_coefficients(self, n, d, stat):
+        by_grade = {}
+        for sector, count in sector_shape_counts(n, d, stat).items():
+            assert len(sector) == d and count > 0
+            by_grade[sum(sector)] = by_grade.get(sum(sector), 0) + count
+        assert by_grade == shape_polynomial(n, d, stat).coeffs
+
+    @pytest.mark.parametrize("stat", [FERMION, BOSON])
+    @pytest.mark.parametrize("n, d", SYSTEMS)
+    def test_symmetric_under_axis_permutations(self, n, d, stat):
+        counts = sector_shape_counts(n, d, stat)
+        for sector, count in counts.items():
+            assert all(counts.get(p) == count for p in permutations(sector))
+
+    def test_worked_example_3_2(self):
+        # g0 at (1,1); g11 (3,0), g12+g14 (2,1), g13+g15 (1,2), g16 (0,3); g2 (2,2).
+        assert sector_shape_counts(3, 2, FERMION) == {
+            (1, 1): 1, (3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1, (2, 2): 1,
+        }
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            sector_shape_counts(-1, 2)
+        with pytest.raises(ValueError):
+            sector_shape_counts(2, 0)
 
 
 def test_statistics_parse():

@@ -47,6 +47,19 @@ class TestLevelBasis:
         basis = LevelBasis(3, 1, 0, BOSON)
         assert basis.states[0].leading_coefficient() == 6  # all three orbitals equal
 
+    @pytest.mark.parametrize("n, d, grade, stat", [(3, 2, 4, FERMION), (3, 3, 5, BOSON)])
+    def test_sectors_partition_the_states_by_axis_degrees(self, n, d, grade, stat):
+        basis = LevelBasis(n, d, grade, stat)
+        seen = []
+        for sector, indices in basis.sectors.items():
+            assert list(indices) == sorted(indices)
+            for pos, i in enumerate(indices):
+                orbitals = basis.states[i].orbitals
+                assert sector == tuple(sum(orb[a] for orb in orbitals) for a in range(d))
+                assert basis.sector_positions[i] == (sector, pos)
+            seen.extend(indices)
+        assert sorted(seen) == list(range(len(basis)))
+
 
 class TestDeflate:
     def test_first_level_trivial_state_t_axis(self, basis_32_3):

@@ -3,7 +3,9 @@
 The digests are SHA-256 of the files written by `shapes generate` for
 complete catalogs.  Any change to the construction, the canonical vector
 normalization or the serialization that alters a single byte fails here.
-Each golden catalog must also pass the loader's validation.
+Each golden catalog must also pass the loader's validation.  Small systems
+are also generated with every sector forced onto the exact echelon, and
+with a tiny prime under which many certificates fail and fall back to it.
 """
 
 import hashlib
@@ -11,6 +13,7 @@ import json
 
 import pytest
 
+from shapes import shapegen
 from shapes.cli import main
 from shapes.counting import total_shape_count
 from shapes.shapegen import ShapeCatalog
@@ -24,11 +27,11 @@ GOLDEN_SHA256 = {
     (3, 3, "fermion"): "b356a2efeeaf3b6084295e837fad2ec979c871d0e764f69681e6937652917a01",
     (3, 3, "boson"): "0e924d3c73060a45b3ecf523c1ead665a41cd48e104bb81341b882822052cf29",
     (4, 2, "boson"): "d207846dd172bb533cca9fdf4c2e4ff11aa25f14829fff5bf8ed090fe0b6e459",
+    (5, 2, "fermion"): "a3fe5ee508fd77f5e7b5a28f48cd4b4c0f0446318c5f716954fff5af9283ac06",
 }
 
 
-@pytest.mark.parametrize("system", sorted(GOLDEN_SHA256), ids=lambda s: "%d-%d-%s" % s)
-def test_generate_is_byte_identical(tmp_path, capsys, system):
+def assert_golden(tmp_path, capsys, system):
     n, d, stat = system
     out = tmp_path / "catalog.json"
     argv = ["generate", "--n", str(n), "--d", str(d), "--stat", stat, "--out", str(out)]
@@ -38,3 +41,20 @@ def test_generate_is_byte_identical(tmp_path, capsys, system):
     assert ShapeCatalog.from_json_obj(json.loads(out.read_text())).total_count == (
         total_shape_count(n, d)
     )
+
+
+@pytest.mark.parametrize("system", sorted(GOLDEN_SHA256), ids=lambda s: "%d-%d-%s" % s)
+def test_generate_is_byte_identical(tmp_path, capsys, system):
+    assert_golden(tmp_path, capsys, system)
+
+
+@pytest.mark.parametrize(
+    "setting, value", [("DENSE_SECTOR_CAP", 0), ("MODULUS", 3)], ids=["exact", "tiny-prime"]
+)
+@pytest.mark.parametrize(
+    "system", [(3, 2, "fermion"), (3, 2, "boson"), (4, 2, "fermion")],
+    ids=lambda s: "%d-%d-%s" % s,
+)
+def test_forced_paths_are_byte_identical(tmp_path, capsys, monkeypatch, system, setting, value):
+    monkeypatch.setattr(shapegen, setting, value)
+    assert_golden(tmp_path, capsys, system)

@@ -2,12 +2,18 @@
 
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shapes.counting import BOSON, FERMION, shape_polynomial, total_shape_count
+from shapes.counting import (
+    BOSON,
+    FERMION,
+    sector_shape_counts,
+    shape_polynomial,
+    total_shape_count,
+)
 from shapes.deflation import deflate_sparse
 from shapes import shapegen
 from shapes.errors import InternalConsistencyError, StateCapExceeded
@@ -175,6 +181,90 @@ class TestEchelonProperties:
         assert ech.rows == stored
 
 
+class TestSectorCertificate:
+    """One sector's mod-p certificate against the exact echelon.
+
+    With the working prime the certificate almost always settles a sector
+    itself; a tiny prime makes ranks fall short, entries fail to lift and
+    lifted candidates come out wrong, which the exact check must catch.
+    """
+
+    @pytest.mark.parametrize("modulus", [shapegen.MODULUS, 5, 3])
+    @settings(max_examples=200, deadline=None)
+    @given(case=sparse_matrices())
+    def test_matches_exact_echelon(self, modulus, case):
+        dim, rows = case
+        ech = _Echelon(dim)
+        for row in rows:
+            ech.insert(row)
+        want_null = len(rows) < dim
+        expected = (ech.rank, ech.nullspace() if want_null else [])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shapegen, "MODULUS", modulus)
+            block = shapegen._SectorProducts(dim, keep_exact=True)
+            for row in rows:
+                block.add(row)
+            certified = block.certify()
+        if certified is not None:
+            assert certified == expected
+        assert (certified or block.exact_complement(want_null)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-isqrt(shapegen.MODULUS // 2), isqrt(shapegen.MODULUS // 2)),
+           st.integers(1, isqrt(shapegen.MODULUS // 2)))
+    def test_lift_inverts_small_fractions(self, num, den):
+        p = shapegen.MODULUS
+        value = Fraction(num, den)
+        residue = value.numerator * pow(value.denominator, -1, p) % p
+        assert shapegen._lift(residue) == value
+
+    def test_lift_refuses_what_has_no_small_fraction(self, monkeypatch):
+        monkeypatch.setattr(shapegen, "MODULUS", 5)
+        assert [shapegen._lift(r) for r in range(5)] == [0, 1, None, None, -1]
+
+    @pytest.mark.parametrize(
+        "system",
+        [(3, 2, FERMION), (3, 2, BOSON), (2, 3, BOSON), (4, 2, FERMION), (3, 3, BOSON)],
+        ids=lambda s: f"{s[0]}-{s[1]}-{s[2].value}",
+    )
+    def test_settles_every_sector_without_the_exact_echelon(self, monkeypatch, system):
+        def refuse(self, want_null):
+            raise AssertionError("a sector fell back to the exact echelon")
+
+        monkeypatch.setattr(shapegen._SectorProducts, "exact_complement", refuse)
+        catalog = generate_shapes(*system)
+        assert catalog.is_complete()
+        top = catalog.shape_poly.degree()
+        assert all(verify_span(catalog, g).passed for g in range(top - 1, top + 2))
+
+
+class TestSectorLaw:
+    @pytest.mark.parametrize(
+        "system",
+        [(3, 2, FERMION), (3, 2, BOSON), (2, 3, FERMION), (2, 3, BOSON), (4, 2, FERMION)],
+        ids=lambda s: f"{s[0]}-{s[1]}-{s[2].value}",
+    )
+    def test_shapes_fill_the_predicted_sectors(self, system):
+        catalog = generate_shapes(*system)
+        found = {}
+        for rec in catalog.shapes:
+            where = catalog.level_basis(rec.grade).sector_positions
+            (sector,) = {where[i][0] for i in rec.coeffs}
+            found[sector] = found.get(sector, 0) + 1
+        assert found == sector_shape_counts(*system)
+
+    def test_mismatch_is_named_by_grade_and_sector(self, monkeypatch):
+        law = dict(sector_shape_counts(3, 2, FERMION))
+        law[2, 2] += 1
+        monkeypatch.setattr(shapegen, "sector_shape_counts", lambda n, d, stat: law)
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"sector law mismatch at grade 4, sector \(2, 2\): expected 2 new "
+            r"shapes, found 1",
+        ):
+            generate_shapes(3, 2, FERMION)
+
+
 class TestWorkedExample32:
     """The n=3, d=2 construction, level by level."""
 
@@ -233,6 +323,25 @@ class TestWorkedExample32:
         report = verify_span(catalog_32, grade)
         assert report.passed
         assert report.rank == report.dimension
+
+    def test_rank_deficit_is_reported_with_the_exact_rank(self, catalog_32, monkeypatch):
+        # Without shape 3:1 and with the first product twice, the sector of
+        # that product has two dependent vectors: its certificate fails and
+        # the exact echelon reports the rank.
+        partial = ShapeCatalog.from_json_obj(catalog_32.to_json_obj())
+        partial.shapes = [s for s in partial.shapes if s.id != "3:1"]
+        real = shapegen.trivial_products
+
+        def with_duplicate(catalog, grade):
+            products = list(real(catalog, grade))
+            return products + products[:1]
+
+        monkeypatch.setattr(shapegen, "trivial_products", with_duplicate)
+        report = verify_span(partial, 3)
+        assert (report.rank, report.dimension, report.vector_count) == (5, 6, 6)
+        assert not report.passed
+        report = verify_span(partial, 4)
+        assert (report.rank, report.dimension, report.vector_count) == (12, 14, 13)
 
     def test_span_report_values(self, catalog_32):
         report = verify_span(catalog_32, 4)
