@@ -25,7 +25,7 @@ class Statistics(Enum):
     @classmethod
     def parse(cls, text: str) -> "Statistics":
         for stat in cls:
-            if stat.value == text.lower():
+            if isinstance(text, str) and stat.value == text.lower():
                 return stat
         raise ValueError(f"unknown statistics {text!r} (expected fermion or boson)")
 

@@ -82,17 +82,8 @@ class LevelBasis:
         """
         out = {}
         for i, state in enumerate(self.states):
-            out.setdefault(tuple(map(sum, zip(*state.orbitals))), []).append(i)
+            out.setdefault(state.sector, []).append(i)
         return {sector: tuple(indices) for sector, indices in out.items()}
-
-    @cached_property
-    def sector_positions(self):
-        """Per state index: (its sector, its position in sectors[sector])."""
-        out = [None] * len(self.states)
-        for sector, indices in self.sectors.items():
-            for pos, i in enumerate(indices):
-                out[i] = (sector, pos)
-        return out
 
     def state_index(self, state):
         return self.index[state.orbitals]

@@ -258,14 +258,34 @@ class ExactPolynomial:
 
     @classmethod
     def from_json_obj(cls, obj):
-        n, d = obj["n"], obj["d"]
+        """Read a polynomial as to_json_obj writes it, checking every term.
+
+        Raises ValueError if obj is not an object or n or d is not a
+        positive integer, and, naming the term, on a matrix that is not
+        n x d non-negative integers, a matrix listed twice or a coefficient
+        that is not a fraction string.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError(f"a polynomial is a JSON object, got {type(obj).__name__}")
+        n, d = json_int(obj, "n", 1), json_int(obj, "d", 1)
         terms = {}
         for entry in obj["terms"]:
             matrix = entry["matrix"]
-            if len(matrix) != n or any(len(r) != d for r in matrix):
-                raise ValueError("term matrix does not match n x d")
-            flat = tuple(int(e) for row in matrix for e in row)
-            terms[flat] = parse_fraction(entry["coeff"])
+            try:
+                if not (
+                    isinstance(matrix, list)
+                    and len(matrix) == n
+                    and all(isinstance(r, list) and len(r) == d for r in matrix)
+                ):
+                    raise ValueError(f"matrix is not {n} x {d}")
+                flat = tuple(e for row in matrix for e in row)
+                if not all(type(e) is int and e >= 0 for e in flat):
+                    raise ValueError("exponents must be non-negative integers")
+                if flat in terms:
+                    raise ValueError("listed twice")
+                terms[flat] = parse_fraction(entry["coeff"])
+            except ValueError as exc:
+                raise ValueError(f"polynomial term {matrix}: {exc}") from None
         return cls(n, d, terms)
 
     def to_json(self):
@@ -278,7 +298,17 @@ def format_fraction(value):
 
 
 def parse_fraction(text):
+    if not isinstance(text, str):
+        raise ValueError(f"coefficient {text!r} is not a fraction string")
     return Fraction(text)
+
+
+def json_int(obj, key, minimum):
+    """obj[key] if it is an integer (not a bool) >= minimum, else ValueError."""
+    value = obj.get(key)
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -316,8 +346,16 @@ class SlaterState:
 
     @classmethod
     def from_orbitals(cls, orbitals, statistics):
-        """Build a state from orbitals in any order (canonicalizes the sign)."""
-        orbs = tuple(tuple(int(e) for e in o) for o in orbitals)
+        """Build a state from orbitals in any order (canonicalizes the sign).
+
+        Every exponent must be an integer; a float or a bool is refused,
+        not truncated.
+        """
+        orbs = tuple(tuple(o) for o in orbitals)
+        for orb in orbs:
+            for e in orb:
+                if type(e) is not int:
+                    raise ValueError(f"orbital exponent {e!r} is not an integer")
         if statistics is FERMION and len(set(orbs)) != len(orbs):
             raise ValueError("fermion orbitals must be pairwise distinct")
         return cls(tuple(sorted(orbs, key=orbital_key, reverse=True)), statistics)
@@ -333,6 +371,11 @@ class SlaterState:
     @property
     def grade(self):
         return sum(sum(o) for o in self.orbitals)
+
+    @property
+    def sector(self):
+        """The tuple of per-axis degree totals."""
+        return tuple(map(sum, zip(*self.orbitals)))
 
     def leading_monomial(self):
         """Largest monomial of the expansion: particle i carries orbital i."""

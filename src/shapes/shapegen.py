@@ -4,25 +4,22 @@ Per grade, the trivial span is every lower shape times every Euler-boson
 monomial of the complementary degree; the new shapes are the orthogonal
 complement of that span, with the level's Slater/permanent states taken as
 orthonormal coordinates.  The products are formed directly over state
-indices (trivial_products), never as expanded polynomials: one Euler
-factor e_m^[k](axis) maps each state of a level to a signed sum of states
-of the level m*k higher (the Pieri rule for elementary symmetric
-functions).  The catalog computes that image once per (grade, factor,
-state), on first use, and every later product at every grade reuses it.
+indices, never as expanded polynomials: one Euler factor e_m^[k](axis)
+maps each state of a level to a signed sum of states of the level m*k
+higher (the Pieri rule for elementary symmetric functions).  The catalog
+computes that image once per (grade, factor, state), on first use, and
+every later product at every grade reuses it.
 
-A factor raises one axis's degree total by m*k, so every shape and every
-product lies in one sector (LevelBasis.sectors), and the span splits into
-independent blocks, one per (grade, sector).  Each block is settled by a
-rank certificate mod the prime MODULUS: a dense elimination of the
-products' residues whose rank equals the product count proves them
-independent over the rationals, since rank mod p <= rank over Q <= count.
-In sectors that hold shapes the reduced echelon form gives one candidate
-per free column, lifted to rationals by rational reconstruction and
-accepted only if its exact integer dot product with every product of the
-sector is 0.  Accepted candidates are exactly the canonical complement
-basis.  A block whose certificate fails, or whose sector has more than
-DENSE_SECTOR_CAP states, is settled by the exact integer echelon instead.
-Three laws are hard assertions at every grade: the products are linearly
+A factor raises one axis's degree total by m*k, so a product's sector
+(LevelBasis.sectors) is known before any arithmetic: its shape's sector
+plus the monomial's per-axis degrees.  The span splits into independent
+blocks, one per (grade, sector), each formed and settled before the next
+is formed, never all of a grade at once; a product with a state outside
+its predicted sector is an InternalConsistencyError.  A block is settled
+by a rank certificate mod the prime MODULUS (_certify), whose null vectors
+are the canonical complement basis, or, if that fails or the sector has
+more than DENSE_SECTOR_CAP states, by the exact integer echelon.  Three
+laws are hard assertions at every grade: the products are linearly
 independent (the free-module statement), the complement dimension matches
 the shape polynomial coefficient, and each sector's complement dimension
 matches sector_shape_counts.
@@ -33,8 +30,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations
 from math import gcd, isqrt, lcm
+from operator import add
 
 import numpy as np
 
@@ -52,6 +51,7 @@ from .polycore import (
     SlaterState,
     enumerate_euler_monomials,
     format_fraction,
+    json_int,
     orbital_key,
     parse_fraction,
 )
@@ -59,8 +59,8 @@ from .polycore import (
 DEFAULT_STATE_CAP = 100_000
 STATE_CAP_ENV_VAR = "SHAPES_STATE_CAP"
 
-# The prime of the rank certificates.  Residues stay below 2^31, so they
-# are stored as int32 and the product of two fits in an int64.
+# The prime of the rank certificates.  Residues stay below 2^31, so the
+# product of two fits in an int64.
 MODULUS = 2**31 - 1
 # Sectors with more states go to the exact echelon: eliminating a dense
 # int64 matrix of 2048 x 2048 residues takes 32 MB.
@@ -375,27 +375,30 @@ class ShapeCatalog:
     def from_json_obj(cls, obj, state_cap=None):
         """Load a catalog as to_json_obj writes it, checking what it holds.
 
-        Raises ValueError on a wrong format_version or kind and, naming the
-        shape, on a repeated id or a shape that _read_coeffs rejects.
+        Raises ValueError if obj is not an object; on a wrong format_version
+        or kind, or an n, d or max_grade that is not an integer in range;
+        naming the shape, on a repeated id, a non-integer grade or index or
+        a shape that _read_coeffs rejects; and on a shape_polynomial other
+        than shape_polynomial(n, d, statistics).
         """
+        if not isinstance(obj, dict):
+            raise ValueError(f"a catalog is a JSON object, got {type(obj).__name__}")
         for key, expected in (("format_version", "1"), ("kind", "shape_catalog")):
             if obj.get(key) != expected:
                 raise ValueError(f"catalog {key} is {obj.get(key)!r}, expected {expected!r}")
+        n, d = json_int(obj, "n", 1), json_int(obj, "d", 1)
+        max_grade = json_int(obj, "max_grade", 0)
         stat = Statistics.parse(obj["statistics"])
-        catalog = cls(
-            n=obj["n"],
-            d=obj["d"],
-            statistics=stat,
-            shape_poly=GradedQPolynomial.from_json_obj(obj["shape_polynomial"]),
-            max_grade=obj["max_grade"],
-            shapes=[],
-            state_cap=default_state_cap() if state_cap is None else check_state_cap(state_cap),
-        )
+        state_cap = default_state_cap() if state_cap is None else check_state_cap(state_cap)
+        poly = shape_polynomial(n, d, stat)
+        catalog = cls(n, d, stat, poly, max_grade, shapes=[], state_cap=state_cap)
         ids = set()
         for entry in obj["shapes"]:
             grade, index = entry["grade"], entry["index"]
             shape_id = f"{grade}:{index}"
             try:
+                json_int(entry, "grade", 0)
+                json_int(entry, "index", 0)
                 if shape_id in ids:
                     raise ValueError("listed twice")
                 ids.add(shape_id)
@@ -403,16 +406,18 @@ class ShapeCatalog:
             except ValueError as exc:
                 raise ValueError(f"catalog shape {shape_id}: {exc}") from None
             catalog.shapes.append(ShapeRecord(grade, index, stat, coeffs))
+        if obj.get("shape_polynomial") != poly.to_json_obj():
+            raise ValueError(f"catalog shape_polynomial is not that of n={n}, d={d}, {stat.value}")
         return catalog
 
     def _read_coeffs(self, grade, entry):
         """A stored shape's {state index: coeff}, in linear time.
 
         Every basis row must be a distinct state of the level of the given
-        grade, which lies in 0..max_grade, with one coefficient each, and
-        the coefficients must be canonical as ShapeRecord documents:
-        integers, none zero, content 1, the entry at the lowest state index
-        positive.
+        grade, which lies in 0..max_grade, with one coefficient each; all
+        rows must lie in one sector, as generation assumes; and the
+        coefficients must be canonical as ShapeRecord documents: integers,
+        none zero, content 1, the entry at the lowest state index positive.
         """
         if not 0 <= grade <= self.max_grade:
             raise ValueError(f"grade {grade} is outside 0..{self.max_grade}")
@@ -421,8 +426,10 @@ class ShapeCatalog:
             raise ValueError(f"{len(rows)} basis rows but {len(texts)} coefficients")
         index = self.level_basis(grade).index
         coeffs = {}
+        sectors = set()
         for orbitals, text in zip(rows, texts):
-            i = index.get(SlaterState.from_orbitals(orbitals, self.statistics).orbitals)
+            state = SlaterState.from_orbitals(orbitals, self.statistics)
+            i = index.get(state.orbitals)
             if i is None:
                 raise ValueError(
                     f"row {orbitals} is not a state of grade {grade} "
@@ -431,6 +438,9 @@ class ShapeCatalog:
             if i in coeffs:
                 raise ValueError(f"row {orbitals} is listed twice")
             coeffs[i] = parse_fraction(text)
+            sectors.add(state.sector)
+        if len(sectors) > 1:
+            raise ValueError(f"rows lie in {len(sectors)} sectors {sorted(sectors)}, not one")
         ints = [c.numerator for c in coeffs.values() if c and c.denominator == 1]
         if len(ints) != len(coeffs) or gcd(*ints) != 1 or coeffs[min(coeffs)] < 0:
             raise ValueError(
@@ -440,36 +450,94 @@ class ShapeCatalog:
         return {i: c.numerator for i, c in coeffs.items()}
 
 
+def _chain_products(catalog, rec, monomials):
+    """Yield (euler, vector) for a shape times each monomial, in order.
+
+    The vector is the product's exact sparse {state index: coeff}, formed
+    one Euler factor at a time from the catalog's cached factor images;
+    consecutive monomials share the product of their common leading
+    factors.  Every yielded vector is a new dict.
+    """
+    partials = [(rec.grade, dict(rec.coeffs))]
+    applied = []
+    for euler in monomials:
+        factors = euler.factors()
+        keep = 0
+        for have, want in zip(applied, factors):
+            if have != want:
+                break
+            keep += 1
+        del applied[keep:], partials[keep + 1 :]
+        for factor in factors[keep:]:
+            partials.append(catalog._times_factor(*partials[-1], factor))
+            applied.append(factor)
+        yield euler, partials[-1][1]
+
+
 def trivial_products(catalog, grade):
     """Every catalog shape of grade <= the target times every Euler monomial.
 
     Yields (record, euler, vector) with records in catalog order and, per
-    record, Euler monomials of the complementary degree in
-    enumerate_euler_monomials order; at a shape's own grade the only
-    monomial is the empty one and the vector is a copy of the shape.  The
-    vector is the exact sparse {state index: coeff} of the product over the
-    target level basis, formed in the state basis one Euler factor at a
-    time from the catalog's cached factor images; consecutive monomials
-    share the product of their common leading factors.  Every yielded
-    vector is a new dict.
+    record, monomials of the complementary degree in enumerate_euler_monomials
+    order (at a shape's own grade, only the empty one), with vectors over
+    the target level basis.
     """
     for rec in catalog.shapes:
-        if rec.grade > grade:
-            continue
-        partials = [(rec.grade, dict(rec.coeffs))]
-        applied = []
-        for euler in enumerate_euler_monomials(catalog.n, catalog.d, grade - rec.grade):
-            factors = euler.factors()
-            keep = 0
-            for have, want in zip(applied, factors):
-                if have != want:
-                    break
-                keep += 1
-            del applied[keep:], partials[keep + 1 :]
-            for factor in factors[keep:]:
-                partials.append(catalog._times_factor(*partials[-1], factor))
-                applied.append(factor)
-            yield rec, euler, partials[-1][1]
+        if rec.grade <= grade:
+            monomials = enumerate_euler_monomials(catalog.n, catalog.d, grade - rec.grade)
+            for euler, vec in _chain_products(catalog, rec, monomials):
+                yield rec, euler, vec
+
+
+@cache
+def _monomials_by_shift(n, d, degree):
+    """enumerate_euler_monomials(n, d, degree) grouped by per-axis degree.
+
+    Returns {shift: tuple of monomials}, each tuple in enumeration order,
+    where shift[axis] is the degree the monomial's factors add on that axis.
+    """
+    out = {}
+    for euler in enumerate_euler_monomials(n, d, degree):
+        shift = tuple(sum(m * k for m, k in enumerate(e, start=1)) for e in euler.exponents)
+        out.setdefault(shift, []).append(euler)
+    return {shift: tuple(monomials) for shift, monomials in out.items()}
+
+
+def _sector_blocks(catalog, grade):
+    """Yield (sector, products) for each sector of one level, in turn.
+
+    A shape in sector b times a monomial of shift t lies in sector b + t,
+    so a sector's products are every shape of grade <= the target, in
+    catalog order, times the monomials of the complementary degree and
+    shift, in enumeration order: sparse {position: coeff} vectors in the
+    sector's coordinates.  A predicted sector with no states, or a product
+    with a state outside its predicted sector, is an InternalConsistencyError.
+    """
+    basis = catalog.level_basis(grade)
+    plan = {}
+    for rec in catalog.shapes:
+        if rec.grade <= grade:
+            home = catalog.level_basis(rec.grade).states[min(rec.coeffs)].sector
+            by_shift = _monomials_by_shift(catalog.n, catalog.d, grade - rec.grade)
+            for shift, monomials in by_shift.items():
+                plan.setdefault(tuple(map(add, home, shift)), []).append((rec, monomials))
+    stray = plan.keys() - basis.sectors.keys()
+    if stray:
+        raise InternalConsistencyError(f"grade {grade} has no state in sector {min(stray)}")
+    for sector, indices in basis.sectors.items():
+        position = {i: pos for pos, i in enumerate(indices)}
+        products = []
+        for rec, monomials in plan.get(sector, ()):
+            for _euler, vec in _chain_products(catalog, rec, monomials):
+                try:
+                    products.append({position[i]: v for i, v in vec.items()})
+                except KeyError as exc:
+                    state = basis.states[exc.args[0]]
+                    raise InternalConsistencyError(
+                        f"a product at grade {grade} leaves its sector {sector}: "
+                        f"state {state.orbitals} lies in sector {state.sector}"
+                    ) from None
+        yield sector, products
 
 
 def _row_reduce(mat, full):
@@ -529,124 +597,75 @@ def _lift(residue):
     return Fraction(r1, s1)
 
 
-class _SectorProducts:
-    """The trivial products that lie in one sector, in its own coordinates.
+def _certify(products, dim, want_null):
+    """(rank, canonical null vectors) of sparse integer products over dim states.
 
-    A sector of dim states keeps each product as an int32 row of residues
-    mod MODULUS when dim <= DENSE_SECTOR_CAP, and as the exact sparse
-    {position: int} vector when keep_exact is set or the sector is too
-    large for residues.  Every sector of a grade is filled before any is
-    eliminated, so the rows are held at half the width elimination needs.
+    One dense elimination of their residues mod MODULUS.  The rank mod
+    MODULUS is at most the rank over Q, which is at most min(count, dim),
+    so when it reaches that bound the rank is proven.  With want_null,
+    each free column f of the reduced echelon form gives a candidate
+    e_f - sum_r R[r, f] e_pivots[r], lifted entry by entry by rational
+    reconstruction, scaled to content 1 and accepted only if its integer
+    dot product with every product is 0.  The accepted candidates span the
+    complement and have distinct largest indices, so they are its
+    canonical basis, the one _Echelon.nullspace gives.  Returns None when
+    the rank falls short, an entry does not lift or a candidate fails.
     """
-
-    def __init__(self, dim, keep_exact):
-        self.dim = dim
-        self.count = 0
-        dense = dim <= DENSE_SECTOR_CAP
-        self.residues = np.zeros((dim, dim), dtype=np.int32) if dense else None
-        self.exact = [] if keep_exact or not dense else None
-
-    def add(self, vec):
-        if self.residues is not None:
-            if self.count == len(self.residues):
-                self.residues = np.concatenate([self.residues, np.zeros_like(self.residues)])
-            self.residues[self.count, list(vec)] = [v % MODULUS for v in vec.values()]
-        if self.exact is not None:
-            self.exact.append(vec)
-        self.count += 1
-
-    def certify(self):
-        """(rank, canonical null vectors) from one elimination mod MODULUS.
-
-        The rank mod MODULUS is at most the rank over Q, which is at most
-        min(count, dim), so when it reaches that bound the rank is proven.
-        Null vectors are computed when the exact products are kept and
-        fewer than dim: one candidate per free column f of the reduced
-        echelon form, e_f - sum_r R[r, f] e_pivots[r], lifted entry by
-        entry by rational reconstruction, scaled to content 1 and accepted
-        only if its integer dot product with every exact product is 0.
-        The accepted candidates span the complement and have distinct
-        largest indices, so they are its canonical basis, the one
-        _Echelon.nullspace gives.  Returns None when the sector is too
-        large, the rank falls short, an entry does not lift or a candidate
-        fails its check.
-        """
-        if self.residues is None:
-            return None
-        want_null = self.exact is not None and self.count < self.dim
-        mat, self.residues = self.residues[: self.count].astype(np.int64), None
-        pivots = _row_reduce(mat, full=want_null)
-        if len(pivots) < min(self.count, self.dim):
-            return None
-        null = []
-        for f in sorted(set(range(self.dim)) - set(pivots)) if want_null else ():
-            cand = {f: 1}
-            for p, residue in zip(pivots, mat[:, f].tolist()):
-                if p > f:
-                    break
-                if residue:
-                    value = _lift(-residue)
-                    if value is None:
-                        return None
-                    cand[p] = value
-            cand = _canonical_sign(_int_rows(cand))
-            for vec in self.exact:
-                if sum(c * vec.get(i, 0) for i, c in cand.items()):
+    mat = np.zeros((len(products), dim), dtype=np.int64)
+    for row, vec in zip(mat, products):
+        row[list(vec)] = [v % MODULUS for v in vec.values()]
+    pivots = _row_reduce(mat, full=want_null)
+    if len(pivots) < min(len(products), dim):
+        return None
+    null = []
+    for f in sorted(set(range(dim)) - set(pivots)) if want_null else ():
+        cand = {f: 1}
+        for p, residue in zip(pivots, mat[:, f].tolist()):
+            if p > f:
+                break
+            if residue:
+                value = _lift(-residue)
+                if value is None:
                     return None
-            null.append(cand)
-        return len(pivots), null
-
-    def exact_complement(self, want_null):
-        """(rank, canonical null vectors or []) by the exact integer echelon."""
-        ech = _Echelon(self.dim)
-        for vec in self.exact:
-            ech.insert(vec)
-        return ech.rank, ech.nullspace() if want_null else []
+                cand[p] = value
+        cand = _canonical_sign(_int_rows(cand))
+        for vec in products:
+            if sum(c * vec.get(i, 0) for i, c in cand.items()):
+                return None
+        null.append(cand)
+    return len(pivots), null
 
 
-def _file_products(catalog, grade, blocks):
-    """File trivial_products(catalog, grade) into blocks by sector.
+def _settle(products, dim, want_null):
+    """(rank, canonical null vectors, or [] without want_null) of one block.
 
-    Each product goes to the sector of any one of its states, in that
-    sector's coordinates; products of sectors not in blocks are dropped.
-    Returns the number of products, zero vectors included.
+    By _certify, or by the exact echelon of the same products if that
+    fails or the sector has more than DENSE_SECTOR_CAP states.
     """
-    where = catalog.level_basis(grade).sector_positions
-    count = 0
-    for _rec, _euler, vec in trivial_products(catalog, grade):
-        count += 1
-        if vec:
-            block = blocks.get(where[next(iter(vec))][0])
-            if block is not None:
-                block.add({where[i][1]: v for i, v in vec.items()})
-    return count
+    if dim <= DENSE_SECTOR_CAP:
+        result = _certify(products, dim, want_null)
+        if result is not None:
+            return result
+    ech = _Echelon(dim)
+    for vec in products:
+        ech.insert(vec)
+    return ech.rank, ech.nullspace() if want_null else []
 
 
 def _sector_complements(catalog, grade, held):
-    """Rank and complement of one grade's trivial products, sector by sector.
+    """(product count, {sector: (rank, null vectors)}) of one grade's products.
 
-    Returns (product count, {sector: (rank, null vectors)}), with null
-    vectors in level indices and only for the sectors in held.  Each
-    sector is settled by its certificate or, if that fails, by the exact
-    echelon.  Exact products are kept only for the held sectors and those
-    too large for residues; a second pass over the products recovers them
-    for any other sector whose certificate fails.
+    Null vectors are in level indices, and only for the sectors in held.
+    Each block is settled before the next one is formed.
     """
     sectors = catalog.level_basis(grade).sectors
-    blocks = {s: _SectorProducts(len(idx), s in held) for s, idx in sectors.items()}
-    count = _file_products(catalog, grade, blocks)
-    results = {s: block.certify() for s, block in blocks.items()}
-    failed = [s for s, result in results.items() if result is None]
-    missing = {s: _SectorProducts(blocks[s].dim, True) for s in failed if blocks[s].exact is None}
-    if missing:
-        _file_products(catalog, grade, missing)
-        blocks.update(missing)
-    for s in failed:
-        results[s] = blocks[s].exact_complement(s in held)
-    return count, {
-        s: (rank, [{sectors[s][i]: v for i, v in vec.items()} for vec in null])
-        for s, (rank, null) in results.items()
-    }
+    count, out = 0, {}
+    for sector, products in _sector_blocks(catalog, grade):
+        count += len(products)
+        indices = sectors[sector]
+        rank, null = _settle(products, len(indices), sector in held)
+        out[sector] = rank, [{indices[i]: v for i, v in vec.items()} for vec in null]
+    return count, out
 
 
 def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
@@ -674,15 +693,7 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
             f"max_grade must be between 0 and {top}, the degree of the shape "
             f"polynomial, got {max_grade}"
         )
-    catalog = ShapeCatalog(
-        n=n,
-        d=d,
-        statistics=statistics,
-        shape_poly=poly,
-        max_grade=max_grade,
-        shapes=[],
-        state_cap=state_cap,
-    )
+    catalog = ShapeCatalog(n, d, statistics, poly, max_grade, shapes=[], state_cap=state_cap)
     law = sector_shape_counts(n, d, statistics)
     for grade in range(poly.lowest_degree(), max_grade + 1):
         expected = poly.coefficient(grade)
@@ -710,14 +721,7 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
                 )
         new_vectors = sorted((v for _r, null in blocks.values() for v in null), key=max)
         for idx, vec in enumerate(new_vectors):
-            catalog.shapes.append(
-                ShapeRecord(
-                    grade=grade,
-                    index=idx,
-                    statistics=statistics,
-                    coeffs=dict(vec),
-                )
-            )
+            catalog.shapes.append(ShapeRecord(grade, idx, statistics, vec))
     return catalog
 
 
@@ -752,10 +756,4 @@ def verify_span(catalog, grade):
     dimension = len(catalog.level_basis(grade))
     count, blocks = _sector_complements(catalog, grade, held=())
     rank = sum(r for r, _null in blocks.values())
-    return SpanReport(
-        grade=grade,
-        dimension=dimension,
-        vector_count=count,
-        rank=rank,
-        passed=rank == dimension,
-    )
+    return SpanReport(grade, dimension, count, rank, passed=rank == dimension)

@@ -112,6 +112,17 @@ class TestGenerate:
         assert "SHAPES_STATE_CAP must be a positive number of states" in err
 
 
+def _set_exponent(value):
+    def edit(payload):
+        payload["terms"][0]["matrix"][0][0] = value
+
+    return edit
+
+
+def _repeat_term(payload):
+    payload["terms"][1]["matrix"] = payload["terms"][0]["matrix"]
+
+
 class TestDeflate:
     def test_vandermonde_roundtrip(self, capsys, tmp_path):
         poly_path = tmp_path / "poly.json"
@@ -146,6 +157,33 @@ class TestDeflate:
             capsys, "deflate", "--poly", "/nonexistent.json", "--grade", "2",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_set_exponent(1.5), "polynomial term [[1.5], [1], [0]]: exponents must be"),
+            (_set_exponent(True), "polynomial term [[True], [1], [0]]: exponents must be"),
+            (_set_exponent(-1), "polynomial term [[-1], [1], [0]]: exponents must be"),
+            (_repeat_term, "polynomial term [[2], [1], [0]]: listed twice"),
+            (lambda payload: payload.update(n="3"), "n must be an integer >= 1, got '3'"),
+            (lambda payload: [payload], "a polynomial is a JSON object, got list"),
+        ],
+        ids=["float-exponent", "bool-exponent", "negative-exponent", "repeated-term",
+             "string-n", "list"],
+    )
+    def test_malformed_polynomial_exit_two(self, capsys, tmp_path, edit, message):
+        # The Vandermonde determinant of n=3, d=1; its first term is [[2], [1], [0]].
+        payload = {"format_version": "1", "kind": "polynomial"}
+        payload.update(vandermonde(3).to_json_obj())
+        poly_path = tmp_path / "poly.json"
+        poly_path.write_text(json.dumps(edit(payload) or payload))
+        out = tmp_path / "vec.json"
+        code, _, err = run(
+            capsys, "deflate", "--poly", str(poly_path), "--grade", "3", "--out", str(out),
+        )
+        assert code == 2
+        assert message in err
+        assert not out.exists()
 
     def test_wrong_grade_exit_two(self, capsys, tmp_path):
         poly_path = tmp_path / "poly.json"
@@ -283,6 +321,13 @@ def _shape(obj, shape_id):
     return next(entry for entry in obj["shapes"] if entry["id"] == shape_id)
 
 
+def _set_basis_entry(shape_id, row, orbital, axis, value):
+    def edit(obj):
+        _shape(obj, shape_id)["basis"][row][orbital][axis] = value
+
+    return edit
+
+
 def _set(key, value):
     def edit(obj):
         obj[key] = value
@@ -331,16 +376,29 @@ class TestCatalogValidation:
                 "catalog shape 3:1: row [[3, 0], [0, 1], [0, 0]] is not a state of grade 3",
             ),
             (_set("n", 4), "catalog shape 2:0: row [[1, 0], [0, 1], [0, 0]] is not a state of grade 2 (n=4, d=2, fermion)"),
+            (
+                _set_in_shape("3:1", "basis", [[[2, 0], [0, 1], [0, 0]], [[0, 2], [1, 0], [0, 0]]]),
+                "catalog shape 3:1: rows lie in 2 sectors [(1, 2), (2, 1)], not one",
+            ),
+            (
+                _set("shape_polynomial", {"lowest": 2, "coeffs": [1, 4, 2]}),
+                "catalog shape_polynomial is not that of n=3, d=2, fermion",
+            ),
+            (_set_basis_entry("3:1", 0, 1, 1, 1.5), "catalog shape 3:1: orbital exponent 1.5 is not an integer"),
+            (_set("n", "3"), "n must be an integer >= 1, got '3'"),
+            (_set("max_grade", "4"), "max_grade must be an integer >= 0, got '4'"),
+            (lambda obj: [obj], "a catalog is a JSON object, got list"),
         ],
         ids=[
             "format-version", "kind", "duplicate-shape", "duplicate-row", "short-coeffs",
             "max-grade", "rational-coeff", "zero-coeff", "content", "sign", "wrong-grade-row",
-            "wrong-n",
+            "wrong-n", "two-sectors", "shape-polynomial", "float-row-entry", "string-n",
+            "string-max-grade", "list",
         ],
     )
     def test_malformed_catalog_exit_two(self, capsys, tmp_path, catalog_path, edit, message):
         obj = json.loads(open(catalog_path).read())
-        edit(obj)
+        obj = edit(obj) or obj
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(obj))
         out = tmp_path / "vee.csv"

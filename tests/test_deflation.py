@@ -53,10 +53,10 @@ class TestLevelBasis:
         seen = []
         for sector, indices in basis.sectors.items():
             assert list(indices) == sorted(indices)
-            for pos, i in enumerate(indices):
+            for i in indices:
                 orbitals = basis.states[i].orbitals
                 assert sector == tuple(sum(orb[a] for orb in orbitals) for a in range(d))
-                assert basis.sector_positions[i] == (sector, pos)
+                assert basis.states[i].sector == sector
             seen.extend(indices)
         assert sorted(seen) == list(range(len(basis)))
 

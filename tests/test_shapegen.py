@@ -1,6 +1,7 @@
 """Tests for shape generation, complements, and span verification."""
 
 import json
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -14,10 +15,10 @@ from shapes.counting import (
     shape_polynomial,
     total_shape_count,
 )
-from shapes.deflation import deflate_sparse
+from shapes.deflation import LevelBasis, deflate_sparse
 from shapes import shapegen
 from shapes.errors import InternalConsistencyError, StateCapExceeded
-from shapes.polycore import SlaterState, expand_state
+from shapes.polycore import SlaterState, enumerate_euler_monomials, expand_state
 from shapes.shapegen import (
     ShapeCatalog,
     _Echelon,
@@ -51,6 +52,24 @@ def rref(vectors, dim):
 
 def unit(i, dim):
     return [Fraction(int(j == i)) for j in range(dim)]
+
+
+def with_duplicate(sector_blocks):
+    """Wrap shapegen._sector_blocks to repeat one product per grade.
+
+    The first product of the first sector that has any is yielded twice.
+    """
+
+    def blocks(catalog, grade):
+        rest = sector_blocks(catalog, grade)
+        for sector, products in rest:
+            if products:
+                yield sector, products + products[:1]
+                break
+            yield sector, products
+        yield from rest
+
+    return blocks
 
 
 @pytest.fixture(scope="module")
@@ -201,13 +220,11 @@ class TestSectorCertificate:
         expected = (ech.rank, ech.nullspace() if want_null else [])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shapegen, "MODULUS", modulus)
-            block = shapegen._SectorProducts(dim, keep_exact=True)
-            for row in rows:
-                block.add(row)
-            certified = block.certify()
+            certified = shapegen._certify(rows, dim, want_null)
+            settled = shapegen._settle(rows, dim, want_null)
         if certified is not None:
             assert certified == expected
-        assert (certified or block.exact_complement(want_null)) == expected
+        assert settled == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-isqrt(shapegen.MODULUS // 2), isqrt(shapegen.MODULUS // 2)),
@@ -228,10 +245,10 @@ class TestSectorCertificate:
         ids=lambda s: f"{s[0]}-{s[1]}-{s[2].value}",
     )
     def test_settles_every_sector_without_the_exact_echelon(self, monkeypatch, system):
-        def refuse(self, want_null):
+        def refuse(dim):
             raise AssertionError("a sector fell back to the exact echelon")
 
-        monkeypatch.setattr(shapegen._SectorProducts, "exact_complement", refuse)
+        monkeypatch.setattr(shapegen, "_Echelon", refuse)
         catalog = generate_shapes(*system)
         assert catalog.is_complete()
         top = catalog.shape_poly.degree()
@@ -248,8 +265,8 @@ class TestSectorLaw:
         catalog = generate_shapes(*system)
         found = {}
         for rec in catalog.shapes:
-            where = catalog.level_basis(rec.grade).sector_positions
-            (sector,) = {where[i][0] for i in rec.coeffs}
+            states = catalog.level_basis(rec.grade).states
+            (sector,) = {states[i].sector for i in rec.coeffs}
             found[sector] = found.get(sector, 0) + 1
         assert found == sector_shape_counts(*system)
 
@@ -263,6 +280,46 @@ class TestSectorLaw:
             r"shapes, found 1",
         ):
             generate_shapes(3, 2, FERMION)
+
+    def test_product_leaving_its_sector_is_named(self, monkeypatch):
+        # The ground shape |(1,0),(0,1),(0,0)| lies in sector (1, 1), so its
+        # product with e1(x) lies in (2, 1).  One image that also reaches a
+        # state of sector (1, 2) must fail, naming grade, sector and state.
+        level = LevelBasis(3, 2, 3, FERMION)
+        stray = level.sectors[1, 2][0]
+        orbitals = level.states[stray].orbitals
+        real = ShapeCatalog._factor_image
+
+        def leaky(self, grade, factor, i):
+            image = real(self, grade, factor, i)
+            return image + (stray, 1) if (grade, factor) == (2, (1, 1, 0)) else image
+
+        monkeypatch.setattr(ShapeCatalog, "_factor_image", leaky)
+        with pytest.raises(
+            InternalConsistencyError,
+            match=re.escape(
+                f"a product at grade 3 leaves its sector (2, 1): state {orbitals} "
+                "lies in sector (1, 2)"
+            ),
+        ):
+            generate_shapes(3, 2, FERMION)
+
+
+class TestMonomialsByShift:
+    @pytest.mark.parametrize("n, d, degree", [(3, 2, 4), (2, 3, 5), (4, 2, 6), (3, 3, 0), (1, 2, 3)])
+    def test_partitions_the_enumeration_in_order(self, n, d, degree):
+        monomials = enumerate_euler_monomials(n, d, degree)
+        groups = shapegen._monomials_by_shift(n, d, degree)
+        for shift, group in groups.items():
+            assert len(shift) == d and sum(shift) == degree
+            for euler in group:
+                per_axis = [0] * d
+                for m, k, axis in euler.factors():
+                    per_axis[axis] += m * k
+                assert tuple(per_axis) == shift
+            assert list(group) == [e for e in monomials if e in group]
+        assert sum(map(len, groups.values())) == len(monomials)
+        assert {e for g in groups.values() for e in g} == set(monomials)
 
 
 class TestWorkedExample32:
@@ -330,13 +387,7 @@ class TestWorkedExample32:
         # the exact echelon reports the rank.
         partial = ShapeCatalog.from_json_obj(catalog_32.to_json_obj())
         partial.shapes = [s for s in partial.shapes if s.id != "3:1"]
-        real = shapegen.trivial_products
-
-        def with_duplicate(catalog, grade):
-            products = list(real(catalog, grade))
-            return products + products[:1]
-
-        monkeypatch.setattr(shapegen, "trivial_products", with_duplicate)
+        monkeypatch.setattr(shapegen, "_sector_blocks", with_duplicate(shapegen._sector_blocks))
         report = verify_span(partial, 3)
         assert (report.rank, report.dimension, report.vector_count) == (5, 6, 6)
         assert not report.passed
@@ -508,13 +559,7 @@ class TestGuards:
     def test_dependent_trivial_product_is_named(self, monkeypatch):
         # Freeness: every trivial product is independent.  Feeding one
         # product twice must fail at once, naming grade, count and rank.
-        real = shapegen.trivial_products
-
-        def with_duplicate(catalog, grade):
-            products = list(real(catalog, grade))
-            return products + products[:1]
-
-        monkeypatch.setattr(shapegen, "trivial_products", with_duplicate)
+        monkeypatch.setattr(shapegen, "_sector_blocks", with_duplicate(shapegen._sector_blocks))
         with pytest.raises(
             InternalConsistencyError, match="grade 3 are not free: 3 vectors have rank 2"
         ):
