@@ -226,6 +226,13 @@ def cmd_coulomb(args):
 
     catalog = _load_catalog(args.catalog)
     basis = catalog.level_basis(args.grade)
+    # The shapes and products of a grade span its level freely: V = dim.
+    cells = len(basis) ** 2
+    if args.pairwise and cells > catalog.state_cap:
+        raise ValueError(
+            f"--pairwise table at grade {args.grade} has {len(basis)} vectors, "
+            f"{cells} cells, above the state cap {catalog.state_cap}"
+        )
     labels = []
     vectors = []
     for rec in catalog.shapes_at(args.grade):

@@ -3,10 +3,10 @@
 The two-body element between products of phi_n(x) = H_n(x) exp(-x^2/2)
 reduces, via the Gaussian integral representation of 1/r, to a finite sum of
 Hermite linearization coefficients times a Beta-function integral.  All
-internal sums run in exact rationals with the symbolic prefactor
-sqrt(2) * pi^(d - 1/2 + p) factored out (p = 1 in even dimensions, where the
-Beta integral carries one power of pi, else 0); the collapse to float
-happens once at the end.
+internal sums run in integers over one denominator D per (dimension, level),
+with the symbolic prefactor sqrt(2) * pi^(d - 1/2 + p) factored out (p = 1
+in even dimensions, where the Beta integral carries one power of pi, else
+0); one exact division and one collapse to float happen at the end.
 
 Unnormalized Hermite functions have <phi_n|phi_m> = delta_nm 2^n n! sqrt(pi);
 many-body expectations divide by the full state norms, so the outputs are
@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .counting import FERMION
+from .errors import InternalConsistencyError
 from .polycore import _as_exact
 
 
@@ -104,9 +105,10 @@ def beta_integral(d, l):
 
 @lru_cache(maxsize=None)
 def _axis_table(n, np_, m, mp):
-    """Per-axis contributions: a tuple of (k + k', exact factor) pairs, or
-    None if the axis parity n + n' + m + m' is odd (the element then
-    vanishes).  Cached, so the result is immutable."""
+    """Per-axis contributions: a tuple of (s, integer) pairs, s = k + k',
+    whose integer is the exact factor at s times 2^(s/2), or None if the
+    axis parity n + n' + m + m' is odd (the element then vanishes).  Cached,
+    so the result is immutable."""
     if (n + np_ + m + mp) % 2:
         return None
     a_bra = hermite_linearization(n, m)
@@ -119,60 +121,71 @@ def _axis_table(n, np_, m, mp):
             if not akp or (k + kp) % 2:
                 continue
             s = k + kp
-            factor = (
-                Fraction(ak * akp * (-1) ** k * _hermite_at_zero(s), 2 ** (s // 2))
-            )
-            if factor:
-                table[s] = table.get(s, Fraction(0)) + factor
-    return tuple(table.items())
+            table[s] = table.get(s, 0) + ak * akp * (-1) ** k * _hermite_at_zero(s)
+    return tuple((s, c) for s, c in table.items() if c)
 
 
-@lru_cache(maxsize=None)
-def _two_body_fraction(bra1, bra2, ket1, ket2, d):
-    """Exact rational part R of the two-body element.
+def _two_body_terms(bra1, bra2, ket1, ket2, d):
+    """Integer terms ((l, c_l), ...) of the rational part R of the element,
+    R = sum_l c_l 2^(-l/2) I_d(l).
 
     The element equals R * sqrt(2) * pi^(d - 1/2 + p) with p from
-    beta_integral_exact; zero whenever any axis has odd total parity.
+    beta_integral_exact; no terms whenever any axis has odd total parity.
+    Per axis k <= bra + ket index, so l is at most the sum of the four
+    orbitals' degrees.  Not cached: CoulombOperator keeps each pair's
+    weighted sum instead, which holds one integer where the terms are a
+    tuple per index quadruple.
     """
-    acc = {0: Fraction(1)}
+    acc = {0: 1}
     for i in range(d):
         table = _axis_table(bra1[i], bra2[i], ket1[i], ket2[i])
         if table is None:
-            return Fraction(0)
+            return ()
         new = {}
         for l, c in acc.items():
             for s, f in table:
-                key = l + s
-                new[key] = new.get(key, Fraction(0)) + c * f
+                new[l + s] = new.get(l + s, 0) + c * f
         acc = new
-    total = Fraction(0)
+    return tuple((l, c) for l, c in acc.items() if c)
+
+
+@lru_cache(maxsize=None)
+def _level_weights(d, grade):
+    """(D, W) with W[l // 2] = D * 2^(-l/2) * I_d(l) an integer for every
+    even l <= 2 * grade, D the least common denominator.
+
+    Two orbital pairs of one level have degree sums of at most the grade
+    each, so D * R = sum_l c_l W[l // 2] is an integer for every two-body
+    element between states of that level.
+    """
+    values = []
     pi_pow = None
-    for l, c in acc.items():
+    for l in range(0, 2 * grade + 1, 2):
         rat, p = beta_integral_exact(d, l)
         if pi_pow is None:
             pi_pow = p
         elif p != pi_pow:
             raise ArithmeticError("inconsistent pi powers across Beta integrals")
-        total += c * rat
-    return total
+        values.append(rat / 2 ** (l // 2))
+    denominator = math.lcm(*(v.denominator for v in values))
+    return denominator, tuple(v.numerator * (denominator // v.denominator) for v in values)
+
+
+def _scaled_element(terms, weights):
+    """sum_l c_l W[l // 2]: D times the rational part of one two-body element."""
+    try:
+        return sum(c * weights[l // 2] for l, c in terms)
+    except IndexError:
+        raise InternalConsistencyError(
+            f"two-body term of degree {max(l for l, _ in terms)} exceeds the level "
+            f"bound {2 * (len(weights) - 1)}"
+        ) from None
 
 
 def _element_prefactor(d):
     # pi^d * sqrt(2/pi) * pi^p where p is the Beta-integral pi power.
     _, pi_pow = beta_integral_exact(d, 0)
     return math.sqrt(2.0) * math.pi ** (d - 0.5 + pi_pow)
-
-
-def _canonical_indices(bra1, bra2, ket1, ket2):
-    """Symmetry-reduced key: the integrand is real and the two interacting
-    particles can be relabeled simultaneously."""
-    variants = [
-        (bra1, bra2, ket1, ket2),
-        (bra2, bra1, ket2, ket1),
-        (ket1, ket2, bra1, bra2),
-        (ket2, ket1, bra2, bra1),
-    ]
-    return min(variants)
 
 
 def two_body_element(bra1, bra2, ket1, ket2, d=None):
@@ -189,9 +202,13 @@ def two_body_element(bra1, bra2, ket1, ket2, d=None):
         raise ValueError("index tuples must all have length d")
     if any(e < 0 for v in tuples for e in v):
         raise ValueError("Hermite indices must be non-negative")
-    rat = _two_body_fraction(*_canonical_indices(*tuples), d)
-    if not rat:
+    terms = _two_body_terms(*tuples, d)
+    if not terms:
         return 0.0
+    # l is even and at most the four orbitals' degree sum, so half that sum
+    # is a grade whose weights cover every term.
+    denominator, weights = _level_weights(d, sum(map(sum, tuples)) // 2)
+    rat = Fraction(_scaled_element(terms, weights), denominator)
     return float(rat) * _element_prefactor(d)
 
 
@@ -210,11 +227,12 @@ def hermite_norm_rational(indices):
 class CoulombOperator:
     """Exact two-body Coulomb matrix between the states of one level.
 
-    ``element(a, b)`` is <S_a| sum_{i<j} 1/|r_i - r_j| |S_b> for the
-    Slater/permanent states a and b of a LevelBasis, as an exact rational in
-    units of sqrt(2) pi^(d - 1/2 + p) sqrt(pi)^((n-2) d); ``norm(a)`` is
-    <S_a|S_a> in units of sqrt(pi)^(n d).  Hermite orthogonality leaves only
-    the Slater-Condon terms, with Lowdin's occupation-number factors for
+    ``element(a, b)`` is D <S_a| sum_{i<j} 1/|r_i - r_j| |S_b>, an integer,
+    for the Slater/permanent states a and b of a LevelBasis, in units of
+    sqrt(2) pi^(d - 1/2 + p) sqrt(pi)^((n-2) d); ``denominator`` is the
+    level's D from _level_weights.  ``norm(a)`` is the integer <S_a|S_a> in
+    units of sqrt(pi)^(n d).  Hermite orthogonality leaves only the
+    Slater-Condon terms, with Lowdin's occupation-number factors for
     permanents: a and b couple through every orbital multiset R of size n-2
     that both contain (so they differ in at most two orbitals), and
 
@@ -224,16 +242,19 @@ class CoulombOperator:
     of b that leave R, eps is the sign of moving the pair to the front (1
     for permanents), the exchange term carries - for fermions and + for
     bosons, mult(R)! is the product of R's multiplicity factorials and N_R
-    its Hermite norm.  Elements are computed on first use and kept, so the
-    map covers only the state pairs asked for.
+    its Hermite norm.  Elements and norms are computed on first use and
+    kept, so the maps cover only the states asked for.
     """
 
     def __init__(self, basis):
         self.basis = basis
+        self.denominator, self._weights = _level_weights(basis.d, basis.grade)
         self._scale = math.factorial(basis.n)
         self._exchange = -1 if basis.statistics is FERMION else 1
         self._rests = {}
         self._elements = {}
+        self._norms = {}
+        self._pairs = {}
 
     def _rests_of(self, a):
         """{R: [(eps, x, y), ...]} over the unordered orbital pairs of state a."""
@@ -250,6 +271,17 @@ class CoulombOperator:
             self._rests[a] = rests
         return rests
 
+    def _pair(self, x, y, z, w):
+        """D ([x y|z w] +- [x y|w z]) in units of sqrt(2) pi^(d - 1/2 + p)."""
+        key = (x, y, z, w)
+        value = self._pairs.get(key)
+        if value is None:
+            d, weights = self.basis.d, self._weights
+            direct = _scaled_element(_two_body_terms(x, y, z, w, d), weights)
+            exchange = _scaled_element(_two_body_terms(x, y, w, z, d), weights)
+            value = self._pairs[key] = direct + self._exchange * exchange
+        return value
+
     def element(self, a, b):
         key = (a, b) if a <= b else (b, a)
         value = self._elements.get(key)
@@ -259,7 +291,6 @@ class CoulombOperator:
         return value
 
     def _element(self, a, b):
-        d = self.basis.d
         rests_b = self._rests_of(b)
         total = 0
         for rest, pairs_a in self._rests_of(a).items():
@@ -269,23 +300,25 @@ class CoulombOperator:
             pair_sum = 0
             for sa, x, y in pairs_a:
                 for sb, z, w in pairs_b:
-                    direct = _two_body_fraction(*_canonical_indices(x, y, z, w), d)
-                    exchange = _two_body_fraction(*_canonical_indices(x, y, w, z), d)
-                    pair_sum += sa * sb * (direct + self._exchange * exchange)
+                    pair_sum += sa * sb * self._pair(x, y, z, w)
             if pair_sum:
                 total += _multiset_weight(rest) * pair_sum
         return self._scale * total
 
     def norm(self, a):
-        state = self.basis.states[a]
-        return (
-            self._scale
-            * state.leading_coefficient()
-            * hermite_norm_rational(state.leading_monomial())
-        )
+        value = self._norms.get(a)
+        if value is None:
+            state = self.basis.states[a]
+            value = (
+                self._scale
+                * state.leading_coefficient()
+                * hermite_norm_rational(state.leading_monomial())
+            )
+            self._norms[a] = value
+        return value
 
     def contract(self, bra, ket):
-        """sum_{a, b} bra[a] ket[b] element(a, b) for sparse {state: coeff}."""
+        """sum_{a, b} bra[a] ket[b] element(a, b) for sparse integer {state: coeff}."""
         ket_by_rest = {}
         for b in ket:
             for rest in self._rests_of(b):
@@ -313,9 +346,13 @@ def _multiset_weight(orbitals):
     return weight
 
 
-def _exact_support(coeffs):
+def _integer_support(coeffs):
+    """({index: c * L}, L): the nonzero coefficients as integers over their
+    least common denominator L."""
     items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
-    return {idx: _as_exact(c) for idx, c in items if c}
+    exact = {idx: _as_exact(c) for idx, c in items if c}
+    scale = math.lcm(*(c.denominator for c in exact.values()))
+    return {idx: c.numerator * (scale // c.denominator) for idx, c in exact.items()}, scale
 
 
 def coulomb_expectation(bra, ket, basis):
@@ -325,21 +362,24 @@ def coulomb_expectation(bra, ket, basis):
     over the same LevelBasis, realized as products of unnormalized Hermite
     functions.  The contraction runs in the state basis: the level's
     CoulombOperator (Slater-Condon rules, with occupation-number factors for
-    permanents) gives the exact <S_a|V|S_b>, held by the basis and reused
-    by every call on it.  The numerator sum_{a,b} c_a c'_b <S_a|V|S_b> and
-    the state norms are exact rationals, rounded once, so the result does
-    not depend on the normalization convention.
+    permanents) gives the integer D <S_a|V|S_b>, held by the basis and
+    reused by every call on it.  The numerator sum_{a,b} c_a c'_b <S_a|V|S_b>
+    and the state norms are summed in integers over the coefficients'
+    common denominators, divided exactly and rounded once, so the result
+    does not depend on the normalization convention.
     """
-    bra = _exact_support(bra)
-    ket = _exact_support(ket)
+    bra, bra_scale = _integer_support(bra)
+    ket, ket_scale = _integer_support(ket)
     if not bra or not ket:
         raise ValueError("zero state has no Coulomb expectation")
     if basis.n < 2:
         return 0.0
     operator = basis.coulomb_operator
-    numerator = operator.contract(bra, ket)
+    scale = bra_scale * ket_scale
+    numerator = Fraction(operator.contract(bra, ket), operator.denominator * scale)
     bra_norm = sum(c * c * operator.norm(a) for a, c in bra.items())
     ket_norm = sum(c * c * operator.norm(b) for b, c in ket.items())
+    norms = Fraction(bra_norm * ket_norm, scale * scale)
     _, pi_pow = beta_integral_exact(basis.d, 0)
     prefactor = math.sqrt(2.0) * math.pi ** (pi_pow - 0.5)
-    return prefactor * float(numerator) / math.sqrt(float(bra_norm * ket_norm))
+    return prefactor * float(numerator) / math.sqrt(float(norms))

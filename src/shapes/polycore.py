@@ -260,16 +260,18 @@ class ExactPolynomial:
     def from_json_obj(cls, obj):
         """Read a polynomial as to_json_obj writes it, checking every term.
 
-        Raises ValueError if obj is not an object or n or d is not a
-        positive integer, and, naming the term, on a matrix that is not
-        n x d non-negative integers, a matrix listed twice or a coefficient
-        that is not a fraction string.
+        Raises ValueError if obj is not an object, n or d is not a positive
+        integer, or terms is not a list of objects, and, naming the term, on
+        a matrix that is not n x d non-negative integers, a matrix listed
+        twice or a coefficient that is not a fraction string.
         """
         if not isinstance(obj, dict):
             raise ValueError(f"a polynomial is a JSON object, got {type(obj).__name__}")
         n, d = json_int(obj, "n", 1), json_int(obj, "d", 1)
         terms = {}
-        for entry in obj["terms"]:
+        for entry in json_list(obj, "terms"):
+            if not isinstance(entry, dict):
+                raise ValueError(f"polynomial terms entry {entry!r} is not an object")
             matrix = entry["matrix"]
             try:
                 if not (
@@ -308,6 +310,14 @@ def json_int(obj, key, minimum):
     value = obj.get(key)
     if type(value) is not int or value < minimum:
         raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def json_list(obj, key):
+    """obj[key] if it is a list, else ValueError."""
+    value = obj.get(key)
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
     return value
 
 

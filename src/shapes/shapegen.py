@@ -52,6 +52,7 @@ from .polycore import (
     enumerate_euler_monomials,
     format_fraction,
     json_int,
+    json_list,
     orbital_key,
     parse_fraction,
 )
@@ -376,10 +377,11 @@ class ShapeCatalog:
         """Load a catalog as to_json_obj writes it, checking what it holds.
 
         Raises ValueError if obj is not an object; on a wrong format_version
-        or kind, or an n, d or max_grade that is not an integer in range;
-        naming the shape, on a repeated id, a non-integer grade or index or
-        a shape that _read_coeffs rejects; and on a shape_polynomial other
-        than shape_polynomial(n, d, statistics).
+        or kind, an n, d or max_grade that is not an integer in range, or
+        shapes that is not a list of objects; naming the shape, on a
+        repeated id, a non-integer grade or index or a shape that
+        _read_coeffs rejects; and on a shape_polynomial other than
+        shape_polynomial(n, d, statistics).
         """
         if not isinstance(obj, dict):
             raise ValueError(f"a catalog is a JSON object, got {type(obj).__name__}")
@@ -393,7 +395,9 @@ class ShapeCatalog:
         poly = shape_polynomial(n, d, stat)
         catalog = cls(n, d, stat, poly, max_grade, shapes=[], state_cap=state_cap)
         ids = set()
-        for entry in obj["shapes"]:
+        for entry in json_list(obj, "shapes"):
+            if not isinstance(entry, dict):
+                raise ValueError(f"catalog shapes entry {entry!r} is not an object")
             grade, index = entry["grade"], entry["index"]
             shape_id = f"{grade}:{index}"
             try:
@@ -413,21 +417,24 @@ class ShapeCatalog:
     def _read_coeffs(self, grade, entry):
         """A stored shape's {state index: coeff}, in linear time.
 
-        Every basis row must be a distinct state of the level of the given
-        grade, which lies in 0..max_grade, with one coefficient each; all
-        rows must lie in one sector, as generation assumes; and the
-        coefficients must be canonical as ShapeRecord documents: integers,
-        none zero, content 1, the entry at the lowest state index positive.
+        basis and coeffs must be lists.  Every basis row must be a list of
+        orbitals and a distinct state of the level of the given grade, which
+        lies in 0..max_grade, with one coefficient each; all rows must lie
+        in one sector, as generation assumes; and the coefficients must be
+        canonical as ShapeRecord documents: integers, none zero, content 1,
+        the entry at the lowest state index positive.
         """
         if not 0 <= grade <= self.max_grade:
             raise ValueError(f"grade {grade} is outside 0..{self.max_grade}")
-        rows, texts = entry["basis"], entry["coeffs"]
+        rows, texts = json_list(entry, "basis"), json_list(entry, "coeffs")
         if len(rows) != len(texts):
             raise ValueError(f"{len(rows)} basis rows but {len(texts)} coefficients")
         index = self.level_basis(grade).index
         coeffs = {}
         sectors = set()
         for orbitals, text in zip(rows, texts):
+            if not (isinstance(orbitals, list) and all(isinstance(o, list) for o in orbitals)):
+                raise ValueError(f"row {orbitals!r} is not a list of orbitals")
             state = SlaterState.from_orbitals(orbitals, self.statistics)
             i = index.get(state.orbitals)
             if i is None:

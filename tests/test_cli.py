@@ -167,9 +167,14 @@ class TestDeflate:
             (_repeat_term, "polynomial term [[2], [1], [0]]: listed twice"),
             (lambda payload: payload.update(n="3"), "n must be an integer >= 1, got '3'"),
             (lambda payload: [payload], "a polynomial is a JSON object, got list"),
+            (
+                lambda payload: payload["terms"].append(1),
+                "polynomial terms entry 1 is not an object",
+            ),
+            (lambda payload: payload.update(terms=5), "terms must be a list, got 5"),
         ],
         ids=["float-exponent", "bool-exponent", "negative-exponent", "repeated-term",
-             "string-n", "list"],
+             "string-n", "list", "term-not-object", "terms-not-list"],
     )
     def test_malformed_polynomial_exit_two(self, capsys, tmp_path, edit, message):
         # The Vandermonde determinant of n=3, d=1; its first term is [[2], [1], [0]].
@@ -278,6 +283,23 @@ class TestDensityAndCoulomb:
         assert code == 0
         diagonal = [line.split(",")[1] for line in diag_out.read_text().splitlines()[1:]]
         assert [table[i][i] for i in range(6)] == diagonal
+
+    def test_pairwise_table_above_the_state_cap_exit_two(
+        self, capsys, tmp_path, catalog_path, monkeypatch
+    ):
+        # Grade 4 has 14 states: its diagonal fits under a cap of 100, its
+        # 196-cell table does not; grade 3's 36 cells do.
+        monkeypatch.setenv("SHAPES_STATE_CAP", "100")
+        out = tmp_path / "vee.csv"
+        coulomb = ["coulomb", "--catalog", catalog_path, "--out", str(out)]
+        code, _, err = run(capsys, *coulomb, "--grade", "4", "--pairwise")
+        assert code == 2
+        assert (
+            "--pairwise table at grade 4 has 14 vectors, 196 cells, above the state cap 100"
+        ) in err
+        assert not out.exists()
+        assert run(capsys, *coulomb, "--grade", "4")[0] == 0
+        assert run(capsys, *coulomb, "--grade", "3", "--pairwise")[0] == 0
 
 
 class TestDensityArguments:
@@ -388,12 +410,25 @@ class TestCatalogValidation:
             (_set("n", "3"), "n must be an integer >= 1, got '3'"),
             (_set("max_grade", "4"), "max_grade must be an integer >= 0, got '4'"),
             (lambda obj: [obj], "a catalog is a JSON object, got list"),
+            (lambda obj: obj["shapes"].append(1), "catalog shapes entry 1 is not an object"),
+            (_set("shapes", 5), "shapes must be a list, got 5"),
+            (_set_in_shape("3:1", "basis", 5), "catalog shape 3:1: basis must be a list, got 5"),
+            (
+                _set_in_shape("3:1", "basis", [1, [[1, 1], [1, 0], [0, 0]]]),
+                "catalog shape 3:1: row 1 is not a list of orbitals",
+            ),
+            (
+                _set_in_shape("3:1", "basis", [[1, [0, 1], [0, 0]], [[1, 1], [1, 0], [0, 0]]]),
+                "catalog shape 3:1: row [1, [0, 1], [0, 0]] is not a list of orbitals",
+            ),
+            (_set_in_shape("3:1", "coeffs", 5), "catalog shape 3:1: coeffs must be a list, got 5"),
         ],
         ids=[
             "format-version", "kind", "duplicate-shape", "duplicate-row", "short-coeffs",
             "max-grade", "rational-coeff", "zero-coeff", "content", "sign", "wrong-grade-row",
             "wrong-n", "two-sectors", "shape-polynomial", "float-row-entry", "string-n",
-            "string-max-grade", "list",
+            "string-max-grade", "list", "shape-not-object", "shapes-not-list",
+            "basis-not-list", "row-not-list", "orbital-not-list", "coeffs-not-list",
         ],
     )
     def test_malformed_catalog_exit_two(self, capsys, tmp_path, catalog_path, edit, message):

@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,8 +12,9 @@ from scipy.integrate import quad
 from coulomb_oracle import hermite_coefficients, poly_mul, two_body_oracle
 from shapes.counting import BOSON, FERMION, shape_polynomial
 from shapes.coulomb import (
-    _canonical_indices,
-    _two_body_fraction,
+    _level_weights,
+    _scaled_element,
+    _two_body_terms,
     beta_integral,
     beta_integral_exact,
     coulomb_expectation,
@@ -21,6 +23,7 @@ from shapes.coulomb import (
     two_body_element,
 )
 from shapes.deflation import LevelBasis
+from shapes.errors import InternalConsistencyError
 from shapes.polycore import SlaterState
 
 
@@ -143,6 +146,100 @@ class TestTwoBodyElement:
             two_body_element((-1, 0), (0, 0), (0, 0), (0, 0))
 
 
+def reference_axis_table(n, np_, m, mp):
+    """{s: factor} of one axis in Fractions, s = k + k': the linearization
+    coefficients of both particles, (-1)^k, H_s(0) and 2^(-s/2)."""
+    table = {}
+    for k, ak in enumerate(hermite_linearization(n, m)):
+        for kp, akp in enumerate(hermite_linearization(np_, mp)):
+            s = k + kp
+            if ak and akp and s % 2 == 0:
+                h_at_zero = hermite_coefficients(s)[0]
+                factor = Fraction(ak * akp * (-1) ** k * h_at_zero, 2 ** (s // 2))
+                table[s] = table.get(s, 0) + factor
+    return table
+
+
+@lru_cache(maxsize=None)
+def fraction_two_body(bra1, bra2, ket1, ket2, d):
+    """Rational part R of the two-body element, in Fractions.
+
+    The element is R * sqrt(2) * pi^(d - 1/2 + p).  The per-axis Fraction
+    tables are convolved over the axes and each total degree l is weighted
+    by beta_integral_exact(d, l); zero when any axis has odd parity.
+    """
+    acc = {0: Fraction(1)}
+    for i in range(d):
+        if (bra1[i] + bra2[i] + ket1[i] + ket2[i]) % 2:
+            return Fraction(0)
+        new = {}
+        for l, c in acc.items():
+            for s, f in reference_axis_table(bra1[i], bra2[i], ket1[i], ket2[i]).items():
+                new[l + s] = new.get(l + s, 0) + c * f
+        acc = new
+    return sum((c * beta_integral_exact(d, l)[0] for l, c in acc.items()), Fraction(0))
+
+
+@st.composite
+def index_quadruples(draw):
+    """(d, four orbitals, a grade at or above half their degree sum)."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    orbital = st.tuples(*[st.integers(0, 4)] * d)
+    quad = tuple(draw(orbital) for _ in range(4))
+    grade = sum(map(sum, quad)) // 2 + draw(st.integers(0, 2))
+    return d, quad, grade
+
+
+@lru_cache(maxsize=None)
+def level(n, d, grade, stat):
+    return LevelBasis(n, d, grade, stat)
+
+
+@st.composite
+def state_pairs(draw):
+    n, d, stat = draw(
+        st.sampled_from([(n, d, s) for n in (2, 3) for d in (2, 3, 4) for s in (FERMION, BOSON)])
+    )
+    grade = shape_polynomial(n, d, stat).lowest_degree() + draw(st.integers(0, 2))
+    basis = level(n, d, grade, stat)
+    index = st.integers(0, len(basis) - 1)
+    return basis, draw(index), draw(index)
+
+
+class TestIntegerKernel:
+    """D times the Fraction formula equals the integer kernel exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(index_quadruples())
+    def test_two_body_terms_match_the_fraction_formula(self, case):
+        d, quad, grade = case
+        denominator, weights = _level_weights(d, grade)
+        scaled = _scaled_element(_two_body_terms(*quad, d), weights)
+        assert scaled == denominator * fraction_two_body(*quad, d)
+
+    @settings(max_examples=80, deadline=None)
+    @given(state_pairs())
+    def test_operator_element_matches_the_monomial_contraction(self, case):
+        basis, a, b = case
+        operator = basis.coulomb_operator
+        expected = operator.denominator * monomial_numerator({a: 1}, {b: 1}, basis)
+        assert operator.element(a, b) == expected
+        assert type(operator.element(a, b)) is int
+
+    def test_weights_are_integers_over_one_denominator(self):
+        for d in (2, 3, 4, 5):
+            values = [beta_integral_exact(d, l)[0] / 2 ** (l // 2) for l in range(0, 13, 2)]
+            denominator, weights = _level_weights(d, 6)
+            assert [Fraction(w, denominator) for w in weights] == values
+            assert denominator == math.lcm(*(v.denominator for v in values))
+
+    def test_term_beyond_the_level_bound_is_named(self):
+        quad = ((2, 0), (2, 0), (2, 0), (2, 0))
+        _, weights = _level_weights(2, 3)
+        with pytest.raises(InternalConsistencyError, match="degree 8 exceeds the level bound 6"):
+            _scaled_element(_two_body_terms(*quad, 2), weights)
+
+
 class TestManyBody:
     def test_two_particle_state_by_hand(self):
         # Psi = |(1,0),(0,0)|: expectation assembled directly from the
@@ -254,13 +351,13 @@ def monomial_norm(terms):
     return sum(Fraction(coeff * coeff * hermite_norm_rational(mono)) for mono, coeff in terms)
 
 
-def monomial_reference(bra, ket, basis):
-    """coulomb_expectation contracted over the n! monomials of every state.
+def monomial_numerator(bra, ket, basis):
+    """sum_{a,b} bra_a ket_b <S_a|V|S_b>, exactly, over the n! monomials of
+    every state, in units of sqrt(2) pi^(d - 1/2 + p) sqrt(pi)^((n-2) d).
 
     Particles 0 and 1 go through the two-body element, the spectators
     through Hermite orthogonality bucket by bucket, and every pair
-    contributes the same, n(n-1)/2 times.  The numerator and the norms are
-    exact and rounded once, in the same order as coulomb_expectation.
+    contributes the same, n(n-1)/2 times.
     """
     n, d = basis.n, basis.d
     bra_terms = list(basis.materialize(bra).terms.items())
@@ -271,11 +368,19 @@ def monomial_reference(bra, ket, basis):
         spect = hermite_norm_rational(key)
         for (bi, bj), cb in bra_list:
             for (ki, kj), ck in ket_buckets.get(key, ()):
-                element = _two_body_fraction(*_canonical_indices(bi, bj, ki, kj), d)
-                numerator += spect * cb * ck * element
-    numerator *= n * (n - 1) // 2
-    norms = monomial_norm(bra_terms) * monomial_norm(ket_terms)
-    _, pi_pow = beta_integral_exact(d, 0)
+                numerator += spect * cb * ck * fraction_two_body(bi, bj, ki, kj, d)
+    return numerator * (n * (n - 1) // 2)
+
+
+def monomial_reference(bra, ket, basis):
+    """coulomb_expectation contracted over the n! monomials of every state:
+    the numerator and the norms are exact and rounded once, in the same
+    order as coulomb_expectation."""
+    numerator = monomial_numerator(bra, ket, basis)
+    norms = monomial_norm(basis.materialize(bra).terms.items()) * monomial_norm(
+        basis.materialize(ket).terms.items()
+    )
+    _, pi_pow = beta_integral_exact(basis.d, 0)
     prefactor = math.sqrt(2.0) * math.pi ** (pi_pow - 0.5)
     return prefactor * float(numerator) / math.sqrt(float(norms))
 

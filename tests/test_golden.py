@@ -6,6 +6,9 @@ normalization or the serialization that alters a single byte fails here.
 Each golden catalog must also pass the loader's validation.  Small systems
 are also generated with every sector forced onto the exact echelon, and
 with a tiny prime under which many certificates fail and fall back to it.
+Coulomb tables written by `shapes coulomb` from golden catalogs are pinned
+the same way, so a change to the exact kernel or its one rounding that
+alters a printed digit fails here.
 """
 
 import hashlib
@@ -28,6 +31,12 @@ GOLDEN_SHA256 = {
     (3, 3, "boson"): "0e924d3c73060a45b3ecf523c1ead665a41cd48e104bb81341b882822052cf29",
     (4, 2, "boson"): "d207846dd172bb533cca9fdf4c2e4ff11aa25f14829fff5bf8ed090fe0b6e459",
     (5, 2, "fermion"): "a3fe5ee508fd77f5e7b5a28f48cd4b4c0f0446318c5f716954fff5af9283ac06",
+}
+
+GOLDEN_COULOMB_SHA256 = {
+    ((4, 2, "fermion"), "--grade 7"): "ccbf0f70657c84507575de99cba195a6c982e929bae5b6c31b4b509574f63329",
+    ((4, 2, "fermion"), "--grade 5 --pairwise"): "4ca8731b2710e0a52a441c2cc24a30b2e4e5f623beec620a9f6229632b2fbe96",
+    ((3, 2, "boson"), "--grade 4 --pairwise"): "dfa9d327a1b85d0bbcc14df3e24ac2bcc8721d28905ccfeb940f3ad02f75c97d",
 }
 
 
@@ -58,3 +67,35 @@ def test_generate_is_byte_identical(tmp_path, capsys, system):
 def test_forced_paths_are_byte_identical(tmp_path, capsys, monkeypatch, system, setting, value):
     monkeypatch.setattr(shapegen, setting, value)
     assert_golden(tmp_path, capsys, system)
+
+
+@pytest.fixture(scope="module")
+def catalog_files(tmp_path_factory):
+    """{system: path of its catalog written by `shapes generate`}, made on first use."""
+    paths = {}
+
+    def get(system):
+        if system not in paths:
+            n, d, stat = system
+            path = tmp_path_factory.mktemp("golden") / "catalog.json"
+            argv = ["generate", "--n", str(n), "--d", str(d), "--stat", stat, "--out", str(path)]
+            assert main(argv) == 0
+            paths[system] = path
+        return paths[system]
+
+    return get
+
+
+def _table_id(value):
+    if isinstance(value, tuple):
+        return "%d-%d-%s" % value
+    return value[2:].replace(" --", "-").replace(" ", "-")
+
+
+@pytest.mark.parametrize("system, options", sorted(GOLDEN_COULOMB_SHA256), ids=_table_id)
+def test_coulomb_table_is_byte_identical(tmp_path, capsys, catalog_files, system, options):
+    out = tmp_path / "vee.csv"
+    argv = ["coulomb", "--catalog", str(catalog_files(system)), *options.split(), "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_COULOMB_SHA256[(system, options)]
