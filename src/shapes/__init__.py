@@ -21,19 +21,16 @@ from .counting import (
     shape_recursion_factor,
     total_shape_count,
 )
-from .deflation import LevelBasis, deflate, deflate_sparse
+from .deflation import LevelBasis, deflate_sparse
 from .errors import InternalConsistencyError, StateCapExceeded
 from .polycore import (
     EulerMonomial,
     ExactPolynomial,
     SlaterState,
-    canonical_order,
     divide_exact,
-    elementary_symmetric,
     enumerate_basis,
     enumerate_euler_monomials,
     euler_power,
-    expand_state,
     vandermonde,
 )
 from .schur import Partition, factor_1d, partitions, schur_expand, schur_ratio, schur_ssyt
@@ -42,7 +39,6 @@ from .shapegen import (
     ShapeRecord,
     SpanReport,
     generate_shapes,
-    orthogonal_complement,
     trivial_products,
     verify_span,
 )
@@ -50,14 +46,12 @@ from .realize import (
     Axis,
     DensityGrid,
     Realization,
-    hermite_oscillator,
     one_particle_density,
     parse_grid,
     realize_polynomial,
     two_particle_density_cut,
 )
 from .coulomb import (
-    beta_integral,
     beta_integral_exact,
     coulomb_expectation,
     hermite_linearization,

@@ -20,11 +20,11 @@ from .counting import (
     shape_polynomial,
     total_shape_count,
 )
-from .deflation import LevelBasis, deflate
+from .deflation import LevelBasis, deflate_sparse
 from .errors import InternalConsistencyError, StateCapExceeded
 from .polycore import ExactPolynomial, enumerate_basis, format_fraction
 from .realize import (
-    hermite_oscillator,
+    Realization,
     one_particle_density,
     parse_grid,
     two_particle_density_cut,
@@ -171,7 +171,7 @@ def cmd_deflate(args):
         poly.n, poly.d, args.grade, Statistics.parse(args.stat),
         max_states=default_state_cap(),
     )
-    vector = deflate(poly, basis)
+    vector = deflate_sparse(poly, basis)
     payload = {
         "format_version": FORMAT_VERSION,
         "kind": "deflation_vector",
@@ -179,7 +179,7 @@ def cmd_deflate(args):
         "d": poly.d,
         "grade": args.grade,
         "statistics": args.stat,
-        "coeffs": [format_fraction(c) for c in vector],
+        "coeffs": [format_fraction(vector.get(i, 0)) for i in range(len(basis))],
     }
     if args.out:
         _write_json(args.out, payload)
@@ -206,7 +206,7 @@ def cmd_density(args):
     shape = catalog.find(args.shape_id)
     basis = catalog.level_basis(shape.grade)
     poly = shape.materialize(basis)
-    realization = hermite_oscillator(args.length_scale)
+    realization = Realization(args.length_scale)
     axes = parse_grid(args.grid)
     if args.two_particle_cut:
         grid = two_particle_density_cut(poly, realization, axes)
@@ -225,6 +225,11 @@ def cmd_coulomb(args):
     from .coulomb import coulomb_expectation
 
     catalog = _load_catalog(args.catalog)
+    if args.grade > catalog.max_grade and not catalog.is_complete():
+        raise ValueError(
+            f"--grade {args.grade} is above the catalog's max_grade {catalog.max_grade} "
+            f"and the catalog is incomplete: shapes above grade {catalog.max_grade} are missing"
+        )
     basis = catalog.level_basis(args.grade)
     # The shapes and products of a grade span its level freely: V = dim.
     cells = len(basis) ** 2
@@ -343,10 +348,9 @@ def _verify_one(n, d, stat, cap):
             )
         probe = catalog.shapes[-1]
         basis = catalog.level_basis(probe.grade)
-        vector = deflate(probe.materialize(basis), basis)
         report(
             "deflation round trip",
-            {i: c for i, c in enumerate(vector) if c} == probe.coeffs,
+            deflate_sparse(probe.materialize(basis), basis) == probe.coeffs,
         )
         for grade in range(poly.lowest_degree(), top + 1):
             rep = verify_span(catalog, grade)

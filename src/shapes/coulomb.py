@@ -97,12 +97,6 @@ def beta_integral_exact(d, l):
     return num1 * num2 / (2 * den), half_pi // 2
 
 
-def beta_integral(d, l):
-    """Floating point value of I_d(l)."""
-    rat, pi_pow = beta_integral_exact(d, l)
-    return float(rat) * math.pi**pi_pow
-
-
 @lru_cache(maxsize=None)
 def _axis_table(n, np_, m, mp):
     """Per-axis contributions: a tuple of (s, integer) pairs, s = k + k',
@@ -349,8 +343,7 @@ def _multiset_weight(orbitals):
 def _integer_support(coeffs):
     """({index: c * L}, L): the nonzero coefficients as integers over their
     least common denominator L."""
-    items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
-    exact = {idx: _as_exact(c) for idx, c in items if c}
+    exact = {idx: _as_exact(c) for idx, c in coeffs.items() if c}
     scale = math.lcm(*(c.denominator for c in exact.values()))
     return {idx: c.numerator * (scale // c.denominator) for idx, c in exact.items()}, scale
 
@@ -358,9 +351,9 @@ def _integer_support(coeffs):
 def coulomb_expectation(bra, ket, basis):
     """<Psi_bra| sum_{i<j} 1/|r_i - r_j| |Psi_ket> / norms.
 
-    Both states are coefficient vectors (dense sequences or sparse dicts)
-    over the same LevelBasis, realized as products of unnormalized Hermite
-    functions.  The contraction runs in the state basis: the level's
+    Both states are sparse {state index: coeff} vectors over the same
+    LevelBasis, realized as products of unnormalized Hermite functions.
+    The contraction runs in the state basis: the level's
     CoulombOperator (Slater-Condon rules, with occupation-number factors for
     permanents) gives the integer D <S_a|V|S_b>, held by the basis and
     reused by every call on it.  The numerator sum_{a,b} c_a c'_b <S_a|V|S_b>

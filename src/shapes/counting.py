@@ -176,10 +176,6 @@ class GradedQPolynomial:
             result = result * self
         return result
 
-    def truncated(self, truncation_degree):
-        trunc = self._merge_truncation(self.truncation_degree, truncation_degree)
-        return GradedQPolynomial(self.coeffs, trunc)
-
     def divide_exact(self, divisor):
         """Exact polynomial division; the remainder must vanish.
 
@@ -257,11 +253,6 @@ class GradedQPolynomial:
     def to_json_obj(self):
         lo, cs = self.coefficient_list()
         return {"lowest": lo, "coeffs": cs}
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        lo = obj["lowest"]
-        return cls({lo + i: c for i, c in enumerate(obj["coeffs"])})
 
 
 def euler_series(n, truncation, statistics=FERMION):

@@ -85,18 +85,14 @@ class LevelBasis:
             out.setdefault(state.sector, []).append(i)
         return {sector: tuple(indices) for sector, indices in out.items()}
 
-    def state_index(self, state):
-        return self.index[state.orbitals]
-
     def materialize(self, coeffs):
         """Polynomial sum of coeffs[i] * expansion(state_i).
 
-        Accepts a dense sequence or a sparse {index: coeff} dict.  State
-        supports are disjoint, so every term is written once.
+        coeffs is a sparse {state index: coeff} dict.  State supports are
+        disjoint, so every term is written once.
         """
-        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
         terms = {}
-        for idx, c in items:
+        for idx, c in coeffs.items():
             if c:
                 c = _as_exact(c)
                 for mono, ec in self.expansion(idx).terms.items():
@@ -104,22 +100,13 @@ class LevelBasis:
         return ExactPolynomial._raw(self.n, self.d, terms)
 
 
-def deflate(poly, basis):
-    """Coefficient vector of a homogeneous polynomial over the level basis.
-
-    Exact: sum_i c_i * expansion(state_i) reproduces the input, and the
-    result is deterministic.  An input outside the span raises with the
-    leading monomial of the residual.
-    """
-    sparse = deflate_sparse(poly, basis)
-    out = [Fraction(0)] * len(basis)
-    for idx, c in sparse.items():
-        out[idx] = Fraction(c)
-    return out
-
-
 def deflate_sparse(poly, basis):
-    """Like deflate but returns only the nonzero entries as a dict."""
+    """Sparse {state index: coeff} of a homogeneous polynomial over the level basis.
+
+    Exact: sum_i c_i * expansion(state_i) reproduces the input, only the
+    nonzero coefficients are kept, and the result is deterministic.  An
+    input outside the span raises with the leading monomial of the residual.
+    """
     if poly.n != basis.n or poly.d != basis.d:
         raise ValueError("polynomial and basis have different variable sets")
     if poly.is_zero:

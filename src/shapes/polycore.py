@@ -15,7 +15,6 @@ Slater/permanent state the descending-diagonal assignment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -34,14 +33,6 @@ def axis_name(axis):
 def orbital_key(orbital):
     """Sort key realizing the canonical order on orbital vectors."""
     return (sum(orbital), orbital)
-
-
-def canonical_order(a, b):
-    """Compare two orbital vectors: -1, 0 or +1 (total degree, then lex)."""
-    if len(a) != len(b):
-        raise ValueError("orbital vectors of different dimension")
-    ka, kb = orbital_key(a), orbital_key(b)
-    return (ka > kb) - (ka < kb)
 
 
 def monomial_rows(flat, d):
@@ -140,19 +131,6 @@ class ExactPolynomial:
 
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), 0)
-
-    def swap_particles(self, i, j):
-        """Exchange all d exponents of particles i and j in every monomial."""
-        d = self.d
-        out = {}
-        for mono, coeff in self.terms.items():
-            lst = list(mono)
-            lst[i * d : (i + 1) * d], lst[j * d : (j + 1) * d] = (
-                mono[j * d : (j + 1) * d],
-                mono[i * d : (i + 1) * d],
-            )
-            out[tuple(lst)] = coeff
-        return ExactPolynomial._raw(self.n, self.d, out)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -262,17 +240,19 @@ class ExactPolynomial:
 
         Raises ValueError if obj is not an object, n or d is not a positive
         integer, or terms is not a list of objects, and, naming the term, on
-        a matrix that is not n x d non-negative integers, a matrix listed
-        twice or a coefficient that is not a fraction string.
+        a missing matrix or coefficient, a matrix that is not n x d
+        non-negative integers, a matrix listed twice or a coefficient that
+        is not a fraction string.
         """
         if not isinstance(obj, dict):
             raise ValueError(f"a polynomial is a JSON object, got {type(obj).__name__}")
         n, d = json_int(obj, "n", 1), json_int(obj, "d", 1)
         terms = {}
-        for entry in json_list(obj, "terms"):
+        for position, entry in enumerate(json_list(obj, "terms")):
             if not isinstance(entry, dict):
                 raise ValueError(f"polynomial terms entry {entry!r} is not an object")
-            matrix = entry["matrix"]
+            matrix = json_field(entry, "matrix", f"polynomial terms entry {position}")
+            text = json_field(entry, "coeff", f"polynomial term {matrix}")
             try:
                 if not (
                     isinstance(matrix, list)
@@ -285,13 +265,10 @@ class ExactPolynomial:
                     raise ValueError("exponents must be non-negative integers")
                 if flat in terms:
                     raise ValueError("listed twice")
-                terms[flat] = parse_fraction(entry["coeff"])
+                terms[flat] = parse_fraction(text)
             except ValueError as exc:
                 raise ValueError(f"polynomial term {matrix}: {exc}") from None
         return cls(n, d, terms)
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
 
 def format_fraction(value):
@@ -303,6 +280,13 @@ def parse_fraction(text):
     if not isinstance(text, str):
         raise ValueError(f"coefficient {text!r} is not a fraction string")
     return Fraction(text)
+
+
+def json_field(obj, key, owner):
+    """obj[key], else a ValueError naming the missing key and its owner."""
+    if key not in obj:
+        raise ValueError(f"{owner} has no {key!r}")
+    return obj[key]
 
 
 def json_int(obj, key, minimum):
@@ -404,36 +388,32 @@ class SlaterState:
         return coeff
 
     def expand(self):
-        return expand_state(self)
+        """Expand the Slater determinant (fermion) or permanent (boson).
+
+        Sums over all n! assignments of orbitals to particles, with the sign
+        of the permutation relative to the canonical descending row order in
+        the fermion case.  The result is homogeneous of the state's grade
+        with integer coefficients.
+        """
+        n, d = self.n, self.d
+        fermion = self.statistics is FERMION
+        terms = {}
+        for perm in permutations(range(n)):
+            flat = [0] * (n * d)
+            for i, p in enumerate(perm):
+                flat[p * d : (p + 1) * d] = self.orbitals[i]
+            key = tuple(flat)
+            sign = _permutation_sign(perm) if fermion else 1
+            nv = terms.get(key, 0) + sign
+            if nv:
+                terms[key] = nv
+            else:
+                terms.pop(key, None)
+        return ExactPolynomial._raw(n, d, terms)
 
     def __str__(self):
         inner = ",".join("(" + ",".join(map(str, o)) + ")" for o in self.orbitals)
         return f"|{inner}|"
-
-
-def expand_state(state):
-    """Expand a Slater determinant (fermion) or permanent (boson).
-
-    Sums over all n! assignments of orbitals to particles, with the sign of
-    the permutation relative to the canonical descending row order in the
-    fermion case.  The result is homogeneous of the state's grade with
-    integer coefficients.
-    """
-    n, d = state.n, state.d
-    fermion = state.statistics is FERMION
-    terms = {}
-    for perm in permutations(range(n)):
-        flat = [0] * (n * d)
-        for i, p in enumerate(perm):
-            flat[p * d : (p + 1) * d] = state.orbitals[i]
-        key = tuple(flat)
-        sign = _permutation_sign(perm) if fermion else 1
-        nv = terms.get(key, 0) + sign
-        if nv:
-            terms[key] = nv
-        else:
-            terms.pop(key, None)
-    return ExactPolynomial._raw(n, d, terms)
 
 
 def _permutation_sign(perm):
@@ -443,23 +423,8 @@ def _permutation_sign(perm):
     return -1 if inversions % 2 else 1
 
 
-def elementary_symmetric(k, axis, n, d):
-    """e_k in the n variables of one axis: sum over all C(n,k) subset products."""
-    if k < 0:
-        raise ValueError("need k >= 0")
-    if k > n:
-        return ExactPolynomial.zero(n, d)
-    terms = {}
-    for subset in combinations(range(n), k):
-        flat = [0] * (n * d)
-        for i in subset:
-            flat[i * d + axis] = 1
-        terms[tuple(flat)] = 1
-    return ExactPolynomial._raw(n, d, terms)
-
-
 def euler_power(m, k, axis, n, d):
-    """k-th monomial-wise power of e_m on one axis.
+    """k-th monomial-wise power of e_m on one axis; k = 1 gives e_m itself.
 
     Powers are taken subset product by subset product (a plethysm with the
     power sum), so distinct (m, k) on one axis have disjoint supports:
@@ -498,10 +463,6 @@ class EulerMonomial:
             for per_axis in self.exponents
             for m, k in enumerate(per_axis, start=1)
         )
-
-    @property
-    def is_empty(self):
-        return self.degree == 0
 
     def factors(self):
         """The factors e_m^[k](axis) as (m, k, axis), axis-major, m ascending."""
@@ -619,7 +580,7 @@ def _orbitals_up_to(d, max_degree):
 def vandermonde(n, axis=0, d=1):
     """The product of (t_i - t_j) over i < j on one axis.
 
-    Equals expand_state of the one-dimensional fermion ground state (orbital
+    Equals the expansion of the one-dimensional fermion ground state (orbital
     degrees n-1, ..., 1, 0) with the canonical phase; the global sign is +1.
     """
     if n < 1:

@@ -44,10 +44,6 @@ class Realization:
             )
 
 
-def hermite_oscillator(length_scale=1.0):
-    return Realization(length_scale)
-
-
 @dataclass(frozen=True)
 class Axis:
     """One grid axis: name, inclusive range, sample count."""

@@ -15,7 +15,6 @@ from .polycore import (
     ExactPolynomial,
     SlaterState,
     divide_exact,
-    expand_state,
     vandermonde,
 )
 
@@ -121,7 +120,7 @@ def schur_ratio(partition, n_vars):
         return ExactPolynomial.zero(n_vars, 1)
     lam = partition.padded(n_vars)
     orbitals = tuple((lam[i] + n_vars - 1 - i,) for i in range(n_vars))
-    numerator = expand_state(SlaterState(orbitals, FERMION))
+    numerator = SlaterState(orbitals, FERMION).expand()
     return divide_exact(numerator, vandermonde(n_vars))
 
 
@@ -137,7 +136,7 @@ def factor_1d(state):
     lam = tuple(state.orbitals[i][0] - (n - 1 - i) for i in range(n))
     partition = Partition(tuple(p for p in lam if p > 0))
     product = schur_ssyt(partition, n) * vandermonde(n)
-    if product != expand_state(state):
+    if product != state.expand():
         raise InternalConsistencyError(
             f"1D factorization failed for {state}: s_{partition} * Delta "
             "does not reproduce the determinant"

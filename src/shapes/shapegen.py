@@ -51,6 +51,7 @@ from .polycore import (
     SlaterState,
     enumerate_euler_monomials,
     format_fraction,
+    json_field,
     json_int,
     json_list,
     orbital_key,
@@ -184,29 +185,6 @@ class _Echelon:
         return out
 
 
-def orthogonal_complement(vectors, ambient_dim):
-    """Exact basis of the orthogonal complement of a span of vectors.
-
-    Works in the standard dot product on the given coordinates.  The output
-    is in canonical normalized form (integer entries, content 1, first
-    nonzero positive), ordered by free column, and deterministic; an empty
-    input yields the standard basis.
-    """
-    ech = _Echelon(ambient_dim)
-    for v in vectors:
-        if isinstance(v, dict):
-            sparse = {i: Fraction(c) for i, c in v.items() if c}
-        else:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match the ambient dimension")
-            sparse = {i: Fraction(c) for i, c in enumerate(v) if c}
-        ech.insert(_int_rows(sparse))
-    null = ech.nullspace()
-    return [
-        [Fraction(vec.get(i, 0)) for i in range(ambient_dim)] for vec in null
-    ]
-
-
 @dataclass(frozen=True)
 class ShapeRecord:
     """One shape: a grade, a stable id, and its exact coefficient vector.
@@ -229,9 +207,6 @@ class ShapeRecord:
         if basis.grade != self.grade:
             raise ValueError("basis grade does not match the shape grade")
         return basis.materialize(self.coeffs)
-
-    def support_size(self):
-        return len(self.coeffs)
 
 
 @dataclass
@@ -377,11 +352,12 @@ class ShapeCatalog:
         """Load a catalog as to_json_obj writes it, checking what it holds.
 
         Raises ValueError if obj is not an object; on a wrong format_version
-        or kind, an n, d or max_grade that is not an integer in range, or
-        shapes that is not a list of objects; naming the shape, on a
-        repeated id, a non-integer grade or index or a shape that
-        _read_coeffs rejects; and on a shape_polynomial other than
-        shape_polynomial(n, d, statistics).
+        or kind, an n, d or max_grade that is not an integer in range, no
+        statistics, or shapes that is not a list of objects; naming the
+        shape, on a missing grade or index (by its position), a repeated id,
+        a non-integer grade or index or a shape that _read_coeffs rejects;
+        and on a shape_polynomial other than shape_polynomial(n, d,
+        statistics).
         """
         if not isinstance(obj, dict):
             raise ValueError(f"a catalog is a JSON object, got {type(obj).__name__}")
@@ -390,15 +366,16 @@ class ShapeCatalog:
                 raise ValueError(f"catalog {key} is {obj.get(key)!r}, expected {expected!r}")
         n, d = json_int(obj, "n", 1), json_int(obj, "d", 1)
         max_grade = json_int(obj, "max_grade", 0)
-        stat = Statistics.parse(obj["statistics"])
+        stat = Statistics.parse(json_field(obj, "statistics", "catalog"))
         state_cap = default_state_cap() if state_cap is None else check_state_cap(state_cap)
         poly = shape_polynomial(n, d, stat)
         catalog = cls(n, d, stat, poly, max_grade, shapes=[], state_cap=state_cap)
         ids = set()
-        for entry in json_list(obj, "shapes"):
+        for position, entry in enumerate(json_list(obj, "shapes")):
             if not isinstance(entry, dict):
                 raise ValueError(f"catalog shapes entry {entry!r} is not an object")
-            grade, index = entry["grade"], entry["index"]
+            owner = f"catalog shapes entry {position}"
+            grade, index = json_field(entry, "grade", owner), json_field(entry, "index", owner)
             shape_id = f"{grade}:{index}"
             try:
                 json_int(entry, "grade", 0)

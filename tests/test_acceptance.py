@@ -26,15 +26,14 @@ from shapes.coulomb import (
     hermite_linearization,
     two_body_element,
 )
-from shapes.deflation import LevelBasis, deflate, deflate_sparse
+from shapes.deflation import LevelBasis, deflate_sparse
 from shapes.polycore import (
     SlaterState,
-    elementary_symmetric,
     enumerate_basis,
     enumerate_euler_monomials,
-    expand_state,
+    euler_power,
 )
-from shapes.realize import Axis, hermite_oscillator, one_particle_density, realize_polynomial
+from shapes.realize import Axis, Realization, one_particle_density, realize_polynomial
 from shapes.schur import Partition, factor_1d, partitions, schur_ratio, schur_ssyt
 from shapes.shapegen import generate_shapes
 
@@ -130,16 +129,16 @@ def test_criterion_04_level_dimensions():
 def test_criterion_05_worked_example_3_2():
     with _Clock(5, "worked example N=3 d=2: deflation and complements", 5.0):
         basis3 = LevelBasis(3, 2, 3, FERMION)
-        g0 = expand_state(fstate([(1, 0), (0, 1), (0, 0)]))
-        g11 = basis3.state_index(fstate([(2, 0), (1, 0), (0, 0)]))
-        g12 = basis3.state_index(fstate([(1, 1), (1, 0), (0, 0)]))
-        g13 = basis3.state_index(fstate([(0, 2), (1, 0), (0, 0)]))
-        g14 = basis3.state_index(fstate([(2, 0), (0, 1), (0, 0)]))
-        g15 = basis3.state_index(fstate([(1, 1), (0, 1), (0, 0)]))
-        g16 = basis3.state_index(fstate([(0, 2), (0, 1), (0, 0)]))
+        g0 = fstate([(1, 0), (0, 1), (0, 0)]).expand()
+        g11 = basis3.index[fstate([(2, 0), (1, 0), (0, 0)]).orbitals]
+        g12 = basis3.index[fstate([(1, 1), (1, 0), (0, 0)]).orbitals]
+        g13 = basis3.index[fstate([(0, 2), (1, 0), (0, 0)]).orbitals]
+        g14 = basis3.index[fstate([(2, 0), (0, 1), (0, 0)]).orbitals]
+        g15 = basis3.index[fstate([(1, 1), (0, 1), (0, 0)]).orbitals]
+        g16 = basis3.index[fstate([(0, 2), (0, 1), (0, 0)]).orbitals]
         # deflation of the two first-level trivial states
-        et = deflate_sparse(elementary_symmetric(1, 0, 3, 2) * g0, basis3)
-        eu = deflate_sparse(elementary_symmetric(1, 1, 3, 2) * g0, basis3)
+        et = deflate_sparse(euler_power(1, 1, 0, 3, 2) * g0, basis3)
+        eu = deflate_sparse(euler_power(1, 1, 1, 3, 2) * g0, basis3)
         assert et == {g12: -1, g14: 1}
         assert eu == {g13: -1, g15: 1}
         # grade-3 complement equals the golden four shapes
@@ -155,10 +154,10 @@ def test_criterion_05_worked_example_3_2():
         # grade-4 complement equals the golden last shape
         basis4 = catalog.level_basis(4)
         golden4 = {
-            basis4.state_index(fstate([(1, 2), (1, 0), (0, 0)])): 1,
-            basis4.state_index(fstate([(2, 1), (0, 1), (0, 0)])): -1,
-            basis4.state_index(fstate([(2, 0), (0, 2), (0, 0)])): 1,
-            basis4.state_index(fstate([(1, 1), (1, 0), (0, 1)])): -1,
+            basis4.index[fstate([(1, 2), (1, 0), (0, 0)]).orbitals]: 1,
+            basis4.index[fstate([(2, 1), (0, 1), (0, 0)]).orbitals]: -1,
+            basis4.index[fstate([(2, 0), (0, 2), (0, 0)]).orbitals]: 1,
+            basis4.index[fstate([(1, 1), (1, 0), (0, 1)]).orbitals]: -1,
         }
         ours4 = [s.coeffs for s in catalog.shapes_at(4)]
         assert rref(ours4, 14) == rref([golden4], 14)
@@ -173,13 +172,13 @@ def test_criterion_06_full_catalogs():
         expected_low = set()
         for axis in range(3):
             orb = tuple(1 if a == axis else 0 for a in range(3))
-            idx = basis1.state_index(fstate([orb, (0, 0, 0)]))
+            idx = basis1.index[fstate([orb, (0, 0, 0)]).orbitals]
             expected_low.add(frozenset({idx: 1}.items()))
         assert low == expected_low
         basis3 = cat23.level_basis(3)
-        product = expand_state(fstate([(1, 0, 0), (0, 0, 0)]))
-        product = product * expand_state(fstate([(0, 1, 0), (0, 0, 0)]))
-        product = product * expand_state(fstate([(0, 0, 1), (0, 0, 0)]))
+        product = fstate([(1, 0, 0), (0, 0, 0)]).expand()
+        product = product * fstate([(0, 1, 0), (0, 0, 0)]).expand()
+        product = product * fstate([(0, 0, 1), (0, 0, 0)]).expand()
         (top,) = cat23.shapes_at(3)
         assert rref([top.coeffs], len(basis3)) == rref(
             [deflate_sparse(product, basis3)], len(basis3)
@@ -204,7 +203,7 @@ def test_criterion_07_schur_oracle():
         for n in range(2, 5):
             for k in range(1, n + 1):
                 lam = Partition.of(*([1] * k))
-                assert schur_ssyt(lam, n) == elementary_symmetric(k, 0, n, 1)
+                assert schur_ssyt(lam, n) == euler_power(k, 1, 0, n, 1)
         for n in range(2, 5):
             for orbs in itertools.combinations(range(8, -1, -1), n):
                 state = fstate([(o,) for o in orbs])
@@ -217,8 +216,7 @@ def test_criterion_08_deflation_round_trip():
         for stat in (FERMION, BOSON):
             basis = LevelBasis(3, 2, 4, stat)
             for idx in range(len(basis)):
-                vec = deflate(basis.expansion(idx), basis)
-                assert vec[idx] == 1 and sum(map(bool, vec)) == 1
+                assert deflate_sparse(basis.expansion(idx), basis) == {idx: 1}
         rng = random.Random(2024)
         cases = 0
         while cases < 100:
@@ -236,7 +234,7 @@ def test_criterion_08_deflation_round_trip():
             poly = basis.materialize(coeffs)
             if poly.is_zero:
                 continue
-            assert basis.materialize(deflate(poly, basis)) == poly
+            assert basis.materialize(deflate_sparse(poly, basis)) == poly
             cases += 1
 
 
@@ -277,28 +275,28 @@ def test_criterion_09_coulomb():
 def test_criterion_10_density_properties():
     with _Clock(10, "density equality, normalization, nodal family", 300.0):
         grid = [Axis("x", -6.0, 6.0, 121), Axis("y", -6.0, 6.0, 121)]
-        osc = hermite_oscillator()
-        g0 = expand_state(fstate([(1, 0), (0, 1), (0, 0)]))
-        g12 = expand_state(fstate([(1, 1), (1, 0), (0, 0)]))
-        g14 = expand_state(fstate([(2, 0), (0, 1), (0, 0)]))
+        osc = Realization()
+        g0 = fstate([(1, 0), (0, 1), (0, 0)]).expand()
+        g12 = fstate([(1, 1), (1, 0), (0, 0)]).expand()
+        g14 = fstate([(2, 0), (0, 1), (0, 0)]).expand()
         shape = one_particle_density(g12 + g14, osc, grid)
-        trivial = one_particle_density(elementary_symmetric(1, 0, 3, 2) * g0, osc, grid)
+        trivial = one_particle_density(euler_power(1, 1, 0, 3, 2) * g0, osc, grid)
         assert np.max(np.abs(shape.values - trivial.values)) < 1e-8
         for density in (shape, trivial, one_particle_density(g0, osc, grid)):
             assert abs(density.riemann_integral() - 3.0) < 1e-6
         single = one_particle_density(
-            expand_state(fstate([(0,)])) , osc, [Axis("x", -6, 6, 241)]
+            fstate([(0,)]).expand(), osc, [Axis("x", -6, 6, 241)]
         )
         assert abs(single.riemann_integral() - 1.0) < 1e-6
         # nodal family (z1 - z2) * symmetric factor vanishes on z1 = z2
-        base = expand_state(fstate([(0, 0, 1), (0, 0, 0)]))
+        base = fstate([(0, 0, 1), (0, 0, 0)]).expand()
         rng = np.random.default_rng(8)
         from shapes.polycore import ExactPolynomial
 
         for factor in (
             ExactPolynomial.constant(2, 3),
-            elementary_symmetric(1, 0, 2, 3),
-            elementary_symmetric(1, 2, 2, 3),
+            euler_power(1, 1, 0, 2, 3),
+            euler_power(1, 1, 2, 2, 3),
         ):
             evaluator = realize_polynomial(base * factor, osc)
             pts = rng.uniform(-2, 2, size=(500, 2, 3))

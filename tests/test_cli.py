@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from shapes.cli import main
-from shapes.polycore import vandermonde
+from shapes.polycore import SlaterState, euler_power, vandermonde
 from shapes.shapegen import ShapeCatalog, generate_shapes
 from shapes.counting import FERMION
 
@@ -123,6 +125,13 @@ def _repeat_term(payload):
     payload["terms"][1]["matrix"] = payload["terms"][0]["matrix"]
 
 
+def _drop_from_first_term(key):
+    def edit(payload):
+        del payload["terms"][0][key]
+
+    return edit
+
+
 class TestDeflate:
     def test_vandermonde_roundtrip(self, capsys, tmp_path):
         poly_path = tmp_path / "poly.json"
@@ -139,12 +148,34 @@ class TestDeflate:
         vec = json.loads(out_path.read_text())
         assert vec["coeffs"] == ["1"]  # the 1D level has a single state
 
-    def test_outside_span_exit_three(self, capsys, tmp_path):
-        from shapes.polycore import elementary_symmetric
+    def test_product_vector_bytes(self, capsys, tmp_path):
+        # (1/2) e1(t) e1(t) g0 over the 14 states of grade 4 of (3,2,fermion):
+        # the full vector, zeros included, with fraction strings.
+        g0 = SlaterState.from_orbitals([(1, 0), (0, 1), (0, 0)], FERMION).expand()
+        e1t = euler_power(1, 1, 0, 3, 2)
+        payload = {"format_version": "1", "kind": "polynomial"}
+        payload.update((Fraction(1, 2) * e1t * e1t * g0).to_json_obj())
+        poly_path = tmp_path / "poly.json"
+        poly_path.write_text(json.dumps(payload))
+        coeffs = ["0", "1/2", "-1/2", "0", "0", "0", "0", "0", "1", "0", "-1/2", "0", "0", "0"]
+        expected = (
+            '{\n  "coeffs": [\n'
+            + ",\n".join(f'    "{c}"' for c in coeffs)
+            + '\n  ],\n  "d": 2,\n  "format_version": "1",\n  "grade": 4,\n'
+            '  "kind": "deflation_vector",\n  "n": 3,\n  "statistics": "fermion"\n}\n'
+        )
+        deflate = ["deflate", "--poly", str(poly_path), "--grade", "4"]
+        code, out, _ = run(capsys, *deflate)
+        assert code == 0
+        assert out == expected
+        out_path = tmp_path / "vec.json"
+        assert run(capsys, *deflate, "--out", str(out_path))[0] == 0
+        assert out_path.read_text() == expected
 
+    def test_outside_span_exit_three(self, capsys, tmp_path):
         poly_path = tmp_path / "poly.json"
         payload = {"format_version": "1", "kind": "polynomial"}
-        payload.update(elementary_symmetric(2, 0, 3, 1).to_json_obj())
+        payload.update(euler_power(2, 1, 0, 3, 1).to_json_obj())
         poly_path.write_text(json.dumps(payload))
         code, _, err = run(
             capsys, "deflate", "--poly", str(poly_path), "--grade", "2",
@@ -172,9 +203,11 @@ class TestDeflate:
                 "polynomial terms entry 1 is not an object",
             ),
             (lambda payload: payload.update(terms=5), "terms must be a list, got 5"),
+            (_drop_from_first_term("matrix"), "polynomial terms entry 0 has no 'matrix'"),
+            (_drop_from_first_term("coeff"), "polynomial term [[2], [1], [0]] has no 'coeff'"),
         ],
         ids=["float-exponent", "bool-exponent", "negative-exponent", "repeated-term",
-             "string-n", "list", "term-not-object", "terms-not-list"],
+             "string-n", "list", "term-not-object", "terms-not-list", "no-matrix", "no-coeff"],
     )
     def test_malformed_polynomial_exit_two(self, capsys, tmp_path, edit, message):
         # The Vandermonde determinant of n=3, d=1; its first term is [[2], [1], [0]].
@@ -364,6 +397,25 @@ def _set_in_shape(shape_id, key, value):
     return edit
 
 
+def _drop(key):
+    def edit(obj):
+        del obj[key]
+
+    return edit
+
+
+def _drop_from_shape(shape_id, key):
+    def edit(obj):
+        del _shape(obj, shape_id)[key]
+
+    return edit
+
+
+def _stop_at_grade_two(obj):
+    obj["max_grade"] = 2
+    obj["shapes"] = [entry for entry in obj["shapes"] if entry["grade"] <= 2]
+
+
 def _repeat_first_row(obj):
     basis = _shape(obj, "3:1")["basis"]
     basis[1] = basis[0]
@@ -377,7 +429,8 @@ class TestCatalogValidation:
     """Malformed catalogs exit 2 with a message naming what is wrong.
 
     Shape 3:1 of the (3,2,fermion) catalog has the rows |(2,0),(0,1),(0,0)|
-    and |(1,1),(1,0),(0,0)| with coefficients 1 and 1.
+    and |(1,1),(1,0),(0,0)| with coefficients 1 and 1.  Every case asks
+    for the Coulomb table at grade 3.
     """
 
     @pytest.mark.parametrize(
@@ -422,6 +475,13 @@ class TestCatalogValidation:
                 "catalog shape 3:1: row [1, [0, 1], [0, 0]] is not a list of orbitals",
             ),
             (_set_in_shape("3:1", "coeffs", 5), "catalog shape 3:1: coeffs must be a list, got 5"),
+            (_drop_from_shape("3:1", "grade"), "catalog shapes entry 2 has no 'grade'"),
+            (_drop_from_shape("3:1", "index"), "catalog shapes entry 2 has no 'index'"),
+            (_drop("statistics"), "catalog has no 'statistics'"),
+            (
+                _stop_at_grade_two,
+                "--grade 3 is above the catalog's max_grade 2 and the catalog is incomplete",
+            ),
         ],
         ids=[
             "format-version", "kind", "duplicate-shape", "duplicate-row", "short-coeffs",
@@ -429,10 +489,11 @@ class TestCatalogValidation:
             "wrong-n", "two-sectors", "shape-polynomial", "float-row-entry", "string-n",
             "string-max-grade", "list", "shape-not-object", "shapes-not-list",
             "basis-not-list", "row-not-list", "orbital-not-list", "coeffs-not-list",
+            "no-grade", "no-index", "no-statistics", "grade-above-max-grade",
         ],
     )
     def test_malformed_catalog_exit_two(self, capsys, tmp_path, catalog_path, edit, message):
-        obj = json.loads(open(catalog_path).read())
+        obj = json.loads(Path(catalog_path).read_text())
         obj = edit(obj) or obj
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(obj))

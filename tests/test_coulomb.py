@@ -15,7 +15,6 @@ from shapes.coulomb import (
     _level_weights,
     _scaled_element,
     _two_body_terms,
-    beta_integral,
     beta_integral_exact,
     coulomb_expectation,
     hermite_linearization,
@@ -69,22 +68,23 @@ class TestBetaIntegral:
 
     def test_paper_values(self):
         assert beta_integral_exact(3, 2) == (Fraction(1, 3), 0)
-        assert beta_integral(2, 0) == pytest.approx(math.pi / 2)
-        assert beta_integral(2, 2) == pytest.approx(math.pi / 4)
+        assert beta_integral_exact(2, 0) == (Fraction(1, 2), 1)  # pi / 2
+        assert beta_integral_exact(2, 2) == (Fraction(1, 4), 1)  # pi / 4
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("l", [0, 2, 4, 6])
     def test_against_numerical_quadrature(self, d, l):
         value, _ = quad(lambda w: (1 - w * w) ** ((d - 3) / 2) * w**l, 0, 1)
-        assert beta_integral(d, l) == pytest.approx(value, rel=1e-9)
+        rat, pi_pow = beta_integral_exact(d, l)
+        assert float(rat) * math.pi**pi_pow == pytest.approx(value, rel=1e-9)
 
     def test_low_dimension_rejected(self):
         with pytest.raises(ValueError):
-            beta_integral(1, 0)
+            beta_integral_exact(1, 0)
 
     def test_odd_l_rejected(self):
         with pytest.raises(ValueError):
-            beta_integral(3, 1)
+            beta_integral_exact(3, 1)
 
 
 def even_parity_tuples(d, max_entry, stride=1):
@@ -245,9 +245,7 @@ class TestManyBody:
         # Psi = |(1,0),(0,0)|: expectation assembled directly from the
         # two-body elements and the explicit norms 2^n n! sqrt(pi).
         basis = LevelBasis(2, 2, 1, FERMION)
-        idx = basis.state_index(
-            SlaterState.from_orbitals([(1, 0), (0, 0)], FERMION)
-        )
+        idx = basis.index[SlaterState.from_orbitals([(1, 0), (0, 0)], FERMION).orbitals]
         vee = coulomb_expectation({idx: 1}, {idx: 1}, basis)
         a, b = (1, 0), (0, 0)
         norm_a = float(hermite_norm_rational(a)) * math.pi
@@ -262,13 +260,13 @@ class TestManyBody:
         a, b = (1, 0), (0, 0)
         norm_a = float(hermite_norm_rational(a)) * math.pi
         norm_b = float(hermite_norm_rational(b)) * math.pi
-        idx = basis.state_index(SlaterState.from_orbitals([a, b], BOSON))
+        idx = basis.index[SlaterState.from_orbitals([a, b], BOSON).orbitals]
         direct = two_body_element(a, b, a, b) + two_body_element(a, b, b, a)
         assert coulomb_expectation({idx: 1}, {idx: 1}, basis) == pytest.approx(
             direct / (norm_a * norm_b), rel=1e-12
         )
         basis = LevelBasis(2, 2, 2, BOSON)
-        idx = basis.state_index(SlaterState.from_orbitals([a, a], BOSON))
+        idx = basis.index[SlaterState.from_orbitals([a, a], BOSON).orbitals]
         assert coulomb_expectation({idx: 1}, {idx: 1}, basis) == pytest.approx(
             two_body_element(a, a, a, a) / norm_a**2, rel=1e-12
         )
@@ -323,7 +321,7 @@ class TestManyBody:
 
     def test_one_particle_has_no_interaction(self):
         basis = LevelBasis(1, 2, 2, FERMION)
-        assert coulomb_expectation({0: 1}, [0, 3, 1], basis) == 0.0
+        assert coulomb_expectation({0: 1}, {1: 3, 2: 1}, basis) == 0.0
         with pytest.raises(ValueError):
             coulomb_expectation({0: 0}, {0: 1}, basis)
 
@@ -392,13 +390,14 @@ coefficients = st.one_of(
 
 @st.composite
 def state_vectors(draw, size):
-    """A sparse {index: coeff} dict or a dense list, never all zero."""
+    """A sparse {index: coeff} dict, never all zero: a few entries, or one
+    entry per state with zeros among them."""
     if draw(st.booleans()):
         support = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4))
         return {i: draw(coefficients) for i in support}
     dense = draw(st.lists(st.one_of(st.just(0), coefficients), min_size=size, max_size=size))
     assume(any(dense))
-    return dense
+    return dict(enumerate(dense))
 
 
 @st.composite

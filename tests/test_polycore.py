@@ -10,15 +10,15 @@ from shapes.errors import InternalConsistencyError
 from shapes.polycore import (
     ExactPolynomial,
     SlaterState,
-    canonical_order,
     divide_exact,
-    elementary_symmetric,
     enumerate_basis,
     enumerate_euler_monomials,
     euler_power,
-    expand_state,
+    orbital_key,
     vandermonde,
 )
+
+from poly_helpers import swap_particles
 
 
 def poly_from_terms(n, d, entries):
@@ -28,17 +28,15 @@ def poly_from_terms(n, d, entries):
 
 class TestCanonicalOrder:
     def test_lex_tie_break_at_equal_degree(self):
-        assert canonical_order((1, 0), (0, 1)) == 1
+        assert orbital_key((1, 0)) > orbital_key((0, 1))
 
     def test_degree_dominates(self):
-        assert canonical_order((0, 2), (1, 0)) == 1
+        assert orbital_key((0, 2)) > orbital_key((1, 0))
+        assert orbital_key((0, 0, 2)) > orbital_key((1, 0, 0))
 
     def test_equal(self):
-        assert canonical_order((0, 0), (0, 0)) == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            canonical_order((1,), (1, 0))
+        assert orbital_key((0, 0)) == orbital_key((0, 0))
+        assert sorted([(0, 1), (0, 0), (1, 0)], key=orbital_key) == [(0, 0), (0, 1), (1, 0)]
 
 
 class TestExpandState:
@@ -57,19 +55,19 @@ class TestExpandState:
                 ((0, 0, 0, 1, 1, 0), -1),  # u2 t3
             ],
         )
-        assert expand_state(g0) == expected
+        assert g0.expand() == expected
 
     def test_two_particle_1d(self):
         fermion = SlaterState.from_orbitals([(1,), (0,)], FERMION)
         boson = SlaterState.from_orbitals([(1,), (0,)], BOSON)
         t1 = ExactPolynomial.variable(2, 1, 0, 0)
         t2 = ExactPolynomial.variable(2, 1, 1, 0)
-        assert expand_state(fermion) == t1 - t2
-        assert expand_state(boson) == t1 + t2
+        assert fermion.expand() == t1 - t2
+        assert boson.expand() == t1 + t2
 
     def test_boson_repeated_orbital_multiplicity(self):
         state = SlaterState.from_orbitals([(1,), (1,)], BOSON)
-        expanded = expand_state(state)
+        expanded = state.expand()
         assert expanded == 2 * ExactPolynomial(2, 1, {(1, 1): 1})
         assert state.leading_coefficient() == 2
 
@@ -81,9 +79,9 @@ class TestExpandState:
             while len(orbs) < 3:
                 orbs.add((rng.randrange(3), rng.randrange(3)))
             state = SlaterState.from_orbitals(sorted(orbs), stat)
-            poly = expand_state(state)
+            poly = state.expand()
             for i, j in [(0, 1), (0, 2), (1, 2)]:
-                swapped = poly.swap_particles(i, j)
+                swapped = swap_particles(poly, i, j)
                 if stat is FERMION:
                     assert swapped == -1 * poly
                 else:
@@ -93,7 +91,7 @@ class TestExpandState:
         states = enumerate_basis(3, 2, 4, FERMION)
         seen = {}
         for idx, state in enumerate(states):
-            for mono in expand_state(state).terms:
+            for mono in state.expand().terms:
                 assert mono not in seen, "supports overlap"
                 seen[mono] = idx
 
@@ -104,7 +102,7 @@ class TestExpandState:
 
 class TestSymmetricFunctions:
     def test_e1(self):
-        e1 = elementary_symmetric(1, 0, 3, 2)
+        e1 = euler_power(1, 1, 0, 3, 2)
         expected = sum(
             (ExactPolynomial.variable(3, 2, i, 0) for i in range(3)),
             ExactPolynomial.zero(3, 2),
@@ -112,17 +110,18 @@ class TestSymmetricFunctions:
         assert e1 == expected
 
     def test_e3_top(self):
-        e3 = elementary_symmetric(3, 0, 3, 1)
+        e3 = euler_power(3, 1, 0, 3, 1)
         assert e3 == ExactPolynomial(3, 1, {(1, 1, 1): 1})
 
     def test_e2_other_axis(self):
-        e2 = elementary_symmetric(2, 1, 3, 2)
+        e2 = euler_power(2, 1, 1, 3, 2)
         assert e2 == ExactPolynomial(
             3, 2, {(0, 1, 0, 1, 0, 0): 1, (0, 1, 0, 0, 0, 1): 1, (0, 0, 0, 1, 0, 1): 1}
         )
 
-    def test_k_beyond_n_is_zero(self):
-        assert elementary_symmetric(4, 0, 3, 1).is_zero
+    def test_m_beyond_n_is_refused(self):
+        with pytest.raises(ValueError, match="need 1 <= m <= n, got m=4"):
+            euler_power(4, 1, 0, 3, 1)
 
     def test_euler_power_squares_monomialwise(self):
         squared = euler_power(1, 2, 0, 3, 1)
@@ -131,7 +130,8 @@ class TestSymmetricFunctions:
         )
 
     def test_euler_power_k1_is_elementary(self):
-        assert euler_power(2, 1, 0, 3, 2) == elementary_symmetric(2, 0, 3, 2)
+        t = [ExactPolynomial.variable(3, 2, i, 0) for i in range(3)]
+        assert euler_power(2, 1, 0, 3, 2) == t[0] * t[1] + t[0] * t[2] + t[1] * t[2]
 
     def test_euler_power_single_subset(self):
         assert euler_power(2, 2, 0, 2, 1) == ExactPolynomial(2, 1, {(2, 2): 1})
@@ -168,7 +168,7 @@ class TestEulerMonomials:
     def test_degree_zero_is_the_constant(self):
         monos = enumerate_euler_monomials(3, 2, 0)
         assert len(monos) == 1
-        assert monos[0].is_empty
+        assert monos[0].degree == 0
         assert monos[0].materialize() == ExactPolynomial.constant(3, 2)
 
     def test_materialized_grade(self):
@@ -222,8 +222,8 @@ class TestArithmetic:
         rng = random.Random(11)
         for _ in range(5):
             states = enumerate_basis(3, 2, rng.randrange(2, 5), FERMION)
-            a = expand_state(states[rng.randrange(len(states))])
-            e = elementary_symmetric(rng.randrange(1, 3), rng.randrange(2), 3, 2)
+            a = states[rng.randrange(len(states))].expand()
+            e = euler_power(rng.randrange(1, 3), 1, rng.randrange(2), 3, 2)
             assert (a * e).grade() == a.grade() + e.grade()
 
     def test_incompatible_shapes_raise(self):
@@ -232,10 +232,10 @@ class TestArithmetic:
 
     def test_first_level_trivial_product_identity(self):
         # e_1(t) g_0 = -g_12 + g_14
-        g0 = expand_state(SlaterState.from_orbitals([(1, 0), (0, 1), (0, 0)], FERMION))
-        g12 = expand_state(SlaterState.from_orbitals([(1, 1), (1, 0), (0, 0)], FERMION))
-        g14 = expand_state(SlaterState.from_orbitals([(2, 0), (0, 1), (0, 0)], FERMION))
-        product = elementary_symmetric(1, 0, 3, 2) * g0
+        g0 = SlaterState.from_orbitals([(1, 0), (0, 1), (0, 0)], FERMION).expand()
+        g12 = SlaterState.from_orbitals([(1, 1), (1, 0), (0, 0)], FERMION).expand()
+        g14 = SlaterState.from_orbitals([(2, 0), (0, 1), (0, 0)], FERMION).expand()
+        product = euler_power(1, 1, 0, 3, 2) * g0
         assert product == g14 - g12
         assert len(product.terms) == 12
 
@@ -257,13 +257,13 @@ class TestVandermonde:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_equals_ground_state_determinant(self, n):
         ground = SlaterState.from_orbitals([(k,) for k in range(n)], FERMION)
-        assert vandermonde(n) == expand_state(ground)
+        assert vandermonde(n) == ground.expand()
 
 
 class TestDivideExact:
     def test_round_trip(self):
         a = vandermonde(3)
-        b = elementary_symmetric(2, 0, 3, 1)
+        b = euler_power(2, 1, 0, 3, 1)
         assert divide_exact(a * b, b) == a
 
     def test_not_divisible_raises(self):
@@ -275,9 +275,8 @@ class TestDivideExact:
 
 class TestSerialization:
     def test_json_round_trip(self):
-        poly = expand_state(
-            SlaterState.from_orbitals([(2, 0), (0, 1), (0, 0)], FERMION)
-        ) * Fraction(3, 7)
+        state = SlaterState.from_orbitals([(2, 0), (0, 1), (0, 0)], FERMION)
+        poly = state.expand() * Fraction(3, 7)
         again = ExactPolynomial.from_json_obj(poly.to_json_obj())
         assert again == poly
 

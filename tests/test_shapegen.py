@@ -18,15 +18,16 @@ from shapes.counting import (
 from shapes.deflation import LevelBasis, deflate_sparse
 from shapes import shapegen
 from shapes.errors import InternalConsistencyError, StateCapExceeded
-from shapes.polycore import SlaterState, enumerate_euler_monomials, expand_state
+from shapes.polycore import SlaterState, enumerate_euler_monomials
 from shapes.shapegen import (
     ShapeCatalog,
     _Echelon,
     generate_shapes,
-    orthogonal_complement,
     trivial_products,
     verify_span,
 )
+
+from poly_helpers import swap_particles
 
 
 def rref(vectors, dim):
@@ -48,10 +49,6 @@ def rref(vectors, dim):
         if pivot_row == len(rows):
             break
     return [tuple(r) for r in rows[:pivot_row]]
-
-
-def unit(i, dim):
-    return [Fraction(int(j == i)) for j in range(dim)]
 
 
 def with_duplicate(sector_blocks):
@@ -83,29 +80,37 @@ def catalog_23():
 
 
 class TestOrthogonalComplement:
+    """The complement of a span is the nullspace of its _Echelon."""
+
     def test_plane_in_two_dims(self):
-        comp = orthogonal_complement([[-1, 1]], 2)
-        assert comp == [[Fraction(1), Fraction(1)]]
+        ech = _Echelon(2)
+        ech.insert({0: -1, 1: 1})
+        assert ech.nullspace() == [{0: 1, 1: 1}]
 
     def test_empty_span_gives_standard_basis(self):
-        comp = orthogonal_complement([], 3)
-        assert comp == [unit(0, 3), unit(1, 3), unit(2, 3)]
+        assert _Echelon(3).nullspace() == [{0: 1}, {1: 1}, {2: 1}]
 
     def test_dimension_law(self):
-        vectors = [[1, 2, 0, 1], [0, 1, 1, 0], [1, 3, 1, 1]]  # rank 2
-        comp = orthogonal_complement(vectors, 4)
+        vectors = [{0: 1, 1: 2, 3: 1}, {1: 1, 2: 1}, {0: 1, 1: 3, 2: 1, 3: 1}]  # rank 2
+        ech = _Echelon(4)
+        assert [ech.insert(v) for v in vectors] == [0, 1, None]
+        comp = ech.nullspace()
         assert len(comp) == 2
         for w in comp:
             for v in vectors:
-                assert sum(a * b for a, b in zip(v, w)) == 0
+                assert sum(c * w.get(i, 0) for i, c in v.items()) == 0
 
     def test_canonical_normalization(self):
-        comp = orthogonal_complement([[2, -4]], 2)
-        assert comp == [[Fraction(2), Fraction(1)]]
+        ech = _Echelon(2)
+        ech.insert({0: 2, 1: -4})
+        assert ech.nullspace() == [{0: 2, 1: 1}]
 
     def test_sparse_dict_input(self):
-        comp = orthogonal_complement([{0: Fraction(-1), 1: Fraction(1)}], 2)
-        assert comp == [[Fraction(1), Fraction(1)]]
+        # Rational entries are scaled to integers as the row is stored.
+        ech = _Echelon(2)
+        ech.insert({0: Fraction(-1, 2), 1: Fraction(1, 2)})
+        assert ech.rows == {0: {0: 1, 1: -1}}
+        assert ech.nullspace() == [{0: 1, 1: 1}]
 
 
 def canonical(vec):
@@ -182,9 +187,6 @@ class TestEchelonProperties:
         assert sorted(ech.rows) == pivots
         assert ech.rows == stripped_echelon(rows)
         assert ech.nullspace() == null
-        assert orthogonal_complement(rows, dim) == [
-            [Fraction(w.get(i, 0)) for i in range(dim)] for w in null
-        ]
 
     @settings(max_examples=100, deadline=None)
     @given(sparse_matrices(), st.integers(-3, 3).filter(bool))
@@ -338,13 +340,16 @@ class TestWorkedExample32:
 
     def test_first_level_complement_matches_paper(self, catalog_32):
         basis = catalog_32.level_basis(3)
+        def at(orbitals):
+            return basis.index[SlaterState.from_orbitals(orbitals, FERMION).orbitals]
+
         idx = {
-            "g11": basis.state_index(SlaterState.from_orbitals([(2, 0), (1, 0), (0, 0)], FERMION)),
-            "g12": basis.state_index(SlaterState.from_orbitals([(1, 1), (1, 0), (0, 0)], FERMION)),
-            "g13": basis.state_index(SlaterState.from_orbitals([(0, 2), (1, 0), (0, 0)], FERMION)),
-            "g14": basis.state_index(SlaterState.from_orbitals([(2, 0), (0, 1), (0, 0)], FERMION)),
-            "g15": basis.state_index(SlaterState.from_orbitals([(1, 1), (0, 1), (0, 0)], FERMION)),
-            "g16": basis.state_index(SlaterState.from_orbitals([(0, 2), (0, 1), (0, 0)], FERMION)),
+            "g11": at([(2, 0), (1, 0), (0, 0)]),
+            "g12": at([(1, 1), (1, 0), (0, 0)]),
+            "g13": at([(0, 2), (1, 0), (0, 0)]),
+            "g14": at([(2, 0), (0, 1), (0, 0)]),
+            "g15": at([(1, 1), (0, 1), (0, 0)]),
+            "g16": at([(0, 2), (0, 1), (0, 0)]),
         }
         expected = [
             {idx["g11"]: 1},
@@ -364,7 +369,7 @@ class TestWorkedExample32:
             ([(1, 1), (1, 0), (0, 1)], -1),  # -|t1 u1, t2, u3|
         ]
         expected = {
-            basis.state_index(SlaterState.from_orbitals(orbs, FERMION)): c
+            basis.index[SlaterState.from_orbitals(orbs, FERMION).orbitals]: c
             for orbs, c in paper_states
         }
         (shape,) = catalog_32.shapes_at(4)
@@ -372,7 +377,7 @@ class TestWorkedExample32:
 
     def test_shape_uses_4_of_14_states(self, catalog_32):
         (shape,) = catalog_32.shapes_at(4)
-        assert shape.support_size() == 4
+        assert len(shape.coeffs) == 4
         assert len(catalog_32.level_basis(4)) == 14
 
     @pytest.mark.parametrize("grade", [2, 3, 4, 5, 6])
@@ -446,9 +451,9 @@ class TestWorkedExample23:
     def test_top_shape_is_product_of_the_three(self, catalog_23):
         basis = catalog_23.level_basis(3)
         product = (
-            expand_state(SlaterState.from_orbitals([(1, 0, 0), (0, 0, 0)], FERMION))
-            * expand_state(SlaterState.from_orbitals([(0, 1, 0), (0, 0, 0)], FERMION))
-            * expand_state(SlaterState.from_orbitals([(0, 0, 1), (0, 0, 0)], FERMION))
+            SlaterState.from_orbitals([(1, 0, 0), (0, 0, 0)], FERMION).expand()
+            * SlaterState.from_orbitals([(0, 1, 0), (0, 0, 0)], FERMION).expand()
+            * SlaterState.from_orbitals([(0, 0, 1), (0, 0, 0)], FERMION).expand()
         )
         expected = deflate_sparse(product, basis)
         (top,) = catalog_23.shapes_at(3)
@@ -494,7 +499,7 @@ class TestCountLaw:
         for rec in catalog.shapes:
             poly = rec.materialize(catalog.level_basis(rec.grade))
             for i, j in [(0, 1), (0, 2), (1, 2)]:
-                swapped = poly.swap_particles(i, j)
+                swapped = swap_particles(poly, i, j)
                 assert swapped == (poly if stat is BOSON else -1 * poly)
 
     def test_boson_ground_is_single_constant_state(self):
