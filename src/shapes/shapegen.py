@@ -23,11 +23,24 @@ laws are hard assertions at every grade: the products are linearly
 independent (the free-module statement), the complement dimension matches
 the shape polynomial coefficient, and each sector's complement dimension
 matches sector_shape_counts.
+
+Permuting the d axes maps the Hilbert space to itself, sector s to its
+image, shapes to shapes and products to products (generate_shapes gives
+the argument; the secondary invariants are equivariant under a group that
+normalizes the one they belong to, as in Sturmfels, Algorithms in
+Invariant Theory, ch. 2, and Derksen & Kemper, Computational Invariant
+Theory, ch. 3).  So generation forms and settles only one sector per
+orbit, the one whose per-axis degrees do not increase, and carries its
+rank and its shapes to the other sectors of the orbit; the catalog is
+byte for byte the one settling every sector would give.  verify_span
+still forms and settles every sector, and so checks generation
+independently.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -107,6 +120,16 @@ def _canonical_sign(vec):
     return vec
 
 
+def _subtract(vec, f, row):
+    """vec -= f * row on sparse vectors, in place, dropping zeros."""
+    for c, v in row.items():
+        nv = vec.get(c, 0) - f * v
+        if nv:
+            vec[c] = nv
+        else:
+            del vec[c]
+
+
 class _Echelon:
     """Incremental exact row echelon over the integers.
 
@@ -149,12 +172,7 @@ class _Echelon:
                 scale, f = b // g, a // g
                 for c in vec:
                     vec[c] *= scale
-            for c, rv in row.items():
-                nv = vec.get(c, 0) - f * rv
-                if nv:
-                    vec[c] = nv
-                else:
-                    del vec[c]
+            _subtract(vec, f, row)
         return None
 
     def nullspace(self):
@@ -356,8 +374,9 @@ class ShapeCatalog:
         statistics, or shapes that is not a list of objects; naming the
         shape, on a missing grade or index (by its position), a repeated id,
         a non-integer grade or index or a shape that _read_coeffs rejects;
-        and on a shape_polynomial other than shape_polynomial(n, d,
-        statistics).
+        on a shape_polynomial other than shape_polynomial(n, d,
+        statistics); and, naming the grade, on a grade up to max_grade whose
+        number of shapes is not the shape polynomial's coefficient.
         """
         if not isinstance(obj, dict):
             raise ValueError(f"a catalog is a JSON object, got {type(obj).__name__}")
@@ -389,6 +408,13 @@ class ShapeCatalog:
             catalog.shapes.append(ShapeRecord(grade, index, stat, coeffs))
         if obj.get("shape_polynomial") != poly.to_json_obj():
             raise ValueError(f"catalog shape_polynomial is not that of n={n}, d={d}, {stat.value}")
+        found = Counter(s.grade for s in catalog.shapes)
+        for grade in sorted(found.keys() | set(range(min(max_grade, poly.degree()) + 1))):
+            if found[grade] != poly.coefficient(grade):
+                raise ValueError(
+                    f"catalog shape count at grade {grade} is {found[grade]}, "
+                    f"expected {poly.coefficient(grade)}"
+                )
         return catalog
 
     def _read_coeffs(self, grade, entry):
@@ -487,17 +513,15 @@ def _monomials_by_shift(n, d, degree):
     return {shift: tuple(monomials) for shift, monomials in out.items()}
 
 
-def _sector_blocks(catalog, grade):
-    """Yield (sector, products) for each sector of one level, in turn.
+def _sector_plan(catalog, grade):
+    """{sector: [(shape, monomials), ...]}, the products of each sector of one level.
 
     A shape in sector b times a monomial of shift t lies in sector b + t,
     so a sector's products are every shape of grade <= the target, in
     catalog order, times the monomials of the complementary degree and
-    shift, in enumeration order: sparse {position: coeff} vectors in the
-    sector's coordinates.  A predicted sector with no states, or a product
-    with a state outside its predicted sector, is an InternalConsistencyError.
+    shift, in enumeration order.  A predicted sector with no states is an
+    InternalConsistencyError.
     """
-    basis = catalog.level_basis(grade)
     plan = {}
     for rec in catalog.shapes:
         if rec.grade <= grade:
@@ -505,10 +529,24 @@ def _sector_blocks(catalog, grade):
             by_shift = _monomials_by_shift(catalog.n, catalog.d, grade - rec.grade)
             for shift, monomials in by_shift.items():
                 plan.setdefault(tuple(map(add, home, shift)), []).append((rec, monomials))
-    stray = plan.keys() - basis.sectors.keys()
+    stray = plan.keys() - catalog.level_basis(grade).sectors.keys()
     if stray:
         raise InternalConsistencyError(f"grade {grade} has no state in sector {min(stray)}")
+    return plan
+
+
+def _sector_blocks(catalog, grade, plan, formed):
+    """Yield (sector, products) for each sector of one level in formed, in turn.
+
+    The products are the plan's (_sector_plan), formed in its order as
+    sparse {position: coeff} vectors in the sector's coordinates.  A
+    product with a state outside its predicted sector is an
+    InternalConsistencyError.
+    """
+    basis = catalog.level_basis(grade)
     for sector, indices in basis.sectors.items():
+        if sector not in formed:
+            continue
         position = {i: pos for pos, i in enumerate(indices)}
         products = []
         for rec, monomials in plan.get(sector, ()):
@@ -636,15 +674,24 @@ def _settle(products, dim, want_null):
     return ech.rank, ech.nullspace() if want_null else []
 
 
-def _sector_complements(catalog, grade, held):
+def _sector_complements(catalog, grade, formed, held):
     """(product count, {sector: (rank, null vectors)}) of one grade's products.
 
-    Null vectors are in level indices, and only for the sectors in held.
-    Each block is settled before the next one is formed.
+    Only the sectors in formed are formed and settled, each before the
+    next one is formed; the count covers every sector, read from the plan
+    for the others.  Null vectors are in level indices, and only for the
+    sectors in held.
     """
     sectors = catalog.level_basis(grade).sectors
-    count, out = 0, {}
-    for sector, products in _sector_blocks(catalog, grade):
+    plan = _sector_plan(catalog, grade)
+    count = sum(
+        len(monomials)
+        for sector, pairs in plan.items()
+        if sector not in formed
+        for _rec, monomials in pairs
+    )
+    out = {}
+    for sector, products in _sector_blocks(catalog, grade, plan, formed):
         count += len(products)
         indices = sectors[sector]
         rank, null = _settle(products, len(indices), sector in held)
@@ -652,18 +699,96 @@ def _sector_complements(catalog, grade, held):
     return count, out
 
 
+def _representative(sector):
+    """The sector of its axis-permutation orbit whose degrees do not increase."""
+    return tuple(sorted(sector, reverse=True))
+
+
+def _axis_permutation(sector):
+    """perm with sector[a] == _representative(sector)[perm[a]] on every axis a."""
+    order = sorted(range(len(sector)), key=lambda a: -sector[a])
+    return tuple(order.index(a) for a in range(len(sector)))
+
+
+def _permute_axes(basis, vec, perm):
+    """A state vector of one level with its axes permuted.
+
+    Every orbital o of every state becomes (o[perm[0]], ..., o[perm[d-1]])
+    and the rows are re-sorted into canonical order; a determinant takes
+    the sign of the sort.  This is a substitution of the variables, a
+    signed permutation of the level's states that sends a state of sector
+    s to sector (s[perm[0]], ..., s[perm[d-1]]).
+    """
+    fermion = basis.statistics is FERMION
+    out = {}
+    for i, c in vec.items():
+        rows = [tuple(orb[a] for a in perm) for orb in basis.states[i].orbitals]
+        keys = [orbital_key(row) for row in rows]
+        if fermion:
+            for a, ka in enumerate(keys):
+                for kb in keys[a + 1 :]:
+                    if ka < kb:
+                        c = -c
+        rows.sort(key=orbital_key, reverse=True)
+        out[basis.index[tuple(rows)]] = c
+    return out
+
+
+def _canonical_basis(vectors):
+    """The canonical basis of the span of linearly independent exact vectors.
+
+    Gauss-Jordan elimination pivoting on the largest index: each vector
+    ends with a 1 at its pivot and zeros at the others' pivots, which is
+    unique to the span.  Scaled to content 1 with the lowest-index entry
+    positive and ordered by pivot, it is the basis _Echelon.nullspace and
+    _certify give for a complement.
+    """
+    rows = {}
+    for vec in vectors:
+        vec = {i: Fraction(c) for i, c in vec.items()}
+        for p, row in rows.items():
+            if p in vec:
+                _subtract(vec, vec[p], row)
+        q = max(vec)
+        lead = vec[q]
+        vec = {i: v / lead for i, v in vec.items()}
+        for row in rows.values():
+            if q in row:
+                _subtract(row, row[q], vec)
+        rows[q] = vec
+    return [_canonical_sign(_int_rows(rows[q])) for q in sorted(rows)]
+
+
 def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
     """Build the full shape catalog grade by grade.
 
     At every grade the trivial span is lower shapes times Euler monomials
     (none at the ground grade, whose shapes are the basis states), and the
-    new shapes are its complement, settled sector by sector
-    (_sector_complements) and ordered by free column.  The products must
-    be independent, and the complement dimension must equal the shape
-    polynomial coefficient at every grade and the sector law at every
-    (grade, sector); else an InternalConsistencyError is raised with
-    diagnostics.  The result is deterministic: two runs produce identical
-    catalogs.
+    new shapes are its complement, sector by sector, ordered by largest
+    state index.  Only one sector per axis-permutation orbit is formed and
+    settled (_sector_complements): the one whose per-axis degrees do not
+    increase.  Every other sector t takes its representative r's rank, and
+    its shapes are r's null vectors with the axes permuted onto t
+    (_permute_axes), brought to canonical form (_canonical_basis).
+
+    This is exact.  Permuting the axes is a signed permutation of a level's
+    states, so it is orthogonal; it sends sector s to its image and the
+    Euler factor e_m^[k](a) to e_m^[k] of the image axis, so a shape times
+    a monomial to the image shape times the image monomial.  The ground
+    shapes are the states, closed under it; if the shape span of every
+    lower (grade, sector) is carried onto that of its image, then so is the
+    trivial span of r onto that of t, and the complement of r onto the
+    complement of t.  The canonical basis is unique to its span, so the
+    catalog is the one that settling t directly would give; verify_span
+    settles every sector directly and checks this independently.
+
+    The products must be independent, and the complement dimension must
+    equal the shape polynomial coefficient at every grade and the sector
+    law at every (grade, sector); else an InternalConsistencyError is
+    raised with diagnostics.  The product count of a sector that is not
+    formed is read from the plan of products, and its rank is its
+    representative's, so these checks cover every sector.  The result is
+    deterministic: two runs produce identical catalogs.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -683,7 +808,15 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
         expected = poly.coefficient(grade)
         basis = catalog.level_basis(grade)
         sectors = basis.sectors
-        count, blocks = _sector_complements(catalog, grade, held=law.keys() & sectors)
+        formed = {s for s in sectors if s == _representative(s)}
+        held = {_representative(s) for s in law.keys() & sectors}
+        count, blocks = _sector_complements(catalog, grade, formed, held)
+        for sector in sectors.keys() - formed:
+            rank, null = blocks[_representative(sector)]
+            perm = _axis_permutation(sector)
+            blocks[sector] = rank, _canonical_basis(
+                [_permute_axes(basis, vec, perm) for vec in null]
+            )
         rank = sum(r for r, _null in blocks.values())
         if rank < count:
             raise InternalConsistencyError(
@@ -735,9 +868,12 @@ def verify_span(catalog, grade):
     so the grade's own shapes participate).  Reports their rank against the
     level's dimension, summed over sectors: a sector whose rank mod
     MODULUS reaches its dimension is certified full, and any other sector
-    reports its exact rank.
+    reports its exact rank.  Every sector is formed and settled here,
+    none is transported from its axis-permutation representative as in
+    generate_shapes, so this checks the catalog independently of that
+    shortcut.
     """
-    dimension = len(catalog.level_basis(grade))
-    count, blocks = _sector_complements(catalog, grade, held=())
+    basis = catalog.level_basis(grade)
+    count, blocks = _sector_complements(catalog, grade, basis.sectors.keys(), held=())
     rank = sum(r for r, _null in blocks.values())
-    return SpanReport(grade, dimension, count, rank, passed=rank == dimension)
+    return SpanReport(grade, len(basis), count, rank, passed=rank == len(basis))

@@ -416,6 +416,13 @@ def _stop_at_grade_two(obj):
     obj["shapes"] = [entry for entry in obj["shapes"] if entry["grade"] <= 2]
 
 
+def _drop_shape(shape_id):
+    def edit(obj):
+        obj["shapes"].remove(_shape(obj, shape_id))
+
+    return edit
+
+
 def _repeat_first_row(obj):
     basis = _shape(obj, "3:1")["basis"]
     basis[1] = basis[0]
@@ -482,6 +489,7 @@ class TestCatalogValidation:
                 _stop_at_grade_two,
                 "--grade 3 is above the catalog's max_grade 2 and the catalog is incomplete",
             ),
+            (_drop_shape("3:1"), "catalog shape count at grade 3 is 3, expected 4"),
         ],
         ids=[
             "format-version", "kind", "duplicate-shape", "duplicate-row", "short-coeffs",
@@ -490,6 +498,7 @@ class TestCatalogValidation:
             "string-max-grade", "list", "shape-not-object", "shapes-not-list",
             "basis-not-list", "row-not-list", "orbital-not-list", "coeffs-not-list",
             "no-grade", "no-index", "no-statistics", "grade-above-max-grade",
+            "missing-shape",
         ],
     )
     def test_malformed_catalog_exit_two(self, capsys, tmp_path, catalog_path, edit, message):

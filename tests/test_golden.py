@@ -3,9 +3,11 @@
 The digests are SHA-256 of the files written by `shapes generate` for
 complete catalogs.  Any change to the construction, the canonical vector
 normalization or the serialization that alters a single byte fails here.
-Each golden catalog must also pass the loader's validation.  Small systems
-are also generated with every sector forced onto the exact echelon, and
-with a tiny prime under which many certificates fail and fall back to it.
+Each golden catalog must also pass the loader's validation.  Small systems,
+in two and three dimensions so that shapes are also carried between
+sectors by axis permutations, are also generated with every sector forced
+onto the exact echelon, and with a tiny prime under which many
+certificates fail and fall back to it.
 Coulomb tables written by `shapes coulomb` from golden catalogs are pinned
 the same way, so a change to the exact kernel or its one rounding that
 alters a printed digit fails here.
@@ -31,6 +33,7 @@ GOLDEN_SHA256 = {
     (3, 3, "boson"): "0e924d3c73060a45b3ecf523c1ead665a41cd48e104bb81341b882822052cf29",
     (4, 2, "boson"): "d207846dd172bb533cca9fdf4c2e4ff11aa25f14829fff5bf8ed090fe0b6e459",
     (5, 2, "fermion"): "a3fe5ee508fd77f5e7b5a28f48cd4b4c0f0446318c5f716954fff5af9283ac06",
+    (3, 4, "fermion"): "938a822a1536f3298fe602a3eafbc4c4391ed4ca5044d67bfdce8171bc6be3a2",
 }
 
 GOLDEN_COULOMB_SHA256 = {
@@ -61,7 +64,8 @@ def test_generate_is_byte_identical(tmp_path, capsys, system):
     "setting, value", [("DENSE_SECTOR_CAP", 0), ("MODULUS", 3)], ids=["exact", "tiny-prime"]
 )
 @pytest.mark.parametrize(
-    "system", [(3, 2, "fermion"), (3, 2, "boson"), (4, 2, "fermion")],
+    "system",
+    [(3, 2, "fermion"), (3, 2, "boson"), (4, 2, "fermion"), (2, 3, "fermion"), (2, 3, "boson")],
     ids=lambda s: "%d-%d-%s" % s,
 )
 def test_forced_paths_are_byte_identical(tmp_path, capsys, monkeypatch, system, setting, value):

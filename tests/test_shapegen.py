@@ -3,6 +3,7 @@
 import json
 import re
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
 
 import pytest
@@ -57,8 +58,8 @@ def with_duplicate(sector_blocks):
     The first product of the first sector that has any is yielded twice.
     """
 
-    def blocks(catalog, grade):
-        rest = sector_blocks(catalog, grade)
+    def blocks(catalog, grade, *args):
+        rest = sector_blocks(catalog, grade, *args)
         for sector, products in rest:
             if products:
                 yield sector, products + products[:1]
@@ -305,6 +306,122 @@ class TestSectorLaw:
             ),
         ):
             generate_shapes(3, 2, FERMION)
+
+
+AXIS_SYSTEMS = [
+    (3, 2, FERMION), (3, 2, BOSON), (2, 3, FERMION), (2, 3, BOSON),
+    (3, 3, BOSON), (4, 2, FERMION), (4, 2, BOSON),
+]
+
+
+@cache
+def settled_directly(system):
+    """(catalog, {grade: {sector: (lower products, canonical null vectors)}}).
+
+    The products are every lower shape times every Euler monomial, in the
+    sector's coordinates, and the null vectors, in level indices, are what
+    _settle gives on them: every sector of every grade settled on its own,
+    whether generation formed it or carried shapes into it.
+    """
+    catalog = generate_shapes(*system)
+    out = {}
+    for grade in range(catalog.shape_poly.lowest_degree(), catalog.max_grade + 1):
+        sectors = catalog.level_basis(grade).sectors
+        plan = {
+            sector: [(rec, m) for rec, m in pairs if rec.grade < grade]
+            for sector, pairs in shapegen._sector_plan(catalog, grade).items()
+        }
+        out[grade] = {}
+        for sector, products in shapegen._sector_blocks(catalog, grade, plan, sectors.keys()):
+            indices = sectors[sector]
+            _rank, null = shapegen._settle(products, len(indices), True)
+            out[grade][sector] = products, [{indices[i]: v for i, v in vec.items()} for vec in null]
+    return catalog, out
+
+
+def permute_polynomial(poly, perm):
+    """poly with every particle's exponents (e_0, ..., e_d-1) made (e_perm[0], ...)."""
+    d = poly.d
+    terms = {}
+    for mono, c in poly.terms.items():
+        rows = [mono[i : i + d] for i in range(0, len(mono), d)]
+        terms[tuple(row[a] for row in rows for a in perm)] = c
+    return type(poly)(poly.n, d, terms)
+
+
+class TestAxisPermutations:
+    """Permuting the axes carries shapes to shapes, which generation relies on."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_images_of_shapes_are_the_shapes_of_the_image_sector(self, data):
+        system = data.draw(st.sampled_from(AXIS_SYSTEMS), label="system")
+        perm = tuple(data.draw(st.permutations(range(system[1])), label="perm"))
+        catalog, direct = settled_directly(system)
+        by_sector = {}
+        for rec in catalog.shapes:
+            (sector,) = {catalog.level_basis(rec.grade).states[i].sector for i in rec.coeffs}
+            by_sector.setdefault((rec.grade, sector), []).append(rec.coeffs)
+        for (grade, sector), shapes in by_sector.items():
+            basis = catalog.level_basis(grade)
+            image = tuple(sector[a] for a in perm)
+            images = [shapegen._permute_axes(basis, vec, perm) for vec in shapes]
+            position = {i: pos for pos, i in enumerate(basis.sectors[image])}
+            for vec in images:
+                assert {basis.states[i].sector for i in vec} == {image}
+                for product in direct[grade][image][0]:
+                    assert sum(c * product.get(position[i], 0) for i, c in vec.items()) == 0
+            settled = direct[grade][image][1]
+            assert shapegen._canonical_basis(images) == settled
+            assert by_sector[grade, image] == settled
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_state_map_is_the_substitution_of_axes(self, data):
+        n, d, stat = data.draw(st.sampled_from(AXIS_SYSTEMS), label="system")
+        perm = tuple(data.draw(st.permutations(range(d)), label="perm"))
+        ground = shape_polynomial(n, d, stat).lowest_degree()
+        basis = LevelBasis(n, d, ground + data.draw(st.integers(0, 3), label="grade"), stat)
+        i = data.draw(st.integers(0, len(basis) - 1), label="state")
+        image = shapegen._permute_axes(basis, {i: 1}, perm)
+        expected = deflate_sparse(permute_polynomial(basis.expansion(i), perm), basis)
+        assert image == expected
+
+    def test_generation_settles_one_sector_per_orbit(self, monkeypatch):
+        settled = []
+        real = shapegen._settle
+
+        def spy(products, dim, want_null):
+            settled.append(len(products))
+            return real(products, dim, want_null)
+
+        monkeypatch.setattr(shapegen, "_settle", spy)
+        catalog = generate_shapes(3, 3, FERMION)
+        levels = range(catalog.shape_poly.lowest_degree(), catalog.max_grade + 1)
+        representatives = [
+            sector
+            for grade in levels
+            for sector in catalog.level_basis(grade).sectors
+            if list(sector) == sorted(sector, reverse=True)
+        ]
+        assert len(settled) == len(representatives) == 50
+        assert sum(settled) == 1792
+
+    def test_verify_settles_every_sector(self, monkeypatch):
+        catalog = generate_shapes(3, 3, FERMION)
+        settled = []
+        real = shapegen._settle
+
+        def spy(products, dim, want_null):
+            settled.append(dim)
+            return real(products, dim, want_null)
+
+        monkeypatch.setattr(shapegen, "_settle", spy)
+        report = verify_span(catalog, 6)
+        assert report.passed
+        sectors = catalog.level_basis(6).sectors
+        assert sorted(settled) == sorted(map(len, sectors.values()))
+        assert len(settled) == len(sectors)
 
 
 class TestMonomialsByShift:
