@@ -10,7 +10,14 @@ The canonical order used everywhere compares orbital vectors by total
 degree first, then lexicographically on the entries, and compares monomials
 particle row by particle row.  This order is multiplicative, it fixes every
 determinant's phase repo-wide, and it makes the leading monomial of each
-Slater/permanent state the descending-diagonal assignment.
+Slater/permanent state the descending-diagonal assignment.  canonical_rows
+is the one function that sorts rows into that order and gives the phase
+of the sort.
+
+A SlaterState holds its orbitals in canonical order.  Its constructor
+trusts them, as enumerate_basis builds them that way; orbitals from
+anywhere else (files, users, tests) enter through SlaterState.from_orbitals,
+which checks them and sorts them.
 """
 
 from __future__ import annotations
@@ -305,54 +312,67 @@ def json_list(obj, key):
     return value
 
 
+def canonical_rows(keys, fermion):
+    """Rows in canonical order, and the phase of putting them there.
+
+    keys are the rows' orbital_key tuples, in any order.  Returns them
+    sorted descending, with the phase of that sort: 1 for a permanent;
+    for a determinant, -1 per pair of rows the sort exchanges, or 0 when
+    two rows coincide.  This is the one place the phase convention lives.
+    """
+    rows = sorted(keys, reverse=True)
+    if not fermion:
+        return rows, 1
+    sign = 1
+    for a, ka in enumerate(keys):
+        for kb in keys[a + 1 :]:
+            if ka < kb:
+                sign = -sign
+            elif ka == kb:
+                return rows, 0
+    return rows, sign
+
+
 @dataclass(frozen=True)
 class SlaterState:
-    """Ordered list of n orbital vectors with the canonical sign convention.
+    """n orbital vectors in canonical order, read as a determinant or permanent.
 
-    Orbitals are kept sorted descending in the canonical order; for fermions
-    they must be pairwise distinct (Pauli), for bosons repeats are allowed.
-    The determinant/permanent phase is fixed by this sorted row order.
+    The constructor takes the orbitals as they are: sorted descending in
+    the canonical order, pairwise distinct for fermions (Pauli), repeats
+    allowed for bosons.  The determinant/permanent phase is fixed by this
+    row order.  enumerate_basis builds states that way; from_orbitals is
+    the checked entry for orbitals from anywhere else.
     """
 
     orbitals: tuple
     statistics: Statistics
 
-    def __post_init__(self):
-        if not self.orbitals:
-            raise ValueError("a state needs at least one orbital")
-        d = len(self.orbitals[0])
-        for orb in self.orbitals:
-            if len(orb) != d:
-                raise ValueError("orbitals of mixed dimension")
-            if any(e < 0 for e in orb):
-                raise ValueError("negative exponent in orbital")
-        keys = [orbital_key(o) for o in self.orbitals]
-        if self.statistics is FERMION:
-            if any(a <= b for a, b in zip(keys, keys[1:])):
-                raise ValueError(
-                    "fermion orbitals must be strictly descending in canonical order"
-                )
-        else:
-            if any(a < b for a, b in zip(keys, keys[1:])):
-                raise ValueError(
-                    "boson orbitals must be non-increasing in canonical order"
-                )
-
     @classmethod
     def from_orbitals(cls, orbitals, statistics):
-        """Build a state from orbitals in any order (canonicalizes the sign).
+        """Build a state from orbitals in any order, checking each one.
 
-        Every exponent must be an integer; a float or a bool is refused,
-        not truncated.
+        The orbitals must be non-empty, of one dimension, with non-negative
+        integer exponents (a float or a bool is refused, not truncated), and
+        pairwise distinct for fermions; else ValueError.  They are sorted
+        into canonical order and the phase of the sort is dropped: the
+        state is the one with canonical rows.
         """
         orbs = tuple(tuple(o) for o in orbitals)
+        if not orbs:
+            raise ValueError("a state needs at least one orbital")
+        d = len(orbs[0])
         for orb in orbs:
+            if len(orb) != d:
+                raise ValueError("orbitals of mixed dimension")
             for e in orb:
                 if type(e) is not int:
                     raise ValueError(f"orbital exponent {e!r} is not an integer")
-        if statistics is FERMION and len(set(orbs)) != len(orbs):
+                if e < 0:
+                    raise ValueError("negative exponent in orbital")
+        rows, phase = canonical_rows([orbital_key(o) for o in orbs], statistics is FERMION)
+        if not phase:
             raise ValueError("fermion orbitals must be pairwise distinct")
-        return cls(tuple(sorted(orbs, key=orbital_key, reverse=True)), statistics)
+        return cls(tuple(orb for _deg, orb in rows), statistics)
 
     @property
     def n(self):
@@ -390,37 +410,25 @@ class SlaterState:
     def expand(self):
         """Expand the Slater determinant (fermion) or permanent (boson).
 
-        Sums over all n! assignments of orbitals to particles, with the sign
-        of the permutation relative to the canonical descending row order in
-        the fermion case.  The result is homogeneous of the state's grade
-        with integer coefficients.
+        Sums over all n! arrangements of the orbitals on the particles,
+        each with the phase canonical_rows gives its rows.  The result is
+        homogeneous of the state's grade with integer coefficients.
         """
-        n, d = self.n, self.d
         fermion = self.statistics is FERMION
         terms = {}
-        for perm in permutations(range(n)):
-            flat = [0] * (n * d)
-            for i, p in enumerate(perm):
-                flat[p * d : (p + 1) * d] = self.orbitals[i]
-            key = tuple(flat)
-            sign = _permutation_sign(perm) if fermion else 1
+        for arrangement in permutations([orbital_key(o) for o in self.orbitals]):
+            _rows, sign = canonical_rows(arrangement, fermion)
+            key = tuple(e for _deg, orb in arrangement for e in orb)
             nv = terms.get(key, 0) + sign
             if nv:
                 terms[key] = nv
             else:
                 terms.pop(key, None)
-        return ExactPolynomial._raw(n, d, terms)
+        return ExactPolynomial._raw(self.n, self.d, terms)
 
     def __str__(self):
         inner = ",".join("(" + ",".join(map(str, o)) + ")" for o in self.orbitals)
         return f"|{inner}|"
-
-
-def _permutation_sign(perm):
-    inversions = sum(
-        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
 
 
 def euler_power(m, k, axis, n, d):

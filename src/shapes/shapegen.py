@@ -62,6 +62,7 @@ from .deflation import LevelBasis
 from .errors import InternalConsistencyError
 from .polycore import (
     SlaterState,
+    canonical_rows,
     enumerate_euler_monomials,
     format_fraction,
     json_field,
@@ -95,10 +96,11 @@ def check_state_cap(cap, name="state cap"):
     return cap
 
 
-def _int_rows(vec):
-    """Scale a sparse exact vector to integers with content 1.
+def _canonical_vector(vec):
+    """A sparse exact vector scaled to integers with content 1 and the entry
+    at the lowest index positive.
 
-    Integer input that is already primitive is returned as is.
+    Integer input that is already in that form is returned as is.
     """
     try:
         content = gcd(*vec.values())
@@ -106,18 +108,11 @@ def _int_rows(vec):
         scale = lcm(*(Fraction(c).denominator for c in vec.values()))
         vec = {i: int(c * scale) for i, c in vec.items()}
         content = gcd(*vec.values())
+    if vec and vec[min(vec)] < 0:
+        content = -content
     if content in (0, 1):
         return vec
     return {i: v // content for i, v in vec.items()}
-
-
-def _canonical_sign(vec):
-    """Flip signs so the entry at the lowest index is positive."""
-    if not vec:
-        return vec
-    if vec[min(vec)] < 0:
-        return {i: -v for i, v in vec.items()}
-    return vec
 
 
 def _subtract(vec, f, row):
@@ -162,7 +157,7 @@ class _Echelon:
             p = min(vec)
             row = self.rows.get(p)
             if row is None:
-                vec = _canonical_sign(_int_rows(vec))
+                vec = _canonical_vector(vec)
                 self.rows[p] = vec
                 return p
             a, b = vec[p], row[p]
@@ -199,7 +194,7 @@ class _Echelon:
                             s += v * xc
                 if s:
                     x[p] = -s / row[p]
-            out.append(_canonical_sign(_int_rows(x)))
+            out.append(_canonical_vector(x))
         return out
 
 
@@ -281,10 +276,10 @@ class ShapeCatalog:
 
         The factor is symmetric, so a state times it is a sum over the
         m-subsets of its rows: shift those orbitals by k on the axis and
-        re-sort the rows (the Pieri rule).  A determinant takes the sign of
-        the sort and vanishes when two rows coincide; a permanent, summed
-        over all n! assignments, takes 1 per subset.  Indices are in the
-        level basis of grade + m*k.
+        re-sort the rows with canonical_rows (the Pieri rule).  A
+        determinant takes the phase of the sort, 0 when two rows coincide;
+        a permanent, summed over all n! assignments, takes 1 per subset.
+        Indices are in the level basis of grade + m*k.
         """
         m, k, axis = factor
         rows = [orbital_key(orb) for orb in self.level_basis(grade).states[i].orbitals]
@@ -299,17 +294,9 @@ class ShapeCatalog:
             moved = list(rows)
             for r in subset:
                 moved[r] = shifted[r]
-            sign = 1
-            if fermion:
-                for a in range(n):
-                    for b in range(a + 1, n):
-                        if moved[a] < moved[b]:
-                            sign = -sign
-                        elif moved[a] == moved[b]:
-                            sign = 0
-                if not sign:
-                    continue
-            moved.sort(reverse=True)
+            moved, sign = canonical_rows(moved, fermion)
+            if not sign:
+                continue
             target = index[tuple([orb for _deg, orb in moved])]
             nv = image.get(target, 0) + sign
             if nv:
@@ -421,9 +408,11 @@ class ShapeCatalog:
         """A stored shape's {state index: coeff}, in linear time.
 
         basis and coeffs must be lists.  Every basis row must be a list of
-        orbitals and a distinct state of the level of the given grade, which
-        lies in 0..max_grade, with one coefficient each; all rows must lie
-        in one sector, as generation assumes; and the coefficients must be
+        orbitals in canonical order (a row in another order is the state
+        times the phase of its sort, which the file does not record) and a
+        distinct state of the level of the given grade, which lies in
+        0..max_grade, with one coefficient each; all rows must lie in one
+        sector, as generation assumes; and the coefficients must be
         canonical as ShapeRecord documents: integers, none zero, content 1,
         the entry at the lowest state index positive.
         """
@@ -439,6 +428,8 @@ class ShapeCatalog:
             if not (isinstance(orbitals, list) and all(isinstance(o, list) for o in orbitals)):
                 raise ValueError(f"row {orbitals!r} is not a list of orbitals")
             state = SlaterState.from_orbitals(orbitals, self.statistics)
+            if list(state.orbitals) != [tuple(o) for o in orbitals]:
+                raise ValueError(f"row {orbitals} is not in canonical order")
             i = index.get(state.orbitals)
             if i is None:
                 raise ValueError(
@@ -451,13 +442,13 @@ class ShapeCatalog:
             sectors.add(state.sector)
         if len(sectors) > 1:
             raise ValueError(f"rows lie in {len(sectors)} sectors {sorted(sectors)}, not one")
-        ints = [c.numerator for c in coeffs.values() if c and c.denominator == 1]
-        if len(ints) != len(coeffs) or gcd(*ints) != 1 or coeffs[min(coeffs)] < 0:
+        canonical = _canonical_vector(coeffs)
+        if not coeffs or 0 in coeffs.values() or coeffs != canonical:
             raise ValueError(
                 "coefficients are not canonical (integers, none zero, content 1, "
                 "lowest-index entry positive)"
             )
-        return {i: c.numerator for i, c in coeffs.items()}
+        return canonical
 
 
 def _chain_products(catalog, rec, monomials):
@@ -650,7 +641,7 @@ def _certify(products, dim, want_null):
                 if value is None:
                     return None
                 cand[p] = value
-        cand = _canonical_sign(_int_rows(cand))
+        cand = _canonical_vector(cand)
         for vec in products:
             if sum(c * vec.get(i, 0) for i, c in cand.items()):
                 return None
@@ -714,23 +705,19 @@ def _permute_axes(basis, vec, perm):
     """A state vector of one level with its axes permuted.
 
     Every orbital o of every state becomes (o[perm[0]], ..., o[perm[d-1]])
-    and the rows are re-sorted into canonical order; a determinant takes
-    the sign of the sort.  This is a substitution of the variables, a
+    and the rows are re-sorted by canonical_rows; a determinant takes the
+    phase of the sort.  This is a substitution of the variables, a
     signed permutation of the level's states that sends a state of sector
     s to sector (s[perm[0]], ..., s[perm[d-1]]).
     """
     fermion = basis.statistics is FERMION
     out = {}
     for i, c in vec.items():
-        rows = [tuple(orb[a] for a in perm) for orb in basis.states[i].orbitals]
-        keys = [orbital_key(row) for row in rows]
-        if fermion:
-            for a, ka in enumerate(keys):
-                for kb in keys[a + 1 :]:
-                    if ka < kb:
-                        c = -c
-        rows.sort(key=orbital_key, reverse=True)
-        out[basis.index[tuple(rows)]] = c
+        rows, sign = canonical_rows(
+            [orbital_key(tuple(orb[a] for a in perm)) for orb in basis.states[i].orbitals],
+            fermion,
+        )
+        out[basis.index[tuple(orb for _deg, orb in rows)]] = sign * c
     return out
 
 
@@ -756,7 +743,7 @@ def _canonical_basis(vectors):
             if q in row:
                 _subtract(row, row[q], vec)
         rows[q] = vec
-    return [_canonical_sign(_int_rows(rows[q])) for q in sorted(rows)]
+    return [_canonical_vector(rows[q]) for q in sorted(rows)]
 
 
 def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):

@@ -9,7 +9,7 @@ import pytest
 from shapes.cli import main
 from shapes.polycore import SlaterState, euler_power, vandermonde
 from shapes.shapegen import ShapeCatalog, generate_shapes
-from shapes.counting import FERMION
+from shapes.counting import BOSON, FERMION
 
 
 def run(capsys, *argv):
@@ -432,6 +432,13 @@ def _repeat_shape(obj):
     obj["shapes"].append(dict(_shape(obj, "3:1")))
 
 
+def _boson_catalog_with_unsorted_row(obj):
+    # Shape 3:0 of the (3,2,boson) catalog has the row |(1,0),(1,0),(0,1)|.
+    boson = generate_shapes(3, 2, BOSON).to_json_obj()
+    _shape(boson, "3:0")["basis"][3] = [[1, 0], [0, 1], [1, 0]]
+    return boson
+
+
 class TestCatalogValidation:
     """Malformed catalogs exit 2 with a message naming what is wrong.
 
@@ -490,6 +497,14 @@ class TestCatalogValidation:
                 "--grade 3 is above the catalog's max_grade 2 and the catalog is incomplete",
             ),
             (_drop_shape("3:1"), "catalog shape count at grade 3 is 3, expected 4"),
+            (
+                _set_in_shape("3:1", "basis", [[[2, 0], [0, 1], [0, 0]], [[1, 0], [1, 1], [0, 0]]]),
+                "catalog shape 3:1: row [[1, 0], [1, 1], [0, 0]] is not in canonical order",
+            ),
+            (
+                _boson_catalog_with_unsorted_row,
+                "catalog shape 3:0: row [[1, 0], [0, 1], [1, 0]] is not in canonical order",
+            ),
         ],
         ids=[
             "format-version", "kind", "duplicate-shape", "duplicate-row", "short-coeffs",
@@ -498,7 +513,7 @@ class TestCatalogValidation:
             "string-max-grade", "list", "shape-not-object", "shapes-not-list",
             "basis-not-list", "row-not-list", "orbital-not-list", "coeffs-not-list",
             "no-grade", "no-index", "no-statistics", "grade-above-max-grade",
-            "missing-shape",
+            "missing-shape", "unsorted-fermion-row", "unsorted-boson-row",
         ],
     )
     def test_malformed_catalog_exit_two(self, capsys, tmp_path, catalog_path, edit, message):

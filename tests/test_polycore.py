@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapes.counting import BOSON, FERMION, level_dimension
 from shapes.errors import InternalConsistencyError
 from shapes.polycore import (
     ExactPolynomial,
     SlaterState,
+    canonical_rows,
     divide_exact,
     enumerate_basis,
     enumerate_euler_monomials,
@@ -98,6 +100,95 @@ class TestExpandState:
     def test_pauli_rejection(self):
         with pytest.raises(ValueError):
             SlaterState.from_orbitals([(1, 0), (1, 0), (0, 0)], FERMION)
+
+
+class TestFromOrbitals:
+    @pytest.mark.parametrize(
+        "orbitals, stat, message",
+        [
+            ([], BOSON, "a state needs at least one orbital"),
+            ([(1, 0), (0,)], BOSON, "orbitals of mixed dimension"),
+            ([(1, 0), (0, -1)], FERMION, "negative exponent in orbital"),
+            ([(1.0, 0), (0, 0)], FERMION, "orbital exponent 1.0 is not an integer"),
+            ([(True, 0), (0, 0)], BOSON, "orbital exponent True is not an integer"),
+            ([(0, 1), (1, 0), (0, 1)], FERMION, "fermion orbitals must be pairwise distinct"),
+        ],
+        ids=["empty", "mixed-dimension", "negative", "float", "bool", "repeated-fermion-row"],
+    )
+    def test_rejects_invalid_orbitals(self, orbitals, stat, message):
+        with pytest.raises(ValueError, match=message):
+            SlaterState.from_orbitals(orbitals, stat)
+
+
+def _exchange_phase(keys, fermion):
+    """Phase of bubble-sorting keys descending: -1 per adjacent exchange
+    for a determinant, 0 if two rows coincide; 1 for a permanent."""
+    keys = list(keys)
+    if not fermion:
+        return 1
+    if len(set(keys)) < len(keys):
+        return 0
+    sign = 1
+    for end in range(len(keys) - 1, 0, -1):
+        for a in range(end):
+            if keys[a] < keys[a + 1]:
+                keys[a], keys[a + 1] = keys[a + 1], keys[a]
+                sign = -sign
+    return sign
+
+
+def _cofactor_expansion(rows, fermion):
+    """Determinant (fermion) or permanent (boson) of M[i][p] = x_p^rows[i],
+    by cofactor expansion along the first row."""
+    n, d = len(rows), len(rows[0])
+
+    def minor(i, particles):
+        if i == n:
+            return ExactPolynomial.constant(n, d)
+        total = ExactPolynomial.zero(n, d)
+        for j, p in enumerate(particles):
+            flat = [0] * (n * d)
+            flat[p * d : (p + 1) * d] = rows[i]
+            entry = ExactPolynomial(n, d, {tuple(flat): -1 if fermion and j % 2 else 1})
+            total = total + entry * minor(i + 1, particles[:j] + particles[j + 1 :])
+        return total
+
+    return minor(0, list(range(n)))
+
+
+@st.composite
+def row_orders(draw):
+    """Orbital rows in an arbitrary order, repeats possible."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    orbital = st.tuples(*[st.integers(0, 2)] * d)
+    return draw(st.lists(orbital, min_size=n, max_size=n))
+
+
+class TestCanonicalRows:
+    @settings(max_examples=150, deadline=None)
+    @given(row_orders(), st.sampled_from([FERMION, BOSON]))
+    def test_phase_is_the_exchange_count(self, rows, stat):
+        keys = [orbital_key(o) for o in rows]
+        fermion = stat is FERMION
+        assert canonical_rows(keys, fermion) == (
+            sorted(keys, reverse=True),
+            _exchange_phase(keys, fermion),
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(row_orders(), st.sampled_from([FERMION, BOSON]))
+    def test_expand_is_the_cofactor_expansion(self, rows, stat):
+        fermion = stat is FERMION
+        _sorted, phase = canonical_rows([orbital_key(o) for o in rows], fermion)
+        expansion = _cofactor_expansion(rows, fermion)
+        if not phase:
+            assert expansion.is_zero
+            with pytest.raises(ValueError):
+                SlaterState.from_orbitals(rows, stat)
+            return
+        state = SlaterState.from_orbitals(rows, stat)
+        assert state.expand() == _cofactor_expansion(state.orbitals, fermion)
+        assert expansion == phase * state.expand()
 
 
 class TestSymmetricFunctions:
@@ -198,6 +289,14 @@ class TestEnumerateBasis:
             assert len(enumerate_basis(n, d, grade, stat)) == level_dimension(
                 n, d, grade, stat
             )
+
+    @pytest.mark.parametrize("stat", [FERMION, BOSON])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_states_are_canonical(self, n, d, stat):
+        for grade in range(8):
+            for state in enumerate_basis(n, d, grade, stat):
+                assert SlaterState.from_orbitals(state.orbitals, stat) == state
 
     def test_descending_enumeration_order(self):
         states = enumerate_basis(3, 2, 4, FERMION)
