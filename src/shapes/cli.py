@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .counting import (
@@ -202,12 +203,17 @@ def cmd_schur(args):
 
 
 def cmd_density(args):
+    axes = parse_grid(args.grid)
     catalog = _load_catalog(args.catalog)
+    samples = math.prod(axis.count for axis in axes)
+    if samples > catalog.state_cap:
+        raise ValueError(
+            f"--grid has {samples} samples, above the state cap {catalog.state_cap}"
+        )
     shape = catalog.find(args.shape_id)
     basis = catalog.level_basis(shape.grade)
     poly = shape.materialize(basis)
     realization = Realization(args.length_scale)
-    axes = parse_grid(args.grid)
     if args.two_particle_cut:
         grid = two_particle_density_cut(poly, realization, axes)
     else:

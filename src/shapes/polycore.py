@@ -411,13 +411,14 @@ class SlaterState:
         """Expand the Slater determinant (fermion) or permanent (boson).
 
         Sums over all n! arrangements of the orbitals on the particles,
-        each with the phase canonical_rows gives its rows.  The result is
-        homogeneous of the state's grade with integer coefficients.
+        each with the phase canonical_rows gives its rows (always 1 for a
+        permanent, so its rows are not sorted).  The result is homogeneous
+        of the state's grade with integer coefficients.
         """
         fermion = self.statistics is FERMION
         terms = {}
         for arrangement in permutations([orbital_key(o) for o in self.orbitals]):
-            _rows, sign = canonical_rows(arrangement, fermion)
+            sign = canonical_rows(arrangement, True)[1] if fermion else 1
             key = tuple(e for _deg, orb in arrangement for e in orb)
             nv = terms.get(key, 0) + sign
             if nv:

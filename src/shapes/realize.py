@@ -10,11 +10,16 @@ functions psi_k = phi_k / sqrt(2^k k! sqrt(pi)), by their three-term
 recurrence, bounded by pi^(-1/4).  realize_polynomial scales them back to
 phi_k.  A density traces out the spectator particles by exact Hermite
 orthogonality, <phi_a|phi_b> = delta_ab 2^a a! sqrt(pi), so only monomials
-with equal spectator rows pair up, with exact rational weights; one sampler
-then sums the retained particles' psi_k with their norms folded into those
-weights, so neither the samples nor the weights overflow or underflow at
-high orbital index.  The one-particle density and the diagonal
-two-particle cut differ only in which grid axis drives which coordinate.
+with equal spectator rows pair up.  Each pair's weight is exact in Python
+integers until one correctly rounded division, with the rows' norms folded
+in, so neither the samples nor the weights overflow or underflow at high
+orbital index.  One sampler serves both densities, by one contraction: per
+grid axis, one (pairs x points) factor multiplies the psi_k of the bra and
+ket indices that axis drives, and a single einsum sums the weighted
+products of the factors over the pairs.  The one-particle density and the
+diagonal two-particle cut differ only in which grid axis drives which
+coordinate.  A density grid is written as CSV in one write, each axis point
+formatted once.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -94,13 +99,20 @@ class DensityGrid:
         return float(self.values.sum() * cell)
 
     def write_csv(self, path):
-        grids = np.meshgrid(*[ax.points() for ax in self.axes], indexing="ij")
+        """One row per sample, the first axis slowest, in csv's default dialect.
+
+        The header goes through csv.writer, which quotes a name that needs
+        it; the numbers never do, so each axis point is formatted once and
+        the rows are joined and written at once.
+        """
+        points = [[f"{p:.12e}," for p in ax.points().tolist()] for ax in self.axes]
+        rows = (
+            f"{''.join(coords)}{v:.12e}\r\n"
+            for coords, v in zip(product(*points), self.values.ravel().tolist())
+        )
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([ax.name for ax in self.axes] + ["value"])
-            flat = [g.ravel() for g in grids] + [self.values.ravel()]
-            for row in zip(*flat):
-                writer.writerow([f"{v:.12e}" for v in row])
+            csv.writer(fh).writerow([ax.name for ax in self.axes] + ["value"])
+            fh.write("".join(rows))
 
     def metadata(self):
         return {
@@ -164,32 +176,35 @@ def _reduced_density_weights(poly, retained):
     the weight of the rows' normalized Hermite functions.  Hermite
     orthogonality pairs a bra and a ket monomial only when their spectator
     exponents agree, so the terms are bucketed by those exponents.  The
-    weight's square, which takes the rows' norms 2^a a! (their sqrt(pi)
-    cancel against the overlap's), is exact and is rounded to a float once,
-    before its square root.
+    weight's square w^2 H(bra) H(ket) / norm^2, which takes the rows'
+    norms H = prod 2^a a! (their sqrt(pi) cancel against the overlap's),
+    is a ratio of Python ints; their true division rounds it to a float
+    once, correctly, before its square root.
     """
     d = poly.d
-    norm = 0
     buckets = {}
+    row_norms = {}
     for mono, coeff in poly.terms.items():
-        norm += coeff * coeff * hermite_norm_rational(mono)
-        rows = tuple(mono[p * d : (p + 1) * d] for p in range(retained))
+        head = mono[: retained * d]
+        rows = tuple(head[p * d : (p + 1) * d] for p in range(retained))
+        if rows not in row_norms:
+            row_norms[rows] = hermite_norm_rational(head)
         buckets.setdefault(mono[retained * d :], []).append((rows, coeff))
+    norm = 0
     sums = {}
     for key, bucket in buckets.items():
         spect = hermite_norm_rational(key)
         for rows_a, ca in bucket:
+            norm += ca * ca * row_norms[rows_a] * spect
             for rows_b, cb in bucket:
                 pair = (rows_a, rows_b)
                 sums[pair] = sums.get(pair, 0) + spect * ca * cb
+    den = norm * norm
     weights = {}
-    for pair, w in sums.items():
+    for (rows_a, rows_b), w in sums.items():
         if w:
-            square = Fraction(w * w, norm * norm)
-            for row in pair[0] + pair[1]:
-                square *= hermite_norm_rational(row)
-            mag = math.sqrt(square)
-            weights[pair] = mag if w > 0 else -mag
+            mag = math.sqrt(w * w * row_norms[rows_a] * row_norms[rows_b] / den)
+            weights[rows_a, rows_b] = mag if w > 0 else -mag
     return weights
 
 
@@ -218,7 +233,10 @@ def _sample_density(poly, realization, axes, drivers):
     particles, times the sum over _reduced_density_weights of
     w * prod_p psi(p, bra_p) psi(p, ket_p), where psi(p, row) multiplies
     the normalized Hermite functions of the row's indices along the
-    particle's driving axes.
+    particle's driving axes.  The product splits by grid axis: axis g's
+    factor holds, per pair, the product of psi(bra index) psi(ket index)
+    over the coordinates g drives, and one einsum sums w times the
+    factors' outer product over the pairs.
     """
     if poly.is_zero:
         raise ValueError("zero polynomial has no normalizable density")
@@ -241,28 +259,24 @@ def _sample_density(poly, realization, axes, drivers):
         )
     weights = _reduced_density_weights(poly, retained)
     kmax = max(map(max, poly.terms))
-    tables = []  # one per grid axis, shaped to broadcast along that axis
+    # rows[i, side, p, a]: the index along coordinate a of retained particle
+    # p in the bra (side 0) or ket (side 1) of weight pair i.
+    rows = np.array(list(weights), dtype=np.intp)
+    operands = [np.fromiter(weights.values(), float, len(weights)), [0]]
     for g, axis in enumerate(axes):
-        shape = [1] * len(axes)
-        shape[g] = axis.count
-        tables.append(_hermite_functions(kmax, (axis.points() / scale).reshape(shape)))
-    cache = {}
-
-    def orbital_product(p, row):
-        vals = cache.get((p, row))
-        if vals is None:
-            vals = 1.0
-            for g, k in zip(drivers[p], row):
-                vals = vals * tables[g][k]
-            cache[p, row] = vals
-        return vals
-
-    values = np.zeros([axis.count for axis in axes])
-    for (bra, ket), w in weights.items():
-        term = w
-        for p in range(retained):
-            term = term * orbital_product(p, bra[p]) * orbital_product(p, ket[p])
-        values += term
+        table = np.array(_hermite_functions(kmax, axis.points() / scale))
+        columns = [
+            rows[:, side, p, a]
+            for p, driving in enumerate(drivers)
+            for a, h in enumerate(driving)
+            if h == g
+            for side in (0, 1)
+        ]
+        factor = table[columns[0]]
+        for column in columns[1:]:
+            factor *= table[column]
+        operands += [factor, [0, g + 1]]
+    values = np.einsum(*operands, list(range(1, len(axes) + 1)))
     values *= math.perm(poly.n, retained) / volume
     return values
 

@@ -8,7 +8,7 @@ import pytest
 
 from shapes.cli import main
 from shapes.polycore import SlaterState, euler_power, vandermonde
-from shapes.shapegen import ShapeCatalog, generate_shapes
+from shapes.shapegen import ShapeCatalog, ShapeRecord, generate_shapes
 from shapes.counting import BOSON, FERMION
 
 
@@ -284,6 +284,20 @@ class TestDensityAndCoulomb:
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 21 * 21
 
+    @pytest.mark.parametrize("cut", [[], ["--two-particle-cut"]], ids=["one", "cut"])
+    def test_density_bytes_repeat(self, capsys, tmp_path, catalog_path, cut):
+        written = []
+        for name in ("first.csv", "second.csv"):
+            out = tmp_path / name
+            code, _, _ = run(
+                capsys,
+                "density", "--catalog", catalog_path, "--shape-id", "4:0",
+                "--grid", "x:-5:5:21,y:-4:6:17", *cut, "--out", str(out),
+            )
+            assert code == 0
+            written.append((out.read_bytes(), Path(f"{out}.json").read_bytes()))
+        assert written[0] == written[1]
+
     def test_coulomb_diagonal(self, capsys, tmp_path, catalog_path):
         out = tmp_path / "vee.csv"
         code, _, _ = run(
@@ -370,6 +384,27 @@ class TestDensityArguments:
         assert code == 2
         assert "bad axis x: need finite lo < hi" in err
         assert not out.exists()
+
+    def test_grid_above_the_state_cap_exit_two(
+        self, capsys, tmp_path, catalog_path, monkeypatch
+    ):
+        # 31 x 31 = 961 samples fit under a cap of 1000, 32 x 32 = 1024 do not;
+        # the refusal comes before the state is materialized.
+        monkeypatch.setenv("SHAPES_STATE_CAP", "1000")
+        out = tmp_path / "rho.csv"
+        density = ["density", "--catalog", catalog_path, "--shape-id", "3:0", "--out", str(out)]
+        with monkeypatch.context() as patch:
+            patch.setattr(ShapeRecord, "materialize", _never_called)
+            code, _, err = run(capsys, *density, "--grid", "x:-6:6:32,y:-6:6:32")
+        assert code == 2
+        assert "--grid has 1024 samples, above the state cap 1000" in err
+        assert not out.exists()
+        assert not Path(f"{out}.json").exists()
+        assert run(capsys, *density, "--grid", "x:-6:6:31,y:-6:6:31")[0] == 0
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("called after a refusal")
 
 
 def _shape(obj, shape_id):

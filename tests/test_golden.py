@@ -10,7 +10,9 @@ onto the exact echelon, and with a tiny prime under which many
 certificates fail and fall back to it.
 Coulomb tables written by `shapes coulomb` from golden catalogs are pinned
 the same way, so a change to the exact kernel or its one rounding that
-alters a printed digit fails here.
+alters a printed digit fails here.  Densities are floating-point sums whose
+order may change, so their Riemann integrals and largest samples are
+pinned to 1e-12 relative instead.
 """
 
 import hashlib
@@ -21,6 +23,12 @@ import pytest
 from shapes import shapegen
 from shapes.cli import main
 from shapes.counting import total_shape_count
+from shapes.realize import (
+    Realization,
+    one_particle_density,
+    parse_grid,
+    two_particle_density_cut,
+)
 from shapes.shapegen import ShapeCatalog
 
 GOLDEN_SHA256 = {
@@ -40,6 +48,13 @@ GOLDEN_COULOMB_SHA256 = {
     ((4, 2, "fermion"), "--grade 7"): "ccbf0f70657c84507575de99cba195a6c982e929bae5b6c31b4b509574f63329",
     ((4, 2, "fermion"), "--grade 5 --pairwise"): "4ca8731b2710e0a52a441c2cc24a30b2e4e5f623beec620a9f6229632b2fbe96",
     ((3, 2, "boson"), "--grade 4 --pairwise"): "dfa9d327a1b85d0bbcc14df3e24ac2bcc8721d28905ccfeb940f3ad02f75c97d",
+}
+
+# (4, 2, fermion) shape 8:0 on the grid x:-6:6:61,y:-6:6:61 at length scale
+# 1: (Riemann integral, largest sample) of each density.
+GOLDEN_DENSITY = {
+    "one-particle": (one_particle_density, 3.99999999999946, 0.4057118692731417),
+    "pair-cut": (two_particle_density_cut, 0.4281056968300464, 0.12449628970901339),
 }
 
 
@@ -103,3 +118,14 @@ def test_coulomb_table_is_byte_identical(tmp_path, capsys, catalog_files, system
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_COULOMB_SHA256[(system, options)]
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_DENSITY))
+def test_density_integral_and_peak(catalog_files, kind):
+    density, integral, peak = GOLDEN_DENSITY[kind]
+    catalog = ShapeCatalog.from_json_obj(json.loads(catalog_files((4, 2, "fermion")).read_text()))
+    shape = catalog.find("8:0")
+    poly = shape.materialize(catalog.level_basis(shape.grade))
+    grid = density(poly, Realization(), parse_grid("x:-6:6:61,y:-6:6:61"))
+    assert grid.riemann_integral() == pytest.approx(integral, rel=1e-12, abs=0)
+    assert grid.values.max() == pytest.approx(peak, rel=1e-12, abs=0)

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermval
 
-from shapes.counting import FERMION
+from density_oracle import oracle_csv, oracle_samples, oracle_weights
+from shapes.counting import BOSON, FERMION
 from shapes.errors import InternalConsistencyError
 from shapes.polycore import ExactPolynomial, SlaterState, euler_power
 from shapes.realize import (
     Axis,
+    DensityGrid,
     Realization,
     _finalize_density,
     _hermite_functions,
+    _reduced_density_weights,
+    _sample_density,
     one_particle_density,
     parse_grid,
     realize_polynomial,
@@ -248,3 +252,88 @@ class TestDensityGridIO:
         meta = json.loads(meta_path.read_text())
         assert meta["normalization"] == 3.0
         assert meta["axes"][0]["count"] == 11
+
+
+def _two_state_mixture(rows_a, rows_b, stat, factor=None):
+    """S_a + 2 S_b, times an optional factor: a state with cross pairs."""
+    poly = (
+        SlaterState.from_orbitals(rows_a, stat).expand()
+        + SlaterState.from_orbitals(rows_b, stat).expand() * 2
+    )
+    return poly if factor is None else poly * factor
+
+
+# (rows of S_a, rows of S_b, factor) per dimension; d = 1 reaches index 42.
+# In d = 2 and 3 the two states differ in one orbital, so the one-particle
+# weights pair different rows.
+MIXTURES = {
+    1: ([(41,), (40,), (2,)], [(42,), (40,), (1,)], None),
+    2: ([(2, 0), (0, 1), (0, 0)], [(1, 1), (0, 1), (0, 0)], euler_power(1, 1, 0, 3, 2)),
+    3: (
+        [(1, 0, 0), (0, 1, 0), (0, 0, 0)],
+        [(0, 0, 1), (1, 0, 0), (0, 0, 0)],
+        euler_power(1, 1, 2, 3, 3),
+    ),
+}
+# Axis counts differ, so a factor on the wrong axis cannot pass.
+ORACLE_AXES = {
+    1: [Axis("x", -15, 15, 241)],
+    2: [Axis("x", -6, 6, 31), Axis("y", -5, 7, 27)],
+    3: [Axis("x", -5, 5, 11), Axis("y", -4, 6, 13), Axis("z", -5, 4, 9)],
+}
+# (kind, d): the one-particle density in d = 1, 2, 3 and the cut in 2, 3.
+ORACLE_CASES = [("one", 1), ("one", 2), ("one", 3), ("cut", 2), ("cut", 3)]
+
+
+def _oracle_case(kind, d, stat):
+    rows_a, rows_b, factor = MIXTURES[d]
+    poly = _two_state_mixture(rows_a, rows_b, stat, factor)
+    if kind == "one":
+        return poly, ORACLE_AXES[d], [range(d)]
+    return poly, ORACLE_AXES[2], [(0,) * d, (1,) * d]
+
+
+@pytest.mark.parametrize("stat", [FERMION, BOSON], ids=["fermion", "boson"])
+@pytest.mark.parametrize("kind, d", ORACLE_CASES, ids=lambda v: str(v))
+class TestDensityKernelOracle:
+    """The vectorized kernel against the pair-by-pair Fraction reference."""
+
+    def test_weights_are_byte_identical(self, kind, d, stat):
+        poly, _axes, drivers = _oracle_case(kind, d, stat)
+        weights = _reduced_density_weights(poly, len(drivers))
+        assert weights == oracle_weights(poly, len(drivers))
+        # In one dimension a particle's index is fixed by the grade and
+        # the spectators' indices, so only there are all pairs diagonal.
+        assert any(bra != ket for bra, ket in weights) == ((kind, d) != ("one", 1))
+
+    def test_samples_match_the_pair_sum(self, kind, d, stat):
+        poly, axes, drivers = _oracle_case(kind, d, stat)
+        realization = Realization(length_scale=1.5)
+        values = _sample_density(poly, realization, axes, drivers)
+        reference = oracle_samples(poly, realization, axes, drivers)
+        assert values.shape == tuple(axis.count for axis in axes)
+        scale = np.abs(reference).max()
+        assert scale > 0
+        assert np.max(np.abs(values - reference)) <= 1e-12 * scale
+
+
+CSV_GRIDS = [
+    [Axis("x", -1, 1, 5)],
+    [Axis('a"b', -4, 4, 3), Axis("y", 0, 2.5, 4)],
+    [Axis("x", -1, 1, 2), Axis("y", -1e-3, 2e5, 3), Axis("z", -7, 7, 4)],
+]
+
+
+class TestDensityCsv:
+    @pytest.mark.parametrize("axes", CSV_GRIDS, ids=["1-axis", "2-axis-quoted-name", "3-axis"])
+    def test_bytes_match_the_row_writer(self, tmp_path, axes):
+        rng = np.random.default_rng(len(axes))
+        values = rng.random([axis.count for axis in axes]) * 10.0 ** rng.integers(
+            -300, 300, [axis.count for axis in axes]
+        )
+        values.flat[::3] = 0.0  # exact zeros, as the Pauli nodes give
+        grid = DensityGrid(axes, values, normalization=1.0)
+        grid.write_csv(tmp_path / "fast.csv")
+        oracle_csv(grid, tmp_path / "oracle.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
