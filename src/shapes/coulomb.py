@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .counting import FERMION
 from .errors import InternalConsistencyError
-from .polycore import _as_exact
+from .polycore import _as_exact, multiplicity_factorials
 
 
 def hermite_linearization(n, m):
@@ -224,11 +224,12 @@ class CoulombOperator:
     ``element(a, b)`` is D <S_a| sum_{i<j} 1/|r_i - r_j| |S_b>, an integer,
     for the Slater/permanent states a and b of a LevelBasis, in units of
     sqrt(2) pi^(d - 1/2 + p) sqrt(pi)^((n-2) d); ``denominator`` is the
-    level's D from _level_weights.  ``norm(a)`` is the integer <S_a|S_a> in
-    units of sqrt(pi)^(n d).  Hermite orthogonality leaves only the
-    Slater-Condon terms, with Lowdin's occupation-number factors for
-    permanents: a and b couple through every orbital multiset R of size n-2
-    that both contain (so they differ in at most two orbitals), and
+    level's D from _level_weights.  ``norm(a)`` is the integer <S_a|S_a> =
+    n! mult(a)! N_a (as for R below) in units of sqrt(pi)^(n d).  Hermite
+    orthogonality leaves only the Slater-Condon terms, with Lowdin's
+    occupation-number factors for permanents: a and b couple through every
+    orbital multiset R of size n-2 that both contain (so they differ in at
+    most two orbitals), and
 
         <S_a|V|S_b> = n! sum_R mult(R)! N_R sum eps_a eps_b ([x y|z w] +- [x y|w z]),
 
@@ -254,7 +255,7 @@ class CoulombOperator:
         """{R: [(eps, x, y), ...]} over the unordered orbital pairs of state a."""
         rests = self._rests.get(a)
         if rests is None:
-            orbs = self.basis.states[a].orbitals
+            orbs = self.basis.states[a]
             fermion = self.basis.statistics is FERMION
             rests = {}
             for i in range(len(orbs)):
@@ -302,13 +303,7 @@ class CoulombOperator:
     def norm(self, a):
         value = self._norms.get(a)
         if value is None:
-            state = self.basis.states[a]
-            value = (
-                self._scale
-                * state.leading_coefficient()
-                * hermite_norm_rational(state.leading_monomial())
-            )
-            self._norms[a] = value
+            value = self._norms[a] = self._scale * _multiset_weight(self.basis.states[a])
         return value
 
     def contract(self, bra, ket):
@@ -332,12 +327,7 @@ class CoulombOperator:
 def _multiset_weight(orbitals):
     """Product of multiplicity factorials times the Hermite norm of the
     orbitals (sorted, so equal orbitals are adjacent)."""
-    weight = hermite_norm_rational(e for orb in orbitals for e in orb)
-    run = 1
-    for prev, cur in zip(orbitals, orbitals[1:]):
-        run = run + 1 if prev == cur else 1
-        weight *= run
-    return weight
+    return multiplicity_factorials(orbitals) * hermite_norm_rational(sum(orbitals, ()))
 
 
 def _integer_support(coeffs):

@@ -24,20 +24,23 @@ from .coulomb import CoulombOperator
 from .errors import InternalConsistencyError, StateCapExceeded
 from .polycore import (
     ExactPolynomial,
+    SlaterState,
     _as_exact,
     enumerate_basis,
     monomial_rows,
+    multiplicity_factorials,
+    sector_of,
 )
 
 
 class LevelBasis:
     """All Slater/permanent states of one grade, in enumeration order.
 
-    ``index`` maps a state's orbitals, which are also the rows of its
-    leading monomial, to its position; it is the one lookup from orbitals
-    or monomials to states.  The state count is cross-checked against the
-    q-series level dimension, and the states are asserted distinct.
-    Expansions and the Coulomb operator are built lazily.
+    A state is its canonical orbital tuple (enumerate_basis), also the
+    rows of its leading monomial; ``index`` maps it to its position, the
+    one lookup from orbitals or monomials to states.  The state count is
+    cross-checked against the q-series level dimension, and the states are
+    asserted distinct.  The Coulomb operator is built lazily.
     """
 
     def __init__(self, n, d, grade, statistics=FERMION, max_states=None):
@@ -49,24 +52,19 @@ class LevelBasis:
         if max_states is not None and expected > max_states:
             raise StateCapExceeded(grade, expected, max_states)
         self.states = enumerate_basis(n, d, grade, statistics)
-        self.index = {s.orbitals: i for i, s in enumerate(self.states)}
+        self.index = {s: i for i, s in enumerate(self.states)}
         if not len(self.states) == len(self.index) == expected:
             raise InternalConsistencyError(
                 f"enumerated {len(self.states)} states ({len(self.index)} "
                 f"distinct) at grade {grade} but the dimension series predicts "
                 f"{expected} (n={n}, d={d}, {statistics.value})"
             )
-        self._expansions = [None] * len(self.states)
 
     def __len__(self):
         return len(self.states)
 
     def expansion(self, idx):
-        poly = self._expansions[idx]
-        if poly is None:
-            poly = self.states[idx].expand()
-            self._expansions[idx] = poly
-        return poly
+        return SlaterState(self.states[idx], self.statistics).expand()
 
     @cached_property
     def coulomb_operator(self):
@@ -82,17 +80,18 @@ class LevelBasis:
         """
         out = {}
         for i, state in enumerate(self.states):
-            out.setdefault(state.sector, []).append(i)
+            out.setdefault(sector_of(state), []).append(i)
         return {sector: tuple(indices) for sector, indices in out.items()}
 
     def materialize(self, coeffs):
         """Polynomial sum of coeffs[i] * expansion(state_i).
 
         coeffs is a sparse {state index: coeff} dict.  State supports are
-        disjoint, so every term is written once.
+        disjoint, so every term is written once, by ascending state index
+        (float sums over the terms do not depend on the dict's order).
         """
         terms = {}
-        for idx, c in coeffs.items():
+        for idx, c in sorted(coeffs.items()):
             if c:
                 c = _as_exact(c)
                 for mono, ec in self.expansion(idx).terms.items():
@@ -117,7 +116,7 @@ def deflate_sparse(poly, basis):
     for mono, c in poly.terms.items():
         idx = basis.index.get(monomial_rows(mono, basis.d))
         if idx is not None:
-            result[idx] = _as_exact(Fraction(c) / basis.states[idx].leading_coefficient())
+            result[idx] = _as_exact(Fraction(c) / multiplicity_factorials(basis.states[idx]))
     residual = poly - basis.materialize(result)
     if not residual.is_zero:
         raise InternalConsistencyError(

@@ -14,10 +14,10 @@ Slater/permanent state the descending-diagonal assignment.  canonical_rows
 is the one function that sorts rows into that order and gives the phase
 of the sort.
 
-A SlaterState holds its orbitals in canonical order.  Its constructor
-trusts them, as enumerate_basis builds them that way; orbitals from
-anywhere else (files, users, tests) enter through SlaterState.from_orbitals,
-which checks them and sorts them.
+A basis state is its orbital tuple in canonical order (enumerate_basis).
+A SlaterState wraps one with its statistics at the edges: expansion, and
+orbitals from anywhere else (files, users, tests), which enter through
+SlaterState.from_orbitals, which checks them and sorts them.
 """
 
 from __future__ import annotations
@@ -333,6 +333,21 @@ def canonical_rows(keys, fermion):
     return rows, sign
 
 
+def sector_of(orbitals):
+    """The tuple of per-axis degree totals of a state's orbitals."""
+    return tuple(map(sum, zip(*orbitals)))
+
+
+def multiplicity_factorials(orbitals):
+    """Product of the multiplicities' factorials of canonical orbitals (equal
+    ones are adjacent); 1 for distinct (fermion) orbitals."""
+    coeff = run = 1
+    for prev, cur in zip(orbitals, orbitals[1:]):
+        run = run + 1 if prev == cur else 1
+        coeff *= run
+    return coeff
+
+
 @dataclass(frozen=True)
 class SlaterState:
     """n orbital vectors in canonical order, read as a determinant or permanent.
@@ -340,8 +355,8 @@ class SlaterState:
     The constructor takes the orbitals as they are: sorted descending in
     the canonical order, pairwise distinct for fermions (Pauli), repeats
     allowed for bosons.  The determinant/permanent phase is fixed by this
-    row order.  enumerate_basis builds states that way; from_orbitals is
-    the checked entry for orbitals from anywhere else.
+    row order.  A level's states (enumerate_basis) are such tuples;
+    from_orbitals is the checked entry for orbitals from anywhere else.
     """
 
     orbitals: tuple
@@ -386,26 +401,9 @@ class SlaterState:
     def grade(self):
         return sum(sum(o) for o in self.orbitals)
 
-    @property
-    def sector(self):
-        """The tuple of per-axis degree totals."""
-        return tuple(map(sum, zip(*self.orbitals)))
-
-    def leading_monomial(self):
-        """Largest monomial of the expansion: particle i carries orbital i."""
-        return tuple(e for orb in self.orbitals for e in orb)
-
     def leading_coefficient(self):
-        """Coefficient of the leading monomial: 1 for fermions, the product
-        of multiplicities' factorials for bosons."""
-        if self.statistics is FERMION:
-            return 1
-        coeff = 1
-        run = 1
-        for prev, cur in zip(self.orbitals, self.orbitals[1:]):
-            run = run + 1 if prev == cur else 1
-            coeff *= run
-        return coeff
+        """Coefficient of the leading monomial (particle i carries orbital i)."""
+        return multiplicity_factorials(self.orbitals)
 
     def expand(self):
         """Expand the Slater determinant (fermion) or permanent (boson).
@@ -530,7 +528,7 @@ def enumerate_euler_monomials(n, d, degree):
 
 
 def enumerate_basis(n, d, grade, statistics=FERMION):
-    """All Slater/permanent states of exactly the given grade.
+    """The orbital tuples of all Slater/permanent states of the given grade.
 
     States are listed descending by their orbital tuple in the canonical
     order (equivalently, descending by leading monomial), which is the
@@ -547,7 +545,7 @@ def enumerate_basis(n, d, grade, statistics=FERMION):
     def rec(start, slots, remaining):
         if slots == 0:
             if remaining == 0:
-                out.append(SlaterState(tuple(chosen), statistics))
+                out.append(tuple(chosen))
             return
         for idx in range(start, len(candidates)):
             deg = degrees[idx]

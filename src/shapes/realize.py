@@ -179,7 +179,9 @@ def _reduced_density_weights(poly, retained):
     weight's square w^2 H(bra) H(ket) / norm^2, which takes the rows'
     norms H = prod 2^a a! (their sqrt(pi) cancel against the overlap's),
     is a ratio of Python ints; their true division rounds it to a float
-    once, correctly, before its square root.
+    once, correctly, before its square root.  Weights and samples are
+    symmetric in bra and ket, so a pair is keyed once, bra rows <= ket
+    rows, and an off-diagonal weight is doubled (exactly) for its mirror.
     """
     d = poly.d
     buckets = {}
@@ -194,9 +196,10 @@ def _reduced_density_weights(poly, retained):
     sums = {}
     for key, bucket in buckets.items():
         spect = hermite_norm_rational(key)
-        for rows_a, ca in bucket:
+        bucket.sort()
+        for j, (rows_a, ca) in enumerate(bucket):
             norm += ca * ca * row_norms[rows_a] * spect
-            for rows_b, cb in bucket:
+            for rows_b, cb in bucket[j:]:
                 pair = (rows_a, rows_b)
                 sums[pair] = sums.get(pair, 0) + spect * ca * cb
     den = norm * norm
@@ -204,6 +207,7 @@ def _reduced_density_weights(poly, retained):
     for (rows_a, rows_b), w in sums.items():
         if w:
             mag = math.sqrt(w * w * row_norms[rows_a] * row_norms[rows_b] / den)
+            mag *= 1 if rows_a == rows_b else 2
             weights[rows_a, rows_b] = mag if w > 0 else -mag
     return weights
 

@@ -70,6 +70,7 @@ from .polycore import (
     json_list,
     orbital_key,
     parse_fraction,
+    sector_of,
 )
 
 DEFAULT_STATE_CAP = 100_000
@@ -204,12 +205,11 @@ class ShapeRecord:
 
     Coefficients are sparse over the level basis of the shape's grade, in
     canonical normalized form (integer values, content 1, first nonzero
-    positive).
+    positive).  The statistics are the catalog's.
     """
 
     grade: int
     index: int
-    statistics: Statistics
     coeffs: dict
 
     @property
@@ -282,7 +282,7 @@ class ShapeCatalog:
         Indices are in the level basis of grade + m*k.
         """
         m, k, axis = factor
-        rows = [orbital_key(orb) for orb in self.level_basis(grade).states[i].orbitals]
+        rows = [orbital_key(orb) for orb in self.level_basis(grade).states[i]]
         index = self.level_basis(grade + m * k).index
         fermion = self.statistics is FERMION
         n = len(rows)
@@ -334,10 +334,7 @@ class ShapeCatalog:
                     "id": s.id,
                     "grade": s.grade,
                     "index": s.index,
-                    "basis": [
-                        [list(orb) for orb in basis.states[i].orbitals]
-                        for i in indices
-                    ],
+                    "basis": [[list(orb) for orb in basis.states[i]] for i in indices],
                     "coeffs": [format_fraction(s.coeffs[i]) for i in indices],
                 }
             )
@@ -392,7 +389,7 @@ class ShapeCatalog:
                 coeffs = catalog._read_coeffs(grade, entry)
             except ValueError as exc:
                 raise ValueError(f"catalog shape {shape_id}: {exc}") from None
-            catalog.shapes.append(ShapeRecord(grade, index, stat, coeffs))
+            catalog.shapes.append(ShapeRecord(grade, index, coeffs))
         if obj.get("shape_polynomial") != poly.to_json_obj():
             raise ValueError(f"catalog shape_polynomial is not that of n={n}, d={d}, {stat.value}")
         found = Counter(s.grade for s in catalog.shapes)
@@ -439,7 +436,7 @@ class ShapeCatalog:
             if i in coeffs:
                 raise ValueError(f"row {orbitals} is listed twice")
             coeffs[i] = parse_fraction(text)
-            sectors.add(state.sector)
+            sectors.add(sector_of(state.orbitals))
         if len(sectors) > 1:
             raise ValueError(f"rows lie in {len(sectors)} sectors {sorted(sectors)}, not one")
         canonical = _canonical_vector(coeffs)
@@ -516,7 +513,7 @@ def _sector_plan(catalog, grade):
     plan = {}
     for rec in catalog.shapes:
         if rec.grade <= grade:
-            home = catalog.level_basis(rec.grade).states[min(rec.coeffs)].sector
+            home = sector_of(catalog.level_basis(rec.grade).states[min(rec.coeffs)])
             by_shift = _monomials_by_shift(catalog.n, catalog.d, grade - rec.grade)
             for shift, monomials in by_shift.items():
                 plan.setdefault(tuple(map(add, home, shift)), []).append((rec, monomials))
@@ -548,7 +545,7 @@ def _sector_blocks(catalog, grade, plan, formed):
                     state = basis.states[exc.args[0]]
                     raise InternalConsistencyError(
                         f"a product at grade {grade} leaves its sector {sector}: "
-                        f"state {state.orbitals} lies in sector {state.sector}"
+                        f"state {state} lies in sector {sector_of(state)}"
                     ) from None
         yield sector, products
 
@@ -714,7 +711,7 @@ def _permute_axes(basis, vec, perm):
     out = {}
     for i, c in vec.items():
         rows, sign = canonical_rows(
-            [orbital_key(tuple(orb[a] for a in perm)) for orb in basis.states[i].orbitals],
+            [orbital_key(tuple(orb[a] for a in perm)) for orb in basis.states[i]],
             fermion,
         )
         out[basis.index[tuple(orb for _deg, orb in rows)]] = sign * c
@@ -825,7 +822,7 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
                 )
         new_vectors = sorted((v for _r, null in blocks.values() for v in null), key=max)
         for idx, vec in enumerate(new_vectors):
-            catalog.shapes.append(ShapeRecord(grade, idx, statistics, vec))
+            catalog.shapes.append(ShapeRecord(grade, idx, vec))
     return catalog
 
 

@@ -23,7 +23,11 @@ def hermite_norm(indices):
 
 
 def oracle_weights(poly, retained):
-    """{(bra rows, ket rows): weight} of the retained particles' psi_k."""
+    """{(bra rows, ket rows): weight} of the retained particles' psi_k.
+
+    Each unordered pair once, bra rows <= ket rows, with an off-diagonal
+    weight doubled for its mirror.
+    """
     d = poly.d
     norm = 0
     buckets = {}
@@ -36,15 +40,16 @@ def oracle_weights(poly, retained):
         spect = hermite_norm(key)
         for rows_a, ca in bucket:
             for rows_b, cb in bucket:
-                pair = (rows_a, rows_b)
-                sums[pair] = sums.get(pair, 0) + spect * ca * cb
+                if rows_a <= rows_b:
+                    pair = (rows_a, rows_b)
+                    sums[pair] = sums.get(pair, 0) + spect * ca * cb
     weights = {}
     for pair, w in sums.items():
         if w:
             square = Fraction(w * w, norm * norm)
             for row in pair[0] + pair[1]:
                 square *= hermite_norm(row)
-            mag = math.sqrt(square)
+            mag = math.sqrt(square) * (1 if pair[0] == pair[1] else 2)
             weights[pair] = mag if w > 0 else -mag
     return weights
 

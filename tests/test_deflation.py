@@ -14,6 +14,8 @@ from shapes.polycore import (
     SlaterState,
     enumerate_euler_monomials,
     euler_power,
+    multiplicity_factorials,
+    sector_of,
     vandermonde,
 )
 from shapes.schur import schur_expand
@@ -39,11 +41,21 @@ class TestLevelBasis:
 
     def test_materialize_unit_vector(self, basis_32_3):
         poly = basis_32_3.materialize({2: 1})
-        assert poly == basis_32_3.states[2].expand()
+        assert poly == state(basis_32_3.states[2]).expand()
 
     def test_boson_leading_coefficients(self):
         basis = LevelBasis(3, 1, 0, BOSON)
-        assert basis.states[0].leading_coefficient() == 6  # all three orbitals equal
+        assert multiplicity_factorials(basis.states[0]) == 6  # all three orbitals equal
+
+    @pytest.mark.parametrize(
+        "n, d, grade, stat", [(3, 2, 4, FERMION), (3, 3, 5, BOSON), (4, 1, 9, BOSON)]
+    )
+    def test_states_are_their_canonical_orbital_tuples(self, n, d, grade, stat):
+        basis = LevelBasis(n, d, grade, stat)
+        assert list(basis.index) == basis.states
+        for i, s in enumerate(basis.states):
+            assert type(s) is tuple and basis.index[s] == i
+            assert SlaterState.from_orbitals(s, stat).orbitals == s
 
     @pytest.mark.parametrize("n, d, grade, stat", [(3, 2, 4, FERMION), (3, 3, 5, BOSON)])
     def test_sectors_partition_the_states_by_axis_degrees(self, n, d, grade, stat):
@@ -52,9 +64,9 @@ class TestLevelBasis:
         for sector, indices in basis.sectors.items():
             assert list(indices) == sorted(indices)
             for i in indices:
-                orbitals = basis.states[i].orbitals
+                orbitals = basis.states[i]
                 assert sector == tuple(sum(orb[a] for orb in orbitals) for a in range(d))
-                assert basis.states[i].sector == sector
+                assert sector_of(basis.states[i]) == sector
             seen.extend(indices)
         assert sorted(seen) == list(range(len(basis)))
 
@@ -142,7 +154,7 @@ def one_shape_catalog(n, d, stat, grade, coeffs):
         statistics=stat,
         shape_poly=shape_polynomial(n, d, stat),
         max_grade=grade,
-        shapes=[ShapeRecord(grade=grade, index=0, statistics=stat, coeffs=coeffs)],
+        shapes=[ShapeRecord(grade=grade, index=0, coeffs=coeffs)],
     )
 
 
@@ -157,7 +169,7 @@ def level_vectors(draw):
     grade = shape_polynomial(n, d, stat).lowest_degree() + draw(st.integers(0, 2))
     basis = LevelBasis(n, d, grade, stat)
     support = draw(st.lists(st.integers(0, len(basis) - 1), min_size=1, max_size=4))
-    repeated = [i for i, s in enumerate(basis.states) if len(set(s.orbitals)) < n]
+    repeated = [i for i, s in enumerate(basis.states) if len(set(s)) < n]
     if repeated:
         support.append(draw(st.sampled_from(repeated)))
     return basis, {i: draw(coefficients) for i in support}

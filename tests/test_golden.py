@@ -22,14 +22,14 @@ import pytest
 
 from shapes import shapegen
 from shapes.cli import main
-from shapes.counting import total_shape_count
+from shapes.counting import FERMION, total_shape_count
 from shapes.realize import (
     Realization,
     one_particle_density,
     parse_grid,
     two_particle_density_cut,
 )
-from shapes.shapegen import ShapeCatalog
+from shapes.shapegen import ShapeCatalog, generate_shapes
 
 GOLDEN_SHA256 = {
     (3, 2, "fermion"): "0d5a948c2a04cec3dc082c3efb381adb03ba8f4d331f606b50b49c713180a953",
@@ -129,3 +129,24 @@ def test_density_integral_and_peak(catalog_files, kind):
     grid = density(poly, Realization(), parse_grid("x:-6:6:61,y:-6:6:61"))
     assert grid.riemann_integral() == pytest.approx(integral, rel=1e-12, abs=0)
     assert grid.values.max() == pytest.approx(peak, rel=1e-12, abs=0)
+
+
+def test_density_bytes_do_not_depend_on_the_catalog_route(tmp_path, catalog_files):
+    """Shape 8:0 of (4, 2, fermion) gives the same CSV bytes whether its
+    catalog was generated in this process or loaded from its JSON file."""
+    routes = {
+        "generated": generate_shapes(4, 2, FERMION),
+        "loaded": ShapeCatalog.from_json_obj(
+            json.loads(catalog_files((4, 2, "fermion")).read_text())
+        ),
+    }
+    axes = parse_grid("x:-6:6:61,y:-6:6:61")
+    for kind, (density, _integral, _peak) in sorted(GOLDEN_DENSITY.items()):
+        written = []
+        for route, catalog in routes.items():
+            shape = catalog.find("8:0")
+            poly = shape.materialize(catalog.level_basis(shape.grade))
+            path = tmp_path / f"{kind}-{route}.csv"
+            density(poly, Realization(), axes).write_csv(path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1], kind

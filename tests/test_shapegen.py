@@ -19,7 +19,7 @@ from shapes.counting import (
 from shapes.deflation import LevelBasis, deflate_sparse
 from shapes import shapegen
 from shapes.errors import InternalConsistencyError, StateCapExceeded
-from shapes.polycore import SlaterState, enumerate_euler_monomials
+from shapes.polycore import SlaterState, enumerate_euler_monomials, sector_of
 from shapes.shapegen import (
     ShapeCatalog,
     _Echelon,
@@ -269,7 +269,7 @@ class TestSectorLaw:
         found = {}
         for rec in catalog.shapes:
             states = catalog.level_basis(rec.grade).states
-            (sector,) = {states[i].sector for i in rec.coeffs}
+            (sector,) = {sector_of(states[i]) for i in rec.coeffs}
             found[sector] = found.get(sector, 0) + 1
         assert found == sector_shape_counts(*system)
 
@@ -290,7 +290,7 @@ class TestSectorLaw:
         # state of sector (1, 2) must fail, naming grade, sector and state.
         level = LevelBasis(3, 2, 3, FERMION)
         stray = level.sectors[1, 2][0]
-        orbitals = level.states[stray].orbitals
+        orbitals = level.states[stray]
         real = ShapeCatalog._factor_image
 
         def leaky(self, grade, factor, i):
@@ -360,7 +360,7 @@ class TestAxisPermutations:
         catalog, direct = settled_directly(system)
         by_sector = {}
         for rec in catalog.shapes:
-            (sector,) = {catalog.level_basis(rec.grade).states[i].sector for i in rec.coeffs}
+            (sector,) = {sector_of(catalog.level_basis(rec.grade).states[i]) for i in rec.coeffs}
             by_sector.setdefault((rec.grade, sector), []).append(rec.coeffs)
         for (grade, sector), shapes in by_sector.items():
             basis = catalog.level_basis(grade)
@@ -368,7 +368,7 @@ class TestAxisPermutations:
             images = [shapegen._permute_axes(basis, vec, perm) for vec in shapes]
             position = {i: pos for pos, i in enumerate(basis.sectors[image])}
             for vec in images:
-                assert {basis.states[i].sector for i in vec} == {image}
+                assert {sector_of(basis.states[i]) for i in vec} == {image}
                 for product in direct[grade][image][0]:
                     assert sum(c * product.get(position[i], 0) for i, c in vec.items()) == 0
             settled = direct[grade][image][1]
@@ -452,7 +452,7 @@ class TestWorkedExample32:
         ground = catalog_32.shapes_at(2)
         assert len(ground) == 1
         basis = catalog_32.level_basis(2)
-        assert basis.states[0].orbitals == ((1, 0), (0, 1), (0, 0))
+        assert basis.states[0] == ((1, 0), (0, 1), (0, 0))
         assert ground[0].coeffs == {0: 1}
 
     def test_first_level_complement_matches_paper(self, catalog_32):
@@ -562,7 +562,7 @@ class TestWorkedExample23:
         assert [s.coeffs for s in catalog_23.shapes_at(1)] == [
             {0: 1}, {1: 1}, {2: 1},
         ]
-        top_orbitals = {basis.states[i].orbitals[0] for i in range(3)}
+        top_orbitals = {basis.states[i][0] for i in range(3)}
         assert top_orbitals == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
     def test_top_shape_is_product_of_the_three(self, catalog_23):
@@ -625,7 +625,7 @@ class TestCountLaw:
         assert len(ground) == 1
         basis = catalog.level_basis(0)
         assert len(basis) == 1
-        assert basis.states[0].orbitals == ((0, 0), (0, 0), (0, 0))
+        assert basis.states[0] == ((0, 0), (0, 0), (0, 0))
 
 
 class TestDeterminismAndSerialization:
@@ -649,6 +649,16 @@ class TestDeterminismAndSerialization:
         a = json.dumps(generate_shapes(2, 3, FERMION).to_json_obj(), sort_keys=True)
         b = json.dumps(generate_shapes(2, 3, FERMION).to_json_obj(), sort_keys=True)
         assert a == b
+
+    @pytest.mark.parametrize("system", [(3, 2, FERMION), (2, 3, BOSON)])
+    def test_generation_and_loading_expand_no_state(self, monkeypatch, system):
+        def no_expansion(state):
+            raise AssertionError(f"expanded {state}")
+
+        monkeypatch.setattr(SlaterState, "expand", no_expansion)
+        catalog = generate_shapes(*system)
+        again = ShapeCatalog.from_json_obj(catalog.to_json_obj())
+        assert again.to_json_obj() == catalog.to_json_obj()
 
     def test_find_by_id(self, catalog_32):
         assert catalog_32.find("4:0").grade == 4
