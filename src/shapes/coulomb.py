@@ -252,26 +252,29 @@ class CoulombOperator:
         self._pairs = {}
 
     def _rests_of(self, a):
-        """{R: [(eps, x, y), ...]} over the unordered orbital pairs of state a."""
+        """{R: [(eps, x, y), ...]} over the unordered orbital pairs of state a,
+        in orbital codes, as the level's states are."""
         rests = self._rests.get(a)
         if rests is None:
-            orbs = self.basis.states[a]
+            state = self.basis.states[a]
             fermion = self.basis.statistics is FERMION
             rests = {}
-            for i in range(len(orbs)):
-                for j in range(i + 1, len(orbs)):
-                    rest = orbs[:i] + orbs[i + 1 : j] + orbs[j + 1 :]
+            for i in range(len(state)):
+                for j in range(i + 1, len(state)):
+                    rest = state[:i] + state[i + 1 : j] + state[j + 1 :]
                     sign = -1 if fermion and (i + j) % 2 == 0 else 1
-                    rests.setdefault(rest, []).append((sign, orbs[i], orbs[j]))
+                    rests.setdefault(rest, []).append((sign, state[i], state[j]))
             self._rests[a] = rests
         return rests
 
     def _pair(self, x, y, z, w):
-        """D ([x y|z w] +- [x y|w z]) in units of sqrt(2) pi^(d - 1/2 + p)."""
+        """D ([x y|z w] +- [x y|w z]) in units of sqrt(2) pi^(d - 1/2 + p),
+        for orbitals given by their codes."""
         key = (x, y, z, w)
         value = self._pairs.get(key)
         if value is None:
             d, weights = self.basis.d, self._weights
+            x, y, z, w = self.basis.codes.decode(key)
             direct = _scaled_element(_two_body_terms(x, y, z, w, d), weights)
             exchange = _scaled_element(_two_body_terms(x, y, w, z, d), weights)
             value = self._pairs[key] = direct + self._exchange * exchange
@@ -297,13 +300,13 @@ class CoulombOperator:
                 for sb, z, w in pairs_b:
                     pair_sum += sa * sb * self._pair(x, y, z, w)
             if pair_sum:
-                total += _multiset_weight(rest) * pair_sum
+                total += _multiset_weight(self.basis.codes.decode(rest)) * pair_sum
         return self._scale * total
 
     def norm(self, a):
         value = self._norms.get(a)
         if value is None:
-            value = self._norms[a] = self._scale * _multiset_weight(self.basis.states[a])
+            value = self._norms[a] = self._scale * _multiset_weight(self.basis.orbitals(a))
         return value
 
     def contract(self, bra, ket):

@@ -29,6 +29,7 @@ from .polycore import (
     enumerate_basis,
     monomial_rows,
     multiplicity_factorials,
+    orbital_codes,
     sector_of,
 )
 
@@ -36,11 +37,14 @@ from .polycore import (
 class LevelBasis:
     """All Slater/permanent states of one grade, in enumeration order.
 
-    A state is its canonical orbital tuple (enumerate_basis), also the
-    rows of its leading monomial; ``index`` maps it to its position, the
-    one lookup from orbitals or monomials to states.  The state count is
-    cross-checked against the q-series level dimension, and the states are
-    asserted distinct.  The Coulomb operator is built lazily.
+    A state is the descending tuple of its orbitals' codes
+    (enumerate_basis), and ``index`` maps it to its position.  ``codes`` is
+    the numbering of the level's dimension (orbital_codes); ``orbitals``
+    decodes a state to its canonical orbitals, also the rows of its leading
+    monomial, and ``locate`` is the one lookup from orbitals or monomial
+    rows to states.  The state count is cross-checked against the q-series
+    level dimension, and the states are asserted distinct.  The Coulomb
+    operator is built lazily.
     """
 
     def __init__(self, n, d, grade, statistics=FERMION, max_states=None):
@@ -51,6 +55,7 @@ class LevelBasis:
         expected = level_dimension(n, d, grade, statistics)
         if max_states is not None and expected > max_states:
             raise StateCapExceeded(grade, expected, max_states)
+        self.codes = orbital_codes(d)
         self.states = enumerate_basis(n, d, grade, statistics)
         self.index = {s: i for i, s in enumerate(self.states)}
         if not len(self.states) == len(self.index) == expected:
@@ -63,8 +68,18 @@ class LevelBasis:
     def __len__(self):
         return len(self.states)
 
+    def orbitals(self, idx):
+        """State idx's orbitals, in canonical order."""
+        return self.codes.decode(self.states[idx])
+
+    def locate(self, orbitals):
+        """The index of the state with these orbitals (tuples, in canonical
+        order), or None if they are not one."""
+        code = self.codes.index.get
+        return self.index.get(tuple(code(o) for o in orbitals))
+
     def expansion(self, idx):
-        return SlaterState(self.states[idx], self.statistics).expand()
+        return SlaterState(self.orbitals(idx), self.statistics).expand()
 
     @cached_property
     def coulomb_operator(self):
@@ -78,9 +93,10 @@ class LevelBasis:
         Euler factor raises one axis's total by a fixed amount, so every
         shape and every shape x Euler product lies in one sector.
         """
+        orbitals = self.codes.orbitals
         out = {}
-        for i, state in enumerate(self.states):
-            out.setdefault(sector_of(state), []).append(i)
+        for state, i in self.index.items():  # the index's int objects, not copies
+            out.setdefault(sector_of([orbitals[c] for c in state]), []).append(i)
         return {sector: tuple(indices) for sector, indices in out.items()}
 
     def materialize(self, coeffs):
@@ -114,7 +130,7 @@ def deflate_sparse(poly, basis):
         raise ValueError(f"polynomial is not homogeneous of grade {basis.grade}")
     result = {}
     for mono, c in poly.terms.items():
-        idx = basis.index.get(monomial_rows(mono, basis.d))
+        idx = basis.locate(monomial_rows(mono, basis.d))
         if idx is not None:
             result[idx] = _as_exact(Fraction(c) / multiplicity_factorials(basis.states[idx]))
     residual = poly - basis.materialize(result)

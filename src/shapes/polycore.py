@@ -14,16 +14,21 @@ Slater/permanent state the descending-diagonal assignment.  canonical_rows
 is the one function that sorts rows into that order and gives the phase
 of the sort.
 
-A basis state is its orbital tuple in canonical order (enumerate_basis).
-A SlaterState wraps one with its statistics at the edges: expansion, and
-orbitals from anywhere else (files, users, tests), which enter through
-SlaterState.from_orbitals, which checks them and sorts them.
+The orbitals of each dimension are numbered once, in ascending canonical
+order (orbital_codes), so comparing two codes compares their orbitals.  A
+basis state is the descending tuple of its orbitals' codes
+(enumerate_basis), which is its canonical row order.  Orbitals are decoded
+only at the edges.  A SlaterState wraps an orbital tuple with its
+statistics there: expansion, and orbitals from anywhere else (files, users,
+tests), which enter through SlaterState.from_orbitals, which checks them
+and sorts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from operator import add
 
@@ -315,8 +320,10 @@ def json_list(obj, key):
 def canonical_rows(keys, fermion):
     """Rows in canonical order, and the phase of putting them there.
 
-    keys are the rows' orbital_key tuples, in any order.  Returns them
-    sorted descending, with the phase of that sort: 1 for a permanent;
+    keys are the rows' sort keys in the canonical order, in any order:
+    orbital codes (OrbitalCodes) inside the pipeline, orbital_key tuples
+    for orbitals from elsewhere.  Returns them sorted descending, as a
+    list, with the phase of that sort: 1 for a permanent;
     for a determinant, -1 per pair of rows the sort exchanges, or 0 when
     two rows coincide.  This is the one place the phase convention lives.
     """
@@ -331,6 +338,92 @@ def canonical_rows(keys, fermion):
             elif ka == kb:
                 return rows, 0
     return rows, sign
+
+
+class OrbitalCodes:
+    """The d-dimensional orbitals, numbered in ascending canonical order.
+
+    An orbital's code is its position in the order orbital_key gives
+    (degree first, then lexicographic), so comparing two codes compares
+    their orbitals.  The numbering grows a degree at a time and is never
+    renumbered: the codes of degree <= D are the same however far it has
+    grown.  orbitals, degrees and index map codes to orbitals and degrees
+    and orbitals to codes; encode and decode do so for a whole state.  The
+    code maps of an Euler factor's shift and of an axis permutation are
+    kept here too, one per (k, axis) and per permutation, grown with the
+    numbering.
+    """
+
+    def __init__(self, d):
+        self.d = d
+        self.orbitals = []
+        self.degrees = []
+        self.index = {}
+        self._counts = []
+        self._shifts = {}
+        self._permutations = {}
+
+    def grow(self, max_degree):
+        """Number every orbital of degree <= max_degree; return how many there are."""
+        for degree in range(len(self._counts), max_degree + 1):
+            for orbital in _compositions(self.d, degree):
+                self.index[orbital] = len(self.orbitals)
+                self.orbitals.append(orbital)
+                self.degrees.append(degree)
+            self._counts.append(len(self.orbitals))
+        return self._counts[max_degree]
+
+    def encode(self, orbitals):
+        """The codes of d-dimensional orbitals, numbering more as needed."""
+        orbitals = [tuple(o) for o in orbitals]
+        if any(len(o) != self.d or min(o) < 0 for o in orbitals):
+            raise ValueError(f"{orbitals} are not {self.d}-dimensional orbitals")
+        self.grow(max(map(sum, orbitals), default=0))
+        return tuple(self.index[o] for o in orbitals)
+
+    def decode(self, codes):
+        """The orbitals of codes, in the same order."""
+        return tuple(self.orbitals[c] for c in codes)
+
+    def shift(self, k, axis, max_degree):
+        """table[c]: the code of orbital c raised by k on axis, for every
+        code c of degree <= max_degree."""
+        table = self._shifts.setdefault((k, axis), [])
+        if len(table) < self.grow(max_degree):
+            self.grow(max_degree + k)
+            self._extend(table, lambda o: o[:axis] + (o[axis] + k,) + o[axis + 1 :], max_degree)
+        return table
+
+    def permutation(self, perm, max_degree):
+        """table[c]: the code of (o[perm[0]], ..., o[perm[d-1]]) for the
+        orbital o of code c, for every code c of degree <= max_degree."""
+        table = self._permutations.setdefault(perm, [])
+        if len(table) < self.grow(max_degree):
+            self._extend(table, lambda o: tuple(o[a] for a in perm), max_degree)
+        return table
+
+    def _extend(self, table, image, max_degree):
+        """Append the codes of image(o) for the orbitals o from the table's
+        end up to degree max_degree."""
+        index = self.index
+        table.extend(index[image(o)] for o in self.orbitals[len(table) : self._counts[max_degree]])
+
+
+def _compositions(d, total):
+    """The d-tuples of non-negative integers summing to total, ascending."""
+    if d == 1:
+        return [(total,)]
+    return [
+        (first,) + rest for first in range(total + 1) for rest in _compositions(d - 1, total - first)
+    ]
+
+
+@cache
+def orbital_codes(d):
+    """The one numbering of d-dimensional orbitals, grown on demand."""
+    if d < 1:
+        raise ValueError("need d >= 1")
+    return OrbitalCodes(d)
 
 
 def sector_of(orbitals):
@@ -355,7 +448,7 @@ class SlaterState:
     The constructor takes the orbitals as they are: sorted descending in
     the canonical order, pairwise distinct for fermions (Pauli), repeats
     allowed for bosons.  The determinant/permanent phase is fixed by this
-    row order.  A level's states (enumerate_basis) are such tuples;
+    row order.  A level's states (enumerate_basis) decode to such tuples;
     from_orbitals is the checked entry for orbitals from anywhere else.
     """
 
@@ -450,7 +543,7 @@ def euler_power(m, k, axis, n, d):
     return ExactPolynomial._raw(n, d, terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EulerMonomial:
     """A monomial of Euler bosons: exponents[axis][m-1] = power of e_m(axis).
 
@@ -528,16 +621,18 @@ def enumerate_euler_monomials(n, d, degree):
 
 
 def enumerate_basis(n, d, grade, statistics=FERMION):
-    """The orbital tuples of all Slater/permanent states of the given grade.
+    """The code tuples of all Slater/permanent states of the given grade.
 
-    States are listed descending by their orbital tuple in the canonical
-    order (equivalently, descending by leading monomial), which is the
-    coordinate order used for level bases and complements.
+    A state is the descending tuple of its orbitals' codes (orbital_codes),
+    its canonical row order.  States are listed descending (equivalently,
+    descending by leading monomial), which is the coordinate order used for
+    level bases and complements.
     """
     if grade < 0:
         raise ValueError("grade must be non-negative")
-    candidates = _orbitals_up_to(d, grade)
-    degrees = [sum(o) for o in candidates]
+    codes = orbital_codes(d)
+    candidates = list(range(codes.grow(grade) - 1, -1, -1))
+    degrees = [codes.degrees[c] for c in candidates]
     fermion = statistics is FERMION
     out = []
     chosen = []
@@ -566,22 +661,6 @@ def enumerate_basis(n, d, grade, statistics=FERMION):
 
     rec(0, n, grade)
     return out
-
-
-def _orbitals_up_to(d, max_degree):
-    """All d-dimensional orbital vectors of degree <= max_degree, descending."""
-    orbs = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == d:
-            orbs.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-
-    rec([], max_degree)
-    orbs.sort(key=orbital_key, reverse=True)
-    return orbs
 
 
 def vandermonde(n, axis=0, d=1):

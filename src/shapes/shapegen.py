@@ -40,6 +40,7 @@ independently.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,7 +69,6 @@ from .polycore import (
     json_field,
     json_int,
     json_list,
-    orbital_key,
     parse_fraction,
     sector_of,
 )
@@ -279,25 +279,25 @@ class ShapeCatalog:
         re-sort the rows with canonical_rows (the Pieri rule).  A
         determinant takes the phase of the sort, 0 when two rows coincide;
         a permanent, summed over all n! assignments, takes 1 per subset.
-        Indices are in the level basis of grade + m*k.
+        The shift is a code map (OrbitalCodes.shift).  Indices are in the
+        level basis of grade + m*k.
         """
         m, k, axis = factor
-        rows = [orbital_key(orb) for orb in self.level_basis(grade).states[i]]
+        basis = self.level_basis(grade)
+        state = basis.states[i]
         index = self.level_basis(grade + m * k).index
+        shift = basis.codes.shift(k, axis, grade)
         fermion = self.statistics is FERMION
-        n = len(rows)
-        shifted = [
-            (deg + k, orb[:axis] + (orb[axis] + k,) + orb[axis + 1 :]) for deg, orb in rows
-        ]
+        shifted = [shift[c] for c in state]
         image = {}
-        for subset in combinations(range(n), m):
-            moved = list(rows)
+        for subset in combinations(range(len(state)), m):
+            moved = list(state)
             for r in subset:
                 moved[r] = shifted[r]
             moved, sign = canonical_rows(moved, fermion)
             if not sign:
                 continue
-            target = index[tuple([orb for _deg, orb in moved])]
+            target = index[tuple(moved)]
             nv = image.get(target, 0) + sign
             if nv:
                 image[target] = nv
@@ -334,7 +334,7 @@ class ShapeCatalog:
                     "id": s.id,
                     "grade": s.grade,
                     "index": s.index,
-                    "basis": [[list(orb) for orb in basis.states[i]] for i in indices],
+                    "basis": [[list(orb) for orb in basis.orbitals(i)] for i in indices],
                     "coeffs": [format_fraction(s.coeffs[i]) for i in indices],
                 }
             )
@@ -418,7 +418,7 @@ class ShapeCatalog:
         rows, texts = json_list(entry, "basis"), json_list(entry, "coeffs")
         if len(rows) != len(texts):
             raise ValueError(f"{len(rows)} basis rows but {len(texts)} coefficients")
-        index = self.level_basis(grade).index
+        basis = self.level_basis(grade)
         coeffs = {}
         sectors = set()
         for orbitals, text in zip(rows, texts):
@@ -427,7 +427,7 @@ class ShapeCatalog:
             state = SlaterState.from_orbitals(orbitals, self.statistics)
             if list(state.orbitals) != [tuple(o) for o in orbitals]:
                 raise ValueError(f"row {orbitals} is not in canonical order")
-            i = index.get(state.orbitals)
+            i = basis.locate(state.orbitals)
             if i is None:
                 raise ValueError(
                     f"row {orbitals} is not a state of grade {grade} "
@@ -513,7 +513,7 @@ def _sector_plan(catalog, grade):
     plan = {}
     for rec in catalog.shapes:
         if rec.grade <= grade:
-            home = sector_of(catalog.level_basis(rec.grade).states[min(rec.coeffs)])
+            home = sector_of(catalog.level_basis(rec.grade).orbitals(min(rec.coeffs)))
             by_shift = _monomials_by_shift(catalog.n, catalog.d, grade - rec.grade)
             for shift, monomials in by_shift.items():
                 plan.setdefault(tuple(map(add, home, shift)), []).append((rec, monomials))
@@ -542,7 +542,7 @@ def _sector_blocks(catalog, grade, plan, formed):
                 try:
                     products.append({position[i]: v for i, v in vec.items()})
                 except KeyError as exc:
-                    state = basis.states[exc.args[0]]
+                    state = basis.orbitals(exc.args[0])
                     raise InternalConsistencyError(
                         f"a product at grade {grade} leaves its sector {sector}: "
                         f"state {state} lies in sector {sector_of(state)}"
@@ -550,15 +550,14 @@ def _sector_blocks(catalog, grade, plan, formed):
         yield sector, products
 
 
-def _row_reduce(mat, full):
-    """Eliminate an int64 matrix of residues mod MODULUS in place.
+def _row_reduce(mat):
+    """Eliminate an int64 matrix of residues mod MODULUS forward, in place.
 
     Returns the pivot columns in order: row r ends with a 1 at pivots[r]
-    and zeros below it, and with full the pivot columns are zero above
-    their pivots too (reduced row echelon form).  Only the rows with a
-    nonzero in the pivot column are updated, since products are sparse
-    and fill in little.  Entries stay in [0, MODULUS), so every product
-    of two fits in an int64.
+    and zeros left of it and below it (row echelon form).  Only the rows
+    with a nonzero in the pivot column are updated, since products are
+    sparse and fill in little.  Entries stay in [0, MODULUS), so every
+    product of two fits in an int64.
     """
     p = MODULUS
     rows, cols = mat.shape
@@ -577,8 +576,6 @@ def _row_reduce(mat, full):
         head *= pow(int(head[0]), -1, p)
         head %= p
         update = below[1:] + r
-        if full:
-            update = np.concatenate([mat[:r, c].nonzero()[0], update])
         if len(update):
             block = mat[update, c:]
             block -= block[:, :1] * head
@@ -587,6 +584,25 @@ def _row_reduce(mat, full):
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _back_substitute(mat, pivots, free):
+    """Residues x[r, j] of the null vector of free column free[j] at pivots[r].
+
+    mat is in row echelon form with these pivots (_row_reduce), and the
+    vector has a 1 at its free column and 0 at the other free columns.  The
+    rows are solved from the last pivot up, and only the pivots left of
+    the last free column: every later one is 0 in each of these vectors.
+    """
+    p = MODULUS
+    last = bisect_left(pivots, free[-1]) if free else 0
+    x = -mat[:last, free] % p
+    for r in range(last - 1, 0, -1):
+        column = mat[:r, pivots[r]]
+        above = column.nonzero()[0]
+        if len(above):
+            x[above] = (x[above] - column[above, None] * x[r]) % p
+    return x
 
 
 def _lift(residue):
@@ -610,11 +626,12 @@ def _lift(residue):
 def _certify(products, dim, want_null):
     """(rank, canonical null vectors) of sparse integer products over dim states.
 
-    One dense elimination of their residues mod MODULUS.  The rank mod
+    One forward elimination of their residues mod MODULUS.  The rank mod
     MODULUS is at most the rank over Q, which is at most min(count, dim),
     so when it reaches that bound the rank is proven.  With want_null,
-    each free column f of the reduced echelon form gives a candidate
-    e_f - sum_r R[r, f] e_pivots[r], lifted entry by entry by rational
+    each free column f gives a candidate with a 1 at f, 0 at the other
+    free columns and its pivot entries back-substituted mod MODULUS
+    (_back_substitute), lifted entry by entry by rational
     reconstruction, scaled to content 1 and accepted only if its integer
     dot product with every product is 0.  The accepted candidates span the
     complement and have distinct largest indices, so they are its
@@ -624,17 +641,19 @@ def _certify(products, dim, want_null):
     mat = np.zeros((len(products), dim), dtype=np.int64)
     for row, vec in zip(mat, products):
         row[list(vec)] = [v % MODULUS for v in vec.values()]
-    pivots = _row_reduce(mat, full=want_null)
+    pivots = _row_reduce(mat)
     if len(pivots) < min(len(products), dim):
         return None
+    free = sorted(set(range(dim)) - set(pivots)) if want_null else []
+    solved = _back_substitute(mat, pivots, free)
     null = []
-    for f in sorted(set(range(dim)) - set(pivots)) if want_null else ():
+    for f, residues in zip(free, solved.T.tolist()):
         cand = {f: 1}
-        for p, residue in zip(pivots, mat[:, f].tolist()):
+        for p, residue in zip(pivots, residues):
             if p > f:
                 break
             if residue:
-                value = _lift(-residue)
+                value = _lift(residue)
                 if value is None:
                     return None
                 cand[p] = value
@@ -703,18 +722,17 @@ def _permute_axes(basis, vec, perm):
 
     Every orbital o of every state becomes (o[perm[0]], ..., o[perm[d-1]])
     and the rows are re-sorted by canonical_rows; a determinant takes the
-    phase of the sort.  This is a substitution of the variables, a
-    signed permutation of the level's states that sends a state of sector
-    s to sector (s[perm[0]], ..., s[perm[d-1]]).
+    phase of the sort.  The orbitals' images are a code map
+    (OrbitalCodes.permutation).  This is a substitution of the variables,
+    a signed permutation of the level's states that sends a state of
+    sector s to sector (s[perm[0]], ..., s[perm[d-1]]).
     """
+    table = basis.codes.permutation(perm, basis.grade)
     fermion = basis.statistics is FERMION
     out = {}
     for i, c in vec.items():
-        rows, sign = canonical_rows(
-            [orbital_key(tuple(orb[a] for a in perm)) for orb in basis.states[i]],
-            fermion,
-        )
-        out[basis.index[tuple(orb for _deg, orb in rows)]] = sign * c
+        rows, sign = canonical_rows([table[code] for code in basis.states[i]], fermion)
+        out[basis.index[tuple(rows)]] = sign * c
     return out
 
 

@@ -41,7 +41,7 @@ class TestLevelBasis:
 
     def test_materialize_unit_vector(self, basis_32_3):
         poly = basis_32_3.materialize({2: 1})
-        assert poly == state(basis_32_3.states[2]).expand()
+        assert poly == state(basis_32_3.orbitals(2)).expand()
 
     def test_boson_leading_coefficients(self):
         basis = LevelBasis(3, 1, 0, BOSON)
@@ -55,7 +55,9 @@ class TestLevelBasis:
         assert list(basis.index) == basis.states
         for i, s in enumerate(basis.states):
             assert type(s) is tuple and basis.index[s] == i
-            assert SlaterState.from_orbitals(s, stat).orbitals == s
+            orbitals = basis.orbitals(i)
+            assert basis.codes.encode(orbitals) == s
+            assert SlaterState.from_orbitals(orbitals, stat).orbitals == orbitals
 
     @pytest.mark.parametrize("n, d, grade, stat", [(3, 2, 4, FERMION), (3, 3, 5, BOSON)])
     def test_sectors_partition_the_states_by_axis_degrees(self, n, d, grade, stat):
@@ -64,9 +66,9 @@ class TestLevelBasis:
         for sector, indices in basis.sectors.items():
             assert list(indices) == sorted(indices)
             for i in indices:
-                orbitals = basis.states[i]
+                orbitals = basis.orbitals(i)
                 assert sector == tuple(sum(orb[a] for orb in orbitals) for a in range(d))
-                assert sector_of(basis.states[i]) == sector
+                assert sector_of(basis.orbitals(i)) == sector
             seen.extend(indices)
         assert sorted(seen) == list(range(len(basis)))
 
@@ -75,15 +77,15 @@ class TestDeflate:
     def test_first_level_trivial_state_t_axis(self, basis_32_3):
         g0 = state([(1, 0), (0, 1), (0, 0)]).expand()
         vec = deflate_sparse(euler_power(1, 1, 0, 3, 2) * g0, basis_32_3)
-        g12 = basis_32_3.index[state([(1, 1), (1, 0), (0, 0)]).orbitals]
-        g14 = basis_32_3.index[state([(2, 0), (0, 1), (0, 0)]).orbitals]
+        g12 = basis_32_3.index[basis_32_3.codes.encode(state([(1, 1), (1, 0), (0, 0)]).orbitals)]
+        g14 = basis_32_3.index[basis_32_3.codes.encode(state([(2, 0), (0, 1), (0, 0)]).orbitals)]
         assert vec == {g12: -1, g14: 1}
 
     def test_first_level_trivial_state_u_axis(self, basis_32_3):
         g0 = state([(1, 0), (0, 1), (0, 0)]).expand()
         vec = deflate_sparse(euler_power(1, 1, 1, 3, 2) * g0, basis_32_3)
-        g13 = basis_32_3.index[state([(0, 2), (1, 0), (0, 0)]).orbitals]
-        g15 = basis_32_3.index[state([(1, 1), (0, 1), (0, 0)]).orbitals]
+        g13 = basis_32_3.index[basis_32_3.codes.encode(state([(0, 2), (1, 0), (0, 0)]).orbitals)]
+        g15 = basis_32_3.index[basis_32_3.codes.encode(state([(1, 1), (0, 1), (0, 0)]).orbitals)]
         assert vec == {g13: -1, g15: 1}
 
     @pytest.mark.parametrize("stat", [FERMION, BOSON])
@@ -267,5 +269,5 @@ class TestOneDimensionalConsistency:
         for lam, coeff in expansion.items():
             padded = lam.padded(n)
             orbitals = [(padded[i] + n - 1 - i,) for i in range(n)]
-            expected[basis.index[state(orbitals).orbitals]] = coeff
+            expected[basis.index[basis.codes.encode(state(orbitals).orbitals)]] = coeff
         assert vec == expected

@@ -1,0 +1,134 @@
+"""Orbital codes, and the Pieri images and axis transport read from code tables.
+
+The table routes are compared with pieri_oracle, which computes the same
+images and transports over orbital tuples, for n <= 4, d <= 3, both
+statistics, every factor e_m^[k](axis) with k <= 3, and random states of
+random levels.
+"""
+
+from itertools import permutations
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from shapes import shapegen
+from shapes.counting import BOSON, FERMION, level_dimension, shape_polynomial
+from shapes.deflation import LevelBasis
+from shapes.polycore import OrbitalCodes, enumerate_basis, orbital_codes, orbital_key
+from shapes.shapegen import ShapeCatalog
+
+import pieri_oracle
+
+SYSTEMS = [(n, d, stat) for n in range(1, 5) for d in range(1, 4) for stat in (FERMION, BOSON)]
+# Levels larger than this are not built, as sources or as targets.
+LEVEL_CAP = 2500
+
+
+def orbitals(d, max_degree=6):
+    return st.tuples(*[st.integers(0, max_degree)] * d).filter(lambda o: sum(o) <= max_degree)
+
+
+@st.composite
+def levels(draw):
+    """(n, d, statistics, grade) of a non-empty level of at most LEVEL_CAP states."""
+    n, d, stat = draw(st.sampled_from(SYSTEMS), label="system")
+    grade = draw(st.integers(0, 9), label="grade")
+    assume(0 < level_dimension(n, d, grade, stat) <= LEVEL_CAP)
+    return n, d, stat, grade
+
+
+class TestCodes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(orbitals(d), orbitals(d))))
+    def test_code_order_is_the_canonical_order(self, pair):
+        a, b = pair
+        codes = OrbitalCodes(len(a))
+        code_a, code_b = codes.encode([a, b])
+        assert (code_a < code_b) == (orbital_key(a) < orbital_key(b))
+        assert (code_a == code_b) == (a == b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 6), st.integers(1, 4), st.data())
+    def test_codes_do_not_change_as_the_table_grows(self, d, low, more, data):
+        codes = OrbitalCodes(d)
+        codes.grow(low)
+        before = dict(codes.index)
+        k, axis = data.draw(st.integers(1, 3)), data.draw(st.integers(0, d - 1))
+        shift = list(codes.shift(k, axis, low))
+        perm = tuple(data.draw(st.permutations(range(d))))
+        permutation = list(codes.permutation(perm, low))
+        codes.grow(low + more)
+        assert {o: codes.index[o] for o in before} == before
+        assert codes.shift(k, axis, low + more)[: len(shift)] == shift
+        assert codes.permutation(perm, low + more)[: len(permutation)] == permutation
+        top = codes.degrees[-1]
+        fresh = OrbitalCodes(d)
+        fresh.grow(top)
+        orbital_codes(d).grow(top)
+        assert fresh.orbitals == codes.orbitals == orbital_codes(d).orbitals[: len(codes.orbitals)]
+        assert codes.orbitals == sorted(codes.orbitals, key=orbital_key)
+        assert codes.degrees == [sum(o) for o in codes.orbitals]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(orbitals(d), min_size=1, max_size=5)))
+    def test_encode_and_decode_round_trip(self, orbs):
+        codes = OrbitalCodes(len(orbs[0]))
+        encoded = codes.encode(orbs)
+        assert codes.decode(encoded) == tuple(orbs)
+        assert codes.encode(codes.decode(encoded)) == encoded
+        assert [codes.orbitals[c] for c in encoded] == orbs
+
+    def test_encode_refuses_other_dimensions(self):
+        with pytest.raises(ValueError):
+            OrbitalCodes(2).encode([(1, 0, 0)])
+        with pytest.raises(ValueError):
+            OrbitalCodes(2).encode([(1, -1)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(levels())
+    def test_levels_decode_to_the_orbital_enumeration(self, level):
+        n, d, stat, grade = level
+        states, _index = pieri_oracle.orbital_level(n, d, grade, stat)
+        codes = orbital_codes(d)
+        assert [codes.decode(s) for s in enumerate_basis(n, d, grade, stat)] == list(states)
+        basis = LevelBasis(n, d, grade, stat)
+        assert [basis.orbitals(i) for i in range(len(basis))] == list(states)
+        assert all(basis.locate(s) == i for i, s in enumerate(states))
+
+
+class TestTableRoutes:
+    @settings(max_examples=80, deadline=None)
+    @given(levels(), st.data())
+    def test_factor_images_match_the_orbital_route(self, level, data):
+        n, d, stat, grade = level
+        assume(level_dimension(n, d, grade + 1, stat) <= LEVEL_CAP)
+        catalog = ShapeCatalog(n, d, stat, shape_polynomial(n, d, stat), 0, shapes=[])
+        size = level_dimension(n, d, grade, stat)
+        states = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3))
+        compared = 0
+        for m in range(1, n + 1):
+            for k in range(1, 4):
+                if level_dimension(n, d, grade + m * k, stat) > LEVEL_CAP:
+                    continue
+                for axis in range(d):
+                    for i in states:
+                        flat = iter(catalog._factor_image(grade, (m, k, axis), i))
+                        ours = dict(zip(flat, flat))
+                        expected = pieri_oracle.factor_image(n, d, grade, stat, (m, k, axis), i)
+                        assert ours == expected, (m, k, axis, i)
+                        compared += 1
+        assert compared
+
+    @settings(max_examples=80, deadline=None)
+    @given(levels(), st.data())
+    def test_axis_transport_matches_the_orbital_route(self, level, data):
+        n, d, stat, grade = level
+        basis = LevelBasis(n, d, grade, stat)
+        vec = data.draw(
+            st.dictionaries(
+                st.integers(0, len(basis) - 1), st.integers(-5, 5).filter(bool), min_size=1
+            )
+        )
+        for perm in permutations(range(d)):
+            expected = pieri_oracle.permute_axes(n, d, grade, stat, vec, perm)
+            assert shapegen._permute_axes(basis, vec, perm) == expected, perm

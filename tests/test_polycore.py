@@ -16,6 +16,7 @@ from shapes.polycore import (
     enumerate_basis,
     enumerate_euler_monomials,
     euler_power,
+    orbital_codes,
     orbital_key,
     vandermonde,
 )
@@ -92,7 +93,8 @@ class TestExpandState:
     def test_support_disjointness_within_level(self):
         states = enumerate_basis(3, 2, 4, FERMION)
         seen = {}
-        for idx, orbitals in enumerate(states):
+        for idx, codes in enumerate(states):
+            orbitals = orbital_codes(2).decode(codes)
             for mono in SlaterState.from_orbitals(orbitals, FERMION).expand().terms:
                 assert mono not in seen, "supports overlap"
                 seen[mono] = idx
@@ -272,7 +274,7 @@ class TestEnumerateBasis:
     def test_single_ground_state(self):
         states = enumerate_basis(3, 2, 2, FERMION)
         assert len(states) == 1
-        assert states[0] == ((1, 0), (0, 1), (0, 0))
+        assert orbital_codes(2).decode(states[0]) == ((1, 0), (0, 1), (0, 0))
 
     def test_first_level_six_states(self):
         states = enumerate_basis(3, 2, 3, FERMION)
@@ -296,11 +298,12 @@ class TestEnumerateBasis:
     def test_states_are_canonical(self, n, d, stat):
         for grade in range(8):
             for state in enumerate_basis(n, d, grade, stat):
-                assert SlaterState.from_orbitals(state, stat).orbitals == state
+                orbitals = orbital_codes(d).decode(state)
+                assert SlaterState.from_orbitals(orbitals, stat).orbitals == orbitals
 
     def test_descending_enumeration_order(self):
         states = enumerate_basis(3, 2, 4, FERMION)
-        keys = [tuple(e for orb in s for e in orb) for s in states]
+        keys = [tuple(e for orb in orbital_codes(2).decode(s) for e in orb) for s in states]
         from shapes.polycore import monomial_sort_key
 
         sorted_keys = sorted(keys, key=lambda m: monomial_sort_key(m, 2), reverse=True)
@@ -321,7 +324,8 @@ class TestArithmetic:
         rng = random.Random(11)
         for _ in range(5):
             states = enumerate_basis(3, 2, rng.randrange(2, 5), FERMION)
-            a = SlaterState.from_orbitals(states[rng.randrange(len(states))], FERMION).expand()
+            orbitals = orbital_codes(2).decode(states[rng.randrange(len(states))])
+            a = SlaterState.from_orbitals(orbitals, FERMION).expand()
             e = euler_power(rng.randrange(1, 3), 1, rng.randrange(2), 3, 2)
             assert (a * e).grade() == a.grade() + e.grade()
 

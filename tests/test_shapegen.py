@@ -229,6 +229,40 @@ class TestSectorCertificate:
             assert certified == expected
         assert settled == expected
 
+    def test_free_columns_before_the_first_and_after_the_last_pivot(self):
+        # Pivots 1, 2, 3: column 0 is free before the first, column 4 after
+        # the last, and its null vector needs every pivot back-substituted.
+        rows = [{1: 1, 2: 3, 4: 2}, {2: 2, 3: -1, 4: 5}, {3: 2, 4: 1}]
+        ech = _Echelon(5)
+        for row in rows:
+            ech.insert(row)
+        assert sorted(ech.rows) == [1, 2, 3]
+        null = ech.nullspace()
+        assert null[0] == {0: 1} and sorted(null[1]) == [1, 2, 3, 4]
+        assert shapegen._certify(rows, 5, True) == (3, null)
+
+    @pytest.mark.parametrize("modulus", [shapegen.MODULUS, 5, 3])
+    @settings(max_examples=200, deadline=None)
+    @given(case=sparse_matrices())
+    def test_free_columns_at_both_ends_match_exact_echelon(self, modulus, case):
+        # Shifted one column right and padded by one, no product touches
+        # the first or the last column: both are free.
+        dim, rows = case
+        dim += 2
+        rows = [{c + 1: v for c, v in row.items()} for row in rows]
+        ech = _Echelon(dim)
+        for row in rows:
+            ech.insert(row)
+        assert not {0, dim - 1} & set(ech.rows)
+        expected = (ech.rank, ech.nullspace())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shapegen, "MODULUS", modulus)
+            certified = shapegen._certify(rows, dim, True)
+            settled = shapegen._settle(rows, dim, True)
+        if certified is not None:
+            assert certified == expected
+        assert settled == expected
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-isqrt(shapegen.MODULUS // 2), isqrt(shapegen.MODULUS // 2)),
            st.integers(1, isqrt(shapegen.MODULUS // 2)))
@@ -268,8 +302,8 @@ class TestSectorLaw:
         catalog = generate_shapes(*system)
         found = {}
         for rec in catalog.shapes:
-            states = catalog.level_basis(rec.grade).states
-            (sector,) = {sector_of(states[i]) for i in rec.coeffs}
+            basis = catalog.level_basis(rec.grade)
+            (sector,) = {sector_of(basis.orbitals(i)) for i in rec.coeffs}
             found[sector] = found.get(sector, 0) + 1
         assert found == sector_shape_counts(*system)
 
@@ -290,7 +324,7 @@ class TestSectorLaw:
         # state of sector (1, 2) must fail, naming grade, sector and state.
         level = LevelBasis(3, 2, 3, FERMION)
         stray = level.sectors[1, 2][0]
-        orbitals = level.states[stray]
+        orbitals = level.orbitals(stray)
         real = ShapeCatalog._factor_image
 
         def leaky(self, grade, factor, i):
@@ -360,7 +394,7 @@ class TestAxisPermutations:
         catalog, direct = settled_directly(system)
         by_sector = {}
         for rec in catalog.shapes:
-            (sector,) = {sector_of(catalog.level_basis(rec.grade).states[i]) for i in rec.coeffs}
+            (sector,) = {sector_of(catalog.level_basis(rec.grade).orbitals(i)) for i in rec.coeffs}
             by_sector.setdefault((rec.grade, sector), []).append(rec.coeffs)
         for (grade, sector), shapes in by_sector.items():
             basis = catalog.level_basis(grade)
@@ -368,7 +402,7 @@ class TestAxisPermutations:
             images = [shapegen._permute_axes(basis, vec, perm) for vec in shapes]
             position = {i: pos for pos, i in enumerate(basis.sectors[image])}
             for vec in images:
-                assert {sector_of(basis.states[i]) for i in vec} == {image}
+                assert {sector_of(basis.orbitals(i)) for i in vec} == {image}
                 for product in direct[grade][image][0]:
                     assert sum(c * product.get(position[i], 0) for i, c in vec.items()) == 0
             settled = direct[grade][image][1]
@@ -452,13 +486,14 @@ class TestWorkedExample32:
         ground = catalog_32.shapes_at(2)
         assert len(ground) == 1
         basis = catalog_32.level_basis(2)
-        assert basis.states[0] == ((1, 0), (0, 1), (0, 0))
+        assert basis.orbitals(0) == ((1, 0), (0, 1), (0, 0))
         assert ground[0].coeffs == {0: 1}
 
     def test_first_level_complement_matches_paper(self, catalog_32):
         basis = catalog_32.level_basis(3)
         def at(orbitals):
-            return basis.index[SlaterState.from_orbitals(orbitals, FERMION).orbitals]
+            state = SlaterState.from_orbitals(orbitals, FERMION)
+            return basis.index[basis.codes.encode(state.orbitals)]
 
         idx = {
             "g11": at([(2, 0), (1, 0), (0, 0)]),
@@ -485,8 +520,9 @@ class TestWorkedExample32:
             ([(2, 0), (0, 2), (0, 0)], 1),   # |t1^2, u2^2, 1|
             ([(1, 1), (1, 0), (0, 1)], -1),  # -|t1 u1, t2, u3|
         ]
+        encode = basis.codes.encode
         expected = {
-            basis.index[SlaterState.from_orbitals(orbs, FERMION).orbitals]: c
+            basis.index[encode(SlaterState.from_orbitals(orbs, FERMION).orbitals)]: c
             for orbs, c in paper_states
         }
         (shape,) = catalog_32.shapes_at(4)
@@ -562,7 +598,7 @@ class TestWorkedExample23:
         assert [s.coeffs for s in catalog_23.shapes_at(1)] == [
             {0: 1}, {1: 1}, {2: 1},
         ]
-        top_orbitals = {basis.states[i][0] for i in range(3)}
+        top_orbitals = {basis.orbitals(i)[0] for i in range(3)}
         assert top_orbitals == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
     def test_top_shape_is_product_of_the_three(self, catalog_23):
@@ -625,7 +661,7 @@ class TestCountLaw:
         assert len(ground) == 1
         basis = catalog.level_basis(0)
         assert len(basis) == 1
-        assert basis.states[0] == ((0, 0), (0, 0), (0, 0))
+        assert basis.orbitals(0) == ((0, 0), (0, 0), (0, 0))
 
 
 class TestDeterminismAndSerialization:
