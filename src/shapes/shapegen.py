@@ -16,13 +16,18 @@ plus the monomial's per-axis degrees.  The span splits into independent
 blocks, one per (grade, sector), each formed and settled before the next
 is formed, never all of a grade at once; a product with a state outside
 its predicted sector is an InternalConsistencyError.  A block is settled
-by a rank certificate mod the prime MODULUS (_certify), whose null vectors
-are the canonical complement basis, or, if that fails or the sector has
-more than DENSE_SECTOR_CAP states, by the exact integer echelon.  Three
-laws are hard assertions at every grade: the products are linearly
-independent (the free-module statement), the complement dimension matches
-the shape polynomial coefficient, and each sector's complement dimension
-matches sector_shape_counts.
+by a rank certificate (_certify): LAPACK finds its free columns and an
+approximate inverse of its pivot columns in float64; the inverse proves
+the pivot submatrix nonsingular in exact integer arithmetic (Rump's
+verification method); and each null vector is rounded to fractions with
+small denominators and kept only if its integer dot product with every
+product is 0.  The null vectors are the canonical complement basis.  If a
+step is not proven, or the sector has more than DENSE_SECTOR_CAP states,
+the block goes to the exact integer echelon instead.  Three laws are hard
+assertions at every grade: the products are linearly independent (the
+free-module statement), the complement dimension matches the shape
+polynomial coefficient, and each sector's complement dimension matches
+sector_shape_counts.
 
 Permuting the d axes maps the Hilbert space to itself, sector s to its
 image, shapes to shapes and products to products (generate_shapes gives
@@ -40,13 +45,12 @@ independently.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import add
 
 import numpy as np
@@ -76,18 +80,41 @@ from .polycore import (
 DEFAULT_STATE_CAP = 100_000
 STATE_CAP_ENV_VAR = "SHAPES_STATE_CAP"
 
-# The prime of the rank certificates.  Residues stay below 2^31, so the
-# product of two fits in an int64.
-MODULUS = 2**31 - 1
-# Sectors with more states go to the exact echelon: eliminating a dense
-# int64 matrix of 2048 x 2048 residues takes 32 MB.
+# Sectors with more states go to the exact echelon.  At the cap, one
+# block's certificate peaks at about 165 MB: the float64 block, the copies
+# LAPACK makes of it and the orthogonal factor of its QR (measured on a
+# 2040 x 2048 block; about 135 MB for a square block, which needs no QR).
 DENSE_SECTOR_CAP = 2048
+# The certificates (_certify) scale an approximate inverse by this power of
+# two before rounding it (_is_nonsingular).
+_PROOF_SCALE = 2**20
+# Null vector entries, relative to the 1 at the free column, are rounded to
+# fractions with denominators up to this bound: a canonical coefficient is
+# at most 24 on every catalog measured.
+DENOMINATOR_BOUND = 2**10
+# Float guesses: refusing what they get wrong costs only a fallback.  A
+# null basis entry below the first is zero, and q * x within the second of
+# an integer is that integer.
+_PIVOT_TOLERANCE = 1e-9
+_ROUNDING_TOLERANCE = 1e-6
 
 
 def default_state_cap():
-    """Configured level-size guard; overridable via SHAPES_STATE_CAP."""
+    """Configured level-size guard; overridable via SHAPES_STATE_CAP.
+
+    Raises ValueError, naming the variable, if it is set to anything but a
+    positive integer.
+    """
     value = os.environ.get(STATE_CAP_ENV_VAR)
-    return check_state_cap(int(value), STATE_CAP_ENV_VAR) if value else DEFAULT_STATE_CAP
+    if not value:
+        return DEFAULT_STATE_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        raise ValueError(
+            f"{STATE_CAP_ENV_VAR} must be a positive integer number of states, got {value!r}"
+        ) from None
+    return check_state_cap(cap, STATE_CAP_ENV_VAR)
 
 
 def check_state_cap(cap, name="state cap"):
@@ -550,119 +577,159 @@ def _sector_blocks(catalog, grade, plan, formed):
         yield sector, products
 
 
-def _row_reduce(mat):
-    """Eliminate an int64 matrix of residues mod MODULUS forward, in place.
+def _dense_block(products, dim):
+    """The products as the rows of a dense float64 block, by one COO assignment."""
+    a = np.zeros((len(products), dim))
+    rows = np.repeat(np.arange(len(products)), [len(vec) for vec in products])
+    cols = np.fromiter(chain.from_iterable(products), np.intp, len(rows))
+    a[rows, cols] = np.fromiter(chain.from_iterable(map(dict.values, products)), float, len(rows))
+    return a
 
-    Returns the pivot columns in order: row r ends with a 1 at pivots[r]
-    and zeros left of it and below it (row echelon form).  Only the rows
-    with a nonzero in the pivot column are updated, since products are
-    sparse and fill in little.  Entries stay in [0, MODULUS), so every
-    product of two fits in an int64.
+
+def _free_columns(a):
+    """The free columns of a float64 c x dim block of rank c, ascending, or None.
+
+    A complete QR of a.T holds an orthonormal basis of the null space in its
+    last dim - c columns.  Gauss-Jordan elimination of that basis, pivoting
+    on the largest index, pivots where the canonical null vectors have their
+    largest indices: at the free columns.  This is a float guess that
+    _certify proves or refuses; None if the QR fails, the basis is not
+    finite or it vanishes before dim - c pivots are found.
     """
-    p = MODULUS
-    rows, cols = mat.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        below = mat[r:, c].nonzero()[0]
-        if not len(below):
-            continue
-        k = r + below[0]
-        if k != r:
-            mat[[r, k]] = mat[[k, r]]
-        head = mat[r, c:]
-        head *= pow(int(head[0]), -1, p)
-        head %= p
-        update = below[1:] + r
-        if len(update):
-            block = mat[update, c:]
-            block -= block[:, :1] * head
-            block %= p
-            mat[update, c:] = block
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def _back_substitute(mat, pivots, free):
-    """Residues x[r, j] of the null vector of free column free[j] at pivots[r].
-
-    mat is in row echelon form with these pivots (_row_reduce), and the
-    vector has a 1 at its free column and 0 at the other free columns.  The
-    rows are solved from the last pivot up, and only the pivots left of
-    the last free column: every later one is 0 in each of these vectors.
-    """
-    p = MODULUS
-    last = bisect_left(pivots, free[-1]) if free else 0
-    x = -mat[:last, free] % p
-    for r in range(last - 1, 0, -1):
-        column = mat[:r, pivots[r]]
-        above = column.nonzero()[0]
-        if len(above):
-            x[above] = (x[above] - column[above, None] * x[r]) % p
-    return x
-
-
-def _lift(residue):
-    """Rational reconstruction of a residue mod MODULUS.
-
-    Returns the fraction a/b with |a|, b <= sqrt(MODULUS/2) and
-    a = residue * b (mod MODULUS), which is unique if it exists, or None.
-    """
-    bound = isqrt(MODULUS // 2)
-    r0, r1 = MODULUS, residue % MODULUS
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if abs(s1) > bound or gcd(r1, s1) != 1:
+    c, dim = a.shape
+    try:
+        q, _r = np.linalg.qr(a.T, mode="complete")
+    except np.linalg.LinAlgError:
         return None
-    return Fraction(r1, s1)
+    null = q[:, c:].T.copy()
+    del q, _r
+    if not np.isfinite(null).all():
+        return None
+    free = []
+    while len(null):
+        mags = np.abs(null)
+        big = np.flatnonzero(mags.max(axis=0) > _PIVOT_TOLERANCE)
+        if not len(big):
+            return None
+        f = big[-1]
+        k = mags[:, f].argmax()
+        pivot = null[k] / null[k, f]
+        null = np.delete(null, k, axis=0)
+        null -= np.outer(null[:, f], pivot)
+        free.append(int(f))
+    return sorted(free)
+
+
+def _is_nonsingular(b, inverse):
+    """Whether an approximate inverse proves the float64 integer matrix b nonsingular.
+
+    R = rint(2^20 inverse) and E = R b - 2^20 I are integer matrices.  While
+    (largest row sum of |R|) * max|b| < 2^52, every partial sum of R b is an
+    integer below 2^52, so E is exact in float64.  Then ||E||_inf < 2^20
+    means ||I - R b / 2^20||_inf < 1, so R b, and with it b, is nonsingular
+    (Rump, "Verification methods", Acta Numerica 19, 2010).  inverse is
+    overwritten.
+    """
+    r = np.rint(np.multiply(inverse, _PROOF_SCALE, out=inverse), out=inverse)
+    e = r @ b
+    e.flat[:: len(e) + 1] -= _PROOF_SCALE
+    exact = np.abs(r, out=r).sum(axis=1).max() * max(b.max(), -b.min()) < 2**52
+    return exact and np.abs(e, out=e).sum(axis=1).max() < _PROOF_SCALE
+
+
+def _rationalize(x):
+    """(q, numerators): each column of x as fractions over one denominator.
+
+    q[j] is the least positive integer up to DENOMINATOR_BOUND for which
+    every entry of q[j] * x[:, j] lies within _ROUNDING_TOLERANCE of an
+    integer, and numerators[:, j] are those integers.  None if a column has
+    no such q.
+    """
+    q = np.zeros(x.shape[1])
+    numerators = np.empty_like(x)
+    todo = np.arange(x.shape[1])
+    for den in range(1, DENOMINATOR_BOUND + 1):
+        y = den * x[:, todo]
+        rounded = np.rint(y)
+        done = (np.abs(y - rounded) < _ROUNDING_TOLERANCE).all(axis=0)
+        q[todo[done]] = den
+        numerators[:, todo[done]] = rounded[:, done]
+        todo = todo[~done]
+        if not len(todo):
+            return q, numerators
+    return None
+
+
+def _annihilated(products, a, cands, null):
+    """Whether every product is orthogonal to every null vector, in exact integers.
+
+    a is the products' block, and the columns of cands are integer
+    multiples of the vectors null, as float64.  While (largest row sum of
+    |a|) * max|cands| < 2^52, every partial sum of a @ cands is an integer
+    below 2^52, so one float64 product is exact; else the integer dot
+    products are summed in Python.
+    """
+    if np.linalg.norm(a, np.inf) * np.abs(cands).max() < 2**52:
+        return not (a @ cands).any()
+    return not any(
+        sum(c * vec.get(i, 0) for i, c in cand.items()) for cand in null for vec in products
+    )
 
 
 def _certify(products, dim, want_null):
     """(rank, canonical null vectors) of sparse integer products over dim states.
 
-    One forward elimination of their residues mod MODULUS.  The rank mod
-    MODULUS is at most the rank over Q, which is at most min(count, dim),
-    so when it reaches that bound the rank is proven.  With want_null,
-    each free column f gives a candidate with a 1 at f, 0 at the other
-    free columns and its pivot entries back-substituted mod MODULUS
-    (_back_substitute), lifted entry by entry by rational
-    reconstruction, scaled to content 1 and accepted only if its integer
-    dot product with every product is 0.  The accepted candidates span the
+    Worked in float64 and proven in exact integers, or None.  The c x dim
+    block A is filled once (_dense_block), c <= dim; a float null-space
+    basis gives its dim - c free columns (_free_columns); and the c x c
+    submatrix B of the other, pivot, columns is proven nonsingular from an
+    approximate inverse (_is_nonsingular), which proves rank c.  With
+    want_null, each free column f gives the candidate x = -B^-1 A[:, f] on
+    the pivots, 1 at f and 0 at the other free columns, rounded to
+    fractions with bounded denominators (_rationalize) and scaled to
+    content 1.  It is accepted only if it has no entry right of f and A x
+    = 0 in exact integers (_annihilated).  The accepted candidates span the
     complement and have distinct largest indices, so they are its
-    canonical basis, the one _Echelon.nullspace gives.  Returns None when
-    the rank falls short, an entry does not lift or a candidate fails.
+    canonical basis, the one _Echelon.nullspace gives.  None when there are
+    more products than states, or when a step is not proven: a result that
+    is not finite, a B that is singular or too ill-conditioned, or a
+    candidate that fails.
     """
-    mat = np.zeros((len(products), dim), dtype=np.int64)
-    for row, vec in zip(mat, products):
-        row[list(vec)] = [v % MODULUS for v in vec.values()]
-    pivots = _row_reduce(mat)
-    if len(pivots) < min(len(products), dim):
+    c = len(products)
+    if c > dim:
         return None
-    free = sorted(set(range(dim)) - set(pivots)) if want_null else []
-    solved = _back_substitute(mat, pivots, free)
-    null = []
-    for f, residues in zip(free, solved.T.tolist()):
-        cand = {f: 1}
-        for p, residue in zip(pivots, residues):
-            if p > f:
-                break
-            if residue:
-                value = _lift(residue)
-                if value is None:
-                    return None
-                cand[p] = value
-        cand = _canonical_vector(cand)
-        for vec in products:
-            if sum(c * vec.get(i, 0) for i, c in cand.items()):
+    if not c:
+        return 0, [{f: 1} for f in range(dim)] if want_null else []
+    a = _dense_block(products, dim)
+    with np.errstate(all="ignore"):
+        free = _free_columns(a) if c < dim else []
+        if free is None:
+            return None
+        pivots = np.delete(np.arange(dim), free)
+        b = a[:, pivots] if free else a
+        try:
+            inverse = np.linalg.inv(b)
+        except np.linalg.LinAlgError:
+            return None
+        x = -(inverse @ a[:, free])
+        if not _is_nonsingular(b, inverse):
+            return None
+        if not (want_null and free):
+            return c, []
+        found = _rationalize(x) if np.isfinite(x).all() else None
+        if found is None:
+            return None
+        q, numerators = found
+        cands = np.zeros((dim, len(free)))
+        cands[pivots] = numerators
+        cands[free, np.arange(len(free))] = q
+        null = []
+        for f, column in zip(free, cands.T):
+            nonzero = np.flatnonzero(column)
+            if nonzero[-1] != f:
                 return None
-        null.append(cand)
-    return len(pivots), null
+            null.append(_canonical_vector(dict(zip(nonzero.tolist(), map(int, column[nonzero])))))
+        return (c, null) if _annihilated(products, a, cands, null) else None
 
 
 def _settle(products, dim, want_null):
@@ -868,9 +935,9 @@ def verify_span(catalog, grade):
     The vectors are every catalog shape of grade <= the target grade times
     every Euler monomial of the complementary degree (degree zero included,
     so the grade's own shapes participate).  Reports their rank against the
-    level's dimension, summed over sectors: a sector whose rank mod
-    MODULUS reaches its dimension is certified full, and any other sector
-    reports its exact rank.  Every sector is formed and settled here,
+    level's dimension, summed over sectors: a sector whose certificate
+    (_certify) proves its rank equal to its dimension is certified full,
+    and any other sector reports its exact rank.  Every sector is formed and settled here,
     none is transported from its axis-permutation representative as in
     generate_shapes, so this checks the catalog independently of that
     shortcut.

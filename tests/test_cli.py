@@ -113,6 +113,19 @@ class TestGenerate:
         assert code == 2
         assert "SHAPES_STATE_CAP must be a positive number of states" in err
 
+    @pytest.mark.parametrize("value", ["abc", "1e5"])
+    def test_state_cap_environment_not_an_integer_exit_two(
+        self, capsys, tmp_path, monkeypatch, value
+    ):
+        monkeypatch.setenv("SHAPES_STATE_CAP", value)
+        code, _, err = run(
+            capsys, "generate", "--n", "2", "--d", "2", "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert (
+            f"SHAPES_STATE_CAP must be a positive integer number of states, got {value!r}" in err
+        )
+
 
 def _set_exponent(value):
     def edit(payload):

@@ -6,8 +6,8 @@ normalization or the serialization that alters a single byte fails here.
 Each golden catalog must also pass the loader's validation.  Small systems,
 in two and three dimensions so that shapes are also carried between
 sectors by axis permutations, are also generated with every sector forced
-onto the exact echelon, and with a tiny prime under which many
-certificates fail and fall back to it.
+onto the exact echelon, and with a denominator bound of 1 under which
+the certificates of some blocks fail and fall back to it.
 Coulomb tables written by `shapes coulomb` from golden catalogs are pinned
 the same way, so a change to the exact kernel or its one rounding that
 alters a printed digit fails here.  Densities are floating-point sums whose
@@ -65,9 +65,9 @@ def assert_golden(tmp_path, capsys, system):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[system]
-    assert ShapeCatalog.from_json_obj(json.loads(out.read_text())).total_count == (
-        total_shape_count(n, d)
-    )
+    catalog = ShapeCatalog.from_json_obj(json.loads(out.read_text()))
+    assert catalog.total_count == total_shape_count(n, d)
+    return catalog
 
 
 @pytest.mark.parametrize("system", sorted(GOLDEN_SHA256), ids=lambda s: "%d-%d-%s" % s)
@@ -76,7 +76,9 @@ def test_generate_is_byte_identical(tmp_path, capsys, system):
 
 
 @pytest.mark.parametrize(
-    "setting, value", [("DENSE_SECTOR_CAP", 0), ("MODULUS", 3)], ids=["exact", "tiny-prime"]
+    "setting, value",
+    [("DENSE_SECTOR_CAP", 0), ("DENOMINATOR_BOUND", 1)],
+    ids=["exact", "unit-denominators"],
 )
 @pytest.mark.parametrize(
     "system",
@@ -84,8 +86,24 @@ def test_generate_is_byte_identical(tmp_path, capsys, system):
     ids=lambda s: "%d-%d-%s" % s,
 )
 def test_forced_paths_are_byte_identical(tmp_path, capsys, monkeypatch, system, setting, value):
+    proven = []
+    real = shapegen._certify
+
+    def spy(products, dim, want_null):
+        result = real(products, dim, want_null)
+        proven.append(result is not None)
+        return result
+
     monkeypatch.setattr(shapegen, setting, value)
-    assert_golden(tmp_path, capsys, system)
+    monkeypatch.setattr(shapegen, "_certify", spy)
+    catalog = assert_golden(tmp_path, capsys, system)
+    if setting == "DENSE_SECTOR_CAP":
+        assert not proven
+    else:
+        # With denominator 1, a block whose shapes are all 1 or -1 at their
+        # largest index is proven, and one whose shape is not is refused.
+        fractional = any(abs(s.coeffs[max(s.coeffs)]) != 1 for s in catalog.shapes)
+        assert any(proven) and all(proven) != fractional
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,10 @@
 
 import json
 import re
+import warnings
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,17 +205,18 @@ class TestEchelonProperties:
 
 
 class TestSectorCertificate:
-    """One sector's mod-p certificate against the exact echelon.
+    """One sector's float certificate against the exact echelon.
 
-    With the working prime the certificate almost always settles a sector
-    itself; a tiny prime makes ranks fall short, entries fail to lift and
-    lifted candidates come out wrong, which the exact check must catch.
+    With the working denominator bound the certificate almost always settles
+    a sector itself; a small bound leaves candidates that do not round,
+    which it must refuse.  Whenever it answers, the answer is the exact one,
+    and dependent products are never proven.
     """
 
-    @pytest.mark.parametrize("modulus", [shapegen.MODULUS, 5, 3])
+    @pytest.mark.parametrize("bound", [shapegen.DENOMINATOR_BOUND, 5, 3])
     @settings(max_examples=200, deadline=None)
     @given(case=sparse_matrices())
-    def test_matches_exact_echelon(self, modulus, case):
+    def test_matches_exact_echelon(self, bound, case):
         dim, rows = case
         ech = _Echelon(dim)
         for row in rows:
@@ -222,10 +224,11 @@ class TestSectorCertificate:
         want_null = len(rows) < dim
         expected = (ech.rank, ech.nullspace() if want_null else [])
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(shapegen, "MODULUS", modulus)
+            patch.setattr(shapegen, "DENOMINATOR_BOUND", bound)
             certified = shapegen._certify(rows, dim, want_null)
             settled = shapegen._settle(rows, dim, want_null)
         if certified is not None:
+            assert ech.rank == len(rows)
             assert certified == expected
         assert settled == expected
 
@@ -241,10 +244,14 @@ class TestSectorCertificate:
         assert null[0] == {0: 1} and sorted(null[1]) == [1, 2, 3, 4]
         assert shapegen._certify(rows, 5, True) == (3, null)
 
-    @pytest.mark.parametrize("modulus", [shapegen.MODULUS, 5, 3])
+    def test_large_entries_are_checked_in_python_integers(self):
+        # (1 + 2^27) * 2^27 >= 2^52: one float64 product would not be exact.
+        assert shapegen._certify([{0: 1, 1: 2**27}], 2, True) == (1, [{0: 2**27, 1: -1}])
+
+    @pytest.mark.parametrize("bound", [shapegen.DENOMINATOR_BOUND, 5, 3])
     @settings(max_examples=200, deadline=None)
     @given(case=sparse_matrices())
-    def test_free_columns_at_both_ends_match_exact_echelon(self, modulus, case):
+    def test_free_columns_at_both_ends_match_exact_echelon(self, bound, case):
         # Shifted one column right and padded by one, no product touches
         # the first or the last column: both are free.
         dim, rows = case
@@ -256,25 +263,44 @@ class TestSectorCertificate:
         assert not {0, dim - 1} & set(ech.rows)
         expected = (ech.rank, ech.nullspace())
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(shapegen, "MODULUS", modulus)
+            patch.setattr(shapegen, "DENOMINATOR_BOUND", bound)
             certified = shapegen._certify(rows, dim, True)
             settled = shapegen._settle(rows, dim, True)
         if certified is not None:
+            assert ech.rank == len(rows)
             assert certified == expected
         assert settled == expected
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(-isqrt(shapegen.MODULUS // 2), isqrt(shapegen.MODULUS // 2)),
-           st.integers(1, isqrt(shapegen.MODULUS // 2)))
-    def test_lift_inverts_small_fractions(self, num, den):
-        p = shapegen.MODULUS
-        value = Fraction(num, den)
-        residue = value.numerator * pow(value.denominator, -1, p) % p
-        assert shapegen._lift(residue) == value
+    @pytest.mark.parametrize(
+        "rows, dim, rank",
+        [
+            # Unimodular (det -1) but too ill-conditioned for the float proof.
+            ([{0: 2**26, 1: 2**26 + 1}, {0: 2**26 + 1, 1: 2**26 + 2}], 2, 2),
+            ([{0: 1, 1: 2, 2: 3}, {0: 1, 1: 2, 2: 3}], 3, 1),
+            # B = [2^20] is proven, but the null vector's entry
+            # -(2^20 + 1)/2^20 rounds to -1: only the exact check refuses it.
+            ([{0: 2**20, 1: 2**20 + 1}], 2, 1),
+            # The same, with an entry large enough that the exact check sums
+            # Python integers instead of taking one float64 product.
+            ([{0: 2**20, 1: 2**20 + 1, 2: 2**40}], 3, 1),
+        ],
+        ids=["ill-conditioned", "repeated-row", "near-integer", "near-integer-large"],
+    )
+    def test_refused_blocks_are_settled_by_the_exact_echelon(self, monkeypatch, rows, dim, rank):
+        echelons = []
+        real = shapegen._Echelon
 
-    def test_lift_refuses_what_has_no_small_fraction(self, monkeypatch):
-        monkeypatch.setattr(shapegen, "MODULUS", 5)
-        assert [shapegen._lift(r) for r in range(5)] == [0, 1, None, None, -1]
+        def spy(ambient_dim):
+            echelons.append(real(ambient_dim))
+            return echelons[-1]
+
+        monkeypatch.setattr(shapegen, "_Echelon", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert shapegen._certify(rows, dim, True) is None
+            settled = shapegen._settle(rows, dim, True)
+        assert [ech.rank for ech in echelons] == [rank]
+        assert settled == (rank, echelons[0].nullspace())
 
     @pytest.mark.parametrize(
         "system",
