@@ -18,6 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import comb
+
+import numpy as np
 
 from .counting import FERMION, level_dimension
 from .coulomb import CoulombOperator
@@ -30,7 +33,6 @@ from .polycore import (
     monomial_rows,
     multiplicity_factorials,
     orbital_codes,
-    sector_of,
 )
 
 
@@ -86,6 +88,105 @@ class LevelBasis:
         return CoulombOperator(self)
 
     @cached_property
+    def code_array(self):
+        """The states as an int32 (len x n) array, one row of orbital codes each."""
+        return np.array(self.states, dtype=np.int32).reshape(len(self.states), self.n)
+
+    @cached_property
+    def _key_table(self):
+        """(binomials, keys ascending) for locate_codes.
+
+        binomials[x, r] = C(x, r) for every x a key reads and r <= n, built
+        by Pascal's rule in Python ints; keys are the states' keys,
+        ascending, so in reverse enumeration order.  Both are int64 while
+        C(codes + n, n) < 2^63, which bounds every key and every partial sum
+        of one, and Python ints (object arrays) above.
+        """
+        n = self.n
+        size = self.codes.grow(self.grade) + n
+        binomials = np.zeros((size, n + 1), dtype=object)
+        binomials[:, 0] = 1
+        for r in range(1, n + 1):
+            binomials[1:, r] = np.cumsum(binomials[:-1, r - 1])
+        if comb(size, n) < 2**63:
+            binomials = binomials.astype(np.int64)
+        keys = self._keys(binomials, self.code_array)[::-1]
+        if not (keys[1:] > keys[:-1]).all():
+            raise InternalConsistencyError(
+                f"grade {self.grade} states are not in enumeration order"
+            )
+        return binomials, keys
+
+    def _keys(self, binomials, rows):
+        """The combinadic key of each row of codes, in any order within a row.
+
+        Sorted descending, a row's key is sum_j C(c_j + o_j, n - j), with
+        o_j = n - 1 - j for bosons (whose codes may repeat) and 0 for
+        fermions: its rank among all such rows (the combinatorial number
+        system).  n - 1 - j is the number of codes that sort after c_j, the
+        smaller ones and, among equal ones, those further right, so no sort
+        is needed.
+        """
+        after = (rows[:, None, :] < rows[:, :, None]).sum(axis=2)
+        if self.statistics is not FERMION:
+            right = np.triu(np.ones((self.n, self.n), dtype=bool), 1)
+            after += ((rows[:, :, None] == rows[:, None, :]) & right).sum(axis=2)
+            return binomials[rows + after, after + 1].sum(axis=1)
+        return binomials[rows, after + 1].sum(axis=1)
+
+    def locate_codes(self, rows):
+        """The indices of the states whose orbital codes are the rows of an
+        integer k x n array, in any order within a row.
+
+        A state's key (_keys) rises strictly against the enumeration order,
+        so one searchsorted finds every row.  A row that is not a state of
+        this level is an InternalConsistencyError.
+        """
+        binomials, keys = self._key_table
+        wanted = self._keys(binomials, rows)
+        found = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        missing = keys[found] != wanted
+        if missing.any():
+            row = sorted(rows[np.flatnonzero(missing)[0]].tolist(), reverse=True)
+            raise InternalConsistencyError(
+                f"orbitals {self.codes.decode(row)} are not a state of grade {self.grade}"
+            )
+        return len(keys) - 1 - found
+
+    @cached_property
+    def _sector_layout(self):
+        """(sectors, sector ids, positions), from one pass over the code array.
+
+        A state's sector is the sum over its codes of a per-code table of
+        axis degrees.  Sectors are numbered in the order of their first
+        states; ids[i] is state i's sector number and positions[i] its place
+        among that sector's states.
+        """
+        axis_degrees = np.array(
+            self.codes.orbitals[: self.codes.grow(self.grade)], dtype=np.int64
+        ).reshape(-1, self.d)
+        per_state = axis_degrees[self.code_array].sum(axis=1)
+        order = np.lexsort(per_state.T[::-1])  # stable: a sector's first state leads
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (per_state[order[1:]] != per_state[order[:-1]]).any(axis=1)
+        firsts = order[new]
+        number = np.empty(len(firsts), dtype=np.int32)
+        number[np.argsort(firsts)] = np.arange(len(firsts))
+        ids = np.empty(len(order), dtype=np.int32)
+        ids[order] = number[np.cumsum(new) - 1]
+        members = np.argsort(ids, kind="stable")
+        counts = np.bincount(ids, minlength=len(firsts))
+        starts = np.cumsum(counts) - counts
+        positions = np.empty_like(ids)
+        positions[members] = np.arange(len(ids)) - np.repeat(starts, counts)
+        index = list(self.index.values()).__getitem__  # its int objects, not copies
+        sectors = {
+            tuple(per_state[first].tolist()): tuple(map(index, members[lo : lo + count].tolist()))
+            for first, lo, count in zip(np.sort(firsts), starts, counts)
+        }
+        return sectors, ids, positions
+
+    @property
     def sectors(self):
         """{sector: tuple of state indices, ascending}.
 
@@ -93,11 +194,17 @@ class LevelBasis:
         Euler factor raises one axis's total by a fixed amount, so every
         shape and every shape x Euler product lies in one sector.
         """
-        orbitals = self.codes.orbitals
-        out = {}
-        for state, i in self.index.items():  # the index's int objects, not copies
-            out.setdefault(sector_of([orbitals[c] for c in state]), []).append(i)
-        return {sector: tuple(indices) for sector, indices in out.items()}
+        return self._sector_layout[0]
+
+    @property
+    def sector_ids(self):
+        """Per state, the number of its sector, counted in sectors' order."""
+        return self._sector_layout[1]
+
+    @property
+    def sector_positions(self):
+        """Per state, its position in its sector's tuple in sectors."""
+        return self._sector_layout[2]
 
     def materialize(self, coeffs):
         """Polynomial sum of coeffs[i] * expansion(state_i).

@@ -6,28 +6,30 @@ complement of that span, with the level's Slater/permanent states taken as
 orthonormal coordinates.  The products are formed directly over state
 indices, never as expanded polynomials: one Euler factor e_m^[k](axis)
 maps each state of a level to a signed sum of states of the level m*k
-higher (the Pieri rule for elementary symmetric functions).  The catalog
-computes that image once per (grade, factor, state), on first use, and
-every later product at every grade reuses it.
+higher (the Pieri rule for elementary symmetric functions).  Every
+product is its monomial's last factor times the product one factor lower,
+formed at a lower grade, so each (shape, monomial prefix) is formed once
+(_Products), and all the vectors one (source grade, factor) acts on are
+multiplied in one batched numpy pass (_apply_factor), exact in int64 or,
+past its bound, in Python ints.
 
 A factor raises one axis's degree total by m*k, so a product's sector
 (LevelBasis.sectors) is known before any arithmetic: its shape's sector
 plus the monomial's per-axis degrees.  The span splits into independent
-blocks, one per (grade, sector), each formed and settled before the next
-is formed, never all of a grade at once; a product with a state outside
-its predicted sector is an InternalConsistencyError.  A block is settled
-by a rank certificate (_certify): LAPACK finds its free columns and an
-approximate inverse of its pivot columns in float64; the inverse proves
-the pivot submatrix nonsingular in exact integer arithmetic (Rump's
-verification method); and each null vector is rounded to fractions with
-small denominators and kept only if its integer dot product with every
-product is 0.  The null vectors are the canonical complement basis.  If a
-step is not proven, or the sector has more than DENSE_SECTOR_CAP states,
-the block goes to the exact integer echelon instead.  Three laws are hard
-assertions at every grade: the products are linearly independent (the
-free-module statement), the complement dimension matches the shape
-polynomial coefficient, and each sector's complement dimension matches
-sector_shape_counts.
+blocks, one per (grade, sector), each settled on its own; a product with
+a state outside its predicted sector is an InternalConsistencyError.  A
+block is settled by a rank certificate (_certify): LAPACK finds its free
+columns and an approximate inverse of its pivot columns in float64; the
+inverse proves the pivot submatrix nonsingular in exact integer
+arithmetic (Rump's verification method); and each null vector is rounded
+to fractions with small denominators and kept only if its integer dot
+product with every product is 0.  The null vectors are the canonical
+complement basis.  If a step is not proven, an entry reaches 2^53 or the
+sector has more than DENSE_SECTOR_CAP states, the block goes to the exact
+integer echelon instead.  Three laws are hard assertions at every grade:
+the products are linearly independent (the free-module statement), the
+complement dimension matches the shape polynomial coefficient, and each
+sector's complement dimension matches sector_shape_counts.
 
 Permuting the d axes maps the Hilbert space to itself, sector s to its
 image, shapes to shapes and products to products (generate_shapes gives
@@ -49,8 +51,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations
-from math import gcd, lcm
+from itertools import combinations
+from math import comb, gcd, lcm
 from operator import add
 
 import numpy as np
@@ -73,6 +75,7 @@ from .polycore import (
     json_field,
     json_int,
     json_list,
+    orbital_codes,
     parse_fraction,
     sector_of,
 )
@@ -88,15 +91,17 @@ DENSE_SECTOR_CAP = 2048
 # The certificates (_certify) scale an approximate inverse by this power of
 # two before rounding it (_is_nonsingular).
 _PROOF_SCALE = 2**20
+# A batched Pieri pass (_apply_factor) joins at most this many (state entry,
+# m-subset) pairs at once.
+_PASS_ROWS = 1 << 16
 # Null vector entries, relative to the 1 at the free column, are rounded to
 # fractions with denominators up to this bound: a canonical coefficient is
 # at most 24 on every catalog measured.
 DENOMINATOR_BOUND = 2**10
-# Float guesses: refusing what they get wrong costs only a fallback.  A
-# null basis entry below the first is zero, and q * x within the second of
-# an integer is that integer.
-_PIVOT_TOLERANCE = 1e-9
+# Float guesses: refusing what they get wrong costs only a fallback.  q * x
+# within this of an integer is that integer.
 _ROUNDING_TOLERANCE = 1e-6
+_EPS = np.finfo(float).eps
 
 
 def default_state_cap():
@@ -261,7 +266,6 @@ class ShapeCatalog:
     shapes: list
     state_cap: int = DEFAULT_STATE_CAP
     _bases: dict = field(default_factory=dict, repr=False)
-    _images: dict = field(default_factory=dict, repr=False)
 
     def level_basis(self, grade):
         basis = self._bases.get(grade)
@@ -271,66 +275,6 @@ class ShapeCatalog:
             )
             self._bases[grade] = basis
         return basis
-
-    def _times_factor(self, grade, vec, factor):
-        """Multiply a state vector of one grade by e_m^[k](axis).
-
-        factor is (m, k, axis).  Returns the product's grade and its sparse
-        {state index: coeff} vector, summed from the factor's image of each
-        state.  Images are computed on first use and kept in _images, keyed
-        by (grade, factor) and then by state index.
-        """
-        images = self._images.get((grade, factor))
-        if images is None:
-            images = self._images[grade, factor] = {}
-        out = {}
-        for i, c in vec.items():
-            image = images.get(i)
-            if image is None:
-                image = images[i] = self._factor_image(grade, factor, i)
-            pairs = iter(image)
-            for target, coeff in zip(pairs, pairs):
-                nv = out.get(target, 0) + c * coeff
-                if nv:
-                    out[target] = nv
-                else:
-                    del out[target]
-        m, k, _axis = factor
-        return grade + m * k, out
-
-    def _factor_image(self, grade, factor, i):
-        """One state times e_m^[k](axis), flat: (index, coeff, index, coeff, ...).
-
-        The factor is symmetric, so a state times it is a sum over the
-        m-subsets of its rows: shift those orbitals by k on the axis and
-        re-sort the rows with canonical_rows (the Pieri rule).  A
-        determinant takes the phase of the sort, 0 when two rows coincide;
-        a permanent, summed over all n! assignments, takes 1 per subset.
-        The shift is a code map (OrbitalCodes.shift).  Indices are in the
-        level basis of grade + m*k.
-        """
-        m, k, axis = factor
-        basis = self.level_basis(grade)
-        state = basis.states[i]
-        index = self.level_basis(grade + m * k).index
-        shift = basis.codes.shift(k, axis, grade)
-        fermion = self.statistics is FERMION
-        shifted = [shift[c] for c in state]
-        image = {}
-        for subset in combinations(range(len(state)), m):
-            moved = list(state)
-            for r in subset:
-                moved[r] = shifted[r]
-            moved, sign = canonical_rows(moved, fermion)
-            if not sign:
-                continue
-            target = index[tuple(moved)]
-            nv = image.get(target, 0) + sign
-            if nv:
-                image[target] = nv
-            else:
-                del image[target]
-        return tuple(chain.from_iterable(image.items()))
 
     def shapes_at(self, grade):
         return [s for s in self.shapes if s.grade == grade]
@@ -475,28 +419,250 @@ class ShapeCatalog:
         return canonical
 
 
-def _chain_products(catalog, rec, monomials):
-    """Yield (euler, vector) for a shape times each monomial, in order.
+@cache
+def _monomials(n, d, degree):
+    """enumerate_euler_monomials(n, d, degree), as a tuple."""
+    return tuple(enumerate_euler_monomials(n, d, degree))
 
-    The vector is the product's exact sparse {state index: coeff}, formed
-    one Euler factor at a time from the catalog's cached factor images;
-    consecutive monomials share the product of their common leading
-    factors.  Every yielded vector is a new dict.
+
+@cache
+def _factors(euler):
+    """euler.factors() as a tuple, the key of its products."""
+    return tuple(euler.factors())
+
+
+@cache
+def _subset_columns(n, m):
+    """C(n, m) x n gather indices into a state's codes followed by its
+    shifted codes: row j takes the shifted code at the rows of the j-th
+    m-subset, in combinations order, and the code itself elsewhere."""
+    columns = np.tile(np.arange(n), (comb(n, m), 1))
+    for row, subset in enumerate(combinations(range(n), m)):
+        columns[row, list(subset)] += n
+    return columns
+
+
+@cache
+def _row_pairs(n):
+    """The row pairs a < b of n rows, as two index arrays."""
+    return np.triu_indices(n, 1)
+
+
+@cache
+def _shift_array(d, k, axis, max_degree):
+    """OrbitalCodes.shift(k, axis, max_degree) as an int64 array."""
+    return np.array(orbital_codes(d).shift(k, axis, max_degree), dtype=np.int64)
+
+
+def _pieri_table(source, target, factor, states):
+    """(targets, signs): some states of one level times e_m^[k](axis), one
+    column per m-subset of their rows.
+
+    factor is (m, k, axis), states are indices of the level basis source,
+    and target is the level m*k higher.  A state times the symmetric factor
+    is a sum over the m-subsets of its rows: shift those orbitals by k on
+    the axis (OrbitalCodes.shift) and re-sort the rows (the Pieri rule).
+    Column j of row r holds subset j of state states[r]: the target index of
+    the rows (LevelBasis.locate_codes), and the phase of sorting them as
+    canonical_rows gives it.  A determinant takes the product over row pairs
+    a < b of sign(code a - code b): -1 per pair the sort exchanges, and 0
+    (target -1) when two rows coincide; a permanent takes 1.  Equal targets
+    of one row are summed by the caller.
     """
-    partials = [(rec.grade, dict(rec.coeffs))]
-    applied = []
-    for euler in monomials:
-        factors = euler.factors()
-        keep = 0
-        for have, want in zip(applied, factors):
-            if have != want:
+    m, k, axis = factor
+    n = source.n
+    rows = source.code_array[states]
+    shifted = _shift_array(source.d, k, axis, source.grade)[rows]
+    moved = np.hstack([rows, shifted])[:, _subset_columns(n, m)]
+    if source.statistics is FERMION:
+        first, second = _row_pairs(n)
+        signs = np.sign(moved[..., first] - moved[..., second]).prod(axis=-1)
+    else:
+        signs = np.ones(moved.shape[:2], dtype=np.int64)
+    targets = np.full(signs.shape, -1)
+    live = signs != 0
+    targets[live] = target.locate_codes(moved[live])
+    return targets, signs
+
+
+def _sum_equal_keys(keys, values):
+    """(distinct keys ascending, the exact sum of each one's values), zeros dropped."""
+    if not len(keys):
+        return keys, values
+    order = np.argsort(keys)
+    keys, values = keys[order], values[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(values, starts)
+    nonzero = sums != 0
+    return keys[starts][nonzero], sums[nonzero]
+
+
+def _fits_int64(vectors, coeffs, longest, width):
+    """Whether (largest ||v||_1 of the vectors) * width < 2^63, decided in Python ints.
+
+    coeffs are the vectors' coefficients, concatenated, and longest is the
+    largest vector's length; the largest entry times that bounds every
+    ||v||_1 and is tried first.
+    """
+    if coeffs.dtype != object:
+        if int(np.abs(coeffs).max(initial=0)) * longest * width < 2**63:
+            return True
+    return max(sum(map(abs, c.tolist())) for _idx, c in vectors) * width < 2**63
+
+
+def _apply_factor(source, target, factor, vectors):
+    """Every vector of one level times e_m^[k](axis), in one batched pass.
+
+    vectors are (state indices, coefficients) array pairs over the level
+    basis source.  Returns their images over target as one batch (indices,
+    coefficients, bounds): image j is the slice bounds[j]:bounds[j + 1],
+    indices ascending, no coefficient zero.  The vectors' entries are
+    joined with the Pieri table (_pieri_table) of the states they touch,
+    and equal targets of one image are summed exactly (argsort, then
+    add.reduceat).  Each coefficient of an image, and every partial sum, is
+    at most ||v||_1 * C(n, m) in magnitude: the pass runs in int64 while
+    that is below 2^63 for every vector (_fits_int64), and in Python ints
+    (object arrays) otherwise.  At most _PASS_ROWS (entry, subset) pairs
+    are joined at once; a batch with more is joined in chunks of entries
+    and summed once more.
+    """
+    width = comb(source.n, factor[0])
+    lengths = [len(idx) for idx, _c in vectors]
+    owners = np.repeat(np.arange(len(vectors)), lengths)
+    states = np.concatenate([idx for idx, _c in vectors])
+    coeffs = np.concatenate([c for _idx, c in vectors])
+    fits = _fits_int64(vectors, coeffs, max(lengths), width)
+    coeffs = coeffs.astype(np.int64 if fits else object)
+    size = len(target)
+    step = max(1, _PASS_ROWS // width)
+    parts = []
+    for lo in range(0, len(states), step):
+        part = slice(lo, lo + step)
+        touched, local = np.unique(states[part], return_inverse=True)
+        targets, signs = _pieri_table(source, target, factor, touched)
+        signs = signs[local]
+        live = signs != 0
+        keys = (owners[part, None] * size + targets[local])[live]
+        parts.append(_sum_equal_keys(keys, (coeffs[part, None] * signs)[live]))
+    if len(parts) == 1:
+        ((keys, sums),) = parts
+    else:
+        keys, sums = _sum_equal_keys(*map(np.concatenate, zip(*parts)))
+    owner = keys // size
+    bounds = np.searchsorted(owner, np.arange(len(vectors) + 1))
+    return _compact(keys - owner * size), _compact(sums), bounds
+
+
+def _compact(values):
+    """Integer values as int32 if every one is below 2^31 in magnitude, as
+    they are otherwise; a batch is stored until its last reader."""
+    if values.dtype != object and (not len(values) or np.abs(values).max() < 2**31):
+        return values.astype(np.int32)
+    return values
+
+
+class _Products:
+    """Shape x Euler monomial products, each formed once from one a factor lower.
+
+    A product is keyed by its shape and the factors of its monomial, as
+    EulerMonomial.factors orders them, and is the monomial's last factor
+    times the product keyed by the factors before it, down to the shape
+    itself under no factor.  A caller registers each product it will read
+    (want), which registers every prefix; form(grade) then forms every
+    registered product of that grade, one batched pass (_apply_factor) per
+    (source grade, factor), after dropping every stored product that no
+    grade from this one on reads.  take hands a product out as a (state
+    indices, coefficients) array pair, and drops it if no later grade reads
+    it.  Products are integer vectors: a shape with rational coefficients
+    is scaled to integers first, and exact undoes the scale.
+    """
+
+    def __init__(self, catalog):
+        self.catalog = catalog
+        self._numbers = {}  # shape id -> its number in the keys
+        self._scale = {}  # shape number -> the denominator it was scaled by
+        self._plan = {}  # grade -> {(source grade, factor): [key, ...]}
+        self._last_read = {}  # key -> the last grade that reads it
+        self._stored = {}  # key -> (batch, row), as _apply_factor returns batches
+        self._grade = None  # the grade last formed
+
+    def want(self, rec, factors, grade):
+        """Register the product of shape rec and the monomial of these
+        factors, which lies at this grade, with every prefix it is formed
+        from, for a read at its grade."""
+        shape = self._numbers.setdefault(rec.id, len(self._numbers))
+        key, reader = (shape, factors), grade
+        while True:
+            known = key in self._last_read  # registered before, with its prefixes
+            if not known or self._last_read[key] < reader:
+                self._last_read[key] = reader
+            if known or not factors:
                 break
-            keep += 1
-        del applied[keep:], partials[keep + 1 :]
-        for factor in factors[keep:]:
-            partials.append(catalog._times_factor(*partials[-1], factor))
-            applied.append(factor)
-        yield euler, partials[-1][1]
+            m, k, _axis = factor = factors[-1]
+            factors, reader, grade = factors[:-1], grade, grade - m * k
+            self._plan.setdefault(reader, {}).setdefault((grade, factor), []).append(key)
+            key = (shape, factors)
+        if not factors and key not in self._stored:
+            self._stored[key] = self._shape_batch(rec, shape), 0
+
+    def _shape_batch(self, rec, shape):
+        indices = sorted(rec.coeffs)
+        values = [rec.coeffs[i] for i in indices]
+        scale = self._scale[shape] = lcm(*(c.denominator for c in values))
+        values = [int(c * scale) for c in values]
+        wide = any(abs(c) >= 2**63 for c in values)
+        return (
+            np.array(indices, dtype=np.int64),
+            np.array(values, dtype=object if wide else np.int64),
+            np.array([0, len(values)]),
+        )
+
+    def _vector(self, key):
+        (indices, coeffs, bounds), row = self._stored[key]
+        lo, hi = bounds[row], bounds[row + 1]
+        return indices[lo:hi], coeffs[lo:hi]
+
+    def form(self, grade):
+        """Form every registered product of this grade."""
+        self._grade = grade
+        for key in [key for key, last in self._last_read.items() if last < grade]:
+            del self._last_read[key]
+            self._stored.pop(key, None)
+        level = self.catalog.level_basis
+        for (source, factor), keys in self._plan.pop(grade, {}).items():
+            vectors = [self._vector((shape, factors[:-1])) for shape, factors in keys]
+            batch = _apply_factor(level(source), level(grade), factor, vectors)
+            self._stored.update((key, (batch, row)) for row, key in enumerate(keys))
+
+    def take(self, rec, factors):
+        """A product of the grade last formed, as a (state indices,
+        coefficients) pair; dropped at once if no later grade reads it."""
+        key = (self._numbers[rec.id], factors)
+        vector = self._vector(key)
+        if self._last_read[key] <= self._grade:
+            del self._last_read[key], self._stored[key]
+        return vector
+
+    def exact(self, rec, factors):
+        """take, as a {state index: coeff} dict of Python ints, or of
+        Fractions if the shape's coefficients are not integers."""
+        indices, coeffs = self.take(rec, factors)
+        scale = self._scale[self._numbers[rec.id]]
+        values = coeffs.tolist() if scale == 1 else [Fraction(c, scale) for c in coeffs.tolist()]
+        return dict(zip(indices.tolist(), values))
+
+
+def _products_through(catalog, grade):
+    """Every catalog shape of grade <= the target times every Euler monomial
+    of the complementary degree, formed (_Products)."""
+    products = _Products(catalog)
+    lower = [rec for rec in catalog.shapes if rec.grade <= grade]
+    for rec in lower:
+        for euler in _monomials(catalog.n, catalog.d, grade - rec.grade):
+            products.want(rec, _factors(euler), grade)
+    for g in range(min((rec.grade for rec in lower), default=grade), grade + 1):
+        products.form(g)
+    return products
 
 
 def trivial_products(catalog, grade):
@@ -504,14 +670,14 @@ def trivial_products(catalog, grade):
 
     Yields (record, euler, vector) with records in catalog order and, per
     record, monomials of the complementary degree in enumerate_euler_monomials
-    order (at a shape's own grade, only the empty one), with vectors over
-    the target level basis.
+    order (at a shape's own grade, only the empty one), with vectors as
+    {state index: coeff} dicts of Python ints over the target level basis.
     """
+    products = _products_through(catalog, grade)
     for rec in catalog.shapes:
         if rec.grade <= grade:
-            monomials = enumerate_euler_monomials(catalog.n, catalog.d, grade - rec.grade)
-            for euler, vec in _chain_products(catalog, rec, monomials):
-                yield rec, euler, vec
+            for euler in _monomials(catalog.n, catalog.d, grade - rec.grade):
+                yield rec, euler, products.exact(rec, _factors(euler))
 
 
 @cache
@@ -522,10 +688,15 @@ def _monomials_by_shift(n, d, degree):
     where shift[axis] is the degree the monomial's factors add on that axis.
     """
     out = {}
-    for euler in enumerate_euler_monomials(n, d, degree):
+    for euler in _monomials(n, d, degree):
         shift = tuple(sum(m * k for m, k in enumerate(e, start=1)) for e in euler.exponents)
         out.setdefault(shift, []).append(euler)
     return {shift: tuple(monomials) for shift, monomials in out.items()}
+
+
+def _home_sector(catalog, rec):
+    """The sector of a shape's states."""
+    return sector_of(catalog.level_basis(rec.grade).orbitals(min(rec.coeffs)))
 
 
 def _sector_plan(catalog, grade):
@@ -540,7 +711,7 @@ def _sector_plan(catalog, grade):
     plan = {}
     for rec in catalog.shapes:
         if rec.grade <= grade:
-            home = sector_of(catalog.level_basis(rec.grade).orbitals(min(rec.coeffs)))
+            home = _home_sector(catalog, rec)
             by_shift = _monomials_by_shift(catalog.n, catalog.d, grade - rec.grade)
             for shift, monomials in by_shift.items():
                 plan.setdefault(tuple(map(add, home, shift)), []).append((rec, monomials))
@@ -550,39 +721,49 @@ def _sector_plan(catalog, grade):
     return plan
 
 
-def _sector_blocks(catalog, grade, plan, formed):
-    """Yield (sector, products) for each sector of one level in formed, in turn.
+def _sector_blocks(catalog, grade, plan, formed, products):
+    """Yield (sector, block) for each sector of one level in formed, in turn.
 
-    The products are the plan's (_sector_plan), formed in its order as
-    sparse {position: coeff} vectors in the sector's coordinates.  A
-    product with a state outside its predicted sector is an
-    InternalConsistencyError.
+    The block holds the plan's products (_sector_plan), in its order, read
+    from the formed products (_Products) as (positions, coefficients) array
+    pairs in the sector's coordinates.  A product with a state outside its
+    predicted sector is an InternalConsistencyError.
     """
     basis = catalog.level_basis(grade)
-    for sector, indices in basis.sectors.items():
+    ids, positions = basis.sector_ids, basis.sector_positions
+    for number, sector in enumerate(basis.sectors):
         if sector not in formed:
             continue
-        position = {i: pos for pos, i in enumerate(indices)}
-        products = []
-        for rec, monomials in plan.get(sector, ()):
-            for _euler, vec in _chain_products(catalog, rec, monomials):
-                try:
-                    products.append({position[i]: v for i, v in vec.items()})
-                except KeyError as exc:
-                    state = basis.orbitals(exc.args[0])
-                    raise InternalConsistencyError(
-                        f"a product at grade {grade} leaves its sector {sector}: "
-                        f"state {state} lies in sector {sector_of(state)}"
-                    ) from None
-        yield sector, products
+        block = [
+            products.take(rec, _factors(euler))
+            for rec, monomials in plan.get(sector, ())
+            for euler in monomials
+        ]
+        if block:
+            states = np.concatenate([idx for idx, _c in block])
+            stray = states[ids[states] != number]
+            if len(stray):
+                state = basis.orbitals(int(stray[0]))
+                raise InternalConsistencyError(
+                    f"a product at grade {grade} leaves its sector {sector}: "
+                    f"state {state} lies in sector {sector_of(state)}"
+                )
+        yield sector, [(positions[idx], coeffs) for idx, coeffs in block]
 
 
 def _dense_block(products, dim):
-    """The products as the rows of a dense float64 block, by one COO assignment."""
+    """The products as the rows of a dense float64 block, by one COO assignment.
+
+    products are (positions, integer coefficients) array pairs.  None if an
+    entry reaches 2^53, past which float64 does not hold every integer.
+    """
     a = np.zeros((len(products), dim))
-    rows = np.repeat(np.arange(len(products)), [len(vec) for vec in products])
-    cols = np.fromiter(chain.from_iterable(products), np.intp, len(rows))
-    a[rows, cols] = np.fromiter(chain.from_iterable(map(dict.values, products)), float, len(rows))
+    if products:
+        values = np.concatenate([c for _pos, c in products])
+        if np.abs(values).max(initial=0) >= 2**53:
+            return None
+        rows = np.repeat(np.arange(len(products)), [len(c) for _pos, c in products])
+        a[rows, np.concatenate([pos for pos, _c in products])] = values
     return a
 
 
@@ -592,9 +773,12 @@ def _free_columns(a):
     A complete QR of a.T holds an orthonormal basis of the null space in its
     last dim - c columns.  Gauss-Jordan elimination of that basis, pivoting
     on the largest index, pivots where the canonical null vectors have their
-    largest indices: at the free columns.  This is a float guess that
-    _certify proves or refuses; None if the QR fails, the basis is not
-    finite or it vanishes before dim - c pivots are found.
+    largest indices: at the free columns.  An entry counts as zero below
+    max(dim, rows) * eps times the basis's largest entry, the rounding level
+    of the QR, so a null vector with entries of very different sizes, as
+    (2^30, -1), keeps its small ones.  This is a float guess that _certify
+    proves or refuses; None if the QR fails, the basis is not finite or it
+    vanishes before dim - c pivots are found.
     """
     c, dim = a.shape
     try:
@@ -608,7 +792,8 @@ def _free_columns(a):
     free = []
     while len(null):
         mags = np.abs(null)
-        big = np.flatnonzero(mags.max(axis=0) > _PIVOT_TOLERANCE)
+        largest = mags.max(axis=0)
+        big = np.flatnonzero(largest > largest.max() * max(null.shape) * _EPS)
         if not len(big):
             return None
         f = big[-1]
@@ -660,27 +845,28 @@ def _rationalize(x):
     return None
 
 
-def _annihilated(products, a, cands, null):
-    """Whether every product is orthogonal to every null vector, in exact integers.
+def _annihilated(a, cands, null):
+    """Whether every row of a block is orthogonal to every null vector, in exact integers.
 
-    a is the products' block, and the columns of cands are integer
+    a is the float64 integer block, and the columns of cands are integer
     multiples of the vectors null, as float64.  While (largest row sum of
     |a|) * max|cands| < 2^52, every partial sum of a @ cands is an integer
-    below 2^52, so one float64 product is exact; else the integer dot
-    products are summed in Python.
+    below 2^52, so one float64 product is exact; else the dot products are
+    summed in Python ints.
     """
     if np.linalg.norm(a, np.inf) * np.abs(cands).max() < 2**52:
         return not (a @ cands).any()
+    ints = a.astype(np.int64).astype(object)
     return not any(
-        sum(c * vec.get(i, 0) for i, c in cand.items()) for cand in null for vec in products
+        (ints[:, list(vec)] @ np.array(list(vec.values()), dtype=object)).any() for vec in null
     )
 
 
-def _certify(products, dim, want_null):
-    """(rank, canonical null vectors) of sparse integer products over dim states.
+def _certify(a, want_null):
+    """(rank, canonical null vectors) of a float64 c x dim block of integers.
 
-    Worked in float64 and proven in exact integers, or None.  The c x dim
-    block A is filled once (_dense_block), c <= dim; a float null-space
+    Worked in float64 and proven in exact integers, or None.  Given the
+    block A (_dense_block) with c <= dim, a float null-space
     basis gives its dim - c free columns (_free_columns); and the c x c
     submatrix B of the other, pivot, columns is proven nonsingular from an
     approximate inverse (_is_nonsingular), which proves rank c.  With
@@ -695,12 +881,11 @@ def _certify(products, dim, want_null):
     is not finite, a B that is singular or too ill-conditioned, or a
     candidate that fails.
     """
-    c = len(products)
+    c, dim = a.shape
     if c > dim:
         return None
     if not c:
         return 0, [{f: 1} for f in range(dim)] if want_null else []
-    a = _dense_block(products, dim)
     with np.errstate(all="ignore"):
         free = _free_columns(a) if c < dim else []
         if free is None:
@@ -729,35 +914,37 @@ def _certify(products, dim, want_null):
             if nonzero[-1] != f:
                 return None
             null.append(_canonical_vector(dict(zip(nonzero.tolist(), map(int, column[nonzero])))))
-        return (c, null) if _annihilated(products, a, cands, null) else None
+        return (c, null) if _annihilated(a, cands, null) else None
 
 
 def _settle(products, dim, want_null):
     """(rank, canonical null vectors, or [] without want_null) of one block.
 
-    By _certify, or by the exact echelon of the same products if that
-    fails or the sector has more than DENSE_SECTOR_CAP states.
+    products are (positions, integer coefficients) array pairs over the
+    sector's dim states.  They are settled by _certify, or by the exact
+    echelon of their Python-int rows if that fails, an entry reaches 2^53
+    (_dense_block) or the sector has more than DENSE_SECTOR_CAP states.
     """
     if dim <= DENSE_SECTOR_CAP:
-        result = _certify(products, dim, want_null)
+        a = _dense_block(products, dim)
+        result = None if a is None else _certify(a, want_null)
         if result is not None:
             return result
     ech = _Echelon(dim)
-    for vec in products:
-        ech.insert(vec)
+    for pos, coeffs in products:
+        ech.insert(dict(zip(pos.tolist(), coeffs.tolist())))
     return ech.rank, ech.nullspace() if want_null else []
 
 
-def _sector_complements(catalog, grade, formed, held):
+def _sector_complements(catalog, grade, plan, formed, held, products):
     """(product count, {sector: (rank, null vectors)}) of one grade's products.
 
-    Only the sectors in formed are formed and settled, each before the
-    next one is formed; the count covers every sector, read from the plan
-    for the others.  Null vectors are in level indices, and only for the
-    sectors in held.
+    Only the sectors in formed are read from the formed products (_Products)
+    and settled, each before the next one is read; the count covers every
+    sector of the plan (_sector_plan), read from it for the others.  Null
+    vectors are in level indices, and only for the sectors in held.
     """
     sectors = catalog.level_basis(grade).sectors
-    plan = _sector_plan(catalog, grade)
     count = sum(
         len(monomials)
         for sector, pairs in plan.items()
@@ -765,10 +952,10 @@ def _sector_complements(catalog, grade, formed, held):
         for _rec, monomials in pairs
     )
     out = {}
-    for sector, products in _sector_blocks(catalog, grade, plan, formed):
-        count += len(products)
+    for sector, block in _sector_blocks(catalog, grade, plan, formed, products):
+        count += len(block)
         indices = sectors[sector]
-        rank, null = _settle(products, len(indices), sector in held)
+        rank, null = _settle(block, len(indices), sector in held)
         out[sector] = rank, [{indices[i]: v for i, v in vec.items()} for vec in null]
     return count, out
 
@@ -873,13 +1060,16 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
         )
     catalog = ShapeCatalog(n, d, statistics, poly, max_grade, shapes=[], state_cap=state_cap)
     law = sector_shape_counts(n, d, statistics)
+    products = _Products(catalog)
     for grade in range(poly.lowest_degree(), max_grade + 1):
         expected = poly.coefficient(grade)
         basis = catalog.level_basis(grade)
         sectors = basis.sectors
         formed = {s for s in sectors if s == _representative(s)}
         held = {_representative(s) for s in law.keys() & sectors}
-        count, blocks = _sector_complements(catalog, grade, formed, held)
+        plan = _sector_plan(catalog, grade)
+        products.form(grade)
+        count, blocks = _sector_complements(catalog, grade, plan, formed, held, products)
         for sector in sectors.keys() - formed:
             rank, null = blocks[_representative(sector)]
             perm = _axis_permutation(sector)
@@ -907,8 +1097,27 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
                 )
         new_vectors = sorted((v for _r, null in blocks.values() for v in null), key=max)
         for idx, vec in enumerate(new_vectors):
-            catalog.shapes.append(ShapeRecord(grade, idx, vec))
+            rec = ShapeRecord(grade, idx, vec)
+            catalog.shapes.append(rec)
+            _want_representative_products(catalog, rec, products)
     return catalog
+
+
+def _want_representative_products(catalog, rec, products):
+    """Register the products of a new shape that generation reads.
+
+    They are the shape times each monomial that lands it in a
+    representative sector of a higher grade up to max_grade, the only
+    sectors generation forms.
+    """
+    home = _home_sector(catalog, rec)
+    for grade in range(rec.grade + 1, catalog.max_grade + 1):
+        by_shift = _monomials_by_shift(catalog.n, catalog.d, grade - rec.grade)
+        for shift, monomials in by_shift.items():
+            sector = tuple(map(add, home, shift))
+            if sector == _representative(sector):
+                for euler in monomials:
+                    products.want(rec, _factors(euler), grade)
 
 
 @dataclass
@@ -943,6 +1152,8 @@ def verify_span(catalog, grade):
     shortcut.
     """
     basis = catalog.level_basis(grade)
-    count, blocks = _sector_complements(catalog, grade, basis.sectors.keys(), held=())
+    plan = _sector_plan(catalog, grade)
+    products = _products_through(catalog, grade)
+    count, blocks = _sector_complements(catalog, grade, plan, basis.sectors.keys(), (), products)
     rank = sum(r for r, _null in blocks.values())
     return SpanReport(grade, len(basis), count, rank, passed=rank == len(basis))

@@ -72,6 +72,26 @@ class TestLevelBasis:
             seen.extend(indices)
         assert sorted(seen) == list(range(len(basis)))
 
+    @pytest.mark.parametrize(
+        "n, d, grade, stat",
+        [
+            (3, 2, 4, FERMION), (3, 3, 5, BOSON), (4, 2, 9, BOSON), (2, 3, 6, FERMION),
+            (2, 3, 0, FERMION),
+        ],
+    )
+    def test_sectors_match_the_per_state_loop(self, n, d, grade, stat):
+        # Keys in the order of their first states, tuples of Python ints,
+        # and the sector numbers and positions the product engine reads.
+        basis = LevelBasis(n, d, grade, stat)
+        expected = {}
+        for i in range(len(basis)):
+            expected.setdefault(sector_of(basis.orbitals(i)), []).append(i)
+        assert list(basis.sectors.items()) == [(s, tuple(v)) for s, v in expected.items()]
+        assert all(type(x) is int for s, v in basis.sectors.items() for x in s + v)
+        for number, indices in enumerate(basis.sectors.values()):
+            assert basis.sector_ids[list(indices)].tolist() == [number] * len(indices)
+            assert basis.sector_positions[list(indices)].tolist() == list(range(len(indices)))
+
 
 class TestDeflate:
     def test_first_level_trivial_state_t_axis(self, basis_32_3):

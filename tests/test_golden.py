@@ -89,8 +89,8 @@ def test_forced_paths_are_byte_identical(tmp_path, capsys, monkeypatch, system, 
     proven = []
     real = shapegen._certify
 
-    def spy(products, dim, want_null):
-        result = real(products, dim, want_null)
+    def spy(block, want_null):
+        result = real(block, want_null)
         proven.append(result is not None)
         return result
 

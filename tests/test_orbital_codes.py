@@ -8,14 +8,15 @@ random levels.
 
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from shapes import shapegen
-from shapes.counting import BOSON, FERMION, level_dimension, shape_polynomial
+from shapes.counting import BOSON, FERMION, level_dimension
 from shapes.deflation import LevelBasis
+from shapes.errors import InternalConsistencyError
 from shapes.polycore import OrbitalCodes, enumerate_basis, orbital_codes, orbital_key
-from shapes.shapegen import ShapeCatalog
 
 import pieri_oracle
 
@@ -94,26 +95,41 @@ class TestCodes:
         basis = LevelBasis(n, d, grade, stat)
         assert [basis.orbitals(i) for i in range(len(basis))] == list(states)
         assert all(basis.locate(s) == i for i, s in enumerate(states))
+        assert basis.locate_codes(basis.code_array).tolist() == list(range(len(basis)))
+
+
+    def test_locate_codes_names_a_row_that_is_no_state(self):
+        basis = LevelBasis(3, 2, 4, FERMION)
+        rows = basis.code_array[:2].copy()
+        rows[1] = rows[0] + 1
+        with pytest.raises(InternalConsistencyError, match="are not a state of grade 4"):
+            basis.locate_codes(rows)
 
 
 class TestTableRoutes:
     @settings(max_examples=80, deadline=None)
     @given(levels(), st.data())
     def test_factor_images_match_the_orbital_route(self, level, data):
+        # A Pieri table row, its equal targets summed and zeros dropped, is
+        # the state's image.
         n, d, stat, grade = level
         assume(level_dimension(n, d, grade + 1, stat) <= LEVEL_CAP)
-        catalog = ShapeCatalog(n, d, stat, shape_polynomial(n, d, stat), 0, shapes=[])
-        size = level_dimension(n, d, grade, stat)
-        states = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3))
+        source = LevelBasis(n, d, grade, stat)
+        states = data.draw(st.lists(st.integers(0, len(source) - 1), min_size=1, max_size=3))
         compared = 0
         for m in range(1, n + 1):
             for k in range(1, 4):
                 if level_dimension(n, d, grade + m * k, stat) > LEVEL_CAP:
                     continue
+                target = LevelBasis(n, d, grade + m * k, stat)
                 for axis in range(d):
-                    for i in states:
-                        flat = iter(catalog._factor_image(grade, (m, k, axis), i))
-                        ours = dict(zip(flat, flat))
+                    table = shapegen._pieri_table(source, target, (m, k, axis), np.array(states))
+                    for i, targets, signs in zip(states, *table):
+                        ours = {}
+                        for t, sign in zip(targets.tolist(), signs.tolist()):
+                            if sign:
+                                ours[t] = ours.get(t, 0) + sign
+                        ours = {t: c for t, c in ours.items() if c}
                         expected = pieri_oracle.factor_image(n, d, grade, stat, (m, k, axis), i)
                         assert ours == expected, (m, k, axis, i)
                         compared += 1

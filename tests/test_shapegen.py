@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +24,7 @@ from shapes.errors import InternalConsistencyError, StateCapExceeded
 from shapes.polycore import SlaterState, enumerate_euler_monomials, sector_of
 from shapes.shapegen import (
     ShapeCatalog,
+    ShapeRecord,
     _Echelon,
     generate_shapes,
     trivial_products,
@@ -204,6 +206,16 @@ class TestEchelonProperties:
         assert ech.rows == stored
 
 
+def as_products(rows):
+    """Sparse {column: coeff} rows as the (positions, coefficients) array pairs _settle takes."""
+    return [(np.array(list(row), dtype=np.intp), np.array(list(row.values()))) for row in rows]
+
+
+def block(rows, dim):
+    """Sparse {column: coeff} rows as the dense float64 block _certify takes."""
+    return shapegen._dense_block(as_products(rows), dim)
+
+
 class TestSectorCertificate:
     """One sector's float certificate against the exact echelon.
 
@@ -225,8 +237,8 @@ class TestSectorCertificate:
         expected = (ech.rank, ech.nullspace() if want_null else [])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shapegen, "DENOMINATOR_BOUND", bound)
-            certified = shapegen._certify(rows, dim, want_null)
-            settled = shapegen._settle(rows, dim, want_null)
+            certified = shapegen._certify(block(rows, dim), want_null)
+            settled = shapegen._settle(as_products(rows), dim, want_null)
         if certified is not None:
             assert ech.rank == len(rows)
             assert certified == expected
@@ -242,11 +254,32 @@ class TestSectorCertificate:
         assert sorted(ech.rows) == [1, 2, 3]
         null = ech.nullspace()
         assert null[0] == {0: 1} and sorted(null[1]) == [1, 2, 3, 4]
-        assert shapegen._certify(rows, 5, True) == (3, null)
+        assert shapegen._certify(block(rows, 5), True) == (3, null)
 
     def test_large_entries_are_checked_in_python_integers(self):
         # (1 + 2^27) * 2^27 >= 2^52: one float64 product would not be exact.
-        assert shapegen._certify([{0: 1, 1: 2**27}], 2, True) == (1, [{0: 2**27, 1: -1}])
+        assert shapegen._certify(block([{0: 1, 1: 2**27}], 2), True) == (1, [{0: 2**27, 1: -1}])
+
+    def test_small_null_basis_entries_are_not_taken_for_zero(self):
+        # The null vector (2^30, -1) normalizes to entries 1 and 9.3e-10:
+        # small, but far above the QR's rounding, so column 1 is free.
+        assert shapegen._certify(block([{0: 1, 1: 2**30}], 2), True) == (1, [{0: 2**30, 1: -1}])
+
+    @pytest.mark.parametrize("big", [2**53, 2**70], ids=["int64", "python-int"])
+    def test_entries_from_2_53_go_to_the_exact_echelon(self, monkeypatch, big):
+        # float64 does not hold every integer from 2^53 on: no dense block.
+        echelons = []
+        real = shapegen._Echelon
+
+        def spy(ambient_dim):
+            echelons.append(real(ambient_dim))
+            return echelons[-1]
+
+        monkeypatch.setattr(shapegen, "_Echelon", spy)
+        products = as_products([{0: 1, 1: big}, {1: 1, 2: 3}])
+        assert shapegen._dense_block(products, 3) is None
+        assert shapegen._settle(products, 3, True) == (2, [{0: 3 * big, 1: -3, 2: 1}])
+        assert len(echelons) == 1
 
     @pytest.mark.parametrize("bound", [shapegen.DENOMINATOR_BOUND, 5, 3])
     @settings(max_examples=200, deadline=None)
@@ -264,8 +297,8 @@ class TestSectorCertificate:
         expected = (ech.rank, ech.nullspace())
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shapegen, "DENOMINATOR_BOUND", bound)
-            certified = shapegen._certify(rows, dim, True)
-            settled = shapegen._settle(rows, dim, True)
+            certified = shapegen._certify(block(rows, dim), True)
+            settled = shapegen._settle(as_products(rows), dim, True)
         if certified is not None:
             assert ech.rank == len(rows)
             assert certified == expected
@@ -297,8 +330,8 @@ class TestSectorCertificate:
         monkeypatch.setattr(shapegen, "_Echelon", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert shapegen._certify(rows, dim, True) is None
-            settled = shapegen._settle(rows, dim, True)
+            assert shapegen._certify(block(rows, dim), True) is None
+            settled = shapegen._settle(as_products(rows), dim, True)
         assert [ech.rank for ech in echelons] == [rank]
         assert settled == (rank, echelons[0].nullspace())
 
@@ -346,18 +379,22 @@ class TestSectorLaw:
 
     def test_product_leaving_its_sector_is_named(self, monkeypatch):
         # The ground shape |(1,0),(0,1),(0,0)| lies in sector (1, 1), so its
-        # product with e1(x) lies in (2, 1).  One image that also reaches a
-        # state of sector (1, 2) must fail, naming grade, sector and state.
+        # product with e1(x) lies in (2, 1).  A Pieri table whose rows also
+        # reach a state of sector (1, 2) must fail, naming grade, sector and
+        # state.
         level = LevelBasis(3, 2, 3, FERMION)
         stray = level.sectors[1, 2][0]
         orbitals = level.orbitals(stray)
-        real = ShapeCatalog._factor_image
+        real = shapegen._pieri_table
 
-        def leaky(self, grade, factor, i):
-            image = real(self, grade, factor, i)
-            return image + (stray, 1) if (grade, factor) == (2, (1, 1, 0)) else image
+        def leaky(source, target, factor, states):
+            targets, signs = real(source, target, factor, states)
+            if (source.grade, factor) == (2, (1, 1, 0)):
+                extra = np.ones((len(states), 1), dtype=targets.dtype)
+                targets, signs = np.hstack([targets, stray * extra]), np.hstack([signs, extra])
+            return targets, signs
 
-        monkeypatch.setattr(ShapeCatalog, "_factor_image", leaky)
+        monkeypatch.setattr(shapegen, "_pieri_table", leaky)
         with pytest.raises(
             InternalConsistencyError,
             match=re.escape(
@@ -378,10 +415,11 @@ AXIS_SYSTEMS = [
 def settled_directly(system):
     """(catalog, {grade: {sector: (lower products, canonical null vectors)}}).
 
-    The products are every lower shape times every Euler monomial, in the
-    sector's coordinates, and the null vectors, in level indices, are what
-    _settle gives on them: every sector of every grade settled on its own,
-    whether generation formed it or carried shapes into it.
+    The products are every lower shape times every Euler monomial, as
+    {position: coeff} dicts in the sector's coordinates, and the null
+    vectors, in level indices, are what _settle gives on them: every sector
+    of every grade settled on its own, whether generation formed it or
+    carried shapes into it.
     """
     catalog = generate_shapes(*system)
     out = {}
@@ -391,11 +429,14 @@ def settled_directly(system):
             sector: [(rec, m) for rec, m in pairs if rec.grade < grade]
             for sector, pairs in shapegen._sector_plan(catalog, grade).items()
         }
+        formed = shapegen._products_through(catalog, grade)
         out[grade] = {}
-        for sector, products in shapegen._sector_blocks(catalog, grade, plan, sectors.keys()):
+        blocks = shapegen._sector_blocks(catalog, grade, plan, sectors.keys(), formed)
+        for sector, products in blocks:
             indices = sectors[sector]
             _rank, null = shapegen._settle(products, len(indices), True)
-            out[grade][sector] = products, [{indices[i]: v for i, v in vec.items()} for vec in null]
+            rows = [dict(zip(pos.tolist(), coeffs.tolist())) for pos, coeffs in products]
+            out[grade][sector] = rows, [{indices[i]: v for i, v in vec.items()} for vec in null]
     return catalog, out
 
 
@@ -592,7 +633,6 @@ class TestFactorImageCache:
     def test_warm_cache_matches_cold(self, stat):
         warm = generate_shapes(3, 2, stat)
         cold = ShapeCatalog.from_json_obj(warm.to_json_obj())
-        assert warm._images and not cold._images
         top = warm.shape_poly.degree()
         for grade in range(warm.shape_poly.lowest_degree(), top + 3):
             ours = [(r.id, e, v) for r, e, v in trivial_products(warm, grade)]
@@ -609,6 +649,116 @@ class TestFactorImageCache:
                 vec.pop(max(vec))
             assert [v for _, _, v in trivial_products(catalog, grade)] == first
         assert [s.coeffs for s in catalog.shapes] == shapes_before
+
+
+ENGINE_SYSTEMS = [
+    (2, 2, FERMION), (2, 2, BOSON), (3, 2, FERMION), (3, 2, BOSON), (2, 3, FERMION),
+    (2, 3, BOSON), (3, 1, FERMION), (3, 1, BOSON),
+]
+
+
+@st.composite
+def sector_vectors(draw, coefficients=st.integers(-9, 9).filter(bool)):
+    """A catalog of one to three random integer vectors, each inside one
+    sector of a grade at most two above the ground grade, standing in for
+    shapes."""
+    n, d, stat = draw(st.sampled_from(ENGINE_SYSTEMS), label="system")
+    ground = shape_polynomial(n, d, stat).lowest_degree()
+    shapes = []
+    for index in range(draw(st.integers(1, 3), label="shapes")):
+        grade = ground + draw(st.integers(0, 2), label="grade")
+        indices = draw(st.sampled_from(list(LevelBasis(n, d, grade, stat).sectors.values())))
+        support = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=4, unique=True))
+        shapes.append(ShapeRecord(grade, index, {i: draw(coefficients) for i in support}))
+    top = max(rec.grade for rec in shapes) + 3
+    return ShapeCatalog(n, d, stat, shape_polynomial(n, d, stat), top, shapes=shapes)
+
+
+def expand_then_deflate(catalog, rec, euler):
+    """The product of a shape and a monomial, by expanding both and deflating."""
+    poly = rec.materialize(catalog.level_basis(rec.grade)) * euler.materialize()
+    return deflate_sparse(poly, catalog.level_basis(rec.grade + euler.degree))
+
+
+class TestProductEngine:
+    """Products formed a factor at a time in batched Pieri passes, against
+    expanded polynomials."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sector_vectors())
+    def test_products_match_expand_then_deflate(self, catalog):
+        lowest = min(rec.grade for rec in catalog.shapes)
+        for grade in range(lowest, catalog.max_grade + 1):
+            for rec, euler, vec in trivial_products(catalog, grade):
+                assert all(type(c) is int for c in vec.values())
+                assert vec == expand_then_deflate(catalog, rec, euler), (rec.id, str(euler))
+
+    @pytest.mark.parametrize("system", [(3, 2, FERMION), (3, 2, BOSON)], ids=["fermion", "boson"])
+    def test_coefficients_past_int64_take_python_integers(self, monkeypatch, system):
+        # ||v||_1 * C(3, 1) >= 2^63: an e1 pass must run in Python ints, and
+        # its products, some past 2^63, must still be exact.
+        n, d, stat = system
+        wide = []
+        real = shapegen._apply_factor
+
+        def spy(source, target, factor, vectors):
+            images = real(source, target, factor, vectors)
+            wide.append(images[1].dtype == object)
+            return images
+
+        monkeypatch.setattr(shapegen, "_apply_factor", spy)
+        grade = shape_polynomial(n, d, stat).lowest_degree() + 2
+        indices = max(LevelBasis(n, d, grade, stat).sectors.values(), key=len)
+        big = 2**61 + 1
+        shape = ShapeRecord(grade, 0, {i: big + 7 * pos for pos, i in enumerate(indices[:4])})
+        catalog = ShapeCatalog(n, d, stat, shape_polynomial(n, d, stat), grade + 2, shapes=[shape])
+        largest = 0
+        for rec, euler, vec in trivial_products(catalog, grade + 2):
+            assert vec == expand_then_deflate(catalog, rec, euler), str(euler)
+            largest = max(largest, *map(abs, vec.values()))
+        assert any(wide) and largest > 2**62
+
+    def test_each_product_is_formed_once(self, monkeypatch):
+        # Each (shape, monomial prefix) is one factor applied to a stored
+        # product: (3,3,f) generation makes 1907 applications in one pass
+        # per (source grade, factor).
+        passes, applied = [], []
+        real = shapegen._apply_factor
+
+        def spy(source, target, factor, vectors):
+            passes.append((source.grade, factor))
+            applied.append(len(vectors))
+            return real(source, target, factor, vectors)
+
+        monkeypatch.setattr(shapegen, "_apply_factor", spy)
+        generate_shapes(3, 3, FERMION)
+        assert len(passes) == len(set(passes))
+        assert sum(applied) == 1907
+
+    def test_stored_products_are_freed_after_their_last_reader(self, monkeypatch):
+        engines, sizes = set(), []
+        real = shapegen._Products.form
+
+        def form(self, grade):
+            real(self, grade)
+            engines.add(self)
+            sizes.append(len(self._stored))
+            assert min(self._last_read.values(), default=grade) >= grade
+            assert self._stored.keys() <= self._last_read.keys()
+
+        monkeypatch.setattr(shapegen._Products, "form", form)
+        catalog = generate_shapes(3, 3, FERMION)
+        (engine,) = engines
+        # The top grade's blocks took their products; what is left are the
+        # prefixes read when that grade was formed.
+        assert set(engine._last_read.values()) == {catalog.max_grade}
+        assert len(engine._stored) < max(sizes)
+
+    def test_large_batches_are_joined_in_chunks(self, monkeypatch):
+        catalog = generate_shapes(3, 2, BOSON)
+        expected = [list(trivial_products(catalog, g)) for g in range(5, 8)]
+        monkeypatch.setattr(shapegen, "_PASS_ROWS", 4)
+        assert [list(trivial_products(catalog, g)) for g in range(5, 8)] == expected
 
 
 class TestWorkedExample23:
