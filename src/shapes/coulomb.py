@@ -253,10 +253,10 @@ class CoulombOperator:
 
     def _rests_of(self, a):
         """{R: [(eps, x, y), ...]} over the unordered orbital pairs of state a,
-        in orbital codes, as the level's states are."""
+        in orbital codes, read from the state's row of the level's code array."""
         rests = self._rests.get(a)
         if rests is None:
-            state = self.basis.states[a]
+            state = tuple(self.basis.code_array[a].tolist())
             fermion = self.basis.statistics is FERMION
             rests = {}
             for i in range(len(state)):

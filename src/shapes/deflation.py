@@ -8,7 +8,8 @@ Every monomial of a state's expansion is a row permutation of its orbital
 matrix, so distinct states of one level have disjoint monomial supports,
 and a state's leading monomial is its orbitals in canonical order.
 Deflation therefore reads each state's coefficient off the input's
-monomials whose rows are already canonical, and checks that the input
+monomials whose rows are already canonical, found in one batched lookup
+(LevelBasis.find_orbitals), and checks that the input
 equals the materialized result.  A nonzero difference means the input was
 outside the antisymmetric (or symmetric) span; the error reports the
 difference's leading monomial.
@@ -39,14 +40,19 @@ from .polycore import (
 class LevelBasis:
     """All Slater/permanent states of one grade, in enumeration order.
 
-    A state is the descending tuple of its orbitals' codes
-    (enumerate_basis), and ``index`` maps it to its position.  ``codes`` is
-    the numbering of the level's dimension (orbital_codes); ``orbitals``
-    decodes a state to its canonical orbitals, also the rows of its leading
-    monomial, and ``locate`` is the one lookup from orbitals or monomial
-    rows to states.  The state count is cross-checked against the q-series
-    level dimension, and the states are asserted distinct.  The Coulomb
-    operator is built lazily.
+    A state is the descending row of its orbitals' codes, and code_array,
+    an int32 (states x n) array, holds state i in row i (enumerate_basis).
+    No other per-state object is kept: a state is found by its combinadic
+    key (_keys), which rises strictly against the enumeration order, so the
+    level keeps its keys ascending and one searchsorted finds any batch of
+    code rows (find_codes, locate_codes).  ``codes`` is the numbering of
+    the level's dimension (orbital_codes); ``orbitals`` decodes a state to
+    its canonical orbitals, also the rows of its leading monomial, and
+    ``locate`` and ``find_orbitals`` find the states of canonical orbitals
+    or monomial rows.  The state count is cross-checked against the
+    q-series level dimension, and the keys are checked strictly ascending
+    from 0, so the states are distinct and in enumeration order.  The
+    Coulomb operator is built lazily.
     """
 
     def __init__(self, n, d, grade, statistics=FERMION, max_states=None):
@@ -58,27 +64,49 @@ class LevelBasis:
         if max_states is not None and expected > max_states:
             raise StateCapExceeded(grade, expected, max_states)
         self.codes = orbital_codes(d)
-        self.states = enumerate_basis(n, d, grade, statistics)
-        self.index = {s: i for i, s in enumerate(self.states)}
-        if not len(self.states) == len(self.index) == expected:
+        self.code_array = enumerate_basis(n, d, grade, statistics)
+        if len(self.code_array) != expected:
             raise InternalConsistencyError(
-                f"enumerated {len(self.states)} states ({len(self.index)} "
-                f"distinct) at grade {grade} but the dimension series predicts "
-                f"{expected} (n={n}, d={d}, {statistics.value})"
+                f"enumerated {len(self.code_array)} states at grade {grade} but the "
+                f"dimension series predicts {expected} (n={n}, d={d}, {statistics.value})"
+            )
+        self._binomials = self._binomial_table()
+        keys = self._sorted_keys = self._keys(self.code_array)[::-1].copy()
+        if not ((keys[1:] > keys[:-1]).all() and (keys[:1] >= 0).all()):
+            raise InternalConsistencyError(
+                f"grade {grade} states are not distinct and in enumeration order "
+                f"(n={n}, d={d}, {statistics.value})"
             )
 
     def __len__(self):
-        return len(self.states)
+        return len(self.code_array)
 
     def orbitals(self, idx):
         """State idx's orbitals, in canonical order."""
-        return self.codes.decode(self.states[idx])
+        return self.codes.decode(self.code_array[idx].tolist())
 
     def locate(self, orbitals):
         """The index of the state with these orbitals (tuples, in canonical
         order), or None if they are not one."""
-        code = self.codes.index.get
-        return self.index.get(tuple(code(o) for o in orbitals))
+        (found,) = self.find_orbitals([orbitals]).tolist()
+        return None if found < 0 else found
+
+    def find_orbitals(self, rows):
+        """Per row of orbitals (tuples), the index of the state with those
+        orbitals in canonical order, or -1 where the row is not one: not n
+        orbitals of d dimensions and degree <= grade, not in canonical order
+        (descending, strictly for fermions) or not of this grade."""
+        n, code = self.n, self.codes.index.get
+        limit = self.codes.grow(self.grade)
+        array = np.array(
+            [[code(o, limit) for o in row] if len(row) == n else [limit] * n for row in rows],
+            dtype=np.int64,
+        ).reshape(len(rows), n)
+        steps = array[:, :-1] - array[:, 1:]
+        canonical = (steps > 0 if self.statistics is FERMION else steps >= 0).all(axis=1)
+        canonical &= (array < limit).all(axis=1)
+        found = self.find_codes(np.where(canonical[:, None], array, 0))
+        return np.where(canonical, found, -1)
 
     def expansion(self, idx):
         return SlaterState(self.orbitals(idx), self.statistics).expand()
@@ -87,20 +115,12 @@ class LevelBasis:
     def coulomb_operator(self):
         return CoulombOperator(self)
 
-    @cached_property
-    def code_array(self):
-        """The states as an int32 (len x n) array, one row of orbital codes each."""
-        return np.array(self.states, dtype=np.int32).reshape(len(self.states), self.n)
+    def _binomial_table(self):
+        """binomials[x, r] = C(x, r) for every x a key reads and r <= n.
 
-    @cached_property
-    def _key_table(self):
-        """(binomials, keys ascending) for locate_codes.
-
-        binomials[x, r] = C(x, r) for every x a key reads and r <= n, built
-        by Pascal's rule in Python ints; keys are the states' keys,
-        ascending, so in reverse enumeration order.  Both are int64 while
-        C(codes + n, n) < 2^63, which bounds every key and every partial sum
-        of one, and Python ints (object arrays) above.
+        Built by Pascal's rule in Python ints; int64 while C(codes + n, n)
+        < 2^63, which bounds every key and every partial sum of one, and
+        Python ints (an object array) above.
         """
         n = self.n
         size = self.codes.grow(self.grade) + n
@@ -108,50 +128,49 @@ class LevelBasis:
         binomials[:, 0] = 1
         for r in range(1, n + 1):
             binomials[1:, r] = np.cumsum(binomials[:-1, r - 1])
-        if comb(size, n) < 2**63:
-            binomials = binomials.astype(np.int64)
-        keys = self._keys(binomials, self.code_array)[::-1]
-        if not (keys[1:] > keys[:-1]).all():
-            raise InternalConsistencyError(
-                f"grade {self.grade} states are not in enumeration order"
-            )
-        return binomials, keys
+        return binomials.astype(np.int64) if comb(size, n) < 2**63 else binomials
 
-    def _keys(self, binomials, rows):
+    def _keys(self, rows):
         """The combinadic key of each row of codes, in any order within a row.
 
-        Sorted descending, a row's key is sum_j C(c_j + o_j, n - j), with
-        o_j = n - 1 - j for bosons (whose codes may repeat) and 0 for
+        With the row sorted descending, its key is sum_j C(c_j + o_j, n - j),
+        with o_j = n - 1 - j for bosons (whose codes may repeat) and 0 for
         fermions: its rank among all such rows (the combinatorial number
-        system).  n - 1 - j is the number of codes that sort after c_j, the
-        smaller ones and, among equal ones, those further right, so no sort
-        is needed.
+        system).  A fermion row with a repeated code is no state; its key is
+        -1, which no state has.
         """
-        after = (rows[:, None, :] < rows[:, :, None]).sum(axis=2)
+        n = self.n
+        rows = np.sort(rows, axis=1)[:, ::-1]
         if self.statistics is not FERMION:
-            right = np.triu(np.ones((self.n, self.n), dtype=bool), 1)
-            after += ((rows[:, :, None] == rows[:, None, :]) & right).sum(axis=2)
-            return binomials[rows + after, after + 1].sum(axis=1)
-        return binomials[rows, after + 1].sum(axis=1)
+            return self._binomials[rows + np.arange(n - 1, -1, -1), np.arange(n, 0, -1)].sum(axis=1)
+        keys = self._binomials[rows, np.arange(n, 0, -1)].sum(axis=1)
+        repeated = rows[:, 1:] == rows[:, :-1]
+        if repeated.any():
+            keys[repeated.any(axis=1)] = -1
+        return keys
+
+    def find_codes(self, rows):
+        """The index of the state whose orbital codes are each row of an
+        integer k x n array of codes below codes.grow(grade), in any order
+        within a row, or -1 where a row is no state of this level."""
+        keys = self._sorted_keys
+        if not len(keys):
+            return np.full(len(rows), -1)
+        wanted = self._keys(rows)
+        found = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return np.where(keys[found] == wanted, len(keys) - 1 - found, -1)
 
     def locate_codes(self, rows):
-        """The indices of the states whose orbital codes are the rows of an
-        integer k x n array, in any order within a row.
-
-        A state's key (_keys) rises strictly against the enumeration order,
-        so one searchsorted finds every row.  A row that is not a state of
-        this level is an InternalConsistencyError.
-        """
-        binomials, keys = self._key_table
-        wanted = self._keys(binomials, rows)
-        found = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        missing = keys[found] != wanted
-        if missing.any():
-            row = sorted(rows[np.flatnonzero(missing)[0]].tolist(), reverse=True)
+        """find_codes, where a row that is not a state of this level is an
+        InternalConsistencyError."""
+        found = self.find_codes(rows)
+        missing = np.flatnonzero(found < 0)
+        if len(missing):
+            row = sorted(rows[missing[0]].tolist(), reverse=True)
             raise InternalConsistencyError(
                 f"orbitals {self.codes.decode(row)} are not a state of grade {self.grade}"
             )
-        return len(keys) - 1 - found
+        return found
 
     @cached_property
     def _sector_layout(self):
@@ -160,7 +179,8 @@ class LevelBasis:
         A state's sector is the sum over its codes of a per-code table of
         axis degrees.  Sectors are numbered in the order of their first
         states; ids[i] is state i's sector number and positions[i] its place
-        among that sector's states.
+        among that sector's states.  sectors maps each sector to the tuple
+        of its state indices, as Python ints (tolist).
         """
         axis_degrees = np.array(
             self.codes.orbitals[: self.codes.grow(self.grade)], dtype=np.int64
@@ -179,9 +199,8 @@ class LevelBasis:
         starts = np.cumsum(counts) - counts
         positions = np.empty_like(ids)
         positions[members] = np.arange(len(ids)) - np.repeat(starts, counts)
-        index = list(self.index.values()).__getitem__  # its int objects, not copies
         sectors = {
-            tuple(per_state[first].tolist()): tuple(map(index, members[lo : lo + count].tolist()))
+            tuple(per_state[first].tolist()): tuple(members[lo : lo + count].tolist())
             for first, lo, count in zip(np.sort(firsts), starts, counts)
         }
         return sectors, ids, positions
@@ -235,11 +254,11 @@ def deflate_sparse(poly, basis):
         return {}
     if not poly.is_homogeneous() or poly.grade() != basis.grade:
         raise ValueError(f"polynomial is not homogeneous of grade {basis.grade}")
+    rows = [monomial_rows(mono, basis.d) for mono in poly.terms]
     result = {}
-    for mono, c in poly.terms.items():
-        idx = basis.locate(monomial_rows(mono, basis.d))
-        if idx is not None:
-            result[idx] = _as_exact(Fraction(c) / multiplicity_factorials(basis.states[idx]))
+    for orbitals, c, idx in zip(rows, poly.terms.values(), basis.find_orbitals(rows).tolist()):
+        if idx >= 0:
+            result[idx] = _as_exact(Fraction(c) / multiplicity_factorials(orbitals))
     residual = poly - basis.materialize(result)
     if not residual.is_zero:
         raise InternalConsistencyError(

@@ -16,12 +16,12 @@ of the sort.
 
 The orbitals of each dimension are numbered once, in ascending canonical
 order (orbital_codes), so comparing two codes compares their orbitals.  A
-basis state is the descending tuple of its orbitals' codes
-(enumerate_basis), which is its canonical row order.  Orbitals are decoded
-only at the edges.  A SlaterState wraps an orbital tuple with its
-statistics there: expansion, and orbitals from anywhere else (files, users,
-tests), which enter through SlaterState.from_orbitals, which checks them
-and sorts them.
+basis state is the descending row of its orbitals' codes, which is its
+canonical row order, and a level is one int32 array of such rows
+(enumerate_basis).  Orbitals are decoded only at the edges.  A
+SlaterState wraps an orbital tuple with its statistics there: expansion,
+and orbitals from anywhere else (files, users, tests), which enter
+through SlaterState.from_orbitals, which checks them and sorts them.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 from operator import add
+
+import numpy as np
 
 from .counting import Statistics, FERMION
 from .errors import InternalConsistencyError
@@ -448,7 +450,7 @@ class SlaterState:
     The constructor takes the orbitals as they are: sorted descending in
     the canonical order, pairwise distinct for fermions (Pauli), repeats
     allowed for bosons.  The determinant/permanent phase is fixed by this
-    row order.  A level's states (enumerate_basis) decode to such tuples;
+    row order.  A level's code rows (enumerate_basis) decode to such tuples;
     from_orbitals is the checked entry for orbitals from anywhere else.
     """
 
@@ -621,46 +623,54 @@ def enumerate_euler_monomials(n, d, degree):
 
 
 def enumerate_basis(n, d, grade, statistics=FERMION):
-    """The code tuples of all Slater/permanent states of the given grade.
+    """The code rows of all Slater/permanent states of the given grade.
 
-    A state is the descending tuple of its orbitals' codes (orbital_codes),
-    its canonical row order.  States are listed descending (equivalently,
-    descending by leading monomial), which is the coordinate order used for
-    level bases and complements.
+    A state is the descending row of its orbitals' codes (orbital_codes),
+    its canonical row order.  Returns an int32 (states x n) array with one
+    state per row, rows descending (equivalently, descending by leading
+    monomial), which is the coordinate order used for level bases and
+    complements.
+
+    Built by one numpy pass per slot count j = 2..n from the rows of j - 1
+    codes, which are grouped by degree sum and descending within a group.
+    A row of j codes and sum s is a code c followed by a row of sum
+    s - degree(c) whose first code is below c (fermions) or at most c
+    (bosons); those rows are a tail of their group.  A row's key (sum,
+    -first code) rises along the rows, so one searchsorted per pair (s, c)
+    finds that tail, and np.repeat gathers it.  Taking the pairs by s
+    ascending, c descending keeps every group descending.  A row whose
+    first code has degree g leaves n - j slots of degree at least g, so
+    rows of sum s are kept only while s + (n - j) g <= grade.
     """
     if grade < 0:
         raise ValueError("grade must be non-negative")
     codes = orbital_codes(d)
-    candidates = list(range(codes.grow(grade) - 1, -1, -1))
-    degrees = [codes.degrees[c] for c in candidates]
-    fermion = statistics is FERMION
-    out = []
-    chosen = []
-
-    def rec(start, slots, remaining):
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(chosen))
-            return
-        for idx in range(start, len(candidates)):
-            deg = degrees[idx]
-            if fermion and len(candidates) - idx < slots:
-                break
-            if deg > remaining:
-                continue
-            # Max achievable with the remaining slots from this index on.
-            if fermion:
-                cap = sum(degrees[idx : idx + slots])
-            else:
-                cap = deg * slots
-            if cap < remaining:
-                break
-            chosen.append(candidates[idx])
-            rec(idx + 1 if fermion else idx, slots - 1, remaining - deg)
-            chosen.pop()
-
-    rec(0, n, grade)
-    return out
+    count = codes.grow(grade)
+    width = count + 1
+    degrees = np.array(codes.degrees[:count], dtype=np.int64)
+    total = np.repeat(np.arange(grade + 1), count)
+    code = np.tile(np.arange(count - 1, -1, -1), grade + 1)
+    degree = degrees[code]
+    pairs = degree <= total
+    total, code, degree = total[pairs], code[pairs], degree[pairs]
+    head = total * width + (count - code)  # the key of the rows (s, c, ...)
+    tail = head - degree * width  # (s - g, c): where the rows that may follow c start
+    end = (total - degree + 1) * width  # below every key of sum s - g + 1
+    first = (total == degree) & ((total == grade) if n == 1 else (degree * n <= grade))
+    rows = code[first, None].astype(np.int32)
+    keys = head[first]
+    side = "right" if statistics is FERMION else "left"
+    for j in range(2, n + 1):
+        free = n - j
+        fits = total + free * degree <= grade if free else total == grade
+        lo = np.searchsorted(keys, tail[fits], side=side)
+        sizes = np.searchsorted(keys, end[fits]) - lo
+        taken = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        grown = np.empty((len(taken), j), dtype=np.int32)
+        grown[:, 0] = np.repeat(code[fits], sizes)
+        grown[:, 1:] = rows[taken]
+        rows, keys = grown, np.repeat(head[fits], sizes)
+    return rows
 
 
 def vandermonde(n, axis=0, d=1):

@@ -51,7 +51,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, gcd, lcm
 from operator import add
 
@@ -69,7 +69,6 @@ from .deflation import LevelBasis
 from .errors import InternalConsistencyError
 from .polycore import (
     SlaterState,
-    canonical_rows,
     enumerate_euler_monomials,
     format_fraction,
     json_field,
@@ -328,10 +327,13 @@ class ShapeCatalog:
         or kind, an n, d or max_grade that is not an integer in range, no
         statistics, or shapes that is not a list of objects; naming the
         shape, on a missing grade or index (by its position), a repeated id,
-        a non-integer grade or index or a shape that _read_coeffs rejects;
-        on a shape_polynomial other than shape_polynomial(n, d,
-        statistics); and, naming the grade, on a grade up to max_grade whose
-        number of shapes is not the shape polynomial's coefficient.
+        a non-integer grade or index or a shape that _read_rows or
+        _read_coeffs rejects; on a shape_polynomial other than
+        shape_polynomial(n, d, statistics); and, naming the grade, on a grade
+        up to max_grade whose number of shapes is not the shape polynomial's
+        coefficient.  Every shape's rows are read (_read_rows) before any is
+        looked up: the rows of one grade are located in one batched call
+        (LevelBasis.find_orbitals).
         """
         if not isinstance(obj, dict):
             raise ValueError(f"a catalog is a JSON object, got {type(obj).__name__}")
@@ -345,6 +347,7 @@ class ShapeCatalog:
         poly = shape_polynomial(n, d, stat)
         catalog = cls(n, d, stat, poly, max_grade, shapes=[], state_cap=state_cap)
         ids = set()
+        read = []
         for position, entry in enumerate(json_list(obj, "shapes")):
             if not isinstance(entry, dict):
                 raise ValueError(f"catalog shapes entry {entry!r} is not an object")
@@ -357,9 +360,19 @@ class ShapeCatalog:
                 if shape_id in ids:
                     raise ValueError("listed twice")
                 ids.add(shape_id)
-                coeffs = catalog._read_coeffs(grade, entry)
+                read.append((grade, index, entry, catalog._read_rows(grade, entry)))
             except ValueError as exc:
                 raise ValueError(f"catalog shape {shape_id}: {exc}") from None
+        rows = {}
+        for grade, _index, _entry, states in read:
+            rows.setdefault(grade, []).extend(states)
+        found = {g: iter(catalog.level_basis(g).find_orbitals(r).tolist()) for g, r in rows.items()}
+        for grade, index, entry, states in read:
+            try:
+                indices = list(islice(found[grade], len(states)))
+                coeffs = catalog._read_coeffs(grade, entry, states, indices)
+            except ValueError as exc:
+                raise ValueError(f"catalog shape {grade}:{index}: {exc}") from None
             catalog.shapes.append(ShapeRecord(grade, index, coeffs))
         if obj.get("shape_polynomial") != poly.to_json_obj():
             raise ValueError(f"catalog shape_polynomial is not that of n={n}, d={d}, {stat.value}")
@@ -372,34 +385,43 @@ class ShapeCatalog:
                 )
         return catalog
 
-    def _read_coeffs(self, grade, entry):
-        """A stored shape's {state index: coeff}, in linear time.
+    def _read_rows(self, grade, entry):
+        """A stored shape's basis rows, as canonical orbital tuples.
 
-        basis and coeffs must be lists.  Every basis row must be a list of
-        orbitals in canonical order (a row in another order is the state
-        times the phase of its sort, which the file does not record) and a
-        distinct state of the level of the given grade, which lies in
-        0..max_grade, with one coefficient each; all rows must lie in one
-        sector, as generation assumes; and the coefficients must be
-        canonical as ShapeRecord documents: integers, none zero, content 1,
-        the entry at the lowest state index positive.
+        The grade must lie in 0..max_grade, and basis and coeffs must be
+        lists of one length.  Every basis row must be a list of orbitals in
+        canonical order: a row in another order is the state times the
+        phase of its sort, which the file does not record.
         """
         if not 0 <= grade <= self.max_grade:
             raise ValueError(f"grade {grade} is outside 0..{self.max_grade}")
         rows, texts = json_list(entry, "basis"), json_list(entry, "coeffs")
         if len(rows) != len(texts):
             raise ValueError(f"{len(rows)} basis rows but {len(texts)} coefficients")
-        basis = self.level_basis(grade)
-        coeffs = {}
-        sectors = set()
-        for orbitals, text in zip(rows, texts):
+        states = []
+        for orbitals in rows:
             if not (isinstance(orbitals, list) and all(isinstance(o, list) for o in orbitals)):
                 raise ValueError(f"row {orbitals!r} is not a list of orbitals")
             state = SlaterState.from_orbitals(orbitals, self.statistics)
             if list(state.orbitals) != [tuple(o) for o in orbitals]:
                 raise ValueError(f"row {orbitals} is not in canonical order")
-            i = basis.locate(state.orbitals)
-            if i is None:
+            states.append(state.orbitals)
+        return states
+
+    def _read_coeffs(self, grade, entry, states, indices):
+        """A stored shape's {state index: coeff}, in linear time.
+
+        states are its rows as _read_rows returns them, and indices their
+        indices in the level of the given grade, -1 for a row that is not a
+        state of it (LevelBasis.find_orbitals).  Every row must be a
+        distinct state, all rows must lie in one sector, as generation
+        assumes, and the coefficients must be canonical as ShapeRecord
+        documents: integers, none zero, content 1, the entry at the lowest
+        state index positive.
+        """
+        coeffs = {}
+        for orbitals, text, i in zip(entry["basis"], entry["coeffs"], indices):
+            if i < 0:
                 raise ValueError(
                     f"row {orbitals} is not a state of grade {grade} "
                     f"(n={self.n}, d={self.d}, {self.statistics.value})"
@@ -407,7 +429,7 @@ class ShapeCatalog:
             if i in coeffs:
                 raise ValueError(f"row {orbitals} is listed twice")
             coeffs[i] = parse_fraction(text)
-            sectors.add(sector_of(state.orbitals))
+        sectors = set(map(sector_of, states))
         if len(sectors) > 1:
             raise ValueError(f"rows lie in {len(sectors)} sectors {sorted(sectors)}, not one")
         canonical = _canonical_vector(coeffs)
@@ -452,6 +474,12 @@ def _row_pairs(n):
 def _shift_array(d, k, axis, max_degree):
     """OrbitalCodes.shift(k, axis, max_degree) as an int64 array."""
     return np.array(orbital_codes(d).shift(k, axis, max_degree), dtype=np.int64)
+
+
+@cache
+def _permutation_array(d, perm, max_degree):
+    """OrbitalCodes.permutation(perm, max_degree) as an int64 array."""
+    return np.array(orbital_codes(d).permutation(perm, max_degree), dtype=np.int64)
 
 
 def _pieri_table(source, target, factor, states):
@@ -975,19 +1003,22 @@ def _permute_axes(basis, vec, perm):
     """A state vector of one level with its axes permuted.
 
     Every orbital o of every state becomes (o[perm[0]], ..., o[perm[d-1]])
-    and the rows are re-sorted by canonical_rows; a determinant takes the
-    phase of the sort.  The orbitals' images are a code map
-    (OrbitalCodes.permutation).  This is a substitution of the variables,
+    and the rows are re-sorted; a determinant takes the phase of the sort,
+    the product over row pairs a < b of sign(code a - code b), as
+    canonical_rows gives it.  The orbitals' images are a code map
+    (OrbitalCodes.permutation), and the images are located by their keys
+    (LevelBasis.locate_codes).  This is a substitution of the variables,
     a signed permutation of the level's states that sends a state of
     sector s to sector (s[perm[0]], ..., s[perm[d-1]]).
     """
-    table = basis.codes.permutation(perm, basis.grade)
-    fermion = basis.statistics is FERMION
-    out = {}
-    for i, c in vec.items():
-        rows, sign = canonical_rows([table[code] for code in basis.states[i]], fermion)
-        out[basis.index[tuple(rows)]] = sign * c
-    return out
+    rows = _permutation_array(basis.d, perm, basis.grade)[basis.code_array[list(vec)]]
+    if basis.statistics is FERMION:
+        first, second = _row_pairs(basis.n)
+        signs = np.sign(rows[:, first] - rows[:, second]).prod(axis=1).tolist()
+    else:
+        signs = [1] * len(vec)
+    targets = basis.locate_codes(rows).tolist()
+    return {t: sign * c for t, sign, c in zip(targets, signs, vec.values())}
 
 
 def _canonical_basis(vectors):

@@ -130,12 +130,12 @@ def test_criterion_05_worked_example_3_2():
     with _Clock(5, "worked example N=3 d=2: deflation and complements", 5.0):
         basis3 = LevelBasis(3, 2, 3, FERMION)
         g0 = fstate([(1, 0), (0, 1), (0, 0)]).expand()
-        g11 = basis3.index[basis3.codes.encode(fstate([(2, 0), (1, 0), (0, 0)]).orbitals)]
-        g12 = basis3.index[basis3.codes.encode(fstate([(1, 1), (1, 0), (0, 0)]).orbitals)]
-        g13 = basis3.index[basis3.codes.encode(fstate([(0, 2), (1, 0), (0, 0)]).orbitals)]
-        g14 = basis3.index[basis3.codes.encode(fstate([(2, 0), (0, 1), (0, 0)]).orbitals)]
-        g15 = basis3.index[basis3.codes.encode(fstate([(1, 1), (0, 1), (0, 0)]).orbitals)]
-        g16 = basis3.index[basis3.codes.encode(fstate([(0, 2), (0, 1), (0, 0)]).orbitals)]
+        g11 = basis3.locate(fstate([(2, 0), (1, 0), (0, 0)]).orbitals)
+        g12 = basis3.locate(fstate([(1, 1), (1, 0), (0, 0)]).orbitals)
+        g13 = basis3.locate(fstate([(0, 2), (1, 0), (0, 0)]).orbitals)
+        g14 = basis3.locate(fstate([(2, 0), (0, 1), (0, 0)]).orbitals)
+        g15 = basis3.locate(fstate([(1, 1), (0, 1), (0, 0)]).orbitals)
+        g16 = basis3.locate(fstate([(0, 2), (0, 1), (0, 0)]).orbitals)
         # deflation of the two first-level trivial states
         et = deflate_sparse(euler_power(1, 1, 0, 3, 2) * g0, basis3)
         eu = deflate_sparse(euler_power(1, 1, 1, 3, 2) * g0, basis3)
@@ -154,10 +154,10 @@ def test_criterion_05_worked_example_3_2():
         # grade-4 complement equals the golden last shape
         basis4 = catalog.level_basis(4)
         golden4 = {
-            basis4.index[basis4.codes.encode(fstate([(1, 2), (1, 0), (0, 0)]).orbitals)]: 1,
-            basis4.index[basis4.codes.encode(fstate([(2, 1), (0, 1), (0, 0)]).orbitals)]: -1,
-            basis4.index[basis4.codes.encode(fstate([(2, 0), (0, 2), (0, 0)]).orbitals)]: 1,
-            basis4.index[basis4.codes.encode(fstate([(1, 1), (1, 0), (0, 1)]).orbitals)]: -1,
+            basis4.locate(fstate([(1, 2), (1, 0), (0, 0)]).orbitals): 1,
+            basis4.locate(fstate([(2, 1), (0, 1), (0, 0)]).orbitals): -1,
+            basis4.locate(fstate([(2, 0), (0, 2), (0, 0)]).orbitals): 1,
+            basis4.locate(fstate([(1, 1), (1, 0), (0, 1)]).orbitals): -1,
         }
         ours4 = [s.coeffs for s in catalog.shapes_at(4)]
         assert rref(ours4, 14) == rref([golden4], 14)
@@ -172,7 +172,7 @@ def test_criterion_06_full_catalogs():
         expected_low = set()
         for axis in range(3):
             orb = tuple(1 if a == axis else 0 for a in range(3))
-            idx = basis1.index[basis1.codes.encode(fstate([orb, (0, 0, 0)]).orbitals)]
+            idx = basis1.locate(fstate([orb, (0, 0, 0)]).orbitals)
             expected_low.add(frozenset({idx: 1}.items()))
         assert low == expected_low
         basis3 = cat23.level_basis(3)

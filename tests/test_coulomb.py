@@ -246,7 +246,7 @@ class TestManyBody:
         # two-body elements and the explicit norms 2^n n! sqrt(pi).
         basis = LevelBasis(2, 2, 1, FERMION)
         orbitals = SlaterState.from_orbitals([(1, 0), (0, 0)], FERMION).orbitals
-        idx = basis.index[basis.codes.encode(orbitals)]
+        idx = basis.locate(orbitals)
         vee = coulomb_expectation({idx: 1}, {idx: 1}, basis)
         a, b = (1, 0), (0, 0)
         norm_a = float(hermite_norm_rational(a)) * math.pi
@@ -262,14 +262,14 @@ class TestManyBody:
         norm_a = float(hermite_norm_rational(a)) * math.pi
         norm_b = float(hermite_norm_rational(b)) * math.pi
         orbitals = SlaterState.from_orbitals([a, b], BOSON).orbitals
-        idx = basis.index[basis.codes.encode(orbitals)]
+        idx = basis.locate(orbitals)
         direct = two_body_element(a, b, a, b) + two_body_element(a, b, b, a)
         assert coulomb_expectation({idx: 1}, {idx: 1}, basis) == pytest.approx(
             direct / (norm_a * norm_b), rel=1e-12
         )
         basis = LevelBasis(2, 2, 2, BOSON)
         orbitals = SlaterState.from_orbitals([a, a], BOSON).orbitals
-        idx = basis.index[basis.codes.encode(orbitals)]
+        idx = basis.locate(orbitals)
         assert coulomb_expectation({idx: 1}, {idx: 1}, basis) == pytest.approx(
             two_body_element(a, a, a, a) / norm_a**2, rel=1e-12
         )

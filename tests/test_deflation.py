@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -45,18 +46,19 @@ class TestLevelBasis:
 
     def test_boson_leading_coefficients(self):
         basis = LevelBasis(3, 1, 0, BOSON)
-        assert multiplicity_factorials(basis.states[0]) == 6  # all three orbitals equal
+        assert multiplicity_factorials(basis.orbitals(0)) == 6  # all three orbitals equal
 
     @pytest.mark.parametrize(
         "n, d, grade, stat", [(3, 2, 4, FERMION), (3, 3, 5, BOSON), (4, 1, 9, BOSON)]
     )
     def test_states_are_their_canonical_orbital_tuples(self, n, d, grade, stat):
         basis = LevelBasis(n, d, grade, stat)
-        assert list(basis.index) == basis.states
-        for i, s in enumerate(basis.states):
-            assert type(s) is tuple and basis.index[s] == i
+        assert basis.locate_codes(basis.code_array).tolist() == list(range(len(basis)))
+        assert basis.code_array.dtype == np.int32 and basis.code_array.shape == (len(basis), n)
+        for i, s in enumerate(basis.code_array.tolist()):
+            assert basis.locate(basis.orbitals(i)) == i
             orbitals = basis.orbitals(i)
-            assert basis.codes.encode(orbitals) == s
+            assert list(basis.codes.encode(orbitals)) == s
             assert SlaterState.from_orbitals(orbitals, stat).orbitals == orbitals
 
     @pytest.mark.parametrize("n, d, grade, stat", [(3, 2, 4, FERMION), (3, 3, 5, BOSON)])
@@ -97,15 +99,15 @@ class TestDeflate:
     def test_first_level_trivial_state_t_axis(self, basis_32_3):
         g0 = state([(1, 0), (0, 1), (0, 0)]).expand()
         vec = deflate_sparse(euler_power(1, 1, 0, 3, 2) * g0, basis_32_3)
-        g12 = basis_32_3.index[basis_32_3.codes.encode(state([(1, 1), (1, 0), (0, 0)]).orbitals)]
-        g14 = basis_32_3.index[basis_32_3.codes.encode(state([(2, 0), (0, 1), (0, 0)]).orbitals)]
+        g12 = basis_32_3.locate(state([(1, 1), (1, 0), (0, 0)]).orbitals)
+        g14 = basis_32_3.locate(state([(2, 0), (0, 1), (0, 0)]).orbitals)
         assert vec == {g12: -1, g14: 1}
 
     def test_first_level_trivial_state_u_axis(self, basis_32_3):
         g0 = state([(1, 0), (0, 1), (0, 0)]).expand()
         vec = deflate_sparse(euler_power(1, 1, 1, 3, 2) * g0, basis_32_3)
-        g13 = basis_32_3.index[basis_32_3.codes.encode(state([(0, 2), (1, 0), (0, 0)]).orbitals)]
-        g15 = basis_32_3.index[basis_32_3.codes.encode(state([(1, 1), (0, 1), (0, 0)]).orbitals)]
+        g13 = basis_32_3.locate(state([(0, 2), (1, 0), (0, 0)]).orbitals)
+        g15 = basis_32_3.locate(state([(1, 1), (0, 1), (0, 0)]).orbitals)
         assert vec == {g13: -1, g15: 1}
 
     @pytest.mark.parametrize("stat", [FERMION, BOSON])
@@ -191,7 +193,7 @@ def level_vectors(draw):
     grade = shape_polynomial(n, d, stat).lowest_degree() + draw(st.integers(0, 2))
     basis = LevelBasis(n, d, grade, stat)
     support = draw(st.lists(st.integers(0, len(basis) - 1), min_size=1, max_size=4))
-    repeated = [i for i, s in enumerate(basis.states) if len(set(s)) < n]
+    repeated = [i for i, s in enumerate(basis.code_array.tolist()) if len(set(s)) < n]
     if repeated:
         support.append(draw(st.sampled_from(repeated)))
     return basis, {i: draw(coefficients) for i in support}
@@ -289,5 +291,5 @@ class TestOneDimensionalConsistency:
         for lam, coeff in expansion.items():
             padded = lam.padded(n)
             orbitals = [(padded[i] + n - 1 - i,) for i in range(n)]
-            expected[basis.index[basis.codes.encode(state(orbitals).orbitals)]] = coeff
+            expected[basis.locate(state(orbitals).orbitals)] = coeff
         assert vec == expected

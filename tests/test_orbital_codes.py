@@ -1,9 +1,10 @@
-"""Orbital codes, and the Pieri images and axis transport read from code tables.
+"""Orbital codes, level code arrays, and the Pieri images and axis
+transport read from code tables.
 
 The table routes are compared with pieri_oracle, which computes the same
-images and transports over orbital tuples, for n <= 4, d <= 3, both
-statistics, every factor e_m^[k](axis) with k <= 3, and random states of
-random levels.
+levels, images and transports over orbital tuples: every level of six
+ladder systems, and for n <= 4, d <= 3, both statistics, every factor
+e_m^[k](axis) with k <= 3, and random states of random levels.
 """
 
 from itertools import permutations
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shapes import shapegen
-from shapes.counting import BOSON, FERMION, level_dimension
+from shapes import deflation, shapegen
+from shapes.counting import BOSON, FERMION, level_dimension, shape_polynomial
 from shapes.deflation import LevelBasis
 from shapes.errors import InternalConsistencyError
 from shapes.polycore import OrbitalCodes, enumerate_basis, orbital_codes, orbital_key
@@ -21,6 +22,14 @@ from shapes.polycore import OrbitalCodes, enumerate_basis, orbital_codes, orbita
 import pieri_oracle
 
 SYSTEMS = [(n, d, stat) for n in range(1, 5) for d in range(1, 4) for stat in (FERMION, BOSON)]
+LADDER = [
+    (3, 2, FERMION),
+    (4, 2, FERMION),
+    (3, 3, FERMION),
+    (4, 2, BOSON),
+    (5, 2, FERMION),
+    (3, 4, FERMION),
+]
 # Levels larger than this are not built, as sources or as targets.
 LEVEL_CAP = 2500
 
@@ -91,7 +100,7 @@ class TestCodes:
         n, d, stat, grade = level
         states, _index = pieri_oracle.orbital_level(n, d, grade, stat)
         codes = orbital_codes(d)
-        assert [codes.decode(s) for s in enumerate_basis(n, d, grade, stat)] == list(states)
+        assert [codes.decode(s) for s in enumerate_basis(n, d, grade, stat).tolist()] == list(states)
         basis = LevelBasis(n, d, grade, stat)
         assert [basis.orbitals(i) for i in range(len(basis))] == list(states)
         assert all(basis.locate(s) == i for i, s in enumerate(states))
@@ -104,6 +113,70 @@ class TestCodes:
         rows[1] = rows[0] + 1
         with pytest.raises(InternalConsistencyError, match="are not a state of grade 4"):
             basis.locate_codes(rows)
+
+
+class TestLevelArrays:
+    @pytest.mark.parametrize("n, d, stat", LADDER)
+    def test_enumeration_matches_the_orbital_recursion(self, n, d, stat):
+        codes = orbital_codes(d)
+        for grade in range(shape_polynomial(n, d, stat).degree() + 1):
+            states, _index = pieri_oracle.orbital_level(n, d, grade, stat)
+            rows = enumerate_basis(n, d, grade, stat)
+            assert rows.dtype == np.int32 and rows.shape == (len(states), n), grade
+            assert [codes.decode(r) for r in rows.tolist()] == list(states), grade
+
+    def test_a_count_other_than_the_dimension_is_named(self, monkeypatch):
+        real = deflation.enumerate_basis
+        monkeypatch.setattr(deflation, "enumerate_basis", lambda *args: real(*args)[1:])
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"enumerated 13 states at grade 4 but the dimension series predicts 14 ",
+        ):
+            LevelBasis(3, 2, 4, FERMION)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda rows: rows.__setitem__(3, rows[2]), id="repeated-row"),
+            pytest.param(lambda rows: rows.__setitem__([2, 3], rows[[3, 2]]), id="out-of-order"),
+            pytest.param(lambda rows: rows.__setitem__(-1, rows[-1].max()), id="repeated-code"),
+        ],
+    )
+    @pytest.mark.parametrize("n, d, grade, stat", [(3, 2, 4, FERMION), (3, 3, 5, BOSON)])
+    def test_rows_that_are_not_distinct_states_in_order_are_named(
+        self, monkeypatch, edit, n, d, grade, stat
+    ):
+        real = deflation.enumerate_basis
+
+        def enumerate_basis(*args):
+            rows = real(*args)
+            edit(rows)
+            return rows
+
+        monkeypatch.setattr(deflation, "enumerate_basis", enumerate_basis)
+        with pytest.raises(
+            InternalConsistencyError,
+            match=f"grade {grade} states are not distinct and in enumeration order",
+        ):
+            LevelBasis(n, d, grade, stat)
+
+    def test_what_is_no_state_is_not_found(self):
+        basis = LevelBasis(3, 2, 4, FERMION)
+        state = basis.orbitals(5)
+        assert basis.locate(state) == 5
+        assert basis.locate(state[::-1]) is None  # not in canonical order
+        assert basis.locate(state[:2]) is None  # two orbitals, not three
+        assert basis.locate(((3, 1), (1, 0), (0, 0))) is None  # grade 5
+        assert basis.locate(((5, 0), (0, 0), (0, 0))) is None  # degree 5 > grade
+        assert basis.locate(((1, 0, 0), (0, 1, 0), (0, 0, 0))) is None  # three axes
+        assert basis.locate(((2, 0), (2, 0), (0, 0))) is None  # Pauli
+        repeated = basis.codes.encode(((2, 0), (2, 0), (0, 0)))
+        rows = np.array([repeated, basis.code_array[5][::-1]])
+        assert basis.find_codes(rows).tolist() == [-1, 5]
+        assert basis.find_orbitals([state, state[::-1], ()]).tolist() == [5, -1, -1]
+        empty = LevelBasis(3, 2, 1, FERMION)
+        assert len(empty) == 0 and empty.code_array.shape == (0, 3)
+        assert empty.locate(((1, 0), (0, 0), (0, 0))) is None
 
 
 class TestTableRoutes:

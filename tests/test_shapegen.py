@@ -560,7 +560,7 @@ class TestWorkedExample32:
         basis = catalog_32.level_basis(3)
         def at(orbitals):
             state = SlaterState.from_orbitals(orbitals, FERMION)
-            return basis.index[basis.codes.encode(state.orbitals)]
+            return basis.locate(state.orbitals)
 
         idx = {
             "g11": at([(2, 0), (1, 0), (0, 0)]),
@@ -587,9 +587,8 @@ class TestWorkedExample32:
             ([(2, 0), (0, 2), (0, 0)], 1),   # |t1^2, u2^2, 1|
             ([(1, 1), (1, 0), (0, 1)], -1),  # -|t1 u1, t2, u3|
         ]
-        encode = basis.codes.encode
         expected = {
-            basis.index[encode(SlaterState.from_orbitals(orbs, FERMION).orbitals)]: c
+            basis.locate(SlaterState.from_orbitals(orbs, FERMION).orbitals): c
             for orbs, c in paper_states
         }
         (shape,) = catalog_32.shapes_at(4)
