@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from math import comb
 
 import numpy as np
@@ -92,21 +93,37 @@ class LevelBasis:
         return None if found < 0 else found
 
     def find_orbitals(self, rows):
-        """Per row of orbitals (tuples), the index of the state with those
-        orbitals in canonical order, or -1 where the row is not one: not n
-        orbitals of d dimensions and degree <= grade, not in canonical order
-        (descending, strictly for fermions) or not of this grade."""
-        n, code = self.n, self.codes.index.get
+        """Per row of orbitals (sequences of d ints), the index of the state
+        with those orbitals in canonical order, or -1 where the row is not
+        one: not n orbitals of d dimensions and degree <= grade, not in
+        canonical order (descending, strictly for fermions) or not of this
+        grade.  The rows are coded in one pass over their orbitals."""
+        n = self.n
         limit = self.codes.grow(self.grade)
-        array = np.array(
-            [[code(o, limit) for o in row] if len(row) == n else [limit] * n for row in rows],
+        if set(map(len, rows)) - {n}:
+            blank = ((),) * n  # codes limit, which no state holds
+            rows = [row if len(row) == n else blank for row in rows]
+        array = np.fromiter(
+            map(self.codes.index.get, map(tuple, chain.from_iterable(rows)), repeat(limit)),
             dtype=np.int64,
+            count=len(rows) * n,
         ).reshape(len(rows), n)
         steps = array[:, :-1] - array[:, 1:]
         canonical = (steps > 0 if self.statistics is FERMION else steps >= 0).all(axis=1)
         canonical &= (array < limit).all(axis=1)
         found = self.find_codes(np.where(canonical[:, None], array, 0))
         return np.where(canonical, found, -1)
+
+    def state_sectors(self, idx):
+        """The sectors of the states idx (an index array or a slice), one
+        row of per-axis degree totals each."""
+        return self._axis_degrees[self.code_array[idx]].sum(axis=1)
+
+    @cached_property
+    def _axis_degrees(self):
+        """Per orbital code of degree <= grade, its per-axis degrees."""
+        limit = self.codes.grow(self.grade)
+        return np.array(self.codes.orbitals[:limit], dtype=np.int64).reshape(-1, self.d)
 
     def expansion(self, idx):
         return SlaterState(self.orbitals(idx), self.statistics).expand()
@@ -182,10 +199,7 @@ class LevelBasis:
         among that sector's states.  sectors maps each sector to the tuple
         of its state indices, as Python ints (tolist).
         """
-        axis_degrees = np.array(
-            self.codes.orbitals[: self.codes.grow(self.grade)], dtype=np.int64
-        ).reshape(-1, self.d)
-        per_state = axis_degrees[self.code_array].sum(axis=1)
+        per_state = self.state_sectors(slice(None))
         order = np.lexsort(per_state.T[::-1])  # stable: a sector's first state leads
         new = np.ones(len(order), dtype=bool)
         new[1:] = (per_state[order[1:]] != per_state[order[:-1]]).any(axis=1)

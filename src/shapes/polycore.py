@@ -291,9 +291,13 @@ def format_fraction(value):
 
 
 def parse_fraction(text):
+    """The Fraction a coefficient string spells, else ValueError."""
     if not isinstance(text, str):
         raise ValueError(f"coefficient {text!r} is not a fraction string")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {text!r} has a zero denominator") from None
 
 
 def json_field(obj, key, owner):

@@ -51,7 +51,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb, gcd, lcm
 from operator import add
 
@@ -66,7 +66,7 @@ from .counting import (
     total_shape_count,
 )
 from .deflation import LevelBasis
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, StateCapExceeded
 from .polycore import (
     SlaterState,
     enumerate_euler_monomials,
@@ -329,11 +329,17 @@ class ShapeCatalog:
         shape, on a missing grade or index (by its position), a repeated id,
         a non-integer grade or index or a shape that _read_rows or
         _read_coeffs rejects; on a shape_polynomial other than
-        shape_polynomial(n, d, statistics); and, naming the grade, on a grade
+        shape_polynomial(n, d, statistics); naming the grade, on a grade
         up to max_grade whose number of shapes is not the shape polynomial's
-        coefficient.  Every shape's rows are read (_read_rows) before any is
-        looked up: the rows of one grade are located in one batched call
-        (LevelBasis.find_orbitals).
+        coefficient; and, naming the shape, on shapes not listed by grade,
+        then by index from 0, or an id other than "grade:index".
+
+        A valid file is read in batched passes: every shape's rows are
+        checked in whole-list passes (_read_rows), the rows of one grade are
+        located in one call (_locate), and the coefficients are read as
+        integers (_read_coeffs).  Only a file those passes refuse is read
+        row by row (_check_rows), so an error names the first bad row in
+        file order, as reading each row on its own would.
         """
         if not isinstance(obj, dict):
             raise ValueError(f"a catalog is a JSON object, got {type(obj).__name__}")
@@ -348,29 +354,36 @@ class ShapeCatalog:
         catalog = cls(n, d, stat, poly, max_grade, shapes=[], state_cap=state_cap)
         ids = set()
         read = []
-        for position, entry in enumerate(json_list(obj, "shapes")):
-            if not isinstance(entry, dict):
-                raise ValueError(f"catalog shapes entry {entry!r} is not an object")
-            owner = f"catalog shapes entry {position}"
-            grade, index = json_field(entry, "grade", owner), json_field(entry, "index", owner)
-            shape_id = f"{grade}:{index}"
+        try:
+            for position, entry in enumerate(json_list(obj, "shapes")):
+                if not isinstance(entry, dict):
+                    raise ValueError(f"catalog shapes entry {entry!r} is not an object")
+                owner = f"catalog shapes entry {position}"
+                grade, index = json_field(entry, "grade", owner), json_field(entry, "index", owner)
+                shape_id = f"{grade}:{index}"
+                try:
+                    json_int(entry, "grade", 0)
+                    json_int(entry, "index", 0)
+                    if shape_id in ids:
+                        raise ValueError("listed twice")
+                    ids.add(shape_id)
+                    well_formed = catalog._read_rows(grade, entry)
+                except ValueError as exc:
+                    raise ValueError(f"catalog shape {shape_id}: {exc}") from None
+                read.append((grade, index, entry))
+                if not well_formed:
+                    catalog._check_rows(read[-1:])
+            located = catalog._locate(read)
+        except (ValueError, StateCapExceeded):
+            # A bad row of an earlier shape, which the batched checks let
+            # through, is named first.
+            catalog._check_rows(read)
+            raise
+        if any(min(indices, default=0) < 0 for indices, _mixed in located):
+            catalog._check_rows(read)
+        for (grade, index, entry), (indices, mixed) in zip(read, located):
             try:
-                json_int(entry, "grade", 0)
-                json_int(entry, "index", 0)
-                if shape_id in ids:
-                    raise ValueError("listed twice")
-                ids.add(shape_id)
-                read.append((grade, index, entry, catalog._read_rows(grade, entry)))
-            except ValueError as exc:
-                raise ValueError(f"catalog shape {shape_id}: {exc}") from None
-        rows = {}
-        for grade, _index, _entry, states in read:
-            rows.setdefault(grade, []).extend(states)
-        found = {g: iter(catalog.level_basis(g).find_orbitals(r).tolist()) for g, r in rows.items()}
-        for grade, index, entry, states in read:
-            try:
-                indices = list(islice(found[grade], len(states)))
-                coeffs = catalog._read_coeffs(grade, entry, states, indices)
+                coeffs = catalog._read_coeffs(grade, entry, indices, mixed)
             except ValueError as exc:
                 raise ValueError(f"catalog shape {grade}:{index}: {exc}") from None
             catalog.shapes.append(ShapeRecord(grade, index, coeffs))
@@ -383,54 +396,126 @@ class ShapeCatalog:
                     f"catalog shape count at grade {grade} is {found[grade]}, "
                     f"expected {poly.coefficient(grade)}"
                 )
+        places = ((g, i) for g in sorted(found) for i in range(found[g]))
+        for position, ((grade, index, entry), place) in enumerate(zip(read, places)):
+            if (grade, index) != place:
+                raise ValueError(
+                    f"catalog shape {grade}:{index}: listed at position {position}, where shape "
+                    f"{place[0]}:{place[1]} belongs (by grade, then by index from 0)"
+                )
+            if entry.get("id") != f"{grade}:{index}":
+                raise ValueError(
+                    f"catalog shape {grade}:{index}: id is {entry.get('id')!r}, "
+                    f"expected '{grade}:{index}'"
+                )
         return catalog
 
     def _read_rows(self, grade, entry):
-        """A stored shape's basis rows, as canonical orbital tuples.
+        """Whether a stored shape's basis rows pass the whole-list checks.
 
         The grade must lie in 0..max_grade, and basis and coeffs must be
-        lists of one length.  Every basis row must be a list of orbitals in
-        canonical order: a row in another order is the state times the
-        phase of its sort, which the file does not record.
+        lists of one length, else ValueError.  The rows pass if they are
+        lists of n lists of d exponents, each exactly an int (not a bool)
+        and >= 0; _locate checks their order.
         """
         if not 0 <= grade <= self.max_grade:
             raise ValueError(f"grade {grade} is outside 0..{self.max_grade}")
         rows, texts = json_list(entry, "basis"), json_list(entry, "coeffs")
         if len(rows) != len(texts):
             raise ValueError(f"{len(rows)} basis rows but {len(texts)} coefficients")
-        states = []
-        for orbitals in rows:
-            if not (isinstance(orbitals, list) and all(isinstance(o, list) for o in orbitals)):
-                raise ValueError(f"row {orbitals!r} is not a list of orbitals")
-            state = SlaterState.from_orbitals(orbitals, self.statistics)
-            if list(state.orbitals) != [tuple(o) for o in orbitals]:
-                raise ValueError(f"row {orbitals} is not in canonical order")
-            states.append(state.orbitals)
-        return states
+        if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {self.n}):
+            return False
+        orbitals = list(chain.from_iterable(rows))
+        if not (set(map(type, orbitals)) <= {list} and set(map(len, orbitals)) <= {self.d}):
+            return False
+        exponents = list(chain.from_iterable(orbitals))
+        return set(map(type, exponents)) <= {int} and min(exponents, default=0) >= 0
 
-    def _read_coeffs(self, grade, entry, states, indices):
+    def _check_rows(self, read):
+        """Check each basis row of the shapes read, (grade, index, entry)
+        each, on its own (SlaterState.from_orbitals), in file order; raise
+        ValueError naming the first bad row.
+
+        Every row must be a list of orbitals in canonical order: a row in
+        another order is the state times the phase of its sort, which the
+        file does not record.  The batched checks let through such a row,
+        and a repeated fermion orbital; a row of another length or
+        dimension passes here and is then no state of the level.
+        """
+        for grade, index, entry in read:
+            for orbitals in entry["basis"]:
+                try:
+                    if not (isinstance(orbitals, list) and all(isinstance(o, list) for o in orbitals)):
+                        raise ValueError(f"row {orbitals!r} is not a list of orbitals")
+                    state = SlaterState.from_orbitals(orbitals, self.statistics)
+                    if list(state.orbitals) != [tuple(o) for o in orbitals]:
+                        raise ValueError(f"row {orbitals} is not in canonical order")
+                except ValueError as exc:
+                    raise ValueError(f"catalog shape {grade}:{index}: {exc}") from None
+
+    def _locate(self, read):
+        """Per shape read, (grade, index, entry) each: its rows' state
+        indices, -1 for a row that is no state in canonical order
+        (LevelBasis.find_orbitals), and whether its rows lie in more than
+        one sector.  Each grade's rows are located in one call, and their
+        sectors are summed from the located states in one pass.
+        """
+        grades = {}
+        for grade, _index, entry in read:
+            grades.setdefault(grade, []).append(entry["basis"])
+        found, mixed = {}, {}
+        for grade, shapes in grades.items():
+            basis = self.level_basis(grade)
+            indices = basis.find_orbitals(list(chain.from_iterable(shapes)))
+            lengths = np.fromiter(map(len, shapes), dtype=np.int64, count=len(shapes))
+            ends = np.cumsum(lengths)
+            strays = np.zeros(len(shapes), dtype=bool)
+            if len(basis):
+                # A row that is no state (-1), as every row of an empty level
+                # is, is refused before its sector is read.
+                sectors = basis.state_sectors(np.maximum(indices, 0))
+                firsts = np.repeat(ends - lengths, lengths)
+                off = (sectors != sectors[firsts]).any(axis=1)
+                counts = np.concatenate(([0], np.cumsum(off)))  # off rows before each row
+                strays = counts[ends] > counts[ends - lengths]
+            found[grade] = iter(indices.tolist())
+            mixed[grade] = iter(strays.tolist())
+        return [
+            (list(islice(found[grade], len(entry["basis"]))), next(mixed[grade]))
+            for grade, _index, entry in read
+        ]
+
+    def _read_coeffs(self, grade, entry, indices, mixed):
         """A stored shape's {state index: coeff}, in linear time.
 
-        states are its rows as _read_rows returns them, and indices their
-        indices in the level of the given grade, -1 for a row that is not a
-        state of it (LevelBasis.find_orbitals).  Every row must be a
-        distinct state, all rows must lie in one sector, as generation
-        assumes, and the coefficients must be canonical as ShapeRecord
-        documents: integers, none zero, content 1, the entry at the lowest
-        state index positive.
+        indices are its rows' indices in the level of the given grade, -1
+        for a row that is not a state of it, and mixed whether they lie in
+        more than one sector (_locate).  Every row must be a distinct state,
+        all rows must lie in one sector, as generation assumes, and the
+        coefficients must be canonical as ShapeRecord documents: integers,
+        none zero, content 1, the entry at the lowest state index positive.
+        Coefficient strings are read by int(); only when one is refused, or
+        a row is no state or repeated, is each row read on its own, with
+        parse_fraction.
         """
-        coeffs = {}
-        for orbitals, text, i in zip(entry["basis"], entry["coeffs"], indices):
-            if i < 0:
-                raise ValueError(
-                    f"row {orbitals} is not a state of grade {grade} "
-                    f"(n={self.n}, d={self.d}, {self.statistics.value})"
-                )
-            if i in coeffs:
-                raise ValueError(f"row {orbitals} is listed twice")
-            coeffs[i] = parse_fraction(text)
-        sectors = set(map(sector_of, states))
-        if len(sectors) > 1:
+        texts = entry["coeffs"]
+        try:
+            coeffs = dict(zip(indices, map(int, texts))) if set(map(type, texts)) <= {str} else {}
+        except ValueError:
+            coeffs = {}
+        if len(coeffs) < len(indices) or min(indices, default=0) < 0:
+            coeffs = {}
+            for orbitals, text, i in zip(entry["basis"], texts, indices):
+                if i < 0:
+                    raise ValueError(
+                        f"row {orbitals} is not a state of grade {grade} "
+                        f"(n={self.n}, d={self.d}, {self.statistics.value})"
+                    )
+                if i in coeffs:
+                    raise ValueError(f"row {orbitals} is listed twice")
+                coeffs[i] = parse_fraction(text)
+        if mixed:
+            sectors = set(map(sector_of, entry["basis"]))
             raise ValueError(f"rows lie in {len(sectors)} sectors {sorted(sectors)}, not one")
         canonical = _canonical_vector(coeffs)
         if not coeffs or 0 in coeffs.values() or coeffs != canonical:

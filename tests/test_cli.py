@@ -218,9 +218,14 @@ class TestDeflate:
             (lambda payload: payload.update(terms=5), "terms must be a list, got 5"),
             (_drop_from_first_term("matrix"), "polynomial terms entry 0 has no 'matrix'"),
             (_drop_from_first_term("coeff"), "polynomial term [[2], [1], [0]] has no 'coeff'"),
+            (
+                lambda payload: payload["terms"][0].update(coeff="1/0"),
+                "polynomial term [[2], [1], [0]]: coefficient '1/0' has a zero denominator",
+            ),
         ],
         ids=["float-exponent", "bool-exponent", "negative-exponent", "repeated-term",
-             "string-n", "list", "term-not-object", "terms-not-list", "no-matrix", "no-coeff"],
+             "string-n", "list", "term-not-object", "terms-not-list", "no-matrix", "no-coeff",
+             "zero-denominator"],
     )
     def test_malformed_polynomial_exit_two(self, capsys, tmp_path, edit, message):
         # The Vandermonde determinant of n=3, d=1; its first term is [[2], [1], [0]].
@@ -480,6 +485,17 @@ def _repeat_shape(obj):
     obj["shapes"].append(dict(_shape(obj, "3:1")))
 
 
+def _reverse_shapes(obj):
+    obj["shapes"].reverse()
+
+
+def _renumber(shape_id, index):
+    def edit(obj):
+        _shape(obj, shape_id)["index"] = index
+
+    return edit
+
+
 def _boson_catalog_with_unsorted_row(obj):
     # Shape 3:0 of the (3,2,boson) catalog has the row |(1,0),(1,0),(0,1)|.
     boson = generate_shapes(3, 2, BOSON).to_json_obj()
@@ -553,6 +569,21 @@ class TestCatalogValidation:
                 _boson_catalog_with_unsorted_row,
                 "catalog shape 3:0: row [[1, 0], [0, 1], [1, 0]] is not in canonical order",
             ),
+            (
+                _reverse_shapes,
+                "catalog shape 4:0: listed at position 0, where shape 2:0 belongs "
+                "(by grade, then by index from 0)",
+            ),
+            (
+                _renumber("3:0", 9),
+                "catalog shape 3:9: listed at position 1, where shape 3:0 belongs",
+            ),
+            (_set_in_shape("3:1", "id", "3:7"), "catalog shape 3:1: id is '3:7', expected '3:1'"),
+            (_drop_from_shape("3:1", "id"), "catalog shape 3:1: id is None, expected '3:1'"),
+            (
+                _set_in_shape("3:1", "coeffs", ["1/0", "1"]),
+                "catalog shape 3:1: coefficient '1/0' has a zero denominator",
+            ),
         ],
         ids=[
             "format-version", "kind", "duplicate-shape", "duplicate-row", "short-coeffs",
@@ -561,7 +592,8 @@ class TestCatalogValidation:
             "string-max-grade", "list", "shape-not-object", "shapes-not-list",
             "basis-not-list", "row-not-list", "orbital-not-list", "coeffs-not-list",
             "no-grade", "no-index", "no-statistics", "grade-above-max-grade",
-            "missing-shape", "unsorted-fermion-row", "unsorted-boson-row",
+            "missing-shape", "unsorted-fermion-row", "unsorted-boson-row", "reversed",
+            "index-gap", "id-mismatch", "no-id", "zero-denominator",
         ],
     )
     def test_malformed_catalog_exit_two(self, capsys, tmp_path, catalog_path, edit, message):

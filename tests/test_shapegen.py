@@ -877,6 +877,99 @@ class TestDeterminismAndSerialization:
             catalog_32.find("9:9")
 
 
+def _loaded_first_coefficient(catalog_32, text):
+    """The (3,2,fermion) catalog loaded with the first coefficient of its
+    shape 3:1, whose coefficients are "1" and "1", spelled as text."""
+    obj = catalog_32.to_json_obj()
+    shape = next(entry for entry in obj["shapes"] if entry["id"] == "3:1")
+    shape["coeffs"][0] = text
+    return ShapeCatalog.from_json_obj(obj)
+
+
+ROW_CORRUPTIONS = [
+    "float-exponent", "bool-exponent", "negative-exponent", "swapped", "repeated",
+    "dropped", "three-components",
+]
+
+
+def _corrupt(row, kind, i, j, axis, grade):
+    """Put one corruption into a basis row (a list of orbitals), in place;
+    return the message the per-row reader gives for it at that fermion grade."""
+    exponents = {"float-exponent": 1.5, "bool-exponent": True, "negative-exponent": -1}
+    if kind in exponents:
+        row[i][axis] = exponents[kind]
+        if kind == "negative-exponent":
+            return "negative exponent in orbital"
+        return f"orbital exponent {exponents[kind]} is not an integer"
+    if kind == "swapped":
+        row[i], row[j] = row[j], row[i]
+        return f"row {row} is not in canonical order"
+    if kind == "repeated":
+        row[j] = list(row[i])
+        return "fermion orbitals must be pairwise distinct"
+    if kind == "dropped":
+        del row[i]
+        return f"row {row} is not a state of grade {grade} (n=3, d=2, fermion)"
+    row[i].append(0)
+    return "orbitals of mixed dimension"
+
+
+class TestCatalogLoading:
+    """A valid catalog is read in batched passes; anything they refuse is
+    read row by row, with the messages of the per-row reader."""
+
+    @pytest.mark.parametrize("system", [(3, 2, FERMION), (4, 2, FERMION), (4, 2, BOSON)])
+    def test_valid_catalogs_take_no_per_row_reader(self, monkeypatch, system):
+        obj = generate_shapes(*system).to_json_obj()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a valid catalog was read row by row")
+
+        monkeypatch.setattr(SlaterState, "from_orbitals", refused)
+        monkeypatch.setattr(shapegen, "parse_fraction", refused)
+        assert ShapeCatalog.from_json_obj(obj).to_json_obj() == obj
+
+    @pytest.mark.parametrize("text", ["+1", " 1 ", "3/3", "1.0", "1e0", "01"])
+    def test_coefficient_spellings_of_one(self, catalog_32, text):
+        catalog = _loaded_first_coefficient(catalog_32, text)
+        assert catalog.to_json_obj() == catalog_32.to_json_obj()
+        assert {type(c) for s in catalog.shapes for c in s.coeffs.values()} == {int}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (1, "coefficient 1 is not a fraction string"),
+            ("1/2", "coefficients are not canonical"),
+            ("0x1", "Invalid literal for Fraction: '0x1'"),
+            ("1/0", "coefficient '1/0' has a zero denominator"),
+        ],
+    )
+    def test_refused_coefficient_spellings(self, catalog_32, text, message):
+        with pytest.raises(ValueError, match=re.escape(f"catalog shape 3:1: {message}")):
+            _loaded_first_coefficient(catalog_32, text)
+
+    def test_a_bad_row_is_named_before_a_level_above_the_state_cap(self, catalog_32):
+        obj = catalog_32.to_json_obj()
+        row = next(entry for entry in obj["shapes"] if entry["id"] == "3:1")["basis"][0]
+        row[0], row[1] = row[1], row[0]
+        with pytest.raises(ValueError, match=re.escape(f"catalog shape 3:1: row {row} is not in")):
+            ShapeCatalog.from_json_obj(obj, state_cap=1)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_one_corrupted_row_is_named_by_the_per_row_reader(self, catalog_32, data):
+        obj = catalog_32.to_json_obj()
+        shape = data.draw(st.sampled_from(obj["shapes"]), label="shape")
+        row = data.draw(st.sampled_from(shape["basis"]), label="row")
+        kind = data.draw(st.sampled_from(ROW_CORRUPTIONS), label="kind")
+        i, j = sorted(data.draw(st.permutations(range(3)), label="orbitals")[:2])
+        axis = data.draw(st.integers(0, 1), label="axis")
+        message = _corrupt(row, kind, i, j, axis, shape["grade"])
+        with pytest.raises(ValueError) as refusal:
+            ShapeCatalog.from_json_obj(obj)
+        assert str(refusal.value) == f"catalog shape {shape['id']}: {message}"
+
+
 class TestGuards:
     def test_state_cap_refusal(self):
         with pytest.raises(StateCapExceeded):
