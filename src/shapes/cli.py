@@ -399,7 +399,8 @@ def main(argv=None):
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
     except (FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str of a KeyError is the repr of its argument; print the message bare.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
 
 

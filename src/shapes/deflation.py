@@ -18,7 +18,7 @@ difference's leading monomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, repeat
 from math import comb
 
@@ -38,6 +38,12 @@ from .polycore import (
 )
 
 
+@cache
+def _row_pairs(n):
+    """The row pairs a < b of n rows, as two index arrays."""
+    return np.triu_indices(n, 1)
+
+
 class LevelBasis:
     """All Slater/permanent states of one grade, in enumeration order.
 
@@ -46,7 +52,7 @@ class LevelBasis:
     No other per-state object is kept: a state is found by its combinadic
     key (_keys), which rises strictly against the enumeration order, so the
     level keeps its keys ascending and one searchsorted finds any batch of
-    code rows (find_codes, locate_codes).  ``codes`` is the numbering of
+    code rows (find_codes, locate_signed).  ``codes`` is the numbering of
     the level's dimension (orbital_codes); ``orbitals`` decodes a state to
     its canonical orbitals, also the rows of its leading monomial, and
     ``locate`` and ``find_orbitals`` find the states of canonical orbitals
@@ -177,67 +183,56 @@ class LevelBasis:
         found = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
         return np.where(keys[found] == wanted, len(keys) - 1 - found, -1)
 
-    def locate_codes(self, rows):
-        """find_codes, where a row that is not a state of this level is an
-        InternalConsistencyError."""
-        found = self.find_codes(rows)
-        missing = np.flatnonzero(found < 0)
+    def locate_signed(self, rows):
+        """(indices, phases) of a (..., n) integer array of code rows below
+        codes.grow(grade), in any order within a row.
+
+        The phase is that of sorting a row into its state's order, as
+        canonical_rows gives it: for a determinant, the product over row
+        pairs a < b of sign(code a - code b), -1 per pair the sort exchanges
+        and 0, with index -1, when two codes coincide; for a permanent, 1.
+        A row of nonzero phase that is not a state of this level is an
+        InternalConsistencyError.
+        """
+        shape, rows = rows.shape[:-1], rows.reshape(-1, self.n)
+        if self.statistics is FERMION:
+            first, second = _row_pairs(self.n)
+            phases = np.sign(rows[:, first] - rows[:, second]).prod(axis=1)
+        else:
+            phases = np.ones(len(rows), dtype=np.int64)
+        indices = np.full(len(rows), -1)
+        live = phases != 0
+        indices[live] = self.find_codes(rows[live])
+        missing = np.flatnonzero(live & (indices < 0))
         if len(missing):
             row = sorted(rows[missing[0]].tolist(), reverse=True)
             raise InternalConsistencyError(
                 f"orbitals {self.codes.decode(row)} are not a state of grade {self.grade}"
             )
-        return found
+        return indices.reshape(shape), phases.reshape(shape)
 
     @cached_property
-    def _sector_layout(self):
-        """(sectors, sector ids, positions), from one pass over the code array.
+    def sectors(self):
+        """{sector: ascending int32 array of its state indices}, keyed in
+        the order of the sectors' first states.
 
-        A state's sector is the sum over its codes of a per-code table of
-        axis degrees.  Sectors are numbered in the order of their first
-        states; ids[i] is state i's sector number and positions[i] its place
-        among that sector's states.  sectors maps each sector to the tuple
-        of its state indices, as Python ints (tolist).
+        A state's sector is the tuple of its per-axis degree totals, the sum
+        over its codes of a per-code table of axis degrees.  An Euler factor
+        raises one axis's total by a fixed amount, so every shape and every
+        shape x Euler product lies in one sector.  The arrays are slices of
+        one stable sort of the states by sector.
         """
         per_state = self.state_sectors(slice(None))
-        order = np.lexsort(per_state.T[::-1])  # stable: a sector's first state leads
+        order = np.lexsort(per_state.T[::-1]).astype(np.int32)
         new = np.ones(len(order), dtype=bool)
         new[1:] = (per_state[order[1:]] != per_state[order[:-1]]).any(axis=1)
-        firsts = order[new]
-        number = np.empty(len(firsts), dtype=np.int32)
-        number[np.argsort(firsts)] = np.arange(len(firsts))
-        ids = np.empty(len(order), dtype=np.int32)
-        ids[order] = number[np.cumsum(new) - 1]
-        members = np.argsort(ids, kind="stable")
-        counts = np.bincount(ids, minlength=len(firsts))
-        starts = np.cumsum(counts) - counts
-        positions = np.empty_like(ids)
-        positions[members] = np.arange(len(ids)) - np.repeat(starts, counts)
-        sectors = {
-            tuple(per_state[first].tolist()): tuple(members[lo : lo + count].tolist())
-            for first, lo, count in zip(np.sort(firsts), starts, counts)
+        starts = np.flatnonzero(new)
+        ends = np.append(starts[1:], len(order))
+        by_first = np.argsort(order[starts])  # a slice's first entry is its first state
+        return {
+            tuple(per_state[order[lo]].tolist()): order[lo:hi]
+            for lo, hi in zip(starts[by_first].tolist(), ends[by_first].tolist())
         }
-        return sectors, ids, positions
-
-    @property
-    def sectors(self):
-        """{sector: tuple of state indices, ascending}.
-
-        A state's sector is the tuple of its per-axis degree totals.  An
-        Euler factor raises one axis's total by a fixed amount, so every
-        shape and every shape x Euler product lies in one sector.
-        """
-        return self._sector_layout[0]
-
-    @property
-    def sector_ids(self):
-        """Per state, the number of its sector, counted in sectors' order."""
-        return self._sector_layout[1]
-
-    @property
-    def sector_positions(self):
-        """Per state, its position in its sector's tuple in sectors."""
-        return self._sector_layout[2]
 
     def materialize(self, coeffs):
         """Polynomial sum of coeffs[i] * expansion(state_i).

@@ -331,7 +331,9 @@ def canonical_rows(keys, fermion):
     for orbitals from elsewhere.  Returns them sorted descending, as a
     list, with the phase of that sort: 1 for a permanent;
     for a determinant, -1 per pair of rows the sort exchanges, or 0 when
-    two rows coincide.  This is the one place the phase convention lives.
+    two rows coincide.  This is the one place the phase convention lives
+    for rows in Python; LevelBasis.locate_signed gives the same phase for
+    numpy batches of code rows.
     """
     rows = sorted(keys, reverse=True)
     if not fermion:
@@ -356,8 +358,8 @@ class OrbitalCodes:
     grown.  orbitals, degrees and index map codes to orbitals and degrees
     and orbitals to codes; encode and decode do so for a whole state.  The
     code maps of an Euler factor's shift and of an axis permutation are
-    kept here too, one per (k, axis) and per permutation, grown with the
-    numbering.
+    kept here too, one int64 array per (k, axis) and per permutation,
+    grown with the numbering by appending the new orbitals' codes.
     """
 
     def __init__(self, d):
@@ -393,26 +395,28 @@ class OrbitalCodes:
 
     def shift(self, k, axis, max_degree):
         """table[c]: the code of orbital c raised by k on axis, for every
-        code c of degree <= max_degree."""
-        table = self._shifts.setdefault((k, axis), [])
-        if len(table) < self.grow(max_degree):
+        code c of degree <= max_degree, in an int64 array."""
+        if len(self._shifts.get((k, axis), ())) < self.grow(max_degree):
             self.grow(max_degree + k)
-            self._extend(table, lambda o: o[:axis] + (o[axis] + k,) + o[axis + 1 :], max_degree)
-        return table
+            image = lambda o: o[:axis] + (o[axis] + k,) + o[axis + 1 :]
+            self._extend(self._shifts, (k, axis), image, max_degree)
+        return self._shifts[k, axis]
 
     def permutation(self, perm, max_degree):
         """table[c]: the code of (o[perm[0]], ..., o[perm[d-1]]) for the
-        orbital o of code c, for every code c of degree <= max_degree."""
-        table = self._permutations.setdefault(perm, [])
-        if len(table) < self.grow(max_degree):
-            self._extend(table, lambda o: tuple(o[a] for a in perm), max_degree)
-        return table
+        orbital o of code c, for every code c of degree <= max_degree, in an
+        int64 array."""
+        if len(self._permutations.get(perm, ())) < self.grow(max_degree):
+            self._extend(self._permutations, perm, lambda o: tuple(o[a] for a in perm), max_degree)
+        return self._permutations[perm]
 
-    def _extend(self, table, image, max_degree):
-        """Append the codes of image(o) for the orbitals o from the table's
-        end up to degree max_degree."""
+    def _extend(self, tables, key, image, max_degree):
+        """Append to the code map tables[key] the codes of image(o) for the
+        orbitals o from its end up to degree max_degree."""
+        table = tables.get(key, np.empty(0, dtype=np.int64))
         index = self.index
-        table.extend(index[image(o)] for o in self.orbitals[len(table) : self._counts[max_degree]])
+        new = [index[image(o)] for o in self.orbitals[len(table) : self._counts[max_degree]]]
+        tables[key] = np.append(table, np.array(new, dtype=np.int64))
 
 
 def _compositions(d, total):

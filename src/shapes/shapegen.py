@@ -74,7 +74,6 @@ from .polycore import (
     json_field,
     json_int,
     json_list,
-    orbital_codes,
     parse_fraction,
     sector_of,
 )
@@ -549,24 +548,6 @@ def _subset_columns(n, m):
     return columns
 
 
-@cache
-def _row_pairs(n):
-    """The row pairs a < b of n rows, as two index arrays."""
-    return np.triu_indices(n, 1)
-
-
-@cache
-def _shift_array(d, k, axis, max_degree):
-    """OrbitalCodes.shift(k, axis, max_degree) as an int64 array."""
-    return np.array(orbital_codes(d).shift(k, axis, max_degree), dtype=np.int64)
-
-
-@cache
-def _permutation_array(d, perm, max_degree):
-    """OrbitalCodes.permutation(perm, max_degree) as an int64 array."""
-    return np.array(orbital_codes(d).permutation(perm, max_degree), dtype=np.int64)
-
-
 def _pieri_table(source, target, factor, states):
     """(targets, signs): some states of one level times e_m^[k](axis), one
     column per m-subset of their rows.
@@ -576,26 +557,14 @@ def _pieri_table(source, target, factor, states):
     is a sum over the m-subsets of its rows: shift those orbitals by k on
     the axis (OrbitalCodes.shift) and re-sort the rows (the Pieri rule).
     Column j of row r holds subset j of state states[r]: the target index of
-    the rows (LevelBasis.locate_codes), and the phase of sorting them as
-    canonical_rows gives it.  A determinant takes the product over row pairs
-    a < b of sign(code a - code b): -1 per pair the sort exchanges, and 0
-    (target -1) when two rows coincide; a permanent takes 1.  Equal targets
-    of one row are summed by the caller.
+    the rows and the phase of sorting them (LevelBasis.locate_signed), 0
+    with target -1 when two fermion rows coincide.  Equal targets of one
+    row are summed by the caller.
     """
     m, k, axis = factor
-    n = source.n
     rows = source.code_array[states]
-    shifted = _shift_array(source.d, k, axis, source.grade)[rows]
-    moved = np.hstack([rows, shifted])[:, _subset_columns(n, m)]
-    if source.statistics is FERMION:
-        first, second = _row_pairs(n)
-        signs = np.sign(moved[..., first] - moved[..., second]).prod(axis=-1)
-    else:
-        signs = np.ones(moved.shape[:2], dtype=np.int64)
-    targets = np.full(signs.shape, -1)
-    live = signs != 0
-    targets[live] = target.locate_codes(moved[live])
-    return targets, signs
+    shifted = source.codes.shift(k, axis, source.grade)[rows]
+    return target.locate_signed(np.hstack([rows, shifted])[:, _subset_columns(source.n, m)])
 
 
 def _sum_equal_keys(keys, values):
@@ -839,12 +808,13 @@ def _sector_blocks(catalog, grade, plan, formed, products):
 
     The block holds the plan's products (_sector_plan), in its order, read
     from the formed products (_Products) as (positions, coefficients) array
-    pairs in the sector's coordinates.  A product with a state outside its
-    predicted sector is an InternalConsistencyError.
+    pairs in the sector's coordinates: one searchsorted of the block's
+    states on the sector's states (LevelBasis.sectors), sliced per product.
+    A state the lookup does not find, a product with a state outside its
+    predicted sector, is an InternalConsistencyError.
     """
     basis = catalog.level_basis(grade)
-    ids, positions = basis.sector_ids, basis.sector_positions
-    for number, sector in enumerate(basis.sectors):
+    for sector, indices in basis.sectors.items():
         if sector not in formed:
             continue
         block = [
@@ -852,16 +822,19 @@ def _sector_blocks(catalog, grade, plan, formed, products):
             for rec, monomials in plan.get(sector, ())
             for euler in monomials
         ]
-        if block:
-            states = np.concatenate([idx for idx, _c in block])
-            stray = states[ids[states] != number]
-            if len(stray):
-                state = basis.orbitals(int(stray[0]))
-                raise InternalConsistencyError(
-                    f"a product at grade {grade} leaves its sector {sector}: "
-                    f"state {state} lies in sector {sector_of(state)}"
-                )
-        yield sector, [(positions[idx], coeffs) for idx, coeffs in block]
+        states = np.concatenate([idx for idx, _c in block] or [np.empty(0, dtype=np.int32)])
+        positions = np.minimum(np.searchsorted(indices, states), len(indices) - 1)
+        stray = states[indices[positions] != states]
+        if len(stray):
+            state = basis.orbitals(int(stray[0]))
+            raise InternalConsistencyError(
+                f"a product at grade {grade} leaves its sector {sector}: "
+                f"state {state} lies in sector {sector_of(state)}"
+            )
+        bounds = np.cumsum([0] + [len(idx) for idx, _c in block]).tolist()
+        yield sector, [
+            (positions[lo:hi], coeffs) for lo, hi, (_idx, coeffs) in zip(bounds, bounds[1:], block)
+        ]
 
 
 def _dense_block(products, dim):
@@ -1069,7 +1042,7 @@ def _sector_complements(catalog, grade, plan, formed, held, products):
         count += len(block)
         indices = sectors[sector]
         rank, null = _settle(block, len(indices), sector in held)
-        out[sector] = rank, [{indices[i]: v for i, v in vec.items()} for vec in null]
+        out[sector] = rank, [dict(zip(indices[list(vec)].tolist(), vec.values())) for vec in null]
     return count, out
 
 
@@ -1088,22 +1061,15 @@ def _permute_axes(basis, vec, perm):
     """A state vector of one level with its axes permuted.
 
     Every orbital o of every state becomes (o[perm[0]], ..., o[perm[d-1]])
-    and the rows are re-sorted; a determinant takes the phase of the sort,
-    the product over row pairs a < b of sign(code a - code b), as
-    canonical_rows gives it.  The orbitals' images are a code map
-    (OrbitalCodes.permutation), and the images are located by their keys
-    (LevelBasis.locate_codes).  This is a substitution of the variables,
-    a signed permutation of the level's states that sends a state of
-    sector s to sector (s[perm[0]], ..., s[perm[d-1]]).
+    by a code map (OrbitalCodes.permutation), and the rows are located and
+    signed with the phase of re-sorting them (LevelBasis.locate_signed).
+    This is a substitution of the variables, a signed permutation of the
+    level's states that sends a state of sector s to sector (s[perm[0]],
+    ..., s[perm[d-1]]).
     """
-    rows = _permutation_array(basis.d, perm, basis.grade)[basis.code_array[list(vec)]]
-    if basis.statistics is FERMION:
-        first, second = _row_pairs(basis.n)
-        signs = np.sign(rows[:, first] - rows[:, second]).prod(axis=1).tolist()
-    else:
-        signs = [1] * len(vec)
-    targets = basis.locate_codes(rows).tolist()
-    return {t: sign * c for t, sign, c in zip(targets, signs, vec.values())}
+    rows = basis.codes.permutation(perm, basis.grade)[basis.code_array[list(vec)]]
+    targets, phases = basis.locate_signed(rows)
+    return {t: sign * c for t, sign, c in zip(targets.tolist(), phases.tolist(), vec.values())}
 
 
 def _canonical_basis(vectors):

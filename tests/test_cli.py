@@ -391,6 +391,15 @@ class TestDensityArguments:
         assert message in err
         assert not out.exists()
 
+    def test_unknown_shape_id_exit_two(self, capsys, tmp_path, catalog_path):
+        # The message is printed bare, not as the repr a KeyError's str gives.
+        out = tmp_path / "rho.csv"
+        density = ["density", "--catalog", catalog_path, "--shape-id", "9:9", "--out", str(out)]
+        code, _, err = run(capsys, *density, "--grid", "x:-6:6:31,y:-6:6:31")
+        assert code == 2
+        assert err == "error: no shape with id '9:9'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["x:nan:6:31,y:-6:6:31", "x:-6:inf:31,y:-6:6:31"])
     def test_non_finite_axis_bound_exit_two(self, capsys, tmp_path, catalog_path, grid):
         out = tmp_path / "rho.csv"

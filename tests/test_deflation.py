@@ -1,6 +1,7 @@
 """Tests for the deflation algorithm over level bases."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -53,7 +54,8 @@ class TestLevelBasis:
     )
     def test_states_are_their_canonical_orbital_tuples(self, n, d, grade, stat):
         basis = LevelBasis(n, d, grade, stat)
-        assert basis.locate_codes(basis.code_array).tolist() == list(range(len(basis)))
+        identity = [list(range(len(basis))), [1] * len(basis)]
+        assert [a.tolist() for a in basis.locate_signed(basis.code_array)] == identity
         assert basis.code_array.dtype == np.int32 and basis.code_array.shape == (len(basis), n)
         for i, s in enumerate(basis.code_array.tolist()):
             assert basis.locate(basis.orbitals(i)) == i
@@ -82,17 +84,35 @@ class TestLevelBasis:
         ],
     )
     def test_sectors_match_the_per_state_loop(self, n, d, grade, stat):
-        # Keys in the order of their first states, tuples of Python ints,
-        # and the sector numbers and positions the product engine reads.
+        # Keys are tuples of Python ints in the order of their first states;
+        # values are ascending int32 slices that partition the states.
         basis = LevelBasis(n, d, grade, stat)
         expected = {}
         for i in range(len(basis)):
             expected.setdefault(sector_of(basis.orbitals(i)), []).append(i)
-        assert list(basis.sectors.items()) == [(s, tuple(v)) for s, v in expected.items()]
-        assert all(type(x) is int for s, v in basis.sectors.items() for x in s + v)
-        for number, indices in enumerate(basis.sectors.values()):
-            assert basis.sector_ids[list(indices)].tolist() == [number] * len(indices)
-            assert basis.sector_positions[list(indices)].tolist() == list(range(len(indices)))
+        assert [(s, v.tolist()) for s, v in basis.sectors.items()] == list(expected.items())
+        assert all(type(x) is int for s in basis.sectors for x in s)
+        slices = list(basis.sectors.values())
+        assert all(v.dtype == np.int32 and (np.diff(v) > 0).all() for v in slices)
+        joined = np.sort(np.concatenate(slices)) if slices else np.empty(0, dtype=np.int32)
+        assert joined.tolist() == list(range(len(basis)))
+        for sector, indices in basis.sectors.items():
+            assert (basis.state_sectors(indices) == sector).all()
+
+    def test_sectors_take_a_few_bytes_per_state(self):
+        # One int32 per state and one array view per sector; Python-int
+        # tuples took about 49 bytes per state at this level.
+        basis = LevelBasis(3, 4, 10, FERMION)
+        basis.state_sectors(slice(0))  # the per-code degree table is not the sectors'
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sectors = basis.sectors
+            added = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, sectors.values())) == len(basis) > 10_000
+        assert added <= 8 * len(basis)
 
 
 class TestDeflate:

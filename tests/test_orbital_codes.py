@@ -17,7 +17,13 @@ from shapes import deflation, shapegen
 from shapes.counting import BOSON, FERMION, level_dimension, shape_polynomial
 from shapes.deflation import LevelBasis
 from shapes.errors import InternalConsistencyError
-from shapes.polycore import OrbitalCodes, enumerate_basis, orbital_codes, orbital_key
+from shapes.polycore import (
+    OrbitalCodes,
+    canonical_rows,
+    enumerate_basis,
+    orbital_codes,
+    orbital_key,
+)
 
 import pieri_oracle
 
@@ -69,8 +75,9 @@ class TestCodes:
         permutation = list(codes.permutation(perm, low))
         codes.grow(low + more)
         assert {o: codes.index[o] for o in before} == before
-        assert codes.shift(k, axis, low + more)[: len(shift)] == shift
-        assert codes.permutation(perm, low + more)[: len(permutation)] == permutation
+        assert codes.shift(k, axis, low + more)[: len(shift)].tolist() == shift
+        assert codes.permutation(perm, low + more)[: len(permutation)].tolist() == permutation
+        assert codes.shift(k, axis, low).dtype == codes.permutation(perm, low).dtype == np.int64
         top = codes.degrees[-1]
         fresh = OrbitalCodes(d)
         fresh.grow(top)
@@ -104,15 +111,40 @@ class TestCodes:
         basis = LevelBasis(n, d, grade, stat)
         assert [basis.orbitals(i) for i in range(len(basis))] == list(states)
         assert all(basis.locate(s) == i for i, s in enumerate(states))
-        assert basis.locate_codes(basis.code_array).tolist() == list(range(len(basis)))
+        identity = [list(range(len(basis))), [1] * len(basis)]
+        assert [a.tolist() for a in basis.locate_signed(basis.code_array)] == identity
 
+    @settings(max_examples=80, deadline=None)
+    @given(levels(), st.integers(1, 3), st.data())
+    def test_locate_signed_gives_the_phase_of_canonical_rows(self, level, columns, data):
+        # Rows of random states, each in a random order, in a (rows, columns,
+        # n) batch as _pieri_table passes them; some fermion rows are given
+        # a repeated code, which is no state and has phase 0.
+        n, d, stat, grade = level
+        basis = LevelBasis(n, d, grade, stat)
+        fermion = stat is FERMION
+        count = columns * data.draw(st.integers(1, 4), label="rows")
+        states = data.draw(st.lists(st.integers(0, len(basis) - 1), min_size=count, max_size=count))
+        rows, expected = [], []
+        for i in states:
+            row = data.draw(st.permutations(basis.code_array[i].tolist()))
+            if fermion and n > 1 and data.draw(st.booleans(), label="repeat"):
+                a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+                row[b] = row[a]
+            sign = canonical_rows(row, fermion)[1]
+            rows.append(row)
+            expected.append((i, sign) if sign else (-1, 0))
+        batch = np.array(rows, dtype=np.int64).reshape(-1, columns, n)
+        indices, phases = basis.locate_signed(batch)
+        assert indices.shape == phases.shape == (count // columns, columns)
+        assert list(zip(indices.ravel().tolist(), phases.ravel().tolist())) == expected
 
-    def test_locate_codes_names_a_row_that_is_no_state(self):
+    def test_locate_signed_names_a_row_that_is_no_state(self):
         basis = LevelBasis(3, 2, 4, FERMION)
         rows = basis.code_array[:2].copy()
         rows[1] = rows[0] + 1
         with pytest.raises(InternalConsistencyError, match="are not a state of grade 4"):
-            basis.locate_codes(rows)
+            basis.locate_signed(rows)
 
 
 class TestLevelArrays:

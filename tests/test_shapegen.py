@@ -377,29 +377,46 @@ class TestSectorLaw:
         ):
             generate_shapes(3, 2, FERMION)
 
-    def test_product_leaving_its_sector_is_named(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "grade, sector, stray, lies_in, where",
+        [
+            (3, (2, 1), 0, (3, 0), "below"),
+            (4, (3, 1), 9, (2, 2), "between"),
+            (3, (2, 1), 3, (1, 2), "above"),
+        ],
+        ids=["below", "between", "above"],
+    )
+    def test_product_leaving_its_sector_is_named(
+        self, monkeypatch, grade, sector, stray, lies_in, where
+    ):
         # The ground shape |(1,0),(0,1),(0,0)| lies in sector (1, 1), so its
-        # product with e1(x) lies in (2, 1).  A Pieri table whose rows also
-        # reach a state of sector (1, 2) must fail, naming grade, sector and
-        # state.
-        level = LevelBasis(3, 2, 3, FERMION)
-        stray = level.sectors[1, 2][0]
+        # products with powers of e1(x) lie in (1 + j, 1).  A Pieri table of
+        # e1(x) whose rows from the sector one factor lower also reach a
+        # state below, between or above the sector's states (the three
+        # branches of the lookup) must fail, naming grade, sector and state.
+        level = LevelBasis(3, 2, grade, FERMION)
+        indices = level.sectors[sector]
+        place = np.searchsorted(indices, stray)
+        assert stray not in indices.tolist()
+        assert where == ("below" if place == 0 else "above" if place == len(indices) else "between")
         orbitals = level.orbitals(stray)
+        home = (sector[0] - 1, sector[1])
         real = shapegen._pieri_table
 
         def leaky(source, target, factor, states):
             targets, signs = real(source, target, factor, states)
-            if (source.grade, factor) == (2, (1, 1, 0)):
-                extra = np.ones((len(states), 1), dtype=targets.dtype)
-                targets, signs = np.hstack([targets, stray * extra]), np.hstack([signs, extra])
+            if (source.grade, factor) == (grade - 1, (1, 1, 0)):
+                extra = (source.state_sectors(states) == home).all(axis=1)[:, None]
+                targets = np.hstack([targets, np.where(extra, stray, -1)])
+                signs = np.hstack([signs, extra.astype(signs.dtype)])
             return targets, signs
 
         monkeypatch.setattr(shapegen, "_pieri_table", leaky)
         with pytest.raises(
             InternalConsistencyError,
             match=re.escape(
-                f"a product at grade 3 leaves its sector (2, 1): state {orbitals} "
-                "lies in sector (1, 2)"
+                f"a product at grade {grade} leaves its sector {sector}: state {orbitals} "
+                f"lies in sector {lies_in}"
             ),
         ):
             generate_shapes(3, 2, FERMION)
