@@ -33,13 +33,13 @@ from .polycore import (
     euler_power,
     vandermonde,
 )
+from .products import trivial_products
 from .schur import Partition, factor_1d, partitions, schur_expand, schur_ratio, schur_ssyt
 from .shapegen import (
     ShapeCatalog,
     ShapeRecord,
     SpanReport,
     generate_shapes,
-    trivial_products,
     verify_span,
 )
 from .realize import (

@@ -30,13 +30,13 @@ from .realize import (
     parse_grid,
     two_particle_density_cut,
 )
+from .products import trivial_products
 from .schur import Partition, schur_ratio, schur_ssyt
 from .shapegen import (
     ShapeCatalog,
     check_state_cap,
     default_state_cap,
     generate_shapes,
-    trivial_products,
     verify_span,
 )
 

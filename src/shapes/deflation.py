@@ -31,6 +31,7 @@ from .polycore import (
     ExactPolynomial,
     SlaterState,
     _as_exact,
+    chunk_rows,
     enumerate_basis,
     monomial_rows,
     multiplicity_factorials,
@@ -78,7 +79,12 @@ class LevelBasis:
                 f"dimension series predicts {expected} (n={n}, d={d}, {statistics.value})"
             )
         self._binomials = self._binomial_table()
-        keys = self._sorted_keys = self._keys(self.code_array)[::-1].copy()
+        size = len(self.code_array)
+        keys = self._sorted_keys = np.empty(size, dtype=self._binomials.dtype)
+        step = chunk_rows(24 * n)  # _keys holds about 24 bytes per code
+        for lo in range(0, size, step):
+            hi = min(lo + step, size)
+            keys[size - hi : size - lo] = self._keys(self.code_array[lo:hi])[::-1]
         if not ((keys[1:] > keys[:-1]).all() and (keys[:1] >= 0).all()):
             raise InternalConsistencyError(
                 f"grade {grade} states are not distinct and in enumeration order "

@@ -39,6 +39,27 @@ from .errors import InternalConsistencyError
 
 AXIS_NAMES = "tuvw"
 
+# Batched passes over code rows work on chunks of at most this many bytes:
+# building and keying a level (enumerate_basis, LevelBasis) and forming
+# products (shapegen).
+CHUNK_BYTES = 1 << 20
+
+
+def chunk_rows(row_bytes):
+    """How many rows of row_bytes bytes each a chunk holds: as many as fit
+    in CHUNK_BYTES, and at least one."""
+    return max(1, CHUNK_BYTES // row_bytes)
+
+
+def chunks(ends):
+    """Consecutive slices of items, given the running total of their sizes
+    in bytes: each holds at most CHUNK_BYTES, or one item."""
+    lo, done = 0, 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, done + CHUNK_BYTES, side="right")))
+        yield slice(lo, hi)
+        lo, done = hi, ends[hi - 1]
+
 
 def axis_name(axis):
     return AXIS_NAMES[axis] if axis < len(AXIS_NAMES) else f"x{axis}"
@@ -600,6 +621,71 @@ class EulerMonomial:
         return self.label()
 
 
+class EulerTable:
+    """Every Euler-boson monomial of degree <= max_degree, numbered.
+
+    Monomial i has exponents[i][axis][m - 1], the power of e_m(axis), and
+    adds shifts[i][axis] to the degree on each axis.  The numbers run by
+    degree, those of degree D from starts[D] to starts[D + 1] - 1 in
+    enumerate_euler_monomials order, whatever max_degree; 0 is the empty
+    monomial.  Any other monomial is its last factor (EulerMonomial.factors)
+    times its prefix, the monomial of the factors before it: prefix[i] is
+    the prefix's number, and factor_of(factor[i]) the factor as (m, k, axis).
+
+    Built by one numpy pass per exponent of an e_m with m <= max_degree, in
+    factor order: each monomial of the exponents before it is extended by
+    every power that keeps its degree <= max_degree.  That keeps
+    lexicographic order, the enumeration order, and a stable sort by degree
+    keeps it within each degree.
+    """
+
+    def __init__(self, n, d, max_degree):
+        self.n, self.d = n, d
+        exponents = np.zeros((1, n * d), dtype=np.int64)
+        degrees, prefix, factor = np.zeros(1, dtype=np.int64), np.full(1, -1), np.full(1, -1)
+        for position in range(n * d):  # e_m(axis) at axis * n + m - 1
+            m = position % n + 1
+            if m > max_degree:
+                continue
+            counts = (max_degree - degrees) // m + 1
+            firsts = np.cumsum(counts) - counts  # each monomial's power-0 extension
+            parent = np.repeat(np.arange(len(counts)), counts)
+            power = np.arange(len(parent)) - firsts[parent]
+            raised = power > 0
+            # A raised extension's prefix is its power-0 sibling; the others
+            # keep their parent's prefix, now that prefix's power-0 extension.
+            kept = np.where(prefix[parent] < 0, -1, firsts[prefix[parent]])
+            prefix = np.where(raised, firsts[parent], kept)
+            factor = np.where(raised, power * n * d + position, factor[parent])
+            exponents = exponents[parent]
+            exponents[:, position] = power
+            degrees = degrees[parent] + m * power
+        order = np.argsort(degrees, kind="stable")
+        self.prefix = np.where(prefix[order] < 0, -1, np.argsort(order)[prefix[order]])
+        self.degrees, self.factor = degrees[order], factor[order]
+        self.exponents = exponents[order].reshape(-1, d, n)
+        self.starts = np.searchsorted(self.degrees, np.arange(max_degree + 2))
+        self.shifts = self.exponents @ np.arange(1, n + 1)
+
+    def __len__(self):
+        return len(self.degrees)
+
+    def factor_of(self, code):
+        """The factor e_m^[k](axis) of a factor code, as (m, k, axis)."""
+        k, position = divmod(code, self.n * self.d)
+        return position % self.n + 1, k, position // self.n
+
+    def monomial(self, i):
+        """Monomial i as an EulerMonomial."""
+        return EulerMonomial(self.n, self.d, tuple(map(tuple, self.exponents[i].tolist())))
+
+
+@cache
+def euler_table(n, d, max_degree):
+    """The numbering of the Euler-boson monomials of degree <= max_degree."""
+    return EulerTable(n, d, max_degree)
+
+
 def enumerate_euler_monomials(n, d, degree):
     """All Euler-boson monomials of the given total degree.
 
@@ -609,25 +695,8 @@ def enumerate_euler_monomials(n, d, degree):
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    positions = [(axis, m) for axis in range(d) for m in range(1, n + 1)]
-    out = []
-    exps = [[0] * n for _ in range(d)]
-
-    def rec(pos, remaining):
-        if pos == len(positions):
-            if remaining == 0:
-                out.append(
-                    EulerMonomial(n, d, tuple(tuple(per) for per in exps))
-                )
-            return
-        axis, m = positions[pos]
-        for k in range(remaining // m + 1):
-            exps[axis][m - 1] = k
-            rec(pos + 1, remaining - m * k)
-        exps[axis][m - 1] = 0
-
-    rec(0, degree)
-    return out
+    table = euler_table(n, d, degree)
+    return [table.monomial(i) for i in range(table.starts[degree], table.starts[degree + 1])]
 
 
 def enumerate_basis(n, d, grade, statistics=FERMION):
@@ -673,11 +742,19 @@ def enumerate_basis(n, d, grade, statistics=FERMION):
         fits = total + free * degree <= grade if free else total == grade
         lo = np.searchsorted(keys, tail[fits], side=side)
         sizes = np.searchsorted(keys, end[fits]) - lo
-        taken = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-        grown = np.empty((len(taken), j), dtype=np.int32)
-        grown[:, 0] = np.repeat(code[fits], sizes)
-        grown[:, 1:] = rows[taken]
-        rows, keys = grown, np.repeat(head[fits], sizes)
+        ends = np.cumsum(sizes)
+        grown = np.empty((int(sizes.sum()), j), dtype=np.int32)
+        # Row r of pair p takes code[p] and the row lo[p] + r - (ends[p] - sizes[p]);
+        # the rows are gathered in chunks of about 4 int64 values and j codes each.
+        step = chunk_rows(32 + 4 * j)
+        for at in range(0, len(grown), step):
+            r = np.arange(at, min(at + step, len(grown)))
+            p = np.searchsorted(ends, r, side="right")
+            grown[r, 0] = code[fits][p]
+            grown[r, 1:] = rows[lo[p] - ends[p] + sizes[p] + r]
+        rows = grown
+        if free:  # the last pass's keys are never read
+            keys = np.repeat(head[fits], sizes)
     return rows
 
 

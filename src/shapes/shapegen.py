@@ -6,12 +6,9 @@ complement of that span, with the level's Slater/permanent states taken as
 orthonormal coordinates.  The products are formed directly over state
 indices, never as expanded polynomials: one Euler factor e_m^[k](axis)
 maps each state of a level to a signed sum of states of the level m*k
-higher (the Pieri rule for elementary symmetric functions).  Every
-product is its monomial's last factor times the product one factor lower,
-formed at a lower grade, so each (shape, monomial prefix) is formed once
-(_Products), and all the vectors one (source grade, factor) acts on are
-multiplied in one batched numpy pass (_apply_factor), exact in int64 or,
-past its bound, in Python ints.
+higher (the Pieri rule for elementary symmetric functions).  The
+products module forms each (shape, monomial) product once and plans which
+sector each lies in.
 
 A factor raises one axis's degree total by m*k, so a product's sector
 (LevelBasis.sectors) is known before any arithmetic: its shape's sector
@@ -50,10 +47,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from itertools import chain, combinations, islice
-from math import comb, gcd, lcm
-from operator import add
+from itertools import chain, islice
+from math import gcd, lcm
 
 import numpy as np
 
@@ -69,7 +64,6 @@ from .deflation import LevelBasis
 from .errors import InternalConsistencyError, StateCapExceeded
 from .polycore import (
     SlaterState,
-    enumerate_euler_monomials,
     format_fraction,
     json_field,
     json_int,
@@ -77,6 +71,7 @@ from .polycore import (
     parse_fraction,
     sector_of,
 )
+from .products import _NO_KEYS, _Products, _home_sector, _products_through, _sector_plan
 
 DEFAULT_STATE_CAP = 100_000
 STATE_CAP_ENV_VAR = "SHAPES_STATE_CAP"
@@ -89,9 +84,6 @@ DENSE_SECTOR_CAP = 2048
 # The certificates (_certify) scale an approximate inverse by this power of
 # two before rounding it (_is_nonsingular).
 _PROOF_SCALE = 2**20
-# A batched Pieri pass (_apply_factor) joins at most this many (state entry,
-# m-subset) pairs at once.
-_PASS_ROWS = 1 << 16
 # Null vector entries, relative to the 1 at the free column, are rounded to
 # fractions with denominators up to this bound: a canonical coefficient is
 # at most 24 on every catalog measured.
@@ -525,288 +517,10 @@ class ShapeCatalog:
         return canonical
 
 
-@cache
-def _monomials(n, d, degree):
-    """enumerate_euler_monomials(n, d, degree), as a tuple."""
-    return tuple(enumerate_euler_monomials(n, d, degree))
-
-
-@cache
-def _factors(euler):
-    """euler.factors() as a tuple, the key of its products."""
-    return tuple(euler.factors())
-
-
-@cache
-def _subset_columns(n, m):
-    """C(n, m) x n gather indices into a state's codes followed by its
-    shifted codes: row j takes the shifted code at the rows of the j-th
-    m-subset, in combinations order, and the code itself elsewhere."""
-    columns = np.tile(np.arange(n), (comb(n, m), 1))
-    for row, subset in enumerate(combinations(range(n), m)):
-        columns[row, list(subset)] += n
-    return columns
-
-
-def _pieri_table(source, target, factor, states):
-    """(targets, signs): some states of one level times e_m^[k](axis), one
-    column per m-subset of their rows.
-
-    factor is (m, k, axis), states are indices of the level basis source,
-    and target is the level m*k higher.  A state times the symmetric factor
-    is a sum over the m-subsets of its rows: shift those orbitals by k on
-    the axis (OrbitalCodes.shift) and re-sort the rows (the Pieri rule).
-    Column j of row r holds subset j of state states[r]: the target index of
-    the rows and the phase of sorting them (LevelBasis.locate_signed), 0
-    with target -1 when two fermion rows coincide.  Equal targets of one
-    row are summed by the caller.
-    """
-    m, k, axis = factor
-    rows = source.code_array[states]
-    shifted = source.codes.shift(k, axis, source.grade)[rows]
-    return target.locate_signed(np.hstack([rows, shifted])[:, _subset_columns(source.n, m)])
-
-
-def _sum_equal_keys(keys, values):
-    """(distinct keys ascending, the exact sum of each one's values), zeros dropped."""
-    if not len(keys):
-        return keys, values
-    order = np.argsort(keys)
-    keys, values = keys[order], values[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    sums = np.add.reduceat(values, starts)
-    nonzero = sums != 0
-    return keys[starts][nonzero], sums[nonzero]
-
-
-def _fits_int64(vectors, coeffs, longest, width):
-    """Whether (largest ||v||_1 of the vectors) * width < 2^63, decided in Python ints.
-
-    coeffs are the vectors' coefficients, concatenated, and longest is the
-    largest vector's length; the largest entry times that bounds every
-    ||v||_1 and is tried first.
-    """
-    if coeffs.dtype != object:
-        if int(np.abs(coeffs).max(initial=0)) * longest * width < 2**63:
-            return True
-    return max(sum(map(abs, c.tolist())) for _idx, c in vectors) * width < 2**63
-
-
-def _apply_factor(source, target, factor, vectors):
-    """Every vector of one level times e_m^[k](axis), in one batched pass.
-
-    vectors are (state indices, coefficients) array pairs over the level
-    basis source.  Returns their images over target as one batch (indices,
-    coefficients, bounds): image j is the slice bounds[j]:bounds[j + 1],
-    indices ascending, no coefficient zero.  The vectors' entries are
-    joined with the Pieri table (_pieri_table) of the states they touch,
-    and equal targets of one image are summed exactly (argsort, then
-    add.reduceat).  Each coefficient of an image, and every partial sum, is
-    at most ||v||_1 * C(n, m) in magnitude: the pass runs in int64 while
-    that is below 2^63 for every vector (_fits_int64), and in Python ints
-    (object arrays) otherwise.  At most _PASS_ROWS (entry, subset) pairs
-    are joined at once; a batch with more is joined in chunks of entries
-    and summed once more.
-    """
-    width = comb(source.n, factor[0])
-    lengths = [len(idx) for idx, _c in vectors]
-    owners = np.repeat(np.arange(len(vectors)), lengths)
-    states = np.concatenate([idx for idx, _c in vectors])
-    coeffs = np.concatenate([c for _idx, c in vectors])
-    fits = _fits_int64(vectors, coeffs, max(lengths), width)
-    coeffs = coeffs.astype(np.int64 if fits else object)
-    size = len(target)
-    step = max(1, _PASS_ROWS // width)
-    parts = []
-    for lo in range(0, len(states), step):
-        part = slice(lo, lo + step)
-        touched, local = np.unique(states[part], return_inverse=True)
-        targets, signs = _pieri_table(source, target, factor, touched)
-        signs = signs[local]
-        live = signs != 0
-        keys = (owners[part, None] * size + targets[local])[live]
-        parts.append(_sum_equal_keys(keys, (coeffs[part, None] * signs)[live]))
-    if len(parts) == 1:
-        ((keys, sums),) = parts
-    else:
-        keys, sums = _sum_equal_keys(*map(np.concatenate, zip(*parts)))
-    owner = keys // size
-    bounds = np.searchsorted(owner, np.arange(len(vectors) + 1))
-    return _compact(keys - owner * size), _compact(sums), bounds
-
-
-def _compact(values):
-    """Integer values as int32 if every one is below 2^31 in magnitude, as
-    they are otherwise; a batch is stored until its last reader."""
-    if values.dtype != object and (not len(values) or np.abs(values).max() < 2**31):
-        return values.astype(np.int32)
-    return values
-
-
-class _Products:
-    """Shape x Euler monomial products, each formed once from one a factor lower.
-
-    A product is keyed by its shape and the factors of its monomial, as
-    EulerMonomial.factors orders them, and is the monomial's last factor
-    times the product keyed by the factors before it, down to the shape
-    itself under no factor.  A caller registers each product it will read
-    (want), which registers every prefix; form(grade) then forms every
-    registered product of that grade, one batched pass (_apply_factor) per
-    (source grade, factor), after dropping every stored product that no
-    grade from this one on reads.  take hands a product out as a (state
-    indices, coefficients) array pair, and drops it if no later grade reads
-    it.  Products are integer vectors: a shape with rational coefficients
-    is scaled to integers first, and exact undoes the scale.
-    """
-
-    def __init__(self, catalog):
-        self.catalog = catalog
-        self._numbers = {}  # shape id -> its number in the keys
-        self._scale = {}  # shape number -> the denominator it was scaled by
-        self._plan = {}  # grade -> {(source grade, factor): [key, ...]}
-        self._last_read = {}  # key -> the last grade that reads it
-        self._stored = {}  # key -> (batch, row), as _apply_factor returns batches
-        self._grade = None  # the grade last formed
-
-    def want(self, rec, factors, grade):
-        """Register the product of shape rec and the monomial of these
-        factors, which lies at this grade, with every prefix it is formed
-        from, for a read at its grade."""
-        shape = self._numbers.setdefault(rec.id, len(self._numbers))
-        key, reader = (shape, factors), grade
-        while True:
-            known = key in self._last_read  # registered before, with its prefixes
-            if not known or self._last_read[key] < reader:
-                self._last_read[key] = reader
-            if known or not factors:
-                break
-            m, k, _axis = factor = factors[-1]
-            factors, reader, grade = factors[:-1], grade, grade - m * k
-            self._plan.setdefault(reader, {}).setdefault((grade, factor), []).append(key)
-            key = (shape, factors)
-        if not factors and key not in self._stored:
-            self._stored[key] = self._shape_batch(rec, shape), 0
-
-    def _shape_batch(self, rec, shape):
-        indices = sorted(rec.coeffs)
-        values = [rec.coeffs[i] for i in indices]
-        scale = self._scale[shape] = lcm(*(c.denominator for c in values))
-        values = [int(c * scale) for c in values]
-        wide = any(abs(c) >= 2**63 for c in values)
-        return (
-            np.array(indices, dtype=np.int64),
-            np.array(values, dtype=object if wide else np.int64),
-            np.array([0, len(values)]),
-        )
-
-    def _vector(self, key):
-        (indices, coeffs, bounds), row = self._stored[key]
-        lo, hi = bounds[row], bounds[row + 1]
-        return indices[lo:hi], coeffs[lo:hi]
-
-    def form(self, grade):
-        """Form every registered product of this grade."""
-        self._grade = grade
-        for key in [key for key, last in self._last_read.items() if last < grade]:
-            del self._last_read[key]
-            self._stored.pop(key, None)
-        level = self.catalog.level_basis
-        for (source, factor), keys in self._plan.pop(grade, {}).items():
-            vectors = [self._vector((shape, factors[:-1])) for shape, factors in keys]
-            batch = _apply_factor(level(source), level(grade), factor, vectors)
-            self._stored.update((key, (batch, row)) for row, key in enumerate(keys))
-
-    def take(self, rec, factors):
-        """A product of the grade last formed, as a (state indices,
-        coefficients) pair; dropped at once if no later grade reads it."""
-        key = (self._numbers[rec.id], factors)
-        vector = self._vector(key)
-        if self._last_read[key] <= self._grade:
-            del self._last_read[key], self._stored[key]
-        return vector
-
-    def exact(self, rec, factors):
-        """take, as a {state index: coeff} dict of Python ints, or of
-        Fractions if the shape's coefficients are not integers."""
-        indices, coeffs = self.take(rec, factors)
-        scale = self._scale[self._numbers[rec.id]]
-        values = coeffs.tolist() if scale == 1 else [Fraction(c, scale) for c in coeffs.tolist()]
-        return dict(zip(indices.tolist(), values))
-
-
-def _products_through(catalog, grade):
-    """Every catalog shape of grade <= the target times every Euler monomial
-    of the complementary degree, formed (_Products)."""
-    products = _Products(catalog)
-    lower = [rec for rec in catalog.shapes if rec.grade <= grade]
-    for rec in lower:
-        for euler in _monomials(catalog.n, catalog.d, grade - rec.grade):
-            products.want(rec, _factors(euler), grade)
-    for g in range(min((rec.grade for rec in lower), default=grade), grade + 1):
-        products.form(g)
-    return products
-
-
-def trivial_products(catalog, grade):
-    """Every catalog shape of grade <= the target times every Euler monomial.
-
-    Yields (record, euler, vector) with records in catalog order and, per
-    record, monomials of the complementary degree in enumerate_euler_monomials
-    order (at a shape's own grade, only the empty one), with vectors as
-    {state index: coeff} dicts of Python ints over the target level basis.
-    """
-    products = _products_through(catalog, grade)
-    for rec in catalog.shapes:
-        if rec.grade <= grade:
-            for euler in _monomials(catalog.n, catalog.d, grade - rec.grade):
-                yield rec, euler, products.exact(rec, _factors(euler))
-
-
-@cache
-def _monomials_by_shift(n, d, degree):
-    """enumerate_euler_monomials(n, d, degree) grouped by per-axis degree.
-
-    Returns {shift: tuple of monomials}, each tuple in enumeration order,
-    where shift[axis] is the degree the monomial's factors add on that axis.
-    """
-    out = {}
-    for euler in _monomials(n, d, degree):
-        shift = tuple(sum(m * k for m, k in enumerate(e, start=1)) for e in euler.exponents)
-        out.setdefault(shift, []).append(euler)
-    return {shift: tuple(monomials) for shift, monomials in out.items()}
-
-
-def _home_sector(catalog, rec):
-    """The sector of a shape's states."""
-    return sector_of(catalog.level_basis(rec.grade).orbitals(min(rec.coeffs)))
-
-
-def _sector_plan(catalog, grade):
-    """{sector: [(shape, monomials), ...]}, the products of each sector of one level.
-
-    A shape in sector b times a monomial of shift t lies in sector b + t,
-    so a sector's products are every shape of grade <= the target, in
-    catalog order, times the monomials of the complementary degree and
-    shift, in enumeration order.  A predicted sector with no states is an
-    InternalConsistencyError.
-    """
-    plan = {}
-    for rec in catalog.shapes:
-        if rec.grade <= grade:
-            home = _home_sector(catalog, rec)
-            by_shift = _monomials_by_shift(catalog.n, catalog.d, grade - rec.grade)
-            for shift, monomials in by_shift.items():
-                plan.setdefault(tuple(map(add, home, shift)), []).append((rec, monomials))
-    stray = plan.keys() - catalog.level_basis(grade).sectors.keys()
-    if stray:
-        raise InternalConsistencyError(f"grade {grade} has no state in sector {min(stray)}")
-    return plan
-
-
 def _sector_blocks(catalog, grade, plan, formed, products):
     """Yield (sector, block) for each sector of one level in formed, in turn.
 
-    The block holds the plan's products (_sector_plan), in its order, read
+    The block holds the plan's products (_sector_plan), in its order, taken
     from the formed products (_Products) as (positions, coefficients) array
     pairs in the sector's coordinates: one searchsorted of the block's
     states on the sector's states (LevelBasis.sectors), sliced per product.
@@ -817,12 +531,7 @@ def _sector_blocks(catalog, grade, plan, formed, products):
     for sector, indices in basis.sectors.items():
         if sector not in formed:
             continue
-        block = [
-            products.take(rec, _factors(euler))
-            for rec, monomials in plan.get(sector, ())
-            for euler in monomials
-        ]
-        states = np.concatenate([idx for idx, _c in block] or [np.empty(0, dtype=np.int32)])
+        states, coeffs, bounds = products.take(plan.get(sector, _NO_KEYS))
         positions = np.minimum(np.searchsorted(indices, states), len(indices) - 1)
         stray = states[indices[positions] != states]
         if len(stray):
@@ -831,9 +540,9 @@ def _sector_blocks(catalog, grade, plan, formed, products):
                 f"a product at grade {grade} leaves its sector {sector}: "
                 f"state {state} lies in sector {sector_of(state)}"
             )
-        bounds = np.cumsum([0] + [len(idx) for idx, _c in block]).tolist()
+        bounds = bounds.tolist()
         yield sector, [
-            (positions[lo:hi], coeffs) for lo, hi, (_idx, coeffs) in zip(bounds, bounds[1:], block)
+            (positions[lo:hi], coeffs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
         ]
 
 
@@ -1031,12 +740,7 @@ def _sector_complements(catalog, grade, plan, formed, held, products):
     vectors are in level indices, and only for the sectors in held.
     """
     sectors = catalog.level_basis(grade).sectors
-    count = sum(
-        len(monomials)
-        for sector, pairs in plan.items()
-        if sector not in formed
-        for _rec, monomials in pairs
-    )
+    count = sum(len(keys) for sector, keys in plan.items() if sector not in formed)
     out = {}
     for sector, block in _sector_blocks(catalog, grade, plan, formed, products):
         count += len(block)
@@ -1142,14 +846,14 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
         )
     catalog = ShapeCatalog(n, d, statistics, poly, max_grade, shapes=[], state_cap=state_cap)
     law = sector_shape_counts(n, d, statistics)
-    products = _Products(catalog)
+    products = _Products(catalog, max_grade - poly.lowest_degree())
     for grade in range(poly.lowest_degree(), max_grade + 1):
         expected = poly.coefficient(grade)
         basis = catalog.level_basis(grade)
         sectors = basis.sectors
         formed = {s for s in sectors if s == _representative(s)}
         held = {_representative(s) for s in law.keys() & sectors}
-        plan = _sector_plan(catalog, grade)
+        plan = _sector_plan(catalog, grade, products.table)
         products.form(grade)
         count, blocks = _sector_complements(catalog, grade, plan, formed, held, products)
         for sector in sectors.keys() - formed:
@@ -1178,28 +882,25 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
                     f"expected {law.get(sector, 0)} new shapes, found {found}"
                 )
         new_vectors = sorted((v for _r, null in blocks.values() for v in null), key=max)
-        for idx, vec in enumerate(new_vectors):
-            rec = ShapeRecord(grade, idx, vec)
-            catalog.shapes.append(rec)
-            _want_representative_products(catalog, rec, products)
+        first = len(catalog.shapes)
+        catalog.shapes += [ShapeRecord(grade, idx, vec) for idx, vec in enumerate(new_vectors)]
+        _want_representative_products(catalog, range(first, len(catalog.shapes)), products)
     return catalog
 
 
-def _want_representative_products(catalog, rec, products):
-    """Register the products of a new shape that generation reads.
-
-    They are the shape times each monomial that lands it in a
+def _want_representative_products(catalog, shapes, products):
+    """Register the products of new shapes, catalog numbers `shapes`, that
+    generation reads: each shape times each monomial that lands it in a
     representative sector of a higher grade up to max_grade, the only
-    sectors generation forms.
-    """
-    home = _home_sector(catalog, rec)
-    for grade in range(rec.grade + 1, catalog.max_grade + 1):
-        by_shift = _monomials_by_shift(catalog.n, catalog.d, grade - rec.grade)
-        for shift, monomials in by_shift.items():
-            sector = tuple(map(add, home, shift))
-            if sector == _representative(sector):
-                for euler in monomials:
-                    products.want(rec, _factors(euler), grade)
+    sectors generation forms."""
+    table, keys = products.table, []
+    for shape in shapes:
+        rec = catalog.shapes[shape]
+        shifts = table.shifts[1 : table.starts[catalog.max_grade - rec.grade + 1]]
+        sectors = np.array(_home_sector(catalog, rec)) + shifts
+        representative = (sectors[:, :-1] >= sectors[:, 1:]).all(axis=1)
+        keys.append(shape * len(table) + 1 + np.flatnonzero(representative))
+    products.want(np.concatenate(keys + [_NO_KEYS]))
 
 
 @dataclass
@@ -1234,8 +935,8 @@ def verify_span(catalog, grade):
     shortcut.
     """
     basis = catalog.level_basis(grade)
-    plan = _sector_plan(catalog, grade)
     products = _products_through(catalog, grade)
+    plan = _sector_plan(catalog, grade, products.table)
     count, blocks = _sector_complements(catalog, grade, plan, basis.sectors.keys(), (), products)
     rank = sum(r for r, _null in blocks.values())
     return SpanReport(grade, len(basis), count, rank, passed=rank == len(basis))

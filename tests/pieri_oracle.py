@@ -5,7 +5,7 @@ orbital codes: a level is enumerated as descending tuples of orbital
 vectors, a factor e_m^[k](axis) raises entries of the orbitals themselves
 and re-sorts the rows by orbital_key, and an axis permutation permutes
 every orbital's entries.  Nothing here reads the package's code tables;
-the tests compare these routes with the rows of shapegen._pieri_table and
+the tests compare these routes with the rows of products._pieri_table and
 with shapegen._permute_axes.
 """
 

@@ -21,7 +21,8 @@ from shapes.polycore import (
     vandermonde,
 )
 from shapes.schur import schur_expand
-from shapes.shapegen import ShapeCatalog, ShapeRecord, trivial_products
+from shapes.products import trivial_products
+from shapes.shapegen import ShapeCatalog, ShapeRecord
 
 
 def state(orbitals, stat=FERMION):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shapes import deflation, shapegen
+from shapes import deflation, products, shapegen
 from shapes.counting import BOSON, FERMION, level_dimension, shape_polynomial
 from shapes.deflation import LevelBasis
 from shapes.errors import InternalConsistencyError
@@ -228,7 +228,7 @@ class TestTableRoutes:
                     continue
                 target = LevelBasis(n, d, grade + m * k, stat)
                 for axis in range(d):
-                    table = shapegen._pieri_table(source, target, (m, k, axis), np.array(states))
+                    table = products._pieri_table(source, target, (m, k, axis), np.array(states))
                     for i, targets, signs in zip(states, *table):
                         ours = {}
                         for t, sign in zip(targets.tolist(), signs.tolist()):

@@ -14,8 +14,10 @@ from shapes.polycore import (
     canonical_rows,
     divide_exact,
     enumerate_basis,
+    EulerMonomial,
     enumerate_euler_monomials,
     euler_power,
+    euler_table,
     orbital_codes,
     orbital_key,
     vandermonde,
@@ -268,6 +270,59 @@ class TestEulerMonomials:
         for em in enumerate_euler_monomials(3, 2, 4):
             poly = em.materialize()
             assert poly.grade() == 4 == em.degree
+
+
+def enumerated_by_recursion(n, d, degree):
+    """The Euler monomials of one degree, by the recursion over (axis, m)
+    positions that enumerate_euler_monomials documents."""
+    positions = [(axis, m) for axis in range(d) for m in range(1, n + 1)]
+    exps = [[0] * n for _ in range(d)]
+    out = []
+
+    def rec(pos, remaining):
+        if pos == len(positions):
+            if remaining == 0:
+                out.append(EulerMonomial(n, d, tuple(map(tuple, exps))))
+            return
+        axis, m = positions[pos]
+        for k in range(remaining // m + 1):
+            exps[axis][m - 1] = k
+            rec(pos + 1, remaining - m * k)
+        exps[axis][m - 1] = 0
+
+    rec(0, degree)
+    return out
+
+
+class TestEulerTable:
+    @pytest.mark.parametrize("n, d, top", [(3, 2, 6), (4, 2, 8), (2, 3, 5), (1, 2, 3), (3, 1, 7)])
+    def test_numbers_every_monomial_by_degree_and_last_factor(self, n, d, top):
+        table = euler_table(n, d, top)
+        numbers = {}
+        for degree in range(top + 1):
+            monomials = enumerated_by_recursion(n, d, degree)
+            assert enumerate_euler_monomials(n, d, degree) == monomials
+            first = table.starts[degree]
+            assert table.starts[degree + 1] - first == len(monomials)
+            numbers.update((e, first + j) for j, e in enumerate(monomials))
+        assert len(table) == len(numbers) and table.monomial(0).factors() == []
+        assert table.prefix[0] == table.factor[0] == -1
+        for euler, i in numbers.items():
+            assert table.monomial(i) == euler and table.degrees[i] == euler.degree
+            assert table.shifts[i].tolist() == [
+                sum(m * k for m, k in enumerate(per_axis, start=1)) for per_axis in euler.exponents
+            ]
+            factors = euler.factors()
+            if factors:
+                # The monomial is its last factor times its prefix.
+                assert table.factor_of(table.factor[i]) == factors[-1]
+                assert table.monomial(table.prefix[i]).factors() == factors[:-1]
+
+    def test_numbers_do_not_depend_on_the_top_degree(self):
+        small, large = euler_table(3, 2, 4), euler_table(3, 2, 9)
+        assert large.starts[: 6].tolist() == small.starts.tolist()
+        for name in ("prefix", "factor", "degrees"):
+            assert getattr(large, name)[: len(small)].tolist() == getattr(small, name).tolist()
 
 
 class TestEnumerateBasis:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import cache
@@ -19,15 +20,15 @@ from shapes.counting import (
     total_shape_count,
 )
 from shapes.deflation import LevelBasis, deflate_sparse
-from shapes import shapegen
+from shapes import polycore, products, shapegen
 from shapes.errors import InternalConsistencyError, StateCapExceeded
-from shapes.polycore import SlaterState, enumerate_euler_monomials, sector_of
+from shapes.polycore import SlaterState, enumerate_euler_monomials, euler_table, sector_of
+from shapes.products import trivial_products
 from shapes.shapegen import (
     ShapeCatalog,
     ShapeRecord,
     _Echelon,
     generate_shapes,
-    trivial_products,
     verify_span,
 )
 
@@ -390,7 +391,7 @@ class TestSectorLaw:
         self, monkeypatch, grade, sector, stray, lies_in, where
     ):
         # The ground shape |(1,0),(0,1),(0,0)| lies in sector (1, 1), so its
-        # products with powers of e1(x) lie in (1 + j, 1).  A Pieri table of
+        # products with powers of e1(x) lie in (1 + j, 1).  Subset rows of
         # e1(x) whose rows from the sector one factor lower also reach a
         # state below, between or above the sector's states (the three
         # branches of the lookup) must fail, naming grade, sector and state.
@@ -401,17 +402,19 @@ class TestSectorLaw:
         assert where == ("below" if place == 0 else "above" if place == len(indices) else "between")
         orbitals = level.orbitals(stray)
         home = (sector[0] - 1, sector[1])
-        real = shapegen._pieri_table
+        real = products._subset_rows
 
-        def leaky(source, target, factor, states):
-            targets, signs = real(source, target, factor, states)
+        def leaky(source, factor, states):
+            rows = real(source, factor, states)
             if (source.grade, factor) == (grade - 1, (1, 1, 0)):
-                extra = (source.state_sectors(states) == home).all(axis=1)[:, None]
-                targets = np.hstack([targets, np.where(extra, stray, -1)])
-                signs = np.hstack([signs, extra.astype(signs.dtype)])
-            return targets, signs
+                # One more row per state: the stray state's own rows for the
+                # states of the sector one factor lower, and a row with a
+                # repeated code, of phase 0, for the others.
+                extra = (source.state_sectors(states) == home).all(axis=1)[:, None, None]
+                rows = np.concatenate([rows, np.where(extra, level.code_array[stray], 0)], axis=1)
+            return rows
 
-        monkeypatch.setattr(shapegen, "_pieri_table", leaky)
+        monkeypatch.setattr(products, "_subset_rows", leaky)
         with pytest.raises(
             InternalConsistencyError,
             match=re.escape(
@@ -442,17 +445,19 @@ def settled_directly(system):
     out = {}
     for grade in range(catalog.shape_poly.lowest_degree(), catalog.max_grade + 1):
         sectors = catalog.level_basis(grade).sectors
+        formed = products._products_through(catalog, grade)
+        # Keys of the empty monomial, a multiple of the table size, are the
+        # shapes of this grade.
         plan = {
-            sector: [(rec, m) for rec, m in pairs if rec.grade < grade]
-            for sector, pairs in shapegen._sector_plan(catalog, grade).items()
+            sector: keys[keys % len(formed.table) > 0]
+            for sector, keys in products._sector_plan(catalog, grade, formed.table).items()
         }
-        formed = shapegen._products_through(catalog, grade)
         out[grade] = {}
         blocks = shapegen._sector_blocks(catalog, grade, plan, sectors.keys(), formed)
-        for sector, products in blocks:
+        for sector, block in blocks:
             indices = sectors[sector]
-            _rank, null = shapegen._settle(products, len(indices), True)
-            rows = [dict(zip(pos.tolist(), coeffs.tolist())) for pos, coeffs in products]
+            _rank, null = shapegen._settle(block, len(indices), True)
+            rows = [dict(zip(pos.tolist(), coeffs.tolist())) for pos, coeffs in block]
             out[grade][sector] = rows, [{indices[i]: v for i, v in vec.items()} for vec in null]
     return catalog, out
 
@@ -545,18 +550,18 @@ class TestAxisPermutations:
 class TestMonomialsByShift:
     @pytest.mark.parametrize("n, d, degree", [(3, 2, 4), (2, 3, 5), (4, 2, 6), (3, 3, 0), (1, 2, 3)])
     def test_partitions_the_enumeration_in_order(self, n, d, degree):
+        # The table numbers one degree's monomials in enumeration order and
+        # gives each its per-axis degrees, by which _sector_plan groups them.
         monomials = enumerate_euler_monomials(n, d, degree)
-        groups = shapegen._monomials_by_shift(n, d, degree)
-        for shift, group in groups.items():
-            assert len(shift) == d and sum(shift) == degree
-            for euler in group:
-                per_axis = [0] * d
-                for m, k, axis in euler.factors():
-                    per_axis[axis] += m * k
-                assert tuple(per_axis) == shift
-            assert list(group) == [e for e in monomials if e in group]
-        assert sum(map(len, groups.values())) == len(monomials)
-        assert {e for g in groups.values() for e in g} == set(monomials)
+        table = euler_table(n, d, degree + 2)
+        numbers = range(table.starts[degree], table.starts[degree + 1])
+        assert [table.monomial(i) for i in numbers] == monomials
+        for i, euler in zip(numbers, monomials):
+            per_axis = [0] * d
+            for m, k, axis in euler.factors():
+                per_axis[axis] += m * k
+            assert table.shifts[i].tolist() == per_axis
+            assert len(per_axis) == d and sum(per_axis) == degree == table.degrees[i]
 
 
 class TestWorkedExample32:
@@ -715,14 +720,14 @@ class TestProductEngine:
         # its products, some past 2^63, must still be exact.
         n, d, stat = system
         wide = []
-        real = shapegen._apply_factor
+        real = products._apply_factors
 
-        def spy(source, target, factor, vectors):
-            images = real(source, target, factor, vectors)
+        def spy(target, passes, vectors):
+            images = real(target, passes, vectors)
             wide.append(images[1].dtype == object)
             return images
 
-        monkeypatch.setattr(shapegen, "_apply_factor", spy)
+        monkeypatch.setattr(products, "_apply_factors", spy)
         grade = shape_polynomial(n, d, stat).lowest_degree() + 2
         indices = max(LevelBasis(n, d, grade, stat).sectors.values(), key=len)
         big = 2**61 + 1
@@ -737,44 +742,121 @@ class TestProductEngine:
     def test_each_product_is_formed_once(self, monkeypatch):
         # Each (shape, monomial prefix) is one factor applied to a stored
         # product: (3,3,f) generation makes 1907 applications in one pass
-        # per (source grade, factor).
-        passes, applied = [], []
-        real = shapegen._apply_factor
+        # per (source grade, factor), and one batch per grade, which locates
+        # its rows once per chunk, not once per pass.
+        passes, applied, grades, chunked, located = [], [], [], [], []
+        real, real_chunks, real_locate = (
+            products._apply_factors, products.chunks, LevelBasis.locate_signed
+        )
 
-        def spy(source, target, factor, vectors):
-            passes.append((source.grade, factor))
-            applied.append(len(vectors))
-            return real(source, target, factor, vectors)
+        def spy(target, batch, vectors):
+            grades.append(target.grade)
+            chunked.append(0)
+            located.append(0)
+            begin = 0
+            for source, factor, end in batch:
+                passes.append((source.grade, factor))
+                applied.append(end - begin)
+                begin = end
+            images = real(target, batch, vectors)
+            grades.append(None)
+            return images
 
-        monkeypatch.setattr(shapegen, "_apply_factor", spy)
+        def counted(ends):
+            for part in real_chunks(ends):
+                chunked[-1] += 1
+                yield part
+
+        def locate(self, rows):
+            if grades and grades[-1] is not None:
+                located[-1] += 1
+            return real_locate(self, rows)
+
+        monkeypatch.setattr(products, "_apply_factors", spy)
+        monkeypatch.setattr(products, "chunks", counted)
+        monkeypatch.setattr(LevelBasis, "locate_signed", locate)
         generate_shapes(3, 3, FERMION)
         assert len(passes) == len(set(passes))
         assert sum(applied) == 1907
+        batches = [g for g in grades if g is not None]
+        assert len(batches) == len(set(batches))
+        assert located == chunked and all(located)
+        assert sum(located) < len(passes)
 
     def test_stored_products_are_freed_after_their_last_reader(self, monkeypatch):
         engines, sizes = set(), []
-        real = shapegen._Products.form
+        real = products._Products.form
 
         def form(self, grade):
             real(self, grade)
             engines.add(self)
-            sizes.append(len(self._stored))
-            assert min(self._last_read.values(), default=grade) >= grade
-            assert self._stored.keys() <= self._last_read.keys()
+            stored = self._stored
+            sizes.append(len(stored.keys))
+            assert stored.last.min(initial=grade) >= grade
+            assert len(stored.keys) == len(stored.last) == len(stored.bounds) - 1
 
-        monkeypatch.setattr(shapegen._Products, "form", form)
+        monkeypatch.setattr(products._Products, "form", form)
         catalog = generate_shapes(3, 3, FERMION)
         (engine,) = engines
-        # The top grade's blocks took their products; what is left are the
-        # prefixes read when that grade was formed.
-        assert set(engine._last_read.values()) == {catalog.max_grade}
-        assert len(engine._stored) < max(sizes)
+        # What is left are the top grade's products and the prefixes read
+        # when that grade was formed; the 1907 products were never all held.
+        assert set(engine._stored.last.tolist()) == {catalog.max_grade}
+        assert max(sizes) < 1907
 
     def test_large_batches_are_joined_in_chunks(self, monkeypatch):
         catalog = generate_shapes(3, 2, BOSON)
         expected = [list(trivial_products(catalog, g)) for g in range(5, 8)]
-        monkeypatch.setattr(shapegen, "_PASS_ROWS", 4)
+        monkeypatch.setattr(polycore, "CHUNK_BYTES", 4 * products._PAIR_BYTES)
         assert [list(trivial_products(catalog, g)) for g in range(5, 8)] == expected
+
+    @pytest.mark.parametrize(
+        "system, max_grade",
+        [((3, 3, FERMION), None), ((4, 2, BOSON), 10), ((3, 2, FERMION), None), ((3, 2, BOSON), None)],
+        ids=["3-3-fermion", "4-2-boson-10", "3-2-fermion", "3-2-boson"],
+    )
+    def test_chunk_boundaries_change_no_byte(self, monkeypatch, system, max_grade):
+        # With a bound of one (entry, subset) pair, every level is built and
+        # keyed a few rows at a time, and every grade's products are formed
+        # one vector at a time.
+        def run():
+            catalog = generate_shapes(*system, max_grade=max_grade)
+            top = catalog.max_grade
+            grades = range(catalog.shape_poly.lowest_degree(), top + 2)
+            products = [(r.id, e, v) for g in grades for r, e, v in trivial_products(catalog, g)]
+            return json.dumps(catalog.to_json_obj()), products
+
+        expected = run()
+        vectors, parts = [], []
+        real, real_chunks = products._apply_factors, products.chunks
+
+        def spy(target, passes, batch):
+            vectors.append(len(batch.bounds) - 1)
+            parts.append(0)
+            return real(target, passes, batch)
+
+        def counted(ends):
+            for part in real_chunks(ends):
+                parts[-1] += 1
+                yield part
+
+        monkeypatch.setattr(polycore, "CHUNK_BYTES", products._PAIR_BYTES)
+        monkeypatch.setattr(products, "_apply_factors", spy)
+        monkeypatch.setattr(products, "chunks", counted)
+        assert run() == expected
+        # A vector has at least one (entry, subset) pair, so each is a chunk.
+        assert parts == vectors and max(parts) > 1
+
+    def test_generation_heap_stays_bounded(self):
+        # The products of a grade are formed in chunks bounded in bytes, so
+        # the traced heap peak stays near that of one pass per factor.
+        generate_shapes(4, 2, BOSON, max_grade=10)
+        tracemalloc.start()
+        try:
+            generate_shapes(4, 2, BOSON, max_grade=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6e6
 
 
 class TestWorkedExample23:
