@@ -41,7 +41,8 @@ AXIS_NAMES = "tuvw"
 
 # Batched passes over code rows work on chunks of at most this many bytes:
 # building and keying a level (enumerate_basis, LevelBasis) and forming
-# products (shapegen).
+# products (products, where a chunk of a large grade may take a fixed
+# share of it instead).
 CHUNK_BYTES = 1 << 20
 
 
@@ -51,12 +52,14 @@ def chunk_rows(row_bytes):
     return max(1, CHUNK_BYTES // row_bytes)
 
 
-def chunks(ends):
+def chunks(ends, parts):
     """Consecutive slices of items, given the running total of their sizes
-    in bytes: each holds at most CHUNK_BYTES, or one item."""
+    in bytes: each holds at most CHUNK_BYTES, or a parts-th of the total if
+    that is more, or one item."""
+    bound = max(CHUNK_BYTES, int(ends[-1]) // parts) if len(ends) else CHUNK_BYTES
     lo, done = 0, 0
     while lo < len(ends):
-        hi = max(lo + 1, int(np.searchsorted(ends, done + CHUNK_BYTES, side="right")))
+        hi = max(lo + 1, int(np.searchsorted(ends, done + bound, side="right")))
         yield slice(lo, hi)
         lo, done = hi, ends[hi - 1]
 

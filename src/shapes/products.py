@@ -6,14 +6,14 @@ polynomial: one Euler factor e_m^[k](axis) maps each state of a level to
 a signed sum of states of the level m*k higher (the Pieri rule for
 elementary symmetric functions, Macdonald I.5).  Every product is its
 monomial's last factor times the product one factor lower, formed at a
-lower grade, so each (shape, monomial prefix) is formed once (_Products).
+lower grade, so each (shape, monomial prefix) is formed once (Products).
 A product is keyed by one integer, its shape and the number of its
 monomial (EulerTable), and all the products of one grade are formed in
 one batch (_apply_factors): the code rows of every (source grade, factor)
 are located and summed together, in chunks bounded in bytes, exact in
 int64 or, past its bound, in Python ints.  A factor raises one axis's
 degree total by m*k, so a product's sector is its shape's sector plus the
-monomial's per-axis degrees (_sector_plan).
+monomial's per-axis degrees (Products.plan).
 """
 
 from __future__ import annotations
@@ -32,6 +32,12 @@ from .polycore import chunks, euler_table, sector_of
 # m-subset) pair, its output aside: tracemalloc measured 63-132 on grades
 # of (4,2,b), (3,3,f), (5,2,f) and (6,2,f) formed in one chunk.
 _PAIR_BYTES = 128
+# A grade's products are formed in chunks of at most CHUNK_BYTES, or of
+# this fraction of the grade's pairs if that is more: each chunk costs
+# about 30 numpy calls per pass it touches, and the top grades of (5,2,f)
+# and (3,4,f) then take 9 chunks, not up to 76, with no traced peak of
+# generation measured higher.
+_GRADE_PARTS = 8
 
 
 @cache
@@ -96,7 +102,8 @@ def _apply_factors(target, passes, vectors):
     bounds[j]:bounds[j + 1], indices ascending, no coefficient zero.
 
     The vectors are cut into chunks of whole vectors whose (entry,
-    m-subset) pairs take at most CHUNK_BYTES (chunks, _PAIR_BYTES).  In a
+    m-subset) pairs take at most CHUNK_BYTES, or an eighth of the batch's
+    if that is more (chunks, _PAIR_BYTES, _GRADE_PARTS).  In a
     chunk, each pass builds the subset rows (_subset_rows) of the distinct
     states its vectors touch, all the rows are located in one call
     (LevelBasis.locate_signed) and joined with the entries, and equal
@@ -104,13 +111,14 @@ def _apply_factors(target, passes, vectors):
     coefficient of an image, and every partial sum, is at most ||v||_1 *
     C(n, m) in magnitude: a chunk runs in int64 while that is below 2^62
     for each of its vectors (summed in float64, whose rounding the margin
-    below 2^63 covers), and in Python ints (object arrays) otherwise.
+    below 2^63 covers), and in Python ints (object arrays) otherwise,
+    whatever the width of the stored vectors it reads (_compact).
     """
     n, size, bounds = target.n, len(target), vectors.bounds
     starts = [0] + [end for _source, _factor, end in passes]
     widths = np.repeat([comb(n, factor[0]) for _s, factor, _e in passes], np.diff(starts))
     images, sums, counts = [], [], []
-    for chunk in chunks(np.cumsum(np.diff(bounds) * widths * _PAIR_BYTES)):
+    for chunk in chunks(np.cumsum(np.diff(bounds) * widths * _PAIR_BYTES), _GRADE_PARTS):
         lo, hi = chunk.start, chunk.stop
         rows, firsts, spans, at = [], [], [], 0
         for (source, factor, end), begin in zip(passes, starts):
@@ -126,7 +134,7 @@ def _apply_factors(target, passes, vectors):
         targets, signs = target.locate_signed(np.concatenate(rows))
         first, width = np.concatenate(firsts), np.concatenate(spans)
         pair = np.repeat(first - np.cumsum(width) + width, width) + np.arange(width.sum())
-        coeffs = vectors.coeffs[bounds[lo] : bounds[hi]]
+        coeffs = _compact(vectors.coeffs[bounds[lo] : bounds[hi]])
         if coeffs.dtype != object:
             norms = np.add.reduceat(np.abs(coeffs.astype(float)), bounds[lo:hi] - bounds[lo])
             coeffs = coeffs.astype(np.int64 if (norms * widths[chunk] < 2.0**62).all() else object)
@@ -144,19 +152,22 @@ def _apply_factors(target, passes, vectors):
 
 
 def _compact(values):
-    """Integer values as int32 if every one is below 2^31 in magnitude, as
-    they are otherwise: products are stored until their last reader, and
-    stored batches are joined, so every part is compacted alike."""
-    if values.dtype != object and (not len(values) or np.abs(values).max() < 2**31):
-        return values.astype(np.int32)
-    return values
+    """Integer values in the narrowest of int32, int64 and Python ints
+    (object) that holds every one: products are stored until their last
+    reader and stored batches are joined, so every part is compacted alike,
+    and a part read back from a wide store is narrowed again."""
+    top = np.abs(values).max(initial=0)
+    for dtype, bound in ((np.int32, 2**31), (np.int64, 2**63)):
+        if top < bound:
+            return values.astype(dtype, copy=False)
+    return values.astype(object, copy=False)
 
 
 class _Batch:
     """Integer vectors keyed by product, rows in any order: row j has the
-    key keys[j], the last grade that reads it, last[j], and the entries
-    bounds[j]:bounds[j + 1] of indices (state indices, ascending) and
-    coeffs."""
+    key keys[j], the last grade that reads it, last[j] (negative once it
+    is freed), and the entries bounds[j]:bounds[j + 1] of indices (state
+    indices, ascending) and coeffs."""
 
     def __init__(self, keys, last, indices, coeffs, bounds):
         self.keys, self.last, self.bounds = keys, last, bounds
@@ -176,11 +187,14 @@ class _Batch:
         return np.argsort(self.keys)
 
     def find(self, keys):
-        """The rows of these keys; KeyError if one is not stored."""
+        """The rows of these keys; KeyError if one is not stored or was freed."""
         order = self._order
-        rows = order[np.minimum(np.searchsorted(self.keys[order], keys), len(order) - 1)]
-        if len(keys) and not (len(order) and (self.keys[rows] == keys).all()):
+        at = np.searchsorted(self.keys[order], keys)
+        rows = order[np.minimum(at, len(order) - 1)] if len(order) else at
+        if len(rows) and not (len(order) and (self.keys[rows] == keys).all()):
             raise KeyError("a product read is not stored")
+        if (self.last[rows] < 0).any():
+            raise KeyError("a product read was freed")
         return rows
 
     def select(self, rows):
@@ -197,19 +211,23 @@ _NO_ENTRIES = np.empty(0, dtype=np.int32)  # as _compact stores them, so joins k
 _NO_PRODUCTS = _Batch(_NO_KEYS, _NO_KEYS, _NO_ENTRIES, _NO_ENTRIES, np.zeros(1, dtype=np.int64))
 
 
-class _Products:
+class Products:
     """Shape x Euler monomial products, each formed once from the one a factor lower.
 
     A product is keyed by one integer, shape * len(table) + monomial, from
     its shape's position in the catalog and its monomial's number
-    (EulerTable).  It is the monomial's last factor times the product of
-    the monomial's prefix, down to the shape itself under the empty
-    monomial 0.  want registers products with every prefix they are formed
-    from; form(grade) drops every stored product that no grade from this
-    one on reads, then forms the products registered at that grade in one
-    batch (_apply_factors).  take hands stored products out as a batch, and
-    exact as dicts.  Products are integer vectors: a shape with rational
-    coefficients is scaled to integers first, and exact undoes the scale.
+    (EulerTable); only this module makes and reads keys.  A product is the
+    monomial's last factor times the product of the monomial's prefix, down
+    to the shape itself under the empty monomial 0.  want registers
+    products with every prefix they are formed from; form(grade) forms the
+    products registered at that grade in one batch (_apply_factors); take
+    hands stored products out as a batch, and exact as dicts.  A stored
+    product is freed once its last reader has read it: a prefix when the
+    products one factor above it are formed, a product of the grade when it
+    is taken.  Freed rows are dropped once they hold as many entries as the
+    live ones, so dropping copies no more entries than it frees.
+    Products are integer vectors: a shape with rational coefficients is
+    scaled to integers first, and exact undoes the scale.
     """
 
     def __init__(self, catalog, max_degree):
@@ -218,6 +236,7 @@ class _Products:
         self._scale = {}  # shape -> the denominator it was scaled by
         self._wanted = (_NO_KEYS,) * 3  # keys, grades and last reads of the products to form
         self._stored = _NO_PRODUCTS
+        self._grade = None  # the grade last formed
 
     def want(self, keys):
         """Register the products of these keys, each read at its own grade,
@@ -243,6 +262,21 @@ class _Products:
         wanted = keys[~own], self._grades(keys[~own]), last[~own]
         self._wanted = tuple(map(np.concatenate, zip(self._wanted, wanted)))
 
+    def want_representatives(self, shapes):
+        """Register the products of new shapes, catalog positions `shapes`,
+        that generation reads: each shape times each monomial that lands it
+        in a sector whose degrees do not increase (the representative of its
+        axis-permutation orbit), at a higher grade up to the catalog's
+        max_grade.  Generation forms only those sectors."""
+        table, catalog, keys = self.table, self.catalog, []
+        for shape in shapes:
+            rec = catalog.shapes[shape]
+            shifts = table.shifts[1 : table.starts[catalog.max_grade - rec.grade + 1]]
+            sectors = np.array(_home_sector(catalog, rec)) + shifts
+            representative = (sectors[:, :-1] >= sectors[:, 1:]).all(axis=1)
+            keys.append(shape * len(table) + 1 + np.flatnonzero(representative))
+        self.want(np.concatenate(keys + [_NO_KEYS]))
+
     def _grades(self, keys):
         """The grade of each key's product."""
         shapes = np.array([rec.grade for rec in self.catalog.shapes], dtype=np.int64)
@@ -256,17 +290,46 @@ class _Products:
         for shape, row in zip(shapes, rows):
             scale = self._scale[shape] = lcm(*(c.denominator for _i, c in row))
             values += [int(c * scale) for _i, c in row]
-        wide = any(abs(c) >= 2**63 for c in values)
         return _Batch(
             keys,
             last,
             _compact(np.array([i for row in rows for i, _c in row], dtype=np.int64)),
-            _compact(np.array(values, dtype=object if wide else np.int64)),
+            _compact(np.array(values, dtype=object)),
             np.cumsum([0] + list(map(len, rows))),
         )
 
+    def plan(self, grade):
+        """{sector: product keys} for every sector of one level.
+
+        A shape in sector b times a monomial of shift t lies in sector b + t,
+        so a sector's products are every shape of grade <= the target times
+        the monomials of the complementary degree and that shift
+        (_lower_products), keys ascending; a sector none reaches has none.
+        A predicted sector with no states is an InternalConsistencyError.
+        """
+        catalog, table = self.catalog, self.table
+        shapes, keys = _lower_products(catalog, grade, table)
+        distinct, owner = np.unique(shapes, return_inverse=True)
+        homes = [_home_sector(catalog, catalog.shapes[shape]) for shape in distinct.tolist()]
+        homes = np.array(homes, dtype=np.int64).reshape(-1, catalog.d)
+        sectors = homes[owner] + table.shifts[keys % len(table)]
+        # A sector's degrees are at most grade: one integer per sector.
+        order = np.argsort(sectors @ (grade + 1) ** np.arange(catalog.d), kind="stable")
+        sectors = sectors[order]
+        first = np.append(True, (sectors[1:] != sectors[:-1]).any(axis=1))[: len(keys)]
+        starts = np.flatnonzero(first)
+        groups = np.split(keys[order], starts[1:])
+        reached = dict(zip(map(tuple, sectors[starts].tolist()), groups))
+        level = catalog.level_basis(grade).sectors
+        stray = reached.keys() - level.keys()
+        if stray:
+            raise InternalConsistencyError(f"grade {grade} has no state in sector {min(stray)}")
+        return {sector: reached.get(sector, _NO_KEYS) for sector in level}
+
     def form(self, grade):
-        """Form every registered product of this grade."""
+        """Form every registered product of this grade, after dropping the
+        stored products that no grade from this one on reads."""
+        self._grade = grade
         if (self._stored.last < grade).any():
             self._stored = self._stored.select(np.flatnonzero(self._stored.last >= grade))
         keys, grades, last = self._wanted
@@ -277,12 +340,12 @@ class _Products:
             self._stored = _Batch.join([self._stored, formed])
 
     def _form(self, grade, keys, last):
-        table, level, stored = self.table, self.catalog.level_basis, self._stored
+        table, level = self.table, self.catalog.level_basis
         monomial = keys % len(table)
         order = np.lexsort((keys, table.factor[monomial]))
         keys, last, monomial = keys[order], last[order], monomial[order]
         factor = table.factor[monomial]
-        vectors = stored.select(stored.find(keys - monomial + table.prefix[monomial]))
+        vectors = self._read(keys - monomial + table.prefix[monomial])
         ends = np.append(np.flatnonzero(factor[1:] != factor[:-1]) + 1, len(keys)).tolist()
         passes = []
         for end in ends:
@@ -290,11 +353,24 @@ class _Products:
             passes.append((level(grade - m * k), (m, k, axis), end))
         return _Batch(keys, last, *_apply_factors(level(grade), passes, vectors))
 
+    def _read(self, keys):
+        """The stored products of these keys as a batch, each freed if no
+        later grade than the one last formed reads it."""
+        stored = self._stored
+        rows = stored.find(keys)
+        batch = stored.select(rows)
+        stored.last[rows[batch.last <= self._grade]] = -1
+        freed = stored.last < 0
+        sizes = np.diff(stored.bounds)
+        if freed.any() and sizes[freed].sum() >= sizes[~freed].sum():
+            self._stored = stored.select(np.flatnonzero(~freed))
+        return batch
+
     def take(self, keys):
-        """The stored products of these keys as (state indices,
-        coefficients, bounds)."""
-        batch = self._stored.select(self._stored.find(keys))
-        return batch.indices, batch.coeffs, batch.bounds
+        """The stored products of these keys, of the grade last formed, as
+        (state indices, coefficients, bounds)."""
+        batch = self._read(keys)
+        return batch.indices, _compact(batch.coeffs), batch.bounds
 
     def exact(self, keys):
         """take, as {state index: coeff} dicts of Python ints, or of
@@ -310,7 +386,7 @@ class _Products:
 
 def _lower_products(catalog, grade, table):
     """(shapes, keys): every catalog shape of grade <= the target times
-    every monomial of the complementary degree, keyed as _Products keys
+    every monomial of the complementary degree, keyed as Products keys
     them, ascending (catalog order, then enumeration order), with each
     one's shape."""
     starts, count = table.starts, len(table)
@@ -323,11 +399,11 @@ def _lower_products(catalog, grade, table):
     return keys // count, keys
 
 
-def _products_through(catalog, grade):
+def products_through(catalog, grade):
     """Every catalog shape of grade <= the target times every Euler monomial
-    of the complementary degree, formed (_Products)."""
+    of the complementary degree, formed (Products)."""
     lowest = min((rec.grade for rec in catalog.shapes if rec.grade <= grade), default=grade)
-    products = _Products(catalog, grade - lowest)
+    products = Products(catalog, grade - lowest)
     products.want(_lower_products(catalog, grade, products.table)[1])
     for g in range(lowest, grade + 1):
         products.form(g)
@@ -342,7 +418,7 @@ def trivial_products(catalog, grade):
     order (at a shape's own grade, only the empty one), with vectors as
     {state index: coeff} dicts of Python ints over the target level basis.
     """
-    products = _products_through(catalog, grade)
+    products = products_through(catalog, grade)
     table = products.table
     shapes, keys = _lower_products(catalog, grade, table)
     for shape, key, vec in zip(shapes.tolist(), keys.tolist(), products.exact(keys)):
@@ -352,28 +428,3 @@ def trivial_products(catalog, grade):
 def _home_sector(catalog, rec):
     """The sector of a shape's states."""
     return sector_of(catalog.level_basis(rec.grade).orbitals(min(rec.coeffs)))
-
-
-def _sector_plan(catalog, grade, table):
-    """{sector: product keys}, the products of each sector of one level.
-
-    A shape in sector b times a monomial of shift t lies in sector b + t,
-    so a sector's products are every shape of grade <= the target times the
-    monomials of the complementary degree and that shift (_lower_products),
-    keys ascending.  A predicted sector with no states is an
-    InternalConsistencyError.
-    """
-    shapes, keys = _lower_products(catalog, grade, table)
-    distinct, owner = np.unique(shapes, return_inverse=True)
-    homes = [_home_sector(catalog, catalog.shapes[shape]) for shape in distinct.tolist()]
-    homes = np.array(homes, dtype=np.int64).reshape(-1, catalog.d)
-    sectors = homes[owner] + table.shifts[keys % len(table)]
-    found, which = np.unique(sectors, axis=0, return_inverse=True)
-    which = which.ravel()
-    cuts = np.cumsum(np.bincount(which, minlength=len(found)))[:-1]
-    groups = np.split(keys[np.argsort(which, kind="stable")], cuts)
-    plan = dict(zip(map(tuple, found.tolist()), groups))
-    stray = plan.keys() - catalog.level_basis(grade).sectors.keys()
-    if stray:
-        raise InternalConsistencyError(f"grade {grade} has no state in sector {min(stray)}")
-    return plan

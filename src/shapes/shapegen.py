@@ -71,7 +71,7 @@ from .polycore import (
     parse_fraction,
     sector_of,
 )
-from .products import _NO_KEYS, _Products, _home_sector, _products_through, _sector_plan
+from .products import Products, products_through
 
 DEFAULT_STATE_CAP = 100_000
 STATE_CAP_ENV_VAR = "SHAPES_STATE_CAP"
@@ -520,8 +520,8 @@ class ShapeCatalog:
 def _sector_blocks(catalog, grade, plan, formed, products):
     """Yield (sector, block) for each sector of one level in formed, in turn.
 
-    The block holds the plan's products (_sector_plan), in its order, taken
-    from the formed products (_Products) as (positions, coefficients) array
+    The block holds the plan's products (Products.plan), in its order, taken
+    from the formed products (Products) as (positions, coefficients) array
     pairs in the sector's coordinates: one searchsorted of the block's
     states on the sector's states (LevelBasis.sectors), sliced per product.
     A state the lookup does not find, a product with a state outside its
@@ -531,7 +531,7 @@ def _sector_blocks(catalog, grade, plan, formed, products):
     for sector, indices in basis.sectors.items():
         if sector not in formed:
             continue
-        states, coeffs, bounds = products.take(plan.get(sector, _NO_KEYS))
+        states, coeffs, bounds = products.take(plan[sector])
         positions = np.minimum(np.searchsorted(indices, states), len(indices) - 1)
         stray = states[indices[positions] != states]
         if len(stray):
@@ -734,9 +734,9 @@ def _settle(products, dim, want_null):
 def _sector_complements(catalog, grade, plan, formed, held, products):
     """(product count, {sector: (rank, null vectors)}) of one grade's products.
 
-    Only the sectors in formed are read from the formed products (_Products)
+    Only the sectors in formed are read from the formed products (Products)
     and settled, each before the next one is read; the count covers every
-    sector of the plan (_sector_plan), read from it for the others.  Null
+    sector of the plan (Products.plan), read from it for the others.  Null
     vectors are in level indices, and only for the sectors in held.
     """
     sectors = catalog.level_basis(grade).sectors
@@ -846,14 +846,14 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
         )
     catalog = ShapeCatalog(n, d, statistics, poly, max_grade, shapes=[], state_cap=state_cap)
     law = sector_shape_counts(n, d, statistics)
-    products = _Products(catalog, max_grade - poly.lowest_degree())
+    products = Products(catalog, max_grade - poly.lowest_degree())
     for grade in range(poly.lowest_degree(), max_grade + 1):
         expected = poly.coefficient(grade)
         basis = catalog.level_basis(grade)
         sectors = basis.sectors
         formed = {s for s in sectors if s == _representative(s)}
         held = {_representative(s) for s in law.keys() & sectors}
-        plan = _sector_plan(catalog, grade, products.table)
+        plan = products.plan(grade)
         products.form(grade)
         count, blocks = _sector_complements(catalog, grade, plan, formed, held, products)
         for sector in sectors.keys() - formed:
@@ -884,23 +884,8 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
         new_vectors = sorted((v for _r, null in blocks.values() for v in null), key=max)
         first = len(catalog.shapes)
         catalog.shapes += [ShapeRecord(grade, idx, vec) for idx, vec in enumerate(new_vectors)]
-        _want_representative_products(catalog, range(first, len(catalog.shapes)), products)
+        products.want_representatives(range(first, len(catalog.shapes)))
     return catalog
-
-
-def _want_representative_products(catalog, shapes, products):
-    """Register the products of new shapes, catalog numbers `shapes`, that
-    generation reads: each shape times each monomial that lands it in a
-    representative sector of a higher grade up to max_grade, the only
-    sectors generation forms."""
-    table, keys = products.table, []
-    for shape in shapes:
-        rec = catalog.shapes[shape]
-        shifts = table.shifts[1 : table.starts[catalog.max_grade - rec.grade + 1]]
-        sectors = np.array(_home_sector(catalog, rec)) + shifts
-        representative = (sectors[:, :-1] >= sectors[:, 1:]).all(axis=1)
-        keys.append(shape * len(table) + 1 + np.flatnonzero(representative))
-    products.want(np.concatenate(keys + [_NO_KEYS]))
 
 
 @dataclass
@@ -935,8 +920,8 @@ def verify_span(catalog, grade):
     shortcut.
     """
     basis = catalog.level_basis(grade)
-    products = _products_through(catalog, grade)
-    plan = _sector_plan(catalog, grade, products.table)
+    products = products_through(catalog, grade)
+    plan = products.plan(grade)
     count, blocks = _sector_complements(catalog, grade, plan, basis.sectors.keys(), (), products)
     rank = sum(r for r, _null in blocks.values())
     return SpanReport(grade, len(basis), count, rank, passed=rank == len(basis))

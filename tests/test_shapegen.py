@@ -445,12 +445,12 @@ def settled_directly(system):
     out = {}
     for grade in range(catalog.shape_poly.lowest_degree(), catalog.max_grade + 1):
         sectors = catalog.level_basis(grade).sectors
-        formed = products._products_through(catalog, grade)
+        formed = products.products_through(catalog, grade)
         # Keys of the empty monomial, a multiple of the table size, are the
         # shapes of this grade.
         plan = {
             sector: keys[keys % len(formed.table) > 0]
-            for sector, keys in products._sector_plan(catalog, grade, formed.table).items()
+            for sector, keys in formed.plan(grade).items()
         }
         out[grade] = {}
         blocks = shapegen._sector_blocks(catalog, grade, plan, sectors.keys(), formed)
@@ -551,7 +551,7 @@ class TestMonomialsByShift:
     @pytest.mark.parametrize("n, d, degree", [(3, 2, 4), (2, 3, 5), (4, 2, 6), (3, 3, 0), (1, 2, 3)])
     def test_partitions_the_enumeration_in_order(self, n, d, degree):
         # The table numbers one degree's monomials in enumeration order and
-        # gives each its per-axis degrees, by which _sector_plan groups them.
+        # gives each its per-axis degrees, by which Products.plan groups them.
         monomials = enumerate_euler_monomials(n, d, degree)
         table = euler_table(n, d, degree + 2)
         numbers = range(table.starts[degree], table.starts[degree + 1])
@@ -720,14 +720,13 @@ class TestProductEngine:
         # its products, some past 2^63, must still be exact.
         n, d, stat = system
         wide = []
-        real = products._apply_factors
+        real = products._sum_equal_keys
 
-        def spy(target, passes, vectors):
-            images = real(target, passes, vectors)
-            wide.append(images[1].dtype == object)
-            return images
+        def spy(keys, values):
+            wide.append(values.dtype == object)
+            return real(keys, values)
 
-        monkeypatch.setattr(products, "_apply_factors", spy)
+        monkeypatch.setattr(products, "_sum_equal_keys", spy)
         grade = shape_polynomial(n, d, stat).lowest_degree() + 2
         indices = max(LevelBasis(n, d, grade, stat).sectors.values(), key=len)
         big = 2**61 + 1
@@ -738,6 +737,32 @@ class TestProductEngine:
             assert vec == expand_then_deflate(catalog, rec, euler), str(euler)
             largest = max(largest, *map(abs, vec.values()))
         assert any(wide) and largest > 2**62
+
+    @pytest.mark.parametrize("system", [(3, 2, FERMION), (3, 2, BOSON)], ids=["fermion", "boson"])
+    def test_vectors_that_fit_run_in_int64_beside_wide_ones(self, monkeypatch, system):
+        # A shape past int64 and a small one are stored together, as Python
+        # ints, and every vector is its own chunk: the small shape's
+        # products still run in int64, and every product is exact.
+        n, d, stat = system
+        dtypes = []
+        real = products._sum_equal_keys
+
+        def spy(keys, values):
+            dtypes.append(values.dtype)
+            return real(keys, values)
+
+        monkeypatch.setattr(polycore, "CHUNK_BYTES", products._PAIR_BYTES)
+        monkeypatch.setattr(products, "_GRADE_PARTS", 2**62)
+        monkeypatch.setattr(products, "_sum_equal_keys", spy)
+        grade = shape_polynomial(n, d, stat).lowest_degree() + 2
+        indices = max(LevelBasis(n, d, grade, stat).sectors.values(), key=len)
+        wide = ShapeRecord(grade, 0, {i: 2**63 + 1 + 7 * pos for pos, i in enumerate(indices[:4])})
+        small = ShapeRecord(grade, 1, {int(indices[0]): 1})
+        poly = shape_polynomial(n, d, stat)
+        catalog = ShapeCatalog(n, d, stat, poly, grade + 2, shapes=[wide, small])
+        for rec, euler, vec in trivial_products(catalog, grade + 2):
+            assert vec == expand_then_deflate(catalog, rec, euler), (rec.id, str(euler))
+        assert object in dtypes and np.int64 in dtypes
 
     def test_each_product_is_formed_once(self, monkeypatch):
         # Each (shape, monomial prefix) is one factor applied to a stored
@@ -762,8 +787,8 @@ class TestProductEngine:
             grades.append(None)
             return images
 
-        def counted(ends):
-            for part in real_chunks(ends):
+        def counted(ends, parts):
+            for part in real_chunks(ends, parts):
                 chunked[-1] += 1
                 yield part
 
@@ -785,28 +810,49 @@ class TestProductEngine:
 
     def test_stored_products_are_freed_after_their_last_reader(self, monkeypatch):
         engines, sizes = set(), []
-        real = products._Products.form
+        real_form, real_take = products.Products.form, products.Products.take
+
+        def live(stored):
+            freed = stored.last < 0
+            entries = np.diff(stored.bounds)
+            # Freed rows are dropped before they hold more entries than the rest.
+            assert not freed.any() or entries[freed].sum() < entries[~freed].sum()
+            return int((~freed).sum())
 
         def form(self, grade):
-            real(self, grade)
+            real_form(self, grade)
             engines.add(self)
             stored = self._stored
-            sizes.append(len(stored.keys))
-            assert stored.last.min(initial=grade) >= grade
+            sizes.append(live(stored))
+            assert stored.last[stored.last >= 0].min(initial=grade) >= grade
             assert len(stored.keys) == len(stored.last) == len(stored.bounds) - 1
 
-        monkeypatch.setattr(products._Products, "form", form)
-        catalog = generate_shapes(3, 3, FERMION)
+        def take(self, keys):
+            last = self._stored.last[self._stored.find(keys)]
+            out = real_take(self, keys)
+            live(self._stored)
+            # A product no later grade reads is gone once taken.
+            for key, read in zip(keys.tolist(), last.tolist()):
+                if read > self._grade:
+                    self._stored.find(np.array([key]))
+                else:
+                    with pytest.raises(KeyError):
+                        self._stored.find(np.array([key]))
+            return out
+
+        monkeypatch.setattr(products.Products, "form", form)
+        monkeypatch.setattr(products.Products, "take", take)
+        generate_shapes(3, 3, FERMION)
         (engine,) = engines
-        # What is left are the top grade's products and the prefixes read
-        # when that grade was formed; the 1907 products were never all held.
-        assert set(engine._stored.last.tolist()) == {catalog.max_grade}
-        assert max(sizes) < 1907
+        # The top grade's blocks took its products and its batch read the
+        # prefixes, so nothing is left; the 1907 products were never all held.
+        assert len(engine._stored.keys) == 0 < max(sizes) < 1907
 
     def test_large_batches_are_joined_in_chunks(self, monkeypatch):
         catalog = generate_shapes(3, 2, BOSON)
         expected = [list(trivial_products(catalog, g)) for g in range(5, 8)]
         monkeypatch.setattr(polycore, "CHUNK_BYTES", 4 * products._PAIR_BYTES)
+        monkeypatch.setattr(products, "_GRADE_PARTS", 2**62)
         assert [list(trivial_products(catalog, g)) for g in range(5, 8)] == expected
 
     @pytest.mark.parametrize(
@@ -815,9 +861,9 @@ class TestProductEngine:
         ids=["3-3-fermion", "4-2-boson-10", "3-2-fermion", "3-2-boson"],
     )
     def test_chunk_boundaries_change_no_byte(self, monkeypatch, system, max_grade):
-        # With a bound of one (entry, subset) pair, every level is built and
-        # keyed a few rows at a time, and every grade's products are formed
-        # one vector at a time.
+        # With a bound of one (entry, subset) pair, and no share of a grade
+        # above it, every level is built and keyed a few rows at a time, and
+        # every grade's products are formed one vector at a time.
         def run():
             catalog = generate_shapes(*system, max_grade=max_grade)
             top = catalog.max_grade
@@ -834,12 +880,13 @@ class TestProductEngine:
             parts.append(0)
             return real(target, passes, batch)
 
-        def counted(ends):
-            for part in real_chunks(ends):
+        def counted(ends, most):
+            for part in real_chunks(ends, most):
                 parts[-1] += 1
                 yield part
 
         monkeypatch.setattr(polycore, "CHUNK_BYTES", products._PAIR_BYTES)
+        monkeypatch.setattr(products, "_GRADE_PARTS", 2**62)
         monkeypatch.setattr(products, "_apply_factors", spy)
         monkeypatch.setattr(products, "chunks", counted)
         assert run() == expected
