@@ -21,7 +21,7 @@ from .counting import (
     shape_recursion_factor,
     total_shape_count,
 )
-from .deflation import LevelBasis, deflate_sparse
+from .deflation import LevelBasis, StateVector, deflate_sparse
 from .errors import InternalConsistencyError, StateCapExceeded
 from .polycore import (
     EulerMonomial,

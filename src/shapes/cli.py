@@ -21,7 +21,7 @@ from .counting import (
     shape_polynomial,
     total_shape_count,
 )
-from .deflation import LevelBasis, deflate_sparse
+from .deflation import LevelBasis, StateVector, deflate_sparse
 from .errors import InternalConsistencyError, StateCapExceeded
 from .polycore import ExactPolynomial, enumerate_basis, format_fraction
 from .realize import (
@@ -211,13 +211,9 @@ def cmd_density(args):
             f"--grid has {samples} samples, above the state cap {catalog.state_cap}"
         )
     shape = catalog.find(args.shape_id)
-    basis = catalog.level_basis(shape.grade)
-    poly = shape.materialize(basis)
-    realization = Realization(args.length_scale)
-    if args.two_particle_cut:
-        grid = two_particle_density_cut(poly, realization, axes)
-    else:
-        grid = one_particle_density(poly, realization, axes)
+    state = StateVector(catalog.level_basis(shape.grade), shape.coeffs)
+    density = two_particle_density_cut if args.two_particle_cut else one_particle_density
+    grid = density(state, Realization(args.length_scale), axes)
     grid.write_csv(args.out)
     grid.write_metadata(args.out + ".json")
     print(
@@ -356,7 +352,7 @@ def _verify_one(n, d, stat, cap):
         basis = catalog.level_basis(probe.grade)
         report(
             "deflation round trip",
-            deflate_sparse(probe.materialize(basis), basis) == probe.coeffs,
+            deflate_sparse(basis.materialize(probe.coeffs), basis) == probe.coeffs,
         )
         for grade in range(poly.lowest_degree(), top + 1):
             rep = verify_span(catalog, grade)

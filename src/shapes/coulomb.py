@@ -234,11 +234,12 @@ class CoulombOperator:
         <S_a|V|S_b> = n! sum_R mult(R)! N_R sum eps_a eps_b ([x y|z w] +- [x y|w z]),
 
     where the inner sum runs over the removed pairs (x, y) of a and (z, w)
-    of b that leave R, eps is the sign of moving the pair to the front (1
-    for permanents), the exchange term carries - for fermions and + for
-    bosons, mult(R)! is the product of R's multiplicity factorials and N_R
-    its Hermite norm.  Elements and norms are computed on first use and
-    kept, so the maps cover only the states asked for.
+    of b that leave R (LevelBasis.rests), eps is the sign of moving the pair
+    to the front (1 for permanents), the exchange term carries - for
+    fermions and + for bosons, mult(R)! is the product of R's multiplicity
+    factorials and N_R its Hermite norm.  Elements, norms and the weights
+    mult(R)! N_R are computed on first use and kept, so the maps cover only
+    the states asked for.
     """
 
     def __init__(self, basis):
@@ -246,26 +247,10 @@ class CoulombOperator:
         self.denominator, self._weights = _level_weights(basis.d, basis.grade)
         self._scale = math.factorial(basis.n)
         self._exchange = -1 if basis.statistics is FERMION else 1
-        self._rests = {}
         self._elements = {}
         self._norms = {}
         self._pairs = {}
-
-    def _rests_of(self, a):
-        """{R: [(eps, x, y), ...]} over the unordered orbital pairs of state a,
-        in orbital codes, read from the state's row of the level's code array."""
-        rests = self._rests.get(a)
-        if rests is None:
-            state = tuple(self.basis.code_array[a].tolist())
-            fermion = self.basis.statistics is FERMION
-            rests = {}
-            for i in range(len(state)):
-                for j in range(i + 1, len(state)):
-                    rest = state[:i] + state[i + 1 : j] + state[j + 1 :]
-                    sign = -1 if fermion and (i + j) % 2 == 0 else 1
-                    rests.setdefault(rest, []).append((sign, state[i], state[j]))
-            self._rests[a] = rests
-        return rests
+        self._rest_weights = {}
 
     def _pair(self, x, y, z, w):
         """D ([x y|z w] +- [x y|w z]) in units of sqrt(2) pi^(d - 1/2 + p),
@@ -289,9 +274,9 @@ class CoulombOperator:
         return value
 
     def _element(self, a, b):
-        rests_b = self._rests_of(b)
+        rests_b = self.basis.rests(b, 2)
         total = 0
-        for rest, pairs_a in self._rests_of(a).items():
+        for rest, pairs_a in self.basis.rests(a, 2).items():
             pairs_b = rests_b.get(rest)
             if pairs_b is None:
                 continue
@@ -300,7 +285,11 @@ class CoulombOperator:
                 for sb, z, w in pairs_b:
                     pair_sum += sa * sb * self._pair(x, y, z, w)
             if pair_sum:
-                total += _multiset_weight(self.basis.codes.decode(rest)) * pair_sum
+                weight = self._rest_weights.get(rest)
+                if weight is None:
+                    orbitals = self.basis.codes.decode(rest)
+                    weight = self._rest_weights[rest] = _multiset_weight(orbitals)
+                total += weight * pair_sum
         return self._scale * total
 
     def norm(self, a):
@@ -313,11 +302,11 @@ class CoulombOperator:
         """sum_{a, b} bra[a] ket[b] element(a, b) for sparse integer {state: coeff}."""
         ket_by_rest = {}
         for b in ket:
-            for rest in self._rests_of(b):
+            for rest in self.basis.rests(b, 2):
                 ket_by_rest.setdefault(rest, []).append(b)
         total = 0
         for a, ca in bra.items():
-            coupled = {b for rest in self._rests_of(a) for b in ket_by_rest.get(rest, ())}
+            coupled = {b for rest in self.basis.rests(a, 2) for b in ket_by_rest.get(rest, ())}
             row = 0
             for b in coupled:
                 value = self.element(a, b)

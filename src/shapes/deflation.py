@@ -17,9 +17,10 @@ difference's leading monomial.
 
 from __future__ import annotations
 
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from math import comb
 
 import numpy as np
@@ -60,7 +61,7 @@ class LevelBasis:
     or monomial rows.  The state count is cross-checked against the
     q-series level dimension, and the keys are checked strictly ascending
     from 0, so the states are distinct and in enumeration order.  The
-    Coulomb operator is built lazily.
+    Coulomb operator and each state's rests are built lazily.
     """
 
     def __init__(self, n, d, grade, statistics=FERMION, max_states=None):
@@ -79,6 +80,7 @@ class LevelBasis:
                 f"dimension series predicts {expected} (n={n}, d={d}, {statistics.value})"
             )
         self._binomials = self._binomial_table()
+        self._rests = defaultdict(dict)  # removed -> {state: rests}
         size = len(self.code_array)
         keys = self._sorted_keys = np.empty(size, dtype=self._binomials.dtype)
         step = chunk_rows(24 * n)  # _keys holds about 24 bytes per code
@@ -143,6 +145,24 @@ class LevelBasis:
     @cached_property
     def coulomb_operator(self):
         return CoulombOperator(self)
+
+    def rests(self, idx, removed):
+        """{rest codes: [(phase, *removed codes), ...]} of state idx, one
+        entry per set of `removed` of its positions, with the phase of moving
+        them to the front in order (1 for a permanent).  Kept once built."""
+        known = self._rests[removed]
+        rests = known.get(idx)
+        if rests is None:
+            state = self.code_array[idx].tolist()
+            fermion, shift = self.statistics is FERMION, comb(removed, 2)
+            rests = known[idx] = {}
+            # Complements come in the reverse of the subsets' lexicographic order.
+            kept = reversed([*combinations(state, self.n - removed)])
+            subsets = zip(combinations(range(self.n), removed), combinations(state, removed))
+            for (picked, codes), rest in zip(subsets, kept):
+                phase = -1 if fermion and (sum(picked) - shift) % 2 else 1
+                rests.setdefault(rest, []).append((phase, *codes))
+        return rests
 
     def _binomial_table(self):
         """binomials[x, r] = C(x, r) for every x a key reads and r <= n.
@@ -244,8 +264,7 @@ class LevelBasis:
         """Polynomial sum of coeffs[i] * expansion(state_i).
 
         coeffs is a sparse {state index: coeff} dict.  State supports are
-        disjoint, so every term is written once, by ascending state index
-        (float sums over the terms do not depend on the dict's order).
+        disjoint, so every term is written once, by ascending state index.
         """
         terms = {}
         for idx, c in sorted(coeffs.items()):
@@ -254,6 +273,10 @@ class LevelBasis:
                 for mono, ec in self.expansion(idx).terms.items():
                     terms[mono] = c * ec
         return ExactPolynomial._raw(self.n, self.d, terms)
+
+
+# A sparse {state index: coeff} vector over one LevelBasis.
+StateVector = namedtuple("StateVector", ["basis", "terms"])
 
 
 def deflate_sparse(poly, basis):

@@ -40,9 +40,9 @@ from .errors import InternalConsistencyError
 AXIS_NAMES = "tuvw"
 
 # Batched passes over code rows work on chunks of at most this many bytes:
-# building and keying a level (enumerate_basis, LevelBasis) and forming
+# building and keying a level (enumerate_basis, LevelBasis), forming
 # products (products, where a chunk of a large grade may take a fixed
-# share of it instead).
+# share of it instead) and summing density samples (realize).
 CHUNK_BYTES = 1 << 20
 
 

@@ -8,18 +8,19 @@ always being expanded).
 One evaluator serves both evaluation and densities: the normalized Hermite
 functions psi_k = phi_k / sqrt(2^k k! sqrt(pi)), by their three-term
 recurrence, bounded by pi^(-1/4).  realize_polynomial scales them back to
-phi_k.  A density traces out the spectator particles by exact Hermite
-orthogonality, <phi_a|phi_b> = delta_ab 2^a a! sqrt(pi), so only monomials
-with equal spectator rows pair up.  Each pair's weight is exact in Python
-integers until one correctly rounded division, with the rows' norms folded
-in, so neither the samples nor the weights overflow or underflow at high
-orbital index.  One sampler serves both densities, by one contraction: per
-grid axis, one (pairs x points) factor multiplies the psi_k of the bra and
-ket indices that axis drives, and a single einsum sums the weighted
-products of the factors over the pairs.  The one-particle density and the
-diagonal two-particle cut differ only in which grid axis drives which
-coordinate.  A density grid is written as CSV in one write, each axis point
-formatted once.
+phi_k.  A density traces out the spectator particles of a state vector by
+the Slater-Condon rules (Lowdin, Phys. Rev. 97, 1474, 1955): Hermite
+orthogonality pairs two states' retained rows only through a rest both
+hold (LevelBasis.rests), and no state is expanded into its monomials.
+Each pair's weight is exact in Python integers until one correctly rounded
+division, so neither the samples nor the weights overflow or underflow at
+high orbital index.  One sampler serves both densities: per grid axis, one
+(pairs x points) factor multiplies the psi_k of the bra and ket indices
+that axis drives, one matrix product per chunk of pairs sums them, and a
+sample within the rounding bound of its sum is 0.  The one-particle
+density and the diagonal two-particle cut differ only in which grid axis
+drives which coordinate.  A density grid is written as CSV in one write,
+each axis point formatted once.
 """
 
 from __future__ import annotations
@@ -28,12 +29,14 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, combinations_with_replacement, permutations, product
 
 import numpy as np
 
-from .coulomb import hermite_norm_rational
+from .coulomb import _multiset_weight, hermite_norm_rational
+from .counting import FERMION
 from .errors import InternalConsistencyError
+from .polycore import canonical_rows, chunk_rows, multiplicity_factorials
 
 
 @dataclass(frozen=True)
@@ -168,41 +171,43 @@ def realize_polynomial(poly, realization):
     return evaluate
 
 
-def _reduced_density_weights(poly, retained):
-    """Contract |Psi|^2 over the spectator particles retained..n-1.
+def _reduced_density_weights(state, retained):
+    """Contract |Psi|^2 of a StateVector over the spectators retained..n-1.
 
     Returns {(bra rows, ket rows) of particles 0..retained-1: weight}, the
-    spectator-integrated coefficient over the full overlap <Psi|Psi>, as
-    the weight of the rows' normalized Hermite functions.  Hermite
-    orthogonality pairs a bra and a ket monomial only when their spectator
-    exponents agree, so the terms are bucketed by those exponents.  The
-    weight's square w^2 H(bra) H(ket) / norm^2, which takes the rows'
-    norms H = prod 2^a a! (their sqrt(pi) cancel against the overlap's),
-    is a ratio of Python ints; their true division rounds it to a float
-    once, correctly, before its square root.  Weights and samples are
-    symmetric in bra and ket, so a pair is keyed once, bra rows <= ket
-    rows, and an off-diagonal weight is doubled (exactly) for its mirror.
+    spectator-integrated coefficient over <Psi|Psi>, as the weight of the
+    rows' normalized Hermite functions.  Each ordered tuple A of a state's
+    rows, counted once, is filed under the rest Q of its orbitals with e_A
+    = c mult! eps (eps the phase of moving A to the front, mult! the state's
+    multiplicity factorials); two tuples of one rest add (n - retained)! /
+    mult(Q)! H(Q) e_A e_B, one term per ordering of Q, with H = prod 2^e e!
+    (the sqrt(pi) cancel), and <Psi|Psi> = n! sum c^2 mult! H.  Each weight,
+    sqrt(w^2 H(bra) H(ket) / <Psi|Psi>^2), is rounded once, by a true
+    division of Python ints.  A pair is keyed once, bra rows <= ket rows,
+    with an off-diagonal weight doubled (exactly) for its mirror.
     """
-    d = poly.d
-    buckets = {}
-    row_norms = {}
-    for mono, coeff in poly.terms.items():
-        head = mono[: retained * d]
-        rows = tuple(head[p * d : (p + 1) * d] for p in range(retained))
-        if rows not in row_norms:
-            row_norms[rows] = hermite_norm_rational(head)
-        buckets.setdefault(mono[retained * d :], []).append((rows, coeff))
+    basis = state.basis
+    fermion = basis.statistics is FERMION
+    decode = basis.codes.decode
     norm = 0
+    buckets = {}
+    for idx, c in sorted(state.terms.items()):
+        orbitals = basis.orbitals(idx)
+        norm += c * c * _multiset_weight(orbitals)
+        c *= multiplicity_factorials(orbitals)
+        for rest, removed in basis.rests(idx, retained).items():
+            bucket = buckets.setdefault(decode(rest), {})
+            for phase, *codes in removed:
+                for order in permutations(codes):
+                    bucket[decode(order)] = c * phase * canonical_rows(order, fermion)[1]
+    spare = math.factorial(basis.n - retained)
     sums = {}
-    for key, bucket in buckets.items():
-        spect = hermite_norm_rational(key)
-        bucket.sort()
-        for j, (rows_a, ca) in enumerate(bucket):
-            norm += ca * ca * row_norms[rows_a] * spect
-            for rows_b, cb in bucket[j:]:
-                pair = (rows_a, rows_b)
-                sums[pair] = sums.get(pair, 0) + spect * ca * cb
-    den = norm * norm
+    for rest, bucket in buckets.items():
+        spect = spare // multiplicity_factorials(rest) * hermite_norm_rational(sum(rest, ()))
+        for (rows_a, ea), (rows_b, eb) in combinations_with_replacement(sorted(bucket.items()), 2):
+            sums[rows_a, rows_b] = sums.get((rows_a, rows_b), 0) + spect * ea * eb
+    row_norms = {rows: hermite_norm_rational(sum(rows, ())) for rows in {*chain(*sums)}}
+    den = (math.factorial(basis.n) * norm) ** 2
     weights = {}
     for (rows_a, rows_b), w in sums.items():
         if w:
@@ -229,7 +234,29 @@ def _hermite_functions(kmax, u):
     return table
 
 
-def _sample_density(poly, realization, axes, drivers):
+def _pair_sum(weights, factors):
+    """The sum over pairs i of weights[i] prod_g factors[g][i, x_g] on the
+    grid, stacked on the same sum of absolute values; the factors are
+    overwritten.  Per chunk of pairs, the product of every factor but the
+    last, a (pairs x points) matrix, is transposed and multiplied by the
+    last factor times the weights.  A chunk holds at most CHUNK_BYTES / 8
+    (pair, sample) terms: BLAS runs products this small on one thread, and
+    waking its threads for them costs more time and memory than it saves."""
+    shape = [factor.shape[1] for factor in factors]
+    sums = np.zeros((2, math.prod(shape[:-1]), shape[-1]))
+    step = chunk_rows(8 * sums[0].size)
+    for lo in range(0, len(weights), step):
+        *lead, end = [factor[lo : lo + step] for factor in factors]
+        end *= weights[lo : lo + step, None]
+        block = lead[0] if lead else np.ones((len(end), 1))
+        for part in lead[1:]:
+            block = (block[:, :, None] * part[:, None, :]).reshape(len(end), -1)
+        sums[0] += block.T @ end
+        sums[1] += np.abs(block, out=block).T @ np.abs(end, out=end)
+    return sums.reshape([2] + shape)
+
+
+def _sample_density(state, realization, axes, drivers):
     """The reduced density of the retained particles, sampled on the grid.
 
     drivers[p][a] is the grid axis that drives coordinate a of retained
@@ -239,20 +266,22 @@ def _sample_density(poly, realization, axes, drivers):
     the normalized Hermite functions of the row's indices along the
     particle's driving axes.  The product splits by grid axis: axis g's
     factor holds, per pair, the product of psi(bra index) psi(ket index)
-    over the coordinates g drives, and one einsum sums w times the
-    factors' outer product over the pairs.
+    over the coordinates g drives, and _pair_sum sums w times the factors'
+    outer product over the pairs.  A sample within (pairs + factors per
+    term) * eps * (its sum of absolute terms) of 0 is rounding noise, and 0.
     """
-    if poly.is_zero:
-        raise ValueError("zero polynomial has no normalizable density")
+    if not any(state.terms.values()):
+        raise ValueError("zero state has no normalizable density")
     retained = len(drivers)
+    d = state.basis.d
     scale = realization.length_scale
     try:
-        volume = scale ** (retained * poly.d)
+        volume = scale ** (retained * d)
     except OverflowError:
         volume = math.inf
     if not 0 < volume < math.inf:
         raise ValueError(
-            f"length scale {scale} out of range: length_scale^{retained * poly.d} "
+            f"length scale {scale} out of range: length_scale^{retained * d} "
             "is not a finite positive float"
         )
     reach = max(max(abs(axis.lo), abs(axis.hi)) for axis in axes) / scale
@@ -261,14 +290,14 @@ def _sample_density(poly, realization, axes, drivers):
             f"length scale {scale} out of range: (max |grid coordinate| / "
             "length scale)^2 is not a finite float"
         )
-    weights = _reduced_density_weights(poly, retained)
-    kmax = max(map(max, poly.terms))
+    weights = _reduced_density_weights(state, retained)
     # rows[i, side, p, a]: the index along coordinate a of retained particle
     # p in the bra (side 0) or ket (side 1) of weight pair i.
-    rows = np.array(list(weights), dtype=np.intp)
-    operands = [np.fromiter(weights.values(), float, len(weights)), [0]]
+    flat = chain.from_iterable(chain.from_iterable(chain.from_iterable(weights)))
+    rows = np.fromiter(flat, np.intp, len(weights) * 2 * retained * d).reshape(-1, 2, retained, d)
+    factors = []
     for g, axis in enumerate(axes):
-        table = np.array(_hermite_functions(kmax, axis.points() / scale))
+        table = np.array(_hermite_functions(int(rows.max()), axis.points() / scale))
         columns = [
             rows[:, side, p, a]
             for p, driving in enumerate(drivers)
@@ -279,37 +308,42 @@ def _sample_density(poly, realization, axes, drivers):
         factor = table[columns[0]]
         for column in columns[1:]:
             factor *= table[column]
-        operands += [factor, [0, g + 1]]
-    values = np.einsum(*operands, list(range(1, len(axes) + 1)))
-    values *= math.perm(poly.n, retained) / volume
+        factors.append(factor)
+    rounding = (len(weights) + 1 + 2 * retained * d) * np.finfo(float).eps
+    values, magnitude = _pair_sum(np.fromiter(weights.values(), float, len(weights)), factors)
+    values[np.abs(values) <= rounding * magnitude] = 0.0
+    values *= math.perm(state.basis.n, retained) / volume
     return values
 
 
-def one_particle_density(poly, realization, axes):
+def one_particle_density(state, realization, axes):
     """rho(x) = N * integral of |Psi|^2 over particles 2..N, normalized.
 
-    The grid is over one particle's d coordinates, in the units of the
-    length scale; the result integrates to N over the whole space.
+    Psi is a StateVector.  The grid is over one particle's d coordinates,
+    in the units of the length scale; the result integrates to N over the
+    whole space.
     """
-    if len(axes) != poly.d:
-        raise ValueError(f"need {poly.d} grid axes, got {len(axes)}")
-    values = _sample_density(poly, realization, axes, [range(poly.d)])
-    return _finalize_density(axes, values, normalization=float(poly.n))
+    n, d = state.basis.n, state.basis.d
+    if len(axes) != d:
+        raise ValueError(f"need {d} grid axes, got {len(axes)}")
+    values = _sample_density(state, realization, axes, [range(d)])
+    return _finalize_density(axes, values, normalization=float(n))
 
 
-def two_particle_density_cut(poly, realization, axes):
+def two_particle_density_cut(state, realization, axes):
     """Two-particle density along the diagonal cut x_1 = (x,..,x), x_2 = (y,..,y).
 
-    The first grid axis drives all coordinates of the first retained
-    particle, the second those of the second; remaining particles are traced
-    out.  The declared normalization is the Riemann sum over the cut (the
-    full 2d-dimensional density would integrate to N(N-1)).
+    state is a StateVector.  The first grid axis drives all coordinates of
+    the first retained particle, the second those of the second; remaining
+    particles are traced out.  The declared normalization is the Riemann sum
+    over the cut (the full 2d-dimensional density would integrate to N(N-1)).
     """
-    if poly.n < 2:
+    n, d = state.basis.n, state.basis.d
+    if n < 2:
         raise ValueError("two-particle density needs at least two particles")
     if len(axes) != 2:
         raise ValueError("the diagonal cut uses exactly two grid axes")
-    values = _sample_density(poly, realization, axes, [(0,) * poly.d, (1,) * poly.d])
+    values = _sample_density(state, realization, axes, [(0,) * d, (1,) * d])
     grid = _finalize_density(axes, values, normalization=0.0)
     grid.normalization = grid.riemann_integral()
     return grid

@@ -238,11 +238,6 @@ class ShapeRecord:
     def id(self):
         return f"{self.grade}:{self.index}"
 
-    def materialize(self, basis):
-        if basis.grade != self.grade:
-            raise ValueError("basis grade does not match the shape grade")
-        return basis.materialize(self.coeffs)
-
 
 @dataclass
 class ShapeCatalog:

@@ -1,11 +1,12 @@
 """Reference spectator weights, density sampler and CSV writer.
 
 These are the straightforward forms the vectorized code in shapes.realize
-must reproduce: the weights in exact Fraction arithmetic, rounded once,
-the samples summed pair by pair with one grid array per weight pair, and
-the CSV written row by row through csv.writer.  The weights and the CSV
-must match to the byte; the samples differ only in the order of their
-floating-point sums.
+must reproduce: the weights in exact Fraction arithmetic from the state's
+expanded monomials, rounded once, the samples summed pair by pair with one
+grid array per weight pair, and the CSV written row by row through
+csv.writer.  The weights and the CSV must match to the byte; the samples
+differ only in the order of their floating-point sums.  state_vector turns
+a polynomial into the state vector the densities take.
 """
 
 import csv
@@ -14,7 +15,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from shapes.counting import FERMION
+from shapes.deflation import LevelBasis, StateVector, deflate_sparse
 from shapes.realize import _hermite_functions
+
+
+def state_vector(poly, statistics=FERMION):
+    """poly as a StateVector over the level basis of its grade."""
+    basis = LevelBasis(poly.n, poly.d, poly.grade(), statistics)
+    return StateVector(basis, deflate_sparse(poly, basis))
 
 
 def hermite_norm(indices):

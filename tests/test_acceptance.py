@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from coulomb_oracle import hermite_coefficients, poly_mul, two_body_oracle
+from density_oracle import state_vector
 from shapes.counting import (
     BOSON,
     FERMION,
@@ -279,13 +280,15 @@ def test_criterion_10_density_properties():
         g0 = fstate([(1, 0), (0, 1), (0, 0)]).expand()
         g12 = fstate([(1, 1), (1, 0), (0, 0)]).expand()
         g14 = fstate([(2, 0), (0, 1), (0, 0)]).expand()
-        shape = one_particle_density(g12 + g14, osc, grid)
-        trivial = one_particle_density(euler_power(1, 1, 0, 3, 2) * g0, osc, grid)
+        shape = one_particle_density(state_vector(g12 + g14), osc, grid)
+        trivial = one_particle_density(
+            state_vector(euler_power(1, 1, 0, 3, 2) * g0), osc, grid
+        )
         assert np.max(np.abs(shape.values - trivial.values)) < 1e-8
-        for density in (shape, trivial, one_particle_density(g0, osc, grid)):
+        for density in (shape, trivial, one_particle_density(state_vector(g0), osc, grid)):
             assert abs(density.riemann_integral() - 3.0) < 1e-6
         single = one_particle_density(
-            fstate([(0,)]).expand(), osc, [Axis("x", -6, 6, 241)]
+            state_vector(fstate([(0,)]).expand()), osc, [Axis("x", -6, 6, 241)]
         )
         assert abs(single.riemann_integral() - 1.0) < 1e-6
         # nodal family (z1 - z2) * symmetric factor vanishes on z1 = z2
@@ -314,7 +317,7 @@ def test_criterion_11_coulomb_separation(tmp_path):
         for rec in catalog.shapes:
             if rec.grade >= 4:
                 continue
-            spoly = rec.materialize(catalog.level_basis(rec.grade))
+            spoly = catalog.level_basis(rec.grade).materialize(rec.coeffs)
             for euler in enumerate_euler_monomials(3, 2, 4 - rec.grade):
                 vec = deflate_sparse(spoly * euler.materialize(), basis)
                 if set(vec) <= support:

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from shapes import realize
 from shapes.cli import main
+from shapes.deflation import LevelBasis
 from shapes.polycore import SlaterState, euler_power, vandermonde
-from shapes.shapegen import ShapeCatalog, ShapeRecord, generate_shapes
+from shapes.shapegen import ShapeCatalog, generate_shapes
 from shapes.counting import BOSON, FERMION
 
 
@@ -316,6 +318,20 @@ class TestDensityAndCoulomb:
             written.append((out.read_bytes(), Path(f"{out}.json").read_bytes()))
         assert written[0] == written[1]
 
+    @pytest.mark.parametrize("cut", [[], ["--two-particle-cut"]], ids=["one", "cut"])
+    def test_density_expands_no_state(self, capsys, tmp_path, catalog_path, monkeypatch, cut):
+        # The densities read the shape's state vector over its level basis.
+        monkeypatch.setattr(LevelBasis, "materialize", _never_expanded)
+        monkeypatch.setattr(SlaterState, "expand", _never_expanded)
+        out = tmp_path / "rho.csv"
+        code, _, _ = run(
+            capsys,
+            "density", "--catalog", catalog_path, "--shape-id", "4:0",
+            "--grid", "x:-5:5:21,y:-4:6:17", *cut, "--out", str(out),
+        )
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + 21 * 17
+
     def test_coulomb_diagonal(self, capsys, tmp_path, catalog_path):
         out = tmp_path / "vee.csv"
         code, _, _ = run(
@@ -416,12 +432,12 @@ class TestDensityArguments:
         self, capsys, tmp_path, catalog_path, monkeypatch
     ):
         # 31 x 31 = 961 samples fit under a cap of 1000, 32 x 32 = 1024 do not;
-        # the refusal comes before the state is materialized.
+        # the refusal comes before any density weight is computed.
         monkeypatch.setenv("SHAPES_STATE_CAP", "1000")
         out = tmp_path / "rho.csv"
         density = ["density", "--catalog", catalog_path, "--shape-id", "3:0", "--out", str(out)]
         with monkeypatch.context() as patch:
-            patch.setattr(ShapeRecord, "materialize", _never_called)
+            patch.setattr(realize, "_reduced_density_weights", _never_called)
             code, _, err = run(capsys, *density, "--grid", "x:-6:6:32,y:-6:6:32")
         assert code == 2
         assert "--grid has 1024 samples, above the state cap 1000" in err
@@ -432,6 +448,10 @@ class TestDensityArguments:
 
 def _never_called(*args, **kwargs):
     raise AssertionError("called after a refusal")
+
+
+def _never_expanded(*args, **kwargs):
+    raise AssertionError("a state was expanded into its monomials")
 
 
 def _shape(obj, shape_id):

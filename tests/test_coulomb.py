@@ -477,7 +477,7 @@ def multiplet():
     for rec in catalog.shapes:
         if rec.grade >= 4:
             continue
-        spoly = rec.materialize(catalog.level_basis(rec.grade))
+        spoly = catalog.level_basis(rec.grade).materialize(rec.coeffs)
         for euler in enumerate_euler_monomials(3, 2, 4 - rec.grade):
             vec = deflate_sparse(spoly * euler.materialize(), basis)
             if set(vec) <= support:

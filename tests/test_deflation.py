@@ -274,7 +274,7 @@ class TestTrivialProducts:
             catalog.n, catalog.d, euler.degree
         )
         (vec,) = [v for _, e, v in products if e == euler]
-        spoly = rec.materialize(catalog.level_basis(rec.grade))
+        spoly = catalog.level_basis(rec.grade).materialize(rec.coeffs)
         assert vec == deflate_sparse(spoly * euler.materialize(), catalog.level_basis(grade))
 
     def test_grade_mismatch(self):

@@ -12,7 +12,8 @@ Coulomb tables written by `shapes coulomb` from golden catalogs are pinned
 the same way, so a change to the exact kernel or its one rounding that
 alters a printed digit fails here.  Densities are floating-point sums whose
 order may change, so their Riemann integrals and largest samples are
-pinned to 1e-12 relative instead.
+pinned to 1e-12 relative instead; a sample that is rounding noise, such as
+the pair cut's corner on its Pauli node, is pinned at exactly 0.
 """
 
 import hashlib
@@ -23,6 +24,7 @@ import pytest
 from shapes import shapegen
 from shapes.cli import main
 from shapes.counting import FERMION, total_shape_count
+from shapes.deflation import StateVector
 from shapes.realize import (
     Realization,
     one_particle_density,
@@ -143,10 +145,14 @@ def test_density_integral_and_peak(catalog_files, kind):
     density, integral, peak = GOLDEN_DENSITY[kind]
     catalog = ShapeCatalog.from_json_obj(json.loads(catalog_files((4, 2, "fermion")).read_text()))
     shape = catalog.find("8:0")
-    poly = shape.materialize(catalog.level_basis(shape.grade))
-    grid = density(poly, Realization(), parse_grid("x:-6:6:61,y:-6:6:61"))
+    state = StateVector(catalog.level_basis(shape.grade), shape.coeffs)
+    grid = density(state, Realization(), parse_grid("x:-6:6:61,y:-6:6:61"))
     assert grid.riemann_integral() == pytest.approx(integral, rel=1e-12, abs=0)
     assert grid.values.max() == pytest.approx(peak, rel=1e-12, abs=0)
+    if kind == "pair-cut":
+        # The corner x = y = -6 is on the Pauli node, where the summed terms
+        # cancel to rounding noise of about 1e-68.
+        assert grid.values[0, 0] == 0.0
 
 
 def test_density_bytes_do_not_depend_on_the_catalog_route(tmp_path, catalog_files):
@@ -163,8 +169,8 @@ def test_density_bytes_do_not_depend_on_the_catalog_route(tmp_path, catalog_file
         written = []
         for route, catalog in routes.items():
             shape = catalog.find("8:0")
-            poly = shape.materialize(catalog.level_basis(shape.grade))
+            state = StateVector(catalog.level_basis(shape.grade), shape.coeffs)
             path = tmp_path / f"{kind}-{route}.csv"
-            density(poly, Realization(), axes).write_csv(path)
+            density(state, Realization(), axes).write_csv(path)
             written.append(path.read_bytes())
         assert written[0] == written[1], kind

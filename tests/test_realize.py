@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermval
 
-from density_oracle import oracle_csv, oracle_samples, oracle_weights
+from density_oracle import oracle_csv, oracle_samples, oracle_weights, state_vector
+from shapes import polycore, realize
 from shapes.counting import BOSON, FERMION
+from shapes.deflation import LevelBasis, StateVector
 from shapes.errors import InternalConsistencyError
 from shapes.polycore import ExactPolynomial, SlaterState, euler_power
+from shapes.shapegen import generate_shapes
 from shapes.realize import (
     Axis,
     DensityGrid,
@@ -111,7 +114,7 @@ GRID2 = [Axis("x", -6.0, 6.0, 121), Axis("y", -6.0, 6.0, 121)]
 class TestOneParticleDensity:
     def test_single_particle_gaussian(self):
         poly = ExactPolynomial.constant(1, 1)
-        grid = one_particle_density(poly, Realization(), [Axis("x", -6, 6, 241)])
+        grid = one_particle_density(state_vector(poly), Realization(), [Axis("x", -6, 6, 241)])
         assert grid.riemann_integral() == pytest.approx(1.0, abs=1e-9)
         xs = grid.axes[0].points()
         assert np.allclose(
@@ -119,7 +122,7 @@ class TestOneParticleDensity:
         )
 
     def test_ground_state_integral_three(self):
-        grid = one_particle_density(G0, Realization(), GRID2)
+        grid = one_particle_density(state_vector(G0), Realization(), GRID2)
         assert grid.normalization == 3.0
         assert grid.riemann_integral() == pytest.approx(3.0, abs=1e-6)
 
@@ -127,15 +130,15 @@ class TestOneParticleDensity:
         # Cross terms between determinants differing in two orbitals vanish
         # when all but one particle is integrated out, so S12 = g12 + g14 and
         # e1(t) g0 = -g12 + g14 share their one-particle density.
-        rho_shape = one_particle_density(S12, Realization(), GRID2)
-        rho_trivial = one_particle_density(E1T_G0, Realization(), GRID2)
+        rho_shape = one_particle_density(state_vector(S12), Realization(), GRID2)
+        rho_trivial = one_particle_density(state_vector(E1T_G0), Realization(), GRID2)
         assert np.max(np.abs(rho_shape.values - rho_trivial.values)) < 1e-8
         assert rho_shape.riemann_integral() == pytest.approx(3.0, abs=1e-6)
 
     def test_orbital_index_above_39(self):
         poly = SlaterState.from_orbitals([(41,), (40,)], FERMION).expand()
         grid = one_particle_density(
-            poly, Realization(), [Axis("x", -14, 14, 1401)]
+            state_vector(poly), Realization(), [Axis("x", -14, 14, 1401)]
         )
         assert grid.riemann_integral() == pytest.approx(2.0, abs=1e-6)
 
@@ -143,7 +146,7 @@ class TestOneParticleDensity:
     def test_high_orbital_index_neither_underflows_nor_overflows(self, k):
         poly = SlaterState.from_orbitals([(k + 1,), (k,)], FERMION).expand()
         grid = one_particle_density(
-            poly, Realization(), [Axis("x", -25, 25, 2001)]
+            state_vector(poly), Realization(), [Axis("x", -25, 25, 2001)]
         )
         assert grid.riemann_integral() == pytest.approx(2.0, abs=1e-6)
 
@@ -160,18 +163,16 @@ class TestOneParticleDensity:
             _finalize_density([Axis("x", -1, 1, 3)], np.array([0.1, np.nan, 0.1]), 1.0)
 
     def test_values_non_negative(self):
-        grid = one_particle_density(S12, Realization(), GRID2)
+        grid = one_particle_density(state_vector(S12), Realization(), GRID2)
         assert grid.values.min() >= 0.0
 
     def test_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError):
-            one_particle_density(
-                ExactPolynomial.zero(2, 2), Realization(), GRID2
-            )
+        with pytest.raises(ValueError, match="zero state"):
+            one_particle_density(StateVector(LevelBasis(2, 2, 1), {}), Realization(), GRID2)
 
     def test_length_scale_preserves_normalization(self):
         axes = [Axis("x", -9, 9, 181), Axis("y", -9, 9, 181)]
-        grid = one_particle_density(G0, Realization(length_scale=1.5), axes)
+        grid = one_particle_density(state_vector(G0), Realization(length_scale=1.5), axes)
         assert grid.riemann_integral() == pytest.approx(3.0, abs=1e-6)
 
     def test_first_excited_shape_factorizes_into_1d_profile(self):
@@ -181,9 +182,9 @@ class TestOneParticleDensity:
         from shapes.polycore import vandermonde
 
         s11 = state([(2, 0), (1, 0), (0, 0)]).expand()
-        rho2d = one_particle_density(s11, Realization(), GRID2)
+        rho2d = one_particle_density(state_vector(s11), Realization(), GRID2)
         rho1d = one_particle_density(
-            vandermonde(3), Realization(), [GRID2[0]]
+            state_vector(vandermonde(3)), Realization(), [GRID2[0]]
         )
         ys = GRID2[1].points()
         expected = np.outer(rho1d.values, np.exp(-(ys**2)) / math.sqrt(math.pi))
@@ -194,27 +195,27 @@ class TestOneParticleDensity:
         # density is the transpose on a square grid.
         s11 = state([(2, 0), (1, 0), (0, 0)]).expand()
         s14 = state([(0, 2), (0, 1), (0, 0)]).expand()
-        rho_a = one_particle_density(s11, Realization(), GRID2)
-        rho_b = one_particle_density(s14, Realization(), GRID2)
+        rho_a = one_particle_density(state_vector(s11), Realization(), GRID2)
+        rho_b = one_particle_density(state_vector(s14), Realization(), GRID2)
         assert np.max(np.abs(rho_a.values - rho_b.values.T)) < 1e-12
 
 
 class TestTwoParticleCut:
     def test_shape_and_trivial_partner_differ(self):
-        cut_shape = two_particle_density_cut(S12, Realization(), GRID2)
-        cut_trivial = two_particle_density_cut(E1T_G0, Realization(), GRID2)
+        cut_shape = two_particle_density_cut(state_vector(S12), Realization(), GRID2)
+        cut_trivial = two_particle_density_cut(state_vector(E1T_G0), Realization(), GRID2)
         scale = cut_shape.values.max()
         assert np.max(np.abs(cut_shape.values - cut_trivial.values)) > 1e-3 * scale
 
     def test_pauli_node_on_coincidence(self):
         # On the diagonal cut x (particle 1) equals y (particle 2) means the
         # full coordinates coincide, so the antisymmetric density vanishes.
-        cut = two_particle_density_cut(G0, Realization(), GRID2)
+        cut = two_particle_density_cut(state_vector(G0), Realization(), GRID2)
         diagonal = np.diagonal(cut.values)
         assert np.max(np.abs(diagonal)) < 1e-12
 
     def test_normalization_field_matches_integral(self):
-        cut = two_particle_density_cut(G0, Realization(), GRID2)
+        cut = two_particle_density_cut(state_vector(G0), Realization(), GRID2)
         assert cut.normalization == pytest.approx(cut.riemann_integral())
 
 
@@ -238,7 +239,7 @@ class TestNodeSurfaces:
 class TestDensityGridIO:
     def test_csv_and_metadata(self, tmp_path):
         grid = one_particle_density(
-            G0, Realization(), [Axis("x", -4, 4, 11), Axis("y", -4, 4, 11)]
+            state_vector(G0), Realization(), [Axis("x", -4, 4, 11), Axis("y", -4, 4, 11)]
         )
         csv_path = tmp_path / "rho.csv"
         grid.write_csv(csv_path)
@@ -287,34 +288,90 @@ ORACLE_CASES = [("one", 1), ("one", 2), ("one", 3), ("cut", 2), ("cut", 3)]
 
 def _oracle_case(kind, d, stat):
     rows_a, rows_b, factor = MIXTURES[d]
-    poly = _two_state_mixture(rows_a, rows_b, stat, factor)
+    state = state_vector(_two_state_mixture(rows_a, rows_b, stat, factor), stat)
     if kind == "one":
-        return poly, ORACLE_AXES[d], [range(d)]
-    return poly, ORACLE_AXES[2], [(0,) * d, (1,) * d]
+        return state, ORACLE_AXES[d], [range(d)]
+    return state, ORACLE_AXES[2], [(0,) * d, (1,) * d]
+
+
+def _polynomial(state):
+    return state.basis.materialize(state.terms)
 
 
 @pytest.mark.parametrize("stat", [FERMION, BOSON], ids=["fermion", "boson"])
 @pytest.mark.parametrize("kind, d", ORACLE_CASES, ids=lambda v: str(v))
 class TestDensityKernelOracle:
-    """The vectorized kernel against the pair-by-pair Fraction reference."""
+    """The state-basis kernel against the pair-by-pair Fraction reference
+    over the state's monomials."""
 
     def test_weights_are_byte_identical(self, kind, d, stat):
-        poly, _axes, drivers = _oracle_case(kind, d, stat)
-        weights = _reduced_density_weights(poly, len(drivers))
-        assert weights == oracle_weights(poly, len(drivers))
+        state, _axes, drivers = _oracle_case(kind, d, stat)
+        weights = _reduced_density_weights(state, len(drivers))
+        assert weights == oracle_weights(_polynomial(state), len(drivers))
         # In one dimension a particle's index is fixed by the grade and
         # the spectators' indices, so only there are all pairs diagonal.
         assert any(bra != ket for bra, ket in weights) == ((kind, d) != ("one", 1))
 
     def test_samples_match_the_pair_sum(self, kind, d, stat):
-        poly, axes, drivers = _oracle_case(kind, d, stat)
+        state, axes, drivers = _oracle_case(kind, d, stat)
         realization = Realization(length_scale=1.5)
-        values = _sample_density(poly, realization, axes, drivers)
-        reference = oracle_samples(poly, realization, axes, drivers)
+        values = _sample_density(state, realization, axes, drivers)
+        reference = oracle_samples(_polynomial(state), realization, axes, drivers)
         assert values.shape == tuple(axis.count for axis in axes)
         scale = np.abs(reference).max()
         assert scale > 0
         assert np.max(np.abs(values - reference)) <= 1e-12 * scale
+
+
+@pytest.fixture(scope="module")
+def sweep_catalogs():
+    """The catalogs whose every shape the weights are swept over."""
+    return [
+        generate_shapes(3, 3, FERMION),
+        generate_shapes(3, 2, BOSON),
+        generate_shapes(4, 2, BOSON),
+    ]
+
+
+@pytest.mark.parametrize("retained", [1, 2])
+def test_weights_of_every_shape_match_the_monomial_route(sweep_catalogs, retained):
+    """Every shape of (3,3,f), (3,2,b) and (4,2,b): the weights from the
+    states' rests equal those from the expanded monomials."""
+    for catalog in sweep_catalogs:
+        for shape in catalog.shapes:
+            state = StateVector(catalog.level_basis(shape.grade), shape.coeffs)
+            expected = oracle_weights(_polynomial(state), retained)
+            assert _reduced_density_weights(state, retained) == expected, shape.id
+
+
+def test_chunked_pair_sum_matches_one_chunk(monkeypatch):
+    """A d = 3 one-particle density whose pairs span several chunks."""
+    state, axes, drivers = _oracle_case("one", 3, FERMION)
+    realization = Realization(length_scale=1.5)
+    whole = _sample_density(state, realization, axes, drivers)
+    pairs = len(_reduced_density_weights(state, 1))
+    steps = []
+
+    def recorded(row_bytes):
+        steps.append(polycore.chunk_rows(row_bytes))
+        return steps[-1]
+
+    monkeypatch.setattr(realize, "chunk_rows", recorded)
+    monkeypatch.setattr(polycore, "CHUNK_BYTES", 8 * 11 * 13 * 9 * 2)  # two pairs a chunk
+    chunked = _sample_density(state, realization, axes, drivers)
+    assert steps == [2] and pairs >= 5
+    reference = oracle_samples(_polynomial(state), realization, axes, drivers)
+    scale = np.abs(whole).max()
+    assert np.max(np.abs(chunked - whole)) <= 1e-12 * scale
+    assert np.max(np.abs(chunked - reference)) <= 1e-12 * scale
+
+
+def test_rounding_noise_is_written_as_zero():
+    """On the Pauli nodes of the cut, x = y, every sample is noise: it is 0,
+    while a sample above its rounding bound is kept."""
+    cut = _sample_density(state_vector(G0), Realization(), GRID2, [(0, 0), (1, 1)])
+    assert (np.diagonal(cut) == 0.0).all()
+    assert (cut[np.triu_indices(len(cut), 1)] != 0.0).any()
 
 
 CSV_GRIDS = [

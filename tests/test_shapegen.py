@@ -697,7 +697,7 @@ def sector_vectors(draw, coefficients=st.integers(-9, 9).filter(bool)):
 
 def expand_then_deflate(catalog, rec, euler):
     """The product of a shape and a monomial, by expanding both and deflating."""
-    poly = rec.materialize(catalog.level_basis(rec.grade)) * euler.materialize()
+    poly = catalog.level_basis(rec.grade).materialize(rec.coeffs) * euler.materialize()
     return deflate_sparse(poly, catalog.level_basis(rec.grade + euler.degree))
 
 
@@ -971,7 +971,7 @@ class TestCountLaw:
     def test_shape_exchange_symmetry(self, stat):
         catalog = generate_shapes(3, 2, stat)
         for rec in catalog.shapes:
-            poly = rec.materialize(catalog.level_basis(rec.grade))
+            poly = catalog.level_basis(rec.grade).materialize(rec.coeffs)
             for i, j in [(0, 1), (0, 2), (1, 2)]:
                 swapped = swap_particles(poly, i, j)
                 assert swapped == (poly if stat is BOSON else -1 * poly)
