@@ -337,7 +337,7 @@ def coulomb_expectation(bra, ket, basis):
     LevelBasis, realized as products of unnormalized Hermite functions.
     The contraction runs in the state basis: the level's
     CoulombOperator (Slater-Condon rules, with occupation-number factors for
-    permanents) gives the integer D <S_a|V|S_b>, held by the basis and
+    permanents) gives the integer D <S_a|V|S_b>, kept by the basis and
     reused by every call on it.  The numerator sum_{a,b} c_a c'_b <S_a|V|S_b>
     and the state norms are summed in integers over the coefficients'
     common denominators, divided exactly and rounded once, so the result

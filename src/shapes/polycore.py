@@ -167,9 +167,6 @@ class ExactPolynomial:
             return None
         return max(self.terms, key=lambda m: monomial_sort_key(m, self.d))
 
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), 0)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -527,10 +524,6 @@ class SlaterState:
     @property
     def grade(self):
         return sum(sum(o) for o in self.orbitals)
-
-    def leading_coefficient(self):
-        """Coefficient of the leading monomial (particle i carries orbital i)."""
-        return multiplicity_factorials(self.orbitals)
 
     def expand(self):
         """Expand the Slater determinant (fermion) or permanent (boson).

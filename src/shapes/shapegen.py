@@ -15,12 +15,14 @@ A factor raises one axis's degree total by m*k, so a product's sector
 plus the monomial's per-axis degrees.  The span splits into independent
 blocks, one per (grade, sector), each settled on its own; a product with
 a state outside its predicted sector is an InternalConsistencyError.  A
-block is settled by a rank certificate (_certify): LAPACK finds its free
-columns and an approximate inverse of its pivot columns in float64; the
-inverse proves the pivot submatrix nonsingular in exact integer
-arithmetic (Rump's verification method); and each null vector is rounded
-to fractions with small denominators and kept only if its integer dot
-product with every product is 0.  The null vectors are the canonical
+block is one CSR triple from Products.take on: its products' entries as
+positions in the sector's states and integer coefficients, and each
+product's bounds in them.  It is settled by a rank certificate
+(_certify): LAPACK finds its free columns and an approximate inverse of
+its pivot columns in float64; the inverse proves the pivot submatrix
+nonsingular in exact integer arithmetic (Rump's verification method);
+and each null vector is rounded to fractions with small denominators and
+kept only if its integer dot product with every product is 0.  The null vectors are the canonical
 complement basis.  If a step is not proven, an entry reaches 2^53 or the
 sector has more than DENSE_SECTOR_CAP states, the block goes to the exact
 integer echelon instead.  Three laws are hard assertions at every grade:
@@ -35,10 +37,11 @@ normalizes the one they belong to, as in Sturmfels, Algorithms in
 Invariant Theory, ch. 2, and Derksen & Kemper, Computational Invariant
 Theory, ch. 3).  So generation forms and settles only one sector per
 orbit, the one whose per-axis degrees do not increase, and carries its
-rank and its shapes to the other sectors of the orbit; the catalog is
-byte for byte the one settling every sector would give.  verify_span
-still forms and settles every sector, and so checks generation
-independently.
+rank and its shapes to the other sectors of the orbit, brought to the
+canonical basis by Gauss-Jordan elimination in Python integers; the
+catalog is byte for byte the one settling every sector would give.
+verify_span still forms and settles every sector, and so checks
+generation independently.
 """
 
 from __future__ import annotations
@@ -138,8 +141,21 @@ def _canonical_vector(vec):
     return {i: v // content for i, v in vec.items()}
 
 
-def _subtract(vec, f, row):
-    """vec -= f * row on sparse vectors, in place, dropping zeros."""
+def _eliminate(vec, p, row):
+    """Clear the entry at p of the sparse integer vector vec with row, in place.
+
+    When row[p] divides vec[p], the multiple of row is subtracted as is;
+    else vec is first scaled by row[p] / gcd(vec[p], row[p]), so vec stays
+    a multiple of what exact rational elimination would hold.  Zeros are
+    dropped.
+    """
+    a, b = vec[p], row[p]
+    f, r = divmod(a, b)
+    if r:
+        g = gcd(a, b)
+        scale, f = b // g, a // g
+        for c in vec:
+            vec[c] *= scale
     for c, v in row.items():
         nv = vec.get(c, 0) - f * v
         if nv:
@@ -169,11 +185,9 @@ class _Echelon:
 
         Returns the new pivot position, or None if the vector was dependent.
         The argument is not modified.  Each step only removes the pivot
-        entry: when the row's pivot divides it, the multiple of the row is
-        subtracted as is, else the vector is scaled first.  Every
-        intermediate vector is a multiple of the one the content-stripped
-        elimination would hold, so the row stored (content 1, positive
-        pivot) is the same.
+        entry (_eliminate).  Every intermediate vector is a multiple of the
+        one the content-stripped elimination would hold, so the row stored
+        (content 1, positive pivot) is the same.
         """
         vec = dict(vec)
         while vec:
@@ -183,14 +197,7 @@ class _Echelon:
                 vec = _canonical_vector(vec)
                 self.rows[p] = vec
                 return p
-            a, b = vec[p], row[p]
-            f, r = divmod(a, b)
-            if r:
-                g = gcd(a, b)
-                scale, f = b // g, a // g
-                for c in vec:
-                    vec[c] *= scale
-            _subtract(vec, f, row)
+            _eliminate(vec, p, row)
         return None
 
     def nullspace(self):
@@ -512,48 +519,18 @@ class ShapeCatalog:
         return canonical
 
 
-def _sector_blocks(catalog, grade, plan, formed, products):
-    """Yield (sector, block) for each sector of one level in formed, in turn.
+def _dense_block(block, dim):
+    """A block's products as the rows of a dense float64 block, by one scatter.
 
-    The block holds the plan's products (Products.plan), in its order, taken
-    from the formed products (Products) as (positions, coefficients) array
-    pairs in the sector's coordinates: one searchsorted of the block's
-    states on the sector's states (LevelBasis.sectors), sliced per product.
-    A state the lookup does not find, a product with a state outside its
-    predicted sector, is an InternalConsistencyError.
+    block is (positions, integer coefficients, bounds): product j holds the
+    entries bounds[j]:bounds[j + 1].  None if an entry reaches 2^53, past
+    which float64 does not hold every integer.
     """
-    basis = catalog.level_basis(grade)
-    for sector, indices in basis.sectors.items():
-        if sector not in formed:
-            continue
-        states, coeffs, bounds = products.take(plan[sector])
-        positions = np.minimum(np.searchsorted(indices, states), len(indices) - 1)
-        stray = states[indices[positions] != states]
-        if len(stray):
-            state = basis.orbitals(int(stray[0]))
-            raise InternalConsistencyError(
-                f"a product at grade {grade} leaves its sector {sector}: "
-                f"state {state} lies in sector {sector_of(state)}"
-            )
-        bounds = bounds.tolist()
-        yield sector, [
-            (positions[lo:hi], coeffs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
-        ]
-
-
-def _dense_block(products, dim):
-    """The products as the rows of a dense float64 block, by one COO assignment.
-
-    products are (positions, integer coefficients) array pairs.  None if an
-    entry reaches 2^53, past which float64 does not hold every integer.
-    """
-    a = np.zeros((len(products), dim))
-    if products:
-        values = np.concatenate([c for _pos, c in products])
-        if np.abs(values).max(initial=0) >= 2**53:
-            return None
-        rows = np.repeat(np.arange(len(products)), [len(c) for _pos, c in products])
-        a[rows, np.concatenate([pos for pos, _c in products])] = values
+    positions, coeffs, bounds = block
+    if np.abs(coeffs).max(initial=0) >= 2**53:
+        return None
+    a = np.zeros((len(bounds) - 1, dim))
+    a[np.repeat(np.arange(len(bounds) - 1), np.diff(bounds)), positions] = coeffs
     return a
 
 
@@ -652,21 +629,21 @@ def _annihilated(a, cands, null):
     )
 
 
-def _certify(a, want_null):
+def _certify(a):
     """(rank, canonical null vectors) of a float64 c x dim block of integers.
 
     Worked in float64 and proven in exact integers, or None.  Given the
     block A (_dense_block) with c <= dim, a float null-space
     basis gives its dim - c free columns (_free_columns); and the c x c
     submatrix B of the other, pivot, columns is proven nonsingular from an
-    approximate inverse (_is_nonsingular), which proves rank c.  With
-    want_null, each free column f gives the candidate x = -B^-1 A[:, f] on
-    the pivots, 1 at f and 0 at the other free columns, rounded to
-    fractions with bounded denominators (_rationalize) and scaled to
-    content 1.  It is accepted only if it has no entry right of f and A x
-    = 0 in exact integers (_annihilated).  The accepted candidates span the
-    complement and have distinct largest indices, so they are its
-    canonical basis, the one _Echelon.nullspace gives.  None when there are
+    approximate inverse (_is_nonsingular), which proves rank c.  Each free
+    column f gives the candidate x = -B^-1 A[:, f] on the pivots, 1 at f
+    and 0 at the other free columns, rounded to fractions with bounded
+    denominators (_rationalize) and scaled to content 1.  It is accepted
+    only if it has no entry right of f and A x = 0 in exact integers
+    (_annihilated).  The accepted candidates span the complement and have
+    distinct largest indices, so they are its canonical basis, the one
+    _Echelon.nullspace gives.  None when there are
     more products than states, or when a step is not proven: a result that
     is not finite, a B that is singular or too ill-conditioned, or a
     candidate that fails.
@@ -675,7 +652,7 @@ def _certify(a, want_null):
     if c > dim:
         return None
     if not c:
-        return 0, [{f: 1} for f in range(dim)] if want_null else []
+        return 0, [{f: 1} for f in range(dim)]
     with np.errstate(all="ignore"):
         free = _free_columns(a) if c < dim else []
         if free is None:
@@ -689,7 +666,7 @@ def _certify(a, want_null):
         x = -(inverse @ a[:, free])
         if not _is_nonsingular(b, inverse):
             return None
-        if not (want_null and free):
+        if not free:
             return c, []
         found = _rationalize(x) if np.isfinite(x).all() else None
         if found is None:
@@ -707,40 +684,54 @@ def _certify(a, want_null):
         return (c, null) if _annihilated(a, cands, null) else None
 
 
-def _settle(products, dim, want_null):
-    """(rank, canonical null vectors, or [] without want_null) of one block.
+def _settle(block, dim):
+    """(rank, canonical null vectors) of one block.
 
-    products are (positions, integer coefficients) array pairs over the
-    sector's dim states.  They are settled by _certify, or by the exact
-    echelon of their Python-int rows if that fails, an entry reaches 2^53
+    block is (positions, integer coefficients, bounds) over the sector's
+    dim states (_dense_block).  It is settled by _certify, or by the exact
+    echelon of its Python-int rows if that fails, an entry reaches 2^53
     (_dense_block) or the sector has more than DENSE_SECTOR_CAP states.
     """
     if dim <= DENSE_SECTOR_CAP:
-        a = _dense_block(products, dim)
-        result = None if a is None else _certify(a, want_null)
+        a = _dense_block(block, dim)
+        result = None if a is None else _certify(a)
         if result is not None:
             return result
     ech = _Echelon(dim)
-    for pos, coeffs in products:
-        ech.insert(dict(zip(pos.tolist(), coeffs.tolist())))
-    return ech.rank, ech.nullspace() if want_null else []
+    positions, coeffs, bounds = (part.tolist() for part in block)
+    for lo, hi in zip(bounds, bounds[1:]):
+        ech.insert(dict(zip(positions[lo:hi], coeffs[lo:hi])))
+    return ech.rank, ech.nullspace()
 
 
-def _sector_complements(catalog, grade, plan, formed, held, products):
+def _sector_complements(catalog, grade, plan, formed, products):
     """(product count, {sector: (rank, null vectors)}) of one grade's products.
 
-    Only the sectors in formed are read from the formed products (Products)
-    and settled, each before the next one is read; the count covers every
-    sector of the plan (Products.plan), read from it for the others.  Null
-    vectors are in level indices, and only for the sectors in held.
+    Only the sectors in formed are taken from the formed products (Products)
+    and settled, each before the next one is taken; the count covers every
+    sector of the plan (Products.plan), read from it for the others.  A
+    block's states are put in the sector's coordinates (LevelBasis.sectors)
+    by one searchsorted; a state it does not find, a product with a state
+    outside its predicted sector, is an InternalConsistencyError.  Null
+    vectors are in level indices.
     """
-    sectors = catalog.level_basis(grade).sectors
+    basis = catalog.level_basis(grade)
     count = sum(len(keys) for sector, keys in plan.items() if sector not in formed)
     out = {}
-    for sector, block in _sector_blocks(catalog, grade, plan, formed, products):
-        count += len(block)
-        indices = sectors[sector]
-        rank, null = _settle(block, len(indices), sector in held)
+    for sector, indices in basis.sectors.items():
+        if sector not in formed:
+            continue
+        states, coeffs, bounds = products.take(plan[sector])
+        positions = np.minimum(np.searchsorted(indices, states), len(indices) - 1)
+        stray = states[indices[positions] != states]
+        if len(stray):
+            state = basis.orbitals(int(stray[0]))
+            raise InternalConsistencyError(
+                f"a product at grade {grade} leaves its sector {sector}: "
+                f"state {state} lies in sector {sector_of(state)}"
+            )
+        count += len(bounds) - 1
+        rank, null = _settle((positions, coeffs, bounds), len(indices))
         out[sector] = rank, [dict(zip(indices[list(vec)].tolist(), vec.values())) for vec in null]
     return count, out
 
@@ -772,28 +763,28 @@ def _permute_axes(basis, vec, perm):
 
 
 def _canonical_basis(vectors):
-    """The canonical basis of the span of linearly independent exact vectors.
+    """The canonical basis of the span of linearly independent integer vectors.
 
-    Gauss-Jordan elimination pivoting on the largest index: each vector
-    ends with a 1 at its pivot and zeros at the others' pivots, which is
-    unique to the span.  Scaled to content 1 with the lowest-index entry
-    positive and ordered by pivot, it is the basis _Echelon.nullspace and
-    _certify give for a complement.
+    Gauss-Jordan elimination pivoting on the largest index, in integers
+    (_eliminate): each vector ends with zeros at the others' pivots, which
+    up to a scale is unique to the span.  Scaled to content 1 with the
+    lowest-index entry positive and ordered by pivot, it is the basis
+    _Echelon.nullspace and _certify give for a complement.  The rows are
+    kept in that form as they change, so their entries stay small.
     """
     rows = {}
     for vec in vectors:
-        vec = {i: Fraction(c) for i, c in vec.items()}
+        vec = dict(vec)
         for p, row in rows.items():
             if p in vec:
-                _subtract(vec, vec[p], row)
+                _eliminate(vec, p, row)
         q = max(vec)
-        lead = vec[q]
-        vec = {i: v / lead for i, v in vec.items()}
-        for row in rows.values():
-            if q in row:
-                _subtract(row, row[q], vec)
-        rows[q] = vec
-    return [_canonical_vector(rows[q]) for q in sorted(rows)]
+        vec = rows[q] = _canonical_vector(vec)
+        for p, row in rows.items():
+            if p != q and q in row:
+                _eliminate(row, q, vec)
+                rows[p] = _canonical_vector(row)
+    return [rows[q] for q in sorted(rows)]
 
 
 def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
@@ -847,10 +838,9 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
         basis = catalog.level_basis(grade)
         sectors = basis.sectors
         formed = {s for s in sectors if s == _representative(s)}
-        held = {_representative(s) for s in law.keys() & sectors}
         plan = products.plan(grade)
         products.form(grade)
-        count, blocks = _sector_complements(catalog, grade, plan, formed, held, products)
+        count, blocks = _sector_complements(catalog, grade, plan, formed, products)
         for sector in sectors.keys() - formed:
             rank, null = blocks[_representative(sector)]
             perm = _axis_permutation(sector)
@@ -917,6 +907,6 @@ def verify_span(catalog, grade):
     basis = catalog.level_basis(grade)
     products = products_through(catalog, grade)
     plan = products.plan(grade)
-    count, blocks = _sector_complements(catalog, grade, plan, basis.sectors.keys(), (), products)
+    count, blocks = _sector_complements(catalog, grade, plan, basis.sectors.keys(), products)
     rank = sum(r for r, _null in blocks.values())
     return SpanReport(grade, len(basis), count, rank, passed=rank == len(basis))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+def test_readme_examples_run_as_written(capsys):
+    library = re.search(r"## Library example\n\n```python\n(.*?)```", README, re.S).group(1)
+    exec(compile(library, "README.md", "exec"), {})
+    assert abs(float(capsys.readouterr().out) - 3) < 1e-9
+    (said,) = re.findall(r"^shapes poly --n 3 --d 2 --stat fermion +# prints (.*)$", README, re.M)
+    assert said == "q^2 + 4q^3 + q^4"
+    code, out, _ = run(capsys, "poly", "--n", "3", "--d", "2", "--stat", "fermion")
+    assert (code, out.strip()) == (0, said)
 
 
 class TestPoly:

@@ -91,8 +91,8 @@ def test_forced_paths_are_byte_identical(tmp_path, capsys, monkeypatch, system, 
     proven = []
     real = shapegen._certify
 
-    def spy(block, want_null):
-        result = real(block, want_null)
+    def spy(block):
+        result = real(block)
         proven.append(result is not None)
         return result
 

@@ -18,6 +18,7 @@ from shapes.polycore import (
     enumerate_euler_monomials,
     euler_power,
     euler_table,
+    multiplicity_factorials,
     orbital_codes,
     orbital_key,
     vandermonde,
@@ -74,7 +75,7 @@ class TestExpandState:
         state = SlaterState.from_orbitals([(1,), (1,)], BOSON)
         expanded = state.expand()
         assert expanded == 2 * ExactPolynomial(2, 1, {(1, 1): 1})
-        assert state.leading_coefficient() == 2
+        assert multiplicity_factorials(state.orbitals) == 2
 
     @pytest.mark.parametrize("stat", [FERMION, BOSON])
     def test_exchange_symmetry(self, stat):

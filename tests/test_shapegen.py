@@ -10,7 +10,7 @@ from math import gcd, lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from shapes.counting import (
     BOSON,
@@ -56,22 +56,24 @@ def rref(vectors, dim):
     return [tuple(r) for r in rows[:pivot_row]]
 
 
-def with_duplicate(sector_blocks):
-    """Wrap shapegen._sector_blocks to repeat one product per grade.
+def with_duplicate(take):
+    """Wrap Products.take to repeat one product per grade.
 
-    The first product of the first sector that has any is yielded twice.
+    The first product of the first sector that has any is taken twice.
     """
+    repeated = set()  # (Products, grade) pairs that already took their duplicate
 
-    def blocks(catalog, grade, *args):
-        rest = sector_blocks(catalog, grade, *args)
-        for sector, products in rest:
-            if products:
-                yield sector, products + products[:1]
-                break
-            yield sector, products
-        yield from rest
+    def wrapped(self, keys):
+        states, coeffs, bounds = take(self, keys)
+        if len(keys) and (self, self._grade) not in repeated:
+            repeated.add((self, self._grade))
+            lo, hi = bounds[:2]
+            states = np.concatenate([states, states[lo:hi]])
+            coeffs = np.concatenate([coeffs, coeffs[lo:hi]])
+            bounds = np.append(bounds, bounds[-1] + hi - lo)
+        return states, coeffs, bounds
 
-    return blocks
+    return wrapped
 
 
 @pytest.fixture(scope="module")
@@ -208,8 +210,11 @@ class TestEchelonProperties:
 
 
 def as_products(rows):
-    """Sparse {column: coeff} rows as the (positions, coefficients) array pairs _settle takes."""
-    return [(np.array(list(row), dtype=np.intp), np.array(list(row.values()))) for row in rows]
+    """Sparse {column: coeff} rows as the (positions, coefficients, bounds)
+    triple _settle takes, coefficients as narrow as Products.take gives them."""
+    positions = np.array([c for row in rows for c in row], dtype=np.intp)
+    coeffs = products._compact(np.array([v for row in rows for v in row.values()], dtype=object))
+    return positions, coeffs, np.cumsum([0] + [len(row) for row in rows])
 
 
 def block(rows, dim):
@@ -234,12 +239,11 @@ class TestSectorCertificate:
         ech = _Echelon(dim)
         for row in rows:
             ech.insert(row)
-        want_null = len(rows) < dim
-        expected = (ech.rank, ech.nullspace() if want_null else [])
+        expected = (ech.rank, ech.nullspace())
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shapegen, "DENOMINATOR_BOUND", bound)
-            certified = shapegen._certify(block(rows, dim), want_null)
-            settled = shapegen._settle(as_products(rows), dim, want_null)
+            certified = shapegen._certify(block(rows, dim))
+            settled = shapegen._settle(as_products(rows), dim)
         if certified is not None:
             assert ech.rank == len(rows)
             assert certified == expected
@@ -255,16 +259,16 @@ class TestSectorCertificate:
         assert sorted(ech.rows) == [1, 2, 3]
         null = ech.nullspace()
         assert null[0] == {0: 1} and sorted(null[1]) == [1, 2, 3, 4]
-        assert shapegen._certify(block(rows, 5), True) == (3, null)
+        assert shapegen._certify(block(rows, 5)) == (3, null)
 
     def test_large_entries_are_checked_in_python_integers(self):
         # (1 + 2^27) * 2^27 >= 2^52: one float64 product would not be exact.
-        assert shapegen._certify(block([{0: 1, 1: 2**27}], 2), True) == (1, [{0: 2**27, 1: -1}])
+        assert shapegen._certify(block([{0: 1, 1: 2**27}], 2)) == (1, [{0: 2**27, 1: -1}])
 
     def test_small_null_basis_entries_are_not_taken_for_zero(self):
         # The null vector (2^30, -1) normalizes to entries 1 and 9.3e-10:
         # small, but far above the QR's rounding, so column 1 is free.
-        assert shapegen._certify(block([{0: 1, 1: 2**30}], 2), True) == (1, [{0: 2**30, 1: -1}])
+        assert shapegen._certify(block([{0: 1, 1: 2**30}], 2)) == (1, [{0: 2**30, 1: -1}])
 
     @pytest.mark.parametrize("big", [2**53, 2**70], ids=["int64", "python-int"])
     def test_entries_from_2_53_go_to_the_exact_echelon(self, monkeypatch, big):
@@ -279,7 +283,7 @@ class TestSectorCertificate:
         monkeypatch.setattr(shapegen, "_Echelon", spy)
         products = as_products([{0: 1, 1: big}, {1: 1, 2: 3}])
         assert shapegen._dense_block(products, 3) is None
-        assert shapegen._settle(products, 3, True) == (2, [{0: 3 * big, 1: -3, 2: 1}])
+        assert shapegen._settle(products, 3) == (2, [{0: 3 * big, 1: -3, 2: 1}])
         assert len(echelons) == 1
 
     @pytest.mark.parametrize("bound", [shapegen.DENOMINATOR_BOUND, 5, 3])
@@ -298,8 +302,8 @@ class TestSectorCertificate:
         expected = (ech.rank, ech.nullspace())
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shapegen, "DENOMINATOR_BOUND", bound)
-            certified = shapegen._certify(block(rows, dim), True)
-            settled = shapegen._settle(as_products(rows), dim, True)
+            certified = shapegen._certify(block(rows, dim))
+            settled = shapegen._settle(as_products(rows), dim)
         if certified is not None:
             assert ech.rank == len(rows)
             assert certified == expected
@@ -331,8 +335,8 @@ class TestSectorCertificate:
         monkeypatch.setattr(shapegen, "_Echelon", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert shapegen._certify(block(rows, dim), True) is None
-            settled = shapegen._settle(as_products(rows), dim, True)
+            assert shapegen._certify(block(rows, dim)) is None
+            settled = shapegen._settle(as_products(rows), dim)
         assert [ech.rank for ech in echelons] == [rank]
         assert settled == (rank, echelons[0].nullspace())
 
@@ -424,6 +428,41 @@ class TestSectorLaw:
         ):
             generate_shapes(3, 2, FERMION)
 
+    @pytest.mark.parametrize(
+        "system, max_grade, rationalized",
+        [((3, 3, FERMION), None, 10), ((4, 2, BOSON), 10, 12)],
+        ids=["3-3-fermion", "4-2-boson"],
+    )
+    def test_null_vectors_only_in_sectors_that_hold_shapes(
+        self, monkeypatch, system, max_grade, rationalized
+    ):
+        # Every block with free columns gets its null vectors.  A sector the
+        # law gives no shapes has a square, full-rank block, so only sectors
+        # that hold shapes round any, as often as when null vectors were
+        # asked for in those sectors alone (10 and 12 blocks).
+        law = sector_shape_counts(*system)
+        calls, with_null = [], []
+        real_rationalize = shapegen._rationalize
+        real_complements = shapegen._sector_complements
+
+        def rationalize(x):
+            calls.append(x.shape)
+            return real_rationalize(x)
+
+        def complements(*args):
+            count, blocks = real_complements(*args)
+            for sector, (_rank, null) in blocks.items():
+                if null:
+                    with_null.append(sector)
+                    assert law.get(sector, 0) == len(null)
+            return count, blocks
+
+        monkeypatch.setattr(shapegen, "_rationalize", rationalize)
+        monkeypatch.setattr(shapegen, "_sector_complements", complements)
+        generate_shapes(*system, max_grade=max_grade)
+        assert len(calls) == rationalized
+        assert with_null
+
 
 AXIS_SYSTEMS = [
     (3, 2, FERMION), (3, 2, BOSON), (2, 3, FERMION), (2, 3, BOSON),
@@ -453,13 +492,78 @@ def settled_directly(system):
             for sector, keys in formed.plan(grade).items()
         }
         out[grade] = {}
-        blocks = shapegen._sector_blocks(catalog, grade, plan, sectors.keys(), formed)
-        for sector, block in blocks:
-            indices = sectors[sector]
-            _rank, null = shapegen._settle(block, len(indices), True)
-            rows = [dict(zip(pos.tolist(), coeffs.tolist())) for pos, coeffs in block]
+        for sector, indices in sectors.items():
+            states, coeffs, bounds = formed.take(plan[sector])
+            positions = np.searchsorted(indices, states)
+            _rank, null = shapegen._settle((positions, coeffs, bounds), len(indices))
+            positions, coeffs, bounds = positions.tolist(), coeffs.tolist(), bounds.tolist()
+            rows = [dict(zip(positions[lo:hi], coeffs[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
             out[grade][sector] = rows, [{indices[i]: v for i, v in vec.items()} for vec in null]
     return catalog, out
+
+
+def subtract(vec, f, row):
+    """vec -= f * row on sparse vectors, in place, dropping zeros."""
+    for c, v in row.items():
+        nv = vec.get(c, 0) - f * v
+        if nv:
+            vec[c] = nv
+        else:
+            del vec[c]
+
+
+def fraction_canonical_basis(vectors):
+    """The canonical basis of the span of linearly independent vectors, by
+    Gauss-Jordan elimination in Fractions pivoting on the largest index:
+    each vector ends with a 1 at its pivot and zeros at the others' pivots."""
+    rows = {}
+    for vec in vectors:
+        vec = {i: Fraction(c) for i, c in vec.items()}
+        for p, row in rows.items():
+            if p in vec:
+                subtract(vec, vec[p], row)
+        q = max(vec)
+        vec = {i: v / vec[q] for i, v in vec.items()}
+        for row in rows.values():
+            if q in row:
+                subtract(row, row[q], vec)
+        rows[q] = vec
+    return [canonical(rows[q]) for q in sorted(rows)]
+
+
+@st.composite
+def independent_vectors(draw):
+    """Up to 6 linearly independent sparse integer vectors, some entries past 2^63."""
+    dim = draw(st.integers(1, 6))
+    entries = st.integers(-9, 9).filter(bool) | st.sampled_from([2**63 + 5, -(2**64) - 1])
+    rows = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, dim - 1), entries, min_size=1, max_size=4),
+            min_size=1,
+            max_size=dim,
+        )
+    )
+    ech = _Echelon(dim)
+    for row in rows:
+        ech.insert(row)
+    assume(ech.rank == len(rows))
+    return rows
+
+
+class TestCanonicalBasis:
+    """The transport's integer Gauss-Jordan against the same elimination in Fractions."""
+
+    @settings(max_examples=200, deadline=None)
+    @example([{0: 4, 1: 6}, {1: 3, 2: 9}])  # content above 1
+    @example([{0: -3, 2: 1}, {1: -1, 2: 2}])  # negative lowest-index entries
+    @example([{0: 1, 2: 2}, {1: 1, 2: 3}])  # the pivot 2 does not divide 3
+    @example([{0: 3, 2: 2}, {0: 1, 1: 5, 2: 7}, {1: 4, 2: 5}])  # nor 7, nor 5
+    @example([{0: 2**63 + 1, 1: 3}, {0: 5, 1: 2**64}])  # entries past 2^63
+    @given(independent_vectors())
+    def test_matches_fraction_elimination(self, vectors):
+        before = [dict(vec) for vec in vectors]
+        assert shapegen._canonical_basis(vectors) == fraction_canonical_basis(vectors)
+        assert vectors == before
 
 
 def permute_polynomial(poly, perm):
@@ -514,9 +618,9 @@ class TestAxisPermutations:
         settled = []
         real = shapegen._settle
 
-        def spy(products, dim, want_null):
-            settled.append(len(products))
-            return real(products, dim, want_null)
+        def spy(block, dim):
+            settled.append(len(block[2]) - 1)
+            return real(block, dim)
 
         monkeypatch.setattr(shapegen, "_settle", spy)
         catalog = generate_shapes(3, 3, FERMION)
@@ -535,9 +639,9 @@ class TestAxisPermutations:
         settled = []
         real = shapegen._settle
 
-        def spy(products, dim, want_null):
+        def spy(block, dim):
             settled.append(dim)
-            return real(products, dim, want_null)
+            return real(block, dim)
 
         monkeypatch.setattr(shapegen, "_settle", spy)
         report = verify_span(catalog, 6)
@@ -633,7 +737,7 @@ class TestWorkedExample32:
         # the exact echelon reports the rank.
         partial = ShapeCatalog.from_json_obj(catalog_32.to_json_obj())
         partial.shapes = [s for s in partial.shapes if s.id != "3:1"]
-        monkeypatch.setattr(shapegen, "_sector_blocks", with_duplicate(shapegen._sector_blocks))
+        monkeypatch.setattr(products.Products, "take", with_duplicate(products.Products.take))
         report = verify_span(partial, 3)
         assert (report.rank, report.dimension, report.vector_count) == (5, 6, 6)
         assert not report.passed
@@ -1141,7 +1245,7 @@ class TestGuards:
     def test_dependent_trivial_product_is_named(self, monkeypatch):
         # Freeness: every trivial product is independent.  Feeding one
         # product twice must fail at once, naming grade, count and rank.
-        monkeypatch.setattr(shapegen, "_sector_blocks", with_duplicate(shapegen._sector_blocks))
+        monkeypatch.setattr(products.Products, "take", with_duplicate(products.Products.take))
         with pytest.raises(
             InternalConsistencyError, match="grade 3 are not free: 3 vectors have rank 2"
         ):
