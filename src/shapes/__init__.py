@@ -54,6 +54,7 @@ from .realize import (
 from .coulomb import (
     beta_integral_exact,
     coulomb_expectation,
+    coulomb_table,
     hermite_linearization,
     two_body_element,
 )

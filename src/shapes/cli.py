@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+from functools import cache
 
 from .counting import (
     Statistics,
@@ -43,7 +44,9 @@ from .shapegen import (
 FORMAT_VERSION = "1"
 
 
+@cache
 def build_parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="shapes",
         description=(
@@ -224,7 +227,7 @@ def cmd_density(args):
 
 
 def cmd_coulomb(args):
-    from .coulomb import coulomb_expectation
+    from .coulomb import coulomb_table
 
     catalog = _load_catalog(args.catalog)
     if args.grade > catalog.max_grade and not catalog.is_complete():
@@ -249,22 +252,20 @@ def cmd_coulomb(args):
         if rec.grade < args.grade:
             labels.append(f"{euler.label()}*{rec.id}")
             vectors.append(vec)
+    # One contraction for the table; <a|V|b> = <b|V|a> exactly, so a
+    # pairwise table holds the upper triangle and mirrors it.
+    table = coulomb_table(vectors, basis, args.pairwise)
+    table = {cell: f"{value:.12e}" for cell, value in table.items()}
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         if args.pairwise:
-            # <a|V|b> = <b|V|a> exactly: fill the upper triangle and mirror it.
-            table = [[None] * len(vectors) for _ in vectors]
-            for i, va in enumerate(vectors):
-                for j in range(i, len(vectors)):
-                    entry = f"{coulomb_expectation(va, vectors[j], basis):.12e}"
-                    table[i][j] = table[j][i] = entry
             writer.writerow(["state"] + labels)
-            for la, row in zip(labels, table):
-                writer.writerow([la] + row)
+            for i, la in enumerate(labels):
+                writer.writerow([la] + [table[min(i, j), max(i, j)] for j in range(len(labels))])
         else:
             writer.writerow(["state", "vee"])
-            for la, va in zip(labels, vectors):
-                writer.writerow([la, f"{coulomb_expectation(va, va, basis):.12e}"])
+            for i, la in enumerate(labels):
+                writer.writerow([la, table[i, i]])
     print(f"wrote Coulomb table for {len(labels)} states to {args.out}")
     return 0
 

@@ -12,21 +12,31 @@ Unnormalized Hermite functions have <phi_n|phi_m> = delta_nm 2^n n! sqrt(pi);
 many-body expectations divide by the full state norms, so the outputs are
 convention-free.  The same orthogonality contracts the spectator particles
 exactly.  Many-body expectations contract in the state basis: by the
-Slater-Condon rules, with Lowdin's occupation-number factors for permanents,
-two Slater/permanent states couple only through the orbital multisets of
-size n-2 they share (CoulombOperator), and no state is expanded into its n!
-monomials.
+Slater-Condon rules, with Lowdin's occupation-number factors for permanents
+(Phys. Rev. 97, 1474, 1955), two Slater/permanent states couple only through
+the orbital multisets of size n-2 they share, their rests, and no state is
+expanded into its n! monomials.  A whole table is one contraction
+(CoulombOperator.contract): each vector's states are split, from the level's
+code array, into entries (rest, removed pair, phase x coefficient), and two
+entries on one rest add their amplitudes' product times the pair value
+D ([x y|z w] +- [x y|w z]) and the rest's weight, each computed once per
+level.  The sums are exact in int64, in limbs whose widths a bound on a
+cell's term count sets so that no sum reaches 2^62; the limbs are combined
+in Python ints, and each entry is divided and rounded once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import chain, combinations
+
+import numpy as np
 
 from .counting import FERMION
 from .errors import InternalConsistencyError
-from .polycore import _as_exact, multiplicity_factorials
+from .polycore import _as_exact, chunk_rows, chunks, multiplicity_factorials
 
 
 def hermite_linearization(n, m):
@@ -218,28 +228,79 @@ def hermite_norm_rational(indices):
     return rat
 
 
+# Bytes a table's contraction holds per entry (one removed pair of one
+# state of one vector) and per pair of entries, over all its arrays.
+_ENTRY_BYTES = 96
+_PAIR_BYTES = 96
+# The fewest bits a limb of the block values keeps when the amplitudes
+# are cut into limbs as well (CoulombOperator.contract).
+_MIN_VALUE_BITS = 16
+
+
+@cache
+def _removals(n, fermion):
+    """(picked, kept, phases) of the C(n, 2) position pairs p < q of a row
+    of n codes, in combinations order: the pair's two columns, the other
+    n - 2 columns in order, and the phase of moving the pair to the front,
+    (-1)^(p + q - 1) for a determinant and 1 for a permanent, as in
+    LevelBasis.rests."""
+    pairs = [*combinations(range(n), 2)]
+    kept = [[k for k in range(n) if k not in pair] for pair in pairs]
+    phases = [(-1) ** (p + q - 1) if fermion else 1 for p, q in pairs]
+    kept = np.array(kept, dtype=np.intp).reshape(len(pairs), n - 2)
+    return np.array(pairs), kept, np.array(phases)
+
+
+def _grid(rows, columns):
+    """(k, i, j) of every (i, j) in range(rows[k]) x range(columns[k]),
+    k after k, row-major."""
+    counts = rows * columns
+    k = np.repeat(np.arange(len(counts)), counts)
+    within = np.arange(len(k)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return (k, *np.divmod(within, columns[k]))
+
+
+def _distinct(values):
+    """The distinct values of an int array, ascending: np.unique without
+    its masked-array check, which imports numpy.ma on first use."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=values[:1] - 1) != 0]
+
+
+def _limbs(values, width, count):
+    """A (count x len(values)) int64 array L with values = sum_k L[k]
+    2^(k width), each entry below 2^width in magnitude: a Python int
+    array's magnitudes cut into width-bit pieces, each carrying the value's
+    sign, a chunk of values at a time."""
+    limbs, mask = np.empty((count, len(values)), dtype=np.int64), (1 << width) - 1
+    step = chunk_rows(64 * (count + 1))
+    for lo in range(0, len(values), step):
+        part = values[lo : lo + step]
+        magnitudes, signs = np.abs(part), np.where(part < 0, -1, 1)
+        for k in range(count):
+            limbs[k, lo : lo + step] = ((magnitudes >> (k * width)) & mask) * signs
+    return limbs
+
+
 class CoulombOperator:
-    """Exact two-body Coulomb matrix between the states of one level.
+    """Exact Coulomb data of one level, kept by its LevelBasis and reused by
+    every table on it.
 
-    ``element(a, b)`` is D <S_a| sum_{i<j} 1/|r_i - r_j| |S_b>, an integer,
-    for the Slater/permanent states a and b of a LevelBasis, in units of
-    sqrt(2) pi^(d - 1/2 + p) sqrt(pi)^((n-2) d); ``denominator`` is the
-    level's D from _level_weights.  ``norm(a)`` is the integer <S_a|S_a> =
-    n! mult(a)! N_a (as for R below) in units of sqrt(pi)^(n d).  Hermite
-    orthogonality leaves only the Slater-Condon terms, with Lowdin's
-    occupation-number factors for permanents: a and b couple through every
-    orbital multiset R of size n-2 that both contain (so they differ in at
-    most two orbitals), and
+    By the Slater-Condon rules, with Lowdin's occupation-number factors for
+    permanents, two states of a level couple only through the orbital
+    multisets R of size n-2 that both contain (their rests), and
 
-        <S_a|V|S_b> = n! sum_R mult(R)! N_R sum eps_a eps_b ([x y|z w] +- [x y|w z]),
+        D <S_a|V|S_b> = n! sum_R W_R sum eps_a eps_b P(x y, z w),
 
-    where the inner sum runs over the removed pairs (x, y) of a and (z, w)
-    of b that leave R (LevelBasis.rests), eps is the sign of moving the pair
-    to the front (1 for permanents), the exchange term carries - for
-    fermions and + for bosons, mult(R)! is the product of R's multiplicity
-    factorials and N_R its Hermite norm.  Elements, norms and the weights
-    mult(R)! N_R are computed on first use and kept, so the maps cover only
-    the states asked for.
+    the inner sum over the removed pairs (x, y) of a and (z, w) of b that
+    leave R (LevelBasis.rests), eps the phase of moving the pair to the
+    front (1 for permanents), W_R = mult(R)! N_R the product of R's
+    multiplicity factorials and its Hermite norm, and P(x y, z w) =
+    D ([x y|z w] +- [x y|w z]) with - for fermions, in units of
+    sqrt(2) pi^(d - 1/2 + p) sqrt(pi)^((n-2) d).  ``denominator`` is the
+    level's D (_level_weights).  ``norm(a)`` is the integer <S_a|S_a> =
+    n! mult(a)! N_a in units of sqrt(pi)^(n d).  P per unordered pair of
+    pairs, W_R per rest and the norms are computed on first use and kept.
     """
 
     def __init__(self, basis):
@@ -247,14 +308,13 @@ class CoulombOperator:
         self.denominator, self._weights = _level_weights(basis.d, basis.grade)
         self._scale = math.factorial(basis.n)
         self._exchange = -1 if basis.statistics is FERMION else 1
-        self._elements = {}
         self._norms = {}
         self._pairs = {}
         self._rest_weights = {}
 
     def _pair(self, x, y, z, w):
-        """D ([x y|z w] +- [x y|w z]) in units of sqrt(2) pi^(d - 1/2 + p),
-        for orbitals given by their codes."""
+        """P(x y, z w) for orbitals given by their codes, kept under the key
+        (x, y, z, w) the caller gives; P(x y, z w) = P(z w, x y)."""
         key = (x, y, z, w)
         value = self._pairs.get(key)
         if value is None:
@@ -265,32 +325,12 @@ class CoulombOperator:
             value = self._pairs[key] = direct + self._exchange * exchange
         return value
 
-    def element(self, a, b):
-        key = (a, b) if a <= b else (b, a)
-        value = self._elements.get(key)
-        if value is None:
-            value = self._element(*key)
-            self._elements[key] = value
-        return value
-
-    def _element(self, a, b):
-        rests_b = self.basis.rests(b, 2)
-        total = 0
-        for rest, pairs_a in self.basis.rests(a, 2).items():
-            pairs_b = rests_b.get(rest)
-            if pairs_b is None:
-                continue
-            pair_sum = 0
-            for sa, x, y in pairs_a:
-                for sb, z, w in pairs_b:
-                    pair_sum += sa * sb * self._pair(x, y, z, w)
-            if pair_sum:
-                weight = self._rest_weights.get(rest)
-                if weight is None:
-                    orbitals = self.basis.codes.decode(rest)
-                    weight = self._rest_weights[rest] = _multiset_weight(orbitals)
-                total += weight * pair_sum
-        return self._scale * total
+    def _rest_weight(self, key, rest):
+        """W_R of the rest with combinadic key `key` and codes `rest`."""
+        weight = self._rest_weights.get(key)
+        if weight is None:
+            weight = self._rest_weights[key] = _multiset_weight(self.basis.codes.decode(rest))
+        return weight
 
     def norm(self, a):
         value = self._norms.get(a)
@@ -298,22 +338,179 @@ class CoulombOperator:
             value = self._norms[a] = self._scale * _multiset_weight(self.basis.orbitals(a))
         return value
 
-    def contract(self, bra, ket):
-        """sum_{a, b} bra[a] ket[b] element(a, b) for sparse integer {state: coeff}."""
-        ket_by_rest = {}
-        for b in ket:
-            for rest in self.basis.rests(b, 2):
-                ket_by_rest.setdefault(rest, []).append(b)
-        total = 0
-        for a, ca in bra.items():
-            coupled = {b for rest in self.basis.rests(a, 2) for b in ket_by_rest.get(rest, ())}
-            row = 0
-            for b in coupled:
-                value = self.element(a, b)
-                if value:
-                    row += ket[b] * value
-            total += ca * row
-        return total
+    def _blocks(self, states, classes):
+        """The blocks of per-rest pair amplitudes of some distinct states.
+
+        A state's entries are its C(n, 2) position pairs (_removals), each
+        removing a pair and leaving a rest.  A block is a rest and a class
+        (classes[i] of the i-th state); its slots are the distinct pairs its
+        entries remove, and its values are W_R P(e, f) for every ordered
+        pair (e, f) of its slots, as Python ints.  Returns (block, place,
+        sizes, offsets, values): per entry (states x C(n, 2), row-major)
+        its block and its slot's place there, and per block its slot count
+        m and the offset of its m x m values, row-major in values.  P is
+        looked up once per unordered pair of pairs and W_R once per rest.
+        """
+        basis = self.basis
+        n, limit = basis.n, basis.codes.grow(basis.grade)
+        picked, kept, _ = _removals(n, basis.statistics is FERMION)
+        rows = basis.code_array[states].astype(np.int64)
+        rest_rows = rows[:, kept].reshape(len(states) * len(picked), n - 2)
+        rest_keys, first, rest = np.unique(
+            basis._keys(rest_rows), return_index=True, return_inverse=True
+        )
+        span = int(classes.max(initial=0)) + 1
+        block_keys, block = np.unique(
+            rest * span + np.repeat(classes, len(picked)), return_inverse=True
+        )
+        pair = (rows[:, picked[:, 0]] * limit + rows[:, picked[:, 1]]).ravel()
+        # The slots: the distinct (block, pair) of the entries, ascending.
+        order = np.lexsort((pair, block))
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = np.diff(block[order]) | np.diff(pair[order])
+        slot = np.empty(len(order), dtype=np.int64)
+        slot[order] = np.cumsum(new) - 1
+        slot_block, slot_pair = block[order][new], pair[order][new]
+        starts = np.searchsorted(slot_block, np.arange(len(block_keys)))
+        sizes = np.diff(starts, append=len(slot_pair))
+        owner, e, f = _grid(sizes, sizes)
+        pairs, dense = np.unique(slot_pair, return_inverse=True)
+        e, f = dense[starts[owner] + e], dense[starts[owner] + f]
+        quads, which = np.unique(
+            np.minimum(e, f) * len(pairs) + np.maximum(e, f), return_inverse=True
+        )
+        del e, f
+        x, y = np.divmod(pairs[quads // len(pairs)], limit)
+        z, w = np.divmod(pairs[quads % len(pairs)], limit)
+        values = np.array(
+            [*map(self._pair, x.tolist(), y.tolist(), z.tolist(), w.tolist())], dtype=object
+        )
+        rests = rest_rows[first].tolist()
+        weights = np.array([*map(self._rest_weight, rest_keys.tolist(), rests)], dtype=object)
+        values = weights[block_keys // span][owner] * values[which.ravel()]
+        return block, slot - starts[block], sizes, np.cumsum(sizes**2) - sizes**2, values
+
+    def contract(self, vectors, diagonal, cross):
+        """(numerators, norms) of integer vectors {state: coeff} over the
+        level: numerators[i, j] = D <v_i|V|v_j> for the cells i = j if
+        diagonal and i < j if cross (a cell whose vectors share no rest is
+        left out), and norms[i] = <v_i|v_i>, exact ints.
+
+        Each vector's entries are its states' entries (_blocks), with the
+        amplitude s = phase x coefficient, grouped by (vector, block).  A
+        cell (i, j) adds s_e s_f W_R P(e, f) over every entry e of a group
+        of i and f of j's group in the same block.  The blocks are per rest
+        and sector when only the diagonal is asked and every vector lies in
+        one sector, so no group spans two sectors, and per rest otherwise.
+
+        Sums are exact in int64.  No cell has more terms than the largest
+        block's entries times the most entries of one vector, which is
+        below 2^lam.  The amplitudes are cut into limbs of sigma bits (one
+        limb when they fit) and the block values into limbs of beta = 62 -
+        lam - 2 sigma bits (_limbs), so a product of three limbs is below
+        2^(62 - lam) and a cell's sum over one limb triple below 2^62; the
+        limb sums are shifted and added in Python ints.  The vectors are
+        read in chunks of whole vectors whose entries fill at most
+        CHUNK_BYTES (all at once for cross cells), and a chunk's pairs of
+        entries are summed in chunks of whole bra vectors under that bound.
+        """
+        basis = self.basis
+        _, _, phases = _removals(basis.n, basis.statistics is FERMION)
+        width = len(phases)
+        counts = np.array([len(v) for v in vectors])
+        ends = np.cumsum(counts)
+        parts = [slice(0, len(vectors))] if cross else [*chunks(ends * width * _ENTRY_BYTES)]
+
+        def read(part):
+            """The part's states and coefficients, vector after vector, and
+            the position of each vector's first."""
+            chosen = vectors[part]
+            states = np.fromiter(chain.from_iterable(chosen), np.int64, counts[part].sum())
+            coeffs = np.array([*chain.from_iterable(v.values() for v in chosen)], dtype=object)
+            return states, coeffs, np.cumsum(counts[part]) - counts[part]
+
+        used, top, one_sector = [], 0, not cross
+        for part in parts:
+            states, coeffs, firsts = read(part)
+            used.append(_distinct(states))
+            top = max(top, int(np.abs(coeffs).max()).bit_length())
+            if one_sector:
+                sectors = basis.state_sectors(states)
+                one_sector = (sectors == np.repeat(sectors[firsts], counts[part], axis=0)).all()
+        states = _distinct(np.concatenate(used))
+        classes = np.zeros(len(states), dtype=np.int64)
+        if one_sector:
+            _, classes = np.unique(basis.state_sectors(states), axis=0, return_inverse=True)
+            classes = classes.ravel()
+        block_of, place_of, sizes, offsets, values = self._blocks(states, classes)
+        lam = (int(np.bincount(block_of).max()) * int(counts.max()) * width).bit_length()
+        room = 62 - lam - _MIN_VALUE_BITS
+        sigma = top if 2 * top <= room else room // 2
+        beta = 62 - lam - 2 * sigma
+        if sigma < 1 or beta < 1:
+            raise InternalConsistencyError(f"Coulomb cells of 2^{lam} terms overflow int64 limbs")
+        pieces = -(-top // sigma)
+        values = _limbs(values, beta, -(-int(np.abs(values).max()).bit_length() // beta))
+        shifts = [
+            (a, b, v, sigma * (a + b) + beta * v)
+            for a in range(pieces) for b in range(pieces) for v in range(len(values))
+        ]
+        block_of, place_of = block_of.reshape(-1, width), place_of.reshape(-1, width)
+        state_norms = np.array([*map(self.norm, states.tolist())], dtype=object)
+        sums, norms = {}, []
+        for part in parts:
+            items, coeffs, firsts = read(part)
+            items = np.searchsorted(states, items)
+            norms += np.add.reduceat(coeffs * coeffs * state_norms[items], firsts).tolist()
+            # The part's entries, grouped by (vector, block).
+            owner = np.repeat(np.arange(part.start, part.stop), counts[part] * width)
+            order = np.argsort(owner * len(sizes) + block_of[items].ravel())
+            item, column = np.divmod(order, width)
+            owner, block = owner[order], block_of[items[item], column]
+            place = place_of[items[item], column]
+            signed = [limb[item] * phases[column] for limb in _limbs(coeffs, sigma, pieces)]
+            first = np.flatnonzero(np.diff(block, prepend=-1) | np.diff(owner, prepend=-1))
+            size, group_owner = np.diff(first, append=len(order)), owner[first]
+            # A group pairs with itself for the diagonal.  For cross cells
+            # it pairs with the groups of its block from the next one, or
+            # from itself with the diagonal, to the last, in by_block, the
+            # order of the groups by (block, vector): lo to hi there.
+            last_terms = np.cumsum(size * size)
+            if cross:
+                by_block = np.lexsort((group_owner, block[first]))
+                lo = np.empty_like(by_block)
+                lo[by_block] = np.arange(len(by_block)) + (not diagonal)
+                hi = np.searchsorted(block[first][by_block], block[first], side="right")
+                partners = np.concatenate(([0], np.cumsum(size[by_block])))
+                last_terms = np.cumsum(size * (partners[hi] - partners[lo]))
+            vector_ends = np.flatnonzero(np.diff(group_owner, append=-1)) + 1
+            done = 0
+            for chunk in chunks(last_terms[vector_ends - 1] * _PAIR_BYTES):
+                stop = vector_ends[chunk.stop - 1]
+                bra = ket = np.arange(done, stop)
+                if cross:
+                    bra, _, j = _grid(np.ones_like(bra), hi[bra] - lo[bra])
+                    bra += done
+                    ket = by_block[lo[bra] + j]
+                    by_cell = np.argsort(group_owner[bra] * len(vectors) + group_owner[ket])
+                    bra, ket = bra[by_cell], ket[by_cell]
+                cell = group_owner[bra] * len(vectors) + group_owner[ket]
+                done = stop
+                if not len(cell):
+                    continue
+                pair, i, j = _grid(size[bra], size[ket])
+                e, f = first[bra][pair] + i, first[ket][pair] + j
+                at = offsets[block[e]] + place[e] * sizes[block[e]] + place[f]
+                # A cell's terms are consecutive: sum them per cell.
+                new_cell = np.flatnonzero(np.diff(cell, prepend=-1))
+                starts = np.searchsorted(pair, new_cell)
+                keys = cell[new_cell].tolist()
+                for a, b, v, shift in shifts:
+                    terms = signed[a][e] * signed[b][f] * values[v][at]
+                    for key, total in zip(keys, np.add.reduceat(terms, starts).tolist()):
+                        sums[key] = sums.get(key, 0) + (total << shift)
+        numerators = {divmod(key, len(vectors)): self._scale * total for key, total in sums.items()}
+        return numerators, norms
 
 
 def _multiset_weight(orbitals):
@@ -324,37 +521,59 @@ def _multiset_weight(orbitals):
 
 def _integer_support(coeffs):
     """({index: c * L}, L): the nonzero coefficients as integers over their
-    least common denominator L."""
+    least common denominator L; coeffs itself when they are nonzero ints."""
+    if all(type(c) is int and c for c in coeffs.values()):
+        return coeffs, 1
     exact = {idx: _as_exact(c) for idx, c in coeffs.items() if c}
     scale = math.lcm(*(c.denominator for c in exact.values()))
     return {idx: c.numerator * (scale // c.denominator) for idx, c in exact.items()}, scale
+
+
+def coulomb_table(vectors, basis, pairwise=False):
+    """{(i, j): <v_i| sum 1/r |v_j> / norms} for every i <= j if pairwise,
+    else for i = j, over sparse {state index: coeff} vectors of one
+    LevelBasis: one exact contraction for the whole table
+    (CoulombOperator.contract), each entry rounded once."""
+    return _expectations(vectors, basis, True, pairwise)
 
 
 def coulomb_expectation(bra, ket, basis):
     """<Psi_bra| sum_{i<j} 1/|r_i - r_j| |Psi_ket> / norms.
 
     Both states are sparse {state index: coeff} vectors over the same
-    LevelBasis, realized as products of unnormalized Hermite functions.
-    The contraction runs in the state basis: the level's
-    CoulombOperator (Slater-Condon rules, with occupation-number factors for
-    permanents) gives the integer D <S_a|V|S_b>, kept by the basis and
-    reused by every call on it.  The numerator sum_{a,b} c_a c'_b <S_a|V|S_b>
-    and the state norms are summed in integers over the coefficients'
-    common denominators, divided exactly and rounded once, so the result
-    does not depend on the normalization convention.
+    LevelBasis, realized as products of unnormalized Hermite functions: the
+    one-cell case of coulomb_table.
     """
-    bra, bra_scale = _integer_support(bra)
-    ket, ket_scale = _integer_support(ket)
-    if not bra or not ket:
+    return _expectations([bra, ket], basis, False, True)[0, 1]
+
+
+def _expectations(vectors, basis, diagonal, cross):
+    """The cells (i, i) if diagonal and (i, j), i < j, if cross.
+
+    The contraction runs in the state basis and in integers: each vector's
+    coefficients over their common denominator L (_integer_support), and
+    the level's CoulombOperator for D <v_i|V|v_j> and the norms.  Each
+    entry divides its numerator by D L_i L_j and the norms' product by
+    (L_i L_j)^2, each a correctly rounded int / int, so the result does
+    not depend on the normalization convention.
+    """
+    supports = [_integer_support(v) for v in vectors]
+    if not all(ints for ints, _ in supports):
         raise ValueError("zero state has no Coulomb expectation")
+    cells = [
+        (i, j)
+        for i in range(len(vectors))
+        for j in range(i if diagonal else i + 1, len(vectors) if cross else i + 1)
+    ]
     if basis.n < 2:
-        return 0.0
+        return dict.fromkeys(cells, 0.0)
     operator = basis.coulomb_operator
-    scale = bra_scale * ket_scale
-    numerator = Fraction(operator.contract(bra, ket), operator.denominator * scale)
-    bra_norm = sum(c * c * operator.norm(a) for a, c in bra.items())
-    ket_norm = sum(c * c * operator.norm(b) for b, c in ket.items())
-    norms = Fraction(bra_norm * ket_norm, scale * scale)
+    numerators, norms = operator.contract([ints for ints, _ in supports], diagonal, cross)
     _, pi_pow = beta_integral_exact(basis.d, 0)
     prefactor = math.sqrt(2.0) * math.pi ** (pi_pow - 0.5)
-    return prefactor * float(numerator) / math.sqrt(float(norms))
+    out = {}
+    for i, j in cells:
+        scale = supports[i][1] * supports[j][1]
+        numerator = numerators.get((i, j), 0) / (operator.denominator * scale)
+        out[i, j] = prefactor * numerator / math.sqrt(norms[i] * norms[j] / (scale * scale))
+    return out

@@ -180,15 +180,16 @@ class LevelBasis:
         return binomials.astype(np.int64) if comb(size, n) < 2**63 else binomials
 
     def _keys(self, rows):
-        """The combinadic key of each row of codes, in any order within a row.
+        """The combinadic key of each row of r <= n codes, in any order
+        within a row.
 
-        With the row sorted descending, its key is sum_j C(c_j + o_j, n - j),
-        with o_j = n - 1 - j for bosons (whose codes may repeat) and 0 for
+        With the row sorted descending, its key is sum_j C(c_j + o_j, r - j),
+        with o_j = r - 1 - j for bosons (whose codes may repeat) and 0 for
         fermions: its rank among all such rows (the combinatorial number
         system).  A fermion row with a repeated code is no state; its key is
         -1, which no state has.
         """
-        n = self.n
+        n = rows.shape[1]
         rows = np.sort(rows, axis=1)[:, ::-1]
         if self.statistics is not FERMION:
             return self._binomials[rows + np.arange(n - 1, -1, -1), np.arange(n, 0, -1)].sum(axis=1)

@@ -42,7 +42,8 @@ AXIS_NAMES = "tuvw"
 # Batched passes over code rows work on chunks of at most this many bytes:
 # building and keying a level (enumerate_basis, LevelBasis), forming
 # products (products, where a chunk of a large grade may take a fixed
-# share of it instead) and summing density samples (realize).
+# share of it instead), summing density samples (realize) and contracting
+# Coulomb tables (coulomb).
 CHUNK_BYTES = 1 << 20
 
 
@@ -52,11 +53,11 @@ def chunk_rows(row_bytes):
     return max(1, CHUNK_BYTES // row_bytes)
 
 
-def chunks(ends, parts):
+def chunks(ends, parts=None):
     """Consecutive slices of items, given the running total of their sizes
     in bytes: each holds at most CHUNK_BYTES, or a parts-th of the total if
-    that is more, or one item."""
-    bound = max(CHUNK_BYTES, int(ends[-1]) // parts) if len(ends) else CHUNK_BYTES
+    parts is given and that is more, or one item."""
+    bound = max(CHUNK_BYTES, int(ends[-1]) // parts) if parts and len(ends) else CHUNK_BYTES
     lo, done = 0, 0
     while lo < len(ends):
         hi = max(lo + 1, int(np.searchsorted(ends, done + bound, side="right")))

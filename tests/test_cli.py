@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 import re
 from fractions import Fraction
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from shapes import realize
+from shapes import cli, realize
 from shapes.cli import main
 from shapes.deflation import LevelBasis
 from shapes.polycore import SlaterState, euler_power, vandermonde
@@ -64,6 +65,27 @@ class TestPoly:
             main(["frobnicate"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        # Refused arguments between two calls leave the one parser as it was.
+        built, real = [], argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        try:
+            assert run(capsys, "poly", "--n", "3", "--d", "2")[:2] == (0, "q^2 + 4q^3 + q^4\n")
+            for argv in (["frobnicate"], ["poly", "--n", "0", "--d", "2"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+            assert run(capsys, "poly", "--n", "3", "--d", "1")[:2] == (0, "q^3\n")
+        finally:
+            cli.build_parser.cache_clear()
+        assert built.count("shapes") == 1
 
 
 class TestGenerate:

@@ -11,12 +11,14 @@ from scipy.integrate import quad
 
 from coulomb_oracle import hermite_coefficients, poly_mul, two_body_oracle
 from shapes.counting import BOSON, FERMION, shape_polynomial
+from shapes import coulomb
 from shapes.coulomb import (
     _level_weights,
     _scaled_element,
     _two_body_terms,
     beta_integral_exact,
     coulomb_expectation,
+    coulomb_table,
     hermite_linearization,
     hermite_norm_rational,
     two_body_element,
@@ -220,11 +222,15 @@ class TestIntegerKernel:
     @settings(max_examples=80, deadline=None)
     @given(state_pairs())
     def test_operator_element_matches_the_monomial_contraction(self, case):
+        # D <S_a|V|S_b> is the one cross cell of the states a and b, and
+        # D <S_a|V|S_a> the one diagonal cell of a.
         basis, a, b = case
         operator = basis.coulomb_operator
-        expected = operator.denominator * monomial_numerator({a: 1}, {b: 1}, basis)
-        assert operator.element(a, b) == expected
-        assert type(operator.element(a, b)) is int
+        for vectors, cell, cross in (([{a: 1}, {b: 1}], (0, 1), True), ([{a: 1}], (0, 0), False)):
+            element = operator.contract(vectors, not cross, cross)[0].get(cell, 0)
+            exact = monomial_numerator(vectors[0], vectors[-1], basis)
+            assert element == operator.denominator * exact
+            assert type(element) is int
 
     def test_weights_are_integers_over_one_denominator(self):
         for d in (2, 3, 4, 5):
@@ -329,17 +335,24 @@ class TestManyBody:
             coulomb_expectation({0: 0}, {0: 1}, basis)
 
     def test_operator_is_held_by_the_basis(self, monkeypatch):
-        def no_expansion(state):
-            raise AssertionError(f"Coulomb expanded {state}")
+        # The level keeps its pair values, rest weights and state norms, and
+        # a second table on it computes none of them again.
+        def never(*args):
+            raise AssertionError(f"recomputed {args}")
 
-        monkeypatch.setattr(SlaterState, "expand", no_expansion)
+        monkeypatch.setattr(SlaterState, "expand", never)
         basis = LevelBasis(3, 2, 4, BOSON)
-        coulomb_expectation({0: 1, 2: 1}, {0: 1, 2: 1}, basis)
+        vectors = [{0: 1, 2: 1}, {0: 2, 3: 1}, {2: -1}]
+        pairwise = coulomb_table(vectors, basis, pairwise=True)
         operator = basis.coulomb_operator
-        cached = dict(operator._elements)
-        assert set(cached) == {(0, 0), (0, 2), (2, 2)}
-        coulomb_expectation({0: 2}, {2: -1}, basis)
-        assert operator._elements == cached
+        kept = dict(operator._pairs), dict(operator._rest_weights), dict(operator._norms)
+        assert all(kept)
+        monkeypatch.setattr(coulomb, "_two_body_terms", never)
+        monkeypatch.setattr(coulomb, "_multiset_weight", never)
+        diagonal = coulomb_table(vectors, basis)
+        assert diagonal == {(i, i): pairwise[i, i] for i in range(len(vectors))}
+        assert basis.coulomb_operator is operator
+        assert (operator._pairs, operator._rest_weights, operator._norms) == kept
 
 
 def pair_buckets(terms, d):
@@ -419,12 +432,72 @@ def bra_ket_cases(draw):
     return basis, bra, ket
 
 
+@st.composite
+def table_cases(draw):
+    """(basis, vectors): one to three vectors over a level, either all
+    within one sector each (the diagonal then takes blocks per sector) or
+    as state_vectors draws them."""
+    n, d, stat = draw(
+        st.sampled_from([(n, d, s) for n in (2, 3, 4) for d in (2, 3) for s in (FERMION, BOSON)])
+    )
+    grade = shape_polynomial(n, d, stat).lowest_degree() + draw(st.integers(0, 2))
+    basis = level(n, d, grade, stat)
+    count = draw(st.integers(1, 3))
+    if not draw(st.booleans()):
+        return basis, [draw(state_vectors(len(basis))) for _ in range(count)]
+    sectors = [states.tolist() for states in basis.sectors.values()]
+    vectors = []
+    for _ in range(count):
+        states = draw(st.sampled_from(sectors))
+        support = draw(st.lists(st.sampled_from(states), min_size=1, max_size=len(states)))
+        vectors.append({i: draw(coefficients) for i in support})
+    return basis, vectors
+
+
+def assert_tables_match_the_monomial_contraction(basis, vectors):
+    diagonal = coulomb_table(vectors, basis)
+    pairwise = coulomb_table(vectors, basis, pairwise=True)
+    assert set(diagonal) == {(i, i) for i in range(len(vectors))}
+    assert set(pairwise) == {(i, j) for i in range(len(vectors)) for j in range(i, len(vectors))}
+    for (i, j), value in pairwise.items():
+        assert value == monomial_reference(vectors[i], vectors[j], basis)
+    for (i, _), value in diagonal.items():
+        assert value == pairwise[i, i]
+
+
 class TestStateBasisOperator:
     @settings(max_examples=80, deadline=None)
     @given(bra_ket_cases())
     def test_matches_monomial_contraction_exactly(self, case):
         basis, bra, ket = case
         assert coulomb_expectation(bra, ket, basis) == monomial_reference(bra, ket, basis)
+
+    @settings(max_examples=60, deadline=None)
+    @given(table_cases())
+    def test_tables_match_monomial_contraction_exactly(self, case):
+        assert_tables_match_the_monomial_contraction(*case)
+
+    @pytest.mark.parametrize("stat", [FERMION, BOSON], ids=["fermion", "boson"])
+    def test_large_coefficients_are_summed_in_limbs(self, monkeypatch, stat):
+        # Coefficients near 2^40 leave no int64 room for a product of two
+        # of them: the amplitudes and the block values are both cut into
+        # several limbs, and every entry still equals the exact reference.
+        basis = level(3, 2, 6, stat)
+        vectors = [
+            {i: (-1) ** i * (2**40 + 12345 * i + 1) for i in states.tolist()}
+            for states in basis.sectors.values()
+            if len(states) > 1
+        ]
+        cuts = []
+        real = coulomb._limbs
+
+        def spy(values, width, count):
+            cuts.append(count)
+            return real(values, width, count)
+
+        monkeypatch.setattr(coulomb, "_limbs", spy)
+        assert_tables_match_the_monomial_contraction(basis, vectors)
+        assert min(cuts) > 1
 
 
 def all_pairs_reference(bra, ket, basis):

@@ -21,7 +21,7 @@ import json
 
 import pytest
 
-from shapes import shapegen
+from shapes import coulomb, polycore, shapegen
 from shapes.cli import main
 from shapes.counting import FERMION, total_shape_count
 from shapes.deflation import StateVector
@@ -138,6 +138,31 @@ def test_coulomb_table_is_byte_identical(tmp_path, capsys, catalog_files, system
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_COULOMB_SHA256[(system, options)]
+
+
+@pytest.mark.parametrize("system, options", sorted(GOLDEN_COULOMB_SHA256), ids=_table_id)
+def test_coulomb_table_in_chunks_is_byte_identical(
+    tmp_path, capsys, catalog_files, monkeypatch, system, options
+):
+    # With a bound of one byte, every vector's entries are read in a chunk
+    # of their own, and every bra vector's pairs of entries are summed in
+    # one.
+    splits, real = [], coulomb.chunks
+
+    def spy(ends, parts=None):
+        pieces = [*real(ends, parts)]
+        splits.append((len(ends), pieces))
+        return iter(pieces)
+
+    monkeypatch.setattr(polycore, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(coulomb, "chunks", spy)
+    out = tmp_path / "vee.csv"
+    argv = ["coulomb", "--catalog", str(catalog_files(system)), *options.split(), "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_COULOMB_SHA256[(system, options)]
+    assert all(pieces == [slice(k, k + 1) for k in range(count)] for count, pieces in splits)
+    assert max(count for count, _ in splits) > 1
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_DENSITY))
