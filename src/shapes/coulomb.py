@@ -300,7 +300,9 @@ class CoulombOperator:
     sqrt(2) pi^(d - 1/2 + p) sqrt(pi)^((n-2) d).  ``denominator`` is the
     level's D (_level_weights).  ``norm(a)`` is the integer <S_a|S_a> =
     n! mult(a)! N_a in units of sqrt(pi)^(n d).  P per unordered pair of
-    pairs, W_R per rest and the norms are computed on first use and kept.
+    pairs, the last axis's contraction against the weights per last-axis
+    quadruple, W_R per rest and the norms are computed on first use and
+    kept.
     """
 
     def __init__(self, basis):
@@ -310,6 +312,7 @@ class CoulombOperator:
         self._exchange = -1 if basis.statistics is FERMION else 1
         self._norms = {}
         self._pairs = {}
+        self._last_axis = {}
         self._rest_weights = {}
 
     def _pair(self, x, y, z, w):
@@ -318,12 +321,29 @@ class CoulombOperator:
         key = (x, y, z, w)
         value = self._pairs.get(key)
         if value is None:
-            d, weights = self.basis.d, self._weights
             x, y, z, w = self.basis.codes.decode(key)
-            direct = _scaled_element(_two_body_terms(x, y, z, w, d), weights)
-            exchange = _scaled_element(_two_body_terms(x, y, w, z, d), weights)
-            value = self._pairs[key] = direct + self._exchange * exchange
+            exchange = self._exchange * self._element(x, y, w, z)
+            value = self._pairs[key] = self._element(x, y, z, w) + exchange
         return value
+
+    def _element(self, bra1, bra2, ket1, ket2):
+        """D times the rational part of one two-body element: the terms of
+        every axis but the last (_two_body_terms) dotted with the last
+        axis's table contracted against the weights, K[j] = sum_s f_s
+        W[j + s // 2], which is kept per last-axis quadruple (None where
+        that axis makes the element vanish)."""
+        last = bra1[-1], bra2[-1], ket1[-1], ket2[-1]
+        if last not in self._last_axis:
+            table, weights, contracted = _axis_table(*last), self._weights, None
+            if table:
+                shifts = range(len(weights) - max(s for s, _ in table) // 2)
+                contracted = tuple(sum(f * weights[j + s // 2] for s, f in table) for j in shifts)
+            self._last_axis[last] = contracted
+        contracted = self._last_axis[last]
+        if contracted is None:
+            return 0
+        terms = _two_body_terms(bra1, bra2, ket1, ket2, self.basis.d - 1)
+        return _scaled_element(terms, contracted)
 
     def _rest_weight(self, key, rest):
         """W_R of the rest with combinadic key `key` and codes `rest`."""

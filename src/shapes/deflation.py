@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, combinations, repeat
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -112,32 +112,17 @@ class LevelBasis:
         one: not n orbitals of d dimensions and degree <= grade, not in
         canonical order (descending, strictly for fermions) or not of this
         grade.  The rows are coded in one pass over their orbitals."""
-        n = self.n
-        limit = self.codes.grow(self.grade)
-        if set(map(len, rows)) - {n}:
-            blank = ((),) * n  # codes limit, which no state holds
-            rows = [row if len(row) == n else blank for row in rows]
-        array = np.fromiter(
-            map(self.codes.index.get, map(tuple, chain.from_iterable(rows)), repeat(limit)),
-            dtype=np.int64,
-            count=len(rows) * n,
-        ).reshape(len(rows), n)
+        array = self.codes.code_rows(rows, self.n, self.grade)
         steps = array[:, :-1] - array[:, 1:]
         canonical = (steps > 0 if self.statistics is FERMION else steps >= 0).all(axis=1)
-        canonical &= (array < limit).all(axis=1)
+        canonical &= (array < self.codes.grow(self.grade)).all(axis=1)
         found = self.find_codes(np.where(canonical[:, None], array, 0))
         return np.where(canonical, found, -1)
 
     def state_sectors(self, idx):
         """The sectors of the states idx (an index array or a slice), one
         row of per-axis degree totals each."""
-        return self._axis_degrees[self.code_array[idx]].sum(axis=1)
-
-    @cached_property
-    def _axis_degrees(self):
-        """Per orbital code of degree <= grade, its per-axis degrees."""
-        limit = self.codes.grow(self.grade)
-        return np.array(self.codes.orbitals[:limit], dtype=np.int64).reshape(-1, self.d)
+        return self.codes.axis_degrees(self.grade)[self.code_array[idx]].sum(axis=1)
 
     def expansion(self, idx):
         return SlaterState(self.orbitals(idx), self.statistics).expand()

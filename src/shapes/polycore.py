@@ -29,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, repeat
+from math import comb
 from operator import add
 
 import numpy as np
@@ -381,7 +382,8 @@ class OrbitalCodes:
     and orbitals to codes; encode and decode do so for a whole state.  The
     code maps of an Euler factor's shift and of an axis permutation are
     kept here too, one int64 array per (k, axis) and per permutation,
-    grown with the numbering by appending the new orbitals' codes.
+    grown with the numbering by appending the new orbitals' codes, and so
+    is the (codes x d) int64 array of their per-axis degrees.
     """
 
     def __init__(self, d):
@@ -392,6 +394,7 @@ class OrbitalCodes:
         self._counts = []
         self._shifts = {}
         self._permutations = {}
+        self._axis_degrees = np.empty((0, d), dtype=np.int64)
 
     def grow(self, max_degree):
         """Number every orbital of degree <= max_degree; return how many there are."""
@@ -414,6 +417,27 @@ class OrbitalCodes:
     def decode(self, codes):
         """The orbitals of codes, in the same order."""
         return tuple(self.orbitals[c] for c in codes)
+
+    def code_rows(self, rows, n, max_degree):
+        """The codes of rows of orbitals (sequences of d ints), one int64
+        row of n codes each, coded in one pass.  An orbital of degree above
+        max_degree codes as grow(max_degree) or above, which no state of
+        that degree holds, and so does every orbital of a row not of n."""
+        limit = self.grow(max_degree)
+        if set(map(len, rows)) - {n}:
+            blank = ((),) * n  # codes limit
+            rows = [row if len(row) == n else blank for row in rows]
+        coded = map(self.index.get, map(tuple, chain.from_iterable(rows)), repeat(limit))
+        return np.fromiter(coded, dtype=np.int64, count=len(rows) * n).reshape(len(rows), n)
+
+    def axis_degrees(self, max_degree):
+        """table[c]: the per-axis degrees of orbital c, for every code c of
+        degree <= max_degree, in a (codes x d) int64 array."""
+        known, limit = len(self._axis_degrees), self.grow(max_degree)
+        if known < limit:
+            new = np.array(self.orbitals[known:limit], dtype=np.int64).reshape(-1, self.d)
+            self._axis_degrees = np.concatenate((self._axis_degrees, new))
+        return self._axis_degrees
 
     def shift(self, k, axis, max_degree):
         """table[c]: the code of orbital c raised by k on axis, for every
@@ -753,6 +777,74 @@ def enumerate_basis(n, d, grade, statistics=FERMION):
         if free:  # the last pass's keys are never read
             keys = np.repeat(head[fits], sizes)
     return rows
+
+
+class CountTable:
+    """The canonical code rows counted by length, bound and degree sum, in
+    the order of enumerate_basis: a state's index without its level.
+
+    table[m, c, s] is the number of canonical rows of m codes (descending,
+    strictly for fermions), all below code c, with degree sum s, for codes
+    of degree <= grade and s <= grade.  A row's first code c' leaves a row
+    of m - 1 codes below c' (fermions) or c' + 1 (bosons) and of sum
+    s - degree(c'), so one cumulative sum over c' per m builds it, and
+    table[n, -1, g] is the dimension of level g.  Its entries are int64
+    while C(codes + n, n), which bounds them, is below 2^63, and Python
+    ints above.
+    """
+
+    def __init__(self, n, d, grade, statistics):
+        self.n, self.grade, self.fermion = n, grade, statistics is FERMION
+        codes = orbital_codes(d)
+        limit = codes.grow(grade)
+        self.degrees = codes.axis_degrees(grade)[:limit].sum(axis=1)
+        dtype = np.int64 if comb(limit + n, n) < 2**63 else object
+        table = self.table = np.zeros((n + 1, limit + 1, grade + 1), dtype=dtype)
+        table[0, :, 0] = 1
+        rest = np.arange(grade + 1) - self.degrees[:, None]  # (c', s): s - degree(c')
+        short = rest < 0
+        np.maximum(rest, 0, out=rest)
+        below = np.arange(limit)[:, None] + (not self.fermion)
+        for m in range(1, n + 1):
+            added = table[m - 1, below, rest]
+            added[short] = 0
+            np.cumsum(added, axis=0, out=table[m, 1:])
+
+    def dimension(self, grade):
+        """The number of states of the level of a grade up to the table's."""
+        return int(self.table[self.n, -1, grade])
+
+    def rank(self, rows, grade):
+        """The index in the level of the given grade (at most the table's)
+        of each row of a (k x n) integer code array that is one of its
+        states in canonical order, else -1.
+
+        Rows before r in enumeration order are those greater at the first
+        code j where they differ, so the index of r is the sum over j of
+        table[n - j, b_j, g_j] - table[n - j, r_j + 1, g_j]: g_j is grade
+        minus the degrees of r_0 .. r_(j-1), b_0 the table's code count
+        and b_j = r_(j-1), plus 1 for bosons.
+        """
+        steps = rows[:, :-1] - rows[:, 1:]
+        valid = (steps > 0 if self.fermion else steps >= 0).all(axis=1)
+        valid &= (rows < len(self.degrees)).all(axis=1)
+        degrees = self.degrees[np.where(valid[:, None], rows, 0)]
+        valid &= degrees.sum(axis=1) == grade
+        rows, degrees = rows[valid], degrees[valid]
+        left = grade - np.cumsum(degrees, axis=1) + degrees
+        bounds = np.empty_like(rows)
+        bounds[:, 0] = len(self.degrees)
+        bounds[:, 1:] = rows[:, :-1] + (not self.fermion)
+        table, slots = self.table, np.arange(self.n, 0, -1)
+        ranks = np.full(len(valid), -1, dtype=table.dtype)
+        ranks[valid] = (table[slots, bounds, left] - table[slots, rows + 1, left]).sum(axis=1)
+        return ranks
+
+
+@cache
+def count_table(n, d, grade, statistics=FERMION):
+    """The CountTable of n codes of d-dimensional orbitals through grade."""
+    return CountTable(n, d, grade, statistics)
 
 
 def vandermonde(n, axis=0, d=1):

@@ -51,7 +51,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .counting import (
     GradedQPolynomial,
     Statistics,
     FERMION,
+    level_dimension,
     sector_shape_counts,
     shape_polynomial,
     total_shape_count,
@@ -67,10 +68,12 @@ from .deflation import LevelBasis
 from .errors import InternalConsistencyError, StateCapExceeded
 from .polycore import (
     SlaterState,
+    count_table,
     format_fraction,
     json_field,
     json_int,
     json_list,
+    orbital_codes,
     parse_fraction,
     sector_of,
 )
@@ -260,6 +263,7 @@ class ShapeCatalog:
     _bases: dict = field(default_factory=dict, repr=False)
 
     def level_basis(self, grade):
+        """The level of a grade, built on first read and kept."""
         basis = self._bases.get(grade)
         if basis is None:
             basis = LevelBasis(
@@ -329,10 +333,11 @@ class ShapeCatalog:
 
         A valid file is read in batched passes: every shape's rows are
         checked in whole-list passes (_read_rows), the rows of one grade are
-        located in one call (_locate), and the coefficients are read as
-        integers (_read_coeffs).  Only a file those passes refuse is read
-        row by row (_check_rows), so an error names the first bad row in
-        file order, as reading each row on its own would.
+        ranked in one call (_locate), which builds no level, and the
+        coefficients are read as integers (_read_coeffs).  Only a file those
+        passes refuse is read row by row (_check_rows), so an error names
+        the first bad row in file order, as reading each row on its own
+        would.
         """
         if not isinstance(obj, dict):
             raise ValueError(f"a catalog is a JSON object, got {type(obj).__name__}")
@@ -448,31 +453,43 @@ class ShapeCatalog:
 
     def _locate(self, read):
         """Per shape read, (grade, index, entry) each: its rows' state
-        indices, -1 for a row that is no state in canonical order
-        (LevelBasis.find_orbitals), and whether its rows lie in more than
-        one sector.  Each grade's rows are located in one call, and their
-        sectors are summed from the located states in one pass.
+        indices, -1 for a row that is no state in canonical order, and
+        whether its rows lie in more than one sector.  No level is built:
+        each grade's rows are coded in one pass (OrbitalCodes.code_rows) and
+        ranked by one count table (CountTable.rank), whose dimensions check
+        the state cap grade by grade (the dimension series does so first
+        when the table would hold more entries than the cap), and their
+        sectors are summed from the per-code axis degrees.
         """
         grades = {}
         for grade, _index, entry in read:
             grades.setdefault(grade, []).append(entry["basis"])
+        top = max(grades, default=0)
+        # A file may state any grade.  A table with more entries (about
+        # (n + 1) x codes x (top + 1)) than the cap allows states is built
+        # only once the dimension series finds every level read within it.
+        if (self.n + 1) * comb(top + self.d, self.d) * (top + 1) > self.state_cap:
+            for grade in grades:
+                dimension = level_dimension(self.n, self.d, grade, self.statistics)
+                if dimension > self.state_cap:
+                    raise StateCapExceeded(grade, dimension, self.state_cap)
+        table = count_table(self.n, self.d, top, self.statistics)
+        codes = orbital_codes(self.d)
         found, mixed = {}, {}
         for grade, shapes in grades.items():
-            basis = self.level_basis(grade)
-            indices = basis.find_orbitals(list(chain.from_iterable(shapes)))
+            if table.dimension(grade) > self.state_cap:
+                raise StateCapExceeded(grade, table.dimension(grade), self.state_cap)
+            rows = codes.code_rows(list(chain.from_iterable(shapes)), self.n, table.grade)
+            indices = table.rank(rows, grade)
+            # A row that is no state (-1) is refused before its sector is read.
+            sectors = codes.axis_degrees(table.grade)[np.where(indices[:, None] < 0, 0, rows)]
+            sectors = sectors.sum(axis=1)
             lengths = np.fromiter(map(len, shapes), dtype=np.int64, count=len(shapes))
             ends = np.cumsum(lengths)
-            strays = np.zeros(len(shapes), dtype=bool)
-            if len(basis):
-                # A row that is no state (-1), as every row of an empty level
-                # is, is refused before its sector is read.
-                sectors = basis.state_sectors(np.maximum(indices, 0))
-                firsts = np.repeat(ends - lengths, lengths)
-                off = (sectors != sectors[firsts]).any(axis=1)
-                counts = np.concatenate(([0], np.cumsum(off)))  # off rows before each row
-                strays = counts[ends] > counts[ends - lengths]
+            off = (sectors != sectors[np.repeat(ends - lengths, lengths)]).any(axis=1)
+            before = np.concatenate(([0], np.cumsum(off)))  # off rows before each row
             found[grade] = iter(indices.tolist())
-            mixed[grade] = iter(strays.tolist())
+            mixed[grade] = iter((before[ends] > before[ends - lengths]).tolist())
         return [
             (list(islice(found[grade], len(entry["basis"]))), next(mixed[grade]))
             for grade, _index, entry in read

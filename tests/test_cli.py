@@ -401,6 +401,20 @@ class TestDensityAndCoulomb:
         diagonal = [line.split(",")[1] for line in diag_out.read_text().splitlines()[1:]]
         assert [table[i][i] for i in range(6)] == diagonal
 
+    def test_catalog_level_above_the_state_cap_exit_three(
+        self, capsys, tmp_path, catalog_path, monkeypatch
+    ):
+        # The catalog is valid; its largest shape level, grade 4, has 14
+        # states, and the load refuses it before the command reads grade 3.
+        monkeypatch.setenv("SHAPES_STATE_CAP", "13")
+        out = tmp_path / "vee.csv"
+        code, _, err = run(
+            capsys, "coulomb", "--catalog", catalog_path, "--grade", "3", "--out", str(out)
+        )
+        assert code == 3
+        assert "level at grade 4 has 14 states, exceeding the cap of 13" in err
+        assert not out.exists()
+
     def test_pairwise_table_above_the_state_cap_exit_two(
         self, capsys, tmp_path, catalog_path, monkeypatch
     ):

@@ -3,7 +3,9 @@
 The digests are SHA-256 of the files written by `shapes generate` for
 complete catalogs.  Any change to the construction, the canonical vector
 normalization or the serialization that alters a single byte fails here.
-Each golden catalog must also pass the loader's validation.  Small systems,
+Each golden catalog must also pass the loader's validation, which builds
+no level, and the density and Coulomb commands build only the levels they
+read.  Small systems,
 in two and three dimensions so that shapes are also carried between
 sectors by axis permutations, are also generated with every sector forced
 onto the exact echelon, and with a denominator bound of 1 under which
@@ -24,7 +26,8 @@ import pytest
 from shapes import coulomb, polycore, shapegen
 from shapes.cli import main
 from shapes.counting import FERMION, total_shape_count
-from shapes.deflation import StateVector
+from shapes.deflation import LevelBasis, StateVector
+from shapes.errors import StateCapExceeded
 from shapes.realize import (
     Realization,
     one_particle_density,
@@ -60,6 +63,19 @@ GOLDEN_DENSITY = {
 }
 
 
+def levels_built(call):
+    """(call(), the grades of the levels built while it ran, in order)."""
+    built, real = [], LevelBasis.__init__
+
+    def spy(self, n, d, grade, *args, **kwargs):
+        built.append(grade)
+        real(self, n, d, grade, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LevelBasis, "__init__", spy)
+        return call(), built
+
+
 def assert_golden(tmp_path, capsys, system):
     n, d, stat = system
     out = tmp_path / "catalog.json"
@@ -67,7 +83,9 @@ def assert_golden(tmp_path, capsys, system):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[system]
-    catalog = ShapeCatalog.from_json_obj(json.loads(out.read_text()))
+    obj = json.loads(out.read_text())
+    catalog, built = levels_built(lambda: ShapeCatalog.from_json_obj(obj))
+    assert built == []
     assert catalog.total_count == total_shape_count(n, d)
     return catalog
 
@@ -199,3 +217,37 @@ def test_density_bytes_do_not_depend_on_the_catalog_route(tmp_path, catalog_file
             density(state, Realization(), axes).write_csv(path)
             written.append(path.read_bytes())
         assert written[0] == written[1], kind
+
+
+def test_the_count_table_names_a_level_above_the_state_cap(catalog_files):
+    # The (3, 4, fermion) count table through grade 10 holds under 50 000
+    # entries, so the load reads the level dimensions from it; grade 10
+    # has 57 340 states.
+    obj = json.loads(catalog_files((3, 4, "fermion")).read_text())
+    with pytest.raises(StateCapExceeded) as refusal:
+        ShapeCatalog.from_json_obj(obj, state_cap=50_000)
+    assert (refusal.value.grade, refusal.value.count) == (10, 57_340)
+
+
+SMALL_GRID = ["--grid", "x:-1:1:3,y:-1:1:3"]
+
+
+@pytest.mark.parametrize(
+    "command, read",
+    [
+        (["density", "--shape-id", "8:0", *SMALL_GRID], [8]),
+        (["density", "--shape-id", "8:0", *SMALL_GRID, "--two-particle-cut"], [8]),
+        (["coulomb", "--grade", "7"], [7, 4, 5, 6]),
+        (["coulomb", "--grade", "5", "--pairwise"], [5, 4]),
+    ],
+    ids=["density", "pair-cut", "coulomb-7", "coulomb-5-pairwise"],
+)
+def test_commands_build_only_the_levels_they_read(tmp_path, capsys, catalog_files, command, read):
+    """Loading builds no level: density builds its shape's grade, and a
+    Coulomb table its grade and the lower grades of its products."""
+    path = str(catalog_files((4, 2, "fermion")))
+    argv = [command[0], "--catalog", path, *command[1:], "--out", str(tmp_path / "out.csv")]
+    code, built = levels_built(lambda: main(argv))
+    capsys.readouterr()
+    assert code == 0
+    assert built == read

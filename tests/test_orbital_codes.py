@@ -1,5 +1,5 @@
-"""Orbital codes, level code arrays, and the Pieri images and axis
-transport read from code tables.
+"""Orbital codes, level code arrays, the count table's ranks, and the
+Pieri images and axis transport read from code tables.
 
 The table routes are compared with pieri_oracle, which computes the same
 levels, images and transports over orbital tuples: every level of six
@@ -20,6 +20,7 @@ from shapes.errors import InternalConsistencyError
 from shapes.polycore import (
     OrbitalCodes,
     canonical_rows,
+    count_table,
     enumerate_basis,
     orbital_codes,
     orbital_key,
@@ -209,6 +210,50 @@ class TestLevelArrays:
         empty = LevelBasis(3, 2, 1, FERMION)
         assert len(empty) == 0 and empty.code_array.shape == (0, 3)
         assert empty.locate(((1, 0), (0, 0), (0, 0))) is None
+
+
+# Ways to make a row of codes from a state of a level: kept as it is, one
+# code replaced (so the degree sum may change), a code repeated, two codes
+# out of order, the first code at or above the count table's codes, or a
+# row of random codes.
+ROW_EDITS = ["state", "degree", "repeated", "order", "beyond", "random"]
+
+
+class TestCountTable:
+    """The count table ranks rows where no level is built (the catalog
+    loader), and must agree with the level's keys wherever both apply."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(SYSTEMS), st.integers(0, 8), st.integers(0, 2), st.data())
+    def test_ranks_are_the_level_indices(self, system, grade, extra, data):
+        n, d, stat = system
+        table = count_table(n, d, grade + extra, stat)
+        rows = enumerate_basis(n, d, grade, stat).astype(np.int64)
+        assert table.rank(rows, grade).tolist() == list(range(len(rows)))
+        assert table.dimension(grade) == level_dimension(n, d, grade, stat)
+
+        codes = orbital_codes(d)
+        top, above = codes.grow(grade + extra), codes.grow(grade + extra + 1)
+        states, probes = rows.tolist(), []
+        for edit in data.draw(st.lists(st.sampled_from(ROW_EDITS), min_size=1, max_size=12)):
+            if edit == "random" or not states:
+                probes.append(data.draw(st.lists(st.integers(0, above - 1), min_size=n, max_size=n)))
+                continue
+            probe = list(data.draw(st.sampled_from(states)))
+            j = data.draw(st.integers(0, n - 1))
+            if edit == "degree":
+                probe[j] = data.draw(st.integers(0, top - 1))
+                probe.sort(reverse=True)
+            elif edit == "repeated":
+                probe[j] = probe[j - 1]
+            elif edit == "order":
+                probe[j], probe[j - 1] = probe[j - 1], probe[j]
+            elif edit == "beyond":
+                probe[0] = data.draw(st.integers(top, above - 1))
+            probes.append(probe)
+        found = LevelBasis(n, d, grade, stat).find_orbitals([codes.decode(p) for p in probes])
+        ranked = table.rank(np.array(probes, dtype=np.int64).reshape(-1, n), grade)
+        assert ranked.tolist() == found.tolist()
 
 
 class TestTableRoutes:

@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from shapes.counting import (
     BOSON,
     FERMION,
+    level_dimension,
     sector_shape_counts,
     shape_polynomial,
     total_shape_count,
@@ -1204,6 +1205,32 @@ class TestCatalogLoading:
         row[0], row[1] = row[1], row[0]
         with pytest.raises(ValueError, match=re.escape(f"catalog shape 3:1: row {row} is not in")):
             ShapeCatalog.from_json_obj(obj, state_cap=1)
+
+    @pytest.mark.parametrize("cap, grade, states", [(13, 4, 14), (5, 3, 6)])
+    def test_a_valid_catalog_above_the_state_cap_names_the_grade(
+        self, catalog_32, cap, grade, states
+    ):
+        # Grades 2, 3 and 4 hold 1, 6 and 14 states; the first listed
+        # grade above the cap is named.
+        obj = catalog_32.to_json_obj()
+        with pytest.raises(StateCapExceeded) as refusal:
+            ShapeCatalog.from_json_obj(obj, state_cap=cap)
+        assert (refusal.value.grade, refusal.value.count, refusal.value.cap) == (grade, states, cap)
+        assert ShapeCatalog.from_json_obj(obj, state_cap=14).to_json_obj() == obj
+
+    def test_a_level_above_the_state_cap_is_named_before_its_count_table(
+        self, catalog_32, monkeypatch
+    ):
+        # A file may state any grade: with shape 4:0 moved to grade 300, the
+        # count table through grade 300 would hold 55 M entries, and the
+        # dimension series names the level first.
+        obj = catalog_32.to_json_obj()
+        obj["max_grade"], obj["shapes"][-1]["grade"] = 300, 300
+        monkeypatch.setattr(shapegen, "count_table", None)
+        with pytest.raises(StateCapExceeded) as refusal:
+            ShapeCatalog.from_json_obj(obj)
+        expected = level_dimension(3, 2, 300, FERMION)
+        assert (refusal.value.grade, refusal.value.count) == (300, expected)
 
     @settings(max_examples=60)
     @given(st.data())
