@@ -10,19 +10,20 @@ in even dimensions, where the Beta integral carries one power of pi, else
 
 Unnormalized Hermite functions have <phi_n|phi_m> = delta_nm 2^n n! sqrt(pi);
 many-body expectations divide by the full state norms, so the outputs are
-convention-free.  The same orthogonality contracts the spectator particles
-exactly.  Many-body expectations contract in the state basis: by the
-Slater-Condon rules, with Lowdin's occupation-number factors for permanents
-(Phys. Rev. 97, 1474, 1955), two Slater/permanent states couple only through
-the orbital multisets of size n-2 they share, their rests, and no state is
-expanded into its n! monomials.  A whole table is one contraction
-(CoulombOperator.contract): each vector's states are split, from the level's
-code array, into entries (rest, removed pair, phase x coefficient), and two
-entries on one rest add their amplitudes' product times the pair value
-D ([x y|z w] +- [x y|w z]) and the rest's weight, each computed once per
-level.  The sums are exact in int64, in limbs whose widths a bound on a
-cell's term count sets so that no sum reaches 2^62; the limbs are combined
-in Python ints, and each entry is divided and rounded once.
+convention-free.  They contract in the state basis: by the Slater-Condon
+rules, with Lowdin's occupation-number factors for permanents (Phys. Rev.
+97, 1474, 1955), two Slater/permanent states couple only through the orbital
+multisets of size n-2 they share, their rests, and no state is expanded into
+its n! monomials.  A table is one contraction (CoulombOperator.contract):
+each vector's states are split, from the level's code array, into entries
+(rest, removed pair, phase x coefficient), and two entries on one rest add
+their amplitudes' product times the rest's weight and the pair value
+D ([x y|z w] +- [x y|w z]).  The pair values a table needs and its level
+lacks are computed in one integer-array pass (_scaled_elements), in int64
+when a float64 bound on every partial sum is below 2^62, else on Python
+ints, and kept.  The table's sums are exact in int64 limbs whose widths keep
+every sum below 2^62, combined in Python ints; each entry is divided and
+rounded once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -64,14 +65,6 @@ def hermite_linearization(n, m):
             raise ArithmeticError("Hermite linearization coefficient not integral")
         out[k] = q
     return out
-
-
-def _hermite_at_zero(k):
-    """H_k(0): zero for odd k, (-1)^(k/2) k!/(k/2)! for even k."""
-    if k % 2:
-        return 0
-    half = k // 2
-    return (-1) ** half * math.factorial(k) // math.factorial(half)
 
 
 def _gamma_half(two_a):
@@ -108,52 +101,6 @@ def beta_integral_exact(d, l):
 
 
 @lru_cache(maxsize=None)
-def _axis_table(n, np_, m, mp):
-    """Per-axis contributions: a tuple of (s, integer) pairs, s = k + k',
-    whose integer is the exact factor at s times 2^(s/2), or None if the
-    axis parity n + n' + m + m' is odd (the element then vanishes).  Cached,
-    so the result is immutable."""
-    if (n + np_ + m + mp) % 2:
-        return None
-    a_bra = hermite_linearization(n, m)
-    a_ket = hermite_linearization(np_, mp)
-    table = {}
-    for k, ak in enumerate(a_bra):
-        if not ak:
-            continue
-        for kp, akp in enumerate(a_ket):
-            if not akp or (k + kp) % 2:
-                continue
-            s = k + kp
-            table[s] = table.get(s, 0) + ak * akp * (-1) ** k * _hermite_at_zero(s)
-    return tuple((s, c) for s, c in table.items() if c)
-
-
-def _two_body_terms(bra1, bra2, ket1, ket2, d):
-    """Integer terms ((l, c_l), ...) of the rational part R of the element,
-    R = sum_l c_l 2^(-l/2) I_d(l).
-
-    The element equals R * sqrt(2) * pi^(d - 1/2 + p) with p from
-    beta_integral_exact; no terms whenever any axis has odd total parity.
-    Per axis k <= bra + ket index, so l is at most the sum of the four
-    orbitals' degrees.  Not cached: CoulombOperator keeps each pair's
-    weighted sum instead, which holds one integer where the terms are a
-    tuple per index quadruple.
-    """
-    acc = {0: 1}
-    for i in range(d):
-        table = _axis_table(bra1[i], bra2[i], ket1[i], ket2[i])
-        if table is None:
-            return ()
-        new = {}
-        for l, c in acc.items():
-            for s, f in table:
-                new[l + s] = new.get(l + s, 0) + c * f
-        acc = new
-    return tuple((l, c) for l, c in acc.items() if c)
-
-
-@lru_cache(maxsize=None)
 def _level_weights(d, grade):
     """(D, W) with W[l // 2] = D * 2^(-l/2) * I_d(l) an integer for every
     even l <= 2 * grade, D the least common denominator.
@@ -175,21 +122,73 @@ def _level_weights(d, grade):
     return denominator, tuple(v.numerator * (denominator // v.denominator) for v in values)
 
 
-def _scaled_element(terms, weights):
-    """sum_l c_l W[l // 2]: D times the rational part of one two-body element."""
-    try:
-        return sum(c * weights[l // 2] for l, c in terms)
-    except IndexError:
+# The pair values run in int64 when every partial sum is below this.
+_INT64_BOUND = 2**62
+
+
+def _scaled_elements(quads, grade):
+    """D times the rational part of the two-body elements of k index
+    quadruples (bra1, bra2, ket1, ket2), a (4 x k x d) int array, over the
+    weights W of a level of that grade (_level_weights): int64, or Python ints in an object array.
+
+    An axis's factor at s = 2h, H_s(0) sum_j (-1)^j a_j(n, m) a_(s-j)(n', m')
+    for its indices (n, n', m, m'), is built once per distinct quadruple
+    from one array of linearization coefficients.  The last axis is
+    contracted against W by a matrix product and dotted with the others'
+    convolution.  A term of degree above 2 grade is refused.  The same
+    pass on absolute values in float64 bounds every partial sum: below
+    _INT64_BOUND it runs in int64, else on Python ints.
+    """
+    d = quads.shape[2]
+    _, weights = _level_weights(d, grade)
+    axes = quads.sum(axis=0)
+    degrees = axes.sum(axis=1)
+    # A quadruple whose axes are all even has a nonzero term of its degree.
+    beyond = (axes % 2 == 0).all(axis=1) & (degrees > 2 * grade)
+    if beyond.any():
         raise InternalConsistencyError(
-            f"two-body term of degree {max(l for l, _ in terms)} exceeds the level "
-            f"bound {2 * (len(weights) - 1)}"
-        ) from None
+            f"two-body term of degree {degrees[beyond][0]} exceeds the level bound {2 * grade}"
+        )
+    shape = (int(quads.max()) + 1,) * 4
+    distinct, which = np.unique(np.ravel_multi_index(quads, shape).ravel(), return_inverse=True)
+    n, n2, m, m2 = np.unravel_index(distinct, shape)
+    which = which.reshape(axes.shape)
+    spread = np.add.outer(np.arange(grade + 1), np.arange(grade + 1))
 
+    def elements(table, signs, h_zero, weights):
+        """The elements, and the arrays of every stage."""
+        bra, ket = table[n, m] * signs, table[n2, m2]
+        factors = np.zeros((len(distinct), grade + 1), dtype=table.dtype)
+        for j in range(min(bra.shape[1], 2 * grade + 1)):
+            lo, hi = (j + 1) // 2, min(grade, (j + ket.shape[1] - 1) // 2) + 1
+            factors[:, lo:hi] += bra[:, j, None] * ket[:, 2 * lo - j : 2 * hi - j - 1 : 2]
+        factors *= h_zero
+        last = factors @ weights[spread]
+        inner = factors[which[:, 0]]
+        for axis in range(1, d - 1):
+            outer, inner = inner, np.zeros_like(inner)
+            for h in range(grade + 1):
+                inner[:, h:] += outer[:, h, None] * factors[which[:, axis], : grade + 1 - h]
+        values = (inner * last[which[:, -1]]).sum(axis=1)
+        return values, (values, factors, last, inner)
 
-def _element_prefactor(d):
-    # pi^d * sqrt(2/pi) * pi^p where p is the Beta-integral pi power.
-    _, pi_pow = beta_integral_exact(d, 0)
-    return math.sqrt(2.0) * math.pi ** (d - 0.5 + pi_pow)
+    table = np.zeros((shape[0], shape[0], 2 * shape[0] - 1), dtype=object)
+    for i, j in product(range(shape[0]), repeat=2):
+        table[i, j, : i + j + 1] = hermite_linearization(i, j)
+    signs = (-1) ** np.arange(table.shape[2])
+    # H_2h(0) = (-1)^h (2h)! / h!
+    h_zero = [(-1) ** h * math.factorial(2 * h) // math.factorial(h) for h in range(grade + 1)]
+    h_zero = np.array(h_zero, dtype=object)
+    weights = np.array(weights + (0,) * grade, dtype=object)
+    inputs = table, h_zero, weights
+    exact = max(int(np.abs(a).max()) for a in inputs) < _INT64_BOUND
+    if exact:
+        floats = [np.abs(a).astype(float) for a in inputs]
+        stages = elements(floats[0], 1, *floats[1:])[1]
+        exact = max(a.max(initial=0) for a in stages) < _INT64_BOUND
+    if exact:
+        inputs = [a.astype(np.int64) for a in inputs]
+    return elements(inputs[0], signs, *inputs[1:])[0]
 
 
 def two_body_element(bra1, bra2, ket1, ket2, d=None):
@@ -206,14 +205,13 @@ def two_body_element(bra1, bra2, ket1, ket2, d=None):
         raise ValueError("index tuples must all have length d")
     if any(e < 0 for v in tuples for e in v):
         raise ValueError("Hermite indices must be non-negative")
-    terms = _two_body_terms(*tuples, d)
-    if not terms:
-        return 0.0
-    # l is even and at most the four orbitals' degree sum, so half that sum
-    # is a grade whose weights cover every term.
-    denominator, weights = _level_weights(d, sum(map(sum, tuples)) // 2)
-    rat = Fraction(_scaled_element(terms, weights), denominator)
-    return float(rat) * _element_prefactor(d)
+    # Half the degree sum is a grade whose weights cover every term; the
+    # prefactor is pi^d sqrt(2/pi) pi^p.
+    grade = sum(map(sum, tuples)) // 2
+    denominator, _ = _level_weights(d, grade)
+    scaled = _scaled_elements(np.array(tuples).reshape(4, 1, d), grade)[0]
+    prefactor = math.sqrt(2.0) * math.pi ** (d - 0.5 + beta_integral_exact(d, 0)[1])
+    return float(Fraction(int(scaled), denominator)) * prefactor
 
 
 def hermite_norm_rational(indices):
@@ -299,51 +297,41 @@ class CoulombOperator:
     D ([x y|z w] +- [x y|w z]) with - for fermions, in units of
     sqrt(2) pi^(d - 1/2 + p) sqrt(pi)^((n-2) d).  ``denominator`` is the
     level's D (_level_weights).  ``norm(a)`` is the integer <S_a|S_a> =
-    n! mult(a)! N_a in units of sqrt(pi)^(n d).  P per unordered pair of
-    pairs, the last axis's contraction against the weights per last-axis
-    quadruple, W_R per rest and the norms are computed on first use and
-    kept.
+    n! mult(a)! N_a in units of sqrt(pi)^(n d).  P is computed in one batch
+    per table for the pairs of pairs the level lacks (_scaled_elements),
+    and kept, as are W_R per rest and the norms.
     """
 
     def __init__(self, basis):
         self.basis = basis
-        self.denominator, self._weights = _level_weights(basis.d, basis.grade)
+        self.denominator, _ = _level_weights(basis.d, basis.grade)
         self._scale = math.factorial(basis.n)
         self._exchange = -1 if basis.statistics is FERMION else 1
         self._norms = {}
-        self._pairs = {}
-        self._last_axis = {}
+        self._pair_keys = np.empty(0, dtype=np.int64)
+        self._pairs = np.empty(0, dtype=object)
         self._rest_weights = {}
 
-    def _pair(self, x, y, z, w):
-        """P(x y, z w) for orbitals given by their codes, kept under the key
-        (x, y, z, w) the caller gives; P(x y, z w) = P(z w, x y)."""
-        key = (x, y, z, w)
-        value = self._pairs.get(key)
-        if value is None:
-            x, y, z, w = self.basis.codes.decode(key)
-            exchange = self._exchange * self._element(x, y, w, z)
-            value = self._pairs[key] = self._element(x, y, z, w) + exchange
-        return value
-
-    def _element(self, bra1, bra2, ket1, ket2):
-        """D times the rational part of one two-body element: the terms of
-        every axis but the last (_two_body_terms) dotted with the last
-        axis's table contracted against the weights, K[j] = sum_s f_s
-        W[j + s // 2], which is kept per last-axis quadruple (None where
-        that axis makes the element vanish)."""
-        last = bra1[-1], bra2[-1], ket1[-1], ket2[-1]
-        if last not in self._last_axis:
-            table, weights, contracted = _axis_table(*last), self._weights, None
-            if table:
-                shifts = range(len(weights) - max(s for s, _ in table) // 2)
-                contracted = tuple(sum(f * weights[j + s // 2] for s, f in table) for j in shifts)
-            self._last_axis[last] = contracted
-        contracted = self._last_axis[last]
-        if contracted is None:
-            return 0
-        terms = _two_body_terms(bra1, bra2, ket1, ket2, self.basis.d - 1)
-        return _scaled_element(terms, contracted)
+    def _pair_values(self, lo, hi):
+        """P(x y, z w), Python ints, of the pairs of pairs with codes lo =
+        x limit + y <= hi = z limit + w, limit the level's code count; kept
+        in _pairs by the key lo limit^2 + hi, ascending."""
+        basis = self.basis
+        limit = basis.codes.grow(basis.grade)
+        keys = lo.astype(np.int64 if limit**4 < 2**63 else object) * limit**2 + hi
+        new = ~np.isin(keys, self._pair_keys)
+        if new.any():
+            orbitals = basis.codes.axis_degrees(basis.grade)
+            x, y = orbitals[np.array(np.divmod(lo[new], limit))]
+            z, w = orbitals[np.array(np.divmod(hi[new], limit))]
+            quads = np.reshape(((x, x), (y, y), (z, w), (w, z)), (4, -1, basis.d))
+            values = _scaled_elements(quads, basis.grade)
+            values = values[: len(x)] + self._exchange * values[len(x) :]
+            merged = np.concatenate((self._pair_keys, keys[new]))
+            order = np.argsort(merged)
+            self._pair_keys = merged[order]
+            self._pairs = np.concatenate((self._pairs, values.astype(object)))[order]
+        return self._pairs[np.searchsorted(self._pair_keys, keys)]
 
     def _rest_weight(self, key, rest):
         """W_R of the rest with combinadic key `key` and codes `rest`."""
@@ -369,7 +357,7 @@ class CoulombOperator:
         sizes, offsets, values): per entry (states x C(n, 2), row-major)
         its block and its slot's place there, and per block its slot count
         m and the offset of its m x m values, row-major in values.  P is
-        looked up once per unordered pair of pairs and W_R once per rest.
+        read once per unordered pair of pairs and W_R once per rest.
         """
         basis = self.basis
         n, limit = basis.n, basis.codes.grow(basis.grade)
@@ -400,11 +388,7 @@ class CoulombOperator:
             np.minimum(e, f) * len(pairs) + np.maximum(e, f), return_inverse=True
         )
         del e, f
-        x, y = np.divmod(pairs[quads // len(pairs)], limit)
-        z, w = np.divmod(pairs[quads % len(pairs)], limit)
-        values = np.array(
-            [*map(self._pair, x.tolist(), y.tolist(), z.tolist(), w.tolist())], dtype=object
-        )
+        values = self._pair_values(pairs[quads // len(pairs)], pairs[quads % len(pairs)])
         rests = rest_rows[first].tolist()
         weights = np.array([*map(self._rest_weight, rest_keys.tolist(), rests)], dtype=object)
         values = weights[block_keys // span][owner] * values[which.ravel()]

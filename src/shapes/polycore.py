@@ -815,9 +815,9 @@ class CountTable:
         return int(self.table[self.n, -1, grade])
 
     def rank(self, rows, grade):
-        """The index in the level of the given grade (at most the table's)
-        of each row of a (k x n) integer code array that is one of its
-        states in canonical order, else -1.
+        """The index in the level of the given grade (at most the table's),
+        one int or one per row, of each row of a (k x n) integer code array
+        that is one of its states in canonical order, else -1.
 
         Rows before r in enumeration order are those greater at the first
         code j where they differ, so the index of r is the sum over j of
@@ -825,13 +825,14 @@ class CountTable:
         minus the degrees of r_0 .. r_(j-1), b_0 the table's code count
         and b_j = r_(j-1), plus 1 for bosons.
         """
+        grade = np.broadcast_to(grade, len(rows))
         steps = rows[:, :-1] - rows[:, 1:]
         valid = (steps > 0 if self.fermion else steps >= 0).all(axis=1)
         valid &= (rows < len(self.degrees)).all(axis=1)
         degrees = self.degrees[np.where(valid[:, None], rows, 0)]
         valid &= degrees.sum(axis=1) == grade
         rows, degrees = rows[valid], degrees[valid]
-        left = grade - np.cumsum(degrees, axis=1) + degrees
+        left = grade[valid, None] - np.cumsum(degrees, axis=1) + degrees
         bounds = np.empty_like(rows)
         bounds[:, 0] = len(self.degrees)
         bounds[:, 1:] = rows[:, :-1] + (not self.fermion)

@@ -67,19 +67,6 @@ def _subset_rows(source, factor, states):
     return np.hstack([rows, shifted])[:, _subset_columns(source.n, m)]
 
 
-def _pieri_table(source, target, factor, states):
-    """(targets, signs): some states of one level times e_m^[k](axis), one
-    column per m-subset of their rows.
-
-    target is the level m*k above source.  Column j of row r holds subset j
-    of state states[r] (_subset_rows): the target index of the rows and the
-    phase of sorting them (LevelBasis.locate_signed), 0 with target -1 when
-    two fermion rows coincide.  Equal targets of one row are summed by the
-    caller.
-    """
-    return target.locate_signed(_subset_rows(source, factor, states))
-
-
 def _sum_equal_keys(keys, values):
     """(distinct keys ascending, the exact sum of each one's values), zeros dropped."""
     if not len(keys):

@@ -19,8 +19,8 @@ high orbital index.  One sampler serves both densities: per grid axis, one
 that axis drives, one matrix product per chunk of pairs sums them, and a
 sample within the rounding bound of its sum is 0.  The one-particle
 density and the diagonal two-particle cut differ only in which grid axis
-drives which coordinate.  A density grid is written as CSV in one write,
-each axis point formatted once.
+drives which coordinate.  A density grid's CSV is one template, with a
+slot per sample, filled by one %.
 """
 
 from __future__ import annotations
@@ -105,17 +105,15 @@ class DensityGrid:
         """One row per sample, the first axis slowest, in csv's default dialect.
 
         The header goes through csv.writer, which quotes a name that needs
-        it; the numbers never do, so each axis point is formatted once and
-        the rows are joined and written at once.
+        it; the numbers never do, so the rows are one template, each axis
+        point formatted once and a %.12e slot per sample, filled by one %.
         """
-        points = [[f"{p:.12e}," for p in ax.points().tolist()] for ax in self.axes]
-        rows = (
-            f"{''.join(coords)}{v:.12e}\r\n"
-            for coords, v in zip(product(*points), self.values.ravel().tolist())
-        )
+        *leading, last = [[f"{p:.12e}," for p in ax.points().tolist()] for ax in self.axes]
+        last = [f"{p}%.12e\r\n" for p in last]
+        template = "".join(prefix + prefix.join(last) for prefix in map("".join, product(*leading)))
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow([ax.name for ax in self.axes] + ["value"])
-            fh.write("".join(rows))
+            fh.write(template % tuple(self.values.ravel().tolist()))
 
     def metadata(self):
         return {

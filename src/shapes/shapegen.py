@@ -50,7 +50,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from math import comb, gcd, lcm
 
 import numpy as np
@@ -332,12 +332,11 @@ class ShapeCatalog:
         then by index from 0, or an id other than "grade:index".
 
         A valid file is read in batched passes: every shape's rows are
-        checked in whole-list passes (_read_rows), the rows of one grade are
-        ranked in one call (_locate), which builds no level, and the
-        coefficients are read as integers (_read_coeffs).  Only a file those
-        passes refuse is read row by row (_check_rows), so an error names
-        the first bad row in file order, as reading each row on its own
-        would.
+        checked in whole-list passes (_read_rows), all rows are ranked in
+        one call (_locate), which builds no level, and the coefficients are
+        read as integers (_read_coeffs).  Only a file those passes refuse is
+        read row by row (_check_rows), so an error names the first bad row
+        in file order, as reading each row on its own would.
         """
         if not isinstance(obj, dict):
             raise ValueError(f"a catalog is a JSON object, got {type(obj).__name__}")
@@ -371,7 +370,7 @@ class ShapeCatalog:
                 read.append((grade, index, entry))
                 if not well_formed:
                     catalog._check_rows(read[-1:])
-            located = catalog._locate(read)
+            located = catalog._locate(read, obj.get("shape_polynomial"))
         except (ValueError, StateCapExceeded):
             # A bad row of an earlier shape, which the batched checks let
             # through, is named first.
@@ -385,15 +384,7 @@ class ShapeCatalog:
             except ValueError as exc:
                 raise ValueError(f"catalog shape {grade}:{index}: {exc}") from None
             catalog.shapes.append(ShapeRecord(grade, index, coeffs))
-        if obj.get("shape_polynomial") != poly.to_json_obj():
-            raise ValueError(f"catalog shape_polynomial is not that of n={n}, d={d}, {stat.value}")
         found = Counter(s.grade for s in catalog.shapes)
-        for grade in sorted(found.keys() | set(range(min(max_grade, poly.degree()) + 1))):
-            if found[grade] != poly.coefficient(grade):
-                raise ValueError(
-                    f"catalog shape count at grade {grade} is {found[grade]}, "
-                    f"expected {poly.coefficient(grade)}"
-                )
         places = ((g, i) for g in sorted(found) for i in range(found[g]))
         for position, ((grade, index, entry), place) in enumerate(zip(read, places)):
             if (grade, index) != place:
@@ -451,49 +442,55 @@ class ShapeCatalog:
                 except ValueError as exc:
                     raise ValueError(f"catalog shape {grade}:{index}: {exc}") from None
 
-    def _locate(self, read):
+    def _locate(self, read, stated):
         """Per shape read, (grade, index, entry) each: its rows' state
         indices, -1 for a row that is no state in canonical order, and
         whether its rows lie in more than one sector.  No level is built:
-        each grade's rows are coded in one pass (OrbitalCodes.code_rows) and
-        ranked by one count table (CountTable.rank), whose dimensions check
-        the state cap grade by grade (the dimension series does so first
-        when the table would hold more entries than the cap), and their
-        sectors are summed from the per-code axis degrees.
+        all rows are coded (OrbitalCodes.code_rows) and ranked by the count
+        table of the top grade (CountTable.rank) in one call each.  A file
+        may state any grade, so the table comes after the state cap (by the
+        dimension series first if the table would hold more entries than
+        the cap) and, if every row's degree sum is its grade, the shape
+        polynomial and counts, which need only the grades.
         """
-        grades = {}
-        for grade, _index, entry in read:
-            grades.setdefault(grade, []).append(entry["basis"])
-        top = max(grades, default=0)
-        # A file may state any grade.  A table with more entries (about
-        # (n + 1) x codes x (top + 1)) than the cap allows states is built
-        # only once the dimension series finds every level read within it.
+        grades = [grade for grade, _index, _entry in read]
+        shapes = [entry["basis"] for _grade, _index, entry in read]
+        lengths = np.fromiter(map(len, shapes), dtype=np.int64, count=len(shapes))
+        top, levels = max(grades, default=0), dict.fromkeys(grades)
         if (self.n + 1) * comb(top + self.d, self.d) * (top + 1) > self.state_cap:
-            for grade in grades:
+            for grade in levels:
                 dimension = level_dimension(self.n, self.d, grade, self.statistics)
                 if dimension > self.state_cap:
                     raise StateCapExceeded(grade, dimension, self.state_cap)
-        table = count_table(self.n, self.d, top, self.statistics)
         codes = orbital_codes(self.d)
-        found, mixed = {}, {}
-        for grade, shapes in grades.items():
+        rows = codes.code_rows(list(chain.from_iterable(shapes)), self.n, top)
+        # A code of no orbital through the top grade counts as one above it.
+        sectors = codes.axis_degrees(top + 1)[np.minimum(rows, codes.grow(top))].sum(axis=1)
+        row_grades = np.repeat(np.array(grades, dtype=np.int64), lengths)
+        if (sectors.sum(axis=1) == row_grades).all():
+            poly = self.shape_poly
+            if stated != poly.to_json_obj():
+                raise ValueError(
+                    f"catalog shape_polynomial is not that of n={self.n}, d={self.d}, "
+                    f"{self.statistics.value}"
+                )
+            found = Counter(grades)
+            for grade in sorted(found.keys() | set(range(min(self.max_grade, poly.degree()) + 1))):
+                if found[grade] != poly.coefficient(grade):
+                    raise ValueError(
+                        f"catalog shape count at grade {grade} is {found[grade]}, "
+                        f"expected {poly.coefficient(grade)}"
+                    )
+        table = count_table(self.n, self.d, top, self.statistics)
+        for grade in levels:
             if table.dimension(grade) > self.state_cap:
                 raise StateCapExceeded(grade, table.dimension(grade), self.state_cap)
-            rows = codes.code_rows(list(chain.from_iterable(shapes)), self.n, table.grade)
-            indices = table.rank(rows, grade)
-            # A row that is no state (-1) is refused before its sector is read.
-            sectors = codes.axis_degrees(table.grade)[np.where(indices[:, None] < 0, 0, rows)]
-            sectors = sectors.sum(axis=1)
-            lengths = np.fromiter(map(len, shapes), dtype=np.int64, count=len(shapes))
-            ends = np.cumsum(lengths)
-            off = (sectors != sectors[np.repeat(ends - lengths, lengths)]).any(axis=1)
-            before = np.concatenate(([0], np.cumsum(off)))  # off rows before each row
-            found[grade] = iter(indices.tolist())
-            mixed[grade] = iter((before[ends] > before[ends - lengths]).tolist())
-        return [
-            (list(islice(found[grade], len(entry["basis"]))), next(mixed[grade]))
-            for grade, _index, entry in read
-        ]
+        indices = table.rank(rows, row_grades).tolist()
+        ends = np.cumsum(lengths)
+        off = (sectors != sectors[np.repeat(ends - lengths, lengths)]).any(axis=1)
+        before = np.concatenate(([0], np.cumsum(off)))  # off rows before each row
+        mixed = (before[ends] > before[ends - lengths]).tolist()
+        return [*zip(map(indices.__getitem__, map(slice, ends - lengths, ends)), mixed)]
 
     def _read_coeffs(self, grade, entry, indices, mixed):
         """A stored shape's {state index: coeff}, in linear time.

@@ -5,8 +5,8 @@ orbital codes: a level is enumerated as descending tuples of orbital
 vectors, a factor e_m^[k](axis) raises entries of the orbitals themselves
 and re-sorts the rows by orbital_key, and an axis permutation permutes
 every orbital's entries.  Nothing here reads the package's code tables;
-the tests compare these routes with the rows of products._pieri_table and
-with shapegen._permute_axes.
+the tests compare these routes with the rows of products._subset_rows,
+located by LevelBasis.locate_signed, and with shapegen._permute_axes.
 """
 
 from functools import cache

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
@@ -14,8 +15,7 @@ from shapes.counting import BOSON, FERMION, shape_polynomial
 from shapes import coulomb
 from shapes.coulomb import (
     _level_weights,
-    _scaled_element,
-    _two_body_terms,
+    _scaled_elements,
     beta_integral_exact,
     coulomb_expectation,
     coulomb_table,
@@ -183,13 +183,14 @@ def fraction_two_body(bra1, bra2, ket1, ket2, d):
 
 
 @st.composite
-def index_quadruples(draw):
-    """(d, four orbitals, a grade at or above half their degree sum)."""
+def quadruple_batches(draw):
+    """(d, 1 to 6 quadruples of orbitals, a grade at or above half the
+    degree sum of each)."""
     d = draw(st.sampled_from([2, 3, 4]))
     orbital = st.tuples(*[st.integers(0, 4)] * d)
-    quad = tuple(draw(orbital) for _ in range(4))
-    grade = sum(map(sum, quad)) // 2 + draw(st.integers(0, 2))
-    return d, quad, grade
+    quads = draw(st.lists(st.tuples(*[orbital] * 4), min_size=1, max_size=6))
+    grade = max(sum(map(sum, quad)) for quad in quads) // 2 + draw(st.integers(0, 2))
+    return d, quads, grade
 
 
 @lru_cache(maxsize=None)
@@ -212,12 +213,20 @@ class TestIntegerKernel:
     """D times the Fraction formula equals the integer kernel exactly."""
 
     @settings(max_examples=200, deadline=None)
-    @given(index_quadruples())
-    def test_two_body_terms_match_the_fraction_formula(self, case):
-        d, quad, grade = case
-        denominator, weights = _level_weights(d, grade)
-        scaled = _scaled_element(_two_body_terms(*quad, d), weights)
-        assert scaled == denominator * fraction_two_body(*quad, d)
+    @given(quadruple_batches())
+    def test_the_batch_matches_the_fraction_formula(self, case):
+        # Each element of one batch, in int64 where its bound allows and
+        # forced onto Python ints, is D times the Fraction formula.
+        d, quads, grade = case
+        denominator, _ = _level_weights(d, grade)
+        expected = [denominator * fraction_two_body(*quad, d) for quad in quads]
+        indices = np.array(quads).transpose(1, 0, 2)
+        batch = _scaled_elements(indices, grade)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coulomb, "_INT64_BOUND", 0)
+            forced = _scaled_elements(indices, grade)
+        assert batch.tolist() == expected
+        assert forced.dtype == object and forced.tolist() == expected
 
     @settings(max_examples=80, deadline=None)
     @given(state_pairs())
@@ -240,10 +249,12 @@ class TestIntegerKernel:
             assert denominator == math.lcm(*(v.denominator for v in values))
 
     def test_term_beyond_the_level_bound_is_named(self):
-        quad = ((2, 0), (2, 0), (2, 0), (2, 0))
-        _, weights = _level_weights(2, 3)
+        # An odd axis makes an element vanish, whatever its degree.
+        vanishing = np.array([[[3, 0]], [[2, 0]], [[2, 0]], [[2, 0]]])
+        assert _scaled_elements(vanishing, 3).tolist() == [0]
+        quad = np.array([[[2, 0]]] * 4)
         with pytest.raises(InternalConsistencyError, match="degree 8 exceeds the level bound 6"):
-            _scaled_element(_two_body_terms(*quad, 2), weights)
+            _scaled_elements(quad, 3)
 
 
 class TestManyBody:
@@ -345,14 +356,16 @@ class TestManyBody:
         vectors = [{0: 1, 2: 1}, {0: 2, 3: 1}, {2: -1}]
         pairwise = coulomb_table(vectors, basis, pairwise=True)
         operator = basis.coulomb_operator
-        kept = dict(operator._pairs), dict(operator._rest_weights), dict(operator._norms)
-        assert all(kept)
-        monkeypatch.setattr(coulomb, "_two_body_terms", never)
+        keys, pairs = operator._pair_keys, operator._pairs
+        kept = dict(operator._rest_weights), dict(operator._norms)
+        assert len(keys) and all(kept)
+        monkeypatch.setattr(coulomb, "_scaled_elements", never)
         monkeypatch.setattr(coulomb, "_multiset_weight", never)
         diagonal = coulomb_table(vectors, basis)
         assert diagonal == {(i, i): pairwise[i, i] for i in range(len(vectors))}
         assert basis.coulomb_operator is operator
-        assert (operator._pairs, operator._rest_weights, operator._norms) == kept
+        assert operator._pair_keys is keys and operator._pairs is pairs
+        assert (operator._rest_weights, operator._norms) == kept
 
 
 def pair_buckets(terms, d):

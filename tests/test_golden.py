@@ -21,6 +21,7 @@ the pair cut's corner on its Pauli node, is pinned at exactly 0.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from shapes import coulomb, polycore, shapegen
@@ -53,7 +54,12 @@ GOLDEN_COULOMB_SHA256 = {
     ((4, 2, "fermion"), "--grade 7"): "ccbf0f70657c84507575de99cba195a6c982e929bae5b6c31b4b509574f63329",
     ((4, 2, "fermion"), "--grade 5 --pairwise"): "4ca8731b2710e0a52a441c2cc24a30b2e4e5f623beec620a9f6229632b2fbe96",
     ((3, 2, "boson"), "--grade 4 --pairwise"): "dfa9d327a1b85d0bbcc14df3e24ac2bcc8721d28905ccfeb940f3ad02f75c97d",
+    # Its pair values pass int64, so they run on Python ints.
+    ((5, 2, "fermion"), "--grade 14"): "d9184d7bae2032ce6a2fe0ed102a55bf8111357db34fe0c4948473f850377f81",
 }
+# The tables whose pair values run in int64; the grade-14 table takes
+# about 9 s when read one vector a chunk.
+INT64_TABLES = sorted(key for key in GOLDEN_COULOMB_SHA256 if key[0] != (5, 2, "fermion"))
 
 # (4, 2, fermion) shape 8:0 on the grid x:-6:6:61,y:-6:6:61 at length scale
 # 1: (Riemann integral, largest sample) of each density.
@@ -149,16 +155,42 @@ def _table_id(value):
     return value[2:].replace(" --", "-").replace(" ", "-")
 
 
-@pytest.mark.parametrize("system, options", sorted(GOLDEN_COULOMB_SHA256), ids=_table_id)
-def test_coulomb_table_is_byte_identical(tmp_path, capsys, catalog_files, system, options):
+def assert_coulomb_golden(tmp_path, capsys, catalog_files, system, options):
+    """Write the table with `shapes coulomb` and check its digest; return
+    the dtypes of the pair-value batches it computed."""
+    dtypes, real = [], coulomb._scaled_elements
+
+    def spy(*args):
+        values = real(*args)
+        dtypes.append(values.dtype)
+        return values
+
     out = tmp_path / "vee.csv"
     argv = ["coulomb", "--catalog", str(catalog_files(system)), *options.split(), "--out", str(out)]
-    assert main(argv) == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coulomb, "_scaled_elements", spy)
+        assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_COULOMB_SHA256[(system, options)]
+    return dtypes
 
 
 @pytest.mark.parametrize("system, options", sorted(GOLDEN_COULOMB_SHA256), ids=_table_id)
+def test_coulomb_table_is_byte_identical(tmp_path, capsys, catalog_files, system, options):
+    dtypes = assert_coulomb_golden(tmp_path, capsys, catalog_files, system, options)
+    assert dtypes == [np.int64 if (system, options) in INT64_TABLES else object]
+
+
+@pytest.mark.parametrize("system, options", INT64_TABLES, ids=_table_id)
+def test_coulomb_table_on_python_ints_is_byte_identical(
+    tmp_path, capsys, catalog_files, monkeypatch, system, options
+):
+    monkeypatch.setattr(coulomb, "_INT64_BOUND", 0)
+    dtypes = assert_coulomb_golden(tmp_path, capsys, catalog_files, system, options)
+    assert dtypes == [object]
+
+
+@pytest.mark.parametrize("system, options", INT64_TABLES, ids=_table_id)
 def test_coulomb_table_in_chunks_is_byte_identical(
     tmp_path, capsys, catalog_files, monkeypatch, system, options
 ):

@@ -119,7 +119,7 @@ class TestCodes:
     @given(levels(), st.integers(1, 3), st.data())
     def test_locate_signed_gives_the_phase_of_canonical_rows(self, level, columns, data):
         # Rows of random states, each in a random order, in a (rows, columns,
-        # n) batch as _pieri_table passes them; some fermion rows are given
+        # n) batch as _subset_rows builds them; some fermion rows are given
         # a repeated code, which is no state and has phase 0.
         n, d, stat, grade = level
         basis = LevelBasis(n, d, grade, stat)
@@ -255,6 +255,32 @@ class TestCountTable:
         ranked = table.rank(np.array(probes, dtype=np.int64).reshape(-1, n), grade)
         assert ranked.tolist() == found.tolist()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SYSTEMS), st.integers(0, 6), st.data())
+    def test_one_call_with_a_grade_per_row_equals_one_call_per_grade(self, system, top, data):
+        # Rows of every level through the top, each labelled with its own
+        # grade or with another one, at which it is no state (-1).
+        n, d, stat = system
+        table = count_table(n, d, top, stat)
+        levels = [enumerate_basis(n, d, g, stat).astype(np.int64) for g in range(top + 1)]
+        picks = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, top), st.integers(0, 10**6), st.integers(0, top)),
+                max_size=20,
+            )
+        )
+        picks = [(g, i % len(levels[g]), label) for g, i, label in picks if len(levels[g])]
+        rows = np.array([levels[g][i] for g, i, _ in picks], dtype=np.int64).reshape(-1, n)
+        labels = np.array([label for _, _, label in picks], dtype=np.int64)
+        expected = np.full(len(rows), -2)
+        for label in set(labels.tolist()):
+            expected[labels == label] = table.rank(rows[labels == label], label)
+        assert table.rank(rows, labels).tolist() == expected.tolist()
+        assert all(
+            (rank == i) == (label == g)
+            for (g, i, label), rank in zip(picks, table.rank(rows, labels).tolist())
+        )
+
 
 class TestTableRoutes:
     @settings(max_examples=80, deadline=None)
@@ -273,7 +299,8 @@ class TestTableRoutes:
                     continue
                 target = LevelBasis(n, d, grade + m * k, stat)
                 for axis in range(d):
-                    table = products._pieri_table(source, target, (m, k, axis), np.array(states))
+                    rows = products._subset_rows(source, (m, k, axis), np.array(states))
+                    table = target.locate_signed(rows)
                     for i, targets, signs in zip(states, *table):
                         ours = {}
                         for t, sign in zip(targets.tolist(), signs.tolist()):

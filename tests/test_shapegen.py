@@ -1232,6 +1232,17 @@ class TestCatalogLoading:
         expected = level_dimension(3, 2, 300, FERMION)
         assert (refusal.value.grade, refusal.value.count) == (300, expected)
 
+    def test_a_far_grade_is_refused_by_its_shape_count_before_its_count_table(self, monkeypatch):
+        # The one (2, 1, boson) shape moved to grade 1500, as a state of
+        # that grade: its level holds 751 states, under the cap, but the
+        # count table through grade 1500 would hold 3 x 1502 x 1501 entries.
+        obj = generate_shapes(2, 1, BOSON).to_json_obj()
+        obj["max_grade"] = 1500
+        obj["shapes"][0].update(id="1500:0", grade=1500, basis=[[[1500], [0]]])
+        monkeypatch.setattr(shapegen, "count_table", None)
+        with pytest.raises(ValueError, match=re.escape("shape count at grade 0 is 0, expected 1")):
+            ShapeCatalog.from_json_obj(obj)
+
     @settings(max_examples=60)
     @given(st.data())
     def test_one_corrupted_row_is_named_by_the_per_row_reader(self, catalog_32, data):
