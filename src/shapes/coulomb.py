@@ -14,16 +14,18 @@ convention-free.  They contract in the state basis: by the Slater-Condon
 rules, with Lowdin's occupation-number factors for permanents (Phys. Rev.
 97, 1474, 1955), two Slater/permanent states couple only through the orbital
 multisets of size n-2 they share, their rests, and no state is expanded into
-its n! monomials.  A table is one contraction (CoulombOperator.contract):
-each vector's states are split, from the level's code array, into entries
-(rest, removed pair, phase x coefficient), and two entries on one rest add
-their amplitudes' product times the rest's weight and the pair value
-D ([x y|z w] +- [x y|w z]).  The pair values a table needs and its level
-lacks are computed in one integer-array pass (_scaled_elements), in int64
-when a float64 bound on every partial sum is below 2^62, else on Python
-ints, and kept.  The table's sums are exact in int64 limbs whose widths keep
-every sum below 2^62, combined in Python ints; each entry is divided and
-rounded once.
+its n! monomials.  A table is one contraction (_contract): each vector's
+states are split, from the level's code array, into entries (rest, removed
+pair, phase x coefficient) by _removals, the one split of a state into
+removed rows and rest that the densities read too, and two entries on one
+rest add their amplitudes' product times the rest's weight and the pair
+value D ([x y|z w] +- [x y|w z]).  The pair values, rest weights and norms
+a table needs are computed once per table, the pair values in one
+integer-array pass (_scaled_elements), in int64 when a float64 bound on
+every partial sum is below 2^62, else on Python ints; the level keeps none
+of them.  The table's sums are exact in int64 limbs whose widths keep every
+sum below 2^62, combined in Python ints; each entry is divided and rounded
+once.
 """
 
 from __future__ import annotations
@@ -231,22 +233,22 @@ def hermite_norm_rational(indices):
 _ENTRY_BYTES = 96
 _PAIR_BYTES = 96
 # The fewest bits a limb of the block values keeps when the amplitudes
-# are cut into limbs as well (CoulombOperator.contract).
+# are cut into limbs as well (_contract).
 _MIN_VALUE_BITS = 16
 
 
 @cache
-def _removals(n, fermion):
-    """(picked, kept, phases) of the C(n, 2) position pairs p < q of a row
-    of n codes, in combinations order: the pair's two columns, the other
-    n - 2 columns in order, and the phase of moving the pair to the front,
-    (-1)^(p + q - 1) for a determinant and 1 for a permanent, as in
-    LevelBasis.rests."""
-    pairs = [*combinations(range(n), 2)]
-    kept = [[k for k in range(n) if k not in pair] for pair in pairs]
-    phases = [(-1) ** (p + q - 1) if fermion else 1 for p, q in pairs]
-    kept = np.array(kept, dtype=np.intp).reshape(len(pairs), n - 2)
-    return np.array(pairs), kept, np.array(phases)
+def _removals(n, r, fermion):
+    """(picked, kept, phases) of the C(n, r) position sets p_1 < .. < p_r
+    of a row of n codes, in combinations order: the set's r columns, the
+    other n - r columns in order, and the phase of moving the set's rows to
+    the front in order, (-1)^(p_1 + .. + p_r - C(r, 2)) for a determinant
+    and 1 for a permanent.  The one split of a state into removed rows and
+    rest, for the densities (r = 1, 2) and Coulomb (r = 2)."""
+    sets = [*combinations(range(n), r)]
+    kept = np.array([[k for k in range(n) if k not in chosen] for chosen in sets], dtype=np.intp)
+    phases = [(-1) ** (sum(chosen) - math.comb(r, 2)) if fermion else 1 for chosen in sets]
+    return np.array(sets, dtype=np.intp), kept.reshape(len(sets), n - r), np.array(phases)
 
 
 def _grid(rows, columns):
@@ -280,9 +282,72 @@ def _limbs(values, width, count):
     return limbs
 
 
-class CoulombOperator:
-    """Exact Coulomb data of one level, kept by its LevelBasis and reused by
-    every table on it.
+def _pair_values(basis, lo, hi):
+    """P(x y, z w) = D ([x y|z w] +- [x y|w z]), - for fermions, as Python
+    ints, of the pairs of pairs with codes lo = x limit + y and hi = z
+    limit + w, limit the level's code count: one _scaled_elements pass."""
+    limit = basis.codes.grow(basis.grade)
+    orbitals = basis.codes.axis_degrees(basis.grade)
+    x, y = orbitals[np.array(np.divmod(lo, limit))]
+    z, w = orbitals[np.array(np.divmod(hi, limit))]
+    quads = np.reshape(((x, x), (y, y), (z, w), (w, z)), (4, -1, basis.d))
+    values = _scaled_elements(quads, basis.grade)
+    exchange = -1 if basis.statistics is FERMION else 1
+    return (values[: len(x)] + exchange * values[len(x) :]).astype(object)
+
+
+def _blocks(basis, states, classes):
+    """The blocks of per-rest pair amplitudes of some distinct states of a
+    level.
+
+    A state's entries are its C(n, 2) position pairs (_removals), each
+    removing a pair and leaving a rest.  A block is a rest and a class
+    (classes[i] of the i-th state); its slots are the distinct pairs its
+    entries remove, and its values are W_R P(e, f) for every ordered pair
+    (e, f) of its slots, as Python ints.  Returns (block, place, sizes,
+    offsets, values): per entry (states x C(n, 2), row-major) its block and
+    its slot's place there, and per block its slot count m and the offset
+    of its m x m values, row-major in values.  P is computed once per
+    unordered pair of pairs and W_R once per rest.
+    """
+    n, limit = basis.n, basis.codes.grow(basis.grade)
+    picked, kept, _ = _removals(n, 2, basis.statistics is FERMION)
+    rows = basis.code_array[states].astype(np.int64)
+    rest_rows = rows[:, kept].reshape(len(states) * len(picked), n - 2)
+    _, first, rest = np.unique(basis._keys(rest_rows), return_index=True, return_inverse=True)
+    span = int(classes.max(initial=0)) + 1
+    block_keys, block = np.unique(
+        rest * span + np.repeat(classes, len(picked)), return_inverse=True
+    )
+    pair = (rows[:, picked[:, 0]] * limit + rows[:, picked[:, 1]]).ravel()
+    # The slots: the distinct (block, pair) of the entries, ascending.
+    order = np.lexsort((pair, block))
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.diff(block[order]) | np.diff(pair[order])
+    slot = np.empty(len(order), dtype=np.int64)
+    slot[order] = np.cumsum(new) - 1
+    slot_block, slot_pair = block[order][new], pair[order][new]
+    starts = np.searchsorted(slot_block, np.arange(len(block_keys)))
+    sizes = np.diff(starts, append=len(slot_pair))
+    owner, e, f = _grid(sizes, sizes)
+    pairs, dense = np.unique(slot_pair, return_inverse=True)
+    e, f = dense[starts[owner] + e], dense[starts[owner] + f]
+    quads, which = np.unique(
+        np.minimum(e, f) * len(pairs) + np.maximum(e, f), return_inverse=True
+    )
+    del e, f
+    values = _pair_values(basis, pairs[quads // len(pairs)], pairs[quads % len(pairs)])
+    decoded = map(basis.codes.decode, rest_rows[first].tolist())
+    weights = np.array([*map(_multiset_weight, decoded)], dtype=object)
+    values = weights[block_keys // span][owner] * values[which.ravel()]
+    return block, slot - starts[block], sizes, np.cumsum(sizes**2) - sizes**2, values
+
+
+def _contract(basis, vectors, diagonal, cross):
+    """(numerators, norms) of integer vectors {state: coeff} over a level:
+    numerators[i, j] = D <v_i|V|v_j> for the cells i = j if diagonal and
+    i < j if cross (a cell whose vectors share no rest is left out), and
+    norms[i] = <v_i|v_i>, exact ints.
 
     By the Slater-Condon rules, with Lowdin's occupation-number factors for
     permanents, two states of a level couple only through the orbital
@@ -291,230 +356,130 @@ class CoulombOperator:
         D <S_a|V|S_b> = n! sum_R W_R sum eps_a eps_b P(x y, z w),
 
     the inner sum over the removed pairs (x, y) of a and (z, w) of b that
-    leave R (LevelBasis.rests), eps the phase of moving the pair to the
-    front (1 for permanents), W_R = mult(R)! N_R the product of R's
-    multiplicity factorials and its Hermite norm, and P(x y, z w) =
-    D ([x y|z w] +- [x y|w z]) with - for fermions, in units of
-    sqrt(2) pi^(d - 1/2 + p) sqrt(pi)^((n-2) d).  ``denominator`` is the
-    level's D (_level_weights).  ``norm(a)`` is the integer <S_a|S_a> =
-    n! mult(a)! N_a in units of sqrt(pi)^(n d).  P is computed in one batch
-    per table for the pairs of pairs the level lacks (_scaled_elements),
-    and kept, as are W_R per rest and the norms.
+    leave R (_removals), eps the phase of moving the pair to the front (1
+    for permanents), W_R = mult(R)! N_R the product of R's multiplicity
+    factorials and its Hermite norm, and P(x y, z w) = D ([x y|z w] +-
+    [x y|w z]) with - for fermions (_pair_values), in units of sqrt(2)
+    pi^(d - 1/2 + p) sqrt(pi)^((n-2) d); D is the level's denominator
+    (_level_weights).  <S_a|S_a> = n! mult(a)! N_a in units of
+    sqrt(pi)^(n d).
+
+    Each vector's entries are its states' entries (_blocks), with the
+    amplitude s = phase x coefficient, grouped by (vector, block).  A cell
+    (i, j) adds s_e s_f W_R P(e, f) over every entry e of a group of i and
+    f of j's group in the same block.  The blocks are per rest and sector
+    when only the diagonal is asked and every vector lies in one sector, so
+    no group spans two sectors, and per rest otherwise.
+
+    Sums are exact in int64.  No cell has more terms than the largest
+    block's entries times the most entries of one vector, which is below
+    2^lam.  The amplitudes are cut into limbs of sigma bits (one limb when
+    they fit) and the block values into limbs of beta = 62 - lam - 2 sigma
+    bits (_limbs), so a product of three limbs is below 2^(62 - lam) and a
+    cell's sum over one limb triple below 2^62; the limb sums are shifted
+    and added in Python ints.  The vectors are read in chunks of whole
+    vectors whose entries fill at most CHUNK_BYTES (all at once for cross
+    cells), and a chunk's pairs of entries are summed in chunks of whole
+    bra vectors under that bound.
     """
+    _, _, phases = _removals(basis.n, 2, basis.statistics is FERMION)
+    width = len(phases)
+    counts = np.array([len(v) for v in vectors])
+    ends = np.cumsum(counts)
+    parts = [slice(0, len(vectors))] if cross else [*chunks(ends * width * _ENTRY_BYTES)]
 
-    def __init__(self, basis):
-        self.basis = basis
-        self.denominator, _ = _level_weights(basis.d, basis.grade)
-        self._scale = math.factorial(basis.n)
-        self._exchange = -1 if basis.statistics is FERMION else 1
-        self._norms = {}
-        self._pair_keys = np.empty(0, dtype=np.int64)
-        self._pairs = np.empty(0, dtype=object)
-        self._rest_weights = {}
+    def read(part):
+        """The part's states and coefficients, vector after vector, and
+        the position of each vector's first."""
+        chosen = vectors[part]
+        states = np.fromiter(chain.from_iterable(chosen), np.int64, counts[part].sum())
+        coeffs = np.array([*chain.from_iterable(v.values() for v in chosen)], dtype=object)
+        return states, coeffs, np.cumsum(counts[part]) - counts[part]
 
-    def _pair_values(self, lo, hi):
-        """P(x y, z w), Python ints, of the pairs of pairs with codes lo =
-        x limit + y <= hi = z limit + w, limit the level's code count; kept
-        in _pairs by the key lo limit^2 + hi, ascending."""
-        basis = self.basis
-        limit = basis.codes.grow(basis.grade)
-        keys = lo.astype(np.int64 if limit**4 < 2**63 else object) * limit**2 + hi
-        new = ~np.isin(keys, self._pair_keys)
-        if new.any():
-            orbitals = basis.codes.axis_degrees(basis.grade)
-            x, y = orbitals[np.array(np.divmod(lo[new], limit))]
-            z, w = orbitals[np.array(np.divmod(hi[new], limit))]
-            quads = np.reshape(((x, x), (y, y), (z, w), (w, z)), (4, -1, basis.d))
-            values = _scaled_elements(quads, basis.grade)
-            values = values[: len(x)] + self._exchange * values[len(x) :]
-            merged = np.concatenate((self._pair_keys, keys[new]))
-            order = np.argsort(merged)
-            self._pair_keys = merged[order]
-            self._pairs = np.concatenate((self._pairs, values.astype(object)))[order]
-        return self._pairs[np.searchsorted(self._pair_keys, keys)]
-
-    def _rest_weight(self, key, rest):
-        """W_R of the rest with combinadic key `key` and codes `rest`."""
-        weight = self._rest_weights.get(key)
-        if weight is None:
-            weight = self._rest_weights[key] = _multiset_weight(self.basis.codes.decode(rest))
-        return weight
-
-    def norm(self, a):
-        value = self._norms.get(a)
-        if value is None:
-            value = self._norms[a] = self._scale * _multiset_weight(self.basis.orbitals(a))
-        return value
-
-    def _blocks(self, states, classes):
-        """The blocks of per-rest pair amplitudes of some distinct states.
-
-        A state's entries are its C(n, 2) position pairs (_removals), each
-        removing a pair and leaving a rest.  A block is a rest and a class
-        (classes[i] of the i-th state); its slots are the distinct pairs its
-        entries remove, and its values are W_R P(e, f) for every ordered
-        pair (e, f) of its slots, as Python ints.  Returns (block, place,
-        sizes, offsets, values): per entry (states x C(n, 2), row-major)
-        its block and its slot's place there, and per block its slot count
-        m and the offset of its m x m values, row-major in values.  P is
-        read once per unordered pair of pairs and W_R once per rest.
-        """
-        basis = self.basis
-        n, limit = basis.n, basis.codes.grow(basis.grade)
-        picked, kept, _ = _removals(n, basis.statistics is FERMION)
-        rows = basis.code_array[states].astype(np.int64)
-        rest_rows = rows[:, kept].reshape(len(states) * len(picked), n - 2)
-        rest_keys, first, rest = np.unique(
-            basis._keys(rest_rows), return_index=True, return_inverse=True
-        )
-        span = int(classes.max(initial=0)) + 1
-        block_keys, block = np.unique(
-            rest * span + np.repeat(classes, len(picked)), return_inverse=True
-        )
-        pair = (rows[:, picked[:, 0]] * limit + rows[:, picked[:, 1]]).ravel()
-        # The slots: the distinct (block, pair) of the entries, ascending.
-        order = np.lexsort((pair, block))
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = np.diff(block[order]) | np.diff(pair[order])
-        slot = np.empty(len(order), dtype=np.int64)
-        slot[order] = np.cumsum(new) - 1
-        slot_block, slot_pair = block[order][new], pair[order][new]
-        starts = np.searchsorted(slot_block, np.arange(len(block_keys)))
-        sizes = np.diff(starts, append=len(slot_pair))
-        owner, e, f = _grid(sizes, sizes)
-        pairs, dense = np.unique(slot_pair, return_inverse=True)
-        e, f = dense[starts[owner] + e], dense[starts[owner] + f]
-        quads, which = np.unique(
-            np.minimum(e, f) * len(pairs) + np.maximum(e, f), return_inverse=True
-        )
-        del e, f
-        values = self._pair_values(pairs[quads // len(pairs)], pairs[quads % len(pairs)])
-        rests = rest_rows[first].tolist()
-        weights = np.array([*map(self._rest_weight, rest_keys.tolist(), rests)], dtype=object)
-        values = weights[block_keys // span][owner] * values[which.ravel()]
-        return block, slot - starts[block], sizes, np.cumsum(sizes**2) - sizes**2, values
-
-    def contract(self, vectors, diagonal, cross):
-        """(numerators, norms) of integer vectors {state: coeff} over the
-        level: numerators[i, j] = D <v_i|V|v_j> for the cells i = j if
-        diagonal and i < j if cross (a cell whose vectors share no rest is
-        left out), and norms[i] = <v_i|v_i>, exact ints.
-
-        Each vector's entries are its states' entries (_blocks), with the
-        amplitude s = phase x coefficient, grouped by (vector, block).  A
-        cell (i, j) adds s_e s_f W_R P(e, f) over every entry e of a group
-        of i and f of j's group in the same block.  The blocks are per rest
-        and sector when only the diagonal is asked and every vector lies in
-        one sector, so no group spans two sectors, and per rest otherwise.
-
-        Sums are exact in int64.  No cell has more terms than the largest
-        block's entries times the most entries of one vector, which is
-        below 2^lam.  The amplitudes are cut into limbs of sigma bits (one
-        limb when they fit) and the block values into limbs of beta = 62 -
-        lam - 2 sigma bits (_limbs), so a product of three limbs is below
-        2^(62 - lam) and a cell's sum over one limb triple below 2^62; the
-        limb sums are shifted and added in Python ints.  The vectors are
-        read in chunks of whole vectors whose entries fill at most
-        CHUNK_BYTES (all at once for cross cells), and a chunk's pairs of
-        entries are summed in chunks of whole bra vectors under that bound.
-        """
-        basis = self.basis
-        _, _, phases = _removals(basis.n, basis.statistics is FERMION)
-        width = len(phases)
-        counts = np.array([len(v) for v in vectors])
-        ends = np.cumsum(counts)
-        parts = [slice(0, len(vectors))] if cross else [*chunks(ends * width * _ENTRY_BYTES)]
-
-        def read(part):
-            """The part's states and coefficients, vector after vector, and
-            the position of each vector's first."""
-            chosen = vectors[part]
-            states = np.fromiter(chain.from_iterable(chosen), np.int64, counts[part].sum())
-            coeffs = np.array([*chain.from_iterable(v.values() for v in chosen)], dtype=object)
-            return states, coeffs, np.cumsum(counts[part]) - counts[part]
-
-        used, top, one_sector = [], 0, not cross
-        for part in parts:
-            states, coeffs, firsts = read(part)
-            used.append(_distinct(states))
-            top = max(top, int(np.abs(coeffs).max()).bit_length())
-            if one_sector:
-                sectors = basis.state_sectors(states)
-                one_sector = (sectors == np.repeat(sectors[firsts], counts[part], axis=0)).all()
-        states = _distinct(np.concatenate(used))
-        classes = np.zeros(len(states), dtype=np.int64)
+    used, top, one_sector = [], 0, not cross
+    for part in parts:
+        states, coeffs, firsts = read(part)
+        used.append(_distinct(states))
+        top = max(top, int(np.abs(coeffs).max()).bit_length())
         if one_sector:
-            _, classes = np.unique(basis.state_sectors(states), axis=0, return_inverse=True)
-            classes = classes.ravel()
-        block_of, place_of, sizes, offsets, values = self._blocks(states, classes)
-        lam = (int(np.bincount(block_of).max()) * int(counts.max()) * width).bit_length()
-        room = 62 - lam - _MIN_VALUE_BITS
-        sigma = top if 2 * top <= room else room // 2
-        beta = 62 - lam - 2 * sigma
-        if sigma < 1 or beta < 1:
-            raise InternalConsistencyError(f"Coulomb cells of 2^{lam} terms overflow int64 limbs")
-        pieces = -(-top // sigma)
-        values = _limbs(values, beta, -(-int(np.abs(values).max()).bit_length() // beta))
-        shifts = [
-            (a, b, v, sigma * (a + b) + beta * v)
-            for a in range(pieces) for b in range(pieces) for v in range(len(values))
-        ]
-        block_of, place_of = block_of.reshape(-1, width), place_of.reshape(-1, width)
-        state_norms = np.array([*map(self.norm, states.tolist())], dtype=object)
-        sums, norms = {}, []
-        for part in parts:
-            items, coeffs, firsts = read(part)
-            items = np.searchsorted(states, items)
-            norms += np.add.reduceat(coeffs * coeffs * state_norms[items], firsts).tolist()
-            # The part's entries, grouped by (vector, block).
-            owner = np.repeat(np.arange(part.start, part.stop), counts[part] * width)
-            order = np.argsort(owner * len(sizes) + block_of[items].ravel())
-            item, column = np.divmod(order, width)
-            owner, block = owner[order], block_of[items[item], column]
-            place = place_of[items[item], column]
-            signed = [limb[item] * phases[column] for limb in _limbs(coeffs, sigma, pieces)]
-            first = np.flatnonzero(np.diff(block, prepend=-1) | np.diff(owner, prepend=-1))
-            size, group_owner = np.diff(first, append=len(order)), owner[first]
-            # A group pairs with itself for the diagonal.  For cross cells
-            # it pairs with the groups of its block from the next one, or
-            # from itself with the diagonal, to the last, in by_block, the
-            # order of the groups by (block, vector): lo to hi there.
-            last_terms = np.cumsum(size * size)
+            sectors = basis.state_sectors(states)
+            one_sector = (sectors == np.repeat(sectors[firsts], counts[part], axis=0)).all()
+    states = _distinct(np.concatenate(used))
+    classes = np.zeros(len(states), dtype=np.int64)
+    if one_sector:
+        _, classes = np.unique(basis.state_sectors(states), axis=0, return_inverse=True)
+        classes = classes.ravel()
+    block_of, place_of, sizes, offsets, values = _blocks(basis, states, classes)
+    lam = (int(np.bincount(block_of).max()) * int(counts.max()) * width).bit_length()
+    room = 62 - lam - _MIN_VALUE_BITS
+    sigma = top if 2 * top <= room else room // 2
+    beta = 62 - lam - 2 * sigma
+    if sigma < 1 or beta < 1:
+        raise InternalConsistencyError(f"Coulomb cells of 2^{lam} terms overflow int64 limbs")
+    pieces = -(-top // sigma)
+    values = _limbs(values, beta, -(-int(np.abs(values).max()).bit_length() // beta))
+    shifts = [
+        (a, b, v, sigma * (a + b) + beta * v)
+        for a in range(pieces) for b in range(pieces) for v in range(len(values))
+    ]
+    block_of, place_of = block_of.reshape(-1, width), place_of.reshape(-1, width)
+    scale = math.factorial(basis.n)
+    weights = map(_multiset_weight, map(basis.orbitals, states.tolist()))
+    state_norms = np.array([scale * weight for weight in weights], dtype=object)
+    sums, norms = {}, []
+    for part in parts:
+        items, coeffs, firsts = read(part)
+        items = np.searchsorted(states, items)
+        norms += np.add.reduceat(coeffs * coeffs * state_norms[items], firsts).tolist()
+        # The part's entries, grouped by (vector, block).
+        owner = np.repeat(np.arange(part.start, part.stop), counts[part] * width)
+        order = np.argsort(owner * len(sizes) + block_of[items].ravel())
+        item, column = np.divmod(order, width)
+        owner, block = owner[order], block_of[items[item], column]
+        place = place_of[items[item], column]
+        signed = [limb[item] * phases[column] for limb in _limbs(coeffs, sigma, pieces)]
+        first = np.flatnonzero(np.diff(block, prepend=-1) | np.diff(owner, prepend=-1))
+        size, group_owner = np.diff(first, append=len(order)), owner[first]
+        # A group pairs with itself for the diagonal.  For cross cells
+        # it pairs with the groups of its block from the next one, or
+        # from itself with the diagonal, to the last, in by_block, the
+        # order of the groups by (block, vector): lo to hi there.
+        last_terms = np.cumsum(size * size)
+        if cross:
+            by_block = np.lexsort((group_owner, block[first]))
+            lo = np.empty_like(by_block)
+            lo[by_block] = np.arange(len(by_block)) + (not diagonal)
+            hi = np.searchsorted(block[first][by_block], block[first], side="right")
+            partners = np.concatenate(([0], np.cumsum(size[by_block])))
+            last_terms = np.cumsum(size * (partners[hi] - partners[lo]))
+        vector_ends = np.flatnonzero(np.diff(group_owner, append=-1)) + 1
+        done = 0
+        for chunk in chunks(last_terms[vector_ends - 1] * _PAIR_BYTES):
+            stop = vector_ends[chunk.stop - 1]
+            bra = ket = np.arange(done, stop)
             if cross:
-                by_block = np.lexsort((group_owner, block[first]))
-                lo = np.empty_like(by_block)
-                lo[by_block] = np.arange(len(by_block)) + (not diagonal)
-                hi = np.searchsorted(block[first][by_block], block[first], side="right")
-                partners = np.concatenate(([0], np.cumsum(size[by_block])))
-                last_terms = np.cumsum(size * (partners[hi] - partners[lo]))
-            vector_ends = np.flatnonzero(np.diff(group_owner, append=-1)) + 1
-            done = 0
-            for chunk in chunks(last_terms[vector_ends - 1] * _PAIR_BYTES):
-                stop = vector_ends[chunk.stop - 1]
-                bra = ket = np.arange(done, stop)
-                if cross:
-                    bra, _, j = _grid(np.ones_like(bra), hi[bra] - lo[bra])
-                    bra += done
-                    ket = by_block[lo[bra] + j]
-                    by_cell = np.argsort(group_owner[bra] * len(vectors) + group_owner[ket])
-                    bra, ket = bra[by_cell], ket[by_cell]
-                cell = group_owner[bra] * len(vectors) + group_owner[ket]
-                done = stop
-                if not len(cell):
-                    continue
-                pair, i, j = _grid(size[bra], size[ket])
-                e, f = first[bra][pair] + i, first[ket][pair] + j
-                at = offsets[block[e]] + place[e] * sizes[block[e]] + place[f]
-                # A cell's terms are consecutive: sum them per cell.
-                new_cell = np.flatnonzero(np.diff(cell, prepend=-1))
-                starts = np.searchsorted(pair, new_cell)
-                keys = cell[new_cell].tolist()
-                for a, b, v, shift in shifts:
-                    terms = signed[a][e] * signed[b][f] * values[v][at]
-                    for key, total in zip(keys, np.add.reduceat(terms, starts).tolist()):
-                        sums[key] = sums.get(key, 0) + (total << shift)
-        numerators = {divmod(key, len(vectors)): self._scale * total for key, total in sums.items()}
-        return numerators, norms
+                bra, _, j = _grid(np.ones_like(bra), hi[bra] - lo[bra])
+                bra += done
+                ket = by_block[lo[bra] + j]
+                by_cell = np.argsort(group_owner[bra] * len(vectors) + group_owner[ket])
+                bra, ket = bra[by_cell], ket[by_cell]
+            cell = group_owner[bra] * len(vectors) + group_owner[ket]
+            done = stop
+            if not len(cell):
+                continue
+            pair, i, j = _grid(size[bra], size[ket])
+            e, f = first[bra][pair] + i, first[ket][pair] + j
+            at = offsets[block[e]] + place[e] * sizes[block[e]] + place[f]
+            # A cell's terms are consecutive: sum them per cell.
+            new_cell = np.flatnonzero(np.diff(cell, prepend=-1))
+            starts = np.searchsorted(pair, new_cell)
+            keys = cell[new_cell].tolist()
+            for a, b, v, shift in shifts:
+                terms = signed[a][e] * signed[b][f] * values[v][at]
+                for key, total in zip(keys, np.add.reduceat(terms, starts).tolist()):
+                    sums[key] = sums.get(key, 0) + (total << shift)
+    numerators = {divmod(key, len(vectors)): scale * total for key, total in sums.items()}
+    return numerators, norms
 
 
 def _multiset_weight(orbitals):
@@ -536,8 +501,8 @@ def _integer_support(coeffs):
 def coulomb_table(vectors, basis, pairwise=False):
     """{(i, j): <v_i| sum 1/r |v_j> / norms} for every i <= j if pairwise,
     else for i = j, over sparse {state index: coeff} vectors of one
-    LevelBasis: one exact contraction for the whole table
-    (CoulombOperator.contract), each entry rounded once."""
+    LevelBasis: one exact contraction for the whole table (_contract),
+    each entry rounded once."""
     return _expectations(vectors, basis, True, pairwise)
 
 
@@ -556,7 +521,7 @@ def _expectations(vectors, basis, diagonal, cross):
 
     The contraction runs in the state basis and in integers: each vector's
     coefficients over their common denominator L (_integer_support), and
-    the level's CoulombOperator for D <v_i|V|v_j> and the norms.  Each
+    one _contract for D <v_i|V|v_j> and the norms.  Each
     entry divides its numerator by D L_i L_j and the norms' product by
     (L_i L_j)^2, each a correctly rounded int / int, so the result does
     not depend on the normalization convention.
@@ -571,13 +536,13 @@ def _expectations(vectors, basis, diagonal, cross):
     ]
     if basis.n < 2:
         return dict.fromkeys(cells, 0.0)
-    operator = basis.coulomb_operator
-    numerators, norms = operator.contract([ints for ints, _ in supports], diagonal, cross)
+    numerators, norms = _contract(basis, [ints for ints, _ in supports], diagonal, cross)
+    denominator, _ = _level_weights(basis.d, basis.grade)
     _, pi_pow = beta_integral_exact(basis.d, 0)
     prefactor = math.sqrt(2.0) * math.pi ** (pi_pow - 0.5)
     out = {}
     for i, j in cells:
         scale = supports[i][1] * supports[j][1]
-        numerator = numerators.get((i, j), 0) / (operator.denominator * scale)
+        numerator = numerators.get((i, j), 0) / (denominator * scale)
         out[i, j] = prefactor * numerator / math.sqrt(norms[i] * norms[j] / (scale * scale))
     return out

@@ -13,20 +13,23 @@ monomials whose rows are already canonical, found in one batched lookup
 equals the materialized result.  A nonzero difference means the input was
 outside the antisymmetric (or symmetric) span; the error reports the
 difference's leading monomial.
+
+LevelBasis, the level of one grade, holds its states' code rows and
+combinadic keys, and nothing per realization: the densities (realize) and
+Coulomb tables (coulomb) read its code array and keep what they compute to
+themselves, so this module imports neither of them.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .counting import FERMION, level_dimension
-from .coulomb import CoulombOperator
 from .errors import InternalConsistencyError, StateCapExceeded
 from .polycore import (
     ExactPolynomial,
@@ -60,8 +63,7 @@ class LevelBasis:
     ``locate`` and ``find_orbitals`` find the states of canonical orbitals
     or monomial rows.  The state count is cross-checked against the
     q-series level dimension, and the keys are checked strictly ascending
-    from 0, so the states are distinct and in enumeration order.  The
-    Coulomb operator and each state's rests are built lazily.
+    from 0, so the states are distinct and in enumeration order.
     """
 
     def __init__(self, n, d, grade, statistics=FERMION, max_states=None):
@@ -80,7 +82,6 @@ class LevelBasis:
                 f"dimension series predicts {expected} (n={n}, d={d}, {statistics.value})"
             )
         self._binomials = self._binomial_table()
-        self._rests = defaultdict(dict)  # removed -> {state: rests}
         size = len(self.code_array)
         keys = self._sorted_keys = np.empty(size, dtype=self._binomials.dtype)
         step = chunk_rows(24 * n)  # _keys holds about 24 bytes per code
@@ -126,28 +127,6 @@ class LevelBasis:
 
     def expansion(self, idx):
         return SlaterState(self.orbitals(idx), self.statistics).expand()
-
-    @cached_property
-    def coulomb_operator(self):
-        return CoulombOperator(self)
-
-    def rests(self, idx, removed):
-        """{rest codes: [(phase, *removed codes), ...]} of state idx, one
-        entry per set of `removed` of its positions, with the phase of moving
-        them to the front in order (1 for a permanent).  Kept once built."""
-        known = self._rests[removed]
-        rests = known.get(idx)
-        if rests is None:
-            state = self.code_array[idx].tolist()
-            fermion, shift = self.statistics is FERMION, comb(removed, 2)
-            rests = known[idx] = {}
-            # Complements come in the reverse of the subsets' lexicographic order.
-            kept = reversed([*combinations(state, self.n - removed)])
-            subsets = zip(combinations(range(self.n), removed), combinations(state, removed))
-            for (picked, codes), rest in zip(subsets, kept):
-                phase = -1 if fermion and (sum(picked) - shift) % 2 else 1
-                rests.setdefault(rest, []).append((phase, *codes))
-        return rests
 
     def _binomial_table(self):
         """binomials[x, r] = C(x, r) for every x a key reads and r <= n.

@@ -11,7 +11,9 @@ recurrence, bounded by pi^(-1/4).  realize_polynomial scales them back to
 phi_k.  A density traces out the spectator particles of a state vector by
 the Slater-Condon rules (Lowdin, Phys. Rev. 97, 1474, 1955): Hermite
 orthogonality pairs two states' retained rows only through a rest both
-hold (LevelBasis.rests), and no state is expanded into its monomials.
+hold, and no state is expanded into its monomials.  The rests come from
+the level's code array by coulomb._removals, the split Coulomb reads, and
+nothing is kept on the level.
 Each pair's weight is exact in Python integers until one correctly rounded
 division, so neither the samples nor the weights overflow or underflow at
 high orbital index.  One sampler serves both densities: per grid axis, one
@@ -33,7 +35,7 @@ from itertools import chain, combinations_with_replacement, permutations, produc
 
 import numpy as np
 
-from .coulomb import _multiset_weight, hermite_norm_rational
+from .coulomb import _multiset_weight, _removals, hermite_norm_rational
 from .counting import FERMION
 from .errors import InternalConsistencyError
 from .polycore import canonical_rows, chunk_rows, multiplicity_factorials
@@ -174,12 +176,14 @@ def _reduced_density_weights(state, retained):
 
     Returns {(bra rows, ket rows) of particles 0..retained-1: weight}, the
     spectator-integrated coefficient over <Psi|Psi>, as the weight of the
-    rows' normalized Hermite functions.  Each ordered tuple A of a state's
-    rows, counted once, is filed under the rest Q of its orbitals with e_A
-    = c mult! eps (eps the phase of moving A to the front, mult! the state's
-    multiplicity factorials); two tuples of one rest add (n - retained)! /
-    mult(Q)! H(Q) e_A e_B, one term per ordering of Q, with H = prod 2^e e!
-    (the sqrt(pi) cancel), and <Psi|Psi> = n! sum c^2 mult! H.  Each weight,
+    rows' normalized Hermite functions.  The states' code rows are split
+    into removed rows and rests by _removals, as Coulomb splits them.  Each
+    ordered tuple A of a state's rows, counted once, is filed under the
+    rest Q of its orbitals with e_A = c mult! eps (eps the phase of moving
+    A to the front, mult! the state's multiplicity factorials); two tuples
+    of one rest add (n - retained)! / mult(Q)! H(Q) e_A e_B, one term per
+    ordering of Q, with H = prod 2^e e! (the sqrt(pi) cancel), and
+    <Psi|Psi> = n! sum c^2 mult! H.  Each weight,
     sqrt(w^2 H(bra) H(ket) / <Psi|Psi>^2), is rounded once, by a true
     division of Python ints.  A pair is keyed once, bra rows <= ket rows,
     with an off-diagonal weight doubled (exactly) for its mirror.
@@ -187,22 +191,29 @@ def _reduced_density_weights(state, retained):
     basis = state.basis
     fermion = basis.statistics is FERMION
     decode = basis.codes.decode
+    picked, kept, phases = _removals(basis.n, retained, fermion)
+    indices = sorted(state.terms)
+    rows = basis.code_array[indices]
+    split = zip(indices, rows.tolist(), rows[:, kept].tolist(), rows[:, picked].tolist())
+    phases = phases.tolist()
     norm = 0
     buckets = {}
-    for idx, c in sorted(state.terms.items()):
-        orbitals = basis.orbitals(idx)
+    for idx, row, kept_rows, removed in split:
+        orbitals = decode(row)
+        c = state.terms[idx]
         norm += c * c * _multiset_weight(orbitals)
         c *= multiplicity_factorials(orbitals)
-        for rest, removed in basis.rests(idx, retained).items():
-            bucket = buckets.setdefault(decode(rest), {})
-            for phase, *codes in removed:
-                for order in permutations(codes):
-                    bucket[decode(order)] = c * phase * canonical_rows(order, fermion)[1]
+        for rest, codes, phase in zip(kept_rows, removed, phases):
+            bucket = buckets.setdefault(tuple(rest), {})
+            for order in permutations(codes):
+                bucket[order] = c * phase * canonical_rows(order, fermion)[1]
     spare = math.factorial(basis.n - retained)
     sums = {}
     for rest, bucket in buckets.items():
+        rest = decode(rest)
         spect = spare // multiplicity_factorials(rest) * hermite_norm_rational(sum(rest, ()))
-        for (rows_a, ea), (rows_b, eb) in combinations_with_replacement(sorted(bucket.items()), 2):
+        entries = sorted((decode(order), e) for order, e in bucket.items())
+        for (rows_a, ea), (rows_b, eb) in combinations_with_replacement(entries, 2):
             sums[rows_a, rows_b] = sums.get((rows_a, rows_b), 0) + spect * ea * eb
     row_norms = {rows: hermite_norm_rational(sum(rows, ())) for rows in {*chain(*sums)}}
     den = (math.factorial(basis.n) * norm) ** 2

@@ -446,28 +446,31 @@ class ShapeCatalog:
         """Per shape read, (grade, index, entry) each: its rows' state
         indices, -1 for a row that is no state in canonical order, and
         whether its rows lie in more than one sector.  No level is built:
-        all rows are coded (OrbitalCodes.code_rows) and ranked by the count
-        table of the top grade (CountTable.rank) in one call each.  A file
-        may state any grade, so the table comes after the state cap (by the
-        dimension series first if the table would hold more entries than
-        the cap) and, if every row's degree sum is its grade, the shape
+        all rows are coded (OrbitalCodes.code_rows) and ranked in one call
+        each (CountTable.rank) by the count table through the top grade of
+        a row whose degree sum is its grade; a row of another degree sum is
+        -1 without reading the table.  A file may state any grade, so the
+        table comes after the state cap (by the dimension series first if a
+        table through the top stated grade would hold more entries than the
+        cap) and, if every row's degree sum is its grade, the shape
         polynomial and counts, which need only the grades.
         """
         grades = [grade for grade, _index, _entry in read]
         shapes = [entry["basis"] for _grade, _index, entry in read]
         lengths = np.fromiter(map(len, shapes), dtype=np.int64, count=len(shapes))
-        top, levels = max(grades, default=0), dict.fromkeys(grades)
+        top, levels = max(grades, default=0), dict.fromkeys(grades)  # grade: dimension
         if (self.n + 1) * comb(top + self.d, self.d) * (top + 1) > self.state_cap:
             for grade in levels:
-                dimension = level_dimension(self.n, self.d, grade, self.statistics)
-                if dimension > self.state_cap:
-                    raise StateCapExceeded(grade, dimension, self.state_cap)
+                levels[grade] = level_dimension(self.n, self.d, grade, self.statistics)
+                if levels[grade] > self.state_cap:
+                    raise StateCapExceeded(grade, levels[grade], self.state_cap)
         codes = orbital_codes(self.d)
         rows = codes.code_rows(list(chain.from_iterable(shapes)), self.n, top)
         # A code of no orbital through the top grade counts as one above it.
         sectors = codes.axis_degrees(top + 1)[np.minimum(rows, codes.grow(top))].sum(axis=1)
         row_grades = np.repeat(np.array(grades, dtype=np.int64), lengths)
-        if (sectors.sum(axis=1) == row_grades).all():
+        of_grade = sectors.sum(axis=1) == row_grades
+        if of_grade.all():
             poly = self.shape_poly
             if stated != poly.to_json_obj():
                 raise ValueError(
@@ -481,10 +484,16 @@ class ShapeCatalog:
                         f"catalog shape count at grade {grade} is {found[grade]}, "
                         f"expected {poly.coefficient(grade)}"
                     )
-        table = count_table(self.n, self.d, top, self.statistics)
-        for grade in levels:
-            if table.dimension(grade) > self.state_cap:
-                raise StateCapExceeded(grade, table.dimension(grade), self.state_cap)
+        # No row above `reach` is a state of its grade, so the table stops there.
+        reach = int(row_grades[of_grade].max(initial=0))
+        table = count_table(self.n, self.d, reach, self.statistics)
+        for grade, dimension in levels.items():
+            if dimension is None and grade <= reach:
+                dimension = table.dimension(grade)
+            elif dimension is None:
+                dimension = level_dimension(self.n, self.d, grade, self.statistics)
+            if dimension > self.state_cap:
+                raise StateCapExceeded(grade, dimension, self.state_cap)
         indices = table.rank(rows, row_grades).tolist()
         ends = np.cumsum(lengths)
         off = (sectors != sectors[np.repeat(ends - lengths, lengths)]).any(axis=1)

@@ -14,7 +14,9 @@ from coulomb_oracle import hermite_coefficients, poly_mul, two_body_oracle
 from shapes.counting import BOSON, FERMION, shape_polynomial
 from shapes import coulomb
 from shapes.coulomb import (
+    _contract,
     _level_weights,
+    _removals,
     _scaled_elements,
     beta_integral_exact,
     coulomb_expectation,
@@ -25,7 +27,7 @@ from shapes.coulomb import (
 )
 from shapes.deflation import LevelBasis
 from shapes.errors import InternalConsistencyError
-from shapes.polycore import SlaterState
+from shapes.polycore import SlaterState, canonical_rows
 
 
 class TestHermiteLinearization:
@@ -234,11 +236,11 @@ class TestIntegerKernel:
         # D <S_a|V|S_b> is the one cross cell of the states a and b, and
         # D <S_a|V|S_a> the one diagonal cell of a.
         basis, a, b = case
-        operator = basis.coulomb_operator
+        denominator, _ = _level_weights(basis.d, basis.grade)
         for vectors, cell, cross in (([{a: 1}, {b: 1}], (0, 1), True), ([{a: 1}], (0, 0), False)):
-            element = operator.contract(vectors, not cross, cross)[0].get(cell, 0)
+            element = _contract(basis, vectors, not cross, cross)[0].get(cell, 0)
             exact = monomial_numerator(vectors[0], vectors[-1], basis)
-            assert element == operator.denominator * exact
+            assert element == denominator * exact
             assert type(element) is int
 
     def test_weights_are_integers_over_one_denominator(self):
@@ -255,6 +257,23 @@ class TestIntegerKernel:
         quad = np.array([[[2, 0]]] * 4)
         with pytest.raises(InternalConsistencyError, match="degree 8 exceeds the level bound 6"):
             _scaled_elements(quad, 3)
+
+
+class TestRemovals:
+    """The one split of a state into removed rows and rest."""
+
+    @given(st.data())
+    def test_the_phase_is_that_of_moving_the_picked_rows_to_the_front(self, data):
+        n = data.draw(st.integers(2, 5), label="n")
+        r = data.draw(st.integers(1, n - 1), label="r")
+        fermion = data.draw(st.booleans(), label="fermion")
+        codes = (st.sets if fermion else st.lists)(st.integers(0, 30), min_size=n, max_size=n)
+        row = sorted(data.draw(codes, label="codes"), reverse=True)
+        picked, kept, phases = _removals(n, r, fermion)
+        assert [*map(tuple, picked.tolist())] == [*itertools.combinations(range(n), r)]
+        for chosen, rest, phase in zip(picked.tolist(), kept.tolist(), phases.tolist()):
+            assert rest == [k for k in range(n) if k not in chosen]
+            assert canonical_rows([row[k] for k in chosen + rest], fermion) == (row, phase)
 
 
 class TestManyBody:
@@ -345,27 +364,22 @@ class TestManyBody:
         with pytest.raises(ValueError):
             coulomb_expectation({0: 0}, {0: 1}, basis)
 
-    def test_operator_is_held_by_the_basis(self, monkeypatch):
-        # The level keeps its pair values, rest weights and state norms, and
-        # a second table on it computes none of them again.
+    def test_the_level_keeps_no_table_state(self, monkeypatch):
+        # A diagonal table after a pairwise one on the same level is the
+        # pairwise table's diagonal, and both equal the tables of a freshly
+        # built level: nothing a table computes is kept on the level.  No
+        # table expands a state.
         def never(*args):
-            raise AssertionError(f"recomputed {args}")
+            raise AssertionError(f"expanded {args}")
 
         monkeypatch.setattr(SlaterState, "expand", never)
         basis = LevelBasis(3, 2, 4, BOSON)
         vectors = [{0: 1, 2: 1}, {0: 2, 3: 1}, {2: -1}]
         pairwise = coulomb_table(vectors, basis, pairwise=True)
-        operator = basis.coulomb_operator
-        keys, pairs = operator._pair_keys, operator._pairs
-        kept = dict(operator._rest_weights), dict(operator._norms)
-        assert len(keys) and all(kept)
-        monkeypatch.setattr(coulomb, "_scaled_elements", never)
-        monkeypatch.setattr(coulomb, "_multiset_weight", never)
         diagonal = coulomb_table(vectors, basis)
         assert diagonal == {(i, i): pairwise[i, i] for i in range(len(vectors))}
-        assert basis.coulomb_operator is operator
-        assert operator._pair_keys is keys and operator._pairs is pairs
-        assert (operator._rest_weights, operator._norms) == kept
+        assert pairwise == coulomb_table(vectors, LevelBasis(3, 2, 4, BOSON), pairwise=True)
+        assert diagonal == coulomb_table(vectors, LevelBasis(3, 2, 4, BOSON))
 
 
 def pair_buckets(terms, d):

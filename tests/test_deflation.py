@@ -1,13 +1,16 @@
 """Tests for the deflation algorithm over level bases."""
 
+import ast
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from shapes import deflation
 from shapes.counting import BOSON, FERMION, shape_polynomial
 from shapes.deflation import LevelBasis, deflate_sparse
 from shapes.errors import InternalConsistencyError, StateCapExceeded
@@ -114,6 +117,21 @@ class TestLevelBasis:
             tracemalloc.stop()
         assert sum(map(len, sectors.values())) == len(basis) > 10_000
         assert added <= 8 * len(basis)
+
+    def test_the_level_basis_imports_no_realization(self):
+        # The level sits below the densities and Coulomb, which read its
+        # code array: its module imports neither, so no cycle comes back.
+        tree = ast.parse(Path(deflation.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                imported.add(base)
+                imported.update(f"{base}.{alias.name}" for alias in node.names)
+        assert ".polycore" in imported
+        assert not [name for name in imported if {"coulomb", "realize"} & {*name.split(".")}]
 
 
 class TestDeflate:

@@ -1243,6 +1243,24 @@ class TestCatalogLoading:
         with pytest.raises(ValueError, match=re.escape("shape count at grade 0 is 0, expected 1")):
             ShapeCatalog.from_json_obj(obj)
 
+    def test_a_far_grade_of_no_state_row_builds_no_count_table_past_the_rows(self, monkeypatch):
+        # The one (2, 1, boson) shape moved to grade 1500 with its row
+        # unchanged: no row is a state of its grade, so the count table
+        # goes no further than the rows' own grade 0, and the row is named.
+        obj = generate_shapes(2, 1, BOSON).to_json_obj()
+        obj["max_grade"] = 1500
+        obj["shapes"][0].update(id="1500:0", grade=1500)
+        real = shapegen.count_table
+
+        def bounded(n, d, grade, statistics):
+            assert grade <= 0, f"count table through grade {grade}"
+            return real(n, d, grade, statistics)
+
+        monkeypatch.setattr(shapegen, "count_table", bounded)
+        message = "catalog shape 1500:0: row [[0], [0]] is not a state of grade 1500"
+        with pytest.raises(ValueError, match=re.escape(f"{message} (n=2, d=1, boson)")):
+            ShapeCatalog.from_json_obj(obj)
+
     @settings(max_examples=60)
     @given(st.data())
     def test_one_corrupted_row_is_named_by_the_per_row_reader(self, catalog_32, data):
