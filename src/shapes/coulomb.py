@@ -151,7 +151,7 @@ def _scaled_elements(quads, grade):
         raise InternalConsistencyError(
             f"two-body term of degree {degrees[beyond][0]} exceeds the level bound {2 * grade}"
         )
-    shape = (int(quads.max()) + 1,) * 4
+    shape = (int(quads.max(initial=0)) + 1,) * 4
     distinct, which = np.unique(np.ravel_multi_index(quads, shape).ravel(), return_inverse=True)
     n, n2, m, m2 = np.unravel_index(distinct, shape)
     which = which.reshape(axes.shape)
@@ -193,27 +193,30 @@ def _scaled_elements(quads, grade):
     return elements(inputs[0], signs, *inputs[1:])[0]
 
 
-def two_body_element(bra1, bra2, ket1, ket2, d=None):
+def two_body_element(bra1, bra2, ket1, ket2):
     """Coulomb matrix element [n n' | 1/|R-R'| | m m'] between Hermite products.
 
     Indices are d-tuples of per-axis Hermite quantum numbers for the two
-    interacting particles (bra pair, then ket pair).  Vanishes exactly
-    whenever any axis has odd total parity.
+    interacting particles (bra pair, then ket pair), giving one float, or
+    (k x d) integer arrays of k such quadruples, giving k floats.  All are
+    evaluated in one _scaled_elements pass, over the weights of half the
+    largest degree sum, and each is its exact rational rounded once.
+    Vanishes exactly whenever any axis has odd total parity.
     """
-    tuples = tuple(tuple(int(e) for e in v) for v in (bra1, bra2, ket1, ket2))
-    if d is None:
-        d = len(tuples[0])
-    if any(len(v) != d for v in tuples):
-        raise ValueError("index tuples must all have length d")
-    if any(e < 0 for v in tuples for e in v):
+    arrays = [np.asarray(v, dtype=np.int64) for v in (bra1, bra2, ket1, ket2)]
+    shape = arrays[0].shape
+    if any(a.shape != shape for a in arrays) or len(shape) not in (1, 2):
+        raise ValueError("indices must be four d-tuples or four (k x d) arrays of one shape")
+    quads = np.stack(arrays).reshape(4, -1, shape[-1])
+    if (quads < 0).any():
         raise ValueError("Hermite indices must be non-negative")
-    # Half the degree sum is a grade whose weights cover every term; the
-    # prefactor is pi^d sqrt(2/pi) pi^p.
-    grade = sum(map(sum, tuples)) // 2
+    # Half the largest degree sum is a grade whose weights cover every
+    # term; the prefactor is pi^d sqrt(2/pi) pi^p.
+    d, grade = shape[-1], int(quads.sum(axis=(0, 2)).max(initial=0)) // 2
     denominator, _ = _level_weights(d, grade)
-    scaled = _scaled_elements(np.array(tuples).reshape(4, 1, d), grade)[0]
     prefactor = math.sqrt(2.0) * math.pi ** (d - 0.5 + beta_integral_exact(d, 0)[1])
-    return float(Fraction(int(scaled), denominator)) * prefactor
+    values = [int(s) / denominator * prefactor for s in _scaled_elements(quads, grade)]
+    return values[0] if len(shape) == 1 else np.array(values)
 
 
 def hermite_norm_rational(indices):
@@ -343,10 +346,10 @@ def _blocks(basis, states, classes):
     return block, slot - starts[block], sizes, np.cumsum(sizes**2) - sizes**2, values
 
 
-def _contract(basis, vectors, diagonal, cross):
+def _contract(basis, vectors, cross):
     """(numerators, norms) of integer vectors {state: coeff} over a level:
-    numerators[i, j] = D <v_i|V|v_j> for the cells i = j if diagonal and
-    i < j if cross (a cell whose vectors share no rest is left out), and
+    numerators[i, j] = D <v_i|V|v_j> for the cells i = j, and i < j if
+    cross (a cell whose vectors share no rest is left out), and
     norms[i] = <v_i|v_i>, exact ints.
 
     By the Slater-Condon rules, with Lowdin's occupation-number factors for
@@ -368,8 +371,8 @@ def _contract(basis, vectors, diagonal, cross):
     amplitude s = phase x coefficient, grouped by (vector, block).  A cell
     (i, j) adds s_e s_f W_R P(e, f) over every entry e of a group of i and
     f of j's group in the same block.  The blocks are per rest and sector
-    when only the diagonal is asked and every vector lies in one sector, so
-    no group spans two sectors, and per rest otherwise.
+    when no cross cell is asked and every vector lies in one sector, so no
+    group spans two sectors, and per rest otherwise.
 
     Sums are exact in int64.  No cell has more terms than the largest
     block's entries times the most entries of one vector, which is below
@@ -441,14 +444,14 @@ def _contract(basis, vectors, diagonal, cross):
         first = np.flatnonzero(np.diff(block, prepend=-1) | np.diff(owner, prepend=-1))
         size, group_owner = np.diff(first, append=len(order)), owner[first]
         # A group pairs with itself for the diagonal.  For cross cells
-        # it pairs with the groups of its block from the next one, or
-        # from itself with the diagonal, to the last, in by_block, the
-        # order of the groups by (block, vector): lo to hi there.
+        # it pairs with the groups of its block from itself to the last,
+        # in by_block, the order of the groups by (block, vector): lo to
+        # hi there.
         last_terms = np.cumsum(size * size)
         if cross:
             by_block = np.lexsort((group_owner, block[first]))
             lo = np.empty_like(by_block)
-            lo[by_block] = np.arange(len(by_block)) + (not diagonal)
+            lo[by_block] = np.arange(len(by_block))
             hi = np.searchsorted(block[first][by_block], block[first], side="right")
             partners = np.concatenate(([0], np.cumsum(size[by_block])))
             last_terms = np.cumsum(size * (partners[hi] - partners[lo]))
@@ -501,28 +504,13 @@ def _integer_support(coeffs):
 def coulomb_table(vectors, basis, pairwise=False):
     """{(i, j): <v_i| sum 1/r |v_j> / norms} for every i <= j if pairwise,
     else for i = j, over sparse {state index: coeff} vectors of one
-    LevelBasis: one exact contraction for the whole table (_contract),
-    each entry rounded once."""
-    return _expectations(vectors, basis, True, pairwise)
-
-
-def coulomb_expectation(bra, ket, basis):
-    """<Psi_bra| sum_{i<j} 1/|r_i - r_j| |Psi_ket> / norms.
-
-    Both states are sparse {state index: coeff} vectors over the same
-    LevelBasis, realized as products of unnormalized Hermite functions: the
-    one-cell case of coulomb_table.
-    """
-    return _expectations([bra, ket], basis, False, True)[0, 1]
-
-
-def _expectations(vectors, basis, diagonal, cross):
-    """The cells (i, i) if diagonal and (i, j), i < j, if cross.
+    LevelBasis, realized as products of unnormalized Hermite functions; {}
+    for no vectors.
 
     The contraction runs in the state basis and in integers: each vector's
     coefficients over their common denominator L (_integer_support), and
-    one _contract for D <v_i|V|v_j> and the norms.  Each
-    entry divides its numerator by D L_i L_j and the norms' product by
+    one _contract for the whole table gives D <v_i|V|v_j> and the norms.
+    Each entry divides its numerator by D L_i L_j and the norms' product by
     (L_i L_j)^2, each a correctly rounded int / int, so the result does
     not depend on the normalization convention.
     """
@@ -532,11 +520,11 @@ def _expectations(vectors, basis, diagonal, cross):
     cells = [
         (i, j)
         for i in range(len(vectors))
-        for j in range(i if diagonal else i + 1, len(vectors) if cross else i + 1)
+        for j in range(i, len(vectors) if pairwise else i + 1)
     ]
-    if basis.n < 2:
+    if basis.n < 2 or not cells:
         return dict.fromkeys(cells, 0.0)
-    numerators, norms = _contract(basis, [ints for ints, _ in supports], diagonal, cross)
+    numerators, norms = _contract(basis, [ints for ints, _ in supports], pairwise)
     denominator, _ = _level_weights(basis.d, basis.grade)
     _, pi_pow = beta_integral_exact(basis.d, 0)
     prefactor = math.sqrt(2.0) * math.pi ** (pi_pow - 0.5)
@@ -546,3 +534,10 @@ def _expectations(vectors, basis, diagonal, cross):
         numerator = numerators.get((i, j), 0) / (denominator * scale)
         out[i, j] = prefactor * numerator / math.sqrt(norms[i] * norms[j] / (scale * scale))
     return out
+
+
+def coulomb_expectation(bra, ket, basis):
+    """<Psi_bra| sum_{i<j} 1/|r_i - r_j| |Psi_ket> / norms, over sparse
+    {state index: coeff} vectors of one LevelBasis: the (0, 1) cell of
+    coulomb_table([bra, ket], basis, pairwise=True)."""
+    return coulomb_table([bra, ket], basis, pairwise=True)[0, 1]

@@ -261,12 +261,14 @@ def test_criterion_09_coulomb():
             t for t in itertools.product(range(3), repeat=4) if sum(t) % 2 == 0
         ]
         for d in (2, 3):
-            for combo in itertools.product(per_axis, repeat=d):
-                bra1, bra2, ket1, ket2 = (
-                    tuple(c[i] for c in combo) for i in range(4)
-                )
-                oracle = two_body_oracle(bra1, bra2, ket1, ket2)
-                closed = two_body_element(bra1, bra2, ket1, ket2)
+            quads = [
+                tuple(tuple(c[i] for c in combo) for i in range(4))
+                for combo in itertools.product(per_axis, repeat=d)
+            ]
+            # One stacked call: four (k x d) index arrays give k elements.
+            stacked = two_body_element(*np.array(quads).transpose(1, 0, 2))
+            for quad, closed in zip(quads, stacked, strict=True):
+                oracle = two_body_oracle(*quad)
                 if oracle:
                     assert abs(closed - oracle) / abs(oracle) < 1e-6
                 else:

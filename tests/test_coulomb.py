@@ -143,11 +143,21 @@ class TestTwoBodyElement:
                 if oracle:
                     assert abs(closed - oracle) / abs(oracle) < 1e-6
 
+    @pytest.mark.parametrize("d, stride", [(2, 7), (3, 293)])
+    def test_stacked_quadruples_equal_one_call_each(self, d, stride):
+        # The stack is evaluated over the weights of its largest degree
+        # sum, and each element is still the same float.
+        quads = [*even_parity_tuples(d, 2, stride)]
+        stacked = two_body_element(*np.array(quads).transpose(1, 0, 2))
+        assert stacked.tolist() == [two_body_element(*quad) for quad in quads]
+
     def test_bad_indices(self):
         with pytest.raises(ValueError):
             two_body_element((0, 0), (0, 0, 0), (0, 0), (0, 0))
         with pytest.raises(ValueError):
             two_body_element((-1, 0), (0, 0), (0, 0), (0, 0))
+        with pytest.raises(ValueError):
+            two_body_element(*np.zeros((3, 2, 2), dtype=int), np.zeros((1, 2), dtype=int))
 
 
 def reference_axis_table(n, np_, m, mp):
@@ -238,7 +248,7 @@ class TestIntegerKernel:
         basis, a, b = case
         denominator, _ = _level_weights(basis.d, basis.grade)
         for vectors, cell, cross in (([{a: 1}, {b: 1}], (0, 1), True), ([{a: 1}], (0, 0), False)):
-            element = _contract(basis, vectors, not cross, cross)[0].get(cell, 0)
+            element = _contract(basis, vectors, cross)[0].get(cell, 0)
             exact = monomial_numerator(vectors[0], vectors[-1], basis)
             assert element == denominator * exact
             assert type(element) is int
@@ -352,6 +362,10 @@ class TestManyBody:
             basis,
         )
         assert v1 == pytest.approx(v2, rel=1e-12)
+
+    def test_no_vectors_make_an_empty_table(self):
+        basis = LevelBasis(3, 2, 3, FERMION)
+        assert coulomb_table([], basis) == {} == coulomb_table([], basis, pairwise=True)
 
     def test_zero_state_rejected(self):
         basis = LevelBasis(3, 2, 3, FERMION)

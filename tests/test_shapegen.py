@@ -1,7 +1,10 @@
 """Tests for shape generation, complements, and span verification."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -355,6 +358,57 @@ class TestSectorCertificate:
         assert catalog.is_complete()
         top = catalog.shape_poly.degree()
         assert all(verify_span(catalog, g).passed for g in range(top - 1, top + 2))
+
+
+class TestOneBlasThread:
+    """The certificates run on one OpenBLAS thread, and the catalog does
+    not depend on the thread count."""
+
+    def test_certificates_run_on_one_thread_and_the_count_is_restored(self, monkeypatch):
+        found = shapegen._blas_threads()
+        if found is None:
+            pytest.skip("numpy's bundled OpenBLAS is not found")
+        get, set_threads = found
+        seen, real = [], shapegen._certify
+
+        def spy(a):
+            seen.append(get())
+            return real(a)
+
+        def fail(a):
+            raise RuntimeError("certificate failed")
+
+        before = get()
+        set_threads(2)
+        try:
+            monkeypatch.setattr(shapegen, "_certify", spy)
+            generate_shapes(3, 2, FERMION)
+            assert get() == 2
+            monkeypatch.setattr(shapegen, "_certify", fail)
+            with pytest.raises(RuntimeError, match="certificate failed"):
+                generate_shapes(3, 2, FERMION)
+            assert get() == 2
+        finally:
+            set_threads(before)
+        assert seen and set(seen) == {1}
+
+    def test_catalog_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        source = os.path.dirname(os.path.dirname(shapegen.__file__))
+        path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+        script = (
+            "import sys; from shapes.cli import main\n"
+            "for n, d in ((3, 3), (5, 2)):\n"
+            "    out = f'{sys.argv[1]}/{n}{d}.json'\n"
+            "    main(['generate', '--n', str(n), '--d', str(d), '--out', out])"
+        )
+        written = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+            written[threads] = [(out / f"{name}.json").read_bytes() for name in ("33", "52")]
+        assert written["1"] == written["2"]
 
 
 class TestSectorLaw:
@@ -1259,6 +1313,25 @@ class TestCatalogLoading:
         monkeypatch.setattr(shapegen, "count_table", bounded)
         message = "catalog shape 1500:0: row [[0], [0]] is not a state of grade 1500"
         with pytest.raises(ValueError, match=re.escape(f"{message} (n=2, d=1, boson)")):
+            ShapeCatalog.from_json_obj(obj)
+
+    def test_a_far_grade_of_no_state_row_numbers_no_orbital_past_the_rows(self, monkeypatch):
+        # The one (1, 3, fermion) shape moved to grade 200 with its row
+        # unchanged: numbering the orbitals through grade 200 would make
+        # 1.4 M of them, but the row holds only degree 0, so the loader
+        # numbers none past it and names the row.
+        obj = generate_shapes(1, 3, FERMION).to_json_obj()
+        obj["max_grade"] = 200
+        obj["shapes"][0].update(id="200:0", grade=200)
+        real = polycore.OrbitalCodes.grow
+
+        def bounded(codes, max_degree):
+            assert max_degree <= 0, f"orbitals numbered through degree {max_degree}"
+            return real(codes, max_degree)
+
+        monkeypatch.setattr(polycore.OrbitalCodes, "grow", bounded)
+        message = "catalog shape 200:0: row [[0, 0, 0]] is not a state of grade 200"
+        with pytest.raises(ValueError, match=re.escape(f"{message} (n=1, d=3, fermion)")):
             ShapeCatalog.from_json_obj(obj)
 
     @settings(max_examples=60)
