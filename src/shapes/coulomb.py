@@ -16,7 +16,7 @@ rules, with Lowdin's occupation-number factors for permanents (Phys. Rev.
 multisets of size n-2 they share, their rests, and no state is expanded into
 its n! monomials.  A table is one contraction (_contract): each vector's
 states are split, from the level's code array, into entries (rest, removed
-pair, phase x coefficient) by _removals, the one split of a state into
+pair, phase x coefficient) by removals, the one split of a state into
 removed rows and rest that the densities read too, and two entries on one
 rest add their amplitudes' product times the rest's weight and the pair
 value D ([x y|z w] +- [x y|w z]).  The pair values, rest weights and norms
@@ -39,7 +39,7 @@ import numpy as np
 
 from .counting import FERMION
 from .errors import InternalConsistencyError
-from .polycore import _as_exact, chunk_rows, chunks, multiplicity_factorials
+from .polycore import as_exact, chunk_rows, chunks, multiplicity_factorials
 
 
 def hermite_linearization(n, m):
@@ -241,7 +241,7 @@ _MIN_VALUE_BITS = 16
 
 
 @cache
-def _removals(n, r, fermion):
+def removals(n, r, fermion):
     """(picked, kept, phases) of the C(n, r) position sets p_1 < .. < p_r
     of a row of n codes, in combinations order: the set's r columns, the
     other n - r columns in order, and the phase of moving the set's rows to
@@ -264,8 +264,9 @@ def _grid(rows, columns):
 
 
 def _distinct(values):
-    """The distinct values of an int array, ascending: np.unique without
-    its masked-array check, which imports numpy.ma on first use."""
+    """The distinct values of an int array, ascending.  np.unique asked for
+    no indices or counts checks for a masked array, which imports numpy.ma
+    on first use: about 10 ms of a fresh process's first table."""
     values = np.sort(values)
     return values[np.diff(values, prepend=values[:1] - 1) != 0]
 
@@ -303,7 +304,7 @@ def _blocks(basis, states, classes):
     """The blocks of per-rest pair amplitudes of some distinct states of a
     level.
 
-    A state's entries are its C(n, 2) position pairs (_removals), each
+    A state's entries are its C(n, 2) position pairs (removals), each
     removing a pair and leaving a rest.  A block is a rest and a class
     (classes[i] of the i-th state); its slots are the distinct pairs its
     entries remove, and its values are W_R P(e, f) for every ordered pair
@@ -314,10 +315,10 @@ def _blocks(basis, states, classes):
     unordered pair of pairs and W_R once per rest.
     """
     n, limit = basis.n, basis.codes.grow(basis.grade)
-    picked, kept, _ = _removals(n, 2, basis.statistics is FERMION)
+    picked, kept, _ = removals(n, 2, basis.statistics is FERMION)
     rows = basis.code_array[states].astype(np.int64)
     rest_rows = rows[:, kept].reshape(len(states) * len(picked), n - 2)
-    _, first, rest = np.unique(basis._keys(rest_rows), return_index=True, return_inverse=True)
+    _, first, rest = np.unique(basis.row_keys(rest_rows), return_index=True, return_inverse=True)
     span = int(classes.max(initial=0)) + 1
     block_keys, block = np.unique(
         rest * span + np.repeat(classes, len(picked)), return_inverse=True
@@ -341,7 +342,7 @@ def _blocks(basis, states, classes):
     del e, f
     values = _pair_values(basis, pairs[quads // len(pairs)], pairs[quads % len(pairs)])
     decoded = map(basis.codes.decode, rest_rows[first].tolist())
-    weights = np.array([*map(_multiset_weight, decoded)], dtype=object)
+    weights = np.array([*map(multiset_weight, decoded)], dtype=object)
     values = weights[block_keys // span][owner] * values[which.ravel()]
     return block, slot - starts[block], sizes, np.cumsum(sizes**2) - sizes**2, values
 
@@ -359,7 +360,7 @@ def _contract(basis, vectors, cross):
         D <S_a|V|S_b> = n! sum_R W_R sum eps_a eps_b P(x y, z w),
 
     the inner sum over the removed pairs (x, y) of a and (z, w) of b that
-    leave R (_removals), eps the phase of moving the pair to the front (1
+    leave R (removals), eps the phase of moving the pair to the front (1
     for permanents), W_R = mult(R)! N_R the product of R's multiplicity
     factorials and its Hermite norm, and P(x y, z w) = D ([x y|z w] +-
     [x y|w z]) with - for fermions (_pair_values), in units of sqrt(2)
@@ -385,7 +386,7 @@ def _contract(basis, vectors, cross):
     cells), and a chunk's pairs of entries are summed in chunks of whole
     bra vectors under that bound.
     """
-    _, _, phases = _removals(basis.n, 2, basis.statistics is FERMION)
+    _, _, phases = removals(basis.n, 2, basis.statistics is FERMION)
     width = len(phases)
     counts = np.array([len(v) for v in vectors])
     ends = np.cumsum(counts)
@@ -427,7 +428,7 @@ def _contract(basis, vectors, cross):
     ]
     block_of, place_of = block_of.reshape(-1, width), place_of.reshape(-1, width)
     scale = math.factorial(basis.n)
-    weights = map(_multiset_weight, map(basis.orbitals, states.tolist()))
+    weights = map(multiset_weight, map(basis.orbitals, states.tolist()))
     state_norms = np.array([scale * weight for weight in weights], dtype=object)
     sums, norms = {}, []
     for part in parts:
@@ -485,7 +486,7 @@ def _contract(basis, vectors, cross):
     return numerators, norms
 
 
-def _multiset_weight(orbitals):
+def multiset_weight(orbitals):
     """Product of multiplicity factorials times the Hermite norm of the
     orbitals (sorted, so equal orbitals are adjacent)."""
     return multiplicity_factorials(orbitals) * hermite_norm_rational(sum(orbitals, ()))
@@ -496,7 +497,7 @@ def _integer_support(coeffs):
     least common denominator L; coeffs itself when they are nonzero ints."""
     if all(type(c) is int and c for c in coeffs.values()):
         return coeffs, 1
-    exact = {idx: _as_exact(c) for idx, c in coeffs.items() if c}
+    exact = {idx: as_exact(c) for idx, c in coeffs.items() if c}
     scale = math.lcm(*(c.denominator for c in exact.values()))
     return {idx: c.numerator * (scale // c.denominator) for idx, c in exact.items()}, scale
 

@@ -34,7 +34,7 @@ from .errors import InternalConsistencyError, StateCapExceeded
 from .polycore import (
     ExactPolynomial,
     SlaterState,
-    _as_exact,
+    as_exact,
     chunk_rows,
     enumerate_basis,
     monomial_rows,
@@ -55,7 +55,7 @@ class LevelBasis:
     A state is the descending row of its orbitals' codes, and code_array,
     an int32 (states x n) array, holds state i in row i (enumerate_basis).
     No other per-state object is kept: a state is found by its combinadic
-    key (_keys), which rises strictly against the enumeration order, so the
+    key (row_keys), which rises strictly against the enumeration order, so the
     level keeps its keys ascending and one searchsorted finds any batch of
     code rows (find_codes, locate_signed).  ``codes`` is the numbering of
     the level's dimension (orbital_codes); ``orbitals`` decodes a state to
@@ -84,10 +84,10 @@ class LevelBasis:
         self._binomials = self._binomial_table()
         size = len(self.code_array)
         keys = self._sorted_keys = np.empty(size, dtype=self._binomials.dtype)
-        step = chunk_rows(24 * n)  # _keys holds about 24 bytes per code
+        step = chunk_rows(24 * n)  # row_keys holds about 24 bytes per code
         for lo in range(0, size, step):
             hi = min(lo + step, size)
-            keys[size - hi : size - lo] = self._keys(self.code_array[lo:hi])[::-1]
+            keys[size - hi : size - lo] = self.row_keys(self.code_array[lo:hi])[::-1]
         if not ((keys[1:] > keys[:-1]).all() and (keys[:1] >= 0).all()):
             raise InternalConsistencyError(
                 f"grade {grade} states are not distinct and in enumeration order "
@@ -143,7 +143,7 @@ class LevelBasis:
             binomials[1:, r] = np.cumsum(binomials[:-1, r - 1])
         return binomials.astype(np.int64) if comb(size, n) < 2**63 else binomials
 
-    def _keys(self, rows):
+    def row_keys(self, rows):
         """The combinadic key of each row of r <= n codes, in any order
         within a row.
 
@@ -170,7 +170,7 @@ class LevelBasis:
         keys = self._sorted_keys
         if not len(keys):
             return np.full(len(rows), -1)
-        wanted = self._keys(rows)
+        wanted = self.row_keys(rows)
         found = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
         return np.where(keys[found] == wanted, len(keys) - 1 - found, -1)
 
@@ -234,7 +234,7 @@ class LevelBasis:
         terms = {}
         for idx, c in sorted(coeffs.items()):
             if c:
-                c = _as_exact(c)
+                c = as_exact(c)
                 for mono, ec in self.expansion(idx).terms.items():
                     terms[mono] = c * ec
         return ExactPolynomial._raw(self.n, self.d, terms)
@@ -261,7 +261,7 @@ def deflate_sparse(poly, basis):
     result = {}
     for orbitals, c, idx in zip(rows, poly.terms.values(), basis.find_orbitals(rows).tolist()):
         if idx >= 0:
-            result[idx] = _as_exact(Fraction(c) / multiplicity_factorials(orbitals))
+            result[idx] = as_exact(Fraction(c) / multiplicity_factorials(orbitals))
     residual = poly - basis.materialize(result)
     if not residual.is_zero:
         raise InternalConsistencyError(

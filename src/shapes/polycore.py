@@ -84,7 +84,7 @@ def monomial_sort_key(flat, d):
     return tuple((sum(flat[i : i + d]), flat[i : i + d]) for i in range(0, len(flat), d))
 
 
-def _as_exact(value):
+def as_exact(value):
     """Normalize a coefficient to an exact number: int when integral,
     Fraction otherwise.  Python ints and Fractions mix exactly."""
     if isinstance(value, int):
@@ -107,7 +107,7 @@ class ExactPolynomial:
         for mono, coeff in (terms or {}).items():
             if len(mono) != n * d:
                 raise ValueError("monomial length does not match n*d")
-            c = _as_exact(coeff)
+            c = as_exact(coeff)
             if c:
                 self.terms[tuple(mono)] = c
 
@@ -126,7 +126,7 @@ class ExactPolynomial:
 
     @classmethod
     def constant(cls, n, d, value=1):
-        c = _as_exact(value)
+        c = as_exact(value)
         if not c:
             return cls.zero(n, d)
         return cls._raw(n, d, {(0,) * (n * d): c})
@@ -197,7 +197,7 @@ class ExactPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_exact(other)
+            c = as_exact(other)
             if not c:
                 return ExactPolynomial.zero(self.n, self.d)
             return ExactPolynomial._raw(

@@ -12,7 +12,7 @@ phi_k.  A density traces out the spectator particles of a state vector by
 the Slater-Condon rules (Lowdin, Phys. Rev. 97, 1474, 1955): Hermite
 orthogonality pairs two states' retained rows only through a rest both
 hold, and no state is expanded into its monomials.  The rests come from
-the level's code array by coulomb._removals, the split Coulomb reads, and
+the level's code array by coulomb.removals, the split Coulomb reads, and
 nothing is kept on the level.
 Each pair's weight is exact in Python integers until one correctly rounded
 division, so neither the samples nor the weights overflow or underflow at
@@ -35,7 +35,7 @@ from itertools import chain, combinations_with_replacement, permutations, produc
 
 import numpy as np
 
-from .coulomb import _multiset_weight, _removals, hermite_norm_rational
+from .coulomb import hermite_norm_rational, multiset_weight, removals
 from .counting import FERMION
 from .errors import InternalConsistencyError
 from .polycore import canonical_rows, chunk_rows, multiplicity_factorials
@@ -177,7 +177,7 @@ def _reduced_density_weights(state, retained):
     Returns {(bra rows, ket rows) of particles 0..retained-1: weight}, the
     spectator-integrated coefficient over <Psi|Psi>, as the weight of the
     rows' normalized Hermite functions.  The states' code rows are split
-    into removed rows and rests by _removals, as Coulomb splits them.  Each
+    into removed rows and rests by removals, as Coulomb splits them.  Each
     ordered tuple A of a state's rows, counted once, is filed under the
     rest Q of its orbitals with e_A = c mult! eps (eps the phase of moving
     A to the front, mult! the state's multiplicity factorials); two tuples
@@ -191,7 +191,7 @@ def _reduced_density_weights(state, retained):
     basis = state.basis
     fermion = basis.statistics is FERMION
     decode = basis.codes.decode
-    picked, kept, phases = _removals(basis.n, retained, fermion)
+    picked, kept, phases = removals(basis.n, retained, fermion)
     indices = sorted(state.terms)
     rows = basis.code_array[indices]
     split = zip(indices, rows.tolist(), rows[:, kept].tolist(), rows[:, picked].tolist())
@@ -201,7 +201,7 @@ def _reduced_density_weights(state, retained):
     for idx, row, kept_rows, removed in split:
         orbitals = decode(row)
         c = state.terms[idx]
-        norm += c * c * _multiset_weight(orbitals)
+        norm += c * c * multiset_weight(orbitals)
         c *= multiplicity_factorials(orbitals)
         for rest, codes, phase in zip(kept_rows, removed, phases):
             bucket = buckets.setdefault(tuple(rest), {})

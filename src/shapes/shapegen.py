@@ -330,17 +330,20 @@ class ShapeCatalog:
         shape, on a missing grade or index (by its position), a repeated id,
         a non-integer grade or index or a shape that _read_rows or
         _read_coeffs rejects; on a shape_polynomial other than
-        shape_polynomial(n, d, statistics); naming the grade, on a grade
-        up to max_grade whose number of shapes is not the shape polynomial's
-        coefficient; and, naming the shape, on shapes not listed by grade,
-        then by index from 0, or an id other than "grade:index".
+        shape_polynomial(n, d, statistics); naming the grade, on a grade up
+        to max_grade and the shape polynomial's degree whose number of
+        shapes is not the polynomial's coefficient; and, naming the shape,
+        on shapes not listed by grade, then by index from 0, or an id other
+        than "grade:index".
 
-        A valid file is read in batched passes: every shape's rows are
-        checked in whole-list passes (_read_rows), all rows are ranked in
-        one call (_locate), which builds no level, and the coefficients are
-        read as integers (_read_coeffs).  Only a file those passes refuse is
-        read row by row (_check_rows), so an error names the first bad row
-        in file order, as reading each row on its own would.
+        A valid file is read in batched passes: every shape's grade is
+        bounded and its rows are checked in whole-list passes (_read_rows),
+        all rows are ranked in one call (_locate), which builds no level,
+        and the coefficients are read as integers (_read_coeffs).  Only a
+        file those passes refuse is read row by row (_check_rows), so an
+        error names the first bad row in file order, as reading each row on
+        its own would.  The shape polynomial and the shape counts are
+        checked last.
         """
         if not isinstance(obj, dict):
             raise ValueError(f"a catalog is a JSON object, got {type(obj).__name__}")
@@ -374,7 +377,7 @@ class ShapeCatalog:
                 read.append((grade, index, entry))
                 if not well_formed:
                     catalog._check_rows(read[-1:])
-            located = catalog._locate(read, obj.get("shape_polynomial"))
+            located = catalog._locate(read)
         except (ValueError, StateCapExceeded):
             # A bad row of an earlier shape, which the batched checks let
             # through, is named first.
@@ -388,7 +391,15 @@ class ShapeCatalog:
             except ValueError as exc:
                 raise ValueError(f"catalog shape {grade}:{index}: {exc}") from None
             catalog.shapes.append(ShapeRecord(grade, index, coeffs))
+        if obj.get("shape_polynomial") != poly.to_json_obj():
+            raise ValueError(f"catalog shape_polynomial is not that of n={n}, d={d}, {stat.value}")
         found = Counter(s.grade for s in catalog.shapes)
+        for grade in sorted(found.keys() | set(range(min(max_grade, poly.degree()) + 1))):
+            if found[grade] != poly.coefficient(grade):
+                raise ValueError(
+                    f"catalog shape count at grade {grade} is {found[grade]}, "
+                    f"expected {poly.coefficient(grade)}"
+                )
         places = ((g, i) for g in sorted(found) for i in range(found[g]))
         for position, ((grade, index, entry), place) in enumerate(zip(read, places)):
             if (grade, index) != place:
@@ -406,13 +417,15 @@ class ShapeCatalog:
     def _read_rows(self, grade, entry):
         """Whether a stored shape's basis rows pass the whole-list checks.
 
-        The grade must lie in 0..max_grade, and basis and coeffs must be
-        lists of one length, else ValueError.  The rows pass if they are
-        lists of n lists of d exponents, each exactly an int (not a bool)
-        and >= 0; _locate checks their order.
+        The grade must lie in 0..max_grade and no higher than the shape
+        polynomial's degree, above which no shape lies, and basis and coeffs
+        must be lists of one length, else ValueError.  The rows pass if they
+        are lists of n lists of d exponents, each exactly an int (not a
+        bool) and >= 0; _locate checks their order.
         """
-        if not 0 <= grade <= self.max_grade:
-            raise ValueError(f"grade {grade} is outside 0..{self.max_grade}")
+        top = min(self.max_grade, self.shape_poly.degree())
+        if not 0 <= grade <= top:
+            raise ValueError(f"grade {grade} is outside 0..{top}")
         rows, texts = json_list(entry, "basis"), json_list(entry, "coeffs")
         if len(rows) != len(texts):
             raise ValueError(f"{len(rows)} basis rows but {len(texts)} coefficients")
@@ -446,66 +459,41 @@ class ShapeCatalog:
                 except ValueError as exc:
                     raise ValueError(f"catalog shape {grade}:{index}: {exc}") from None
 
-    def _locate(self, read, stated):
+    def _locate(self, read):
         """Per shape read, (grade, index, entry) each: its rows' state
         indices, -1 for a row that is no state in canonical order, and
         whether its rows lie in more than one sector.  No level is built:
         all rows are coded (OrbitalCodes.code_rows) and ranked in one call
-        each (CountTable.rank) by the count table through the top grade of
-        a row whose degree sum is its grade; a row of another degree sum is
-        -1 without reading the table.  A file may state any grade, so the
-        table comes after the state cap (by the dimension series first if a
-        table through the top stated grade would hold more entries than the
-        cap) and, if every row's degree sum is its grade, the shape
-        polynomial and counts, which need only the grades.
+        each (CountTable.rank) by the count table through the top grade
+        read, which _read_rows bounds by the shape polynomial's degree.  The
+        table's dimensions check the state cap grade by grade (the dimension
+        series does so first when the table would hold more entries than the
+        cap allows states), and the rows' sectors are summed from the
+        per-code axis degrees.
         """
         grades = [grade for grade, _index, _entry in read]
         shapes = [entry["basis"] for _grade, _index, entry in read]
         lengths = np.fromiter(map(len, shapes), dtype=np.int64, count=len(shapes))
-        top, levels = max(grades, default=0), dict.fromkeys(grades)  # grade: dimension
+        top, levels = max(grades, default=0), dict.fromkeys(grades)
         if (self.n + 1) * comb(top + self.d, self.d) * (top + 1) > self.state_cap:
             for grade in levels:
-                levels[grade] = level_dimension(self.n, self.d, grade, self.statistics)
-                if levels[grade] > self.state_cap:
-                    raise StateCapExceeded(grade, levels[grade], self.state_cap)
-        # The numbering grows only through the rows' own largest orbital
-        # degree, and a row holding a code past it is of no grade.
-        codes, rows = orbital_codes(self.d), list(chain.from_iterable(shapes))
-        degree = min(top, max(map(sum, chain.from_iterable(rows)), default=0))
-        rows, limit = codes.code_rows(rows, self.n, degree), codes.grow(degree)
-        row_grades = np.repeat(np.array(grades, dtype=np.int64), lengths)
-        row_grades[(rows >= limit).any(axis=1)] = -1
-        sectors = codes.axis_degrees(degree)[np.minimum(rows, limit - 1)].sum(axis=1)
-        of_grade = sectors.sum(axis=1) == row_grades
-        if of_grade.all():
-            poly = self.shape_poly
-            if stated != poly.to_json_obj():
-                raise ValueError(
-                    f"catalog shape_polynomial is not that of n={self.n}, d={self.d}, "
-                    f"{self.statistics.value}"
-                )
-            found = Counter(grades)
-            for grade in sorted(found.keys() | set(range(min(self.max_grade, poly.degree()) + 1))):
-                if found[grade] != poly.coefficient(grade):
-                    raise ValueError(
-                        f"catalog shape count at grade {grade} is {found[grade]}, "
-                        f"expected {poly.coefficient(grade)}"
-                    )
-        # No row above `reach` is a state of its grade, so the table stops there.
-        reach = int(row_grades[of_grade].max(initial=0))
-        table = count_table(self.n, self.d, reach, self.statistics)
-        for grade, dimension in levels.items():
-            if dimension is None and grade <= reach:
-                dimension = table.dimension(grade)
-            elif dimension is None:
                 dimension = level_dimension(self.n, self.d, grade, self.statistics)
-            if dimension > self.state_cap:
-                raise StateCapExceeded(grade, dimension, self.state_cap)
-        indices = table.rank(rows, row_grades).tolist()
+                if dimension > self.state_cap:
+                    raise StateCapExceeded(grade, dimension, self.state_cap)
+        table = count_table(self.n, self.d, top, self.statistics)
+        for grade in levels:
+            if table.dimension(grade) > self.state_cap:
+                raise StateCapExceeded(grade, table.dimension(grade), self.state_cap)
+        codes = orbital_codes(self.d)
+        rows = codes.code_rows(list(chain.from_iterable(shapes)), self.n, top)
+        indices = table.rank(rows, np.repeat(np.array(grades, dtype=np.int64), lengths))
+        # A row that is no state (-1) is refused before its sector is read.
+        sectors = codes.axis_degrees(top)[np.where(indices[:, None] < 0, 0, rows)].sum(axis=1)
         ends = np.cumsum(lengths)
         off = (sectors != sectors[np.repeat(ends - lengths, lengths)]).any(axis=1)
         before = np.concatenate(([0], np.cumsum(off)))  # off rows before each row
         mixed = (before[ends] > before[ends - lengths]).tolist()
+        indices = indices.tolist()
         return [*zip(map(indices.__getitem__, map(slice, ends - lengths, ends)), mixed)]
 
     def _read_coeffs(self, grade, entry, indices, mixed):

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,13 +19,13 @@ from shapes import coulomb
 from shapes.coulomb import (
     _contract,
     _level_weights,
-    _removals,
     _scaled_elements,
     beta_integral_exact,
     coulomb_expectation,
     coulomb_table,
     hermite_linearization,
     hermite_norm_rational,
+    removals,
     two_body_element,
 )
 from shapes.deflation import LevelBasis
@@ -279,7 +282,7 @@ class TestRemovals:
         fermion = data.draw(st.booleans(), label="fermion")
         codes = (st.sets if fermion else st.lists)(st.integers(0, 30), min_size=n, max_size=n)
         row = sorted(data.draw(codes, label="codes"), reverse=True)
-        picked, kept, phases = _removals(n, r, fermion)
+        picked, kept, phases = removals(n, r, fermion)
         assert [*map(tuple, picked.tolist())] == [*itertools.combinations(range(n), r)]
         for chosen, rest, phase in zip(picked.tolist(), kept.tolist(), phases.tolist()):
             assert rest == [k for k in range(n) if k not in chosen]
@@ -539,6 +542,22 @@ class TestStateBasisOperator:
         monkeypatch.setattr(coulomb, "_limbs", spy)
         assert_tables_match_the_monomial_contraction(basis, vectors)
         assert min(cuts) > 1
+
+    def test_a_table_imports_no_masked_arrays(self):
+        # np.unique asked for no indices imports numpy.ma on first use,
+        # about 10 ms of a fresh process's first table.
+        source = os.path.dirname(os.path.dirname(coulomb.__file__))
+        script = (
+            "import sys\n"
+            "from shapes.coulomb import coulomb_table\n"
+            "from shapes.counting import FERMION\n"
+            "from shapes.deflation import LevelBasis\n"
+            "coulomb_table([{0: 1, 1: 2}, {2: 1}], LevelBasis(3, 2, 4, FERMION), pairwise=True)\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=source)
+        run = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True)
+        assert run.stdout.decode().split() == ["False"]
 
 
 def all_pairs_reference(bra, ket, basis):

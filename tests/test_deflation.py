@@ -133,6 +133,20 @@ class TestLevelBasis:
         assert ".polycore" in imported
         assert not [name for name in imported if {"coulomb", "realize"} & {*name.split(".")}]
 
+    def test_no_module_imports_another_modules_private_name(self):
+        # A helper shared between modules is public in the module that owns
+        # it: no module of the package imports an underscore name from another.
+        private = []
+        for path in sorted(Path(deflation.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    private += [
+                        f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                        for alias in node.names
+                        if alias.name.startswith("_")
+                    ]
+        assert not private
+
 
 class TestDeflate:
     def test_first_level_trivial_state_t_axis(self, basis_32_3):

@@ -18,7 +18,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from shapes.counting import (
     BOSON,
     FERMION,
-    level_dimension,
     sector_shape_counts,
     shape_polynomial,
     total_shape_count,
@@ -1275,64 +1274,56 @@ class TestCatalogLoading:
     def test_a_level_above_the_state_cap_is_named_before_its_count_table(
         self, catalog_32, monkeypatch
     ):
-        # A file may state any grade: with shape 4:0 moved to grade 300, the
-        # count table through grade 300 would hold 55 M entries, and the
-        # dimension series names the level first.
-        obj = catalog_32.to_json_obj()
-        obj["max_grade"], obj["shapes"][-1]["grade"] = 300, 300
+        # The count table through grade 4 would hold more entries than the
+        # cap of 13 allows states, so the dimension series names grade 4,
+        # of 14 states, without building it.
         monkeypatch.setattr(shapegen, "count_table", None)
         with pytest.raises(StateCapExceeded) as refusal:
+            ShapeCatalog.from_json_obj(catalog_32.to_json_obj(), state_cap=13)
+        assert (refusal.value.grade, refusal.value.count, refusal.value.cap) == (4, 14, 13)
+
+    @pytest.mark.parametrize(
+        "system, shape, grade, basis",
+        [
+            ((2, 1, BOSON), 0, 1500, [[[1500], [0]]]),
+            ((2, 1, BOSON), 0, 1500, None),
+            ((1, 3, FERMION), 0, 200, None),
+            ((3, 2, FERMION), -1, 300, None),
+        ],
+        ids=["boson-state", "boson-row", "fermion-1x3", "fermion-3x2"],
+    )
+    def test_a_grade_above_the_degree_is_refused(self, monkeypatch, system, shape, grade, basis):
+        # No shape lies above the shape polynomial's degree D, so a shape
+        # moved to a far grade, as a state of it or with its rows unchanged,
+        # is refused by its grade, and nothing is counted or numbered past D.
+        catalog = generate_shapes(*system)
+        obj, top = catalog.to_json_obj(), catalog.shape_poly.degree()
+        obj["max_grade"] = grade
+        obj["shapes"][shape].update(grade=grade, index=0, id=f"{grade}:0")
+        if basis is not None:
+            obj["shapes"][shape]["basis"] = basis
+
+        def bounded(real, position):
+            def call(*args):
+                assert args[position] <= top, f"{real.__name__} through grade {args[position]}"
+                return real(*args)
+
+            return call
+
+        monkeypatch.setattr(shapegen, "count_table", bounded(shapegen.count_table, 2))
+        monkeypatch.setattr(shapegen, "level_dimension", bounded(shapegen.level_dimension, 2))
+        monkeypatch.setattr(polycore.OrbitalCodes, "grow", bounded(polycore.OrbitalCodes.grow, 1))
+        message = f"catalog shape {grade}:0: grade {grade} is outside 0..{top}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             ShapeCatalog.from_json_obj(obj)
-        expected = level_dimension(3, 2, 300, FERMION)
-        assert (refusal.value.grade, refusal.value.count) == (300, expected)
 
-    def test_a_far_grade_is_refused_by_its_shape_count_before_its_count_table(self, monkeypatch):
-        # The one (2, 1, boson) shape moved to grade 1500, as a state of
-        # that grade: its level holds 751 states, under the cap, but the
-        # count table through grade 1500 would hold 3 x 1502 x 1501 entries.
-        obj = generate_shapes(2, 1, BOSON).to_json_obj()
-        obj["max_grade"] = 1500
-        obj["shapes"][0].update(id="1500:0", grade=1500, basis=[[[1500], [0]]])
-        monkeypatch.setattr(shapegen, "count_table", None)
-        with pytest.raises(ValueError, match=re.escape("shape count at grade 0 is 0, expected 1")):
-            ShapeCatalog.from_json_obj(obj)
-
-    def test_a_far_grade_of_no_state_row_builds_no_count_table_past_the_rows(self, monkeypatch):
-        # The one (2, 1, boson) shape moved to grade 1500 with its row
-        # unchanged: no row is a state of its grade, so the count table
-        # goes no further than the rows' own grade 0, and the row is named.
-        obj = generate_shapes(2, 1, BOSON).to_json_obj()
-        obj["max_grade"] = 1500
-        obj["shapes"][0].update(id="1500:0", grade=1500)
-        real = shapegen.count_table
-
-        def bounded(n, d, grade, statistics):
-            assert grade <= 0, f"count table through grade {grade}"
-            return real(n, d, grade, statistics)
-
-        monkeypatch.setattr(shapegen, "count_table", bounded)
-        message = "catalog shape 1500:0: row [[0], [0]] is not a state of grade 1500"
-        with pytest.raises(ValueError, match=re.escape(f"{message} (n=2, d=1, boson)")):
-            ShapeCatalog.from_json_obj(obj)
-
-    def test_a_far_grade_of_no_state_row_numbers_no_orbital_past_the_rows(self, monkeypatch):
-        # The one (1, 3, fermion) shape moved to grade 200 with its row
-        # unchanged: numbering the orbitals through grade 200 would make
-        # 1.4 M of them, but the row holds only degree 0, so the loader
-        # numbers none past it and names the row.
-        obj = generate_shapes(1, 3, FERMION).to_json_obj()
-        obj["max_grade"] = 200
-        obj["shapes"][0].update(id="200:0", grade=200)
-        real = polycore.OrbitalCodes.grow
-
-        def bounded(codes, max_degree):
-            assert max_degree <= 0, f"orbitals numbered through degree {max_degree}"
-            return real(codes, max_degree)
-
-        monkeypatch.setattr(polycore.OrbitalCodes, "grow", bounded)
-        message = "catalog shape 200:0: row [[0, 0, 0]] is not a state of grade 200"
-        with pytest.raises(ValueError, match=re.escape(f"{message} (n=1, d=3, fermion)")):
-            ShapeCatalog.from_json_obj(obj)
+    def test_a_max_grade_above_the_degree_loads_as_written(self, catalog_32):
+        # The bound is the lesser of max_grade and the degree: a file that
+        # states a higher max_grade, with every shape within the degree,
+        # loads and writes back the same JSON.
+        obj = catalog_32.to_json_obj()
+        obj["max_grade"] = catalog_32.shape_poly.degree() + 5
+        assert ShapeCatalog.from_json_obj(obj).to_json_obj() == obj
 
     @settings(max_examples=60)
     @given(st.data())
