@@ -266,16 +266,19 @@ def euler_series(n, truncation, statistics=FERMION):
         raise ValueError("particle count must be non-negative")
     if truncation < 0:
         raise ValueError("truncation degree must be non-negative")
-    series = GradedQPolynomial.one(truncation)
-    for k in range(1, n + 1):
-        geometric = GradedQPolynomial(
-            {j: 1 for j in range(0, truncation + 1, k)}, truncation
-        )
-        series = series * geometric
-    if statistics is FERMION:
-        shift = n * (n - 1) // 2
-        series = series * GradedQPolynomial.monomial(shift, truncation_degree=truncation)
-    return series
+    shift = n * (n - 1) // 2 if statistics is FERMION else 0
+    coeffs = [int(j == shift) for j in range(truncation + 1)]
+    return _divided(coeffs, range(1, n + 1))
+
+
+def _divided(coeffs, ks):
+    """The series of a coefficient list, truncated after its last entry,
+    divided by 1 - q^k for each k: a running sum with stride k, linear in
+    the truncation degree per factor."""
+    for k in ks:
+        for start in range(k):
+            coeffs[start::k] = itertools.accumulate(coeffs[start::k])
+    return GradedQPolynomial(dict(enumerate(coeffs)), len(coeffs) - 1)
 
 
 def shape_recursion_factor(n, k):
@@ -376,10 +379,11 @@ def dimension_series(n, d, truncation, statistics=FERMION):
 
     This is the shape polynomial times the d-th power of the unshifted
     one-dimensional series prod 1/(1-q^k); for fermions the ground shift is
-    carried by the shape polynomial itself.
+    carried by the shape polynomial itself, divided n d times (_divided).
     """
-    euler = euler_series(n, truncation, BOSON)
-    return shape_polynomial(n, d, statistics) * euler**d
+    shapes = shape_polynomial(n, d, statistics)
+    coeffs = [shapes.coeffs.get(j, 0) for j in range(truncation + 1)]
+    return _divided(coeffs, list(range(1, n + 1)) * d)
 
 
 def level_dimension(n, d, grade, statistics=FERMION):

@@ -379,11 +379,12 @@ class OrbitalCodes:
     their orbitals.  The numbering grows a degree at a time and is never
     renumbered: the codes of degree <= D are the same however far it has
     grown.  orbitals, degrees and index map codes to orbitals and degrees
-    and orbitals to codes; encode and decode do so for a whole state.  The
-    code maps of an Euler factor's shift and of an axis permutation are
-    kept here too, one int64 array per (k, axis) and per permutation,
-    grown with the numbering by appending the new orbitals' codes, and so
-    is the (codes x d) int64 array of their per-axis degrees.
+    and orbitals to codes; decode and code_rows do so for whole states.
+    The code maps of an Euler factor's shift and of an axis permutation
+    are kept here too, one int64 array per (k, axis) and per permutation,
+    grown with the numbering by appending the new orbitals' codes (the maps
+    products.apply_maps carries state rows through), and so is the
+    (codes x d) int64 array of their per-axis degrees.
     """
 
     def __init__(self, d):
@@ -405,14 +406,6 @@ class OrbitalCodes:
                 self.degrees.append(degree)
             self._counts.append(len(self.orbitals))
         return self._counts[max_degree]
-
-    def encode(self, orbitals):
-        """The codes of d-dimensional orbitals, numbering more as needed."""
-        orbitals = [tuple(o) for o in orbitals]
-        if any(len(o) != self.d or min(o) < 0 for o in orbitals):
-            raise ValueError(f"{orbitals} are not {self.d}-dimensional orbitals")
-        self.grow(max(map(sum, orbitals), default=0))
-        return tuple(self.index[o] for o in orbitals)
 
     def decode(self, codes):
         """The orbitals of codes, in the same order."""

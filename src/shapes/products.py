@@ -9,28 +9,28 @@ monomial's last factor times the product one factor lower, formed at a
 lower grade, so each (shape, monomial prefix) is formed once (Products).
 A product is keyed by one integer, its shape and the number of its
 monomial (EulerTable), and all the products of one grade are formed in
-one batch (_apply_factors): the code rows of every (source grade, factor)
-are located and summed together, in chunks bounded in bytes, exact in
-int64 or, past its bound, in Python ints.  A factor raises one axis's
-degree total by m*k, so a product's sector is its shape's sector plus the
-monomial's per-axis degrees (Products.plan).
+one batch by apply_maps, the one route that carries state rows through a
+code map (a factor's shift here, an axis permutation in generation's
+transport), in chunks bounded in bytes, exact in int64 or, past its
+bound, in Python ints.  A factor raises one axis's degree total by m*k,
+so a product's sector is its shape's sector plus the monomial's per-axis
+degrees (Products.plan).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
 from .errors import InternalConsistencyError
 from .polycore import chunks, euler_table, sector_of
 
-# The bytes a batched product pass (_apply_factors) holds per (entry,
-# m-subset) pair, its output aside: tracemalloc measured 63-132 on grades
-# of (4,2,b), (3,3,f), (5,2,f) and (6,2,f) formed in one chunk.
+# The bytes a pass of apply_maps holds per (entry, m-subset) pair, its
+# output aside: tracemalloc measured 63-132 on grades of (4,2,b), (3,3,f),
+# (5,2,f) and (6,2,f) formed in one chunk.
 _PAIR_BYTES = 128
 # A grade's products are formed in chunks of at most CHUNK_BYTES, or of
 # this fraction of the grade's pairs if that is more: each chunk costs
@@ -51,20 +51,18 @@ def _subset_columns(n, m):
     return columns
 
 
-def _subset_rows(source, factor, states):
-    """Some states of one level times e_m^[k](axis), as unsorted code rows.
+def _subset_rows(source, code_map, m, states):
+    """Some states of one level with a code map applied to m of their rows,
+    as unsorted code rows.
 
-    factor is (m, k, axis) and states are indices of the level basis
-    source.  A state times the symmetric factor is a sum over the
-    m-subsets of its rows: shift those orbitals by k on the axis
-    (OrbitalCodes.shift) and re-sort the rows (the Pieri rule).  Returns a
-    (states, C(n, m), n) array whose row j of state r is states[r] with
-    subset j shifted, in combinations order, before the sort.
+    states are indices of the level basis source, and code_map a code-to-
+    code table (OrbitalCodes.shift or OrbitalCodes.permutation) covering
+    its codes.  Returns a (states, C(n, m), n) array whose row j of state r
+    is states[r] with the codes of the j-th m-subset of its rows mapped, in
+    combinations order, before the sort.
     """
-    m, k, axis = factor
     rows = source.code_array[states]
-    shifted = source.codes.shift(k, axis, source.grade)[rows]
-    return np.hstack([rows, shifted])[:, _subset_columns(source.n, m)]
+    return np.hstack([rows, code_map[rows]])[:, _subset_columns(source.n, m)]
 
 
 def _sum_equal_keys(keys, values):
@@ -79,20 +77,24 @@ def _sum_equal_keys(keys, values):
     return keys[starts][nonzero], sums[nonzero]
 
 
-def _apply_factors(target, passes, vectors):
-    """Vectors times Euler factors, over the level target, in one batch.
+def apply_maps(target, passes, vectors):
+    """Vectors with m-subsets of their states' rows carried through code
+    maps, over the level target, in one batch.
 
-    vectors is a _Batch; passes are (source level, factor, end) triples in
+    vectors is a Batch; passes are (source level, code map, m, end) in
     order, the vectors from the previous pass's end up to end lying over
-    source and taking the factor (m, k, axis).  Returns their images as
-    (state indices, coefficients, bounds), image j the slice
-    bounds[j]:bounds[j + 1], indices ascending, no coefficient zero.
+    source, each state going to the sum over its m-subsets of rows of the
+    state with those codes mapped (_subset_rows) and re-sorted with its
+    phase.  e_m^[k](axis) is source.codes.shift(k, axis, source.grade); an
+    axis permutation is basis.codes.permutation(perm, grade) with m = n.
+    Returns the images as a Batch keyed as the vectors, indices ascending
+    and no coefficient zero.
 
     The vectors are cut into chunks of whole vectors whose (entry,
     m-subset) pairs take at most CHUNK_BYTES, or an eighth of the batch's
     if that is more (chunks, _PAIR_BYTES, _GRADE_PARTS).  In a
-    chunk, each pass builds the subset rows (_subset_rows) of the distinct
-    states its vectors touch, all the rows are located in one call
+    chunk, each pass builds the subset rows of the distinct states its
+    vectors touch, all the rows are located in one call
     (LevelBasis.locate_signed) and joined with the entries, and equal
     targets of one image are summed exactly (_sum_equal_keys).  A
     coefficient of an image, and every partial sum, is at most ||v||_1 *
@@ -102,17 +104,17 @@ def _apply_factors(target, passes, vectors):
     whatever the width of the stored vectors it reads (_compact).
     """
     n, size, bounds = target.n, len(target), vectors.bounds
-    starts = [0] + [end for _source, _factor, end in passes]
-    widths = np.repeat([comb(n, factor[0]) for _s, factor, _e in passes], np.diff(starts))
+    starts = [0] + [end for *_pass, end in passes]
+    widths = np.repeat([comb(n, m) for _s, _map, m, _e in passes], np.diff(starts))
     images, sums, counts = [], [], []
     for chunk in chunks(np.cumsum(np.diff(bounds) * widths * _PAIR_BYTES), _GRADE_PARTS):
         lo, hi = chunk.start, chunk.stop
         rows, firsts, spans, at = [], [], [], 0
-        for (source, factor, end), begin in zip(passes, starts):
+        for (source, code_map, m, end), begin in zip(passes, starts):
             if max(lo, begin) < min(hi, end):
                 entries = slice(bounds[max(lo, begin)], bounds[min(hi, end)])
                 touched, local = np.unique(vectors.indices[entries], return_inverse=True)
-                subsets = _subset_rows(source, factor, touched)
+                subsets = _subset_rows(source, code_map, m, touched)
                 width = subsets.shape[1]
                 rows.append(subsets.reshape(-1, n))
                 firsts.append(at + local * width)
@@ -135,7 +137,7 @@ def _apply_factors(target, passes, vectors):
         sums.append(_compact(values))
         counts.append(np.bincount(keys // size, minlength=hi - lo))
     bounds = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    return np.concatenate(images), np.concatenate(sums), bounds
+    return Batch(vectors.keys, vectors.last, np.concatenate(images), np.concatenate(sums), bounds)
 
 
 def _compact(values):
@@ -150,21 +152,43 @@ def _compact(values):
     return values.astype(object, copy=False)
 
 
-class _Batch:
+class Batch:
     """Integer vectors keyed by product, rows in any order: row j has the
     key keys[j], the last grade that reads it, last[j] (negative once it
     is freed), and the entries bounds[j]:bounds[j + 1] of indices (state
-    indices, ascending) and coeffs."""
+    indices, ascending) and coeffs.  of and dicts convert from and to
+    {state index: coeff} dicts."""
 
     def __init__(self, keys, last, indices, coeffs, bounds):
         self.keys, self.last, self.bounds = keys, last, bounds
         self.indices, self.coeffs = indices, coeffs
 
     @staticmethod
+    def of(dicts, keys=None, last=None):
+        """{state index: int} dicts as a batch, row j keyed keys[j] (j if
+        not given) and last read at last[j] (0 if not given).  A
+        coefficient that is not an int, as a Fraction, is a ValueError."""
+        rows = [sorted(vec.items()) for vec in dicts]
+        values = [c for row in rows for _i, c in row]
+        wrong = [c for c in values if not isinstance(c, int)]
+        if wrong:
+            raise ValueError(f"a product's coefficients are integers, got {wrong[0]!r}")
+        keys = np.arange(len(rows)) if keys is None else keys
+        last = np.zeros(len(rows), dtype=np.int64) if last is None else last
+        indices = _compact(np.array([i for row in rows for i, _c in row], dtype=np.int64))
+        bounds = np.cumsum([0] + list(map(len, rows)))
+        return Batch(keys, last, indices, _compact(np.array(values, dtype=object)), bounds)
+
+    def dicts(self):
+        """The rows as {state index: coeff} dicts of Python ints, in order."""
+        indices, coeffs, bounds = (a.tolist() for a in (self.indices, self.coeffs, self.bounds))
+        return [dict(zip(indices[lo:hi], coeffs[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+
+    @staticmethod
     def join(batches):
         ends = np.cumsum([0] + [b.bounds[-1] for b in batches])
         columns = ("keys", "last", "indices", "coeffs")
-        return _Batch(
+        return Batch(
             *(np.concatenate([getattr(b, name) for b in batches]) for name in columns),
             np.concatenate([[0]] + [b.bounds[1:] + end for b, end in zip(batches, ends)]),
         )
@@ -190,12 +214,12 @@ class _Batch:
         bounds = np.concatenate(([0], np.cumsum(lengths)))
         entries = np.repeat(self.bounds[rows] - bounds[:-1], lengths) + np.arange(bounds[-1])
         keys, last = self.keys[rows], self.last[rows]
-        return _Batch(keys, last, self.indices[entries], self.coeffs[entries], bounds)
+        return Batch(keys, last, self.indices[entries], self.coeffs[entries], bounds)
 
 
 _NO_KEYS = np.empty(0, dtype=np.int64)
 _NO_ENTRIES = np.empty(0, dtype=np.int32)  # as _compact stores them, so joins keep int32
-_NO_PRODUCTS = _Batch(_NO_KEYS, _NO_KEYS, _NO_ENTRIES, _NO_ENTRIES, np.zeros(1, dtype=np.int64))
+_NO_PRODUCTS = Batch(_NO_KEYS, _NO_KEYS, _NO_ENTRIES, _NO_ENTRIES, np.zeros(1, dtype=np.int64))
 
 
 class Products:
@@ -207,20 +231,19 @@ class Products:
     monomial's last factor times the product of the monomial's prefix, down
     to the shape itself under the empty monomial 0.  want registers
     products with every prefix they are formed from; form(grade) forms the
-    products registered at that grade in one batch (_apply_factors); take
+    products registered at that grade in one batch (apply_maps); take
     hands stored products out as a batch, and exact as dicts.  A stored
     product is freed once its last reader has read it: a prefix when the
     products one factor above it are formed, a product of the grade when it
     is taken.  Freed rows are dropped once they hold as many entries as the
     live ones, so dropping copies no more entries than it frees.
-    Products are integer vectors: a shape with rational coefficients is
-    scaled to integers first, and exact undoes the scale.
+    Products are integer vectors: a shape whose coefficients are not
+    integers is a ValueError (Batch.of).
     """
 
     def __init__(self, catalog, max_degree):
         self.catalog = catalog
         self.table = euler_table(catalog.n, catalog.d, max_degree)
-        self._scale = {}  # shape -> the denominator it was scaled by
         self._wanted = (_NO_KEYS,) * 3  # keys, grades and last reads of the products to form
         self._stored = _NO_PRODUCTS
         self._grade = None  # the grade last formed
@@ -245,7 +268,7 @@ class Products:
         keys, last = read[order][latest], at[order][latest]
         own = keys % count == 0  # the shapes themselves
         if own.any():
-            self._stored = _Batch.join([self._stored, self._shape_batch(keys[own], last[own])])
+            self._stored = Batch.join([self._stored, self._shape_batch(keys[own], last[own])])
         wanted = keys[~own], self._grades(keys[~own]), last[~own]
         self._wanted = tuple(map(np.concatenate, zip(self._wanted, wanted)))
 
@@ -270,20 +293,9 @@ class Products:
         return shapes[keys // len(self.table)] + self.table.degrees[keys % len(self.table)]
 
     def _shape_batch(self, keys, last):
-        """The vectors of the shapes of these keys, scaled to integers."""
+        """The vectors of the shapes of these keys."""
         shapes = (keys // len(self.table)).tolist()
-        rows = [sorted(self.catalog.shapes[shape].coeffs.items()) for shape in shapes]
-        values = []
-        for shape, row in zip(shapes, rows):
-            scale = self._scale[shape] = lcm(*(c.denominator for _i, c in row))
-            values += [int(c * scale) for _i, c in row]
-        return _Batch(
-            keys,
-            last,
-            _compact(np.array([i for row in rows for i, _c in row], dtype=np.int64)),
-            _compact(np.array(values, dtype=object)),
-            np.cumsum([0] + list(map(len, rows))),
-        )
+        return Batch.of([self.catalog.shapes[shape].coeffs for shape in shapes], keys, last)
 
     def plan(self, grade):
         """{sector: product keys} for every sector of one level.
@@ -324,7 +336,7 @@ class Products:
         if now.any():
             self._wanted = tuple(a[grades > grade] for a in self._wanted)
             formed = self._form(grade, keys[now], last[now])
-            self._stored = _Batch.join([self._stored, formed])
+            self._stored = Batch.join([self._stored, formed])
 
     def _form(self, grade, keys, last):
         table, level = self.table, self.catalog.level_basis
@@ -337,8 +349,10 @@ class Products:
         passes = []
         for end in ends:
             m, k, axis = table.factor_of(int(factor[end - 1]))
-            passes.append((level(grade - m * k), (m, k, axis), end))
-        return _Batch(keys, last, *_apply_factors(level(grade), passes, vectors))
+            source = level(grade - m * k)
+            passes.append((source, source.codes.shift(k, axis, source.grade), m, end))
+        images = apply_maps(level(grade), passes, vectors)
+        return Batch(keys, last, images.indices, images.coeffs, images.bounds)
 
     def _read(self, keys):
         """The stored products of these keys as a batch, each freed if no
@@ -360,15 +374,8 @@ class Products:
         return batch.indices, _compact(batch.coeffs), batch.bounds
 
     def exact(self, keys):
-        """take, as {state index: coeff} dicts of Python ints, or of
-        Fractions for a shape whose coefficients are not integers."""
-        indices, coeffs, bounds = (a.tolist() for a in self.take(keys))
-        out = []
-        for shape, lo, hi in zip((keys // len(self.table)).tolist(), bounds, bounds[1:]):
-            scale = self._scale[shape]
-            values = coeffs[lo:hi] if scale == 1 else [Fraction(c, scale) for c in coeffs[lo:hi]]
-            out.append(dict(zip(indices[lo:hi], values)))
-        return out
+        """take, as {state index: coeff} dicts of Python ints."""
+        return self._read(keys).dicts()
 
 
 def _lower_products(catalog, grade, table):

@@ -37,7 +37,8 @@ normalizes the one they belong to, as in Sturmfels, Algorithms in
 Invariant Theory, ch. 2, and Derksen & Kemper, Computational Invariant
 Theory, ch. 3).  So generation forms and settles only one sector per
 orbit, the one whose per-axis degrees do not increase, and carries its
-rank and its shapes to the other sectors of the orbit, brought to the
+rank and its shapes to the other sectors of the orbit (by
+products.apply_maps, the route of the Pieri raise too), brought to the
 canonical basis by Gauss-Jordan elimination in Python integers; the
 catalog is byte for byte the one settling every sector would give.
 verify_span still forms and settles every sector, and so checks
@@ -54,8 +55,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, groupby
 from math import comb, gcd, lcm
+from operator import itemgetter
 
 import numpy as np
 
@@ -81,7 +83,7 @@ from .polycore import (
     parse_fraction,
     sector_of,
 )
-from .products import Products, products_through
+from .products import Batch, Products, apply_maps, products_through
 
 DEFAULT_STATE_CAP = 100_000
 STATE_CAP_ENV_VAR = "SHAPES_STATE_CAP"
@@ -759,18 +761,15 @@ def _settle(block, dim):
 
 
 def _sector_complements(catalog, grade, plan, formed, products):
-    """(product count, {sector: (rank, null vectors)}) of one grade's products.
-
-    Only the sectors in formed are taken from the formed products (Products)
-    and settled, each before the next one is taken; the count covers every
-    sector of the plan (Products.plan), read from it for the others.  A
-    block's states are put in the sector's coordinates (LevelBasis.sectors)
-    by one searchsorted; a state it does not find, a product with a state
-    outside its predicted sector, is an InternalConsistencyError.  Null
-    vectors are in level indices.
+    """{sector: (rank, null vectors)} of one grade's products, for the
+    sectors in formed, each taken (Products.take) by its keys in the plan
+    (Products.plan) and settled before the next one is taken.  A block's
+    states are put in the sector's coordinates (LevelBasis.sectors) by one
+    searchsorted; a state it does not find, a product with a state outside
+    its predicted sector, is an InternalConsistencyError.  Null vectors are
+    in level indices.
     """
     basis = catalog.level_basis(grade)
-    count = sum(len(keys) for sector, keys in plan.items() if sector not in formed)
     out = {}
     for sector, indices in basis.sectors.items():
         if sector not in formed:
@@ -784,10 +783,9 @@ def _sector_complements(catalog, grade, plan, formed, products):
                 f"a product at grade {grade} leaves its sector {sector}: "
                 f"state {state} lies in sector {sector_of(state)}"
             )
-        count += len(bounds) - 1
         rank, null = _settle((positions, coeffs, bounds), len(indices))
         out[sector] = rank, [dict(zip(indices[list(vec)].tolist(), vec.values())) for vec in null]
-    return count, out
+    return out
 
 
 def _representative(sector):
@@ -799,21 +797,6 @@ def _axis_permutation(sector):
     """perm with sector[a] == _representative(sector)[perm[a]] on every axis a."""
     order = sorted(range(len(sector)), key=lambda a: -sector[a])
     return tuple(order.index(a) for a in range(len(sector)))
-
-
-def _permute_axes(basis, vec, perm):
-    """A state vector of one level with its axes permuted.
-
-    Every orbital o of every state becomes (o[perm[0]], ..., o[perm[d-1]])
-    by a code map (OrbitalCodes.permutation), and the rows are located and
-    signed with the phase of re-sorting them (LevelBasis.locate_signed).
-    This is a substitution of the variables, a signed permutation of the
-    level's states that sends a state of sector s to sector (s[perm[0]],
-    ..., s[perm[d-1]]).
-    """
-    rows = basis.codes.permutation(perm, basis.grade)[basis.code_array[list(vec)]]
-    targets, phases = basis.locate_signed(rows)
-    return {t: sign * c for t, sign, c in zip(targets.tolist(), phases.tolist(), vec.values())}
 
 
 def _canonical_basis(vectors):
@@ -850,8 +833,11 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
     state index.  Only one sector per axis-permutation orbit is formed and
     settled (_sector_complements): the one whose per-axis degrees do not
     increase.  Every other sector t takes its representative r's rank, and
-    its shapes are r's null vectors with the axes permuted onto t
-    (_permute_axes), brought to canonical form (_canonical_basis).
+    its shapes are r's null vectors with the axes permuted onto t, brought
+    to canonical form (_canonical_basis).  The null vectors of every moved
+    sector go through one products.apply_maps call per grade, one pass per
+    axis permutation with its code map on all n rows (a substitution of
+    the variables); a grade with nothing to move makes no call.
 
     This is exact.  Permuting the axes is a signed permutation of a level's
     states, so it is orthogonal; it sends sector s to its image and the
@@ -867,9 +853,9 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
     The products must be independent, and the complement dimension must
     equal the shape polynomial coefficient at every grade and the sector
     law at every (grade, sector); else an InternalConsistencyError is
-    raised with diagnostics.  The product count of a sector that is not
-    formed is read from the plan of products, and its rank is its
-    representative's, so these checks cover every sector.  The result is
+    raised with diagnostics.  The product count is read from the plan of
+    products, and a sector that is not formed takes its representative's
+    rank, so these checks cover every sector.  The result is
     deterministic: two runs produce identical catalogs.
     """
     if n < 1 or d < 1:
@@ -894,13 +880,21 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
         formed = {s for s in sectors if s == _representative(s)}
         plan = products.plan(grade)
         products.form(grade)
-        count, blocks = _sector_complements(catalog, grade, plan, formed, products)
-        for sector in sectors.keys() - formed:
-            rank, null = blocks[_representative(sector)]
-            perm = _axis_permutation(sector)
-            blocks[sector] = rank, _canonical_basis(
-                [_permute_axes(basis, vec, perm) for vec in null]
-            )
+        count = sum(map(len, plan.values()))
+        blocks = _sector_complements(catalog, grade, plan, formed, products)
+        # The moved sectors' shapes in one call, one pass per permutation.
+        moved = sorted((_axis_permutation(s), s) for s in sectors.keys() - formed)
+        vectors, passes, ends = [], [], []
+        for perm, group in groupby(moved, key=itemgetter(0)):
+            for _perm, sector in group:
+                vectors += blocks[_representative(sector)][1]
+                ends.append(len(vectors))
+            passes.append((basis, basis.codes.permutation(perm, grade), n, len(vectors)))
+        if vectors:
+            vectors = apply_maps(basis, passes, Batch.of(vectors)).dicts()
+        for (_perm, sector), begin, end in zip(moved, [0] + ends, ends):
+            rank = blocks[_representative(sector)][0]
+            blocks[sector] = rank, _canonical_basis(vectors[begin:end])
         rank = sum(r for r, _null in blocks.values())
         if rank < count:
             raise InternalConsistencyError(
@@ -961,6 +955,7 @@ def verify_span(catalog, grade):
     basis = catalog.level_basis(grade)
     products = products_through(catalog, grade)
     plan = products.plan(grade)
-    count, blocks = _sector_complements(catalog, grade, plan, basis.sectors.keys(), products)
+    blocks = _sector_complements(catalog, grade, plan, basis.sectors.keys(), products)
     rank = sum(r for r, _null in blocks.values())
+    count = sum(map(len, plan.values()))
     return SpanReport(grade, len(basis), count, rank, passed=rank == len(basis))

@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -413,6 +414,19 @@ class TestDensityAndCoulomb:
         )
         assert code == 3
         assert "level at grade 4 has 14 states, exceeding the cap of 13" in err
+        assert not out.exists()
+
+    def test_a_far_level_is_refused_at_once(self, capsys, tmp_path, catalog_path):
+        # The state cap is checked from the level dimension, which costs
+        # time linear in the grade (counting.dimension_series).
+        out = tmp_path / "vee.csv"
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "coulomb", "--catalog", catalog_path, "--grade", "100000", "--out", str(out)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert re.search(r"level at grade 100000 has \d+ states, exceeding the cap of 100000", err)
         assert not out.exists()
 
     def test_pairwise_table_above_the_state_cap_exit_two(

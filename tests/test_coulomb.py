@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from coulomb_oracle import hermite_coefficients, poly_mul, two_body_oracle
+import rotation_oracle
 from shapes.counting import BOSON, FERMION, shape_polynomial
 from shapes import coulomb
 from shapes.coulomb import (
@@ -648,3 +649,87 @@ class TestShapeSeparation:
             for b in vecs[i + 1 :]
         )
         assert inter < within
+
+
+@st.composite
+def rotation_cases(draw):
+    """(level, u, w): two random integer vectors over a small level of
+    d = 2 or 3, in either statistics."""
+    n, d, stat = draw(
+        st.sampled_from([(n, d, s) for n in (2, 3) for d in (2, 3) for s in (FERMION, BOSON)])
+    )
+    grade = shape_polynomial(n, d, stat).lowest_degree() + draw(st.integers(0, 3))
+    basis = level(n, d, grade, stat)
+    assume(len(basis) <= 60)
+    vector = st.dictionaries(
+        st.integers(0, len(basis) - 1), st.integers(-5, 5).filter(bool), min_size=1, max_size=4
+    )
+    return basis, draw(vector), draw(vector)
+
+
+def _scaled_pairs(factor_of):
+    """A mutation of coulomb._pair_values: each value times an integer
+    factor, read from the per-axis degrees of x (of the pair lo = x y) and
+    z (of hi = z w), so the numerators stay exact."""
+    real = coulomb._pair_values
+
+    def mutated(basis, lo, hi):
+        limit = basis.codes.grow(basis.grade)
+        degrees = basis.codes.axis_degrees(basis.grade)
+        return factor_of(degrees[lo // limit], degrees[hi // limit]) * real(basis, lo, hi)
+
+    return mutated
+
+
+MUTATIONS = {
+    # x2 where the first orbital lies on axis 0 only.
+    "axis-0-first": lambda x, z: np.where((x[:, 1:] == 0).all(axis=1), 2, 1),
+    # x2 where z has an odd axis-0 degree.
+    "odd-z": lambda x, z: np.where(z[:, 0] % 2 == 1, 2, 1),
+}
+
+
+class TestRotationCovariance:
+    """V commutes with rotations: D<u|V|Kw> + D<Ku|V|w> = 0 exactly for the
+    generators K_ab (rotation_oracle), which share no code with the pair
+    values.  The check pairs different vectors, or takes whole levels: a
+    single shape's <u|V|Ku> is 0 by parity alone, whatever V is."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rotation_cases())
+    def test_random_vectors(self, case):
+        basis, u, w = case
+        checked = 0
+        for a, b in itertools.combinations(range(basis.d), 2):
+            if rotation_oracle.rotate(basis, u, a, b) or rotation_oracle.rotate(basis, w, a, b):
+                assert rotation_oracle.pair_defect(basis, u, w, a, b) == 0, (a, b)
+                checked += 1
+        assume(checked)
+
+    @pytest.mark.parametrize(
+        "system, grade, size",
+        [((4, 2, FERMION), 8, 161), ((3, 3, FERMION), 6, 443)],
+        ids=["4-2-fermion", "3-3-fermion"],
+    )
+    def test_whole_levels(self, system, grade, size):
+        n, d, stat = system
+        basis = level(n, d, grade, stat)
+        assert len(basis) == size
+        v = rotation_oracle.coulomb_matrix(basis)
+        for a, b in itertools.combinations(range(d), 2):
+            assert not (rotation_oracle.level_defect(basis, v, a, b) != 0).any(), (a, b)
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    @pytest.mark.parametrize(
+        "system, grade",
+        [((4, 2, FERMION), 8), ((3, 2, BOSON), 4)],
+        ids=["4-2-fermion", "3-2-boson"],
+    )
+    def test_a_wrong_pair_value_breaks_it(self, monkeypatch, mutation, system, grade):
+        basis = level(*system[:2], grade, system[2])
+        monkeypatch.setattr(coulomb, "_pair_values", _scaled_pairs(MUTATIONS[mutation]))
+        v = rotation_oracle.coulomb_matrix(basis)
+        defect = rotation_oracle.level_defect(basis, v, 0, 1)
+        i, j = np.argwhere(defect != 0)[0].tolist()
+        # Entry (i, j) is the pair check on the states i and j.
+        assert rotation_oracle.pair_defect(basis, {i: 1}, {j: 1}, 0, 1) == defect[i, j] != 0

@@ -3,6 +3,7 @@
 from itertools import combinations_with_replacement, combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapes.counting import (
     BOSON,
@@ -198,6 +199,23 @@ class TestLevelDimension:
             series = euler_series(n, 10, BOSON) ** d * shape_polynomial(n, d, stat)
             for grade in range(11):
                 assert series.coefficient(grade) == level_dimension(n, d, grade, stat)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 5), st.integers(1, 3), st.sampled_from([FERMION, BOSON]), st.integers(0, 30)
+    )
+    def test_series_equal_the_product_form(self, n, d, stat, truncation):
+        # The running sums equal the product of truncated geometric series.
+        euler = GradedQPolynomial.one(truncation)
+        for k in range(1, n + 1):
+            geometric = {j: 1 for j in range(0, truncation + 1, k)}
+            euler = euler * GradedQPolynomial(geometric, truncation)
+        shift = n * (n - 1) // 2 if stat is FERMION else 0
+        shifted = euler * GradedQPolynomial.monomial(shift, truncation_degree=truncation)
+        assert euler_series(n, truncation, stat) == shifted
+        if 1 <= n <= 4:
+            expected = shape_polynomial(n, d, stat) * euler**d
+            assert dimension_series(n, d, truncation, stat) == expected
 
     def test_dimension_series_matches(self):
         series = dimension_series(3, 2, 6)

@@ -64,7 +64,7 @@ class TestLevelBasis:
         for i, s in enumerate(basis.code_array.tolist()):
             assert basis.locate(basis.orbitals(i)) == i
             orbitals = basis.orbitals(i)
-            assert list(basis.codes.encode(orbitals)) == s
+            assert [basis.codes.index[o] for o in orbitals] == s
             assert SlaterState.from_orbitals(orbitals, stat).orbitals == orbitals
 
     @pytest.mark.parametrize("n, d, grade, stat", [(3, 2, 4, FERMION), (3, 3, 5, BOSON)])
@@ -146,6 +146,17 @@ class TestLevelBasis:
                         if alias.name.startswith("_")
                     ]
         assert not private
+
+    def test_only_products_locates_mapped_rows(self):
+        # One route carries state rows through a code map and locates them
+        # (products.apply_maps): no other module calls locate_signed.
+        callers = set()
+        for path in sorted(Path(deflation.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    if node.func.attr == "locate_signed":
+                        callers.add(path.name)
+        assert callers == {"products.py"}
 
 
 class TestDeflate:
@@ -288,7 +299,8 @@ def product_cases(draw):
     grade = shape_polynomial(n, d, stat).lowest_degree() + draw(st.integers(0, 2))
     size = len(LevelBasis(n, d, grade, stat))
     support = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4, unique=True))
-    coeffs = {i: draw(coefficients) for i in support}
+    # Products are integer vectors, as ShapeRecord's coefficients are.
+    coeffs = {i: draw(st.integers(-6, 6).filter(bool)) for i in support}
     degree = draw(st.integers(0, 3))
     euler = draw(st.sampled_from(enumerate_euler_monomials(n, d, degree)))
     return one_shape_catalog(n, d, stat, grade, coeffs), euler
@@ -318,10 +330,17 @@ class TestTrivialProducts:
             assert rec.grade + euler.degree == 6
 
     def test_empty_euler_monomial_is_identity(self):
-        catalog = one_shape_catalog(3, 2, FERMION, 3, {0: 1, 4: Fraction(-2, 3)})
+        catalog = one_shape_catalog(3, 2, FERMION, 3, {0: 1, 4: -2})
         ((rec, euler, vec),) = trivial_products(catalog, 3)
         assert euler.degree == 0
         assert vec == rec.coeffs
+
+    @pytest.mark.parametrize("coeff", [Fraction(-2, 3), Fraction(4), 1.0])
+    def test_a_shape_coefficient_that_is_not_an_int_is_refused(self, coeff):
+        # An array of Fractions cast to integers would truncate them.
+        catalog = one_shape_catalog(3, 2, FERMION, 3, {0: 1, 4: coeff})
+        with pytest.raises(ValueError, match="coefficients are integers"):
+            list(trivial_products(catalog, 5))
 
 
 class TestOneDimensionalConsistency:

@@ -1,9 +1,10 @@
 """Orbital codes, level code arrays, the count table's ranks, and the
 Pieri images and axis transport read from code tables.
 
-The table routes are compared with pieri_oracle, which computes the same
-levels, images and transports over orbital tuples: every level of six
-ladder systems, and for n <= 4, d <= 3, both statistics, every factor
+The table routes, products.apply_maps with a shift or permutation code
+map, are compared with pieri_oracle, which computes the same levels,
+images and transports over orbital tuples: every level of six ladder
+systems, and for n <= 4, d <= 3, both statistics, every factor
 e_m^[k](axis) with k <= 3, and random states of random levels.
 """
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shapes import deflation, products, shapegen
+from shapes import deflation, products
 from shapes.counting import BOSON, FERMION, level_dimension, shape_polynomial
 from shapes.deflation import LevelBasis
 from shapes.errors import InternalConsistencyError
@@ -60,7 +61,8 @@ class TestCodes:
     def test_code_order_is_the_canonical_order(self, pair):
         a, b = pair
         codes = OrbitalCodes(len(a))
-        code_a, code_b = codes.encode([a, b])
+        codes.grow(max(sum(a), sum(b)))
+        code_a, code_b = codes.index[a], codes.index[b]
         assert (code_a < code_b) == (orbital_key(a) < orbital_key(b))
         assert (code_a == code_b) == (a == b)
 
@@ -89,18 +91,21 @@ class TestCodes:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda d: st.lists(orbitals(d), min_size=1, max_size=5)))
-    def test_encode_and_decode_round_trip(self, orbs):
+    def test_code_rows_and_decode_round_trip(self, orbs):
         codes = OrbitalCodes(len(orbs[0]))
-        encoded = codes.encode(orbs)
-        assert codes.decode(encoded) == tuple(orbs)
-        assert codes.encode(codes.decode(encoded)) == encoded
-        assert [codes.orbitals[c] for c in encoded] == orbs
+        top = max(map(sum, orbs))
+        (row,) = codes.code_rows([orbs], len(orbs), top).tolist()
+        assert codes.decode(row) == tuple(orbs)
+        assert [codes.index[o] for o in orbs] == row
+        assert [codes.orbitals[c] for c in row] == orbs
 
-    def test_encode_refuses_other_dimensions(self):
-        with pytest.raises(ValueError):
-            OrbitalCodes(2).encode([(1, 0, 0)])
-        with pytest.raises(ValueError):
-            OrbitalCodes(2).encode([(1, -1)])
+    def test_code_rows_of_other_dimensions_are_no_codes(self):
+        # An orbital of another dimension, or with a negative exponent, codes
+        # at or above the codes of the degree asked for, which no state holds.
+        codes = OrbitalCodes(2)
+        limit = codes.grow(2)
+        rows = codes.code_rows([[(1, 0, 0)], [(1, -1)], [(1, 1)]], 1, 2)
+        assert rows[:, 0].tolist() == [limit, limit, codes.index[1, 1]]
 
     @settings(max_examples=60, deadline=None)
     @given(levels())
@@ -119,7 +124,7 @@ class TestCodes:
     @given(levels(), st.integers(1, 3), st.data())
     def test_locate_signed_gives_the_phase_of_canonical_rows(self, level, columns, data):
         # Rows of random states, each in a random order, in a (rows, columns,
-        # n) batch as _subset_rows builds them; some fermion rows are given
+        # n) batch as apply_maps builds them; some fermion rows are given
         # a repeated code, which is no state and has phase 0.
         n, d, stat, grade = level
         basis = LevelBasis(n, d, grade, stat)
@@ -203,7 +208,7 @@ class TestLevelArrays:
         assert basis.locate(((5, 0), (0, 0), (0, 0))) is None  # degree 5 > grade
         assert basis.locate(((1, 0, 0), (0, 1, 0), (0, 0, 0))) is None  # three axes
         assert basis.locate(((2, 0), (2, 0), (0, 0))) is None  # Pauli
-        repeated = basis.codes.encode(((2, 0), (2, 0), (0, 0)))
+        repeated = [basis.codes.index[o] for o in ((2, 0), (2, 0), (0, 0))]
         rows = np.array([repeated, basis.code_array[5][::-1]])
         assert basis.find_codes(rows).tolist() == [-1, 5]
         assert basis.find_orbitals([state, state[::-1], ()]).tolist() == [5, -1, -1]
@@ -282,12 +287,18 @@ class TestCountTable:
         )
 
 
+def carried(target, source, code_map, m, vectors):
+    """{state index: coeff} vectors of source through one pass of apply_maps."""
+    passes = [(source, code_map, m, len(vectors))]
+    return products.apply_maps(target, passes, products.Batch.of(vectors)).dicts()
+
+
 class TestTableRoutes:
     @settings(max_examples=80, deadline=None)
     @given(levels(), st.data())
     def test_factor_images_match_the_orbital_route(self, level, data):
-        # A Pieri table row, its equal targets summed and zeros dropped, is
-        # the state's image.
+        # The image of a unit vector through a shift map, its equal targets
+        # summed and zeros dropped, is the state's image.
         n, d, stat, grade = level
         assume(level_dimension(n, d, grade + 1, stat) <= LEVEL_CAP)
         source = LevelBasis(n, d, grade, stat)
@@ -299,14 +310,9 @@ class TestTableRoutes:
                     continue
                 target = LevelBasis(n, d, grade + m * k, stat)
                 for axis in range(d):
-                    rows = products._subset_rows(source, (m, k, axis), np.array(states))
-                    table = target.locate_signed(rows)
-                    for i, targets, signs in zip(states, *table):
-                        ours = {}
-                        for t, sign in zip(targets.tolist(), signs.tolist()):
-                            if sign:
-                                ours[t] = ours.get(t, 0) + sign
-                        ours = {t: c for t, c in ours.items() if c}
+                    code_map = source.codes.shift(k, axis, grade)
+                    images = carried(target, source, code_map, m, [{i: 1} for i in states])
+                    for i, ours in zip(states, images):
                         expected = pieri_oracle.factor_image(n, d, grade, stat, (m, k, axis), i)
                         assert ours == expected, (m, k, axis, i)
                         compared += 1
@@ -324,4 +330,5 @@ class TestTableRoutes:
         )
         for perm in permutations(range(d)):
             expected = pieri_oracle.permute_axes(n, d, grade, stat, vec, perm)
-            assert shapegen._permute_axes(basis, vec, perm) == expected, perm
+            code_map = basis.codes.permutation(perm, grade)
+            assert carried(basis, basis, code_map, n, [vec]) == [expected], perm

@@ -1,6 +1,7 @@
 """Tests for shape generation, complements, and span verification."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -59,24 +60,29 @@ def rref(vectors, dim):
     return [tuple(r) for r in rows[:pivot_row]]
 
 
-def with_duplicate(take):
-    """Wrap Products.take to repeat one product per grade.
+def with_duplicate(plan):
+    """Wrap Products.plan to plan one product of each grade twice.
 
-    The first product of the first sector that has any is taken twice.
+    The first key of the first sector that has any and whose degrees do not
+    increase, so that generation settles it, is repeated.
     """
-    repeated = set()  # (Products, grade) pairs that already took their duplicate
 
-    def wrapped(self, keys):
-        states, coeffs, bounds = take(self, keys)
-        if len(keys) and (self, self._grade) not in repeated:
-            repeated.add((self, self._grade))
-            lo, hi = bounds[:2]
-            states = np.concatenate([states, states[lo:hi]])
-            coeffs = np.concatenate([coeffs, coeffs[lo:hi]])
-            bounds = np.append(bounds, bounds[-1] + hi - lo)
-        return states, coeffs, bounds
+    def wrapped(self, grade):
+        out = plan(self, grade)
+        for sector, keys in out.items():
+            if len(keys) and list(sector) == sorted(sector, reverse=True):
+                out[sector] = np.append(keys, keys[0])
+                break
+        return out
 
     return wrapped
+
+
+def permuted(basis, vectors, perm):
+    """{state index: coeff} vectors of a level with the axes permuted,
+    through products.apply_maps with the permutation's code map."""
+    passes = [(basis, basis.codes.permutation(perm, basis.grade), basis.n, len(vectors))]
+    return products.apply_maps(basis, passes, products.Batch.of(vectors)).dicts()
 
 
 @pytest.fixture(scope="module")
@@ -462,9 +468,10 @@ class TestSectorLaw:
         home = (sector[0] - 1, sector[1])
         real = products._subset_rows
 
-        def leaky(source, factor, states):
-            rows = real(source, factor, states)
-            if (source.grade, factor) == (grade - 1, (1, 1, 0)):
+        def leaky(source, code_map, m, states):
+            rows = real(source, code_map, m, states)
+            e1_x = source.codes.shift(1, 0, source.grade)
+            if source.grade == grade - 1 and m == 1 and np.array_equal(code_map, e1_x):
                 # One more row per state: the stray state's own rows for the
                 # states of the sector one factor lower, and a row with a
                 # repeated code, of phase 0, for the others.
@@ -504,12 +511,12 @@ class TestSectorLaw:
             return real_rationalize(x)
 
         def complements(*args):
-            count, blocks = real_complements(*args)
+            blocks = real_complements(*args)
             for sector, (_rank, null) in blocks.items():
                 if null:
                     with_null.append(sector)
                     assert law.get(sector, 0) == len(null)
-            return count, blocks
+            return blocks
 
         monkeypatch.setattr(shapegen, "_rationalize", rationalize)
         monkeypatch.setattr(shapegen, "_sector_complements", complements)
@@ -646,7 +653,7 @@ class TestAxisPermutations:
         for (grade, sector), shapes in by_sector.items():
             basis = catalog.level_basis(grade)
             image = tuple(sector[a] for a in perm)
-            images = [shapegen._permute_axes(basis, vec, perm) for vec in shapes]
+            images = permuted(basis, shapes, perm)
             position = {i: pos for pos, i in enumerate(basis.sectors[image])}
             for vec in images:
                 assert {sector_of(basis.orbitals(i)) for i in vec} == {image}
@@ -664,7 +671,7 @@ class TestAxisPermutations:
         ground = shape_polynomial(n, d, stat).lowest_degree()
         basis = LevelBasis(n, d, ground + data.draw(st.integers(0, 3), label="grade"), stat)
         i = data.draw(st.integers(0, len(basis) - 1), label="state")
-        image = shapegen._permute_axes(basis, {i: 1}, perm)
+        (image,) = permuted(basis, [{i: 1}], perm)
         expected = deflate_sparse(permute_polynomial(basis.expansion(i), perm), basis)
         assert image == expected
 
@@ -687,6 +694,34 @@ class TestAxisPermutations:
         ]
         assert len(settled) == len(representatives) == 50
         assert sum(settled) == 1792
+
+    @pytest.mark.parametrize(
+        "system, max_grade",
+        [((3, 3, FERMION), None), ((4, 2, BOSON), 10), ((2, 3, BOSON), None)],
+        ids=["3-3-fermion", "4-2-boson-10", "2-3-boson"],
+    )
+    def test_transport_is_one_call_per_grade(self, monkeypatch, system, max_grade):
+        # The shapes of every moved sector of a grade go through one call of
+        # the route, one pass per axis permutation with its code map on all
+        # n rows, and a grade whose moved sectors hold no shape makes none.
+        calls = []
+        real = shapegen.apply_maps
+
+        def spy(target, passes, vectors):
+            assert all(source is target and m == target.n for source, _map, m, _end in passes)
+            maps = {code_map.tobytes() for _source, code_map, _m, _end in passes}
+            assert len(maps) == len(passes) < math.factorial(target.d)
+            calls.append(target.grade)
+            return real(target, passes, vectors)
+
+        monkeypatch.setattr(shapegen, "apply_maps", spy)
+        catalog = generate_shapes(*system, max_grade=max_grade)
+        sectors = [
+            (rec.grade, sector_of(catalog.level_basis(rec.grade).orbitals(min(rec.coeffs))))
+            for rec in catalog.shapes
+        ]
+        moved = {grade for grade, sector in sectors if shapegen._representative(sector) != sector}
+        assert moved and sorted(calls) == sorted(moved)
 
     def test_verify_settles_every_sector(self, monkeypatch):
         catalog = generate_shapes(3, 3, FERMION)
@@ -791,7 +826,7 @@ class TestWorkedExample32:
         # the exact echelon reports the rank.
         partial = ShapeCatalog.from_json_obj(catalog_32.to_json_obj())
         partial.shapes = [s for s in partial.shapes if s.id != "3:1"]
-        monkeypatch.setattr(products.Products, "take", with_duplicate(products.Products.take))
+        monkeypatch.setattr(products.Products, "plan", with_duplicate(products.Products.plan))
         report = verify_span(partial, 3)
         assert (report.rank, report.dimension, report.vector_count) == (5, 6, 6)
         assert not report.passed
@@ -929,7 +964,7 @@ class TestProductEngine:
         # its rows once per chunk, not once per pass.
         passes, applied, grades, chunked, located = [], [], [], [], []
         real, real_chunks, real_locate = (
-            products._apply_factors, products.chunks, LevelBasis.locate_signed
+            products.apply_maps, products.chunks, LevelBasis.locate_signed
         )
 
         def spy(target, batch, vectors):
@@ -937,25 +972,32 @@ class TestProductEngine:
             chunked.append(0)
             located.append(0)
             begin = 0
-            for source, factor, end in batch:
-                passes.append((source.grade, factor))
+            for source, code_map, m, end in batch:
+                # A shift map's first entry is the code of k on its axis,
+                # so it names the factor.
+                passes.append((source.grade, m, int(code_map[0])))
                 applied.append(end - begin)
                 begin = end
             images = real(target, batch, vectors)
             grades.append(None)
             return images
 
+        def in_batch():
+            # The axis transport's call of the route is not a product batch.
+            return grades and grades[-1] is not None
+
         def counted(ends, parts):
             for part in real_chunks(ends, parts):
-                chunked[-1] += 1
+                if in_batch():
+                    chunked[-1] += 1
                 yield part
 
         def locate(self, rows):
-            if grades and grades[-1] is not None:
+            if in_batch():
                 located[-1] += 1
             return real_locate(self, rows)
 
-        monkeypatch.setattr(products, "_apply_factors", spy)
+        monkeypatch.setattr(products, "apply_maps", spy)
         monkeypatch.setattr(products, "chunks", counted)
         monkeypatch.setattr(LevelBasis, "locate_signed", locate)
         generate_shapes(3, 3, FERMION)
@@ -1031,7 +1073,7 @@ class TestProductEngine:
 
         expected = run()
         vectors, parts = [], []
-        real, real_chunks = products._apply_factors, products.chunks
+        real, real_chunks = products.apply_maps, products.chunks
 
         def spy(target, passes, batch):
             vectors.append(len(batch.bounds) - 1)
@@ -1045,7 +1087,9 @@ class TestProductEngine:
 
         monkeypatch.setattr(polycore, "CHUNK_BYTES", products._PAIR_BYTES)
         monkeypatch.setattr(products, "_GRADE_PARTS", 2**62)
-        monkeypatch.setattr(products, "_apply_factors", spy)
+        # The Pieri raise and the axis transport both call the route.
+        monkeypatch.setattr(products, "apply_maps", spy)
+        monkeypatch.setattr(shapegen, "apply_maps", spy)
         monkeypatch.setattr(products, "chunks", counted)
         assert run() == expected
         # A vector has at least one (entry, subset) pair, so each is a chunk.
@@ -1365,7 +1409,7 @@ class TestGuards:
     def test_dependent_trivial_product_is_named(self, monkeypatch):
         # Freeness: every trivial product is independent.  Feeding one
         # product twice must fail at once, naming grade, count and rank.
-        monkeypatch.setattr(products.Products, "take", with_duplicate(products.Products.take))
+        monkeypatch.setattr(products.Products, "plan", with_duplicate(products.Products.plan))
         with pytest.raises(
             InternalConsistencyError, match="grade 3 are not free: 3 vectors have rank 2"
         ):
