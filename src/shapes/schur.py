@@ -76,8 +76,11 @@ def schur_ssyt(partition, n_vars):
     Fills the Young diagram row-major with entries 1..n_vars, weakly
     increasing along rows and strictly increasing down columns; each filling
     contributes one monomial z_1^{n_1} ... z_N^{n_N}.  More parts than
-    variables gives the zero polynomial.
+    variables gives the zero polynomial; fewer than one variable is a
+    ValueError.
     """
+    if n_vars < 1:
+        raise ValueError(f"need n_vars >= 1, got {n_vars}")
     if len(partition) > n_vars:
         return ExactPolynomial.zero(n_vars, 1)
     shape = partition.parts
@@ -116,6 +119,8 @@ def schur_ratio(partition, n_vars):
     The numerator is the determinant with row exponents lambda_i + (N - i);
     the division is exact and the result equals schur_ssyt.
     """
+    if n_vars < 1:
+        raise ValueError(f"need n_vars >= 1, got {n_vars}")
     if len(partition) > n_vars:
         return ExactPolynomial.zero(n_vars, 1)
     lam = partition.padded(n_vars)

@@ -24,11 +24,13 @@ nonsingular in exact integer arithmetic (Rump's verification method);
 and each null vector is rounded to fractions with small denominators and
 kept only if its integer dot product with every product is 0.  The null vectors are the canonical
 complement basis.  If a step is not proven, an entry reaches 2^53 or the
-sector has more than DENSE_SECTOR_CAP states, the block goes to the exact
-integer echelon instead.  Three laws are hard assertions at every grade:
-the products are linearly independent (the free-module statement), the
-complement dimension matches the shape polynomial coefficient, and each
-sector's complement dimension matches sector_shape_counts.
+sector has more than DENSE_SECTOR_CAP states, the block goes to exact
+elimination in Python integers instead (_reduced_rows, pivoting on the
+lowest index), and its null vectors are read off the reduced rows.
+Three laws are hard assertions at every grade: the products are linearly
+independent (the free-module statement), the complement dimension
+matches the shape polynomial coefficient, and each sector's complement
+dimension matches sector_shape_counts.
 
 Permuting the d axes maps the Hilbert space to itself, sector s to its
 image, shapes to shapes and products to products (generate_shapes gives
@@ -39,8 +41,9 @@ Theory, ch. 3).  So generation forms and settles only one sector per
 orbit, the one whose per-axis degrees do not increase, and carries its
 rank and its shapes to the other sectors of the orbit (by
 products.apply_maps, the route of the Pieri raise too), brought to the
-canonical basis by Gauss-Jordan elimination in Python integers; the
-catalog is byte for byte the one settling every sector would give.
+canonical basis by the same exact elimination, pivoting on the largest
+index; the catalog is byte for byte the one settling every sector would
+give.
 verify_span still forms and settles every sector, and so checks
 generation independently.
 """
@@ -88,10 +91,11 @@ from .products import Batch, Products, apply_maps, products_through
 DEFAULT_STATE_CAP = 100_000
 STATE_CAP_ENV_VAR = "SHAPES_STATE_CAP"
 
-# Sectors with more states go to the exact echelon.  At the cap, one
-# block's certificate peaks at about 165 MB: the float64 block, the copies
-# LAPACK makes of it and the orthogonal factor of its QR (measured on a
-# 2040 x 2048 block; about 135 MB for a square block, which needs no QR).
+# Sectors with more states go to the exact elimination (_reduced_rows).
+# At the cap, one block's certificate peaks at about 165 MB: the float64
+# block, the copies LAPACK makes of it and the orthogonal factor of its QR
+# (measured on a 2040 x 2048 block; about 135 MB for a square block, which
+# needs no QR).
 DENSE_SECTOR_CAP = 2048
 # The certificates (_certify) scale an approximate inverse by this power of
 # two before rounding it (_is_nonsingular).
@@ -173,68 +177,36 @@ def _eliminate(vec, p, row):
             del vec[c]
 
 
-class _Echelon:
-    """Incremental exact row echelon over the integers.
+def _reduced_rows(vectors, pivot):
+    """{pivot: row}, the reduced echelon form of the span of sparse integer vectors.
 
-    Pivoting is by position only (first nonzero coordinate); rows are kept
-    content-stripped with a positive pivot, so the structure is deterministic
-    for a given insertion order.
+    pivot is min or max: each vector is eliminated forward (_eliminate) at
+    pivot(vec) against the rows so far, until it vanishes, if it depends on
+    them, or holds an entry at a new pivot.  One back pass then clears each
+    row at the other rows' pivots.  Every row is kept at content 1 with its
+    lowest-index entry positive (_canonical_vector), so its entries stay
+    small; the result is unique to the span and the pivot rule.  The
+    arguments are not modified.
     """
-
-    def __init__(self, ambient_dim):
-        self.ambient_dim = ambient_dim
-        self.rows = {}
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def insert(self, vec):
-        """Reduce a sparse integer vector against the rows; store if nonzero.
-
-        Returns the new pivot position, or None if the vector was dependent.
-        The argument is not modified.  Each step only removes the pivot
-        entry (_eliminate).  Every intermediate vector is a multiple of the
-        one the content-stripped elimination would hold, so the row stored
-        (content 1, positive pivot) is the same.
-        """
+    rows = {}
+    for vec in vectors:
         vec = dict(vec)
         while vec:
-            p = min(vec)
-            row = self.rows.get(p)
+            p = pivot(vec)
+            row = rows.get(p)
             if row is None:
-                vec = _canonical_vector(vec)
-                self.rows[p] = vec
-                return p
+                rows[p] = _canonical_vector(vec)
+                break
             _eliminate(vec, p, row)
-        return None
-
-    def nullspace(self):
-        """Canonical basis of {w : rows . w = 0}, one vector per free column.
-
-        Each vector has a 1 at its free column and is back-substituted
-        through the pivot rows, then scaled to integer content 1 with the
-        first nonzero entry positive.  Ordered by free column ascending.
-        """
-        pivots = sorted(self.rows)
-        pivot_set = set(pivots)
-        out = []
-        for f in range(self.ambient_dim):
-            if f in pivot_set:
-                continue
-            x = {f: Fraction(1)}
-            for p in reversed([p for p in pivots if p < f]):
-                row = self.rows[p]
-                s = Fraction(0)
-                for c, v in row.items():
-                    if c != p:
-                        xc = x.get(c)
-                        if xc is not None:
-                            s += v * xc
-                if s:
-                    x[p] = -s / row[p]
-            out.append(_canonical_vector(x))
-        return out
+    # A row holds entries only on one side of its pivot (above it for min,
+    # below it for max), so the rows are cleared from that side in: each by
+    # rows already cleared, which adds no entry at a pivot.
+    for p in sorted(rows, reverse=pivot is min):
+        row = rows[p]
+        for q in [q for q in row if q != p and q in rows]:
+            _eliminate(row, q, rows[q])
+        rows[p] = _canonical_vector(row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -663,10 +635,10 @@ def _certify(a):
     only if it has no entry right of f and A x = 0 in exact integers
     (_annihilated).  The accepted candidates span the complement and have
     distinct largest indices, so they are its canonical basis, the one
-    _Echelon.nullspace gives.  None when there are
-    more products than states, or when a step is not proven: a result that
-    is not finite, a B that is singular or too ill-conditioned, or a
-    candidate that fails.
+    _settle reads off _reduced_rows.  None when there are more products
+    than states, or when a step is not proven: a result that is not
+    finite, a B that is singular or too ill-conditioned, or a candidate
+    that fails.
     """
     c, dim = a.shape
     if c > dim:
@@ -743,9 +715,12 @@ def _settle(block, dim):
 
     block is (positions, integer coefficients, bounds) over the sector's
     dim states (_dense_block).  It is settled by _certify, on one BLAS
-    thread (_one_blas_thread), or by the exact echelon of its Python-int
-    rows if that fails, an entry reaches 2^53 (_dense_block) or the sector
-    has more than DENSE_SECTOR_CAP states.
+    thread (_one_blas_thread), or exactly if that fails, an entry reaches
+    2^53 (_dense_block) or the sector has more than DENSE_SECTOR_CAP states:
+    the Python-int rows are reduced pivoting on the lowest index
+    (_reduced_rows), so the rank is the row count, and each free column f
+    gives the null vector with 1 at f and -row[f] / row[p] at the pivot p
+    of each row with an entry at f, scaled to content 1.
     """
     if dim <= DENSE_SECTOR_CAP:
         a = _dense_block(block, dim)
@@ -753,11 +728,17 @@ def _settle(block, dim):
             result = None if a is None else _certify(a)
         if result is not None:
             return result
-    ech = _Echelon(dim)
     positions, coeffs, bounds = (part.tolist() for part in block)
-    for lo, hi in zip(bounds, bounds[1:]):
-        ech.insert(dict(zip(positions[lo:hi], coeffs[lo:hi])))
-    return ech.rank, ech.nullspace()
+    vectors = (dict(zip(positions[lo:hi], coeffs[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
+    rows = _reduced_rows(vectors, min)
+    null = [
+        _canonical_vector(
+            {f: 1, **{p: Fraction(-row[f], row[p]) for p, row in rows.items() if f in row}}
+        )
+        for f in range(dim)
+        if f not in rows
+    ]
+    return len(rows), null
 
 
 def _sector_complements(catalog, grade, plan, formed, products):
@@ -799,31 +780,6 @@ def _axis_permutation(sector):
     return tuple(order.index(a) for a in range(len(sector)))
 
 
-def _canonical_basis(vectors):
-    """The canonical basis of the span of linearly independent integer vectors.
-
-    Gauss-Jordan elimination pivoting on the largest index, in integers
-    (_eliminate): each vector ends with zeros at the others' pivots, which
-    up to a scale is unique to the span.  Scaled to content 1 with the
-    lowest-index entry positive and ordered by pivot, it is the basis
-    _Echelon.nullspace and _certify give for a complement.  The rows are
-    kept in that form as they change, so their entries stay small.
-    """
-    rows = {}
-    for vec in vectors:
-        vec = dict(vec)
-        for p, row in rows.items():
-            if p in vec:
-                _eliminate(vec, p, row)
-        q = max(vec)
-        vec = rows[q] = _canonical_vector(vec)
-        for p, row in rows.items():
-            if p != q and q in row:
-                _eliminate(row, q, vec)
-                rows[p] = _canonical_vector(row)
-    return [rows[q] for q in sorted(rows)]
-
-
 def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
     """Build the full shape catalog grade by grade.
 
@@ -834,7 +790,8 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
     settled (_sector_complements): the one whose per-axis degrees do not
     increase.  Every other sector t takes its representative r's rank, and
     its shapes are r's null vectors with the axes permuted onto t, brought
-    to canonical form (_canonical_basis).  The null vectors of every moved
+    to canonical form by _reduced_rows pivoting on the largest index and
+    taken in pivot order.  The null vectors of every moved
     sector go through one products.apply_maps call per grade, one pass per
     axis permutation with its code map on all n rows (a substitution of
     the variables); a grade with nothing to move makes no call.
@@ -894,7 +851,8 @@ def generate_shapes(n, d, statistics=FERMION, max_grade=None, state_cap=None):
             vectors = apply_maps(basis, passes, Batch.of(vectors)).dicts()
         for (_perm, sector), begin, end in zip(moved, [0] + ends, ends):
             rank = blocks[_representative(sector)][0]
-            blocks[sector] = rank, _canonical_basis(vectors[begin:end])
+            rows = _reduced_rows(vectors[begin:end], max)
+            blocks[sector] = rank, [rows[p] for p in sorted(rows)]
         rank = sum(r for r, _null in blocks.values())
         if rank < count:
             raise InternalConsistencyError(

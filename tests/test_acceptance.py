@@ -14,6 +14,7 @@ import numpy as np
 
 from coulomb_oracle import hermite_coefficients, poly_mul, two_body_oracle
 from density_oracle import state_vector
+from poly_helpers import rref
 from shapes.counting import (
     BOSON,
     FERMION,
@@ -62,27 +63,6 @@ class _Clock:
 
 def fstate(orbitals):
     return SlaterState.from_orbitals(orbitals, FERMION)
-
-
-def rref(vectors, dim):
-    rows = [
-        [Fraction(v.get(i, 0) if isinstance(v, dict) else v[i]) for i in range(dim)]
-        for v in vectors
-    ]
-    pivot_row = 0
-    for col in range(dim):
-        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = 1 / rows[pivot_row][col]
-        rows[pivot_row] = [x * inv for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-    return [tuple(r) for r in rows[:pivot_row]]
 
 
 def test_criterion_01_golden_shape_polynomials():

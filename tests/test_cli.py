@@ -305,6 +305,19 @@ class TestSchur:
             "--route", "ratio", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("partition", ["", "2,1"], ids=["empty", "2-1"])
+    @pytest.mark.parametrize("route", ["ssyt", "ratio"])
+    @pytest.mark.parametrize("nvars", ["0", "-2"])
+    def test_nvars_below_one_exit_two(self, capsys, tmp_path, partition, route, nvars):
+        out = tmp_path / "poly.json"
+        code, printed, err = run(
+            capsys, "schur", "--partition", partition, "--nvars", nvars,
+            "--route", route, "--out", str(out),
+        )
+        assert code == 2
+        assert f"need n_vars >= 1, got {nvars}" in err
+        assert not printed and not out.exists()
+
 
 @pytest.fixture(scope="module")
 def catalog_path(tmp_path_factory):
