@@ -1,8 +1,14 @@
 """Graded counting layer: q-series, shape polynomials, level dimensions.
 
-Everything here is exact integer arithmetic on polynomials (or explicitly
-truncated series) in the grading variable q.  The grade of a state is its
-total node count, which is also the oscillator energy in that realization.
+Everything here is exact integer arithmetic on coefficient lists and numpy
+object arrays of Python ints, polynomials (or explicitly truncated series)
+in the grading variable q.  The grade of a state is its total node count,
+which is also the oscillator energy in that realization.  The graded and
+the per-sector shape counts are one recursion (_shape_counts): each factor
+(1-q^m)...(1-q^(m-k+1)) / (1-q^k) is k slice differences and one running
+sum with stride k along an array axis, and the partition and dimension
+series divide by 1 - q^k with the same running sum (_divided).
+GradedQPolynomial is the read-only value these functions return.
 """
 
 from __future__ import annotations
@@ -10,8 +16,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from enum import Enum
+
+import numpy as np
 
 from .errors import InternalConsistencyError
 
@@ -35,12 +42,13 @@ BOSON = Statistics.BOSON
 
 
 class GradedQPolynomial:
-    """Sparse integer polynomial (or truncated series) in q.
+    """Sparse integer polynomial (or truncated series) in q, read-only.
 
     ``coeffs`` maps degree -> nonzero integer coefficient.  If
-    ``truncation_degree`` is None the object is an exact polynomial and all
-    arithmetic on it is exact; otherwise coefficients above the truncation
-    degree are unknown and are dropped.  Instances are treated as immutable.
+    ``truncation_degree`` is None the object is an exact polynomial;
+    otherwise coefficients above the truncation degree are unknown and are
+    dropped.  The arithmetic that builds these values lives in the
+    functions below, on coefficient arrays.
     """
 
     __slots__ = ("coeffs", "truncation_degree")
@@ -50,38 +58,20 @@ class GradedQPolynomial:
             raise ValueError("truncation degree must be non-negative")
         cleaned = {}
         for deg, c in (coeffs or {}).items():
+            if type(deg) is not int or type(c) is not int:
+                raise ValueError(f"q-polynomial terms must be int: int, got {deg!r}: {c!r}")
             if deg < 0:
                 raise ValueError("negative degree in q-polynomial")
             if truncation_degree is not None and deg > truncation_degree:
                 continue
             if c:
-                cleaned[int(deg)] = int(c)
+                cleaned[deg] = c
         self.coeffs = cleaned
         self.truncation_degree = truncation_degree
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, truncation_degree=None):
-        return cls({}, truncation_degree)
-
-    @classmethod
-    def one(cls, truncation_degree=None):
-        return cls({0: 1}, truncation_degree)
-
-    @classmethod
-    def monomial(cls, degree, coeff=1, truncation_degree=None):
-        return cls({degree: coeff}, truncation_degree)
-
-    # -- basic queries -----------------------------------------------------
 
     @property
     def is_zero(self):
         return not self.coeffs
-
-    @property
-    def is_exact(self):
-        return self.truncation_degree is None
 
     def coefficient(self, degree):
         """Coefficient of q^degree; raises if the degree was truncated away."""
@@ -111,19 +101,9 @@ class GradedQPolynomial:
         return cs == cs[::-1]
 
     def evaluate_at_one(self):
-        if not self.is_exact:
+        if self.truncation_degree is not None:
             raise ValueError("cannot evaluate a truncated series at q=1")
         return sum(self.coeffs.values())
-
-    # -- arithmetic --------------------------------------------------------
-
-    @staticmethod
-    def _merge_truncation(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
 
     def __eq__(self, other):
         if not isinstance(other, GradedQPolynomial):
@@ -135,94 +115,6 @@ class GradedQPolynomial:
 
     def __hash__(self):
         return hash((frozenset(self.coeffs.items()), self.truncation_degree))
-
-    def __add__(self, other):
-        trunc = self._merge_truncation(self.truncation_degree, other.truncation_degree)
-        out = dict(self.coeffs)
-        for deg, c in other.coeffs.items():
-            out[deg] = out.get(deg, 0) + c
-        return GradedQPolynomial(out, trunc)
-
-    def __neg__(self):
-        return GradedQPolynomial(
-            {d: -c for d, c in self.coeffs.items()}, self.truncation_degree
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GradedQPolynomial(
-                {d: c * other for d, c in self.coeffs.items()}, self.truncation_degree
-            )
-        trunc = self._merge_truncation(self.truncation_degree, other.truncation_degree)
-        out = {}
-        for da, ca in self.coeffs.items():
-            for db, cb in other.coeffs.items():
-                deg = da + db
-                if trunc is not None and deg > trunc:
-                    continue
-                out[deg] = out.get(deg, 0) + ca * cb
-        return GradedQPolynomial(out, trunc)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        result = GradedQPolynomial.one(self.truncation_degree)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def divide_exact(self, divisor):
-        """Exact polynomial division; the remainder must vanish.
-
-        Both operands must be exact polynomials.  Classic descending long
-        division; a nonzero remainder raises InternalConsistencyError.
-        """
-        if not (self.is_exact and divisor.is_exact):
-            raise ValueError("exact division requires exact polynomials")
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = dict(self.coeffs)
-        quot = {}
-        ddeg = divisor.degree()
-        dlead = divisor.coeffs[ddeg]
-        while rem:
-            rdeg = max(rem)
-            if rdeg < ddeg:
-                break
-            c, r = divmod(rem[rdeg], dlead)
-            if r:
-                break
-            shift = rdeg - ddeg
-            quot[shift] = c
-            for deg, dc in divisor.coeffs.items():
-                k = deg + shift
-                nv = rem.get(k, 0) - c * dc
-                if nv:
-                    rem[k] = nv
-                else:
-                    rem.pop(k, None)
-        if rem:
-            raise InternalConsistencyError(
-                f"exact polynomial division left remainder of degree {max(rem)}"
-            )
-        return GradedQPolynomial(quot)
-
-    def divide_by_int(self, divisor):
-        """Divide every coefficient by an integer, asserting divisibility."""
-        out = {}
-        for deg, c in self.coeffs.items():
-            q, r = divmod(c, divisor)
-            if r:
-                raise InternalConsistencyError(
-                    f"coefficient {c} of q^{deg} is not divisible by {divisor}"
-                )
-            out[deg] = q
-        return GradedQPolynomial(out, self.truncation_degree)
 
     # -- presentation ------------------------------------------------------
 
@@ -268,103 +160,113 @@ def euler_series(n, truncation, statistics=FERMION):
         raise ValueError("truncation degree must be non-negative")
     shift = n * (n - 1) // 2 if statistics is FERMION else 0
     coeffs = [int(j == shift) for j in range(truncation + 1)]
-    return _divided(coeffs, range(1, n + 1))
+    _divided(coeffs, range(1, n + 1))
+    return GradedQPolynomial(dict(enumerate(coeffs)), truncation)
 
 
 def _divided(coeffs, ks):
-    """The series of a coefficient list, truncated after its last entry,
-    divided by 1 - q^k for each k: a running sum with stride k, linear in
-    the truncation degree per factor."""
+    """coeffs, a list or an array along its first axis, divided in place by
+    1 - q^k for each k as a series truncated after its last entry: a running
+    sum with stride k, linear in the truncation degree per factor."""
     for k in ks:
         for start in range(k):
-            coeffs[start::k] = itertools.accumulate(coeffs[start::k])
-    return GradedQPolynomial(dict(enumerate(coeffs)), len(coeffs) - 1)
+            coeffs[start::k] = list(itertools.accumulate(coeffs[start::k]))
+    return coeffs
+
+
+def _apply_factor(coeffs, m, k):
+    """Multiply an object array along its first axis, in place, by
+    (1-q^m)...(1-q^(m-k+1)) / (1-q^k).
+
+    One of the k consecutive exponents in the numerator is divisible by k,
+    so the division is exact: the array must be long enough to hold the
+    numerator, and its last k entries must be zero after the running sum.
+    """
+    for j in range(m - k + 1, m + 1):
+        coeffs[j:] -= coeffs[:-j]  # numpy reads the overlapping operand first
+    if _divided(coeffs, [k])[-k:].any():
+        raise InternalConsistencyError(
+            f"(1-q^{m})...(1-q^{m - k + 1}) left a remainder on division by 1-q^{k}"
+        )
+
+
+def _shape_counts(n, statistics, axes):
+    """Shape counts of n particles as an object array of ints, one array axis
+    per distinct entry of ``axes`` (array axes 0, 1, ...).
+
+    The recursion
+        m P(m) = sum_k (-1)^(k+1) [prod over axes of F(m,k)] P(m-k),
+        F(m,k) = (1-q^m)...(1-q^(m-k+1)) / (1-q^k),   P(0) = P(1) = 1,
+    runs with the alternating sign dropped for bosons.  Each entry of
+    ``axes`` names the array axis whose variable that dimension's factor is
+    in: (0,) * d gives the graded counts, range(d) the counts per sector.
+    """
+    counts = [axes.count(a) for a in range(max(axes) + 1)]
+    table = [np.ones([1] * len(counts), dtype=object)] * 2
+    for m in range(2, n + 1):
+        # P(m) has degree at most m(m-1)/2 per dimension; a numerator, k more.
+        top = tuple(slice(c * m * (m - 1) // 2 + 1) for c in counts)
+        total = np.zeros([s.stop for s in top], dtype=object)
+        for k in range(1, m + 1):
+            term = np.zeros([s.stop + k for s in top], dtype=object)
+            term[tuple(map(slice, table[m - k].shape))] = table[m - k]
+            for axis in axes:
+                _apply_factor(term.swapaxes(0, axis), m, k)
+            if statistics is FERMION and k % 2 == 0:
+                total -= term[top]
+            else:
+                total += term[top]
+        quotient = total // m
+        if (quotient * m != total).any() or (quotient < 0).any():
+            raise InternalConsistencyError(
+                f"shape count recursion does not give non-negative integers at "
+                f"n={m}, axes={tuple(axes)}, {statistics.value}"
+            )
+        table.append(quotient)
+    return table[n]
+
+
+def _check_system(n, d):
+    if n < 0:
+        raise ValueError("particle count must be non-negative")
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
 
 
 def shape_recursion_factor(n, k):
-    """The exact polynomial (1-q^n)...(1-q^(n-k+1)) / (1-q^k).
-
-    One of the k consecutive exponents in the numerator is divisible by k,
-    so the division is exact; a nonzero remainder aborts.
-    """
+    """The exact polynomial (1-q^n)...(1-q^(n-k+1)) / (1-q^k)."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    numerator = GradedQPolynomial.one()
-    for j in range(n - k + 1, n + 1):
-        numerator = numerator * GradedQPolynomial({0: 1, j: -1})
-    return numerator.divide_exact(GradedQPolynomial({0: 1, k: -1}))
+    coeffs = np.zeros(k * (2 * n - k + 1) // 2 + 1, dtype=object)
+    coeffs[0] = 1
+    _apply_factor(coeffs, n, k)
+    return GradedQPolynomial(dict(enumerate(coeffs)))
 
 
 @functools.lru_cache(maxsize=None)
 def shape_polynomial(n, d, statistics=FERMION):
     """Generating polynomial counting shapes of n particles in d dimensions.
 
-    Computed from the exact recursion
-        n * P(n) = sum_k (-1)^(k+1) [C(n,k)]^d P(n-k)      (fermions)
-    with the alternating sign dropped for bosons; P(0) = P(1) = 1.  The
-    result has non-negative integer coefficients and P(q=1) = n!^(d-1).
+    _shape_counts with every dimension in the one variable q, so that each
+    step multiplies by F(m,k)^d.  The result has non-negative integer
+    coefficients and P(q=1) = n!^(d-1).
     """
-    if n < 0:
-        raise ValueError("particle count must be non-negative")
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    table = [GradedQPolynomial.one(), GradedQPolynomial.one()]
-    for m in range(2, n + 1):
-        acc = GradedQPolynomial.zero()
-        for k in range(1, m + 1):
-            term = shape_recursion_factor(m, k) ** d * table[m - k]
-            if statistics is FERMION and k % 2 == 0:
-                term = -term
-            acc = acc + term
-        poly = acc.divide_by_int(m)
-        if any(c < 0 for c in poly.coeffs.values()):
-            raise InternalConsistencyError(
-                f"shape polynomial recursion produced a negative coefficient "
-                f"at n={m}, d={d}, {statistics.value}"
-            )
-        table.append(poly)
-    return table[n] if n >= 1 else table[0]
+    _check_system(n, d)
+    return GradedQPolynomial(dict(enumerate(_shape_counts(n, statistics, (0,) * d))))
 
 
 def sector_shape_counts(n, d, statistics=FERMION):
     """Shapes per sector: {per-axis degree tuple: count}, zeros omitted.
 
     A state's sector is the tuple of its per-axis degree totals, and every
-    shape lies in one.  The counts come from shape_polynomial's recursion
-    with [C(n,k)]^d replaced by prod_axis [C(n,k)] in that axis's own
-    variable q_axis, the multigraded Hilbert series of the free module the
-    shapes generate.  Summing the counts of one total degree gives that
-    degree's coefficient of shape_polynomial.
+    shape lies in one.  The counts are _shape_counts with each dimension in
+    its own variable q_axis, the multigraded Hilbert series of the free
+    module the shapes generate.  Summing the counts of one total degree
+    gives that degree's coefficient of shape_polynomial.
     """
-    if n < 0:
-        raise ValueError("particle count must be non-negative")
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    one = {(0,) * d: 1}
-    table = [one, one]
-    for m in range(2, n + 1):
-        acc = {}
-        for k in range(1, m + 1):
-            sign = -1 if statistics is FERMION and k % 2 == 0 else 1
-            factor = shape_recursion_factor(m, k).coeffs.items()
-            for per_axis in itertools.product(factor, repeat=d):
-                shift = tuple(deg for deg, _ in per_axis)
-                coeff = sign * math.prod(c for _, c in per_axis)
-                for sector, c in table[m - k].items():
-                    key = tuple(map(operator.add, shift, sector))
-                    acc[key] = acc.get(key, 0) + coeff * c
-        counts = {}
-        for sector, c in acc.items():
-            q, r = divmod(c, m)
-            if r or q < 0:
-                raise InternalConsistencyError(
-                    f"sector shape recursion produced {c}/{m} shapes in sector "
-                    f"{sector} at n={m}, d={d}, {statistics.value}"
-                )
-            if q:
-                counts[sector] = q
-        table.append(counts)
-    return table[n]
+    _check_system(n, d)
+    counts = _shape_counts(n, statistics, range(d))
+    return {tuple(map(int, s)): counts[tuple(s)] for s in np.argwhere(counts)}
 
 
 def total_shape_count(n, d):
@@ -383,7 +285,8 @@ def dimension_series(n, d, truncation, statistics=FERMION):
     """
     shapes = shape_polynomial(n, d, statistics)
     coeffs = [shapes.coeffs.get(j, 0) for j in range(truncation + 1)]
-    return _divided(coeffs, list(range(1, n + 1)) * d)
+    _divided(coeffs, list(range(1, n + 1)) * d)
+    return GradedQPolynomial(dict(enumerate(coeffs)), truncation)
 
 
 def level_dimension(n, d, grade, statistics=FERMION):

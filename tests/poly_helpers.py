@@ -1,4 +1,4 @@
-"""Helpers shared by the test modules: on expanded polynomials, and exact row reduction."""
+"""Helpers shared by the test modules: on expanded polynomials, q-series, and exact row reduction."""
 
 from fractions import Fraction
 
@@ -41,3 +41,17 @@ def swap_particles(poly, i, j):
         rows[i], rows[j] = rows[j], rows[i]
         terms[tuple(e for row in rows for e in row)] = coeff
     return ExactPolynomial(poly.n, d, terms)
+
+
+def q_product(*factors, truncation=None):
+    """Product of q-polynomials given as {degree: coeff} dicts, zeros dropped;
+    with a truncation, every degree above it is dropped too."""
+    out = {0: 1}
+    for factor in factors:
+        step = {}
+        for da, ca in out.items():
+            for db, cb in factor.items():
+                if truncation is None or da + db <= truncation:
+                    step[da + db] = step.get(da + db, 0) + ca * cb
+        out = {deg: c for deg, c in step.items() if c}
+    return out

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import re
 import time
 from fractions import Fraction
@@ -14,7 +15,7 @@ from shapes.cli import main
 from shapes.deflation import LevelBasis
 from shapes.polycore import SlaterState, euler_power, vandermonde
 from shapes.shapegen import ShapeCatalog, generate_shapes
-from shapes.counting import BOSON, FERMION
+from shapes.counting import BOSON, FERMION, shape_polynomial
 
 
 def run(capsys, *argv):
@@ -60,6 +61,17 @@ class TestPoly:
             main(["poly", "--n", "0", "--d", "2"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_large_system_is_fast_and_exact(self, capsys, tmp_path):
+        # 30!^3 is far past int64, so an int64 coefficient would break the sum.
+        shape_polynomial.cache_clear()
+        path = tmp_path / "poly.json"
+        start = time.perf_counter()
+        code, _, _ = run(capsys, "poly", "--n", "30", "--d", "4", "--out", str(path))
+        assert code == 0 and time.perf_counter() - start < 5
+        coeffs = json.loads(path.read_text())["coeffs"]
+        assert sum(coeffs) == math.factorial(30) ** 3
+        assert coeffs == coeffs[::-1]
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

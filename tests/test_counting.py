@@ -2,9 +2,13 @@
 
 from itertools import combinations_with_replacement, combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from molien_oracle import molien_counts
+from poly_helpers import q_product
+from shapes import counting
 from shapes.counting import (
     BOSON,
     FERMION,
@@ -44,33 +48,17 @@ class TestGradedQPolynomial:
         p = GradedQPolynomial({0: 1, 9: 4}, truncation_degree=5)
         assert p.coeffs == {0: 1}
 
-    def test_multiplication_truncation_is_min(self):
-        a = GradedQPolynomial({0: 1, 1: 1}, truncation_degree=7)
-        b = GradedQPolynomial({0: 1, 2: 1}, truncation_degree=4)
-        assert (a * b).truncation_degree == 4
-
-    def test_exact_times_truncated_keeps_truncation(self):
-        a = GradedQPolynomial({0: 1, 1: 1})
-        b = GradedQPolynomial({0: 1}, truncation_degree=3)
-        assert (a * b).truncation_degree == 3
-        assert (a * a).truncation_degree is None
+    @pytest.mark.parametrize(
+        "coeffs", [{1: 0.5}, {1.5: 2}, {2: 2.9}, {1: True}, {True: 1}, {np.int64(1): 1}]
+    )
+    def test_non_integers_refused(self, coeffs):
+        with pytest.raises(ValueError):
+            GradedQPolynomial(coeffs)
 
     def test_coefficient_beyond_truncation_raises(self):
         p = GradedQPolynomial({0: 1}, truncation_degree=3)
         with pytest.raises(ValueError):
             p.coefficient(4)
-
-    def test_exact_division(self):
-        # (1-q^6)/(1-q^2) = 1 + q^2 + q^4
-        num = GradedQPolynomial({0: 1, 6: -1})
-        den = GradedQPolynomial({0: 1, 2: -1})
-        assert num.divide_exact(den).coeffs == {0: 1, 2: 1, 4: 1}
-
-    def test_inexact_division_raises(self):
-        num = GradedQPolynomial({0: 1, 5: -1})
-        den = GradedQPolynomial({0: 1, 2: -1})
-        with pytest.raises(InternalConsistencyError):
-            num.divide_exact(den)
 
     def test_str(self):
         assert str(shape_polynomial(3, 2)) == "q^2 + 4q^3 + q^4"
@@ -114,20 +102,20 @@ class TestShapeRecursionFactor:
         assert shape_recursion_factor(3, 2).coeffs == {0: 1, 3: -1}
 
     def test_n4_k4(self):
-        expected = GradedQPolynomial({0: 1})
-        for j in (1, 2, 3):
-            expected = expected * GradedQPolynomial({0: 1, j: -1})
-        assert shape_recursion_factor(4, 4) == expected
+        expected = q_product({0: 1, 1: -1}, {0: 1, 2: -1}, {0: 1, 3: -1})
+        assert shape_recursion_factor(4, 4) == GradedQPolynomial(expected)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_division_always_exact(self, n):
         for k in range(1, n + 1):
             poly = shape_recursion_factor(n, k)
-            product = poly * GradedQPolynomial({0: 1, k: -1})
-            numerator = GradedQPolynomial({0: 1})
-            for j in range(n - k + 1, n + 1):
-                numerator = numerator * GradedQPolynomial({0: 1, j: -1})
-            assert product == numerator
+            numerator = q_product(*({0: 1, j: -1} for j in range(n - k + 1, n + 1)))
+            assert q_product(poly.coeffs, {0: 1, k: -1}) == numerator
+
+    def test_short_array_leaves_a_remainder(self):
+        # (1-q)(1-q^2) cut to 1 - q is not divisible by 1 - q^2.
+        with pytest.raises(InternalConsistencyError):
+            counting._apply_factor(np.array([1, 0], dtype=object), 2, 2)
 
 
 class TestShapePolynomial:
@@ -196,9 +184,10 @@ class TestLevelDimension:
         # The unshifted Euler factor to the d-th power times the shape
         # polynomial reproduces every level dimension.
         for n, d in [(2, 2), (3, 2), (2, 3), (3, 3)]:
-            series = euler_series(n, 10, BOSON) ** d * shape_polynomial(n, d, stat)
+            euler = euler_series(n, 10, BOSON).coeffs
+            series = q_product(*[euler] * d, shape_polynomial(n, d, stat).coeffs, truncation=10)
             for grade in range(11):
-                assert series.coefficient(grade) == level_dimension(n, d, grade, stat)
+                assert series.get(grade, 0) == level_dimension(n, d, grade, stat)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -206,16 +195,17 @@ class TestLevelDimension:
     )
     def test_series_equal_the_product_form(self, n, d, stat, truncation):
         # The running sums equal the product of truncated geometric series.
-        euler = GradedQPolynomial.one(truncation)
-        for k in range(1, n + 1):
-            geometric = {j: 1 for j in range(0, truncation + 1, k)}
-            euler = euler * GradedQPolynomial(geometric, truncation)
+        geometric = [{j: 1 for j in range(0, truncation + 1, k)} for k in range(1, n + 1)]
+        euler = q_product(*geometric, truncation=truncation)
         shift = n * (n - 1) // 2 if stat is FERMION else 0
-        shifted = euler * GradedQPolynomial.monomial(shift, truncation_degree=truncation)
-        assert euler_series(n, truncation, stat) == shifted
+        shifted = q_product(euler, {shift: 1}, truncation=truncation)
+        assert euler_series(n, truncation, stat) == GradedQPolynomial(shifted, truncation)
         if 1 <= n <= 4:
-            expected = shape_polynomial(n, d, stat) * euler**d
-            assert dimension_series(n, d, truncation, stat) == expected
+            shapes = shape_polynomial(n, d, stat).coeffs
+            expected = q_product(shapes, *[euler] * d, truncation=truncation)
+            assert dimension_series(n, d, truncation, stat) == GradedQPolynomial(
+                expected, truncation
+            )
 
     def test_dimension_series_matches(self):
         series = dimension_series(3, 2, 6)
@@ -254,6 +244,20 @@ class TestSectorShapeCounts:
             sector_shape_counts(-1, 2)
         with pytest.raises(ValueError):
             sector_shape_counts(2, 0)
+
+
+class TestMolienOracle:
+    @pytest.mark.parametrize("stat", [FERMION, BOSON])
+    @pytest.mark.parametrize("n, d", TestSectorShapeCounts.SYSTEMS)
+    def test_sector_counts(self, n, d, stat):
+        assert molien_counts(n, d, stat is FERMION) == sector_shape_counts(n, d, stat)
+
+    @pytest.mark.parametrize("stat", [FERMION, BOSON])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_shape_polynomial(self, n, d, stat):
+        graded = molien_counts(n, d, stat is FERMION, graded=True)
+        assert graded == shape_polynomial(n, d, stat).coeffs
 
 
 def test_statistics_parse():
