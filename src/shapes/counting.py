@@ -41,6 +41,13 @@ FERMION = Statistics.FERMION
 BOSON = Statistics.BOSON
 
 
+def is_fermion(statistics):
+    """True for FERMION, False for BOSON; any other value, a string too, is a ValueError."""
+    if not isinstance(statistics, Statistics):
+        raise ValueError(f"statistics {statistics!r} is not Statistics.FERMION or Statistics.BOSON")
+    return statistics is FERMION
+
+
 class GradedQPolynomial:
     """Sparse integer polynomial (or truncated series) in q, read-only.
 
@@ -158,7 +165,7 @@ def euler_series(n, truncation, statistics=FERMION):
         raise ValueError("particle count must be non-negative")
     if truncation < 0:
         raise ValueError("truncation degree must be non-negative")
-    shift = n * (n - 1) // 2 if statistics is FERMION else 0
+    shift = n * (n - 1) // 2 if is_fermion(statistics) else 0
     coeffs = [int(j == shift) for j in range(truncation + 1)]
     _divided(coeffs, range(1, n + 1))
     return GradedQPolynomial(dict(enumerate(coeffs)), truncation)
@@ -226,11 +233,12 @@ def _shape_counts(n, statistics, axes):
     return table[n]
 
 
-def _check_system(n, d):
+def _check_system(n, d, statistics):
     if n < 0:
         raise ValueError("particle count must be non-negative")
     if d < 1:
         raise ValueError("dimension must be at least 1")
+    is_fermion(statistics)
 
 
 def shape_recursion_factor(n, k):
@@ -251,7 +259,7 @@ def shape_polynomial(n, d, statistics=FERMION):
     step multiplies by F(m,k)^d.  The result has non-negative integer
     coefficients and P(q=1) = n!^(d-1).
     """
-    _check_system(n, d)
+    _check_system(n, d, statistics)
     return GradedQPolynomial(dict(enumerate(_shape_counts(n, statistics, (0,) * d))))
 
 
@@ -264,7 +272,7 @@ def sector_shape_counts(n, d, statistics=FERMION):
     module the shapes generate.  Summing the counts of one total degree
     gives that degree's coefficient of shape_polynomial.
     """
-    _check_system(n, d)
+    _check_system(n, d, statistics)
     counts = _shape_counts(n, statistics, range(d))
     return {tuple(map(int, s)): counts[tuple(s)] for s in np.argwhere(counts)}
 

@@ -255,7 +255,7 @@ def deflate_sparse(poly, basis):
         raise ValueError("polynomial and basis have different variable sets")
     if poly.is_zero:
         return {}
-    if not poly.is_homogeneous() or poly.grade() != basis.grade:
+    if {sum(mono) for mono in poly.terms} != {basis.grade}:
         raise ValueError(f"polynomial is not homogeneous of grade {basis.grade}")
     rows = [monomial_rows(mono, basis.d) for mono in poly.terms]
     result = {}

@@ -35,7 +35,7 @@ from operator import add
 
 import numpy as np
 
-from .counting import Statistics, FERMION
+from .counting import Statistics, FERMION, is_fermion
 from .errors import InternalConsistencyError
 
 AXIS_NAMES = "tuvw"
@@ -150,10 +150,6 @@ class ExactPolynomial:
                 f"polynomials over different variables: "
                 f"(n={self.n}, d={self.d}) vs (n={other.n}, d={other.d})"
             )
-
-    def is_homogeneous(self):
-        grades = {sum(m) for m in self.terms}
-        return len(grades) <= 1
 
     def grade(self):
         """Common total degree; None for the zero polynomial."""
@@ -508,11 +504,11 @@ class SlaterState:
     def from_orbitals(cls, orbitals, statistics):
         """Build a state from orbitals in any order, checking each one.
 
-        The orbitals must be non-empty, of one dimension, with non-negative
-        integer exponents (a float or a bool is refused, not truncated), and
-        pairwise distinct for fermions; else ValueError.  They are sorted
-        into canonical order and the phase of the sort is dropped: the
-        state is the one with canonical rows.
+        The statistics must be a Statistics member, and the orbitals non-empty,
+        of one dimension, with non-negative integer exponents (a float or a bool
+        is refused, not truncated), and pairwise distinct for fermions; else
+        ValueError.  They are sorted into canonical order and the phase of the
+        sort is dropped: the state is the one with canonical rows.
         """
         orbs = tuple(tuple(o) for o in orbitals)
         if not orbs:
@@ -526,7 +522,7 @@ class SlaterState:
                     raise ValueError(f"orbital exponent {e!r} is not an integer")
                 if e < 0:
                     raise ValueError("negative exponent in orbital")
-        rows, phase = canonical_rows([orbital_key(o) for o in orbs], statistics is FERMION)
+        rows, phase = canonical_rows([orbital_key(o) for o in orbs], is_fermion(statistics))
         if not phase:
             raise ValueError("fermion orbitals must be pairwise distinct")
         return cls(tuple(orb for _deg, orb in rows), statistics)
@@ -735,6 +731,7 @@ def enumerate_basis(n, d, grade, statistics=FERMION):
     """
     if grade < 0:
         raise ValueError("grade must be non-negative")
+    side = "right" if is_fermion(statistics) else "left"
     codes = orbital_codes(d)
     count = codes.grow(grade)
     width = count + 1
@@ -750,7 +747,6 @@ def enumerate_basis(n, d, grade, statistics=FERMION):
     first = (total == degree) & ((total == grade) if n == 1 else (degree * n <= grade))
     rows = code[first, None].astype(np.int32)
     keys = head[first]
-    side = "right" if statistics is FERMION else "left"
     for j in range(2, n + 1):
         free = n - j
         fits = total + free * degree <= grade if free else total == grade
@@ -778,19 +774,24 @@ class CountTable:
 
     table[m, c, s] is the number of canonical rows of m codes (descending,
     strictly for fermions), all below code c, with degree sum s, for codes
-    of degree <= grade and s <= grade.  A row's first code c' leaves a row
-    of m - 1 codes below c' (fermions) or c' + 1 (bosons) and of sum
+    of degree <= reach and s <= grade: no state through the grade, nor a
+    tail of one, holds a code above reach (grade, less for fermions the
+    degrees of the n - 1 lowest codes).  A row's first code c' leaves a
+    row of m - 1 codes below c' (fermions) or c' + 1 (bosons) and of sum
     s - degree(c'), so one cumulative sum over c' per m builds it, and
     table[n, -1, g] is the dimension of level g.  Its entries are int64
     while C(codes + n, n), which bounds them, is below 2^63, and Python
-    ints above.
+    ints above.  count_table keeps one table per argument tuple.
     """
 
-    def __init__(self, n, d, grade, statistics):
-        self.n, self.grade, self.fermion = n, grade, statistics is FERMION
+    def __init__(self, n, d, grade, statistics=FERMION):
+        self.n, self.grade, self.fermion = n, grade, is_fermion(statistics)
         codes = orbital_codes(d)
-        limit = codes.grow(grade)
-        self.degrees = codes.axis_degrees(grade)[:limit].sum(axis=1)
+        if self.fermion:  # number the n - 1 lowest codes, all of degree < n
+            next(g for g in range(n) if codes.grow(g) >= n - 1)
+        self.reach = max(0, grade - sum(codes.degrees[: n - 1])) if self.fermion else grade
+        limit = codes.grow(self.reach)
+        self.degrees = codes.axis_degrees(self.reach)[:limit].sum(axis=1)
         dtype = np.int64 if comb(limit + n, n) < 2**63 else object
         table = self.table = np.zeros((n + 1, limit + 1, grade + 1), dtype=dtype)
         table[0, :, 0] = 1
@@ -835,10 +836,7 @@ class CountTable:
         return ranks
 
 
-@cache
-def count_table(n, d, grade, statistics=FERMION):
-    """The CountTable of n codes of d-dimensional orbitals through grade."""
-    return CountTable(n, d, grade, statistics)
+count_table = cache(CountTable)
 
 
 def vandermonde(n, axis=0, d=1):

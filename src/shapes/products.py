@@ -26,7 +26,7 @@ from math import comb
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .polycore import chunks, euler_table, sector_of
+from .polycore import chunks, euler_table
 
 # The bytes a pass of apply_maps holds per (entry, m-subset) pair, its
 # output aside: tracemalloc measured 63-132 on grades of (4,2,b), (3,3,f),
@@ -282,7 +282,7 @@ class Products:
         for shape in shapes:
             rec = catalog.shapes[shape]
             shifts = table.shifts[1 : table.starts[catalog.max_grade - rec.grade + 1]]
-            sectors = np.array(_home_sector(catalog, rec)) + shifts
+            sectors = _home_sector(catalog, rec) + shifts
             representative = (sectors[:, :-1] >= sectors[:, 1:]).all(axis=1)
             keys.append(shape * len(table) + 1 + np.flatnonzero(representative))
         self.want(np.concatenate(keys + [_NO_KEYS]))
@@ -420,5 +420,5 @@ def trivial_products(catalog, grade):
 
 
 def _home_sector(catalog, rec):
-    """The sector of a shape's states."""
-    return sector_of(catalog.level_basis(rec.grade).orbitals(min(rec.coeffs)))
+    """The sector of a shape's states, read from its lowest state's codes."""
+    return catalog.level_basis(rec.grade).state_sectors([min(rec.coeffs)])[0]

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import chain, groupby
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 import numpy as np
@@ -68,7 +68,7 @@ from .counting import (
     GradedQPolynomial,
     Statistics,
     FERMION,
-    level_dimension,
+    dimension_series,
     sector_shape_counts,
     shape_polynomial,
     total_shape_count,
@@ -242,13 +242,11 @@ class ShapeCatalog:
 
     def level_basis(self, grade):
         """The level of a grade, built on first read and kept."""
-        basis = self._bases.get(grade)
-        if basis is None:
-            basis = LevelBasis(
+        if grade not in self._bases:
+            self._bases[grade] = LevelBasis(
                 self.n, self.d, grade, self.statistics, max_states=self.state_cap
             )
-            self._bases[grade] = basis
-        return basis
+        return self._bases[grade]
 
     def shapes_at(self, grade):
         return [s for s in self.shapes if s.grade == grade]
@@ -437,32 +435,27 @@ class ShapeCatalog:
         """Per shape read, (grade, index, entry) each: its rows' state
         indices, -1 for a row that is no state in canonical order, and
         whether its rows lie in more than one sector.  No level is built:
-        all rows are coded (OrbitalCodes.code_rows) and ranked in one call
-        each (CountTable.rank) by the count table through the top grade
-        read, which _read_rows bounds by the shape polynomial's degree.  The
-        table's dimensions check the state cap grade by grade (the dimension
-        series does so first when the table would hold more entries than the
-        cap allows states), and the rows' sectors are summed from the
-        per-code axis degrees.
+        one dimension series through the top grade read, which _read_rows
+        bounds by the shape polynomial's degree, checks the state cap at
+        every grade read, and then all rows are coded
+        (OrbitalCodes.code_rows) and ranked in one call each
+        (CountTable.rank) through the count table's reach, and their
+        sectors summed from the per-code axis degrees.
         """
         grades = [grade for grade, _index, _entry in read]
         shapes = [entry["basis"] for _grade, _index, entry in read]
         lengths = np.fromiter(map(len, shapes), dtype=np.int64, count=len(shapes))
-        top, levels = max(grades, default=0), dict.fromkeys(grades)
-        if (self.n + 1) * comb(top + self.d, self.d) * (top + 1) > self.state_cap:
-            for grade in levels:
-                dimension = level_dimension(self.n, self.d, grade, self.statistics)
-                if dimension > self.state_cap:
-                    raise StateCapExceeded(grade, dimension, self.state_cap)
+        top = max(grades, default=0)
+        series = dimension_series(self.n, self.d, top, self.statistics)
+        for grade in dict.fromkeys(grades):
+            if series.coefficient(grade) > self.state_cap:
+                raise StateCapExceeded(grade, series.coefficient(grade), self.state_cap)
         table = count_table(self.n, self.d, top, self.statistics)
-        for grade in levels:
-            if table.dimension(grade) > self.state_cap:
-                raise StateCapExceeded(grade, table.dimension(grade), self.state_cap)
         codes = orbital_codes(self.d)
-        rows = codes.code_rows(list(chain.from_iterable(shapes)), self.n, top)
+        rows = codes.code_rows(list(chain.from_iterable(shapes)), self.n, table.reach)
         indices = table.rank(rows, np.repeat(np.array(grades, dtype=np.int64), lengths))
         # A row that is no state (-1) is refused before its sector is read.
-        sectors = codes.axis_degrees(top)[np.where(indices[:, None] < 0, 0, rows)].sum(axis=1)
+        sectors = codes.axis_degrees(table.reach)[rows * (indices[:, None] >= 0)].sum(axis=1)
         ends = np.cumsum(lengths)
         off = (sectors != sectors[np.repeat(ends - lengths, lengths)]).any(axis=1)
         before = np.concatenate(([0], np.cumsum(off)))  # off rows before each row

@@ -14,7 +14,7 @@ from shapes import cli, realize
 from shapes.cli import main
 from shapes.deflation import LevelBasis
 from shapes.polycore import SlaterState, euler_power, vandermonde
-from shapes.shapegen import ShapeCatalog, generate_shapes
+from shapes.shapegen import ShapeCatalog, SpanReport, generate_shapes
 from shapes.counting import BOSON, FERMION, shape_polynomial
 
 
@@ -61,6 +61,14 @@ class TestPoly:
             main(["poly", "--n", "0", "--d", "2"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["poly", "generate", "verify"])
+    def test_dimension_zero_exit_two(self, capsys, command):
+        out = ["--out", "x.json"] if command == "generate" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "2", "--d", "0", *out])
+        assert exc.value.code == 2
+        assert "--d must be at least 1" in capsys.readouterr().err
 
     def test_large_system_is_fast_and_exact(self, capsys, tmp_path):
         # 30!^3 is far past int64, so an int64 coefficient would break the sum.
@@ -291,6 +299,22 @@ class TestDeflate:
         assert code == 2
         assert message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--n", "4", "--n 4 does not match the file's n=3"),
+         ("--d", "2", "--d 2 does not match the file's d=1")],
+    )
+    def test_a_system_other_than_the_files_exit_two(self, capsys, tmp_path, flag, value, message):
+        poly_path = tmp_path / "poly.json"
+        payload = {"format_version": "1", "kind": "polynomial"}
+        payload.update(vandermonde(3).to_json_obj())
+        poly_path.write_text(json.dumps(payload))
+        code, out, err = run(
+            capsys, "deflate", "--poly", str(poly_path), "--grade", "3", flag, value,
+        )
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_wrong_grade_exit_two(self, capsys, tmp_path):
         poly_path = tmp_path / "poly.json"
@@ -757,6 +781,18 @@ class TestVerify:
         assert "SKIP  [fermion] enumeration grade 3  6 states exceed the state cap 5" in out
         assert "SKIP  [fermion] catalog checks  level at grade 3 has 6 states" in out
         assert "PASS" not in out.split("enumeration grade 3")[1]
+
+    def test_a_failed_check_fails_the_verdict(self, capsys, monkeypatch):
+        def rank_deficient(catalog, grade):
+            return SpanReport(grade, 1, 0, 0, passed=False)
+
+        monkeypatch.setattr(cli, "verify_span", rank_deficient)
+        code, out, _ = run(capsys, "verify", "--n", "2", "--d", "2", "--stat", "fermion")
+        poly = shape_polynomial(2, 2, FERMION)
+        failed = poly.degree() - poly.lowest_degree() + 1
+        assert code == 3
+        assert out.splitlines()[-1] == f"verify: FAIL ({failed} checks)"
+        assert out.count("FAIL  [fermion] span grade") == failed
 
     def test_three_dimensional_top_grade_is_span_checked(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "3", "--d", "3", "--stat", "fermion")

@@ -1,5 +1,6 @@
 """Tests for the q-series counting layer."""
 
+import re
 from itertools import combinations_with_replacement, combinations, permutations
 
 import numpy as np
@@ -22,7 +23,10 @@ from shapes.counting import (
     shape_recursion_factor,
     total_shape_count,
 )
+from shapes.deflation import LevelBasis
 from shapes.errors import InternalConsistencyError
+from shapes.polycore import CountTable, SlaterState, enumerate_basis
+from shapes.shapegen import generate_shapes
 
 
 def brute_force_euler(n, truncation, statistics):
@@ -265,3 +269,26 @@ def test_statistics_parse():
     assert Statistics.parse("BOSON") is BOSON
     with pytest.raises(ValueError):
         Statistics.parse("anyon")
+
+
+ENTRIES = {
+    "shape_polynomial": lambda stat: shape_polynomial(3, 2, stat),
+    "sector_shape_counts": lambda stat: sector_shape_counts(3, 2, stat),
+    "level_dimension": lambda stat: level_dimension(3, 2, 2, stat),
+    "dimension_series": lambda stat: dimension_series(3, 2, 4, stat),
+    "euler_series": lambda stat: euler_series(3, 4, stat),
+    "LevelBasis": lambda stat: LevelBasis(3, 2, 2, stat),
+    "generate_shapes": lambda stat: generate_shapes(3, 2, stat),
+    "enumerate_basis": lambda stat: enumerate_basis(3, 2, 2, stat),
+    "CountTable": lambda stat: CountTable(3, 2, 4, stat),
+    "from_orbitals": lambda stat: SlaterState.from_orbitals([(1, 0), (0, 1), (0, 0)], stat),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize("value", ["fermion", None, 1], ids=repr)
+def test_a_statistics_that_is_no_member_is_refused(entry, value):
+    # A string enters through Statistics.parse; anything else that is not
+    # FERMION or BOSON is refused by name, not read as bosons.
+    with pytest.raises(ValueError, match=re.escape(f"statistics {value!r} is not")):
+        ENTRIES[entry](value)

@@ -158,6 +158,17 @@ class TestLevelBasis:
                         callers.add(path.name)
         assert callers == {"products.py"}
 
+    def test_products_decodes_no_orbitals(self):
+        # Generation reads states as codes: a shape's sector is summed from
+        # its lowest state's codes (LevelBasis.state_sectors), not decoded.
+        tree = ast.parse(Path(deflation.__file__).with_name("products.py").read_text())
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(getattr(func, "attr", getattr(func, "id", None)))
+        assert called and not called & {"decode", "orbitals", "sector_of"}
+
 
 class TestDeflate:
     def test_first_level_trivial_state_t_axis(self, basis_32_3):

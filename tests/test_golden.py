@@ -132,6 +132,18 @@ def test_forced_paths_are_byte_identical(tmp_path, capsys, monkeypatch, system, 
         assert any(proven) and all(proven) != fractional
 
 
+@pytest.mark.parametrize(
+    "system", [(3, 3, "fermion"), (4, 2, "boson")], ids=lambda s: "%d-%d-%s" % s
+)
+def test_no_bundled_openblas_gives_the_same_bytes(tmp_path, capsys, monkeypatch, system):
+    # Where numpy's bundled OpenBLAS is not found, the certificates run on
+    # the library's own thread count, and the catalog is the same.
+    looked = []
+    monkeypatch.setattr(shapegen, "_blas_threads", lambda: looked.append(1))
+    assert_golden(tmp_path, capsys, system)
+    assert looked
+
+
 @pytest.fixture(scope="module")
 def catalog_files(tmp_path_factory):
     """{system: path of its catalog written by `shapes generate`}, made on first use."""

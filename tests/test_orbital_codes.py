@@ -286,6 +286,27 @@ class TestCountTable:
             for (g, i, label), rank in zip(picks, table.rank(rows, labels).tolist())
         )
 
+    @pytest.mark.parametrize(
+        "n, grade, codes, reach", [(16, 45, 21, 5), (24, 88, 28, 6), (3, 4, 10, 3), (3, 0, 1, 0)]
+    )
+    def test_a_fermion_table_spans_the_codes_a_state_can_hold(self, n, grade, codes, reach):
+        # No code of a state through the grade has a degree above the grade
+        # less the n - 1 lowest codes' degrees: (16, 2) at its ground grade
+        # 45 spans the 21 codes of degree <= 5, not the 1081 of degree <= 45.
+        table = count_table(n, 2, grade, FERMION)
+        assert (table.reach, len(table.degrees), table.table.dtype) == (reach, codes, np.int64)
+        assert table.dimension(grade) == level_dimension(n, 2, grade, FERMION)
+
+    def test_a_boson_table_reaches_its_grade(self):
+        table = count_table(4, 2, 6, BOSON)
+        assert (table.reach, len(table.degrees)) == (6, orbital_codes(2).grow(6))
+
+    @pytest.mark.parametrize("n, grade", [(16, 45), (24, 88)])
+    def test_many_fermion_ranks_are_the_level_indices(self, n, grade):
+        rows = LevelBasis(n, 2, grade, FERMION).code_array.astype(np.int64)
+        ranks = count_table(n, 2, grade, FERMION).rank(rows, grade)
+        assert ranks.tolist() == list(range(len(rows)))
+
 
 def carried(target, source, code_map, m, vectors):
     """{state index: coeff} vectors of source through one pass of apply_maps."""

@@ -1,6 +1,7 @@
 """Tests for shape generation, complements, and span verification."""
 
 import ast
+import importlib.util
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import gcd, lcm
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from shapes.counting import (
     BOSON,
     FERMION,
+    GradedQPolynomial,
     sector_shape_counts,
     shape_polynomial,
     total_shape_count,
@@ -423,6 +425,18 @@ class TestSectorLaw:
             InternalConsistencyError,
             match=r"sector law mismatch at grade 4, sector \(2, 2\): expected 2 new "
             r"shapes, found 1",
+        ):
+            generate_shapes(3, 2, FERMION)
+
+    def test_complement_mismatch_is_named_by_grade(self, monkeypatch):
+        poly = GradedQPolynomial({2: 1, 3: 5, 4: 1})
+        monkeypatch.setattr(shapegen, "shape_polynomial", lambda n, d, stat: poly)
+        with pytest.raises(
+            InternalConsistencyError,
+            match=re.escape(
+                "complement dimension mismatch at grade 3: expected 5 new shapes, "
+                "found 4 (trivial rank 2 in dimension 6)"
+            ),
         ):
             generate_shapes(3, 2, FERMION)
 
@@ -1344,11 +1358,18 @@ class TestCatalogLoading:
             return call
 
         monkeypatch.setattr(shapegen, "count_table", bounded(shapegen.count_table, 2))
-        monkeypatch.setattr(shapegen, "level_dimension", bounded(shapegen.level_dimension, 2))
+        monkeypatch.setattr(shapegen, "dimension_series", bounded(shapegen.dimension_series, 2))
         monkeypatch.setattr(polycore.OrbitalCodes, "grow", bounded(polycore.OrbitalCodes.grow, 1))
         message = f"catalog shape {grade}:0: grade {grade} is outside 0..{top}"
         with pytest.raises(ValueError, match=re.escape(message)):
             ShapeCatalog.from_json_obj(obj)
+
+    def test_a_many_fermion_ground_catalog_loads_as_written(self):
+        # (16, 2, fermion) at its ground grade 45: the count table spans the
+        # 21 codes of degree <= 5 that its states can hold.
+        obj = generate_shapes(16, 2, FERMION, max_grade=45).to_json_obj()
+        assert len(obj["shapes"]) == 6
+        assert ShapeCatalog.from_json_obj(obj).to_json_obj() == obj
 
     def test_a_max_grade_above_the_degree_loads_as_written(self, catalog_32):
         # The bound is the lesser of max_grade and the degree: a file that
@@ -1403,3 +1424,16 @@ class TestGuards:
             InternalConsistencyError, match="grade 3 are not free: 3 vectors have rank 2"
         ):
             generate_shapes(3, 2, FERMION)
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # perfbench/tracer.py wraps package functions by (module, attribute
+    # path); a rename here would leave a span silently empty.
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    bound = [pair for pairs in tracer.SPANS.values() for pair in pairs]
+    assert bound and all(module.split(".")[0] == "shapes" for module, _attr in bound)
+    for module, attr in bound:
+        assert callable(reduce(getattr, attr.split("."), importlib.import_module(module)))
